@@ -120,10 +120,11 @@ class Sanitizer:
         self.findings.append(f)
         tel = getattr(self.ex.backend, "telemetry", None)
         if tel is not None:
-            from repro.telemetry.events import TID_SAN
+            if tel.bus.recording:
+                from repro.telemetry.events import TID_SAN
 
-            tel.bus.instant(rule_id, 0, TID_SAN, cat="san",
-                            location=location, message=message, **telargs)
+                tel.bus.instant(rule_id, 0, TID_SAN, cat="san",
+                                location=location, message=message, **telargs)
             tel.metrics.counter("san_findings", rule=rule_id).inc()
         if self.strict:
             raise SanitizerError(str(f), rule=rule_id)

@@ -85,8 +85,6 @@ def merged_event_bus(runs: Sequence[Any]) -> Any:
     ``offset_i + r`` in the merged bus (offsets are cumulative rank
     counts).  Dropped-event counts carry over per namespaced rank.
     """
-    import dataclasses
-
     from repro.telemetry.events import EventBus
 
     merged = EventBus(nranks=1, capacity=None)
@@ -94,9 +92,7 @@ def merged_event_bus(runs: Sequence[Any]) -> Any:
     for run in runs:
         bus = run.telemetry.bus
         merged.ensure_ranks(offset + bus.nranks)
-        for ev in bus.events():
-            merged._append(offset + ev.rank, dataclasses.replace(
-                ev, rank=offset + ev.rank))
+        merged.extend(bus.events(), rank_offset=offset)
         for r, n in enumerate(bus.dropped):
             merged.dropped[offset + r] += n
         offset += bus.nranks

@@ -52,10 +52,11 @@ class Collectives:
         delay = self.barrier_duration(len(ranks))
         tel = self.comm.telemetry
         if tel is not None:
-            from repro.telemetry.events import TID_RT
+            if tel.bus.recording:
+                from repro.telemetry.events import TID_RT
 
-            tel.bus.instant("barrier", min(ranks, default=0), TID_RT,
-                            cat="coll", nranks=len(ranks), duration=delay)
+                tel.bus.instant("barrier", min(ranks, default=0), TID_RT,
+                                cat="coll", nranks=len(ranks), duration=delay)
             tel.metrics.counter("collectives", op="barrier").inc()
         self.engine.schedule(delay, on_release,
                              rank=min(ranks, default=None))
@@ -90,11 +91,12 @@ class Collectives:
         t_hop = self.network.transfer_time(nbytes)
         tel = self.comm.telemetry
         if tel is not None:
-            from repro.telemetry.events import TID_RT
+            if tel.bus.recording:
+                from repro.telemetry.events import TID_RT
 
-            tel.bus.instant("bcast", root, TID_RT, cat="coll",
-                            nranks=len(ranks), nbytes=nbytes,
-                            stages=order[-1][1] if order else 0)
+                tel.bus.instant("bcast", root, TID_RT, cat="coll",
+                                nranks=len(ranks), nbytes=nbytes,
+                                stages=order[-1][1] if order else 0)
             tel.metrics.counter("collectives", op="bcast").inc()
             tel.metrics.counter("collective_bytes", op="bcast").inc(
                 nbytes * len(order))

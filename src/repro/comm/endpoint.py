@@ -14,7 +14,10 @@ from typing import Any, Callable, Optional
 
 from repro.sim.cluster import Cluster
 from repro.sim.trace import Tracer
-from repro.telemetry.events import TID_AM, TID_RMA
+from repro.telemetry.events import SPAN, TID_AM, TID_RMA
+
+#: ``EventBus.record`` arg names of the AM/RMA spans.
+_COMM_ARGS = ("src", "nbytes")
 
 
 class CommEngine:
@@ -97,10 +100,9 @@ class CommEngine:
             self.tracer.record_message(src, dst, nbytes, t_sent, done, tag=tag)
         tel = self.telemetry
         if tel is not None:
-            tel.bus.complete(
-                f"am:{tag or 'am'}", dst, TID_AM, t_sent, done, cat="comm",
-                args={"src": src, "nbytes": nbytes},
-            )
+            if tel.bus.recording:
+                tel.bus.record(SPAN, f"am:{tag or 'am'}", "comm", dst, TID_AM,
+                               t_sent, done, None, _COMM_ARGS, src, nbytes)
             tel.metrics.counter("am", dst=dst).inc()
             tel.metrics.counter("am_bytes", dst=dst).inc(nbytes)
             tel.metrics.histogram("am_latency", dst=dst).observe(done - t_sent)
@@ -130,10 +132,9 @@ class CommEngine:
             self.tracer.record_message(target, origin, nbytes, t0, done, tag=tag)
         tel = self.telemetry
         if tel is not None:
-            tel.bus.complete(
-                f"rma:{tag}", origin, TID_RMA, t0, done, cat="comm",
-                args={"src": target, "nbytes": nbytes},
-            )
+            if tel.bus.recording:
+                tel.bus.record(SPAN, f"rma:{tag}", "comm", origin, TID_RMA,
+                               t0, done, None, _COMM_ARGS, target, nbytes)
             tel.metrics.counter("rma_gets", origin=origin).inc()
             tel.metrics.counter("rma_get_bytes", origin=origin).inc(nbytes)
         self.engine.schedule_at(done, on_complete, *args, rank=origin)

@@ -34,7 +34,12 @@ from repro.core.messaging import (
 from repro.core.task import TemplateTask
 from repro.core.terminals import OutputTerminal
 from repro.runtime.base import Backend
-from repro.telemetry.events import TID_RT
+from repro.telemetry.events import INSTANT, TID_RT
+
+#: ``EventBus.record`` arg specs of the dependency / zero-copy instants:
+#: the consumer label ``dst`` is formatted from (template name, key) on read.
+_DEP_ARGS = "src dst[] edge obj? mode?"
+_ALIAS_ARGS = "src dst[] obj mode"
 
 _EMPTY = object()
 
@@ -259,14 +264,13 @@ class Executable:
             self.sanitizer.on_route(tt, term.index, key, value, "value",
                                     provenance="<inject>")
         tel = self.backend.telemetry
-        if tel is not None and tel.bus.enabled:
-            extra: Dict[str, Any] = {}
+        if tel is not None and tel.bus.recording:
             tok = tel.data_token(value)
-            if tok is not None:
-                extra = {"obj": tok, "mode": "value"}
-            tel.bus.instant(
-                "dep", 0, TID_RT, cat="dep", src="<external>",
-                dst=f"{tt.name}[{key!r}]", edge=term.edge.name, **extra,
+            now = tel.bus.now()
+            tel.bus.record(
+                INSTANT, "dep", "dep", 0, TID_RT, now, now, None, _DEP_ARGS,
+                "<external>", tt.name, key, term.edge.name,
+                tok, None if tok is None else "value",
             )
         self.backend.post_local(self._deliver, tt, term.index, key, value,
                                 rank=tt.keymap(key, self.nranks))
@@ -332,31 +336,30 @@ class Executable:
             )
         backend = self.backend
         tel = backend.telemetry
-        record = tel is not None and tel.bus.enabled
-        # Data token: stable per-run identity for the sent buffer, stamped
-        # on dep instants (and alias instants for zero-copy deliveries) so
-        # the race detector can follow one buffer across ranks.
-        tok = tel.data_token(value) if record else None
-        extra: Dict[str, Any] = {"obj": tok, "mode": mode} if tok is not None else {}
+        bus = tel.bus if tel is not None and tel.bus.recording else None
+        if bus is not None:
+            # Data token: stable per-run identity for the sent buffer,
+            # stamped on dep instants (and alias instants for zero-copy
+            # deliveries) so the race detector can follow one buffer
+            # across ranks.
+            tok = tel.data_token(value)
+            tok_mode = None if tok is None else mode
+            src, now = current_task_label(), bus.now()
         for ctt, cidx in edge.consumers:
             if self.sanitizer is not None:
                 self.sanitizer.on_route(ctt, cidx, key, value, mode)
-            if record:
-                tel.bus.instant(
-                    "dep", src_rank, TID_RT, cat="dep",
-                    src=current_task_label(), dst=f"{ctt.name}[{key!r}]",
-                    edge=edge.name, **extra,
-                )
+            if bus is not None:
+                bus.record(INSTANT, "dep", "dep", src_rank, TID_RT, now, now,
+                           None, _DEP_ARGS, src, ctt.name, key, edge.name,
+                           tok, tok_mode)
             dst = ctt.keymap(key, self.nranks)
             if dst == src_rank:
                 backend.stats.local_deliveries += 1
                 v2, delay = backend.maybe_copy_local(value, mode)
-                if record and tok is not None and v2 is value:
-                    tel.bus.instant(
-                        "alias", src_rank, TID_RT, cat="alias",
-                        src=current_task_label(),
-                        dst=f"{ctt.name}[{key!r}]", obj=tok, mode=mode,
-                    )
+                if bus is not None and tok is not None and v2 is value:
+                    bus.record(INSTANT, "alias", "alias", src_rank, TID_RT,
+                               now, now, None, _ALIAS_ARGS, src, ctt.name,
+                               key, tok, mode)
                 backend.post_local(self._deliver, ctt, cidx, key, v2,
                                    delay=delay, rank=dst)
             elif value is None:
@@ -392,9 +395,11 @@ class Executable:
                 for k in keys:
                     self.send_from(src_rank, term, k, value, mode)
             return
-        record = tel is not None and tel.bus.enabled
-        tok = tel.data_token(value) if record else None
-        extra: Dict[str, Any] = {"obj": tok, "mode": mode} if tok is not None else {}
+        bus = tel.bus if tel is not None and tel.bus.recording else None
+        if bus is not None:
+            tok = tel.data_token(value)
+            tok_mode = None if tok is None else mode
+            src, now = current_task_label(), bus.now()
         per_rank: Dict[int, List[Tuple[TemplateTask, int, Any]]] = {}
         for term, keys in spec:
             edge = term.edge
@@ -409,12 +414,10 @@ class Executable:
                 for ctt, cidx in edge.consumers:
                     if self.sanitizer is not None:
                         self.sanitizer.on_route(ctt, cidx, k, value, mode)
-                    if record:
-                        tel.bus.instant(
-                            "dep", src_rank, TID_RT, cat="dep",
-                            src=current_task_label(),
-                            dst=f"{ctt.name}[{k!r}]", edge=edge.name, **extra,
-                        )
+                    if bus is not None:
+                        bus.record(INSTANT, "dep", "dep", src_rank, TID_RT,
+                                   now, now, None, _DEP_ARGS, src, ctt.name,
+                                   k, edge.name, tok, tok_mode)
                     dst = ctt.keymap(k, self.nranks)
                     per_rank.setdefault(dst, []).append((ctt, cidx, k))
         for dst in sorted(per_rank):
@@ -423,13 +426,11 @@ class Executable:
             if dst == src_rank:
                 backend.stats.local_deliveries += len(targets)
                 v2, delay = backend.maybe_copy_local(value, mode)
-                if record and tok is not None and v2 is value:
+                if bus is not None and tok is not None and v2 is value:
                     for ctt, cidx, k in targets:
-                        tel.bus.instant(
-                            "alias", src_rank, TID_RT, cat="alias",
-                            src=current_task_label(),
-                            dst=f"{ctt.name}[{k!r}]", obj=tok, mode=mode,
-                        )
+                        bus.record(INSTANT, "alias", "alias", src_rank,
+                                   TID_RT, now, now, None, _ALIAS_ARGS, src,
+                                   ctt.name, k, tok, mode)
                 # One heap entry for the whole same-timestamp fan-out.
                 backend.post_local_batch(
                     [(self._deliver, (ctt, cidx, k, v2)) for ctt, cidx, k in targets],

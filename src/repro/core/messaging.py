@@ -111,26 +111,26 @@ class TaskOutputs:
     def set_size(self, which: Union[int, str], key: Any, size: int) -> None:
         """Set the expected stream size of the *consumers* of terminal
         ``which`` for task ID ``key`` (dynamic bounded streams)."""
-        self._stream_instant("set_size", which, key, size=size)
+        self._stream_instant("stream:set_size", which, key, size)
         self._ex.set_stream_size_via(self._rank, self._terminal(which), key, size)
 
     def finalize(self, which: Union[int, str], key: Any) -> None:
         """Close the stream of the consumers of terminal ``which`` for
         ``key``: the stream length becomes whatever has arrived."""
-        self._stream_instant("finalize", which, key)
+        self._stream_instant("stream:finalize", which, key)
         self._ex.finalize_stream_via(self._rank, self._terminal(which), key)
 
-    def _stream_instant(self, op: str, which: Union[int, str], key: Any,
-                        **extra: Any) -> None:
+    def _stream_instant(self, name: str, which: Union[int, str], key: Any,
+                        size: Optional[int] = None) -> None:
         tel = self._ex.backend.telemetry
-        if tel is not None and tel.bus.enabled:
-            from repro.telemetry.events import TID_RT
+        if tel is not None and tel.bus.recording:
+            from repro.telemetry.events import INSTANT, TID_RT
 
-            tel.bus.instant(
-                f"stream:{op}", self._rank, TID_RT, cat="stream",
-                sender=current_task_label(),
-                terminal=str(self._terminal(which).name), key=repr(key),
-                **extra,
+            now = tel.bus.now()
+            tel.bus.record(
+                INSTANT, name, "stream", self._rank, TID_RT, now, now, None,
+                "sender terminal key! size?", current_task_label(),
+                str(self._terminal(which).name), key, size,
             )
 
 

@@ -605,7 +605,7 @@ class Checkpointer:
         self._chain_chaos_hooks(engine)
         if self.resuming:
             tel = backend.telemetry
-            if tel is not None and tel.bus.enabled:
+            if tel is not None and tel.bus.recording:
                 tel.bus.instant(
                     "resume", 0, 905, cat="ckpt",
                     run=self.run_id, point=self.resume_point,
@@ -888,7 +888,7 @@ class Checkpointer:
         digest = state_digest(state)
         backend = self.backend
         tel = backend.telemetry
-        if tel is not None and tel.bus.enabled:
+        if tel is not None and tel.bus.recording:
             # Emitted identically in write and verify mode, so a resumed
             # run's trace is indistinguishable from an uninterrupted one
             # (bar the deliberate "resume" marker).

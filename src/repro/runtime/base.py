@@ -17,6 +17,7 @@ communication and computation in a distributed setting.  The TTG core layer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.comm.endpoint import CommEngine
@@ -27,10 +28,15 @@ from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
 from repro.serialization.traits import select_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.trace import Tracer
-from repro.telemetry.events import TID_PROTO, Telemetry
+from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, Telemetry
 
 #: Size charged for control-only active messages (task-id only, no data).
 CONTROL_BYTES = 64
+
+#: ``EventBus.record`` arg specs of the events recorded here.
+_TASK_ARGS = "key! template priority pcie_bytes? data*"
+_PROTO_ARGS = ("src", "nbytes")
+_DEPTH_ARGS = ("depth",)
 
 
 @dataclass
@@ -173,10 +179,10 @@ class _OnMeta:
         backend = self.backend
         meta_end = backend.engine.now
         if self.flow is not None:
-            backend.telemetry.bus.complete(
-                self.meta_name, self.dst, TID_PROTO, self.send_start,
-                meta_end, cat="proto", flow=self.flow,
-                args={"src": self.src, "nbytes": self.eager_bytes},
+            backend.telemetry.bus.record(
+                SPAN, self.meta_name, "proto", self.dst, TID_PROTO,
+                self.send_start, meta_end, self.flow, _PROTO_ARGS,
+                self.src, self.eager_bytes,
             )
         cls, meta = unpack_metadata(self.meta_bytes)
         obj = cls.splitmd_allocate(meta)
@@ -216,10 +222,10 @@ class _OnPayload:
         if data is not None:
             obj.splitmd_fill(data)
         if self.flow is not None:
-            backend.telemetry.bus.complete(
-                self.rma_name, self.dst, TID_PROTO, self.meta_end,
-                backend.engine.now, cat="proto", flow=self.flow,
-                args={"src": self.src, "nbytes": self.rma_bytes},
+            backend.telemetry.bus.record(
+                SPAN, self.rma_name, "proto", self.dst, TID_PROTO,
+                self.meta_end, backend.engine.now, self.flow, _PROTO_ARGS,
+                self.src, self.rma_bytes,
             )
         # Notify the sender to release the registered region.
         backend.comm.send_am(
@@ -339,25 +345,32 @@ class WorkerPool:
 
     def enable_telemetry(self, tel: Telemetry) -> None:
         """Wrap the ready queues with queue-wait / depth sampling."""
-        engine = self.backend.engine
         rank = self.rank
+        bus = tel.bus
+        clock = partial(getattr, self.backend.engine, "now")
 
         def _sampler(device: str):
             wait_hist = tel.metrics.histogram("queue_wait", rank=rank, device=device)
             depth_gauge = tel.metrics.gauge("queue_depth_peak", rank=rank, device=device)
+            name = f"queue_depth_{device}"
+
+            def sample(depth: int) -> None:
+                if bus.recording:
+                    now = clock()
+                    bus.record(COUNTER, name, "counter", rank, 0, now, now,
+                               None, _DEPTH_ARGS, depth)
 
             def on_push(depth: int) -> None:
                 if depth > depth_gauge.value:
                     depth_gauge.set(depth)
-                tel.bus.counter(f"queue_depth_{device}", rank, depth=depth)
+                sample(depth)
 
             def on_pop(wait: float, depth: int) -> None:
                 wait_hist.observe(wait)
-                tel.bus.counter(f"queue_depth_{device}", rank, depth=depth)
+                sample(depth)
 
             return on_push, on_pop
 
-        clock = lambda: engine.now  # noqa: E731
         on_push, on_pop = _sampler("cpu")
         self._queue = InstrumentedQueue(self._queue, clock, on_push, on_pop)
         on_push, on_pop = _sampler("gpu")
@@ -433,24 +446,17 @@ class WorkerPool:
             backend.tracer.record_task(name, task.key, self.rank, tid, start, end)
         tel = backend.telemetry
         if tel is not None:
-            args = {"key": repr(task.key), "template": task.name,
-                    "priority": task.priority}
-            if pcie_bytes is not None:
-                # Accelerator tasks carry their host->device traffic so
-                # the report can split PCIe bytes out of the byte budget.
-                args["pcie_bytes"] = pcie_bytes
-            if tel.bus.enabled:
+            if tel.bus.recording:
                 # Data tokens of trackable inputs: the race detector uses
                 # them to see which rank shards observed a buffer live.
-                data = [
-                    tok for tok in (tel.data_token(v) for v in task.inputs)
-                    if tok is not None
-                ]
-                if data:
-                    args["data"] = data
-            tel.bus.complete(
-                name, self.rank, tid, start, end, cat="task", args=args,
-            )
+                # Accelerator tasks carry their host->device traffic so
+                # the report can split PCIe bytes out of the byte budget.
+                tel.bus.record(
+                    SPAN, name, "task", self.rank, tid, start, end, None,
+                    _TASK_ARGS, task.key, task.name, task.priority,
+                    pcie_bytes, *[tok for tok in map(tel.data_token, task.inputs)
+                                  if tok is not None],
+                )
             tel.metrics.counter("tasks", template=task.name, rank=self.rank).inc()
             tel.metrics.histogram("task_time", template=task.name).observe(end - start)
 
@@ -801,7 +807,7 @@ class Backend:
             self.stats.rma_transfers += 1
             self.stats.rma_bytes += msg.rma_bytes
             meta_name, rma_name = splitmd_phase_names(tag)
-            flow = tel.bus.new_flow() if tel is not None and tel.bus.enabled else None
+            flow = tel.bus.new_flow() if tel is not None and tel.bus.recording else None
             self.comm.send_am(
                 src, dst, msg.eager_bytes,
                 _OnMeta(self, src, dst, meta_bytes, msg.eager_bytes,

@@ -128,14 +128,15 @@ class TerminationDetector:
             self._epochs += 1
             tel = self.telemetry
             if tel is not None:
-                from repro.telemetry.events import TID_RT
+                if tel.bus.recording:
+                    from repro.telemetry.events import TID_RT
 
-                tel.bus.instant(
-                    "quiescence", 0, TID_RT, cat="rt",
-                    epoch=self._epochs,
-                    tasks=self.tasks_retired,
-                    messages=self.messages_delivered,
-                )
+                    tel.bus.instant(
+                        "quiescence", 0, TID_RT, cat="rt",
+                        epoch=self._epochs,
+                        tasks=self.tasks_retired,
+                        messages=self.messages_delivered,
+                    )
                 tel.metrics.counter("quiescence_epochs").inc()
             callbacks, self._callbacks = self._callbacks, []
             for cb in callbacks:

@@ -14,7 +14,7 @@ types opt in by implementing :class:`SplitMetadataSupport`.
 from __future__ import annotations
 
 import importlib
-from typing import Any, Optional, Protocol as TypingProtocol, Tuple, runtime_checkable
+from typing import Any, Dict, Optional, Protocol as TypingProtocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -91,10 +91,21 @@ class SplitMetadataProtocol(Protocol):
 
     name = "splitmd"
 
+    def __init__(self) -> None:
+        # Verdict per class: the runtime_checkable isinstance walks the
+        # protocol's attribute list on every call, and this sits on the
+        # send path of every message.  The interface is methods and a
+        # classmethod, so the class decides.
+        self._verdicts: Dict[type, bool] = {}
+
     def applicable(self, value: Any) -> bool:
-        return isinstance(value, SplitMetadataSupport) and not isinstance(
-            value, (int, float, str, bytes, tuple)
-        )
+        cls = type(value)
+        verdict = self._verdicts.get(cls)
+        if verdict is None:
+            verdict = self._verdicts[cls] = isinstance(
+                value, SplitMetadataSupport
+            ) and not isinstance(value, (int, float, str, bytes, tuple))
+        return verdict
 
     def serialize(self, value: Any) -> SerializedMessage:
         meta_bytes = pack_metadata(value)

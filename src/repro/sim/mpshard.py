@@ -736,11 +736,9 @@ class MpShardedEngine(ShardedEngine):
                     else:
                         san._inflight[("mp", k, vid)] = (obj, cnt, prov)
             if tel is not None and fin["tel"] is not None:
-                rings, dropped, metrics = fin["tel"]
+                events, dropped, metrics = fin["tel"]
                 bus = tel.bus
-                for r, evs in enumerate(rings):
-                    for ev in evs:
-                        bus._append(r, ev)
+                bus.extend(events)
                 for r, n in enumerate(dropped):
                     if r < len(bus.dropped):
                         bus.dropped[r] += n
@@ -782,10 +780,7 @@ class MpShardedEngine(ShardedEngine):
             if clone.tracer is not None:
                 rt.tracer.messages.extend(clone.tracer.messages)
         if tel is not None and clone.telemetry is not None:
-            bus = tel.bus
-            for r, ring in enumerate(clone.telemetry.bus._rings):
-                for ev in ring:
-                    bus._append(r, ev)
+            tel.bus.extend(clone.telemetry.bus.drain()[0])
             tel.metrics.merge(clone.telemetry.metrics)
         term._armed = not term.quiescent
         self._now = max_now
@@ -849,10 +844,7 @@ class MpShardedEngine(ShardedEngine):
             rt.tracer = _WorkerTracer(wk, rt.tracer.enabled)
         tel = rt.telemetry
         if tel is not None:
-            for ring in tel.bus._rings:
-                ring.clear()
-            for i in range(len(tel.bus.dropped)):
-                tel.bus.dropped[i] = 0
+            tel.bus.clear()
             tel.metrics = MetricsRegistry()
         term = rt.termination
         term.messages_sent += _TERM_BUMP
@@ -1048,8 +1040,7 @@ class MpShardedEngine(ShardedEngine):
         tel_delta = None
         tel = rt.telemetry
         if tel is not None:
-            tel_delta = ([list(ring) for ring in tel.bus._rings],
-                         list(tel.bus.dropped), tel.metrics)
+            tel_delta = (*tel.bus.drain(), tel.metrics)
         return {
             "term": tuple(c - b for c, b in zip(cur, wk.base_term)),
             "by_rank": by_rank,

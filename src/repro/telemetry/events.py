@@ -21,6 +21,11 @@ enabled, events land in per-rank ring buffers (``deque(maxlen=capacity)``)
 so memory stays bounded on long runs; evictions are counted in
 :attr:`EventBus.dropped`.
 
+Recording is cheap, reading pays: the runtime's hooks append one flat
+tuple of atoms per event (:meth:`EventBus.record`: no ``args`` dict, no
+``repr`` of a task key, no formatted label) and the event objects are built
+the first time the bus is read, or at once while a subscriber is attached.
+
 Timelines within a rank are identified by an integer ``tid``: worker
 threads use their worker index, and the reserved ids below keep transport
 and diagnostic events on their own named lanes in the exported trace.
@@ -28,9 +33,12 @@ and diagnostic events on their own named lanes in the exported trace.
 
 from __future__ import annotations
 
+import dataclasses
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Reserved timeline ids (per rank).  Worker threads occupy 0..nworkers-1
 #: (plus GPU slots right above); these lanes hold non-worker activity.
@@ -49,6 +57,10 @@ THREAD_NAMES = {
     TID_RT: "runtime",
     TID_ENG: "engine",
 }
+
+
+#: Event kinds, the first argument of :meth:`EventBus.record`.
+SPAN, INSTANT, COUNTER = 0, 1, 2
 
 
 class TelemetryError(RuntimeError):
@@ -103,6 +115,36 @@ class CounterEvent:
         return "counter"
 
 
+@lru_cache(maxsize=None)
+def _fields(spec: str) -> Tuple[Tuple[str, str], ...]:
+    """``"dst[] key! size?"`` -> ``(("dst", "[]"), ("key", "!"), ("size", "?"))``."""
+    names = ((word, word.rstrip("[]!?*")) for word in spec.split())
+    return tuple((name, word[len(name):]) for word, name in names)
+
+
+def _event(rec: tuple) -> Any:
+    """Build the event object a record (see :meth:`EventBus.record`) stands for."""
+    kind, name, cat, rank, tid, t0, t1, flow, keys = rec[:9]
+    if type(keys) is tuple:
+        args = dict(zip(keys, rec[9:]))
+    else:
+        args, vals = {}, iter(rec[9:])
+        for key, how in _fields(keys):
+            v = list(vals) if how == "*" else next(vals)
+            if how == "[]":
+                v = f"{v}[{next(vals)!r}]"
+            elif how == "!":
+                v = repr(v)
+            elif how == "?" and v is None or how == "*" and not v:
+                continue
+            args[key] = v
+    if kind == SPAN:
+        return SpanEvent(name, cat, rank, tid, t0, t1, args, flow)
+    if kind == INSTANT:
+        return InstantEvent(name, cat, rank, tid, t0, args)
+    return CounterEvent(name, rank, t0, args)
+
+
 class _OpenSpan:
     """Handle returned by :meth:`EventBus.begin`; close with ``end``."""
 
@@ -123,11 +165,14 @@ class _OpenSpan:
 class EventBus:
     """Per-rank ring buffers of telemetry events.
 
-    ``capacity`` bounds each rank's buffer; ``capacity=0`` drops every
-    event (metrics-only mode, used by the bench harness); ``capacity=None``
+    ``capacity`` bounds each rank's buffer; ``capacity=0`` buffers nothing
+    (metrics-only mode, used by the bench harness); ``capacity=None``
     is unbounded (tests, short runs).  ``clock`` is a zero-argument
     callable returning the current virtual time; binding a backend
     replaces it with the backend engine's clock.
+
+    A ring holds event objects and unread records side by side; reading
+    replaces the records in place, so an event keeps its identity.
     """
 
     def __init__(
@@ -138,7 +183,7 @@ class EventBus:
     ) -> None:
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.capacity = capacity
-        self._rings: List = []
+        self._rings: List[deque] = []
         self.dropped: List[int] = []
         self.ensure_ranks(max(1, nranks))
         self._stacks: Dict[Tuple[int, int], List[_OpenSpan]] = {}
@@ -148,9 +193,11 @@ class EventBus:
         self._flow_next = 1
         # Streaming subscribers: called with every event as it is recorded
         # (even in capacity=0 metrics-only mode -- a subscriber is a live
-        # consumer, not a buffer).  Empty by default: one truthiness check
-        # on the hot append path.
+        # consumer, not a buffer).
         self._subscribers: List[Callable[[Any], None]] = []
+        #: Whether anything can see an event (a buffer or a subscriber);
+        #: every hook site checks it before gathering an event's parts.
+        self.recording = capacity != 0
 
     # ------------------------------------------------------------- plumbing
 
@@ -158,15 +205,13 @@ class EventBus:
         return self.clock()
 
     def ensure_ranks(self, nranks: int) -> None:
-        from collections import deque
-
         while len(self._rings) < nranks:
             self._rings.append(deque(maxlen=self.capacity))
             self.dropped.append(0)
 
     @property
     def enabled(self) -> bool:
-        """False in metrics-only mode (``capacity=0``): no events recorded."""
+        """False in metrics-only mode (``capacity=0``): nothing to read back."""
         return self.capacity != 0
 
     def new_flow(self) -> int:
@@ -202,25 +247,78 @@ class EventBus:
         can be used inline; detach with :meth:`unsubscribe`.
         """
         self._subscribers.append(fn)
+        self.recording = True
         return fn
 
     def unsubscribe(self, fn: Callable[[Any], None]) -> None:
         self._subscribers.remove(fn)
+        self.recording = self.capacity != 0 or bool(self._subscribers)
 
-    def _append(self, rank: int, ev: Any) -> None:
+    def _put(self, rank: int, item: Any) -> None:
+        """Store one event object or record; subscribers get the object."""
         if self._subscribers:
+            if type(item) is tuple:
+                item = _event(item)
             for fn in self._subscribers:
-                fn(ev)
+                fn(item)
         if self.capacity == 0:
             return
         if rank >= len(self._rings):
             self.ensure_ranks(rank + 1)
         ring = self._rings[rank]
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
+        if len(ring) == ring.maxlen:
             self.dropped[rank] += 1
-        ring.append(ev)
+        ring.append(item)
+
+    def extend(self, events: Iterable[Any], rank_offset: int = 0) -> None:
+        """Append events recorded elsewhere (event objects, or another bus's
+        :meth:`drain`) in order, each on its own rank plus ``rank_offset``."""
+        for item in events:
+            if rank_offset:
+                item = _event(item) if type(item) is tuple else item
+                item = dataclasses.replace(item, rank=item.rank + rank_offset)
+            self._put(item[3] if type(item) is tuple else item.rank, item)
+
+    def clear(self) -> None:
+        """Forget every buffered event and eviction count."""
+        for ring in self._rings:
+            ring.clear()
+        self.dropped[:] = [0] * len(self.dropped)
+
+    def drain(self) -> Tuple[List[Any], List[int]]:
+        """Remove and return ``(events, dropped)``: everything buffered, rank
+        by rank in recording order and still unread, for :meth:`extend`."""
+        out = [item for ring in self._rings for item in ring], list(self.dropped)
+        self.clear()
+        return out
 
     # ------------------------------------------------------------ recording
+
+    def record(self, kind: int, name: str, cat: str, rank: int, tid: int,
+               t0: float, t1: float, flow: Optional[int],
+               keys: Union[str, Tuple[str, ...]], *vals: Any) -> None:
+        """The runtime hooks' recording path: store the parts of one event
+        (check :attr:`recording` first), build the object on first read.
+
+        ``kind`` is :data:`SPAN`, :data:`INSTANT` or :data:`COUNTER`
+        (instants and counters pass ``ts`` as ``t0`` and ``t1``; counters
+        use ``cat="counter"``, ``tid=0``).  ``keys`` names ``vals`` in
+        ``args`` order: a tuple of names, or a space-separated string whose
+        names may defer formatting -- ``key!`` stores ``repr(value)``,
+        ``dst[]`` takes two values and stores the task label
+        ``"NAME[key!r]"``, ``size?`` is left out when ``None``, a final
+        ``data*`` stores the remaining values as a list (left out when
+        empty).  Pass atoms (strings, numbers, ``None``, immutable keys):
+        such a record costs the cyclic GC nothing, and a deferred value
+        must not change before it is read.
+        """
+        rec = (kind, name, cat, rank, tid, t0, t1, flow, keys) + vals
+        if self._subscribers or self.capacity == 0 or rank >= len(self._rings):
+            return self._put(rank, rec)
+        ring = self._rings[rank]  # _put's common case, inline
+        if len(ring) == ring.maxlen:
+            self.dropped[rank] += 1
+        ring.append(rec)
 
     def begin(self, name: str, rank: int, tid: int = 0, cat: str = "",
               flow: Optional[int] = None, **args: Any) -> _OpenSpan:
@@ -245,7 +343,7 @@ class EventBus:
             span.args.update(extra)
         ev = SpanEvent(span.name, span.cat, span.rank, span.tid, span.start,
                        self.now(), span.args, span.flow)
-        self._append(span.rank, ev)
+        self._put(span.rank, ev)
         return ev
 
     @contextmanager
@@ -262,18 +360,18 @@ class EventBus:
                  args: Optional[Dict[str, Any]] = None) -> SpanEvent:
         """Record an already-finished span (no nesting bookkeeping)."""
         ev = SpanEvent(name, cat, rank, tid, start, end, args or {}, flow)
-        self._append(rank, ev)
+        self._put(rank, ev)
         return ev
 
     def instant(self, name: str, rank: int, tid: int = 0, cat: str = "",
                 **args: Any) -> InstantEvent:
         ev = InstantEvent(name, cat, rank, tid, self.now(), dict(args))
-        self._append(rank, ev)
+        self._put(rank, ev)
         return ev
 
     def counter(self, name: str, rank: int, **values: float) -> CounterEvent:
         ev = CounterEvent(name, rank, self.now(), dict(values))
-        self._append(rank, ev)
+        self._put(rank, ev)
         return ev
 
     # -------------------------------------------------------------- queries
@@ -281,12 +379,17 @@ class EventBus:
     def open_spans(self) -> List[_OpenSpan]:
         return [s for stack in self._stacks.values() for s in stack]
 
+    def _read(self, ring: deque) -> List[Any]:
+        """``ring``'s events, its unread records replaced by their objects."""
+        evs = [_event(r) if type(r) is tuple else r for r in ring]
+        ring.clear()
+        ring.extend(evs)
+        return evs
+
     def events(self, rank: Optional[int] = None) -> List[Any]:
         """All recorded events, time-sorted (stable across ranks)."""
-        if rank is not None:
-            evs = list(self._rings[rank])
-        else:
-            evs = [ev for ring in self._rings for ev in ring]
+        rings = self._rings if rank is None else [self._rings[rank]]
+        evs = [ev for ring in rings for ev in self._read(ring)]
         return sorted(evs, key=lambda e: (e.ts, e.rank))
 
     def spans(self, cat: Optional[str] = None) -> List[SpanEvent]:
@@ -312,7 +415,7 @@ class EventBus:
         """Largest end/ts across all events (0 when empty)."""
         out = 0.0
         for ring in self._rings:
-            for e in ring:
+            for e in self._read(ring):
                 out = max(out, e.end if isinstance(e, SpanEvent) else e.ts)
         return out
 
@@ -342,6 +445,7 @@ class Telemetry:
         # detector's identity tracking.  Telemetry is opt-in, so regular
         # runs never populate this.
         self._data_tokens: Dict[int, Tuple[Any, int]] = {}
+        self._trackable: Dict[type, bool] = {}
 
     def data_token(self, value: Any) -> Optional[int]:
         """A stable per-run identity token for a trackable data value.
@@ -353,12 +457,16 @@ class Telemetry:
         Returns ``None`` for untrackable values (they are not race
         subjects).
         """
-        if value is None or isinstance(
-            value, (int, float, complex, str, bytes, bool)
-        ):
-            return None
-        if not (callable(getattr(value, "clone", None))
-                or callable(getattr(value, "tobytes", None))):
+        cls = type(value)
+        trackable = self._trackable.get(cls)
+        if trackable is None:
+            # clone/tobytes are methods: probe each class once.
+            trackable = self._trackable[cls] = not (
+                value is None
+                or isinstance(value, (int, float, complex, str, bytes, bool))
+            ) and (callable(getattr(value, "clone", None))
+                   or callable(getattr(value, "tobytes", None)))
+        if not trackable:
             return None
         key = id(value)
         rec = self._data_tokens.get(key)
@@ -372,7 +480,8 @@ class Telemetry:
         """Wire the bus to ``backend``'s engine clock and rank count."""
         self._bound_backend = backend
         engine = backend.engine
-        self.bus.clock = lambda: engine.now
+        # Not a lambda: the ``now`` property is the only Python-level call.
+        self.bus.clock = partial(getattr, engine, "now")
         self.bus.ensure_ranks(backend.nranks)
 
     @property

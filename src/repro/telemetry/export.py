@@ -249,12 +249,8 @@ def read_jsonl(path: str) -> EventBus:
     """Re-ingest a JSONL event log into an (unbounded) EventBus."""
     bus = EventBus(nranks=1, capacity=None)
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            ev = event_from_json(json.loads(line))
-            bus._append(ev.rank, ev)
+        bus.extend(event_from_json(json.loads(line))
+                   for line in fh if line.strip())
     return bus
 
 

@@ -144,7 +144,7 @@ class ShardHealthProfiler:
         if quiescent is not None:
             self._last_quiescent = quiescent
         tel = backend.telemetry
-        if tel is not None and tel.bus.enabled:
+        if tel is not None and tel.bus.recording:
             # Downsample the bus mirror so long runs keep a representative
             # timeline instead of evicting everything else from the rings.
             keep_every = 1 + self.windows_seen // _MAX_BUS_WINDOWS

@@ -2,7 +2,9 @@
 
 Instruments are created lazily and cached by ``(name, labels)``, so hook
 sites can call ``registry.counter("tasks", template="POTRF").inc()``
-without setup.  Labels are coerced to strings (ranks arrive as ints).
+without setup.  Labels are coerced to strings (ranks arrive as ints);
+a repeated look-up is one dict probe on the labels as passed, and only
+the first one per call-site spelling sorts and stringifies them.
 Rollups (:meth:`MetricsRegistry.rollup`) aggregate one instrument family
 over a label key -- per-template, per-rank, per-edge, per-protocol --
 which is how :class:`~repro.runtime.base.RunStats` breakdowns and the
@@ -88,8 +90,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
+        if value < self.vmin:
+            self.vmin = value
+        if value > self.vmax:
+            self.vmax = value
         scaled = value / self._SCALE
         b = 0 if scaled <= 1.0 else int(math.ceil(math.log2(scaled)))
         self.buckets[b] = self.buckets.get(b, 0) + 1
@@ -125,8 +129,17 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelsKey], Any] = {}
+        # Front cache: (class, name, raw label items in call order) -> the
+        # instrument in ``_metrics`` (entries are never replaced, so it
+        # cannot go stale).  Label values that compare equal must
+        # stringify alike (ranks and names do; 1 and 1.0 would not).
+        self._front: Dict[tuple, Any] = {}
 
     def _get(self, cls: type, name: str, labels: Dict[str, Any]) -> Any:
+        front = (cls, name, *labels.items())
+        m = self._front.get(front)
+        if m is not None:
+            return m
         key = (name, _labels_key(labels))
         m = self._metrics.get(key)
         if m is None:
@@ -136,6 +149,7 @@ class MetricsRegistry:
                 f"metric {name!r}{dict(key[1])!r} already registered as "
                 f"{type(m).__name__}, requested {cls.__name__}"
             )
+        self._front[front] = m
         return m
 
     def counter(self, name: str, **labels: Any) -> Counter:
