@@ -84,14 +84,13 @@ def build_mra_graph(
     def project_body(key: Key, _ctl, outs: TaskOutputs) -> None:
         fid, n, l = key
         f = functions[fid]
-        kid_boxes = mw.children((n, l))
-        kid_s = [mw.project_box(f, b) for b in kid_boxes]
+        kid_s = mw.project_children(f, (n, l))
         _, sd = mw.filter(kid_s)
         dnorm = math.sqrt(mw.wavelet_norm2(sd))
         if (dnorm <= thresh and n >= initial_level) or n + 1 >= max_level:
-            # Children are leaves: feed this box's compress stream.
-            for b, s in zip(kid_boxes, kid_s):
-                idx = mw.child_index(b)
+            # Children are leaves: feed this box's compress stream.  Child
+            # tensors are views of the one batch array.
+            for idx, s in enumerate(kid_s):
                 outs.send(
                     "leafup",
                     (fid, n, l),
@@ -99,7 +98,7 @@ def build_mra_graph(
                     mode="move",
                 )
         else:
-            for b in kid_boxes:
+            for b in mw.children((n, l)):
                 outs.send("refine", (fid, b[0], b[1]))
 
     def compress_body(key: Key, msgs, outs: TaskOutputs) -> None:
@@ -142,8 +141,7 @@ def build_mra_graph(
         sd = dmsg.arrays[0]
         (mask,) = dmsg.meta
         kids = mw.unfilter(mw.set_scaling_corner(sd, s))
-        for b, cs in zip(mw.children((n, l)), kids):
-            idx = mw.child_index(b)
+        for idx, (b, cs) in enumerate(zip(mw.children((n, l)), kids)):
             msg = MraMessage((cs,), (), inflate)
             if mask & (1 << idx):
                 outs.send("leaf", (fid, b[0], b[1]), msg, mode="move")

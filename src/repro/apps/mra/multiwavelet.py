@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from itertools import product
+from operator import add
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -69,17 +71,37 @@ class Multiwavelet:
         self.g1 = g[:, k:]
         # Full 2k x 2k orthogonal filter.
         self.filter_matrix = np.vstack([h, g])
+        # Child bit patterns, ordered by child index c: bit t of child c is
+        # (c >> (d-1-t)) & 1, i.e. the rows of the binary counter.
+        self._child_bits = tuple(product((0, 1), repeat=d))
+        nchild = 2**d
+        # Batched child quadrature: the flattened tensor grid of the points,
+        # shaped (d, 1, k^d), against the bit table shaped (d, 2^d, 1).
+        grids = np.meshgrid(*([self.pts] * d), indexing="ij")
+        self._grid = np.stack(grids).reshape(d, 1, -1)
+        self._bits = np.array(self._child_bits).T.reshape(d, nchild, 1)
+        self._child_shape = (k,) * d
+        self._batch_shape = (nchild,) + self._child_shape
+        # assemble/split: a (2k,)*d tensor viewed as (bit, coefficient) per
+        # axis, transposed so the d child bits lead the d coefficient axes.
+        self._big_shape = (2 * k,) * d
+        self._bit_coeff_shape = (2, k) * d
+        self._bits_first = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+        self._bits_first_shape = (2,) * d + self._child_shape
+        # _apply_axes: rotate the first tensor axis behind the others,
+        # keeping a leading batch axis in place.
+        self._rotate = (0,) + tuple(range(2, d + 1)) + (1,)
 
     # ------------------------------------------------------------ helpers
 
     def children(self, box: Box) -> List[Box]:
         """The 2^d dyadic children of a box, ordered by child bit-pattern."""
         n, l = box
-        out = []
-        for c in range(2**self.d):
-            bits = tuple((c >> (self.d - 1 - t)) & 1 for t in range(self.d))
-            out.append((n + 1, tuple(2 * l[t] + bits[t] for t in range(self.d))))
-        return out
+        if len(l) != self.d:
+            raise ValueError(f"box index {l} is not {self.d}-dimensional")
+        n += 1
+        base = [2 * i for i in l]
+        return [(n, tuple(map(add, base, bits))) for bits in self._child_bits]
 
     @staticmethod
     def parent(box: Box) -> Box:
@@ -98,14 +120,28 @@ class Multiwavelet:
         return idx
 
     def _apply_axes(self, tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """Contract ``mat`` (out, in) with every axis of ``tensor``."""
-        out = tensor
+        """Contract ``mat`` (out, in) with each of the last d axes of
+        ``tensor``; any leading axes are a batch."""
+        nout, nin = mat.shape
+        shape = tensor.shape[-self.d:]
+        if shape != (nin,) * self.d:
+            raise ValueError(
+                f"tensor axes {shape} do not match a {nout}x{nin} matrix "
+                f"in {self.d} dimensions"
+            )
+        out = tensor.reshape((-1,) + shape)
+        mat_t = mat.T
         for _ in range(self.d):
             # Contract the leading (original) axis; the fresh output axis
             # lands last, so after d rounds the axis order is restored and
-            # every original axis was contracted exactly once.
-            out = np.tensordot(out, mat, axes=([0], [1]))
-        return out
+            # every original axis was contracted exactly once.  This is
+            # what np.tensordot(out, mat, axes=([0], [1])) does, minus its
+            # per-call Python prologue.
+            shape = shape[1:] + (nout,)
+            out = np.dot(
+                out.transpose(self._rotate).reshape(-1, nin), mat_t
+            ).reshape((-1,) + shape)
+        return out.reshape(tensor.shape[: -self.d] + shape)
 
     # --------------------------------------------------------- projection
 
@@ -124,6 +160,28 @@ class Multiwavelet:
         s = self._apply_axes(fvals, self.quad_b)
         return s * 2.0 ** (-n * self.d / 2.0)
 
+    def project_children(
+        self, f: Callable[[np.ndarray], np.ndarray], box: Box
+    ) -> np.ndarray:
+        """Scaling coefficients of ``f`` on all 2^d children of ``box`` in
+        one pass: shape (2^d, k, ..., k), child ``c`` of :meth:`children`
+        at index ``c``.
+
+        Equals ``project_box`` on each child: the points are formed by the
+        same ``(pts + index) * scale``, ``f`` sees them all at once as
+        (d, 2^d * k^d), and the quadrature matrix is contracted over the
+        leading batch axis.
+        """
+        n, l = box
+        if len(l) != self.d:
+            raise ValueError(f"box index {l} is not {self.d}-dimensional")
+        n += 1
+        index = self._bits + 2 * np.array(l).reshape(self.d, 1, 1)
+        coords = (self._grid + index) * 2.0**-n  # (d, 2^d, k^d)
+        fvals = f(coords.reshape(self.d, -1)).reshape(self._batch_shape)
+        s = self._apply_axes(fvals, self.quad_b)
+        return s * 2.0 ** (-n * self.d / 2.0)
+
     def eval_from_coeffs(
         self, s: np.ndarray, box: Box, x: np.ndarray
     ) -> np.ndarray:
@@ -132,18 +190,13 @@ class Multiwavelet:
         y = np.asarray(x, dtype=np.float64) * 2.0**n - np.asarray(l)[:, None]
         if np.any(y < -1e-12) or np.any(y > 1 + 1e-12):
             raise ValueError("points outside box")
-        out = s
+        # One contraction per point: every operand but ``s`` carries the
+        # point axis (label d), so no (N,)*d intermediate is ever built.
+        operands: List[Any] = [s, list(range(self.d))]
         for t in range(self.d):
             phis = legendre_scaling_values(self.k, np.clip(y[t], 0.0, 1.0))
-            # contract axis 0 of the remaining tensor with phi values
-            out = np.tensordot(out, phis, axes=([0], [0]))
-        # out now has shape (N,)*d diag... take the diagonal over point axes
-        npts = x.shape[1]
-        if self.d == 1:
-            vals = out
-        else:
-            idx = np.arange(npts)
-            vals = out[tuple([idx] * self.d)]
+            operands += [phis, [t, self.d]]
+        vals = np.einsum(*operands, [self.d])
         return vals * 2.0 ** (n * self.d / 2.0)
 
     # ----------------------------------------------------------- transform
@@ -152,26 +205,23 @@ class Multiwavelet:
         """Pack 2^d child coefficient tensors into one (2k,)*d tensor."""
         if len(child_tensors) != 2**self.d:
             raise ValueError(f"need {2**self.d} children, got {len(child_tensors)}")
-        big = np.zeros((2 * self.k,) * self.d)
         for c, s in enumerate(child_tensors):
-            if s.shape != (self.k,) * self.d:
+            if s.shape != self._child_shape:
                 raise ValueError(f"child {c} has shape {s.shape}")
-            slices = []
-            for t in range(self.d):
-                bit = (c >> (self.d - 1 - t)) & 1
-                slices.append(slice(bit * self.k, (bit + 1) * self.k))
-            big[tuple(slices)] = s
+        # Child c fills the block its bits (bit_0, ..., bit_{d-1}) name.
+        big = np.empty(self._big_shape)
+        big.reshape(self._bit_coeff_shape).transpose(self._bits_first)[...] = (
+            np.asarray(child_tensors).reshape(self._bits_first_shape)
+        )
         return big
 
-    def split_children(self, big: np.ndarray) -> List[np.ndarray]:
-        """Inverse of :meth:`assemble_children`."""
-        out = []
-        for c in range(2**self.d):
-            slices = []
-            for t in range(self.d):
-                bit = (c >> (self.d - 1 - t)) & 1
-                slices.append(slice(bit * self.k, (bit + 1) * self.k))
-            out.append(big[tuple(slices)].copy())
+    def split_children(self, big: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`assemble_children`: shape (2^d, k, ..., k),
+        child ``c`` at index ``c`` (a fresh array, not a view of ``big``)."""
+        out = np.empty(self._batch_shape)
+        out.reshape(self._bits_first_shape)[...] = big.reshape(
+            self._bit_coeff_shape
+        ).transpose(self._bits_first)
         return out
 
     def filter(self, child_tensors: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -192,8 +242,9 @@ class Multiwavelet:
         corner = sd[(slice(0, self.k),) * self.d]
         return float(np.sum(sd * sd) - np.sum(corner * corner))
 
-    def unfilter(self, sd: np.ndarray) -> List[np.ndarray]:
-        """Inverse transform: filtered (2k,)*d tensor -> 2^d children s."""
+    def unfilter(self, sd: np.ndarray) -> np.ndarray:
+        """Inverse transform: filtered (2k,)*d tensor -> 2^d children s,
+        stacked along a leading child axis."""
         big = self._apply_axes(sd, self.filter_matrix.T)
         return self.split_children(big)
 

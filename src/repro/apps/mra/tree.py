@@ -217,15 +217,14 @@ def project_adaptive(
 
     def recurse(box: Box) -> None:
         n, _ = box
-        kids_boxes = mw.children(box)
-        kid_s = [mw.project_box(f, b) for b in kids_boxes]
+        kid_s = mw.project_children(f, box)
         _, sd = mw.filter(kid_s)
         dnorm = math.sqrt(mw.wavelet_norm2(sd))
         if (dnorm <= thresh and n >= initial_level) or n + 1 >= max_level:
-            for b, s in zip(kids_boxes, kid_s):
+            for b, s in zip(mw.children(box), kid_s):
                 tree.leaves[b] = s
         else:
-            for b in kids_boxes:
+            for b in mw.children(box):
                 recurse(b)
 
     recurse((0, (0,) * mw.d))

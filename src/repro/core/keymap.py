@@ -9,6 +9,7 @@ Common maps used by the applications live here.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import Any, Callable
 
 
@@ -66,7 +67,17 @@ def subtree_keymap(nranks: int, target_level: int) -> Callable[[Any], int]:
     target refinement level map with their ancestor at that level, keeping
     subtrees local while spreading them across ranks (paper III-E:
     over-decomposition via a task ID map at a target level of refinement).
+
+    Every node of a subtree shares its anchor ``(fid, level, idx)`` at the
+    target level, so the anchor's owner is hashed once and remembered for
+    the life of the map: the anchors number at most
+    ``functions * 2^(d * target_level)`` (plus the few boxes above them).
+    The map stays a pure function of the task ID.
     """
+
+    @lru_cache(maxsize=None)
+    def owner(anchor: Any) -> int:
+        return zlib.crc32(repr(anchor).encode()) % nranks
 
     def keymap(key: Any) -> int:
         fid, level, idx = key
@@ -74,7 +85,7 @@ def subtree_keymap(nranks: int, target_level: int) -> Callable[[Any], int]:
             shift = level - target_level
             idx = tuple(i >> shift for i in idx)
             level = target_level
-        return zlib.crc32(repr((fid, level, idx)).encode()) % nranks
+        return owner((fid, level, idx))
 
     return keymap
 

@@ -394,7 +394,10 @@ class WorkerPool:
             self._gpu_queue.push(task, task.priority)
         else:
             self._queue.push(task, task.priority)
-        self._dispatch()
+        # With every worker busy the task just waits: the next completion
+        # dispatches it.
+        if self._idle or self._gpu_idle:
+            self._dispatch()
 
     def _transfer_bytes(self, task: _ReadyTask) -> int:
         """PCIe bytes for inputs not yet resident on the device."""
@@ -462,7 +465,8 @@ class WorkerPool:
 
     def _complete(self, task: _ReadyTask, worker: int, start: float) -> None:
         backend = self.backend
-        self._record_task(backend, task.name, task, worker, start)
+        if backend.tracer is not None or backend.telemetry is not None:
+            self._record_task(backend, task.name, task, worker, start)
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1
@@ -476,8 +480,9 @@ class WorkerPool:
     def _complete_gpu(self, task: _ReadyTask, slot: int, start: float,
                       transfer: int = 0) -> None:
         backend = self.backend
-        self._record_task(backend, f"{task.name}@gpu", task,
-                          self.nworkers + slot, start, pcie_bytes=transfer)
+        if backend.tracer is not None or backend.telemetry is not None:
+            self._record_task(backend, f"{task.name}@gpu", task,
+                              self.nworkers + slot, start, pcie_bytes=transfer)
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1

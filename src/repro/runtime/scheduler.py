@@ -67,6 +67,9 @@ class LifoQueue(ReadyQueue):
     def __len__(self) -> int:
         return len(self._items)
 
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
     def dump_state(self) -> dict:
         return {"policy": self.name, "items": list(self._items)}
 
@@ -89,6 +92,9 @@ class FifoQueue(ReadyQueue):
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
 
     def dump_state(self) -> dict:
         return {"policy": self.name, "items": list(self._items)}
@@ -114,6 +120,9 @@ class PriorityQueue(ReadyQueue):
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
     def dump_state(self) -> dict:
         return {"policy": self.name, "heap": list(self._heap),

@@ -1,9 +1,12 @@
 """Tests for the MRA application: multiwavelets, trees, and the TTG."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.mra import (
     Gaussian,
@@ -14,6 +17,7 @@ from repro.apps.mra import (
     random_gaussians,
 )
 from repro.apps.mra.data import MraMessage
+from repro.baselines.madness_mra import madness_mra
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
 
@@ -118,6 +122,104 @@ def test_gaussian_analytic_norms():
     gs = GaussianSum([g, g])
     # ||2g||^2 = 4 ||g||^2
     assert gs.norm2_analytic() == pytest.approx(4 * g.norm2_analytic())
+
+
+def test_eval_from_coeffs_many_points_3d():
+    # One contraction per point: 2 000 points in 3-D once asked for an
+    # (N, N, N) intermediate of 64 GB.
+    mw = Multiwavelet(8, 3)
+    g = Gaussian((0.45, 0.5, 0.55), 4.0, 1.5)
+    box = (1, (0, 1, 1))
+    s = mw.project_box(g, box)
+    pts = np.random.default_rng(11).uniform(
+        [[0.0], [0.5], [0.5]], [[0.5], [1.0], [1.0]], size=(3, 2000)
+    )
+    vals = mw.eval_from_coeffs(s, box, pts)
+    assert vals.shape == (2000,)
+    assert np.max(np.abs(vals - g(pts))) < 1e-5  # order-8 projection error
+
+
+# ------------------------------------------------- batched task-body kernels
+
+_kernel_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+_multiwavelet = lru_cache(maxsize=None)(Multiwavelet)
+
+
+@st.composite
+def _boxes(draw, d):
+    n = draw(st.integers(min_value=0, max_value=9))
+    return (n, tuple(draw(st.integers(0, 2**n - 1)) for _ in range(d)))
+
+
+@st.composite
+def _functions(draw, d):
+    center = st.tuples(*[st.floats(0.1, 0.9)] * d)
+    term = st.builds(Gaussian, center, st.floats(0.5, 2000.0), st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        return draw(term)
+    return GaussianSum(draw(st.lists(term, min_size=1, max_size=3)))
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 3))
+@_kernel_settings
+def test_project_children_matches_project_box(data, k, d):
+    mw = _multiwavelet(k, d)
+    box = data.draw(_boxes(d))
+    f = data.draw(_functions(d))
+    batch = mw.project_children(f, box)
+    kids = mw.children(box)
+    assert batch.shape == (2**d,) + (k,) * d
+    for c, child in enumerate(kids):
+        assert Multiwavelet.child_index(child) == c
+        assert np.max(np.abs(batch[c] - mw.project_box(f, child))) <= 1e-13
+
+
+def _assemble_by_slices(mw, child_tensors):
+    """The definition: child c fills the block its bit pattern names."""
+    k, d = mw.k, mw.d
+    big = np.zeros((2 * k,) * d)
+    for c, s in enumerate(child_tensors):
+        bits = [(c >> (d - 1 - t)) & 1 for t in range(d)]
+        big[tuple(slice(b * k, (b + 1) * k) for b in bits)] = s
+    return big
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 10**6))
+@_kernel_settings
+def test_assemble_split_match_slice_definition(k, d, seed):
+    mw = _multiwavelet(k, d)
+    kids = np.random.default_rng(seed).standard_normal((2**d,) + (k,) * d)
+    big = mw.assemble_children(list(kids))
+    assert np.array_equal(big, _assemble_by_slices(mw, kids))
+    assert np.array_equal(mw.assemble_children(kids), big)
+    back = mw.split_children(big)
+    assert np.array_equal(back, kids)
+    # Fresh arrays both ways (a 1-D reshape would otherwise be a view).
+    assert not np.shares_memory(big, kids)
+    assert not np.shares_memory(back, big)
+    # The separable transform is tensordot along every axis.
+    ref = big
+    for _ in range(d):
+        ref = np.tensordot(ref, mw.filter_matrix, axes=([0], [1]))
+    _, sd = mw.filter(kids)
+    assert np.allclose(sd, ref, rtol=0, atol=1e-13)
+
+
+def test_kernel_shape_checks():
+    mw = Multiwavelet(3, 2)
+    kids = [np.zeros((3, 3))] * 4
+    with pytest.raises(ValueError):
+        mw.assemble_children(kids[:3])
+    with pytest.raises(ValueError):
+        mw.assemble_children(kids[:3] + [np.zeros((3, 2))])
+    with pytest.raises(ValueError):
+        mw.unfilter(np.zeros((3, 3)))  # a (k,)*d tensor is not a filtered one
+    with pytest.raises(ValueError):
+        mw.project_children(Gaussian((0.5, 0.5), 10.0), (1, (0,)))
+    with pytest.raises(ValueError):
+        mw.children((1, (0, 1, 1)))
 
 
 # --------------------------------------------------------------------- tree
@@ -245,6 +347,25 @@ def test_ttg_task_counts_consistent():
     assert tc["PROJECT"] == tc["COMPRESS"] == tc["RECONSTRUCT"]
     assert tc["OUTPUT"] == res.total_nodes
     assert tc["NORM_RESULT"] == 3
+
+
+def test_mra_cell_statistics_pinned():
+    # Literals recorded before the batched kernels went in: a kernel change
+    # that flips one refinement decision moves every number below.
+    funcs = random_gaussians(2, d=3, exponent=200.0, seed=0)
+    args = dict(k=4, thresh=1e-3, max_level=5)
+    backend = ParsecBackend(Cluster(HAWK, 4))
+    res = mra_ttg(funcs, backend, **args)
+    assert backend.stats.tasks_by_template == {
+        "PROJECT": 98, "COMPRESS": 98, "RECONSTRUCT": 98,
+        "NORM_RESULT": 2, "OUTPUT": 688,
+    }
+    assert backend.stats.bytes_by_protocol == {"control": 3072, "generic": 116616}
+    assert repr(res.makespan) == "6.85391933333333e-05"
+    assert res.total_nodes == 688
+    native = madness_mra(Cluster(HAWK, 4), funcs, **args)
+    assert repr(native.makespan) == "0.00014008048"
+    assert native.total_nodes == 786
 
 
 def test_random_gaussians_properties():

@@ -1,5 +1,7 @@
 """Tests for edges, terminals, template tasks and keymaps."""
 
+import zlib
+
 import pytest
 
 from repro.core.edge import Edge, Void, edges
@@ -183,6 +185,20 @@ def test_subtree_keymap_distinguishes_functions():
     km = subtree_keymap(64, target_level=2)
     ranks = {km((fid, 2, (1, 1))) for fid in range(40)}
     assert len(ranks) > 5
+
+
+def test_subtree_keymap_matches_crc32_definition():
+    # The owner is remembered per anchor; placement is the crc32 it always was.
+    km = subtree_keymap(7, target_level=1)
+    for _ in range(2):  # second pass answers from the memo
+        for fid in range(3):
+            for level in range(4):
+                for i in range(2**level):
+                    for j in range(2**level):
+                        shift = max(level - 1, 0)
+                        anchor = (fid, min(level, 1), (i >> shift, j >> shift))
+                        want = zlib.crc32(repr(anchor).encode()) % 7
+                        assert km((fid, level, (i, j))) == want
 
 
 def test_zero_priomap():

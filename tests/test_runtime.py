@@ -54,6 +54,18 @@ def test_scheduler_len_bool():
     assert len(q) == 1 and q
 
 
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_scheduler_truthiness_every_policy(name):
+    q = get_scheduler(name)
+    assert not q and len(q) == 0
+    q.push("a", 1)
+    q.push("b", 2)
+    assert q and len(q) == 2
+    q.pop()
+    q.pop()
+    assert not q
+
+
 def test_unknown_scheduler():
     with pytest.raises(KeyError):
         get_scheduler("wat")
