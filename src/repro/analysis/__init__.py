@@ -7,8 +7,8 @@ Four rule families, one catalog (:mod:`repro.analysis.rules`):
   rules) before any task runs;
 - :class:`Sanitizer` observes an execution for runtime faults
   (``SAN0xx`` checks) with task/key provenance;
-- :func:`shardsafe_graph` statically checks the preconditions for a
-  shared-nothing multiprocess engine (``SHD0xx``): picklable closures,
+- :func:`shardsafe_graph` statically checks the preconditions for
+  shared-nothing execution (``SHD0xx``): picklable closures,
   no captured runtime state, no free-variable/global mutation, rank-keyed
   scheduling paths;
 - :func:`detect_races` replays a recorded telemetry stream through
@@ -43,7 +43,6 @@ from repro.analysis.sanitizer import (
 )
 from repro.analysis.shardsafe import (
     audit_runtime_modules,
-    mp_preflight,
     shardsafe_graph,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "lint_graph",
     "lint_ptg",
     "merge_findings",
-    "mp_preflight",
     "shardsafe_graph",
     "Sanitizer",
 ]

@@ -35,7 +35,7 @@ Rules (registered in :mod:`repro.analysis.rules`):
 - **RACE002** -- two unordered writes of one buffer on two ranks.
 - **RACE003** -- one buffer observed live on two ranks at all (task-span
   inputs or zero-copy aliases); disjoint address spaces make this
-  impossible on a true multiprocess engine, ordered or not.
+  impossible on a distributed-memory machine, ordered or not.
 - **RACE004** -- a sanitizer-visible cref mutation (``SAN003`` instant
   carrying a ``sharer=`` task label) at a timestamp strictly after the
   sharing task's span ended: someone other than the owning task wrote

@@ -172,8 +172,8 @@ SAN007 = _rule(
 # ---------------------------------------------------- shard-safety rules
 #
 # The SHD family is the static half of repro.analysis.shardsafe: the
-# machine-checkable preconditions for running a graph on a shared-nothing
-# multiprocess engine (the ROADMAP's top open item).  Task bodies and
+# machine-checkable preconditions for running a graph with disjoint
+# per-rank address spaces.  Task bodies and
 # event callables must be pure functions of their declared inputs, their
 # captured state must either pickle or be reconstructible per process,
 # and every scheduling path must carry a rank.
@@ -228,14 +228,6 @@ SHD008 = _rule(
     "rank= hint, so the event lands on shard 0; annotate intentional "
     "cases with '# shard-safe: unranked-ok' or thread the rank through",
 )
-SHD009 = _rule(
-    "SHD009", "error", "mp-unpicklable-payload",
-    "a queued event payload fails registry pickling and cannot cross "
-    "the multiprocess engine's process boundary in a window batch; "
-    "schedule graph-owned callables instead of raw closures, keep event "
-    "arguments to plain data, or run with engine=sharded",
-)
-
 # ------------------------------------------------------------- race rules
 #
 # The RACE family is the dynamic half: a happens-before race detector

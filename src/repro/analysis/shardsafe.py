@@ -1,9 +1,9 @@
-"""Static shard-safety pass: can this graph run on a shared-nothing engine?
+"""Static shard-safety pass: would this graph survive disjoint address spaces?
 
-The ROADMAP's top open item -- a true multiprocess engine where each rank
-shard is a separate process -- imposes properties no wiring lint checks:
-task bodies and event callables must be pure functions of their declared
-inputs (the shape TaskTorrent demands of its runtime core), their
+The simulated ranks share one host address space, the machines the paper
+measures do not.  Distributed memory imposes properties no wiring lint
+checks: task bodies and event callables must be pure functions of their
+declared inputs (the shape TaskTorrent demands of its runtime core), their
 captured state must either pickle across a process boundary or be
 reconstructible per rank, and every scheduling path must carry a rank so
 events land on the right shard.  This pass inspects every callable a
@@ -16,8 +16,8 @@ hint (SHD008).
 
 The report is deliberately a *TODO list*: closure capture of application
 matrices (SHD006) is idiomatic today and harmless on the in-process
-engines, so it is warning severity -- but every such finding is a closure
-the multiprocess refactor must cut.  Hard process-boundary violations
+engines, so it is warning severity -- but every such finding is state a
+real distributed run would have to move.  Hard process-boundary violations
 (unpicklable state, live runtime objects, nonlocal mutation) are errors.
 
 Waivers compose exactly like the wiring linter's: template-level
@@ -335,77 +335,6 @@ def shardsafe_graph(
             if f.rule.id in ignored or ctx.waived(site.tt, f.rule.id):
                 continue
             out.append(f)
-    return out
-
-
-# ------------------------------------------- SHD009: mp-engine preflight
-
-
-def _iter_heap_events(engine: Any) -> Iterator[Any]:
-    """Every live event queued on an engine's heap(s)."""
-    heaps: List[Any] = []
-    shards = getattr(engine, "_shards", None)
-    if shards is not None:
-        heaps.extend(shards)
-        heaps.append(engine._incoming)
-    else:
-        heaps.append(engine._heap)
-    for heap in heaps:
-        for _, _, payload in heap:
-            if type(payload) is list:
-                for ev in payload:
-                    if not ev.cancelled:
-                        yield ev
-            elif not payload.cancelled:
-                yield payload
-
-
-def mp_preflight(
-    backend: Any,
-    ignore: Iterable[str] = (),
-) -> List[Finding]:
-    """SHD009: dry-run registry pickling of every queued event payload.
-
-    The multiprocess engine forks its workers, so graph callables (task
-    bodies, maps, reducers -- closures over application state) travel
-    copy-on-write and never pickle; what crosses a process boundary is
-    the *event batches* exchanged at window boundaries.  This probe runs
-    every event already queued on the engine heaps through the exact
-    pickler the mp transport uses
-    (:class:`repro.runtime.registry.RuntimeRegistry`): registered runtime
-    objects (and the graph callables the registry walk covers) pass by
-    reference, so only genuinely untransportable payloads are flagged --
-    a raw lambda handed to ``schedule_at``, a lock or file handle inside
-    an event argument.  The mp engine runs this at graph-build time
-    (:meth:`repro.runtime.base.Backend.register_executable`) and again
-    before forking, and refuses to fork on an error finding -- a lint
-    report up front instead of a ``PicklingError`` mid-run.
-    """
-    from repro.analysis.rules import get_rule
-    from repro.runtime.registry import RuntimeRegistry, probe_event_picklable
-
-    if "SHD009" in set(ignore):
-        return []
-    registry = RuntimeRegistry.for_backend(backend)
-    out: List[Finding] = []
-    seen: set = set()
-    for ev in _iter_heap_events(backend.engine):
-        reason = probe_event_picklable(registry, ev.fn, ev.args)
-        if reason is None:
-            continue
-        fn = ev.fn
-        name = getattr(getattr(fn, "__func__", fn), "__qualname__",
-                       type(fn).__name__)
-        key = (name, reason)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Finding(
-            get_rule("SHD009"),
-            f"queued event {name}(...) at t={ev.time} does not "
-            f"registry-pickle: {reason}",
-            location=f"engine.heap/{name}",
-        ))
     return out
 
 

@@ -46,7 +46,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bench import figures, history
 from repro.bench.harness import print_series, print_table, write_telemetry_bundle
-from repro.bench.parallel import default_processes
 from repro.bench.plot import print_chart
 from repro.sim.sharded import ENGINE_KINDS
 
@@ -97,14 +96,22 @@ def _parse_seeds(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}")
 
 
-def _parse_apps(text: str) -> List[str]:
-    apps = [s.strip() for s in text.split(",") if s.strip()]
-    for app in apps:
-        if app not in history.MEASUREMENTS:
+def _parse_names(text: str, known, what: str) -> List[str]:
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    for name in names:
+        if name not in known:
             raise argparse.ArgumentTypeError(
-                f"unknown app {app!r} (have: {sorted(history.MEASUREMENTS)})"
+                f"unknown {what} {name!r} (have: {sorted(known)})"
             )
-    return apps
+    return names
+
+
+def _parse_engines(text: str) -> List[str]:
+    return _parse_names(text, ENGINE_KINDS, "engine kind")
+
+
+def _parse_apps(text: str) -> List[str]:
+    return _parse_names(text, history.MEASUREMENTS, "app")
 
 
 def run_prune(args: argparse.Namespace) -> int:
@@ -130,10 +137,9 @@ def run_engine_bench(args: argparse.Namespace) -> int:
 
     cell_kwargs = {} if args.nodes is None else {"nodes": args.nodes}
     results = engine_benchmark(
-        engines=tuple(args.engines.split(",")),
+        engines=tuple(args.engines),
         app=args.apps[0],
         seeds=args.seeds,
-        parallel=args.parallel,
         **cell_kwargs,
     )
     print(f"engine benchmark: app={args.apps[0]} seeds={args.seeds}")
@@ -389,12 +395,10 @@ def main(argv=None) -> int:
                     "TEMPLATE into every measured cell (repeatable; the "
                     "end-to-end test hook for --explain)")
     wd.add_argument("--engine", default="seq", choices=list(ENGINE_KINDS),
-                    help="event engine inside each simulation (default seq); "
-                    "'mp' runs each cell on the shared-nothing multiprocess "
-                    "engine and also implies cell-level process parallelism")
+                    help="event engine inside each simulation (default seq)")
     wd.add_argument("--parallel", type=int, default=0, metavar="N",
                     help="fan the (app, seed) matrix cells out over N worker "
-                    "processes (0 = inline; implied by --engine mp)")
+                    "processes (0 = inline)")
     wd.add_argument("--ledger", default=None, metavar="DIR",
                     help="write one append-only run ledger per matrix cell "
                     "into DIR (tail with: python -m repro.telemetry watch)")
@@ -418,7 +422,8 @@ def main(argv=None) -> int:
     wd.add_argument("--drop-old-baselines", action="store_true",
                     help="prune: also drop baselines superseded by a newer "
                     "baseline sweep")
-    wd.add_argument("--engines", default="seq,sharded", metavar="A,B",
+    wd.add_argument("--engines", type=_parse_engines,
+                    default=["seq", "sharded"], metavar="A,B",
                     help="engine-bench: engine kinds to compare "
                     "(default seq,sharded)")
     wd.add_argument("--output", default=None, metavar="OUT.json",
@@ -427,8 +432,6 @@ def main(argv=None) -> int:
                     help="engine-bench: simulated rank count per cell "
                     "(default: each app's own default, typically 4)")
     args = parser.parse_args(argv)
-    if args.engine == "mp" and args.parallel == 0:
-        args.parallel = default_processes()
 
     if args.resume is not None:
         if args.checkpoint_dir is None:

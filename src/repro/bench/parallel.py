@@ -1,27 +1,18 @@
 """Run-granularity host parallelism for the benchmark matrix.
 
-Two levels of host parallelism exist and compose:
+This is the simulator's only multi-core path.  Every (app, seed, config)
+cell is an independent, deterministic simulation whose input spec and
+output :class:`~repro.bench.history.BenchRecord` are plain picklable
+data, so cells fan out over a fork pool with no protocol between them,
+whatever engine runs inside each cell.
 
-- *Inside one simulation*, the ``mp`` engine kind
-  (:class:`repro.sim.mpshard.MpShardedEngine`) forks one worker process
-  per rank-shard group and exchanges window-boundary event batches --
-  shared-nothing event-level parallelism with bit-for-bit results.
-- *Across the benchmark matrix* (this module), every (app, seed, config)
-  cell is an independent, deterministic simulation whose input spec and
-  output :class:`~repro.bench.history.BenchRecord` are plain picklable
-  data, so cells fan out over a process pool regardless of the engine
-  inside each cell.
-
-The two do not nest: pool workers are daemonic and may not fork, so an
-``mp``-engine cell dispatched to the pool transparently falls back to
-in-process sharded execution (identical results by the parity suite) --
-cell-level parallelism then supplies the host concurrency instead.
-
-The pool degrades gracefully: sandboxes without working POSIX semaphores
-(``sem_open`` returning ``EPERM``) and single-core hosts fall back to
-inline execution, preserving results exactly (cells are deterministic, so
-parallel and inline runs return identical records in identical order;
-only ``host_seconds`` differs).
+The pool degrades loudly: sandboxes without working POSIX semaphores
+(``sem_open`` returning ``EPERM``) and hosts where the pool cannot fork
+run the cells inline, preserving results exactly (cells are
+deterministic, so parallel and inline runs return identical records in
+identical order; only ``host_seconds`` differs) -- and say so with one
+``RuntimeWarning`` plus a ``fallback`` record in the pool ledger, because
+a sweep that silently lost its parallelism reports the wrong wall time.
 
 Resilience: a cell whose worker dies (``SIGKILL``, OOM, an injected
 fault) is retried with bounded exponential backoff -- the retries run
@@ -39,6 +30,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -89,15 +81,13 @@ def default_processes() -> int:
     return max(1, ncpu)
 
 
-def _pool_usable(processes: int) -> bool:
+def _pool_usable() -> bool:
     """Probe whether a process pool can exist here at all.
 
     Creating a multiprocessing primitive is the cheapest way to find out:
     restricted sandboxes fail at ``sem_open`` with ``EPERM``/``ENOSYS``
     long before any worker runs.
     """
-    if processes <= 1:
-        return False
     try:
         mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                        else None).Semaphore(1)
@@ -180,11 +170,23 @@ def _run_inline(
     return results
 
 
+def _inline_fallback(
+    cells: Sequence[Dict[str, Any]], processes: int, reason: str,
+    retries: int, backoff: float, ledger: Any,
+) -> List[BenchRecord]:
+    """Run inline a matrix that was meant for the pool, and say so."""
+    warnings.warn(
+        f"run_cells: {len(cells)} cells asked for {processes} processes "
+        f"but run inline: {reason}", RuntimeWarning, stacklevel=3)
+    if ledger is not None:
+        ledger.fallback(reason=reason, cells=len(cells), processes=processes)
+    return _run_inline(cells, retries, backoff, ledger)
+
+
 def run_cells(
     cells: Sequence[Dict[str, Any]],
     processes: Optional[int] = None,
     *,
-    chunksize: int = 1,
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     timeout: float = DEFAULT_CELL_TIMEOUT,
@@ -194,8 +196,10 @@ def run_cells(
 
     Results come back in input order no matter how the pool schedules
     them, so downstream grouping and the watchdog see the same sequence an
-    inline run would produce.  Falls back to inline execution when the
-    host cannot run a pool (no usable semaphores, one core, one cell).
+    inline run would produce.  One process or one cell runs inline by
+    definition; a host that was asked for a pool and cannot run one (no
+    usable semaphores, fork failure) also runs inline, with one
+    ``RuntimeWarning`` and a ``fallback`` pool-ledger record.
 
     Crashed cells are retried up to ``retries`` times with exponential
     backoff (``backoff * 2**attempt`` seconds).  A pooled cell whose
@@ -206,17 +210,20 @@ def run_cells(
     that exhaust their retries raise :class:`CellFailureError` after the
     whole matrix has been driven; with ``ledger_dir`` every retry and
     permanent failure also lands in ``<ledger_dir>/pool.ledger.jsonl``.
-
-    ``chunksize`` is accepted for API compatibility; dispatch is
-    per-cell so each result can be awaited (and timed out) individually.
+    Dispatch is per-cell so each result can be awaited (and timed out)
+    individually.
     """
     cells = list(cells)
     n = default_processes() if processes is None else processes
     n = min(n, len(cells))
     ledger = _pool_ledger(ledger_dir)
     try:
-        if len(cells) < 2 or not _pool_usable(n):
+        if n < 2:
             return _run_inline(cells, retries, backoff, ledger)
+        if not _pool_usable():
+            return _inline_fallback(
+                cells, n, "no usable multiprocessing semaphores",
+                retries, backoff, ledger)
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                              else None)
         try:
@@ -243,11 +250,13 @@ def run_cells(
                 if failures:
                     raise CellFailureError(failures)
                 return results
-        except (OSError, PermissionError):
+        except (OSError, PermissionError) as e:
             # The probe passed but the pool still failed (e.g. fork
             # limits): the cells are deterministic, so inline execution
             # is equivalent.
-            return _run_inline(cells, retries, backoff, ledger)
+            return _inline_fallback(
+                cells, n, f"pool failed ({type(e).__name__}: {e})",
+                retries, backoff, ledger)
     finally:
         if ledger is not None:
             ledger.close()
@@ -261,33 +270,27 @@ def engine_benchmark(
     *,
     app: str = "potrf",
     seeds: Sequence[int] = (0,),
-    parallel: int = 0,
     **cell_kwargs: Any,
 ) -> Dict[str, Dict[str, float]]:
     """Host-time comparison of the event engines on one watchdog app.
 
-    Runs the same (app, seed) cells once per engine kind and reports, per
-    engine: total host seconds, the virtual makespan (identical across
-    engines by the determinism guarantee -- a mismatch here is a bug, and
-    is raised), and the host-seconds ratio over the first engine listed.
-    ``mp`` runs each cell on the multiprocess engine and *additionally*
-    fans the cells out over ``parallel`` worker processes when asked
-    (inside pool workers the engine falls back in-process; see the module
-    docstring).  The ratio is reported, never asserted on: host timing on
-    a shared or single-core machine is noise, only the makespan equality
-    is a correctness claim.
+    Runs the same (app, seed) cells inline, once per engine kind, and
+    reports per engine: total host seconds, the virtual makespan
+    (identical across engines by the determinism guarantee -- a mismatch
+    here is a bug, and is raised), and the host-seconds ratio over the
+    first engine listed.  The ratio is reported, never asserted on: host
+    timing on a shared or single-core machine is noise, only the makespan
+    equality is a correctness claim.
     """
     results: Dict[str, Dict[str, float]] = {}
     reference: Optional[List[float]] = None
     base_host: Optional[float] = None
     for kind in engines:
-        cells = [dict(cell_kwargs, app=app, seed=s, engine=kind)
-                 for s in seeds]
         t0 = time.perf_counter()
-        if kind == "mp":
-            records = run_cells(cells, processes=parallel or None)
-        else:
-            records = [measure_cell(c) for c in cells]
+        records = [
+            measure_cell(dict(cell_kwargs, app=app, seed=s, engine=kind))
+            for s in seeds
+        ]
         host = time.perf_counter() - t0
         makespans = [r.makespan for r in records]
         if reference is None:

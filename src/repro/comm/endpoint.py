@@ -50,12 +50,6 @@ class CommEngine:
         base = cluster.machine.network.am_overhead
         self._am_cost_fn = am_cost_fn or (lambda dst, nbytes: base)
         self._am_free = [0.0] * cluster.nranks
-        # Deferral context installed by the mp engine inside worker
-        # processes: network/AM-server bookkeeping is global state, so
-        # workers record send descriptors instead of charging the models,
-        # and the coordinator replays them in global event order at the
-        # window barrier (see repro.sim.mpshard).  None => send inline.
-        self._defer = None
         # Statistics
         self.am_count = 0
         self.am_bytes = 0
@@ -82,12 +76,6 @@ class CommEngine:
         AM server (e.g. MADNESS deserialization copies run on its single
         server thread, delaying every later message to that rank).
         """
-        ctx = self._defer
-        if ctx is not None:
-            ctx.defer_am(src, dst, nbytes, handler, args,
-                         self.engine.now if start is None else start,
-                         tag, extra_server_time)
-            return
         t_sent = self.engine.now if start is None else start
         arrival = self.network.send(src, dst, nbytes, start=t_sent)
         self.am_count += 1

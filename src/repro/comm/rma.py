@@ -27,16 +27,14 @@ class RmaWindow:
         self.comm = comm
         self._regions: Dict[int, tuple[int, Optional[np.ndarray], int]] = {}
         # Explicit handle counter instead of itertools.count: checkpoints
-        # must capture/restore it, and the mp engine strides it so worker
-        # processes mint disjoint handles (worker k: next=k+1, stride=P).
+        # must capture/restore it.
         self._next = 1
-        self._stride = 1
 
     def register(self, rank: int, payload: Optional[np.ndarray], nbytes: int) -> int:
         """Expose ``payload`` (may be None for synthetic data) owned by
         ``rank``; returns a handle to embed in metadata messages."""
         handle = self._next
-        self._next = handle + self._stride
+        self._next = handle + 1
         self._regions[handle] = (rank, payload, nbytes)
         return handle
 
@@ -65,13 +63,6 @@ class RmaWindow:
         ``on_complete(payload)`` runs at the origin when the transfer lands.
         The payload is copied (the bytes now live at the origin).
         """
-        ctx = self.comm._defer
-        if ctx is not None:
-            # The handle may belong to another worker's region table, so
-            # the lookup itself must wait for the coordinator (which asks
-            # the owning worker to serve the payload at replay time).
-            ctx.defer_rma(origin, handle, on_complete)
-            return
         try:
             target, payload, nbytes = self._regions[handle]
         except KeyError:

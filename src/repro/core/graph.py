@@ -211,8 +211,8 @@ class Executable:
             backend.checkpointer.bind_executable(self)
         register = getattr(backend, "register_executable", None)
         if register is not None:
-            # Runtime registry walks (event pickling for the mp engine
-            # and physical checkpoints) key executables by this order.
+            # Runtime registry walks (event pickling for physical
+            # checkpoints) key executables by this order.
             register(self)
         _notify_observers("executable", self)
 

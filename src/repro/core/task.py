@@ -113,8 +113,8 @@ class TemplateTask:
         ``expires`` ("YYYY-MM-DD") bounds the acknowledgment in time:
         past the date the waiver stops being honored and the findings
         fire hard again, so temporary shard-safety debts (SHD/RACE
-        waivers during the multiprocess-engine migration) cannot rot
-        silently.  Expired waivers are surfaced by the CLI summary.
+        waivers) cannot rot silently.  Expired waivers are surfaced by the
+        CLI summary.
         """
         import datetime
 

@@ -717,16 +717,16 @@ class Checkpointer:
         """Registry-pickle the full physical runtime state, or return
         ``b""`` (a logical-only checkpoint) when the run is not capturable.
 
-        Not capturable: a backend whose heap entries do not survive
-        process boundaries (``mp_capable`` False -- e.g. MADNESS World
-        futures are address-space local), an armed sanitizer or non-empty
+        Not capturable: a backend whose heap entries do not pickle
+        (``heap_picklable`` False -- e.g. MADNESS World futures are
+        address-space local), an armed sanitizer or non-empty
         GPU residency cache (both track objects by ``id()``), or any
         payload that fails to pickle.
         """
         backend = self.backend
         if backend is None or self._capture_disabled:
             return b""
-        if not getattr(backend, "mp_capable", False):
+        if not getattr(backend, "heap_picklable", False):
             return b""
         if backend.sanitizer is not None:
             return b""
@@ -744,8 +744,7 @@ class Checkpointer:
                 "am_count": comm.am_count, "am_bytes": comm.am_bytes,
                 "rma_count": comm.rma_count, "rma_bytes": comm.rma_bytes,
             },
-            "rma": {"regions": dict(rma._regions), "next": rma._next,
-                    "stride": rma._stride},
+            "rma": {"regions": dict(rma._regions), "next": rma._next},
             "pools": [
                 {"queue": pool._queue.dump_state(),
                  "gpu_queue": pool._gpu_queue.dump_state(),
@@ -826,7 +825,6 @@ class Checkpointer:
         r = blob["rma"]
         rma._regions = dict(r["regions"])
         rma._next = r["next"]
-        rma._stride = r["stride"]
         net = getattr(backend.cluster, "network", None)
         n = blob.get("network")
         if net is not None and n is not None:

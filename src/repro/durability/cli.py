@@ -40,6 +40,7 @@ from repro.durability.checkpoint import (
     read_run_manifest,
     run_id_for,
 )
+from repro.sim.sharded import ENGINE_KINDS
 
 #: Record fields that legitimately differ between two identical runs.
 VOLATILE_RECORD_KEYS = ("host_seconds", "git_sha")
@@ -303,14 +304,19 @@ def cmd_parity(args: argparse.Namespace) -> int:
             print(f"  resumed  {key} = {resumed.get(key)!r}",
                   file=sys.stderr)
         return 1
-    if fired and result.verified < 1:
-        print(f"parity[{run_id}]: no stored checkpoint was verified "
-              f"during the replay -- the crash left no usable chain",
-              file=sys.stderr)
+    # A physical restore attests the restored state against the stored
+    # digest itself, so it counts as a used chain just like a verified
+    # replay does.
+    if fired and not result.restored and result.verified < 1:
+        print(f"parity[{run_id}]: no stored checkpoint was restored or "
+              f"verified during the resume -- the crash left no usable "
+              f"chain", file=sys.stderr)
         return 1
+    how = (f"restored physically past {result.restored_events} event(s)"
+           if result.restored
+           else f"{result.verified} checkpoint(s) verified")
     print(f"parity[{run_id}]: OK -- resumed record identical to control "
-          f"({result.verified} checkpoint(s) verified, {result.written} "
-          f"written)")
+          f"({how}, {result.written} written)")
     return 0
 
 
@@ -322,8 +328,8 @@ def _add_cell_flags(p: argparse.ArgumentParser, *,
     p.add_argument("--app", default="mra",
                    help="benchmark app (default mra)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="seq",
-                   help="event engine (seq | sharded | mp)")
+    p.add_argument("--engine", default="seq", choices=list(ENGINE_KINDS),
+                   help="event engine (default seq)")
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="measurement parameter override, e.g. "
                    "--param nfuncs=2 (repeatable)")

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.durability.checkpoint import Checkpointer
+from repro.durability.checkpoint import Checkpointer, ResumeConfigError
+from repro.sim.sharded import ENGINE_KINDS
 
 
 @dataclass
@@ -71,11 +72,21 @@ def resume_run(
     ``ledger_dir``/``live`` arm the run ledger on the resumed run
     (observability is not part of the stored spec, so it may differ from
     the killed run); the ledger header is stamped with the resume point.
+    A stored spec naming an engine kind this version does not have raises
+    :class:`~repro.durability.checkpoint.ResumeConfigError`.
     """
     from repro.bench.history import measure_cell
 
     ckpt = Checkpointer(checkpoint_dir, run_id, spec=spec, resume=True,
                         verify=verify)
+    kind = ckpt.spec.get("engine", "seq")
+    if kind not in ENGINE_KINDS:
+        raise ResumeConfigError(
+            f"cannot resume {run_id!r}: its stored spec names engine "
+            f"{kind!r}, which this version does not have (known: "
+            f"{', '.join(ENGINE_KINDS)}); results are engine-independent, "
+            f"so re-run the cell on 'sharded' instead"
+        )
     cell = dict(ckpt.spec, checkpointer=ckpt)
     if ledger_dir is not None:
         cell["ledger_dir"] = ledger_dir

@@ -63,11 +63,6 @@ class BlockSparseMatrix:
         self.row_tiling = row_tiling
         self.col_tiling = col_tiling
         self._blocks: Dict[Tuple[int, int], MatrixTile] = {}
-        # Journal-replay target for worker-side stores under the mp engine
-        # (see repro.linalg.shm and TiledMatrix for the rationale).
-        from repro.linalg import shm
-
-        shm.register_store(self)
 
     # -------------------------------------------------------------- access
 
@@ -84,13 +79,6 @@ class BlockSparseMatrix:
         if tile.shape != expect:
             raise ValueError(f"block ({i},{j}) shape {tile.shape} != {expect}")
         self._blocks[(i, j)] = tile
-        from repro.linalg import shm
-
-        shm.record_store(self, (i, j), tile)
-
-    def mp_apply_store(self, key: Tuple[int, int], value: MatrixTile) -> None:
-        """Replay a journaled worker-side store in the parent process."""
-        self.set_block(key[0], key[1], value)
 
     def block(self, i: int, j: int) -> Optional[MatrixTile]:
         return self._blocks.get((i, j))

@@ -42,9 +42,7 @@ class MatrixTile:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixTile":
-        from . import shm
-
-        return cls(rows, cols, shm.alloc_array((rows, cols)))
+        return cls(rows, cols, np.zeros((rows, cols)))
 
     @classmethod
     def synthetic(cls, rows: int, cols: int) -> "MatrixTile":
@@ -110,14 +108,7 @@ class MatrixTile:
         tile = cls(rows, cols, None)
         if has_data:
             # allocated-but-uninitialized is a valid state for splitmd types
-            # (the shm arena zero-fills; same observable contract once
-            # splitmd_fill runs)
-            from . import shm
-
-            if shm.active_arena() is not None:
-                tile.data = shm.alloc_array((rows, cols))
-            else:
-                tile.data = np.empty((rows, cols))
+            tile.data = np.empty((rows, cols))
         return tile
 
     def splitmd_fill(self, payload: np.ndarray) -> None:

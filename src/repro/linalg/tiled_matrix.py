@@ -71,12 +71,6 @@ class TiledMatrix:
         self.dist = dist or BlockCyclicDistribution(1, 1)
         self.synthetic = synthetic
         self._tiles: Dict[Tuple[int, int], MatrixTile] = {}
-        # Under the mp engine, result stores made inside a worker process
-        # are pointer writes invisible to the parent; registering makes
-        # this matrix a replay target for the worker-side store journal.
-        from repro.linalg import shm
-
-        shm.register_store(self)
 
     # ------------------------------------------------------------ geometry
 
@@ -111,14 +105,6 @@ class TiledMatrix:
         if tile.shape != expect:
             raise ValueError(f"tile ({i},{j}) shape {tile.shape} != {expect}")
         self._tiles[(i, j)] = tile
-        from repro.linalg import shm
-
-        shm.record_store(self, (i, j), tile)
-
-    def mp_apply_store(self, key: Tuple[int, int], value: MatrixTile) -> None:
-        """Replay a journaled worker-side store in the parent process
-        (journal inactive here, so this does not re-record)."""
-        self.set_tile(key[0], key[1], value)
 
     def has_tile(self, i: int, j: int) -> bool:
         return (i, j) in self._tiles or self.synthetic

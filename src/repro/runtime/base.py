@@ -108,10 +108,9 @@ class RunStats:
 class _LocalRun:
     """Heap record for a rank-local delivery posted via ``post_local``.
 
-    Module-level record instead of a closure so heap entries pickle (the
-    mp engine ships them between shard processes; physical checkpoints
-    serialize them to disk).  The termination detector resolves through
-    the runtime registry, never by value.
+    Module-level record instead of a closure so heap entries pickle
+    (physical checkpoints serialize them to disk).  The termination
+    detector resolves through the runtime registry, never by value.
     """
 
     __slots__ = ("termination", "fn", "args", "rank")
@@ -500,10 +499,11 @@ class Backend:
 
     name = "base"
 
-    #: Whether this backend's heap entries survive process boundaries.
-    #: The MADNESS backend says False (World futures are address-space
-    #: local), which makes the mp engine fall back to in-process sharding.
-    mp_capable = True
+    #: Whether this backend's heap entries pickle through the runtime
+    #: registry (checkpoint format v2 stores heap bytes when they do).
+    #: The MADNESS backend says False: World futures are address-space
+    #: local.
+    heap_picklable = True
 
     def __init__(
         self,
@@ -549,9 +549,8 @@ class Backend:
         # Executables in registration order: the runtime registry walks
         # this list to key graphs/template tasks for event pickling.
         self.executables: list = []
-        # Engines that orchestrate the runtime itself (the mp engine
-        # forks per run and needs the backend for registry builds,
-        # preflight lint, and state merges) bind back here.
+        # The sharded engine reads the termination detector's per-rank
+        # ledger to retire drained shards, so it binds back here.
         bind = getattr(self.engine, "bind_runtime", None)
         if bind is not None:
             bind(self)
@@ -559,28 +558,8 @@ class Backend:
             self.attach_telemetry(telemetry)
 
     def register_executable(self, ex: Any) -> None:
-        """Record ``ex`` for registry walks (called by Executable).
-
-        When the engine declares ``mp_preflight`` (the multiprocess
-        engine), the SHD009 preflight lint probes every already-queued
-        event payload right here, at graph-build time -- an unpicklable
-        payload fails with a lint report instead of a ``PicklingError``
-        halfway through a forked run.
-        """
+        """Record ``ex`` for registry walks (called by Executable)."""
         self.executables.append(ex)
-        if getattr(self.engine, "mp_preflight", False):
-            from repro.analysis.shardsafe import mp_preflight
-
-            findings = [f for f in mp_preflight(self)
-                        if f.rule.severity == "error"]
-            if findings:
-                lines = "\n".join(f"  {f}" for f in findings)
-                raise RuntimeError(
-                    f"graph {ex.graph.name!r} cannot run on the "
-                    f"multiprocess engine; SHD009 preflight found "
-                    f"{len(findings)} unpicklable payload(s):\n{lines}\n"
-                    "(fix the captures or run with engine=sharded)"
-                )
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Arm the telemetry hooks on every layer this backend owns.

@@ -27,9 +27,9 @@ class MadnessBackend(Backend):
 
     name = "madness"
 
-    # World futures and RMI replies are address-space local; the mp engine
-    # falls back to in-process sharding for this backend.
-    mp_capable = False
+    # World futures and RMI replies are address-space local, so heap
+    # entries do not pickle: checkpoints stay logical for this backend.
+    heap_picklable = False
 
     def __init__(
         self,

@@ -10,15 +10,10 @@ object graph, and provides pickler/unpickler pairs that swap objects for
 keys on the way out (``persistent_id``) and keys for objects on the way
 back in (``persistent_load``).
 
-Two consumers rely on the walk being deterministic:
-
-- the multiprocess engine (:mod:`repro.sim.mpshard`): parent and forked
-  workers build *the same* key space from their (copy-on-write identical)
-  backends, so an event pickled on one worker resolves to the receiving
-  worker's own copies of the runtime objects;
-- physical checkpoints (:mod:`repro.durability.checkpoint` format v2):
-  a resumed process rebuilds the backend by replaying the build phase,
-  walks it, and restores the serialized heap against the fresh objects.
+Physical checkpoints (:mod:`repro.durability.checkpoint` format v2) rely
+on the walk being deterministic: a resumed process rebuilds the backend
+by replaying the build phase, walks it, and restores the serialized heap
+against the fresh objects.
 
 The walk covers exactly the objects reachable from scheduled callbacks:
 backend, engine, cluster (+network), comm endpoint, RMA window,
@@ -119,8 +114,8 @@ class RuntimeRegistry:
                 reg.add(("ex", j, "tt", t), tt)
                 # Graph-owned callables (bodies, maps, reducers) are
                 # frequently closures over application state; they are
-                # identical in every process that rebuilt the same graph
-                # (or forked from the builder), so they travel by key.
+                # identical in every process that rebuilt the same graph,
+                # so they travel by key.
                 for attr in ("fn", "_keymap", "_priomap", "_devicemap",
                              "_cost"):
                     reg.add(("ex", j, "tt", t, attr),
@@ -137,69 +132,34 @@ class RuntimeRegistry:
 
     # ------------------------------------------------------------- pickling
 
-    def dumps(self, obj: Any, shm_pickler: Any = None) -> bytes:
+    def dumps(self, obj: Any) -> bytes:
         buf = io.BytesIO()
-        _RegistryPickler(self, buf, shm_pickler=shm_pickler).dump(obj)
+        _RegistryPickler(self, buf).dump(obj)
         return buf.getvalue()
 
-    def loads(self, data: bytes, shm_loader: Any = None) -> Any:
-        return _RegistryUnpickler(
-            self, io.BytesIO(data), shm_loader=shm_loader
-        ).load()
+    def loads(self, data: bytes) -> Any:
+        return _RegistryUnpickler(self, io.BytesIO(data)).load()
 
 
 class _RegistryPickler(pickle.Pickler):
-    """Pickler swapping registered runtime objects for structural keys.
+    """Pickler swapping registered runtime objects for structural keys."""
 
-    ``shm_pickler`` is an optional hook ``f(obj) -> token | None`` letting
-    the multiprocess transport divert shared-memory-backed payloads to a
-    zero-copy reference (see :mod:`repro.linalg.shm`); tokens are wrapped
-    so they cannot collide with registry keys.
-    """
-
-    def __init__(self, registry: RuntimeRegistry, file: Any,
-                 shm_pickler: Any = None) -> None:
+    def __init__(self, registry: RuntimeRegistry, file: Any) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._registry = registry
-        self._shm_pickler = shm_pickler
 
     def persistent_id(self, obj: Any) -> Any:
         key = self._registry.key_of(obj)
-        if key is not None:
-            return ("rt", key)
-        if self._shm_pickler is not None:
-            token = self._shm_pickler(obj)
-            if token is not None:
-                return ("shm", token)
-        return None
+        return None if key is None else ("rt", key)
 
 
 class _RegistryUnpickler(pickle.Unpickler):
-    def __init__(self, registry: RuntimeRegistry, file: Any,
-                 shm_loader: Any = None) -> None:
+    def __init__(self, registry: RuntimeRegistry, file: Any) -> None:
         super().__init__(file)
         self._registry = registry
-        self._shm_loader = shm_loader
 
     def persistent_load(self, pid: Any) -> Any:
         kind, payload = pid
         if kind == "rt":
             return self._registry.obj_of(payload)
-        if kind == "shm":
-            if self._shm_loader is None:
-                raise RegistryError(
-                    "shared-memory reference in stream but no loader given"
-                )
-            return self._shm_loader(payload)
         raise RegistryError(f"unknown persistent id kind {kind!r}")
-
-
-def probe_event_picklable(registry: RuntimeRegistry, fn: Any,
-                          args: tuple) -> Optional[str]:
-    """Dry-run pickle of one scheduled callback; returns the error string
-    (or None when it pickles).  Used by the SHD009 mp-preflight lint."""
-    try:
-        registry.dumps((fn, args))
-        return None
-    except Exception as exc:  # noqa: BLE001 - the reason *is* the result
-        return f"{type(exc).__name__}: {exc}"

@@ -121,8 +121,8 @@ def _noop() -> None:
 class _Invoke:
     """Heap record for a World RMI: run the method at ``dst``, route the
     result back into the caller's future.  World futures are address-space
-    local, so these records only pickle within one process (the MADNESS
-    backend advertises ``mp_capable = False`` accordingly)."""
+    local, so these records do not pickle (the MADNESS backend advertises
+    ``heap_picklable = False`` accordingly)."""
 
     __slots__ = ("backend", "obj", "method", "args", "fut", "src", "dst")
 

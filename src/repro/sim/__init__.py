@@ -18,7 +18,6 @@ Public entry points:
 
 from repro.sim.engine import Engine, Event
 from repro.sim.sharded import ENGINE_KINDS, ShardedEngine, create_engine
-from repro.sim.mpshard import MpShardedEngine
 from repro.sim.network import NetworkModel, NetworkSpec
 from repro.sim.node import NodeSpec
 from repro.sim.cluster import Cluster, MachineSpec, HAWK, SEAWULF, machine_by_name
@@ -29,7 +28,6 @@ __all__ = [
     "Engine",
     "Event",
     "ShardedEngine",
-    "MpShardedEngine",
     "create_engine",
     "ENGINE_KINDS",
     "NetworkModel",

@@ -219,7 +219,7 @@ class Cluster:
     def with_engine(cls, machine: MachineSpec, nnodes: int,
                     engine: str = "seq",
                     overrides: Optional[CostOverrides] = None) -> "Cluster":
-        """Build a cluster on a named engine kind (``seq``/``sharded``/``mp``,
+        """Build a cluster on a named engine kind (``seq``/``sharded``,
         see :func:`repro.sim.sharded.create_engine`)."""
         from repro.sim.sharded import create_engine
 

@@ -30,15 +30,9 @@ paper applications.  The window size is then a pure batching knob: the
 engine grows it adaptively above the lookahead floor when batches run
 small, because safety does not depend on it.
 
-Host-parallel execution (the ``mp`` engine kind,
-:class:`repro.sim.mpshard.MpShardedEngine`) takes the sharding across
-*process* boundaries: each worker process owns a strided group of shards,
-tile payloads live in shared-memory segments, events carry canonical
-3-int tags that reproduce the global ``(time, seq)`` order without any
-shared counter, and only window-boundary batches of deferred
-communication descriptors cross the pipes.  Sweep-level parallelism
-(whole simulations in worker processes) remains available separately via
-:mod:`repro.bench.parallel`.
+Shards never cross a process boundary (``docs/simulator.md`` says why
+there is no multiprocess engine).  Host parallelism is sweep-level: whole
+simulations run in forked worker processes via :mod:`repro.bench.parallel`.
 
 Shard-safety contract: every scheduling call reachable from a send/fire
 path must pass ``rank=`` so the event lands on the owning shard --
@@ -57,7 +51,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.sim.engine import Engine, EngineError, Event
 
 #: Engine kinds accepted by :func:`create_engine` and the bench CLI.
-ENGINE_KINDS = ("seq", "sharded", "mp")
+ENGINE_KINDS = ("seq", "sharded")
 
 #: Adaptive window controller: grow the window when batches are smaller
 #: than this, shrink when they exceed the upper bound.
@@ -570,20 +564,10 @@ def create_engine(
     - ``seq``: the sequential single-heap :class:`Engine`.
     - ``sharded``: :class:`ShardedEngine`; shard count defaults to one per
       rank (bound by the cluster if ``nranks`` is not given here).
-    - ``mp``: :class:`repro.sim.mpshard.MpShardedEngine`, the
-      shared-nothing multiprocess variant (falls back to in-process
-      sharded execution when a run is ineligible -- see
-      :attr:`MpShardedEngine.mp_fallback_reason`).
     """
     if kind not in ENGINE_KINDS:
         raise ValueError(f"unknown engine kind {kind!r}; known: {ENGINE_KINDS}")
     if kind == "seq":
         return Engine()
-    if kind == "mp":
-        from repro.sim.mpshard import MpShardedEngine
-
-        return MpShardedEngine(
-            nshards=nshards if nshards is not None else nranks,
-            lookahead=lookahead)
     return ShardedEngine(nshards=nshards if nshards is not None else nranks,
                          lookahead=lookahead)

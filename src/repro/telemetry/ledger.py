@@ -45,6 +45,8 @@ the reader and dropped, never fatal.  Record types:
 - ``retry`` / ``failure`` (v2) -- a benchmark-matrix cell crashed in the
   worker pool and was retried with backoff / permanently failed
   (:mod:`repro.bench.parallel`).
+- ``fallback`` (v2, pool ledgers only) -- a matrix that asked for a
+  process pool ran inline instead, with the reason.
 - ``ledger_close`` -- final snapshot; its absence means the run died.
 
 The writer flushes every record (a ledger exists to survive a kill);
@@ -71,7 +73,7 @@ LEDGER_VERSION = 2
 #: Record types a valid ledger may contain.
 RECORD_TYPES = (
     "ledger_open", "phase", "heartbeat", "progress", "window",
-    "quiescence", "checkpoint", "resume", "retry", "failure",
+    "quiescence", "checkpoint", "resume", "retry", "failure", "fallback",
     "ledger_close",
 )
 
@@ -204,6 +206,10 @@ class LedgerWriter:
     def failure(self, **fields: Any) -> None:
         """A benchmark cell permanently failed after its retries (v2)."""
         self.emit("failure", host=time.time(), **fields)
+
+    def fallback(self, **fields: Any) -> None:
+        """A pooled benchmark matrix ran inline instead (v2)."""
+        self.emit("fallback", host=time.time(), **fields)
 
     def close(self, sim: float = 0.0, **fields: Any) -> None:
         """Emit the final snapshot and close the file.  Idempotent."""

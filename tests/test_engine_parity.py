@@ -1,5 +1,5 @@
-"""Equivalence suite: the sharded (and mp) engines must reproduce the
-sequential engine bit-for-bit on every application.
+"""Equivalence suite: the sharded engine must reproduce the sequential
+engine bit-for-bit on every application.
 
 The sharded executor's determinism argument (exact global ``(time, seq)``
 replay inside each conservative window, see :mod:`repro.sim.sharded`) is
@@ -91,11 +91,11 @@ def test_bench_measurements_identical():
         assert a == b
 
 
-def test_mp_cells_identical_to_inline():
+def test_pooled_cells_identical_to_inline():
     from repro.bench.history import measure_cell
     from repro.bench.parallel import run_cells
 
-    cells = [{"app": "fw", "seed": s, "engine": "mp"} for s in (0, 1)]
+    cells = [{"app": "fw", "seed": s, "engine": "sharded"} for s in (0, 1)]
     parallel = run_cells(cells, processes=2)
     inline = [measure_cell(c) for c in cells]
     for p, i in zip(parallel, inline):

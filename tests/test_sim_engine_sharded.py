@@ -251,18 +251,32 @@ def test_adaptive_window_grows_above_lookahead_floor():
 
 
 def test_create_engine_kinds():
-    from repro.sim.mpshard import MpShardedEngine
-
+    assert ENGINE_KINDS == ("seq", "sharded")
     assert type(create_engine("seq")) is Engine
     sharded = create_engine("sharded", nranks=4)
     assert isinstance(sharded, ShardedEngine) and sharded.nshards == 4
-    mp_eng = create_engine("mp", nranks=2)
-    assert isinstance(mp_eng, MpShardedEngine)
-    assert isinstance(mp_eng, ShardedEngine)  # fallback path is inherited
-    mp_eng._release_arena()
     with pytest.raises(ValueError):
         create_engine("bogus")
-    assert set(ENGINE_KINDS) == {"seq", "sharded", "mp"}
+    # The multiprocess kind was deleted, not aliased: it is unknown, and
+    # the error lists what exists.
+    with pytest.raises(ValueError, match=r"'mp'.*seq.*sharded"):
+        create_engine("mp", nranks=2)
+    with pytest.raises(ValueError, match=r"'mp'.*seq.*sharded"):
+        Cluster.with_engine(HAWK, 2, "mp")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--engine", "mp"],
+    ["engine-bench", "--engines", "seq,sharded,mp"],
+])
+def test_bench_cli_rejects_removed_engine_kind(capsys, argv):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'mp'" in err and "sharded" in err and "Traceback" not in err
 
 
 def test_shard_clocks_match_engine_clock():
@@ -270,3 +284,18 @@ def test_shard_clocks_match_engine_clock():
     eng.schedule(2.0, lambda: None, rank=1)
     eng.run()
     assert eng.shard_clocks == [2.0, 2.0, 2.0]
+
+
+def test_quiescent_shards_skip_windows():
+    # At 16 ranks the tail of the schedule drains most shards early; the
+    # retired ones drop out of the window scans and are counted.
+    from repro.apps.floydwarshall import floyd_warshall_ttg
+    from repro.bench.history import SeededBlockCyclic
+    from repro.linalg import TiledMatrix
+    from repro.runtime import ParsecBackend
+
+    cluster = Cluster.with_engine(HAWK.with_workers(4), 16, engine="sharded")
+    w = TiledMatrix(512, 128, SeededBlockCyclic.for_ranks(16, 0),
+                    synthetic=True)
+    floyd_warshall_ttg(w, ParsecBackend(cluster))
+    assert cluster.engine.windows_skipped_quiescent > 0
