@@ -24,7 +24,6 @@ from operator import add
 from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 Box = Tuple[int, Tuple[int, ...]]  # (level, index-tuple), unit-cube dyadic
 
@@ -66,6 +65,10 @@ class Multiwavelet:
         self.h0 = inv_sqrt2 * (lo * self.wts[None, :]) @ phi.T
         self.h1 = inv_sqrt2 * (hi * self.wts[None, :]) @ phi.T
         h = np.hstack([self.h0, self.h1])  # (k, 2k), orthonormal rows
+        # Imported here, the one use: processes that never build a
+        # Multiwavelet do not pay SciPy's import (~0.3 s, ~30 MiB).
+        import scipy.linalg
+
         g = scipy.linalg.null_space(h).T  # (k, 2k), orthonormal complement
         self.g0 = g[:, :k]
         self.g1 = g[:, k:]

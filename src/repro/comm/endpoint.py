@@ -81,7 +81,10 @@ class CommEngine:
         self.am_count += 1
         self.am_bytes += nbytes
         proc = self._am_cost_fn(dst, nbytes) + extra_server_time
-        begin = max(arrival, self._am_free[dst])
+        # The AM server handles one message at a time.
+        begin = self._am_free[dst]
+        if begin < arrival:
+            begin = arrival
         done = begin + proc
         self._am_free[dst] = done
         if self.tracer is not None:

@@ -25,12 +25,7 @@ from repro.core.exceptions import (
     GraphConstructionError,
     StreamError,
 )
-from repro.core.messaging import (
-    TaskOutputs,
-    _pop_outputs,
-    _push_outputs,
-    current_task_label,
-)
+from repro.core.messaging import _CURRENT, TaskOutputs, current_task_label
 from repro.core.task import TemplateTask
 from repro.core.terminals import OutputTerminal
 from repro.runtime.base import Backend
@@ -136,17 +131,39 @@ class TaskGraph:
 
 
 class _Pending:
-    """Accumulating inputs of one not-yet-ready task instance."""
+    """Accumulating inputs of one not-yet-ready task instance.
 
-    __slots__ = ("slots", "counts", "expected")
+    ``missing`` is the readiness counter of templates whose inputs all
+    take a single message (``not tt.streams``): the number of inputs still
+    empty; the instance fires when it reaches zero.  Templates with a
+    streaming input compare ``counts`` with ``expected`` instead.  The
+    counter is derived state: snapshots store ``slots``, ``counts`` and
+    ``expected`` only, and :meth:`restore` recomputes it.
+    """
+
+    __slots__ = ("slots", "counts", "expected", "missing")
 
     def __init__(self, tt: TemplateTask) -> None:
         n = tt.num_inputs
         self.slots: List[Any] = [_EMPTY] * n
         self.counts: List[int] = [0] * n
-        self.expected: List[Optional[int]] = [
-            t.static_stream_size if t.is_streaming else 1 for t in tt.inputs
-        ]
+        # Only stream control rewrites an instance's row, so instances of
+        # single-message templates share the template's.
+        self.expected: List[Optional[int]] = (
+            list(tt.expected_row) if tt.streams else tt.expected_row)
+        self.missing = n
+
+    @classmethod
+    def restore(cls, tt: TemplateTask, slots: Sequence[Any],
+                counts: Sequence[int],
+                expected: Sequence[Optional[int]]) -> "_Pending":
+        """Rebuild an instance from the fields a snapshot stores."""
+        p = cls(tt)
+        p.slots = list(slots)
+        p.counts = list(counts)
+        p.expected = list(expected)
+        p.missing = p.counts.count(0)
+        return p
 
 
 class Executable:
@@ -247,8 +264,7 @@ class Executable:
             raise DeliveryError(
                 f"invoke({tt.name}) needs {tt.num_inputs} args, got {len(args)}"
             )
-        rank = tt.keymap(key, self.nranks)
-        self._spawn(tt, key, list(args), rank)
+        self._spawn(tt, key, args)
 
     def inject(
         self, tt: TemplateTask, which: Union[int, str], key: Any, value: Any = None
@@ -272,8 +288,9 @@ class Executable:
                 "<external>", tt.name, key, term.edge.name,
                 tok, None if tok is None else "value",
             )
+        dst = tt.keymap(key, self.nranks)
         self.backend.post_local(self._deliver, tt, term.index, key, value,
-                                rank=tt.keymap(key, self.nranks))
+                                dst, rank=dst)
 
     def fence(self, max_events: Optional[int] = None) -> float:
         """Drain all tasks and messages; returns the makespan.
@@ -327,14 +344,21 @@ class Executable:
     ) -> None:
         """Route one message from an output terminal to every consumer."""
         edge = term.edge
-        edge.check_key(key)
-        edge.check_value(value)
+        # Typed edges only, and the call only when the plain isinstance does
+        # not already pass (a Void part never does: the check decides).
+        kt, vt = edge.key_type, edge.value_type
+        if kt is not None and not isinstance(key, kt):
+            edge.check_key(key)
+        if vt is not None and not isinstance(value, vt):
+            edge.check_value(value)
         if not edge.consumers:
             raise DeliveryError(
                 f"send on terminal {term.tt.name}.{term.name}: edge "
                 f"{edge.name!r} has no consumers"
             )
         backend = self.backend
+        sanitizer = self.sanitizer
+        nranks = self.nranks
         tel = backend.telemetry
         bus = tel.bus if tel is not None and tel.bus.recording else None
         if bus is not None:
@@ -345,14 +369,18 @@ class Executable:
             tok = tel.data_token(value)
             tok_mode = None if tok is None else mode
             src, now = current_task_label(), bus.now()
+        # Message tags are only ever read by a tracer or a recording bus.
+        tagged = bus is not None or backend.tracer is not None
         for ctt, cidx in edge.consumers:
-            if self.sanitizer is not None:
-                self.sanitizer.on_route(ctt, cidx, key, value, mode)
+            if sanitizer is not None:
+                sanitizer.on_route(ctt, cidx, key, value, mode)
             if bus is not None:
                 bus.record(INSTANT, "dep", "dep", src_rank, TID_RT, now, now,
                            None, _DEP_ARGS, src, ctt.name, key, edge.name,
                            tok, tok_mode)
-            dst = ctt.keymap(key, self.nranks)
+            # The one keymap evaluation of this message: the owner rank
+            # rides along to _deliver/_spawn.
+            dst = ctt.keymap(key, nranks)
             if dst == src_rank:
                 backend.stats.local_deliveries += 1
                 v2, delay = backend.maybe_copy_local(value, mode)
@@ -360,19 +388,19 @@ class Executable:
                     bus.record(INSTANT, "alias", "alias", src_rank, TID_RT,
                                now, now, None, _ALIAS_ARGS, src, ctt.name,
                                key, tok, mode)
-                backend.post_local(self._deliver, ctt, cidx, key, v2,
+                backend.post_local(self._deliver, ctt, cidx, key, v2, dst,
                                    delay=delay, rank=dst)
             elif value is None:
                 backend.send_control(
-                    src_rank, dst, _Deliver1(self, ctt, cidx, key)
+                    src_rank, dst, _Deliver1(self, ctt, cidx, key, dst)
                 )
             else:
                 backend.send_value(
                     src_rank,
                     dst,
                     value,
-                    _DeliverV(self, ctt, cidx, key),
-                    tag=f"{term.tt.name}->{ctt.name}",
+                    _DeliverV(self, ctt, cidx, key, dst),
+                    tag=f"{term.tt.name}->{ctt.name}" if tagged else "data",
                 )
 
     def broadcast_from(
@@ -400,25 +428,33 @@ class Executable:
             tok = tel.data_token(value)
             tok_mode = None if tok is None else mode
             src, now = current_task_label(), bus.now()
+        sanitizer = self.sanitizer
+        nranks = self.nranks
         per_rank: Dict[int, List[Tuple[TemplateTask, int, Any]]] = {}
         for term, keys in spec:
             edge = term.edge
-            if not edge.consumers:
+            consumers = edge.consumers
+            if not consumers:
                 raise DeliveryError(
                     f"broadcast on terminal {term.tt.name}.{term.name}: edge "
                     f"{edge.name!r} has no consumers"
                 )
-            edge.check_value(value)
+            kt, vt = edge.key_type, edge.value_type
+            if vt is not None and not isinstance(value, vt):
+                edge.check_value(value)
             for k in keys:
-                edge.check_key(k)
-                for ctt, cidx in edge.consumers:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_route(ctt, cidx, k, value, mode)
+                if kt is not None and not isinstance(k, kt):
+                    edge.check_key(k)
+                for ctt, cidx in consumers:
+                    if sanitizer is not None:
+                        sanitizer.on_route(ctt, cidx, k, value, mode)
                     if bus is not None:
                         bus.record(INSTANT, "dep", "dep", src_rank, TID_RT,
                                    now, now, None, _DEP_ARGS, src, ctt.name,
                                    k, edge.name, tok, tok_mode)
-                    dst = ctt.keymap(k, self.nranks)
+                    # The targets of one destination share its rank, which
+                    # rides along on the batch / the _DeliverN(V) record.
+                    dst = ctt.keymap(k, nranks)
                     per_rank.setdefault(dst, []).append((ctt, cidx, k))
         for dst in sorted(per_rank):
             targets = per_rank[dst]
@@ -433,28 +469,43 @@ class Executable:
                                    ctt.name, k, tok, mode)
                 # One heap entry for the whole same-timestamp fan-out.
                 backend.post_local_batch(
-                    [(self._deliver, (ctt, cidx, k, v2)) for ctt, cidx, k in targets],
+                    [(self._deliver, (ctt, cidx, k, v2, dst))
+                     for ctt, cidx, k in targets],
                     delay=delay, rank=dst)
             else:
                 backend.stats.broadcast_payloads_sent += 1
                 if value is None:
                     backend.send_control(
-                        src_rank, dst, _DeliverN(self, targets), nbytes=64 + 16 * len(targets)
+                        src_rank, dst, _DeliverN(self, targets, dst),
+                        nbytes=64 + 16 * len(targets)
                     )
                 else:
                     backend.send_value(
                         src_rank,
                         dst,
                         value,
-                        _DeliverNV(self, targets),
+                        _DeliverNV(self, targets, dst),
                         extra_bytes=16 * len(targets),
                         tag="bcast",
                     )
 
-    def _deliver(self, tt: TemplateTask, idx: int, key: Any, value: Any) -> None:
-        """Terminal logic at the owner rank: accumulate, fire when ready."""
+    def _deliver(self, tt: TemplateTask, idx: int, key: Any, value: Any,
+                 rank: Optional[int] = None) -> None:
+        """Terminal logic at the owner rank: accumulate, fire when ready.
+
+        ``rank`` is the owner rank the sender's keymap evaluation gave
+        (keymaps are pure, SHD007); ``None`` -- a record restored from a
+        checkpoint written before the rank travelled with the message --
+        makes :meth:`_spawn` ask the keymap again.
+        """
         if self.sanitizer is not None:
             self.sanitizer.on_deliver(tt, idx, key, value)
+        # Without a streaming input every input takes exactly one message
+        # and readiness is a count; a lone such input is ready at once.
+        counted = not tt.streams
+        if counted and tt.num_inputs == 1:
+            self._spawn(tt, key, (value,), rank)
+            return
         pkey = (tt.id, key)
         p = self._pending.get(pkey)
         if p is None:
@@ -484,33 +535,37 @@ class Executable:
                 )
             p.slots[idx] = value
             p.counts[idx] = 1
-        self._maybe_fire(tt, key, p)
-
-    def _maybe_fire(self, tt: TemplateTask, key: Any, p: _Pending) -> None:
-        for i in range(tt.num_inputs):
-            exp = p.expected[i]
-            if exp is None or p.counts[i] != exp:
+            if counted:
+                p.missing = missing = p.missing - 1
+                if not missing:
+                    del self._pending[pkey]
+                    self._spawn(tt, key, p.slots, rank)
                 return
-        del self._pending[(tt.id, key)]
-        args = [None if s is _EMPTY else s for s in p.slots]
-        rank = tt.keymap(key, self.nranks)
-        self._spawn(tt, key, args, rank)
+        self._maybe_fire(tt, key, p, rank)
 
-    def _spawn(self, tt: TemplateTask, key: Any, args: List[Any], rank: int) -> None:
+    def _maybe_fire(self, tt: TemplateTask, key: Any, p: _Pending,
+                    rank: Optional[int] = None) -> None:
+        """Fire an instance of a template with a streaming input once every
+        input is satisfied: a count never equals an unset (``None``) size,
+        so that is list equality."""
+        if p.counts != p.expected:
+            return
+        del self._pending[(tt.id, key)]
+        self._spawn(tt, key, [None if s is _EMPTY else s for s in p.slots],
+                    rank)
+
+    def _spawn(self, tt: TemplateTask, key: Any, args: Sequence[Any],
+               rank: Optional[int] = None) -> None:
+        if rank is None:
+            rank = tt.keymap(key, self.nranks)
         if self.sanitizer is not None:
             self.sanitizer.on_spawn(tt, key, args)
+        args = tuple(args)
         flops, bytes_moved = tt.cost(key, args)
         self.task_counts[tt.name] += 1
         self.backend.submit(
-            rank,
-            _RunBody(self, tt, rank, key, tuple(args)),
-            flops=flops,
-            bytes_moved=bytes_moved,
-            priority=tt.priority(key),
-            name=tt.name,
-            key=key,
-            device=tt.device(key),
-            inputs=tuple(args),
+            rank, _RunBody(self, tt, rank, key, args), flops, bytes_moved,
+            tt.priority(key), tt.name, key, tt.device(key), args,
         )
 
     # ------------------------------------------------------------- streams
@@ -597,46 +652,62 @@ class Executable:
 # tracebacks readable when a delivery fails deep inside the event loop.
 
 
-class _Deliver1:
+class _Routed:
+    """Base of the delivery records: ``rank`` is the owner rank the sender
+    computed for the message(s) the record carries.  A record unpickled
+    from a checkpoint written before the rank travelled with the message
+    has none; it gets ``None`` and the delivery asks the keymap again."""
+
+    __slots__ = ("rank",)
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        self.rank = None
+        for name, value in state[1].items():
+            setattr(self, name, value)
+
+
+class _Deliver1(_Routed):
+    """Arrival of one message for one (terminal, task ID): called with no
+    argument for a control message, with the value otherwise."""
+
     __slots__ = ("ex", "tt", "idx", "key")
 
-    def __init__(self, ex: Executable, tt: TemplateTask, idx: int, key: Any) -> None:
-        self.ex, self.tt, self.idx, self.key = ex, tt, idx, key
+    def __init__(self, ex: Executable, tt: TemplateTask, idx: int, key: Any,
+                 rank: int) -> None:
+        self.ex, self.tt, self.idx, self.key, self.rank = ex, tt, idx, key, rank
 
-    def __call__(self) -> None:
-        self.ex._deliver(self.tt, self.idx, self.key, None)
-
-
-class _DeliverV:
-    __slots__ = ("ex", "tt", "idx", "key")
-
-    def __init__(self, ex: Executable, tt: TemplateTask, idx: int, key: Any) -> None:
-        self.ex, self.tt, self.idx, self.key = ex, tt, idx, key
-
-    def __call__(self, value: Any) -> None:
-        self.ex._deliver(self.tt, self.idx, self.key, value)
+    def __call__(self, value: Any = None) -> None:
+        self.ex._deliver(self.tt, self.idx, self.key, value, self.rank)
 
 
-class _DeliverN:
+class _DeliverV(_Deliver1):
+    """The record of a message that carries a value (the transport calls
+    it with the reconstructed value)."""
+
+    __slots__ = ()
+
+
+class _DeliverN(_Routed):
+    """Arrival of one broadcast at a rank, covering all its targets there:
+    called with no argument for a control broadcast, with the value
+    otherwise."""
+
     __slots__ = ("ex", "targets")
 
-    def __init__(self, ex: Executable, targets: List[Tuple[TemplateTask, int, Any]]) -> None:
-        self.ex, self.targets = ex, targets
+    def __init__(self, ex: Executable,
+                 targets: List[Tuple[TemplateTask, int, Any]], rank: int) -> None:
+        self.ex, self.targets, self.rank = ex, targets, rank
 
-    def __call__(self) -> None:
+    def __call__(self, value: Any = None) -> None:
+        deliver, rank = self.ex._deliver, self.rank
         for tt, idx, key in self.targets:
-            self.ex._deliver(tt, idx, key, None)
+            deliver(tt, idx, key, value, rank)
 
 
-class _DeliverNV:
-    __slots__ = ("ex", "targets")
+class _DeliverNV(_DeliverN):
+    """The record of a broadcast that carries a value."""
 
-    def __init__(self, ex: Executable, targets: List[Tuple[TemplateTask, int, Any]]) -> None:
-        self.ex, self.targets = ex, targets
-
-    def __call__(self, value: Any) -> None:
-        for tt, idx, key in self.targets:
-            self.ex._deliver(tt, idx, key, value)
+    __slots__ = ()
 
 
 class _SetSize:
@@ -677,8 +748,8 @@ class _RunBody:
 
     def __call__(self) -> None:
         outs = TaskOutputs(self.ex, self.tt, self.rank, self.key)
-        _push_outputs(outs)
+        _CURRENT.append(outs)
         try:
             self.tt.fn(self.key, *self.args, outs)
         finally:
-            _pop_outputs()
+            _CURRENT.pop()

@@ -141,7 +141,8 @@ def _check_mode(mode: str) -> None:
 
 # --------------------------------------------------------------------------
 # Free-function API mirroring ttg::send / ttg::broadcast.  The current
-# task's TaskOutputs is tracked in a stack maintained by the executor.
+# task's TaskOutputs is tracked in a stack maintained by the executor
+# (repro.core.graph._RunBody pushes and pops around every body).
 # --------------------------------------------------------------------------
 
 _CURRENT: List[TaskOutputs] = []
@@ -152,14 +153,6 @@ def current_outputs() -> TaskOutputs:
     if not _CURRENT:
         raise DeliveryError("no task is currently executing (free send outside body)")
     return _CURRENT[-1]
-
-
-def _push_outputs(outs: TaskOutputs) -> None:
-    _CURRENT.append(outs)
-
-
-def _pop_outputs() -> None:
-    _CURRENT.pop()
 
 
 def current_task_label() -> str:

@@ -10,7 +10,7 @@ terminals, making the control flow data-dependent.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.edge import Edge
 from repro.core.exceptions import GraphConstructionError
@@ -51,6 +51,17 @@ class TemplateTask:
             OutputTerminal(self, i, e, (output_names or [])[i] if output_names else "")
             for i, e in enumerate(output_edges)
         ]
+        self.num_inputs = len(self.inputs)
+        self.num_outputs = len(self.outputs)
+        # Matching facts the executable reads once per delivered message
+        # (repro.core.graph._deliver): plain attributes, kept current by
+        # InputTerminal.set_reducer -- the one call that can change them.
+        #: whether any input terminal streams (if none does, readiness of an
+        #: instance is a count of filled inputs, not a scan)
+        self.streams = False
+        #: messages a fresh instance expects per input (None: a stream sized
+        #: per key by set_argstream_size / finalize)
+        self.expected_row: List[Optional[int]] = [1] * self.num_inputs
         self._keymap = keymap
         self._priomap = priomap
         self._cost = cost
@@ -60,13 +71,14 @@ class TemplateTask:
 
     # ------------------------------------------------------------- plumbing
 
-    @property
-    def num_inputs(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self.outputs)
+    def input_became_streaming(self, term: InputTerminal) -> None:
+        """``term`` (one of :attr:`inputs`) was given a reducer."""
+        self.streams = True
+        # A fresh list: instances already pending keep the row they started
+        # with (single-message templates share theirs, see _Pending).
+        row = list(self.expected_row)
+        row[term.index] = term.static_stream_size
+        self.expected_row = row
 
     def in_terminal(self, which: Union[int, str]) -> InputTerminal:
         """Look up an input terminal by index or name."""

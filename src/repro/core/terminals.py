@@ -24,13 +24,12 @@ class InputTerminal:
         self.edge = edge
         self.name = name or f"in{index}"
         # Streaming configuration (None => plain single-message terminal).
+        # ``is_streaming`` is read once per delivered message, so it is a
+        # plain attribute; :meth:`set_reducer` is the only writer.
         self.reducer: Optional[Callable[[Any, Any], Any]] = None
         self.static_stream_size: Optional[int] = None
+        self.is_streaming = False
         edge.add_consumer(tt, index)
-
-    @property
-    def is_streaming(self) -> bool:
-        return self.reducer is not None
 
     def set_reducer(
         self, reducer: Callable[[Any, Any], Any], size: Optional[int] = None
@@ -51,6 +50,8 @@ class InputTerminal:
             raise GraphConstructionError("stream size must be >= 1")
         self.reducer = reducer
         self.static_stream_size = size
+        self.is_streaming = True
+        self.tt.input_became_streaming(self)
 
     def __repr__(self) -> str:
         kind = "stream" if self.is_streaming else "single"

@@ -482,14 +482,12 @@ def _dump_executable(ex: Any) -> Dict[str, Any]:
 def _load_executable(ex: Any, state: Dict[str, Any]) -> None:
     from repro.core.graph import _Pending
 
-    pending = {}
-    for tt, key, slots, counts, expected in state["pending"]:
-        p = _Pending(tt)
-        p.slots = list(slots)
-        p.counts = list(counts)
-        p.expected = list(expected)
-        pending[(tt.id, key)] = p
-    ex._pending = pending
+    # The snapshot stores the three lists only; what an instance derives
+    # from them (its readiness counter) is rebuilt by _Pending.restore.
+    ex._pending = {
+        (tt.id, key): _Pending.restore(tt, slots, counts, expected)
+        for tt, key, slots, counts, expected in state["pending"]
+    }
     ex.task_counts.clear()
     ex.task_counts.update(state["task_counts"])
 

@@ -10,7 +10,6 @@ tiles (costs are charged by the cost model either way).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.linalg.tile import MatrixTile
 
@@ -35,6 +34,10 @@ def potrf(akk: MatrixTile) -> MatrixTile:
 def trsm(lkk: MatrixTile, amk: MatrixTile) -> MatrixTile:
     """Triangular solve in place: A_mk -> A_mk * L_kk^{-T}."""
     if lkk.data is not None and amk.data is not None:
+        # SciPy is imported where it is used: the import costs every process
+        # ~0.3 s and ~30 MiB, and only real-data TRSM tiles need it.
+        import scipy.linalg
+
         # Solve X L^T = A  =>  L X^T = A^T
         amk.data = scipy.linalg.solve_triangular(
             lkk.data, amk.data.T, lower=True

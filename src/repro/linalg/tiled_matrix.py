@@ -69,6 +69,9 @@ class TiledMatrix:
         self.b = b
         self.nt = (n + b - 1) // b
         self.dist = dist or BlockCyclicDistribution(1, 1)
+        #: ``rank_of(i, j)``: owner rank of tile (i, j).  The distribution's
+        #: own map, not a forwarding method: key maps call it per message.
+        self.rank_of = self.dist.rank_of
         self.synthetic = synthetic
         self._tiles: Dict[Tuple[int, int], MatrixTile] = {}
 
@@ -84,9 +87,6 @@ class TiledMatrix:
         if not (0 <= j < self.nt):
             raise IndexError(f"tile col {j} out of range [0, {self.nt})")
         return min(self.b, self.n - j * self.b)
-
-    def rank_of(self, i: int, j: int) -> int:
-        return self.dist.rank_of(i, j)
 
     # -------------------------------------------------------------- access
 

@@ -24,8 +24,9 @@ from repro.comm.endpoint import CommEngine
 from repro.comm.rma import RmaWindow
 from repro.runtime.scheduler import InstrumentedQueue, get_scheduler
 from repro.runtime.termination import TerminationDetector
+from repro.serialization.protocols import Protocol, SerializedMessage
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
-from repro.serialization.traits import select_protocol
+from repro.serialization.traits import pack
 from repro.sim.cluster import Cluster
 from repro.sim.trace import Tracer
 from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, Telemetry
@@ -159,7 +160,7 @@ class _OnMeta:
     def __init__(self, backend: "Backend", src: int, dst: int,
                  meta_bytes: bytes, eager_bytes: int, rma_bytes: int,
                  handle: int, send_start: float, flow: Optional[int],
-                 meta_name: str, rma_name: str,
+                 meta_name: Optional[str], rma_name: Optional[str],
                  on_deliver: Callable[[Any], None]) -> None:
         self.backend = backend
         self.src = src
@@ -202,7 +203,7 @@ class _OnPayload:
 
     def __init__(self, backend: "Backend", src: int, dst: int, obj: Any,
                  meta_end: float, rma_bytes: int, handle: int,
-                 flow: Optional[int], rma_name: str,
+                 flow: Optional[int], rma_name: Optional[str],
                  on_deliver: Callable[[Any], None]) -> None:
         self.backend = backend
         self.src = src
@@ -651,7 +652,6 @@ class Backend:
         self,
         rank: int,
         fn: Callable[[], None],
-        *,
         flops: float = 0.0,
         bytes_moved: float = 0.0,
         priority: int = 0,
@@ -678,9 +678,11 @@ class Backend:
         for sharded engines (the rank on which the delivery logically
         happens); the sequential engine ignores it.
         """
-        self.termination.task_created(rank)
-        self.engine.schedule(
-            delay, _LocalRun(self.termination, fn, args, rank), rank=rank)
+        term = self.termination
+        term.task_created(rank)
+        engine = self.engine
+        engine.schedule_at(engine.now + delay,
+                           _LocalRun(term, fn, args, rank), rank=rank)
 
     def post_local_batch(
         self,
@@ -707,8 +709,10 @@ class Backend:
 
     # -------------------------------------------------------------- messages
 
-    def serialize(self, value: Any):
-        """Pick the protocol for ``value`` under this backend's rules.
+    def serialize(self, value: Any) -> Tuple[Protocol, SerializedMessage]:
+        """Pack ``value`` with the best protocol under this backend's rules
+        (one pass: selecting a protocol and packing are the same work for
+        the generic protocols).
 
         splitmd is only worth its extra round-trips for payloads beyond the
         eager threshold; small objects always go eager.
@@ -717,7 +721,7 @@ class Backend:
             int(getattr(value, "nbytes", 0) or 0)
             > self.cluster.machine.network.eager_threshold
         )
-        return select_protocol(
+        return pack(
             value,
             backend_supports_splitmd=splitmd_ok,
             allowed=self.config.serialization_allowed,
@@ -760,8 +764,7 @@ class Backend:
         ``extra_bytes`` rides along in the eager part (e.g. the task-ID list
         of an optimized broadcast).
         """
-        proto = self.serialize(value)
-        msg = proto.serialize(value)
+        proto, msg = self.serialize(value)
         msg.eager_bytes += extra_bytes
         node = self.cluster.node
         self.termination.message_sent(src)
@@ -790,8 +793,11 @@ class Backend:
             handle = self.rma.register(src, payload, max(msg.rma_bytes, 1))
             self.stats.rma_transfers += 1
             self.stats.rma_bytes += msg.rma_bytes
-            meta_name, rma_name = splitmd_phase_names(tag)
-            flow = tel.bus.new_flow() if tel is not None and tel.bus.recording else None
+            # Flow id and phase names exist for the recorded spans only.
+            flow = meta_name = rma_name = None
+            if tel is not None and tel.bus.recording:
+                flow = tel.bus.new_flow()
+                meta_name, rma_name = splitmd_phase_names(tag)
             self.comm.send_am(
                 src, dst, msg.eager_bytes,
                 _OnMeta(self, src, dst, meta_bytes, msg.eager_bytes,

@@ -33,6 +33,7 @@ from repro.serialization.traits import (
     is_trivially_serializable,
     supports_splitmd,
     select_protocol,
+    pack,
     register_trivial,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "is_trivially_serializable",
     "supports_splitmd",
     "select_protocol",
+    "pack",
     "register_trivial",
 ]

@@ -24,6 +24,12 @@ _TAG_STR = 5
 _TAG_NONE = 6
 
 
+#: Types :meth:`BufferOutputArchive.store` frames natively (exact types;
+#: ``bool`` goes through pickle but cannot fail either): packing one of
+#: these needs no trial run to know that it works.
+NATIVE_TYPES = (type(None), bool, int, float, str, bytes, np.ndarray)
+
+
 class ArchiveError(RuntimeError):
     """Raised on malformed archive data."""
 

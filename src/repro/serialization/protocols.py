@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
-from repro.serialization.archive import BufferInputArchive, BufferOutputArchive
+from repro.serialization.archive import (
+    NATIVE_TYPES,
+    BufferInputArchive,
+    BufferOutputArchive,
+)
 
 
 @dataclass
@@ -61,6 +65,13 @@ class Protocol:
 
     def serialize(self, value: Any) -> SerializedMessage:
         raise NotImplementedError
+
+    def try_serialize(self, value: Any) -> Optional[SerializedMessage]:
+        """The message for ``value``, or ``None`` when this protocol does
+        not apply -- the send path's one call (:func:`traits.pack`).
+        Protocols whose applicability test *is* packing override it, so
+        that a sent value is packed exactly once."""
+        return self.serialize(value) if self.applicable(value) else None
 
     def deserialize(self, msg: SerializedMessage) -> Any:
         raise NotImplementedError
@@ -127,8 +138,12 @@ class GenericProtocol(Protocol):
     """
 
     name = "generic"
+    #: buffer copies of the packed bytes on each side
+    copies_per_side = 1
 
     def applicable(self, value: Any) -> bool:
+        if type(value) in NATIVE_TYPES:
+            return True  # no trial pickle: the archive frames these itself
         try:
             pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             return True
@@ -141,16 +156,23 @@ class GenericProtocol(Protocol):
         return SerializedMessage(
             protocol=self.name,
             eager_bytes=n,
-            sender_copy_bytes=n,
-            receiver_copy_bytes=n,
+            sender_copy_bytes=self.copies_per_side * n,
+            receiver_copy_bytes=self.copies_per_side * n,
             payload=data,
         )
+
+    def try_serialize(self, value: Any) -> Optional[SerializedMessage]:
+        # Whether a value can be packed is only known by packing it.
+        try:
+            return self.serialize(value)
+        except Exception:
+            return None
 
     def deserialize(self, msg: SerializedMessage) -> Any:
         return _generic_unpack(msg.payload)
 
 
-class MadnessProtocol(Protocol):
+class MadnessProtocol(GenericProtocol):
     """MADNESS serialization: generic plus an extra buffer copy per side.
 
     MADNESS archives serialize the whole object into an AM buffer which is
@@ -160,23 +182,7 @@ class MadnessProtocol(Protocol):
     """
 
     name = "madness"
-
-    def applicable(self, value: Any) -> bool:
-        return GenericProtocol().applicable(value)
-
-    def serialize(self, value: Any) -> SerializedMessage:
-        data = _generic_pack(value)
-        n = wire_size(value, len(data))
-        return SerializedMessage(
-            protocol=self.name,
-            eager_bytes=n,
-            sender_copy_bytes=2 * n,
-            receiver_copy_bytes=2 * n,
-            payload=data,
-        )
-
-    def deserialize(self, msg: SerializedMessage) -> Any:
-        return _generic_unpack(msg.payload)
+    copies_per_side = 2
 
 
 #: Registry in the paper's preference order *excluding* splitmd, which is

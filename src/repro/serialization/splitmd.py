@@ -14,6 +14,7 @@ types opt in by implementing :class:`SplitMetadataSupport`.
 from __future__ import annotations
 
 import importlib
+from functools import lru_cache
 from typing import Any, Dict, Optional, Protocol as TypingProtocol, Tuple, runtime_checkable
 
 import numpy as np
@@ -56,13 +57,21 @@ def splitmd_phase_names(tag: str) -> Tuple[str, str]:
     return f"splitmd:meta:{tag}", f"splitmd:rma:{tag}"
 
 
+@lru_cache(maxsize=None)
+def _identity_frames(cls: type) -> bytes:
+    """The two type-identity frames (module, qualified name) every metadata
+    buffer of ``cls`` starts with: the same bytes for every instance."""
+    ar = BufferOutputArchive()
+    ar.store(cls.__module__)
+    ar.store(cls.__qualname__)
+    return ar.bytes()
+
+
 def pack_metadata(value: SplitMetadataSupport) -> bytes:
     """Serialize (type identity, metadata) into a small eager buffer."""
     ar = BufferOutputArchive()
-    ar.store(type(value).__module__)
-    ar.store(type(value).__qualname__)
     ar.store(value.splitmd_metadata())
-    return ar.bytes()
+    return _identity_frames(type(value)) + ar.bytes()
 
 
 def unpack_metadata(data: bytes) -> Tuple[type, Any]:
@@ -80,7 +89,10 @@ def payload_nbytes(value: Any) -> int:
     Uses the live payload when present; synthetic objects (``payload is
     None``) fall back to their declared nominal ``nbytes``.
     """
-    payload = value.splitmd_payload()
+    return _nbytes(value, value.splitmd_payload())
+
+
+def _nbytes(value: Any, payload: Optional[np.ndarray]) -> int:
     if payload is not None:
         return int(payload.nbytes)
     return int(getattr(value, "nbytes", 0) or 0)
@@ -113,7 +125,7 @@ class SplitMetadataProtocol(Protocol):
         return SerializedMessage(
             protocol=self.name,
             eager_bytes=len(meta_bytes) + RMA_REGISTRATION_BYTES,
-            rma_bytes=payload_nbytes(value),
+            rma_bytes=_nbytes(value, payload),
             sender_copy_bytes=0,
             receiver_copy_bytes=0,
             payload=(meta_bytes, payload),
@@ -131,6 +143,7 @@ class SplitMetadataProtocol(Protocol):
         return obj
 
 
+@lru_cache(maxsize=None)
 def _resolve(module: str, qualname: str) -> type:
     mod = importlib.import_module(module)
     obj: Any = mod

@@ -11,9 +11,10 @@ expose ``__trivially_serializable__ = True``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Set, Type
+from functools import lru_cache
+from typing import Any, Iterable, Optional, Set, Tuple, Type
 
-from repro.serialization.protocols import PROTOCOLS, Protocol
+from repro.serialization.protocols import PROTOCOLS, Protocol, SerializedMessage
 from repro.serialization.splitmd import SplitMetadataProtocol
 
 _SPLITMD = SplitMetadataProtocol()
@@ -42,6 +43,26 @@ def supports_splitmd(value: Any) -> bool:
     return _SPLITMD.applicable(value)
 
 
+@lru_cache(maxsize=None)
+def _preference(splitmd: bool,
+                allowed: Optional[Tuple[str, ...]]) -> Tuple[Protocol, ...]:
+    """Protocols to try, best first (two backends, a few whitelists: the
+    order is looked up once per message and built once per combination)."""
+    order = [_SPLITMD] if splitmd else []
+    order.extend(PROTOCOLS[name] for name in ("trivial", "generic", "madness"))
+    return tuple(p for p in order if allowed is None or p.name in allowed)
+
+
+def _candidates(splitmd: bool,
+                allowed: Optional[Iterable[str]]) -> Tuple[Protocol, ...]:
+    return _preference(splitmd, None if allowed is None else tuple(allowed))
+
+
+def _refused(value: Any) -> TypeError:
+    return TypeError(
+        f"no serialization protocol applicable to {type(value).__name__}")
+
+
 def select_protocol(
     value: Any,
     *,
@@ -59,14 +80,26 @@ def select_protocol(
         Optional whitelist of protocol names (used by ablation benches to
         force e.g. generic serialization).
     """
-    order: list[Protocol] = []
-    if backend_supports_splitmd:
-        order.append(_SPLITMD)
-    order.extend(PROTOCOLS[name] for name in ("trivial", "generic", "madness"))
-    if allowed is not None:
-        allowed_set = set(allowed)
-        order = [p for p in order if p.name in allowed_set]
-    for proto in order:
+    for proto in _candidates(backend_supports_splitmd, allowed):
         if proto.applicable(value):
             return proto
-    raise TypeError(f"no serialization protocol applicable to {type(value).__name__}")
+    raise _refused(value)
+
+
+def pack(
+    value: Any,
+    *,
+    backend_supports_splitmd: bool = False,
+    allowed: Optional[Iterable[str]] = None,
+) -> Tuple[Protocol, SerializedMessage]:
+    """Serialize ``value`` with the best applicable protocol.
+
+    The send path: same choice as :func:`select_protocol` followed by
+    ``serialize``, but each value is packed exactly once (the generic
+    protocols can only tell that they apply by packing).
+    """
+    for proto in _candidates(backend_supports_splitmd, allowed):
+        msg = proto.try_serialize(value)
+        if msg is not None:
+            return proto, msg
+    raise _refused(value)

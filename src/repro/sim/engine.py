@@ -108,7 +108,10 @@ class Engine:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Any]] = []
-        self._now: float = 0.0
+        #: Current virtual time in seconds.  A plain attribute, not a
+        #: property: every layer reads the clock several times per event.
+        #: Only the engine's own loops write it.
+        self.now: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
         self._running: bool = False
@@ -128,11 +131,6 @@ class Engine:
         # :meth:`repro.runtime.base.Backend.attach_checkpointer`.
         self.on_checkpoint: Optional[Callable[[float, int], None]] = None
         self.checkpoint_every: int = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -156,9 +154,9 @@ class Engine:
         ``rank`` is a shard-routing hint for parallel engines; the
         sequential engine ignores it.
         """
-        if time < self._now:
+        if time < self.now:
             raise EngineError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -173,7 +171,7 @@ class Engine:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise EngineError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, fn, *args, rank=rank)
+        return self.schedule_at(self.now + delay, fn, *args, rank=rank)
 
     def schedule_batch(
         self,
@@ -192,7 +190,7 @@ class Engine:
         """
         if delay < 0:
             raise EngineError(f"negative delay {delay}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         events = [Event(time, seq + i, fn, args) for i, (fn, args) in enumerate(calls)]
         if not events:
@@ -238,7 +236,7 @@ class Engine:
                 ev = payload
                 if ev.cancelled:
                     continue
-            self._now = time
+            self.now = time
             self._events_processed += 1
             ev.fn(*ev.args)
             return True
@@ -273,14 +271,14 @@ class Engine:
         try:
             while heap:
                 if hb_every and self._events_processed >= hb_next:
-                    on_heartbeat(self._now, self._events_processed)
+                    on_heartbeat(self.now, self._events_processed)
                     hb_next = self._events_processed + hb_every
                 if cp_every and self._events_processed >= cp_next:
-                    on_checkpoint(self._now, self._events_processed)
+                    on_checkpoint(self.now, self._events_processed)
                     cp_next = self._events_processed + cp_every
                 time, seq, payload = heap[0]
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     return
                 if type(payload) is list:
                     heappop(heap)
@@ -297,7 +295,7 @@ class Engine:
                             tail = payload[i - 1:]
                             heappush(heap, (time, tail[0].seq, tail))
                             return
-                        self._now = time
+                        self.now = time
                         self._events_processed += 1
                         n += 1
                         try:
@@ -316,7 +314,7 @@ class Engine:
                     if max_events is not None and n >= max_events:
                         return
                     heappop(heap)
-                    self._now = time
+                    self.now = time
                     self._events_processed += 1
                     n += 1
                     payload.fn(*payload.args)
@@ -335,7 +333,7 @@ class Engine:
         """
         return {
             "kind": "seq",
-            "now": self._now,
+            "now": self.now,
             "seq": self._seq,
             "events": self._events_processed,
             "heap": list(self._heap),
@@ -348,7 +346,7 @@ class Engine:
                 f"engine state kind {state.get('kind')!r} does not match "
                 "this sequential engine"
             )
-        self._now = state["now"]
+        self.now = state["now"]
         self._seq = state["seq"]
         self._events_processed = state["events"]
         self._heap = list(state["heap"])
@@ -356,6 +354,6 @@ class Engine:
     def reset(self) -> None:
         """Clear all state; clock back to zero."""
         self._heap.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._seq = 0
         self._events_processed = 0

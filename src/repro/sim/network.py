@@ -88,14 +88,6 @@ class NetworkModel:
         self.messages_sent = 0
         self.bytes_sent = 0
 
-    def _occupy(self, free_at: float, start: float, duration: float) -> tuple[float, float]:
-        """Serialize an occupation of a single channel.
-
-        Returns ``(begin, end)`` where ``begin >= max(free_at, start)``.
-        """
-        begin = max(free_at, start)
-        return begin, begin + duration
-
     def transfer_time(self, nbytes: int) -> float:
         """Unloaded (contention-free) transfer time for ``nbytes``."""
         t = self.spec.latency + nbytes / self.spec.bandwidth
@@ -124,24 +116,33 @@ class NetworkModel:
         if nbytes < 0:
             raise ValueError("negative message size")
         t0 = self.engine.now if start is None else start
+        spec = self.spec
         self.messages_sent += 1
         if src == dst:
             # Intra-node: a software queue hop, no NIC involvement.
-            return t0 + self.spec.am_overhead
+            return t0 + spec.am_overhead
         self.bytes_sent += nbytes
-        wire = nbytes / self.spec.bandwidth
-        if handshake and nbytes > self.spec.eager_threshold:
-            t0 = t0 + 2.0 * self.spec.latency  # rendezvous handshake
-        tx_begin, tx_end = self._occupy(self._tx_free[src], t0, wire)
+        bulk = nbytes > spec.eager_threshold
+        if handshake and bulk:
+            t0 = t0 + 2.0 * spec.latency  # rendezvous handshake
+        # A channel carries one message at a time: an occupation begins at
+        # max(channel free, requested start).
+        tx_begin = self._tx_free[src]
+        if tx_begin < t0:
+            tx_begin = t0
+        tx_end = tx_begin + nbytes / spec.bandwidth
         self._tx_free[src] = tx_end
-        arrive = tx_end + self.spec.latency
-        if self._backbone_bw is not None and nbytes > self.spec.eager_threshold:
+        arrive = tx_end + spec.latency
+        if bulk and self._backbone_bw is not None:
             # Only bulk payloads contend for cross-section bandwidth; small
             # and control messages interleave at packet granularity on real
             # fabrics and never queue behind bulk transfers.
-            bb_begin, bb_end = self._occupy(self._backbone_free, tx_begin, nbytes / self._backbone_bw)
+            bb_begin = self._backbone_free
+            if bb_begin < tx_begin:
+                bb_begin = tx_begin
+            bb_end = bb_begin + nbytes / self._backbone_bw
             self._backbone_free = bb_end
-            arrive = max(arrive, bb_end + self.spec.latency)
+            arrive = max(arrive, bb_end + spec.latency)
         return arrive
 
     def rma_get(self, origin: int, target: int, nbytes: int) -> float:

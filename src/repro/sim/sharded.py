@@ -143,7 +143,7 @@ class ShardedEngine(Engine):
         fence (shards never run ahead of the fence because total order is
         preserved), so all clocks equal the engine clock.
         """
-        return [self._now] * self.nshards
+        return [self.now] * self.nshards
 
     @property
     def shard_pending(self) -> List[int]:
@@ -156,9 +156,9 @@ class ShardedEngine(Engine):
         self, time: float, fn: Callable[..., Any], *args: Any,
         rank: Optional[int] = None,
     ) -> Event:
-        if time < self._now:
+        if time < self.now:
             raise EngineError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -290,7 +290,7 @@ class ShardedEngine(Engine):
                 heappush(best_heap, (time, rest[0].seq, rest))
         else:
             ev = payload
-        self._now = time
+        self.now = time
         self._events_processed += 1
         ev.fn(*ev.args)
         return True
@@ -322,7 +322,7 @@ class ShardedEngine(Engine):
                     return
                 t0 = top[0]
                 if until is not None and t0 > until:
-                    self._now = until
+                    self.now = until
                     return
                 if max_events is not None and n >= max_events:
                     return
@@ -404,7 +404,7 @@ class ShardedEngine(Engine):
                                         self._wake(0)
                                     heappush(shards[0], (time, tail[0].seq, tail))
                                     return
-                                self._now = time
+                                self.now = time
                                 self._events_processed += 1
                                 n += 1
                                 try:
@@ -419,7 +419,7 @@ class ShardedEngine(Engine):
                         else:
                             if payload.cancelled:
                                 continue
-                            self._now = time
+                            self.now = time
                             self._events_processed += 1
                             n += 1
                             payload.fn(*payload.args)
@@ -440,13 +440,13 @@ class ShardedEngine(Engine):
                         self._events_processed - ev_base,
                         self.window_deferred - def_base))
                 if hb_every and self._events_processed >= hb_next:
-                    on_heartbeat(self._now, self._events_processed)
+                    on_heartbeat(self.now, self._events_processed)
                     hb_next = self._events_processed + hb_every
                 # Checkpoints land on conservative-window boundaries: the
                 # heaps are between windows here, so the snapshot captures
                 # a consistent global cut of the simulation.
                 if cp_every and self._events_processed >= cp_next:
-                    on_checkpoint(self._now, self._events_processed)
+                    on_checkpoint(self.now, self._events_processed)
                     cp_next = self._events_processed + cp_every
         finally:
             self._running = False
@@ -493,7 +493,7 @@ class ShardedEngine(Engine):
         """
         return {
             "kind": "sharded",
-            "now": self._now,
+            "now": self.now,
             "seq": self._seq,
             "events": self._events_processed,
             "nshards": self.nshards,
@@ -519,7 +519,7 @@ class ShardedEngine(Engine):
                 f"checkpoint has {state['nshards']} shards, engine has "
                 f"{self.nshards}; resume with the same topology"
             )
-        self._now = state["now"]
+        self.now = state["now"]
         self._seq = state["seq"]
         self._events_processed = state["events"]
         self._shards = [list(h) for h in state["shards"]]

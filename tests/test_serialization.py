@@ -1,8 +1,11 @@
 """Tests for archives, protocols, splitmd and trait-based selection."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.linalg.tile import MatrixTile
 from repro.serialization.archive import ArchiveError, BufferInputArchive, BufferOutputArchive
 from repro.serialization.protocols import (
@@ -19,10 +22,12 @@ from repro.serialization.splitmd import (
 )
 from repro.serialization.traits import (
     is_trivially_serializable,
+    pack,
     register_trivial,
     select_protocol,
     supports_splitmd,
 )
+from repro.sim.cluster import HAWK, Cluster
 
 
 # ------------------------------------------------------------------ archive
@@ -218,3 +223,82 @@ def test_select_protocol_whitelist():
 def test_select_protocol_nothing_applicable():
     with pytest.raises(TypeError):
         select_protocol(MatrixTile.zeros(2, 2), allowed=("trivial",))
+
+
+# ------------------------------------------------------- one pack per send
+
+
+@pytest.fixture
+def pickle_dumps_calls(monkeypatch):
+    """Counts ``pickle.dumps`` calls made by the serialization layer."""
+    calls = []
+    real = pickle.dumps
+
+    def counting(obj, *args, **kwargs):
+        calls.append(type(obj).__name__)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend_name, protocol",
+                         [("ParsecBackend", "generic"),
+                          ("MadnessBackend", "madness")])
+def test_send_packs_each_value_exactly_once(pickle_dumps_calls, backend_name,
+                                            protocol):
+    # Selecting a generic protocol used to pickle the value as a yes/no
+    # test and serialize() pickled it again: 2 calls per send.
+    be = getattr(runtime, backend_name)(Cluster(HAWK, 2))
+    got = []
+    be.send_value(0, 1, {"x": [1, 2]}, got.append)
+    be.run()
+    assert got == [{"x": [1, 2]}]
+    assert set(be.stats.bytes_by_protocol) == {protocol}
+    assert pickle_dumps_calls == ["dict"]
+
+
+def test_natively_storable_values_need_no_trial_pickle(pickle_dumps_calls):
+    for value in (None, 7, 2.5, "text", b"raw", np.zeros(4)):
+        proto = select_protocol(value, allowed=("generic", "madness"))
+        assert proto.name == "generic"
+    assert pickle_dumps_calls == []
+
+
+def test_unpicklable_value_is_refused_with_the_same_error():
+    for choose in (select_protocol, pack):
+        with pytest.raises(TypeError, match="no serialization protocol "
+                                            "applicable to function"):
+            choose(lambda: None, backend_supports_splitmd=True)
+
+
+def test_pack_agrees_with_select_then_serialize():
+    values = [MatrixTile.zeros(4, 4), 5, (1, 2.0), [1, 2], {"k": "v"},
+              np.arange(6.0), "s", None]
+    for splitmd in (False, True):
+        for allowed in (None, ("trivial", "madness"), ("generic",)):
+            for v in values:
+                kw = dict(backend_supports_splitmd=splitmd, allowed=allowed)
+                try:
+                    want = select_protocol(v, **kw)
+                except TypeError:
+                    with pytest.raises(TypeError):
+                        pack(v, **kw)
+                    continue
+                proto, msg = pack(v, **kw)
+                ref = want.serialize(v)
+                assert proto is want and msg.protocol == ref.protocol
+                assert (msg.eager_bytes, msg.rma_bytes, msg.sender_copy_bytes,
+                        msg.receiver_copy_bytes) == (
+                    ref.eager_bytes, ref.rma_bytes, ref.sender_copy_bytes,
+                    ref.receiver_copy_bytes)
+
+
+def test_metadata_buffer_is_three_archive_frames():
+    # The type-identity frames are memoised per class; the bytes on the
+    # wire must stay exactly what three store() calls produce.
+    t = MatrixTile.zeros(3, 5)
+    ar = BufferOutputArchive()
+    ar.store(MatrixTile.__module__).store(MatrixTile.__qualname__)
+    ar.store(t.splitmd_metadata())
+    assert pack_metadata(t) == ar.bytes() == pack_metadata(MatrixTile.zeros(3, 5))
