@@ -1,27 +1,25 @@
 """repro.analysis -- static flow-graph linter + runtime sanitizer (TTG-San).
 
-Four rule families, one catalog (:mod:`repro.analysis.rules`):
+Three rule families, one catalog (:mod:`repro.analysis.rules`):
 
 - :func:`lint_graph` / :func:`lint_ptg` statically analyze a constructed
-  :class:`~repro.core.graph.TaskGraph` for wiring defects (``TTG0xx``
-  rules) before any task runs;
+  :class:`~repro.core.graph.TaskGraph` for wiring defects and impure
+  maps (``TTG0xx`` rules) before any task runs;
 - :class:`Sanitizer` observes an execution for runtime faults
   (``SAN0xx`` checks) with task/key provenance;
-- :func:`shardsafe_graph` statically checks the preconditions for
-  shared-nothing execution (``SHD0xx``): picklable closures,
-  no captured runtime state, no free-variable/global mutation, rank-keyed
-  scheduling paths;
 - :func:`detect_races` replays a recorded telemetry stream through
   per-rank vector clocks and reports happens-before violations
-  (``RACE0xx``).
+  (``RACE0xx``): the simulated ranks share one address space, the
+  modelled ones do not, so cross-rank aliasing is a real hazard.
 
-All are wired into :meth:`repro.core.graph.Executable.make`: strict mode
-raises on error-severity findings, the default warns; ``shardsafe=True``
-adds the SHD pass at construction and the race detector at fence.  The
-CLI (``python -m repro.analysis example.py``, ``python -m repro.analysis
-shardsafe example.py --trace run.jsonl``) analyzes any script that builds
-a graph and prints rule-grouped reports; see ``docs/analysis.md`` for the
-full catalog and the exit-code contract.
+All are wired into :meth:`repro.core.graph.Executable.make`: the linter
+runs at every binding, ``strict``/``sanitize`` arm the sanitizer and,
+with telemetry attached, the race detector at a completed fence; strict
+mode raises on error-severity findings, the default warns.  The CLI
+(``python -m repro.analysis example.py [--trace run.jsonl]``) lints any
+script that builds a graph, runs the race detector over recorded traces
+and prints rule-grouped reports; see ``docs/analysis.md`` for the full
+catalog and the exit-code contract.
 """
 
 from repro.analysis.rules import (
@@ -30,7 +28,6 @@ from repro.analysis.rules import (
     LINT_RULE_IDS,
     RACE_RULE_IDS,
     SANITIZER_RULE_IDS,
-    SHARDSAFE_RULE_IDS,
     all_rules,
     get_rule,
 )
@@ -41,7 +38,6 @@ from repro.analysis.sanitizer import (
     canonical_findings,
     merge_findings,
 )
-from repro.analysis.shardsafe import shardsafe_graph
 
 __all__ = [
     "Finding",
@@ -49,7 +45,6 @@ __all__ = [
     "LINT_RULE_IDS",
     "RACE_RULE_IDS",
     "SANITIZER_RULE_IDS",
-    "SHARDSAFE_RULE_IDS",
     "all_rules",
     "canonical_findings",
     "detect_races",
@@ -57,6 +52,5 @@ __all__ = [
     "lint_graph",
     "lint_ptg",
     "merge_findings",
-    "shardsafe_graph",
     "Sanitizer",
 ]

@@ -3,28 +3,27 @@
 The CLI executes each given Python file (as ``__main__``, exactly like
 running it), observes every :class:`~repro.core.graph.TaskGraph` and
 :class:`~repro.core.graph.Executable` the script builds via the
-construction-observer hook in :mod:`repro.core.graph`, analyzes them all,
+construction-observer hook in :mod:`repro.core.graph`, lints them all,
 and prints one rule-grouped report per file::
 
     python -m repro.analysis examples/quickstart.py
     python -m repro.analysis examples/*.py --strict
-    python -m repro.analysis shardsafe examples/*.py
-    python -m repro.analysis shardsafe --trace run.jsonl
+    python -m repro.analysis examples/bspmm_example.py --trace run.jsonl
 
-The ``shardsafe`` subcommand runs the static shard-safety pass
-(:mod:`repro.analysis.shardsafe`, SHD rules) instead of the wiring
-linter, and feeds recorded telemetry JSONL traces to the
-happens-before race detector (``--trace``, repeatable; record traces
-with ``python -m repro.telemetry record script.py --jsonl out.jsonl``).
+``--trace`` (repeatable) feeds a recorded telemetry JSONL trace to the
+happens-before race detector (:mod:`repro.analysis.race`, RACE rules);
+record one with ``python -m repro.telemetry record script.py --jsonl
+run.jsonl``.  Scripts and traces may be given together or alone.
 ``--json PATH`` additionally writes the full machine-readable report
 (the CI artifact).
 
-Exit-code contract (both subcommands)
--------------------------------------
+Exit-code contract
+------------------
 ==  ============================================================
 0   clean: no findings above info severity, none suppressed
 1   hard findings: an unwaived error (or, under ``--strict``, an
-    unwaived warning) survives, or a script failed to run
+    unwaived warning) survives, a script failed to run, a trace
+    could not be read, or a trace has a race
 2   waived-only: every error/warning finding is suppressed by a
     waiver (template ``tt.lint_waive`` or file-scope comment) --
     the graph passes, but only by explicit acknowledgment
@@ -39,7 +38,7 @@ ignored).  Expired waivers (``tt.lint_waive(..., expires=...)`` past
 its date) no longer suppress -- their findings fire hard again -- and
 are called out in the summary.
 
-File-scope waivers: a line ``# ttg-lint: disable=TTG005,SHD006`` anywhere
+File-scope waivers: a line ``# ttg-lint: disable=TTG005,TTG011`` anywhere
 in the analyzed file suppresses those rules for every graph it builds
 (template-level waivers use ``tt.lint_waive(...)`` in the code itself).
 """
@@ -55,7 +54,6 @@ import traceback
 from contextlib import redirect_stdout
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -124,10 +122,6 @@ class FileReport:
         return EXIT_CLEAN
 
 
-#: Analysis pass signature: (graph, nranks, ignore, honor_waivers) -> findings.
-AnalysisPass = Callable[..., List[Finding]]
-
-
 def _run_script(report: FileReport) -> None:
     """Execute ``report.path`` as ``__main__``, collecting every graph it
     constructs (and the cluster size each one is bound to)."""
@@ -168,10 +162,12 @@ def _run_script(report: FileReport) -> None:
     report.graphs = observed
 
 
-def _suppressed_diff(
+def suppressed_findings(
     effective: Sequence[Finding], raw: Sequence[Finding]
 ) -> List[Finding]:
-    """Raw-run findings absent from the effective run (multiset diff)."""
+    """Findings of a raw (waiver-blind) run absent from the effective
+    run -- what the waivers suppressed.  Multiset difference keyed by
+    ``(rule id, location, message)``."""
     remaining: Dict[Tuple[str, str, str], int] = {}
     for f in effective:
         key = (f.rule.id, f.location, f.message)
@@ -186,9 +182,9 @@ def _suppressed_diff(
     return out
 
 
-def _analyze_file(path: str, run_pass: AnalysisPass) -> FileReport:
-    """Execute ``path`` and run one analysis pass over every graph it
-    constructs, measuring waiver suppression via a raw second run."""
+def lint_file(path: str) -> FileReport:
+    """Execute ``path`` and lint every graph it constructs, measuring
+    waiver suppression via a raw second run."""
     report = FileReport(path)
     _run_script(report)
     if report.crash is not None and not report.graphs:
@@ -198,36 +194,38 @@ def _analyze_file(path: str, run_pass: AnalysisPass) -> FileReport:
     raw: List[Finding] = []
     for g in report.graphs:
         nranks = report.nranks.get(id(g))
-        effective.extend(run_pass(g, nranks=nranks, ignore=report.waived))
-        raw.extend(run_pass(g, nranks=nranks, ignore=(), honor_waivers=False))
+        effective.extend(lint_graph(g, nranks=nranks, ignore=report.waived))
+        raw.extend(lint_graph(g, nranks=nranks, honor_waivers=False))
         for tt in g.tts:
-            expired = getattr(tt, "expired_waivers", None)
-            if callable(expired):
-                report.expired.extend((tt.name, rid) for rid in expired())
+            report.expired.extend((tt.name, rid) for rid in tt.expired_waivers())
     report.findings = effective
-    report.suppressed = _suppressed_diff(effective, raw)
+    report.suppressed = suppressed_findings(effective, raw)
     return report
-
-
-def lint_file(path: str) -> FileReport:
-    """Execute ``path`` and lint every graph it constructs."""
-    return _analyze_file(path, lint_graph)
-
-
-def shardsafe_file(path: str) -> FileReport:
-    """Execute ``path`` and run the shard-safety pass on its graphs."""
-    from repro.analysis.shardsafe import shardsafe_graph
-
-    return _analyze_file(path, shardsafe_graph)
 
 
 # ------------------------------------------------------------------ reporting
 
 
+def _rule_groups(findings: Sequence[Finding]) -> List[str]:
+    """One block per rule: header, every instance, the fix hint."""
+    by_rule: Dict[str, List[Finding]] = {}
+    for f in findings:
+        by_rule.setdefault(f.rule.id, []).append(f)
+    lines: List[str] = []
+    for rule_id in sorted(by_rule):
+        fs = by_rule[rule_id]
+        rule = fs[0].rule
+        lines.append(f"  {rule.id} {rule.title} [{rule.severity}] x{len(fs)}")
+        lines.extend(f"    - {f.location}: {f.message}" for f in fs)
+        lines.append(f"    hint: {rule.hint}")
+    return lines
+
+
 def format_report(report: FileReport, verbose: bool = False,
-                  title: str = "repro.analysis") -> str:
-    """Human-readable, rule-grouped report for one file."""
-    lines = [f"== {title} == {report.path}"]
+                  strict: bool = False) -> str:
+    """Human-readable, rule-grouped report for one file; the verdict line
+    agrees with :meth:`FileReport.exit_code` under the same ``strict``."""
+    lines = [f"== repro.analysis == {report.path}"]
     if report.crash is not None:
         lines.append("  script failed to run:")
         lines.extend("    " + ln for ln in report.crash.rstrip().splitlines())
@@ -243,19 +241,7 @@ def format_report(report: FileReport, verbose: bool = False,
     lines.append(f"  graphs: {len(report.graphs)} ({desc})")
     if report.waived:
         lines.append(f"  waived: {', '.join(report.waived)}")
-
-    by_rule: Dict[str, List[Finding]] = {}
-    for f in report.findings:
-        by_rule.setdefault(f.rule.id, []).append(f)
-    for rule_id in sorted(by_rule):
-        fs = by_rule[rule_id]
-        rule = fs[0].rule
-        lines.append(
-            f"  {rule.id} {rule.title} [{rule.severity}] x{len(fs)}"
-        )
-        for f in fs:
-            lines.append(f"    - {f.location}: {f.message}")
-        lines.append(f"    hint: {rule.hint}")
+    lines.extend(_rule_groups(report.findings))
 
     if report.suppressed:
         per_rule: Dict[str, int] = {}
@@ -273,9 +259,8 @@ def format_report(report: FileReport, verbose: bool = False,
         )
 
     c = report.counts()
-    verdict = "FAIL" if report.failed() else (
-        "ok (waived)" if report.exit_code() == EXIT_WAIVED else "ok"
-    )
+    verdict = {EXIT_HARD: "FAIL", EXIT_WAIVED: "ok (waived)",
+               EXIT_CLEAN: "ok"}[report.exit_code(strict=strict)]
     lines.append(
         f"  {verdict}: {c['error']} error(s), {c['warning']} warning(s), "
         f"{c['info']} info"
@@ -284,23 +269,6 @@ def format_report(report: FileReport, verbose: bool = False,
         lines.append("  -- script output " + "-" * 40)
         lines.extend("  | " + ln for ln in report.script_output.rstrip().splitlines())
     return "\n".join(lines)
-
-
-def _format_findings(title: str, findings: Sequence[Finding]) -> List[str]:
-    lines = [f"== {title} =="]
-    by_rule: Dict[str, List[Finding]] = {}
-    for f in findings:
-        by_rule.setdefault(f.rule.id, []).append(f)
-    for rule_id in sorted(by_rule):
-        fs = by_rule[rule_id]
-        rule = fs[0].rule
-        lines.append(f"  {rule.id} {rule.title} [{rule.severity}] x{len(fs)}")
-        for f in fs:
-            lines.append(f"    - {f.location}: {f.message}")
-        lines.append(f"    hint: {rule.hint}")
-    if not by_rule:
-        lines.append("  ok: no findings")
-    return lines
 
 
 def _finding_json(f: Finding) -> Dict[str, Any]:
@@ -323,6 +291,25 @@ def _report_json(report: FileReport, strict: bool) -> Dict[str, Any]:
     }
 
 
+def _check_trace(trace: str, stream: TextIO) -> Tuple[int, Dict[str, Any]]:
+    """Run the race detector over one JSONL trace: (exit code, JSON)."""
+    from repro.analysis.race import detect_races
+    from repro.telemetry.export import read_jsonl
+
+    try:
+        bus = read_jsonl(trace)
+    except (OSError, ValueError) as e:
+        print(f"== race detector == {trace}\n  cannot read trace: {e}\n",
+              file=stream)
+        return EXIT_HARD, {"path": trace, "error": str(e)}
+    races = detect_races(bus)
+    lines = [f"== race detector == {trace}"]
+    lines.extend(_rule_groups(races) or ["  ok: no findings"])
+    print("\n".join(lines) + "\n", file=stream)
+    return (EXIT_HARD if races else EXIT_CLEAN,
+            {"path": trace, "findings": [_finding_json(f) for f in races]})
+
+
 def _combine(codes: Sequence[int]) -> int:
     """Overall exit status: hard failure beats waived-only beats clean."""
     if EXIT_HARD in codes:
@@ -332,57 +319,16 @@ def _combine(codes: Sequence[int]) -> int:
     return EXIT_CLEAN
 
 
-# ---------------------------------------------------------------- lint mode
-
-
-def _lint_main(argv: Sequence[str], stream: TextIO) -> int:
+def main(argv: Optional[Sequence[str]] = None,
+         stream: Optional[TextIO] = None) -> int:
+    out = stream or sys.stdout
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Statically lint the task graphs built by Python scripts "
+        description="Lint the task graphs built by Python scripts and run "
+                    "the race detector over recorded telemetry traces "
                     "(exit 0 clean / 1 hard findings / 2 waived-only).",
     )
-    parser.add_argument("files", nargs="+", help="scripts that construct TTGs")
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also fail (exit 1) on warning-severity findings",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="include each script's own stdout in the report",
-    )
-    args = parser.parse_args(argv)
-
-    codes = []
-    for path in args.files:
-        report = lint_file(path)
-        print(format_report(report, verbose=args.verbose), file=stream)
-        print(file=stream)
-        codes.append(report.exit_code(strict=args.strict))
-    return _combine(codes)
-
-
-# ----------------------------------------------------------- shardsafe mode
-
-
-def _shardsafe_main(argv: Sequence[str], stream: TextIO) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis shardsafe",
-        description="Shard-safety analysis: static SHD pass over the graphs "
-                    "built by scripts, plus the happens-before race detector "
-                    "over recorded telemetry traces "
-                    "(exit 0 clean / 1 hard findings / 2 waived-only).",
-    )
-    parser.add_argument(
-        "files", nargs="*", help="scripts that construct TTGs",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also fail (exit 1) on warning-severity findings",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="include each script's own stdout in the report",
-    )
+    parser.add_argument("files", nargs="*", help="scripts that construct TTGs")
     parser.add_argument(
         "--trace", action="append", default=[], metavar="LOG.jsonl",
         help="telemetry JSONL trace to run the race detector over "
@@ -392,45 +338,32 @@ def _shardsafe_main(argv: Sequence[str], stream: TextIO) -> int:
         "--json", metavar="PATH",
         help="write the full machine-readable report to PATH (CI artifact)",
     )
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="also fail (exit 1) on warning-severity findings",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true",
+        help="include each script's own stdout in the report",
+    )
+    args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     if not args.files and not args.trace:
         parser.error("nothing to do: give scripts or --trace")
 
     codes: List[int] = []
     payload: Dict[str, Any] = {
-        "schema": "repro.analysis/shardsafe-v1",
-        "files": [], "traces": [],
+        "schema": "repro.analysis/report-v1", "files": [], "traces": [],
     }
-
     for path in args.files:
-        report = shardsafe_file(path)
-        print(format_report(report, verbose=args.verbose,
-                            title="repro.analysis shardsafe"), file=stream)
-        print(file=stream)
+        report = lint_file(path)
+        print(format_report(report, verbose=args.verbose, strict=args.strict)
+              + "\n", file=out)
         codes.append(report.exit_code(strict=args.strict))
         payload["files"].append(_report_json(report, args.strict))
-
     for trace in args.trace:
-        from repro.analysis.race import detect_races
-        from repro.telemetry.export import read_jsonl
-
-        try:
-            bus = read_jsonl(trace)
-        except (OSError, ValueError) as e:
-            print(f"== race detector == {trace}\n  cannot read trace: {e}",
-                  file=stream)
-            print(file=stream)
-            codes.append(EXIT_HARD)
-            payload["traces"].append({"path": trace, "error": str(e)})
-            continue
-        races = detect_races(bus)
-        print("\n".join(_format_findings(f"race detector: {trace}", races)),
-              file=stream)
-        print(file=stream)
-        codes.append(EXIT_HARD if races else EXIT_CLEAN)
-        payload["traces"].append(
-            {"path": trace, "findings": [_finding_json(f) for f in races]}
-        )
+        code, entry = _check_trace(trace, out)
+        codes.append(code)
+        payload["traces"].append(entry)
 
     code = _combine(codes)
     payload["exit_code"] = code
@@ -438,12 +371,3 @@ def _shardsafe_main(argv: Sequence[str], stream: TextIO) -> int:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
     return code
-
-
-def main(argv: Optional[Sequence[str]] = None,
-         stream: Optional[TextIO] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    out = stream or sys.stdout
-    if argv and argv[0] == "shardsafe":
-        return _shardsafe_main(argv[1:], out)
-    return _lint_main(argv, out)

@@ -17,11 +17,15 @@ representative task IDs (ints in ``[0, nranks)``, small tuples, ``None``,
 a string, an MRA-style tree key) and flag out-of-range ranks, non-int
 returns, and non-determinism.  A probe key a map cannot handle at all
 (raises) is silently skipped -- the key space is the application's
-business; only misbehaviour on keys a map *accepts* is a finding.
+business; only misbehaviour on keys a map *accepts* is a finding.  The
+same maps are also inspected for what they close over (TTG011): a map
+that captures mutable data or a runtime object is not a pure function
+of the task ID.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.rules import Finding, get_rule
@@ -437,6 +441,86 @@ def _priomap_probe(ctx: LintContext) -> Iterator[Finding]:
                 f"priority map({key!r}) returned {prio!r} "
                 f"({type(prio).__name__}), not an int",
             )
+
+
+#: Type names of live runtime objects, matched along a captured value's
+#: MRO so that no runtime subsystem is imported here.
+_RUNTIME_TYPE_NAMES = frozenset({
+    "Backend", "Executable", "Cluster", "Engine", "CommEngine", "RmaWindow",
+    "EventBus", "Telemetry", "MetricsRegistry", "World", "Sanitizer",
+    "Tracer", "TerminationDetector", "WorkerPool",
+})
+
+#: Methods that mark a value as mutable application data: tiles and
+#: ndarrays (``clone``/``tobytes``), matrix containers (the rest).
+_DATA_METHODS = ("clone", "tobytes", "tile_at", "set_tile", "block", "set_block")
+
+
+def _map_captures(fn: Any) -> Iterator[Tuple[str, Any]]:
+    """(name, value) of the state a map callable closes over: the map
+    itself when it is a bound method (judged by what it is bound to),
+    closure cells, the globals its code references, argument defaults."""
+    if hasattr(fn, "__self__"):
+        yield "self", fn
+    func = getattr(fn, "__func__", fn)
+    if not inspect.isfunction(func):
+        return
+    cv = inspect.getclosurevars(func)
+    yield from sorted(cv.nonlocals.items())
+    yield from sorted(cv.globals.items())
+    for i, value in enumerate(func.__defaults__ or ()):
+        yield f"default[{i}]", value
+    yield from sorted((func.__kwdefaults__ or {}).items())
+
+
+def _is_runtime_object(value: Any) -> bool:
+    return any(k.__name__ in _RUNTIME_TYPE_NAMES for k in type(value).__mro__)
+
+
+def _impurity(value: Any) -> Optional[str]:
+    """What makes capturing ``value`` impure, or ``None``.
+
+    Modules and classes are names, not state.  A helper callable counts
+    only through a runtime object it is bound to: ``owner =
+    matrix.rank_of`` is the idiomatic pure distribution function.
+    """
+    if isinstance(value, type) or inspect.ismodule(value):
+        return None
+    if callable(value):
+        value = getattr(value, "__self__", None)
+        if not _is_runtime_object(value):
+            return None
+    if _is_runtime_object(value):
+        return f"live runtime object ({type(value).__name__})"
+    if isinstance(value, (dict, list, set, bytearray)) or any(
+        callable(getattr(value, m, None)) for m in _DATA_METHODS
+    ):
+        return f"mutable data ({type(value).__name__})"
+    return None
+
+
+@lint_rule("TTG011")
+def _impure_map_captures(ctx: LintContext) -> Iterator[Finding]:
+    """Keymaps and priority maps that close over mutable or runtime state.
+
+    The sender evaluates a keymap once per message and the owner rank
+    travels with it (DESIGN §3.1 rule 1), which is only sound if every
+    evaluation of the map agrees.  Cost and device maps are out of scope:
+    their values never travel.
+    """
+    for tt in ctx.graph.tts:
+        if ctx.waived(tt, "TTG011"):
+            continue
+        for role, fn in (("keymap", tt._keymap), ("priomap", tt._priomap)):
+            if fn is None:
+                continue
+            for name, value in _map_captures(fn):
+                why = _impurity(value)
+                if why is not None:
+                    yield ctx.finding(
+                        "TTG011", f"{ctx.loc(tt)}.{role}",
+                        f"captures {why} as {name!r}",
+                    )
 
 
 # ================================================================ PTG rules

@@ -1,14 +1,20 @@
 """Dynamic happens-before race detector over the telemetry event stream.
 
-The static pass (:mod:`repro.analysis.shardsafe`) reports what *could*
-break on a shared-nothing engine; this module reports what *did* alias or
-race in a recorded execution.  It replays the executed dependency DAG --
-task spans (``cat="task"``), dependency instants (``cat="dep"``) and
+The simulated ranks share one host address space; the ranks they model
+do not.  A buffer one rank can reach by reference on another is
+therefore a real hazard that the simulator alone would hide, and this
+module reports what *did* alias or race in a recorded execution.  It
+runs at a completed :meth:`~repro.core.graph.Executable.fence` whenever
+the sanitizer is armed (``strict``/``sanitize``) and telemetry is
+attached, or offline over a JSONL trace (``python -m repro.analysis
+--trace run.jsonl``).  It replays the executed dependency DAG -- task
+spans (``cat="task"``), dependency instants (``cat="dep"``) and
 zero-copy alias instants (``cat="alias"``) -- and builds per-rank vector
 clocks:
 
 - every executed task instance gets an index in its rank's program order
-  (one shard heap executes sequentially, so same-rank spans are ordered);
+  (the one event loop runs each task body to completion, so same-rank
+  spans are ordered);
 - dependency instants add cross-rank edges (producer span -> consumer
   span) exactly as :func:`repro.telemetry.analyze.critical_path` sees
   them;
@@ -49,11 +55,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from typing import (
-    Any,
     Dict,
     Iterable,
     List,
-    Optional,
     Set,
     Tuple,
     Union,
@@ -185,8 +189,8 @@ def detect_races(
 
     ``source`` may be a live :class:`Telemetry`, its bus, or a bus
     re-ingested from JSONL (``repro.telemetry.export.read_jsonl``).
-    Only cross-rank pairs are reported: one rank shard executes
-    sequentially, so same-rank accesses are always program-ordered.
+    Only cross-rank pairs are reported: the event loop runs each task
+    body to completion, so same-rank accesses are always program-ordered.
     """
     ignored = set(ignore)
     bus = _bus_of(source)
@@ -241,7 +245,7 @@ def detect_races(
             emit(
                 "RACE003", str(tok), f"data#{tok}",
                 f"buffer data#{tok} observed live on ranks {rks}; "
-                "shared-nothing ranks have disjoint address spaces, so "
+                "the modelled ranks have disjoint address spaces, so "
                 "this aliasing must become per-rank copies or messages",
             )
 

@@ -2,9 +2,9 @@
 
 Every diagnostic the analysis layer can emit is declared here as a
 :class:`Rule` with a stable id (``TTG0xx`` for static lint, ``SAN0xx`` for
-the runtime sanitizer), a severity, and a fix hint.  Findings reference
-rules by object, so reports, waivers, and strict-mode filtering all share
-one source of truth.
+the runtime sanitizer, ``RACE0xx`` for the happens-before race detector),
+a severity, and a fix hint.  Findings reference rules by object, so
+reports, waivers, and strict-mode filtering all share one source of truth.
 
 Severities
 ----------
@@ -129,6 +129,12 @@ TTG010 = _rule(
     "TTG010", "error", "ptg-bad-mode",
     "PTG flow copy mode must be one of 'value', 'cref', 'move'",
 )
+TTG011 = _rule(
+    "TTG011", "warning", "map-impure-capture",
+    "a keymap or priority map captures mutable data or a live runtime "
+    "object; the sender evaluates each map once and the result travels "
+    "with the message, so maps must be pure functions of the task ID",
+)
 
 # ----------------------------------------------------------- sanitizer rules
 
@@ -169,64 +175,11 @@ SAN007 = _rule(
     "belongs to the runtime after the first send",
 )
 
-# ---------------------------------------------------- shard-safety rules
-#
-# The SHD family is the static half of repro.analysis.shardsafe: the
-# machine-checkable preconditions for running a graph with disjoint
-# per-rank address spaces.  Task bodies and
-# event callables must be pure functions of their declared inputs, and
-# their captured state must either pickle or be reconstructible per
-# process.
-
-SHD001 = _rule(
-    "SHD001", "error", "unpicklable-capture",
-    "a task body (or map/reducer) captures state that cannot cross a "
-    "process boundary (locks, file handles, sockets, generators); pass "
-    "data through terminals or reconstruct the resource per rank",
-)
-SHD002 = _rule(
-    "SHD002", "error", "runtime-state-capture",
-    "a task body (or map/reducer) captures a live runtime object "
-    "(engine, cluster, backend, executable, world, comm engine, event "
-    "bus); runtime state is per-process in a shared-nothing engine and "
-    "must never be closed over",
-)
-SHD003 = _rule(
-    "SHD003", "warning", "nested-callable-capture",
-    "a task body captures a lambda or nested function; such callables "
-    "do not pickle -- hoist the helper to module level or rebuild it "
-    "inside the body",
-)
-SHD004 = _rule(
-    "SHD004", "error", "free-var-mutation",
-    "a task body assigns to a closure free variable (nonlocal); in a "
-    "shared-nothing engine each process sees its own copy, so the "
-    "mutation is silently lost -- thread the state through terminals",
-)
-SHD005 = _rule(
-    "SHD005", "warning", "global-mutation",
-    "a task body assigns to a module global; per-process module state "
-    "diverges silently across ranks -- thread the state through "
-    "terminals or keep it rank-keyed",
-)
-SHD006 = _rule(
-    "SHD006", "warning", "mutable-data-capture",
-    "a task body captures a mutable data value (tile, ndarray, matrix "
-    "container, dict/list) instead of receiving it via declared input "
-    "terminals; closure-shared data cannot be distribution-managed by a "
-    "shared-nothing engine",
-)
-SHD007 = _rule(
-    "SHD007", "warning", "map-impure-capture",
-    "a keymap/priomap/devicemap/cost function captures mutable or "
-    "runtime state; maps must be pure functions of the task ID so every "
-    "process computes identical placements",
-)
 # ------------------------------------------------------------- race rules
 #
-# The RACE family is the dynamic half: a happens-before race detector
-# over the telemetry event stream (per-rank vector clocks built from task
-# spans, dep instants, and zero-copy alias instants).
+# The RACE family is a happens-before race detector over the telemetry
+# event stream (per-rank vector clocks built from task spans, dep
+# instants, and zero-copy alias instants).
 
 RACE001 = _rule(
     "RACE001", "error", "unordered-write-read",
@@ -241,9 +194,9 @@ RACE002 = _rule(
 )
 RACE003 = _rule(
     "RACE003", "error", "cross-rank-aliasing",
-    "one buffer was observed zero-copy-aliased on two ranks; in a "
-    "shared-nothing engine ranks have disjoint address spaces, so "
-    "aliased state must become per-rank copies or messages",
+    "one buffer was observed zero-copy-aliased on two ranks; the "
+    "modelled ranks have disjoint address spaces, so aliased state "
+    "must become per-rank copies or messages",
 )
 RACE004 = _rule(
     "RACE004", "error", "mutation-outside-owner-span",
@@ -255,7 +208,6 @@ RACE004 = _rule(
 #: ids of the static lint rules / sanitizer checks, in order.
 LINT_RULE_IDS = tuple(r.id for r in all_rules() if r.id.startswith("TTG"))
 SANITIZER_RULE_IDS = tuple(r.id for r in all_rules() if r.id.startswith("SAN"))
-SHARDSAFE_RULE_IDS = tuple(r.id for r in all_rules() if r.id.startswith("SHD"))
 RACE_RULE_IDS = tuple(r.id for r in all_rules() if r.id.startswith("RACE"))
 
 # A read-only snapshot for importers; new rules must be declared in this

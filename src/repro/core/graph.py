@@ -81,24 +81,16 @@ class TaskGraph:
                 out[t.edge.id] = t.edge
         return list(out.values())
 
-    def validate(self, nranks: Optional[int] = None,
-                 shardsafe: bool = False) -> List[str]:
+    def validate(self, nranks: Optional[int] = None) -> List[str]:
         """Wiring diagnostics as human-readable strings.
 
         Thin wrapper over the :mod:`repro.analysis` linter (the single
         source of truth for graph diagnostics); each string starts with
         the rule id, e.g. ``"TTG001 [info] g/T.in0: edge 'unfed' ..."``.
-        ``shardsafe=True`` additionally runs the static shard-safety
-        pass (:mod:`repro.analysis.shardsafe`, SHD rules).
         """
         from repro.analysis.lint import lint_graph
 
-        findings = lint_graph(self, nranks=nranks)
-        if shardsafe:
-            from repro.analysis.shardsafe import shardsafe_graph
-
-            findings = findings + shardsafe_graph(self, nranks=nranks)
-        return [str(f) for f in findings]
+        return [str(f) for f in lint_graph(self, nranks=nranks)]
 
     def to_dot(self) -> str:
         """Graphviz rendering of the template graph (for docs/examples)."""
@@ -115,19 +107,17 @@ class TaskGraph:
 
     def executable(
         self, backend: Backend, *, strict: bool = False,
-        sanitize: bool = False, shardsafe: bool = False,
+        sanitize: bool = False,
     ) -> "Executable":
         """Bind this template graph to a backend (make_graph_executable).
 
         ``strict=True`` raises on any error-severity lint finding and
         arms the runtime sanitizer in raising mode; ``sanitize=True``
-        arms the sanitizer in collect-and-warn mode.  ``shardsafe=True``
-        adds the static shard-safety pass at construction and, when
-        telemetry is attached, the happens-before race detector at
-        :meth:`Executable.fence`.
+        arms the sanitizer in collect-and-warn mode.  Either one, with
+        telemetry attached, also runs the happens-before race detector
+        at a completed :meth:`Executable.fence`.
         """
-        return Executable(self, backend, strict=strict, sanitize=sanitize,
-                          shardsafe=shardsafe)
+        return Executable(self, backend, strict=strict, sanitize=sanitize)
 
 
 class _Pending:
@@ -175,7 +165,8 @@ class Executable:
     execution proceeds (preserving historical behaviour).  All findings
     are kept on :attr:`findings`.  ``strict``/``sanitize`` also arm the
     runtime sanitizer (:class:`repro.analysis.sanitizer.Sanitizer`),
-    exposed as :attr:`sanitizer`.
+    exposed as :attr:`sanitizer`, and the fence-time race detector
+    (:attr:`race_findings`).
     """
 
     def __init__(
@@ -185,7 +176,6 @@ class Executable:
         *,
         strict: bool = False,
         sanitize: bool = False,
-        shardsafe: bool = False,
     ) -> None:
         self.graph = graph
         self.backend = backend
@@ -194,7 +184,6 @@ class Executable:
         self.task_counts: Counter = Counter()
         self._tt_ids = {tt.id for tt in graph.tts}
         self.strict = strict
-        self.shardsafe = shardsafe
         self.race_findings: List[Any] = []
         self.sanitizer = None
         if strict or sanitize:
@@ -205,12 +194,6 @@ class Executable:
         from repro.analysis.lint import lint_graph
 
         self.findings = lint_graph(graph, nranks=backend.nranks)
-        if shardsafe:
-            from repro.analysis.shardsafe import shardsafe_graph
-
-            self.findings = self.findings + shardsafe_graph(
-                graph, nranks=backend.nranks
-            )
         errors = [f for f in self.findings if f.rule.severity == "error"]
         if errors:
             if strict:
@@ -241,18 +224,15 @@ class Executable:
         *,
         strict: bool = False,
         sanitize: bool = False,
-        shardsafe: bool = False,
     ) -> "Executable":
         """Bind ``graph`` to ``backend`` (``make_graph_executable``).
 
         ``Executable.make(graph, backend, strict=True)`` is the verified
-        entry point: the linter raises on error findings and the runtime
-        sanitizer raises at the first detected fault.
-        ``shardsafe=True`` adds the shard-safety pass (and, with
-        telemetry attached, the fence-time race detector).
+        entry point: the linter raises on error findings, the runtime
+        sanitizer raises at the first detected fault and, with telemetry
+        attached, the fence-time race detector raises on a race.
         """
-        return cls(graph, backend, strict=strict, sanitize=sanitize,
-                   shardsafe=shardsafe)
+        return cls(graph, backend, strict=strict, sanitize=sanitize)
 
     # ------------------------------------------------------------- seeding
 
@@ -298,7 +278,7 @@ class Executable:
     def fence(self, max_events: Optional[int] = None) -> float:
         """Drain all tasks and messages; returns the makespan.
 
-        With ``shardsafe=True`` and telemetry attached, a completed
+        With the sanitizer armed and telemetry attached, a completed
         fence (``max_events=None``) additionally runs the happens-before
         race detector over the recorded event stream; findings land on
         :attr:`race_findings` (strict mode raises instead).
@@ -311,7 +291,6 @@ class Executable:
         makespan = self.backend.run(max_events=max_events)
         if self.sanitizer is not None and max_events is None:
             self.sanitizer.on_shutdown()
-        if self.shardsafe and max_events is None:
             tel = self.backend.telemetry
             if tel is not None and tel.bus.enabled:
                 from repro.analysis.race import detect_races
@@ -503,7 +482,7 @@ class Executable:
         """Terminal logic at the owner rank: accumulate, fire when ready.
 
         ``rank`` is the owner rank the sender's keymap evaluation gave
-        (keymaps are pure, SHD007).
+        (keymaps are pure, TTG011).
         """
         if self.sanitizer is not None:
             self.sanitizer.on_deliver(tt, idx, key, value)

@@ -141,9 +141,8 @@ class TemplateTask:
 
         ``expires`` ("YYYY-MM-DD") bounds the acknowledgment in time:
         past the date the waiver stops being honored and the findings
-        fire hard again, so temporary shard-safety debts (SHD/RACE
-        waivers) cannot rot silently.  Expired waivers are surfaced by the
-        CLI summary.
+        fire hard again, so a temporary acknowledgment cannot rot
+        silently.  Expired waivers are surfaced by the CLI summary.
         """
         import datetime
 

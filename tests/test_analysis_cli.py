@@ -154,89 +154,57 @@ def test_lint_file_records_bound_nranks(tmp_path):
     assert report.findings == []
 
 
-# ------------------------------------------------------ shardsafe subcommand
+# ------------------------------------------------------ waivers on TTG rules
 
 
-SHD_UNSAFE = textwrap.dedent(
-    """
-    import threading
-    from repro import core as ttg
-
-    lock = threading.Lock()
-    e = ttg.Edge("x", key_type=int, value_type=int)
-
-    def gen(key, outs):
-        with lock:
-            outs.send(0, key, key)
-
-    def sink(key, v, outs):
-        pass
-
-    g = ttg.TaskGraph([
-        ttg.make_tt(gen, [], [e], name="GEN", keymap=lambda k: 0),
-        ttg.make_tt(sink, [e], [], name="SINK", keymap=lambda k: 0),
-    ], name="unsafe")
-    """
-)
-
-SHD_CLEAN = textwrap.dedent(
+IMPURE = textwrap.dedent(
     """
     from repro import core as ttg
 
+    placement = {}
     e = ttg.Edge("x", key_type=int, value_type=int)
-
-    def gen(key, outs):
-        outs.send(0, key, key + 1)
-
-    def sink(key, v, outs):
-        pass
-
     g = ttg.TaskGraph([
-        ttg.make_tt(gen, [], [e], name="GEN", keymap=lambda k: 0),
-        ttg.make_tt(sink, [e], [], name="SINK", keymap=lambda k: 0),
-    ], name="clean")
+        ttg.make_tt(lambda key, outs: None, [], [e], name="GEN"),
+        ttg.make_tt(lambda key, v, outs: None, [e], [], name="SINK",
+                    keymap=lambda k: placement.get(k, 0)),
+    ], name="impure")
     """
 )
 
 
-def test_shardsafe_clean_script(tmp_path):
-    script = tmp_path / "clean.py"
-    script.write_text(SHD_CLEAN)
-    code, out = run_cli(["shardsafe", str(script)])
+def test_impure_map_fails_only_under_strict(tmp_path):
+    script = tmp_path / "impure.py"
+    script.write_text(IMPURE)
+    code, out = run_cli([str(script)])
     assert code == 0, out
-    assert out.startswith("== repro.analysis shardsafe ==")
-    assert "ok: 0 error(s), 0 warning(s)" in out
-
-
-def test_shardsafe_unsafe_script_fails_hard(tmp_path):
-    script = tmp_path / "unsafe.py"
-    script.write_text(SHD_UNSAFE)
-    code, out = run_cli(["shardsafe", str(script)])
+    assert "TTG011 map-impure-capture [warning] x1" in out
+    assert "impure/SINK.keymap: captures mutable data (dict)" in out
+    code, out = run_cli(["--strict", str(script)])
     assert code == 1
-    assert "SHD001" in out
-    assert "unsafe/GEN.body" in out
     assert "FAIL" in out
 
 
-def test_shardsafe_file_waiver_exits_waived(tmp_path):
+def test_file_waiver_on_warning_exits_waived(tmp_path):
     script = tmp_path / "waived.py"
-    script.write_text(SHD_UNSAFE + "\n# ttg-lint: disable=SHD001\n")
-    code, out = run_cli(["shardsafe", str(script)])
+    script.write_text(IMPURE + "\n# ttg-lint: disable=TTG011\n")
+    code, out = run_cli(["--strict", str(script)])
     assert code == 2, out
-    assert "suppressed by waivers: 1 finding(s) (SHD001 x1)" in out
+    assert "suppressed by waivers: 1 finding(s) (TTG011 x1)" in out
     assert "ok (waived)" in out
 
 
-def test_shardsafe_expired_template_waiver_is_called_out(tmp_path):
+def test_expired_template_waiver_is_called_out(tmp_path):
     script = tmp_path / "expired.py"
     script.write_text(
-        SHD_UNSAFE
-        + "\ng.tts[0].lint_waive('SHD001', expires='2001-01-01')\n"
+        BROKEN + "\nc.lint_waive('TTG003', expires='2001-01-01')\n"
     )
-    code, out = run_cli(["shardsafe", str(script)])
+    code, out = run_cli([str(script)])
     assert code == 1  # the expired waiver no longer suppresses
-    assert "EXPIRED waiver: GEN.lint_waive('SHD001')" in out
-    assert "SHD001" in out
+    assert "EXPIRED waiver: C.lint_waive('TTG003')" in out
+    assert "TTG003 key-type-conflict [error] x1" in out
+
+
+# ------------------------------------------------------------- race traces
 
 
 def _write_trace(path, racy):
@@ -260,60 +228,59 @@ def _write_trace(path, racy):
     write_jsonl(str(path), bus)
 
 
-def test_shardsafe_trace_race_fails_hard(tmp_path):
+def test_trace_race_fails_hard(tmp_path):
     trace = tmp_path / "racy.jsonl"
     _write_trace(trace, racy=True)
-    code, out = run_cli(["shardsafe", "--trace", str(trace)])
+    code, out = run_cli(["--trace", str(trace)])
     assert code == 1
-    assert "race detector" in out
-    assert "RACE001" in out
+    assert out.startswith(f"== race detector == {trace}")
+    assert "RACE001 unordered-write-read [error] x1" in out
 
 
-def test_shardsafe_trace_clean_passes(tmp_path):
+def test_trace_clean_passes(tmp_path):
     trace = tmp_path / "ordered.jsonl"
     _write_trace(trace, racy=False)
-    code, out = run_cli(["shardsafe", "--trace", str(trace)])
+    code, out = run_cli(["--trace", str(trace)])
     assert code == 0, out
     assert "ok: no findings" in out
 
 
-def test_shardsafe_unreadable_trace_fails(tmp_path):
-    code, out = run_cli(["shardsafe", "--trace", str(tmp_path / "no.jsonl")])
+def test_unreadable_trace_fails(tmp_path):
+    code, out = run_cli(["--trace", str(tmp_path / "no.jsonl")])
     assert code == 1
     assert "cannot read trace" in out
 
 
-def test_shardsafe_json_artifact(tmp_path):
+def test_script_and_trace_together(tmp_path):
+    trace = tmp_path / "ordered.jsonl"
+    _write_trace(trace, racy=False)
+    code, out = run_cli([os.path.join(EXAMPLES, "quickstart.py"),
+                         "--trace", str(trace)])
+    assert code == 0, out
+    assert out.index("== repro.analysis ==") < out.index("== race detector ==")
+
+
+def test_json_artifact(tmp_path):
     import json
 
-    script = tmp_path / "unsafe.py"
-    script.write_text(SHD_UNSAFE)
+    script = tmp_path / "broken.py"
+    script.write_text(BROKEN)
     trace = tmp_path / "racy.jsonl"
     _write_trace(trace, racy=True)
     artifact = tmp_path / "report.json"
     code, _ = run_cli([
-        "shardsafe", str(script),
-        "--trace", str(trace), "--json", str(artifact),
+        str(script), "--trace", str(trace), "--json", str(artifact),
     ])
     payload = json.loads(artifact.read_text())
-    assert payload["schema"] == "repro.analysis/shardsafe-v1"
+    assert payload["schema"] == "repro.analysis/report-v1"
     assert payload["exit_code"] == code == 1
-    assert payload["files"][0]["findings"][0]["rule"] == "SHD001"
+    assert payload["files"][0]["findings"][0]["rule"] == "TTG003"
     assert payload["traces"][0]["findings"][0]["rule"] == "RACE001"
 
 
-def test_shardsafe_requires_some_input():
+def test_requires_some_input():
     with pytest.raises(SystemExit):
-        run_cli(["shardsafe"])
-
-
-def test_shardsafe_example_apps_have_no_errors():
-    # The acceptance bar: the paper apps pass the static pass (warnings
-    # are the multiprocess TODO list, errors would block the migration).
-    for example in ("cholesky_example.py", "bspmm_example.py"):
-        code, out = run_cli(["shardsafe", os.path.join(EXAMPLES, example)])
-        assert code == 0, out
-        assert "0 error(s)" in out
+        run_cli([])
 
 
 def test_script_stdout_is_captured_not_leaked(tmp_path, capsys):

@@ -277,6 +277,132 @@ def test_ttg009_void_stream():
     assert "Void" in fs[0].message
 
 
+# ------------------------------------------------------------------- TTG011
+
+
+def _impure_graph():
+    """T's keymap captures a dict and its priomap a live Telemetry."""
+    from repro.telemetry.events import Telemetry
+
+    placement = {0: 1}
+    tel = Telemetry(nranks=1)
+    e = ttg.Edge("e", key_type=int, value_type=int)
+    a = ttg.make_tt(_noop, [], [e], name="A")
+    t = ttg.make_tt(_noop, [e], [], name="T",
+                    keymap=lambda k: placement.get(k, 0),
+                    priomap=lambda k: len(tel.bus.instants()))
+    return ttg.TaskGraph([a, t], name="g"), t
+
+
+def test_ttg011_impure_keymap_and_priomap():
+    g, _ = _impure_graph()
+    fs = findings_for(g, "TTG011")
+    assert [f.location for f in fs] == ["g/T.keymap", "g/T.priomap"]
+    assert "mutable data (dict) as 'placement'" in fs[0].message
+    assert "live runtime object (Telemetry) as 'tel'" in fs[1].message
+    assert all(f.rule.severity == "warning" for f in fs)
+
+
+def test_ttg011_runtime_object_behind_a_bound_helper():
+    # A helper bound to a runtime object counts, captured or as the map.
+    from repro.telemetry.events import Telemetry
+
+    tel = Telemetry(nranks=1)
+    token = tel.data_token
+    e = ttg.Edge("e", key_type=int, value_type=int)
+    a = ttg.make_tt(_noop, [], [e], name="A", keymap=lambda k: token(k) or 0)
+    b = ttg.make_tt(_noop, [e], [], name="B", priomap=tel.data_token)
+    fs = findings_for(ttg.TaskGraph([a, b], name="g"), "TTG011")
+    assert [f.location for f in fs] == ["g/A.keymap", "g/B.priomap"]
+    assert "(Telemetry) as 'token'" in fs[0].message
+    assert "(Telemetry) as 'self'" in fs[1].message
+
+
+def test_ttg011_exempts_cost_maps_and_pure_helpers():
+    import math
+
+    from repro.linalg import BlockCyclicDistribution, TiledMatrix, yukawa_blocksparse
+
+    a = yukawa_blocksparse(4, target_tile=24, seed=0)
+    m = TiledMatrix(256, 128, BlockCyclicDistribution.for_ranks(4), synthetic=True)
+    owner = m.rank_of  # the idiomatic distribution function
+    e = ttg.Edge("e", key_type=int, value_type=int)
+    src = ttg.make_tt(_noop, [], [e], name="SRC", keymap=lambda k: owner(k, k),
+                      cost=lambda key: float(a.nnz_elements()))
+    dst = ttg.make_tt(_noop, [e], [], name="DST", keymap=lambda k: k % 4,
+                      priomap=lambda k: math.floor(k))
+    g = ttg.TaskGraph([src, dst], name="g")
+    assert findings_for(g, "TTG011") == []
+    # The same capture in a keymap is a finding: the exemption is the role.
+    dst.set_keymap(lambda k: len(a.block_keys()) % 4)
+    fs = findings_for(g, "TTG011")
+    assert [f.location for f in fs] == ["g/DST.keymap"]
+    assert "mutable data (BlockSparseMatrix) as 'a'" in fs[0].message
+
+
+def test_app_graphs_have_no_impure_maps():
+    from repro.core.graph import add_construction_observer, remove_construction_observer
+    from tests.test_cell_statistics_pinned import bspmm_cell, fw_cell, potrf_cell
+
+    executables = []
+
+    def observe(kind, obj):
+        if kind == "executable":
+            executables.append(obj)
+
+    add_construction_observer(observe)
+    try:
+        for cell in (potrf_cell, fw_cell, bspmm_cell):
+            cell(_backend())
+    finally:
+        remove_construction_observer(observe)
+    assert len(executables) == 3
+    for ex in executables:
+        assert not any(f.rule.id == "TTG011" for f in ex.findings), ex.graph.name
+
+
+# -------------------------------------------------------------------- waivers
+
+
+def test_template_waiver_suppresses_rule():
+    from repro.analysis.cli import suppressed_findings
+
+    g, t = _impure_graph()
+    t.lint_waive("TTG011")
+    effective = lint_graph(g)
+    assert "TTG011" not in ids_of(effective)
+    raw = lint_graph(g, honor_waivers=False)
+    assert ids_of(suppressed_findings(effective, raw)) == ["TTG011"]
+    assert len(suppressed_findings(effective, raw)) == 2
+
+
+def test_call_level_ignore():
+    g = _broken_graph()
+    c = g.tts[2]
+    c.set_keymap(lambda k, table={}: table.get(k, 0))
+    assert ids_of(lint_graph(g)) == ["TTG003", "TTG011"]
+    assert ids_of(lint_graph(g, ignore=("TTG011",))) == ["TTG003"]
+    assert lint_graph(g, ignore=("TTG003", "TTG011")) == []
+
+
+def test_waiver_with_future_expiry_is_honored():
+    g = _broken_graph()
+    c = g.tts[2]
+    c.lint_waive("TTG003", expires="2099-01-01")
+    assert findings_for(g, "TTG003") == []
+    assert c.expired_waivers() == ()
+
+
+def test_expired_waiver_fires_hard_again():
+    g = _broken_graph()
+    c = g.tts[2]
+    c.lint_waive("TTG003", expires="2001-01-01")
+    # Past its date the waiver stops suppressing, and says so.
+    assert len(findings_for(g, "TTG003")) == 1
+    assert c.expired_waivers() == ("TTG003",)
+    assert c.waiver_active("TTG003", today="2000-12-31")
+
+
 # ----------------------------------------------------- strict mode / validate
 
 
@@ -311,6 +437,36 @@ def test_clean_graph_strict_make_passes():
     ex = Executable.make(ttg.TaskGraph([a, b]), _backend(), strict=True)
     assert ex.findings == []
     assert ex.sanitizer is not None and ex.sanitizer.strict
+
+
+def test_strict_executable_keeps_map_warnings():
+    # TTG011 is a warning: strict mode raises on errors only.
+    g, t = _impure_graph()
+    ex = Executable.make(g, _backend(), strict=True)
+    assert [f.location for f in ex.findings if f.rule.id == "TTG011"] == [
+        "g/T.keymap", "g/T.priomap"]
+    ex.invoke(g.tts[0], 0)
+    ex.fence()
+    assert ex.task_counts["A"] == 1
+
+
+def test_default_executable_keeps_ttg011_silently():
+    g, _ = _impure_graph()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ex = g.executable(_backend())
+    assert "TTG011" in ids_of(ex.findings)
+    assert not any("TTG011" in str(w.message) for w in caught)
+
+
+def test_validate_reports_ttg011():
+    g, _ = _impure_graph()
+    out = g.validate(nranks=2)
+    assert [s for s in out if s.startswith("TTG011")] == [
+        "TTG011 [warning] g/T.keymap: captures mutable data (dict) as 'placement'",
+        "TTG011 [warning] g/T.priomap: captures live runtime object "
+        "(Telemetry) as 'tel'",
+    ]
 
 
 def test_validate_wraps_linter():

@@ -259,7 +259,7 @@ def test_clean_message_passing_run_has_no_races():
     gen_tt = ttg.make_tt(gen, [], [e], name="GEN", keymap=lambda k: 0)
     sink_tt = ttg.make_tt(sink, [e], [], name="SINK", keymap=lambda k: k % 2)
     backend, tel = _telemetry_backend(2)
-    ex = ttg.TaskGraph([gen_tt, sink_tt]).executable(backend, shardsafe=True)
+    ex = ttg.TaskGraph([gen_tt, sink_tt]).executable(backend, sanitize=True)
     ex.invoke(gen_tt, 0)
     ex.fence()
     assert ex.race_findings == []
@@ -267,7 +267,7 @@ def test_clean_message_passing_run_has_no_races():
     assert any("obj" in ev.args for ev in tel.bus.instants(cat="dep"))
 
 
-def test_cref_mutation_chain_triggers_race004():
+def _cref_chain():
     """GEN shares a tile by cref; the consumer mutates it and forwards
     the same object, so the second consumer observes a stale share --
     the acceptance-criteria unordered-tile-write fixture."""
@@ -283,16 +283,18 @@ def test_cref_mutation_chain_triggers_race004():
         tile.data[0, 0] = 42.0          # write outside the owner's span
         outs.send(0, 0, tile, mode="cref")
 
-    def c2(key, tile, outs):
-        pass
-
     gen_tt = ttg.make_tt(gen, [], [e1], name="GEN", keymap=lambda k: 0)
     c1_tt = ttg.make_tt(c1, [e1], [e2], name="C1", keymap=lambda k: 0,
                         cost=lambda key, tile: (1.0e9, 0.0))
-    c2_tt = ttg.make_tt(c2, [e2], [], name="C2", keymap=lambda k: 0)
+    c2_tt = ttg.make_tt(lambda key, tile, outs: None, [e2], [],
+                        name="C2", keymap=lambda k: 0)
+    return ttg.TaskGraph([gen_tt, c1_tt, c2_tt]), gen_tt
+
+
+def test_cref_mutation_chain_triggers_race004():
+    graph, gen_tt = _cref_chain()
     backend, tel = _telemetry_backend(1)
-    graph = ttg.TaskGraph([gen_tt, c1_tt, c2_tt])
-    ex = graph.executable(backend, sanitize=True, shardsafe=True)
+    ex = graph.executable(backend, sanitize=True)
     ex.invoke(gen_tt, 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -307,29 +309,13 @@ def test_cref_mutation_chain_triggers_race004():
 
 def test_strict_fence_raises_on_races():
     from repro.core.exceptions import SanitizerError
-    from repro.linalg import MatrixTile
 
-    e1 = ttg.Edge("t1", key_type=int, value_type=MatrixTile)
-    e2 = ttg.Edge("t2", key_type=int, value_type=MatrixTile)
-
-    def gen(key, outs):
-        outs.send(0, 0, MatrixTile.zeros(2, 2), mode="cref")
-
-    def c1(key, tile, outs):
-        tile.data[0, 0] = 42.0
-        outs.send(0, 0, tile, mode="cref")
-
-    gen_tt = ttg.make_tt(gen, [], [e1], name="GEN", keymap=lambda k: 0)
-    c1_tt = ttg.make_tt(c1, [e1], [e2], name="C1", keymap=lambda k: 0,
-                        cost=lambda key, tile: (1.0e9, 0.0))
-    c2_tt = ttg.make_tt(lambda key, tile, outs: None, [e2], [],
-                        name="C2", keymap=lambda k: 0)
+    graph, gen_tt = _cref_chain()
     backend, _ = _telemetry_backend(1)
-    graph = ttg.TaskGraph([gen_tt, c1_tt, c2_tt])
     # The sanitizer must run (RACE004 consumes its SAN003 instants) but
     # in collect mode, so the raise below comes from the fence-time race
     # detector alone.
-    ex = graph.executable(backend, sanitize=True, shardsafe=True)
+    ex = graph.executable(backend, sanitize=True)
     ex.strict = True
     ex.invoke(gen_tt, 0)
     with warnings.catch_warnings():
@@ -337,6 +323,28 @@ def test_strict_fence_raises_on_races():
         with pytest.raises(SanitizerError) as exc:
             ex.fence()
     assert str(exc.value.rule).startswith("RACE")
+
+
+def test_unarmed_run_skips_race_detector():
+    """Telemetry alone does not arm the fence-time detector: one tile
+    injected on two ranks is a race the recorded stream shows offline,
+    yet a fence without ``sanitize``/``strict`` leaves no findings."""
+    from repro.linalg import MatrixTile
+
+    tile = MatrixTile.zeros(2, 2)
+    e = ttg.Edge("t", key_type=int, value_type=MatrixTile)
+    sink_tt = ttg.make_tt(lambda key, tile, outs: None, [e], [],
+                          name="SINK", keymap=lambda k: k % 2)
+    for sanitize in (False, True):
+        backend, tel = _telemetry_backend(2)
+        ex = ttg.TaskGraph([sink_tt]).executable(backend, sanitize=sanitize)
+        for k in range(2):
+            ex.inject(sink_tt, 0, k, tile)  # one buffer live on both ranks
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ex.fence()
+        assert _ids(detect_races(tel)) == ["RACE003"]
+        assert _ids(ex.race_findings) == (["RACE003"] if sanitize else [])
 
 
 def test_round_trip_through_jsonl_preserves_race_findings(tmp_path):

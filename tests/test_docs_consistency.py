@@ -3,8 +3,6 @@
 import re
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,18 +31,29 @@ def test_readme_architecture_mentions_every_package():
 
 def test_docs_reference_existing_modules():
     """Module paths mentioned in the guides must exist."""
-    text = (ROOT / "docs" / "model.md").read_text() + (
-        ROOT / "docs" / "simulator.md"
-    ).read_text()
+    text = "".join((ROOT / "docs" / name).read_text()
+                   for name in ("model.md", "simulator.md", "analysis.md"))
     for mod in re.findall(r"`repro\.([a-z_.]+)`", text):
         parts = mod.split(".")
         path = ROOT / "src" / "repro"
         for p in parts:
-            nxt_dir = path / p
-            nxt_file = path / f"{p}.py"
-            assert nxt_dir.is_dir() or nxt_file.exists(), mod
-            path = nxt_dir
-        # attribute references like repro.sim.profile are fine as files
+            if (path / f"{p}.py").exists():
+                break  # what follows a module file is an attribute
+            path = path / p
+            assert path.is_dir(), mod
+
+
+def test_analysis_doc_catalogs_every_rule():
+    """docs/analysis.md has a table row for every registered rule, and
+    names no rule id that is not registered."""
+    from repro.analysis import all_rules
+
+    doc = (ROOT / "docs" / "analysis.md").read_text()
+    registered = {r.id for r in all_rules()}
+    rows = set(re.findall(r"^\| ([A-Z]+\d{3}) \|", doc, re.MULTILINE))
+    assert rows == registered
+    mentioned = set(re.findall(r"\b(?:TTG|SAN|RACE|SHD)\d{3}\b", doc))
+    assert mentioned <= registered, sorted(mentioned - registered)
 
 
 def test_design_no_title_collision_note():

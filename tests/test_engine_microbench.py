@@ -5,8 +5,9 @@ Measures events/second on a synthetic event storm, on the bare loop
 before every event (``sharded``: the row id from when the second row ran
 the deleted sharded engine), and checks the optimizations stay effective:
 
-- the batched ``schedule_batch`` path must not be slower than N single
-  pushes (it exists to amortize ``heappush``);
+- the batched ``schedule_batch`` path must hold one heap entry per burst
+  (it exists to amortize ``heappush``), and under REPRO_BENCH_STRICT
+  must not be slower than N single pushes;
 - both rows must execute the storm in the identical, exact
   ``(time, schedule order)`` order.
 
@@ -15,6 +16,7 @@ hosts, so the *strict* throughput gates only arm when REPRO_BENCH_STRICT
 is set; the order and smoke assertions always run.
 """
 
+import gc
 import os
 import time
 
@@ -81,38 +83,49 @@ def test_seq_and_sharded_order_identical_on_storm():
 
 
 def test_batched_schedule_not_slower_than_single():
-    """One heap push per burst must beat (or tie) a push per event."""
+    """One heap entry per burst instead of one per call, draining the same
+    calls in the same order.  The entry counts are the deterministic
+    property the batched path exists for; the wall-time comparison arms
+    only under REPRO_BENCH_STRICT, best of 5 with the collector off."""
     n_bursts, burst = 400, 50
 
-    def single():
+    def single(hits):
         eng = Engine()
         for b in range(n_bursts):
             for i in range(burst):
-                eng.schedule(float(b), (lambda: None))
+                eng.schedule(float(b), hits.append, (b, i))
         return eng
 
-    def batched():
+    def batched(hits):
         eng = Engine()
         for b in range(n_bursts):
             eng.schedule_batch(float(b),
-                               [((lambda: None), ()) for _ in range(burst)])
+                               [(hits.append, ((b, i),)) for i in range(burst)])
         return eng
 
-    # Warm up, then time schedule+drain for both shapes.
-    for fn in (single, batched):
-        fn().run()
-    t0 = time.perf_counter()
-    single().run()
-    t_single = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    batched().run()
-    t_batched = time.perf_counter() - t0
+    expected = [(b, i) for b in range(n_bursts) for i in range(burst)]
+    for build, entries in ((single, n_bursts * burst), (batched, n_bursts)):
+        hits = []
+        eng = build(hits)
+        assert len(eng._heap) == entries  # heap entries, not calls
+        assert eng.pending == n_bursts * burst
+        eng.run()
+        assert hits == expected
+
     if STRICT:
+        def best_of_5(build):
+            times = []
+            gc.disable()
+            try:
+                for _ in range(5):
+                    t0 = time.perf_counter()
+                    build([]).run()
+                    times.append(time.perf_counter() - t0)
+            finally:
+                gc.enable()
+            return min(times)
+
+        t_single, t_batched = best_of_5(single), best_of_5(batched)
         assert t_batched <= t_single * 1.10, (
-            f"batched {t_batched:.4f}s vs single {t_single:.4f}s"
-        )
-    else:
-        # Loose sanity bound for noisy hosts.
-        assert t_batched <= t_single * 2.0, (
             f"batched {t_batched:.4f}s vs single {t_single:.4f}s"
         )
