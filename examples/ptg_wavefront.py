@@ -12,7 +12,8 @@ Run: python examples/ptg_wavefront.py
 
 from repro.core.ptg import PTG, Flow, TaskClass
 from repro.runtime import ParsecBackend
-from repro.sim import Cluster, HAWK, Profile, Tracer
+from repro.sim import Cluster, HAWK
+from repro.telemetry import Telemetry, analyze
 
 
 def main() -> None:
@@ -44,10 +45,9 @@ def main() -> None:
         cost=lambda key, *a: 1.0e6,
     )
 
-    tracer = Tracer()
-    cluster = Cluster(HAWK, 4)
+    tel = Telemetry(nranks=4, capacity=None)
     ptg = PTG([cell])
-    ex = ptg.executable(ParsecBackend(cluster, tracer=tracer))
+    ex = ptg.executable(ParsecBackend(Cluster(HAWK, 4), telemetry=tel))
     # Boundary injection: row 0 needs its "north", column 0 its "west".
     for j in range(n):
         ptg.inject(ex, "CELL", "north", (0, j), 0)
@@ -63,7 +63,7 @@ def main() -> None:
         assert v == expect, ((i, j), v, expect)
     print(f"wavefront {n}x{n}: corner value {grid[(n-1, n-1)]}")
     print()
-    print(Profile(tracer, cluster).report())
+    print(analyze.report(tel))
     print("OK")
 
 

@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.telemetry is not None:
-        from repro.telemetry.adapter import capture
+        from repro.telemetry import capture
 
         with capture(events=True) as runs:
             run_all()

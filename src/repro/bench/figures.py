@@ -333,7 +333,7 @@ def run_with_telemetry(fig_fn, counters_path: Optional[str] = None, **kwargs):
     ``(series, runs)`` with ``runs`` the per-backend recordings.
     """
     from repro.bench.harness import write_telemetry_counters
-    from repro.telemetry.adapter import capture
+    from repro.telemetry import capture
 
     with capture(events=False) as runs:
         series = fig_fn(**kwargs)

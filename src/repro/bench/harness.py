@@ -8,7 +8,7 @@ paper reports, so a bench run's stdout *is* the regenerated figure data.
 integration: ``python -m repro.bench <fig> --telemetry counters.json``
 captures every backend the figure binds (metrics only, no event buffers)
 and writes the merged counters JSON next to the printed rows, so a figure
-regression can be diagnosed by ``python -m repro.telemetry compare``.
+regression can be diagnosed by ``python -m repro.telemetry diff``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def write_telemetry_counters(
 ) -> int:
     """Merge the metric registries of captured runs into one counters JSON.
 
-    ``runs`` is the list yielded by :func:`repro.telemetry.adapter.capture`;
+    ``runs`` is the list yielded by :func:`repro.telemetry.events.capture`;
     returns the number of metric series written.
     """
     from repro.telemetry.events import Telemetry

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.cluster import Cluster
-from repro.sim.trace import Tracer
 from repro.telemetry.events import SPAN, TID_AM, TID_RMA
 
 #: ``EventBus.record`` arg names of the AM/RMA spans.
@@ -31,20 +30,16 @@ class CommEngine:
         ``f(dst_rank, nbytes) -> seconds`` of AM-server processing per
         message; backends install their own (MADNESS charges deserialization
         copies here, serializing them through its single server thread).
-    tracer:
-        Optional tracer for message records.
     """
 
     def __init__(
         self,
         cluster: Cluster,
         am_cost_fn: Optional[Callable[[int, int], float]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.network = cluster.network
-        self.tracer = tracer
         # Set by Backend.attach_telemetry; None => hooks are one branch.
         self.telemetry = None
         base = cluster.machine.network.am_overhead
@@ -87,8 +82,6 @@ class CommEngine:
             begin = arrival
         done = begin + proc
         self._am_free[dst] = done
-        if self.tracer is not None:
-            self.tracer.record_message(src, dst, nbytes, t_sent, done, tag=tag)
         tel = self.telemetry
         if tel is not None:
             if tel.bus.recording:
@@ -119,8 +112,6 @@ class CommEngine:
         done = self.network.rma_get(origin, target, nbytes)
         self.rma_count += 1
         self.rma_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.record_message(target, origin, nbytes, t0, done, tag=tag)
         tel = self.telemetry
         if tel is not None:
             if tel.bus.recording:

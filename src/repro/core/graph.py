@@ -351,8 +351,8 @@ class Executable:
             tok = tel.data_token(value)
             tok_mode = None if tok is None else mode
             src, now = current_task_label(), bus.now()
-        # Message tags are only ever read by a tracer or a recording bus.
-        tagged = bus is not None or backend.tracer is not None
+        # Message tags are only ever read by a recording bus.
+        tagged = bus is not None
         for ctt, cidx in edge.consumers:
             if sanitizer is not None:
                 sanitizer.on_route(ctt, cidx, key, value, mode)

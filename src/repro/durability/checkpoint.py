@@ -34,8 +34,8 @@ closures anywhere on a scheduling path), a checkpoint *additionally*
 carries the serialized physical state: the event heap itself plus
 every piece of mutable runtime state an event can observe (ready queues,
 worker/GPU idle lists, comm/NIC occupancy, RMA regions, termination
-ledger, stats, tracer records, telemetry rings and counters, per-graph
-pending instances).  On resume the prefix replay is **skipped**: the
+ledger, stats, telemetry rings and counters, per-graph pending
+instances).  On resume the prefix replay is **skipped**: the
 backend is rebuilt from the spec (build phase only), the heap bytes are
 deserialized against the fresh runtime objects at the stored execute
 phase, and the run continues from the exact cadence point.  A blob whose
@@ -748,10 +748,6 @@ class Checkpointer:
                 "messages_sent": net.messages_sent,
                 "bytes_sent": net.bytes_sent,
             }
-        tracer = backend.tracer
-        if tracer is not None:
-            blob["tracer"] = {"tasks": list(tracer.tasks),
-                              "messages": list(tracer.messages)}
         tel = backend.telemetry
         if tel is not None:
             blob["telemetry"] = {"bus": tel.bus.dump_state(),
@@ -828,11 +824,6 @@ class Checkpointer:
             pool.gpu_transfer_bytes = ps["gpu_transfer_bytes"]
         for ex, es in zip(backend.executables, blob["executables"]):
             _load_executable(ex, es)
-        tracer = backend.tracer
-        tr = blob.get("tracer")
-        if tracer is not None and tr is not None:
-            tracer.tasks[:] = tr["tasks"]
-            tracer.messages[:] = tr["messages"]
         tel = backend.telemetry
         t = blob.get("telemetry")
         if tel is not None and t is not None:

@@ -28,7 +28,6 @@ from repro.serialization.protocols import Protocol, SerializedMessage
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
 from repro.serialization.traits import pack
 from repro.sim.cluster import Cluster
-from repro.sim.trace import Tracer
 from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, Telemetry
 
 #: Size charged for control-only active messages (task-id only, no data).
@@ -427,32 +426,29 @@ class WorkerPool:
                 transfer
             )
 
-    def _record_task(self, backend: "Backend", name: str, task: _ReadyTask,
+    def _record_task(self, tel: Telemetry, name: str, task: _ReadyTask,
                      tid: int, start: float,
                      pcie_bytes: Optional[int] = None) -> None:
-        end = backend.engine.now
-        if backend.tracer is not None:
-            backend.tracer.record_task(name, task.key, self.rank, tid, start, end)
-        tel = backend.telemetry
-        if tel is not None:
-            if tel.bus.recording:
-                # Data tokens of trackable inputs: the race detector uses
-                # them to see which rank shards observed a buffer live.
-                # Accelerator tasks carry their host->device traffic so
-                # the report can split PCIe bytes out of the byte budget.
-                tel.bus.record(
-                    SPAN, name, "task", self.rank, tid, start, end, None,
-                    _TASK_ARGS, task.key, task.name, task.priority,
-                    pcie_bytes, *[tok for tok in map(tel.data_token, task.inputs)
-                                  if tok is not None],
-                )
-            tel.metrics.counter("tasks", template=task.name, rank=self.rank).inc()
-            tel.metrics.histogram("task_time", template=task.name).observe(end - start)
+        end = self.backend.engine.now
+        if tel.bus.recording:
+            # Data tokens of trackable inputs: the race detector uses
+            # them to see which rank shards observed a buffer live.
+            # Accelerator tasks carry their host->device traffic so
+            # the report can split PCIe bytes out of the byte budget.
+            tel.bus.record(
+                SPAN, name, "task", self.rank, tid, start, end, None,
+                _TASK_ARGS, task.key, task.name, task.priority,
+                pcie_bytes, *[tok for tok in map(tel.data_token, task.inputs)
+                              if tok is not None],
+            )
+        tel.metrics.counter("tasks", template=task.name, rank=self.rank).inc()
+        tel.metrics.histogram("task_time", template=task.name).observe(end - start)
 
     def _complete(self, task: _ReadyTask, worker: int, start: float) -> None:
         backend = self.backend
-        if backend.tracer is not None or backend.telemetry is not None:
-            self._record_task(backend, task.name, task, worker, start)
+        tel = backend.telemetry
+        if tel is not None:
+            self._record_task(tel, task.name, task, worker, start)
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1
@@ -466,8 +462,9 @@ class WorkerPool:
     def _complete_gpu(self, task: _ReadyTask, slot: int, start: float,
                       transfer: int = 0) -> None:
         backend = self.backend
-        if backend.tracer is not None or backend.telemetry is not None:
-            self._record_task(backend, f"{task.name}@gpu", task,
+        tel = backend.telemetry
+        if tel is not None:
+            self._record_task(tel, f"{task.name}@gpu", task,
                               self.nworkers + slot, start, pcie_bytes=transfer)
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
@@ -496,13 +493,11 @@ class Backend:
         self,
         cluster: Cluster,
         config: Optional[BackendConfig] = None,
-        tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.config = config or BackendConfig()
-        self.tracer = tracer
         self.stats = RunStats()
         # TTG-San hook point: armed by Executable(strict/sanitize), see
         # repro.analysis.sanitizer.  None => zero-overhead default path.
@@ -524,7 +519,6 @@ class Backend:
         self.comm = CommEngine(
             cluster,
             am_cost_fn=lambda dst, nbytes: base_am + nbytes * per_byte,
-            tracer=tracer,
         )
         self.rma = RmaWindow(self.comm)
         self.pools = [WorkerPool(self, r) for r in range(cluster.nranks)]

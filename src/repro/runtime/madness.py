@@ -18,7 +18,6 @@ from typing import Optional
 
 from repro.runtime.base import Backend, BackendConfig
 from repro.sim.cluster import Cluster
-from repro.sim.trace import Tracer
 from repro.telemetry.events import Telemetry
 
 
@@ -35,7 +34,6 @@ class MadnessBackend(Backend):
         self,
         cluster: Cluster,
         config: Optional[BackendConfig] = None,
-        tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if config is None:
@@ -50,7 +48,7 @@ class MadnessBackend(Backend):
                 # this per-byte term only covers header handling.
                 am_cost_per_byte=2.0e-11,
             )
-        super().__init__(cluster, config, tracer, telemetry)
+        super().__init__(cluster, config, telemetry)
 
     def _copies_block_am_server(self) -> bool:
         return True

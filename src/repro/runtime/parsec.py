@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.runtime.base import Backend, BackendConfig
 from repro.sim.cluster import Cluster
-from repro.sim.trace import Tracer
 from repro.telemetry.events import Telemetry
 
 
@@ -32,7 +31,6 @@ class ParsecBackend(Backend):
         self,
         cluster: Cluster,
         config: Optional[BackendConfig] = None,
-        tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if config is None:
@@ -44,7 +42,7 @@ class ParsecBackend(Backend):
                 copy_on_cref=False,
                 am_cost_per_byte=0.0,
             )
-        super().__init__(cluster, config, tracer, telemetry)
+        super().__init__(cluster, config, telemetry)
 
     def _copies_block_am_server(self) -> bool:
         # Deserialization (when a non-splitmd protocol is used at all) runs

@@ -17,8 +17,8 @@ against the fresh objects.
 
 The walk covers exactly the objects reachable from scheduled callbacks:
 backend, engine, cluster (+network), comm endpoint, RMA window,
-termination detector, stats, tracer, telemetry (+bus/+metrics), worker
-pools by rank, and every executable (graph + template tasks) in
+termination detector, stats, telemetry (+bus/+metrics), worker pools by
+rank, and every executable (graph + template tasks) in
 registration order.  Bound methods of registered objects need no entry of
 their own -- pickle reduces them to ``getattr(owner, name)`` and the owner
 resolves through the registry.
@@ -97,7 +97,6 @@ class RuntimeRegistry:
         reg.add(("termination",), backend.termination)
         reg.add(("stats",), backend.stats)
         reg.add(("config",), backend.config)
-        reg.add(("tracer",), backend.tracer)
         tel = backend.telemetry
         if tel is not None:
             reg.add(("telemetry",), tel)

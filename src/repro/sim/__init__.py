@@ -13,15 +13,15 @@ Public entry points:
 - :class:`~repro.sim.network.NetworkModel` -- latency/bandwidth/NIC model.
 - :class:`~repro.sim.cluster.Cluster` and the machine presets
   :data:`~repro.sim.cluster.HAWK` / :data:`~repro.sim.cluster.SEAWULF`.
-- :class:`~repro.sim.trace.Tracer` -- optional execution tracing.
+
+Observing a run is :mod:`repro.telemetry`'s job: attach a
+:class:`~repro.telemetry.events.Telemetry` to the backend.
 """
 
 from repro.sim.engine import ENGINE_KINDS, Engine
 from repro.sim.network import NetworkModel, NetworkSpec
 from repro.sim.node import NodeSpec
 from repro.sim.cluster import Cluster, MachineSpec, HAWK, SEAWULF, machine_by_name
-from repro.sim.trace import Tracer, TaskRecord, MessageRecord
-from repro.sim.profile import Profile, TemplateStats, RankStats
 
 __all__ = [
     "Engine",
@@ -34,10 +34,4 @@ __all__ = [
     "HAWK",
     "SEAWULF",
     "machine_by_name",
-    "Tracer",
-    "TaskRecord",
-    "MessageRecord",
-    "Profile",
-    "TemplateStats",
-    "RankStats",
 ]

@@ -6,18 +6,18 @@ effects -- so this package provides the measurement substrate every layer
 records into:
 
 - :mod:`repro.telemetry.events` -- the low-overhead structured event bus
-  (spans / instants / counters in per-rank ring buffers) and the
-  :class:`Telemetry` bundle backends carry.
+  (spans / instants / counters in per-rank ring buffers), the
+  :class:`Telemetry` bundle backends carry, and the
+  :func:`~repro.telemetry.events.capture` recorder.  ``Telemetry`` is the
+  runtime's only observer surface: every view below reads it.
 - :mod:`repro.telemetry.metrics` -- labelled counters, gauges and
   histograms with per-template / per-rank / per-edge rollups.
 - :mod:`repro.telemetry.export` -- Chrome trace-event JSON (loads in
   Perfetto / chrome://tracing), JSONL event logs, counters JSON.
 - :mod:`repro.telemetry.analyze` -- critical-path extraction over the
-  recorded task/message DAG, per-template summaries, idle breakdowns,
-  run-to-run counter comparison.
-- :mod:`repro.telemetry.adapter` -- the legacy :class:`~repro.sim.trace.
-  Tracer` / Gantt / Profile views as consumers of the unified stream,
-  plus the :func:`~repro.telemetry.adapter.capture` recorder.
+  recorded task/message DAG, per-template summaries, idle breakdowns.
+- :mod:`repro.telemetry.diff` -- align two runs and rank what moved,
+  counter deltas included.
 - :mod:`repro.telemetry.report_html` -- dependency-free single-file HTML
   run reports (inline-SVG Gantt with critical-path highlight, tables,
   sparklines, benchmark-history trend charts).
@@ -27,7 +27,7 @@ records into:
 - :mod:`repro.telemetry.live` -- streaming progress: tail a ledger and
   render a dependency-free console dashboard.
 - ``python -m repro.telemetry`` -- record / report / report-html /
-  export / critical-path / compare / validate / watch CLI
+  export / critical-path / diff / whatif / validate / watch CLI
   (:mod:`repro.telemetry.cli`).
 
 Telemetry is off by default and adds only a ``None``-check per hook when
@@ -44,6 +44,7 @@ from repro.telemetry.events import (
     CounterEvent,
     EventBus,
     InstantEvent,
+    RecordedRun,
     SpanEvent,
     Telemetry,
     TelemetryError,
@@ -53,6 +54,7 @@ from repro.telemetry.events import (
     TID_RMA,
     TID_RT,
     TID_SAN,
+    capture,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.export import (
@@ -66,12 +68,10 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.analyze import (
     CriticalPath,
-    compare_counters,
     critical_path,
     idle_breakdown,
     summary_by_template,
 )
-from repro.telemetry.adapter import RecordedRun, as_tracer, capture
 from repro.telemetry.report_html import (
     load_histories,
     render_report,
@@ -114,12 +114,10 @@ __all__ = [
     "write_counters_json",
     "write_jsonl",
     "CriticalPath",
-    "compare_counters",
     "critical_path",
     "idle_breakdown",
     "summary_by_template",
     "RecordedRun",
-    "as_tracer",
     "capture",
     "load_histories",
     "render_report",

@@ -8,14 +8,13 @@ its bus, or a bus re-ingested from JSONL):
   link producer task instances to consumer instances by label).
 - :func:`summary_by_template` -- count/total/mean/max per template.
 - :func:`idle_breakdown` -- per-rank busy vs. comm vs. idle time.
-- :func:`compare_counters` -- delta table between two counters JSONs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.events import EventBus, SpanEvent, Telemetry
 
@@ -202,9 +201,17 @@ class RankBreakdown:
 
 
 def idle_breakdown(source: Union[Telemetry, EventBus]) -> List[RankBreakdown]:
-    """Per-rank busy/comm/idle split (worker count inferred from the
-    task-span timeline ids actually used)."""
+    """Per-rank busy/comm/idle split.
+
+    A rank's worker count is its lane count (CPU workers + GPU slots),
+    kept by a :class:`Telemetry` bound to a backend.  A bare bus -- one
+    read back from a file -- has no lane count, so it is inferred from
+    the highest task-span timeline id used; a rank that never ran all of
+    its lanes at once then shows too few workers and too high a
+    utilization.
+    """
     bus = _bus_of(source)
+    lanes = source.lanes if isinstance(source, Telemetry) else None
     makespan = bus.makespan()
     busy: Dict[int, float] = defaultdict(float)
     comm: Dict[int, float] = defaultdict(float)
@@ -219,7 +226,10 @@ def idle_breakdown(source: Union[Telemetry, EventBus]) -> List[RankBreakdown]:
             comm[ev.rank] += ev.duration
     out = []
     for rank in sorted(set(busy) | set(comm)):
-        w = max(workers.get(rank, 1), 1)
+        if lanes is not None and rank < len(lanes):
+            w = lanes[rank]
+        else:
+            w = max(workers.get(rank, 1), 1)
         avail = w * makespan
         b = busy.get(rank, 0.0)
         out.append(RankBreakdown(
@@ -256,7 +266,7 @@ def report(source: Union[Telemetry, EventBus]) -> str:
         for s in rows:
             lines.append(f"{s.template:<16}{s.count:>8}{s.total * 1e3:>12.3f}"
                          f"{s.mean * 1e6:>10.2f}{s.max * 1e6:>10.2f}")
-    ranks = idle_breakdown(bus)
+    ranks = idle_breakdown(source)
     if ranks:
         lines.append("")
         lines.append(f"{'rank':<6}{'workers':>8}{'busy ms':>10}{'comm ms':>10}"
@@ -274,30 +284,3 @@ def report(source: Union[Telemetry, EventBus]) -> str:
                          f"{ev.args.get('location', '')}")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------- compare
-
-
-def compare_counters(
-    a: Dict[str, Any], b: Dict[str, Any]
-) -> List[Tuple[str, float, float, float]]:
-    """Rows of ``(counter, value_a, value_b, delta)`` between two runs.
-
-    Takes the payloads of :func:`repro.telemetry.export.read_counters_json`;
-    histogram entries compare their totals.  Thin wrapper over the single
-    alignment path in :func:`repro.telemetry.diff.diff_counter_payloads`
-    (the lazy import breaks the analyze <-> diff module cycle).
-    """
-    from repro.telemetry.diff import diff_counter_payloads
-
-    return diff_counter_payloads(a, b)
-
-
-def format_compare(rows: List[Tuple[str, float, float, float]],
-                   only_changed: bool = False) -> str:
-    lines = [f"{'counter':<52}{'run A':>14}{'run B':>14}{'delta':>14}"]
-    for key, va, vb, delta in rows:
-        if only_changed and delta == 0.0:
-            continue
-        lines.append(f"{key:<52}{va:>14.6g}{vb:>14.6g}{delta:>+14.6g}")
-    return "\n".join(lines)

@@ -32,8 +32,6 @@ Subcommands:
   recorded run with perturbed costs (``--speedup T=F``,
   ``--latency-scale``, ``--bandwidth-scale``, ``--nodes``) and report the
   exact counterfactual makespan; ``--sweep`` ranks every knob.
-- ``compare A.json B.json`` -- counter deltas between two counters JSONs
-  (deprecated alias: ``diff`` covers counters JSONs and more).
 - ``validate FILE`` -- schema-check a Chrome trace *or* a run ledger
   (auto-detected); diagnostics name the schema version, ``--json`` emits
   a machine-readable result, and traces recorded on an overflowing ring
@@ -58,9 +56,8 @@ from contextlib import redirect_stdout
 from typing import List, Optional, Sequence, TextIO
 
 from repro.telemetry import analyze
-from repro.telemetry.adapter import RecordedRun, capture
+from repro.telemetry.events import RecordedRun, capture
 from repro.telemetry.export import (
-    read_counters_json,
     read_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
@@ -71,7 +68,7 @@ from repro.telemetry.export import (
 
 def run_script(path: str, events: bool = True,
                capacity: Optional[int] = None) -> tuple:
-    """Execute ``path`` under :func:`~repro.telemetry.adapter.capture`.
+    """Execute ``path`` under :func:`~repro.telemetry.events.capture`.
 
     Returns ``(runs, script_output, crash)``; ``crash`` is a formatted
     traceback string or None.
@@ -197,19 +194,6 @@ def cmd_export(args: argparse.Namespace, out: TextIO) -> int:
             print(p, file=out)
         return 1
     print(f"wrote {args.output} ({len(bus)} events)", file=out)
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
-    """Deprecated thin alias: the counter diff now lives in the unified
-    diff engine (:func:`repro.telemetry.diff.diff_counter_payloads`);
-    ``telemetry diff`` handles counters JSONs plus traces and histories."""
-    print("note: 'compare' is deprecated; use 'diff' (same counter table, "
-          "plus traces and BENCH histories)", file=out)
-    a = read_counters_json(args.a)
-    b = read_counters_json(args.b)
-    rows = analyze.compare_counters(a, b)
-    print(analyze.format_compare(rows, only_changed=args.only_changed), file=out)
     return 0
 
 
@@ -554,15 +538,6 @@ def main(argv: Optional[Sequence[str]] = None,
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable result object")
     p.set_defaults(fn=cmd_whatif)
-
-    p = sub.add_parser(
-        "compare",
-        help="counter deltas between two runs (deprecated: use diff)")
-    p.add_argument("a", metavar="A.json")
-    p.add_argument("b", metavar="B.json")
-    p.add_argument("--only-changed", action="store_true",
-                   help="hide counters with zero delta")
-    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser(
         "validate",

@@ -12,8 +12,7 @@ task key, protocol channel, and rank, and the movement is attributed:
 - per-rank busy/idle divergence (which shard absorbed the slowdown);
 - critical-path churn: tasks that entered or left the path, and per-node
   duration deltas along the common stretch;
-- the full counter delta table (one code path -- ``telemetry compare``
-  is a thin alias over :func:`diff_counter_payloads`).
+- the full counter delta table (:func:`diff_counter_payloads`).
 
 Rendered as text (:meth:`RunDiff.format`), JSON (:meth:`RunDiff.as_dict`),
 and a side-by-side HTML section (:func:`repro.telemetry.report_html.render_diff_report`).
@@ -24,7 +23,6 @@ into causal statements by exact counterfactual replay.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -55,11 +53,9 @@ def diff_counter_payloads(
 ) -> List[Tuple[str, float, float, float]]:
     """Rows of ``(counter, value_a, value_b, delta)`` between two runs.
 
-    The single alignment path behind both ``telemetry compare`` (via
-    :func:`repro.telemetry.analyze.compare_counters`) and the counter
-    section of :func:`diff_runs`.  Accepts the payloads of
+    The counter section of :func:`diff_runs`.  Accepts the payloads of
     :func:`repro.telemetry.export.read_counters_json` or bare counter
-    dicts.
+    dicts; histogram entries compare their totals.
     """
     ca, cb = a.get("counters", a), b.get("counters", b)
     rows = []
@@ -123,7 +119,7 @@ class RunView:
         for s in analyze.summary_by_template(bus):
             view.templates[s.template] = TemplateStat(
                 s.template, s.count, s.total, s.mean, s.max)
-        for r in analyze.idle_breakdown(bus):
+        for r in analyze.idle_breakdown(source):
             view.ranks[r.rank] = RankStat(
                 r.rank, r.workers, r.busy, r.comm, r.idle, r.utilization)
         cp = analyze.critical_path(bus)

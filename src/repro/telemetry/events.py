@@ -29,6 +29,10 @@ the first time the bus is read, or at once while a subscriber is attached.
 Timelines within a rank are identified by an integer ``tid``: worker
 threads use their worker index, and the reserved ids below keep transport
 and diagnostic events on their own named lanes in the exported trace.
+
+:func:`capture` is the attach-everything recorder the telemetry CLI and
+the bench harness use: a context manager that gives every backend bound
+inside the ``with`` block its own :class:`Telemetry`.
 """
 
 from __future__ import annotations
@@ -439,6 +443,10 @@ class Telemetry:
         self.bus = EventBus(nranks=nranks, capacity=capacity if events else 0)
         self.metrics = MetricsRegistry()
         self._bound_backend: Optional[Any] = None
+        #: Lanes (CPU workers + GPU slots) of each rank of the bound
+        #: backend.  No export carries it: a bus read back from a file
+        #: has none.
+        self.lanes: Optional[List[int]] = None
         # Data tokens: id(value) -> (value, token).  The strong ref on
         # ``value`` pins it for the run so CPython cannot recycle its id
         # for a different buffer -- which would corrupt the race
@@ -477,13 +485,68 @@ class Telemetry:
         return token
 
     def bind(self, backend: Any) -> None:
-        """Wire the bus to ``backend``'s engine clock and rank count."""
+        """Wire the bus to ``backend``'s engine clock, rank and lane count."""
         self._bound_backend = backend
         engine = backend.engine
         # Not a lambda: the ``now`` property is the only Python-level call.
         self.bus.clock = partial(getattr, engine, "now")
         self.bus.ensure_ranks(backend.nranks)
+        node = backend.cluster.node
+        self.lanes = [node.workers + node.gpus] * backend.nranks
 
     @property
     def backend(self) -> Optional[Any]:
         return self._bound_backend
+
+
+@dataclass
+class RecordedRun:
+    """One backend captured by :func:`capture`."""
+
+    telemetry: Telemetry
+    backend: Any
+    graphs: List[str]
+
+    @property
+    def label(self) -> str:
+        name = getattr(self.backend, "name", "backend")
+        graphs = ",".join(self.graphs) or "?"
+        return f"{graphs}@{name}(nranks={self.backend.nranks})"
+
+
+@contextmanager
+def capture(events: bool = True, capacity: Optional[int] = 65536) -> Iterator[List[RecordedRun]]:
+    """Attach a fresh Telemetry to every backend bound inside the block.
+
+    Observes :class:`~repro.core.graph.Executable` construction (the same
+    hook the analysis CLI uses), so scripts need no cooperation; one
+    :class:`RecordedRun` is appended per distinct backend, in binding
+    order.  ``events=False`` records metrics only (bench mode).
+    """
+    from repro.core.graph import (
+        add_construction_observer,
+        remove_construction_observer,
+    )
+
+    runs: List[RecordedRun] = []
+    by_backend: Dict[int, RecordedRun] = {}
+
+    def observer(kind: str, obj: Any) -> None:
+        if kind != "executable":
+            return
+        backend = obj.backend
+        run = by_backend.get(id(backend))
+        if run is None:
+            tel = Telemetry(nranks=backend.nranks, capacity=capacity,
+                            events=events)
+            backend.attach_telemetry(tel)
+            run = RecordedRun(tel, backend, [])
+            by_backend[id(backend)] = run
+            runs.append(run)
+        run.graphs.append(obj.graph.name)
+
+    add_construction_observer(observer)
+    try:
+        yield runs
+    finally:
+        remove_construction_observer(observer)

@@ -420,7 +420,7 @@ def replay_path(path: str) -> LedgerSnapshot:
 class ledger_capture:
     """Attach a fresh :class:`LedgerWriter` to every backend a block binds.
 
-    The ledger analogue of :func:`repro.telemetry.adapter.capture`: hooks
+    The ledger analogue of :func:`repro.telemetry.events.capture`: hooks
     :class:`~repro.core.graph.Executable` construction, so scripts and
     figure benchmarks need no cooperation::
 

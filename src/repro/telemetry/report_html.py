@@ -40,7 +40,7 @@ from repro.telemetry.events import (
     THREAD_NAMES,
 )
 
-#: Okabe-Ito-ish template colors (match the legacy Gantt SVG).
+#: Okabe-Ito-ish template colors, readable on white.
 _COLORS = [
     "#0072B2", "#E69F00", "#009E73", "#D55E00",
     "#CC79A7", "#56B4E9", "#F0E442", "#999999",
@@ -417,7 +417,7 @@ def render_report(
     bus = _bus_of(source)
     cp = critical_path(bus)
     templates = summary_by_template(bus)
-    ranks = idle_breakdown(bus)
+    ranks = idle_breakdown(source)
     dropped = sum(bus.dropped)
     out: List[str] = [
         "<!DOCTYPE html>",

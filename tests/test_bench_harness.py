@@ -58,7 +58,7 @@ def _two_captured_runs():
     from repro import core as ttg
     from repro.runtime import ParsecBackend
     from repro.sim.cluster import Cluster, HAWK
-    from repro.telemetry.adapter import capture
+    from repro.telemetry import capture
 
     def src(key, outs):
         for k in range(4):

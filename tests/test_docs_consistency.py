@@ -1,5 +1,6 @@
 """Documentation consistency: the docs must reference real artifacts."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -29,18 +30,30 @@ def test_readme_architecture_mentions_every_package():
             assert f"repro.{pkg.name}" in readme, pkg.name
 
 
+def _resolves(ref):
+    """Whether ``repro.<ref>`` names a module, or an attribute of one."""
+    parts = ref.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(["repro", *parts[:i]]))
+        except ImportError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
 def test_docs_reference_existing_modules():
-    """Module paths mentioned in the guides must exist."""
-    text = "".join((ROOT / "docs" / name).read_text()
-                   for name in ("model.md", "simulator.md", "analysis.md"))
-    for mod in re.findall(r"`repro\.([a-z_.]+)`", text):
-        parts = mod.split(".")
-        path = ROOT / "src" / "repro"
-        for p in parts:
-            if (path / f"{p}.py").exists():
-                break  # what follows a module file is an attribute
-            path = path / p
-            assert path.is_dir(), mod
+    """Every `repro.…` name in the guides, README and DESIGN must exist."""
+    docs = [*sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md", ROOT / "DESIGN.md"]
+    refs = {ref for doc in docs
+            for ref in re.findall(r"`repro\.([A-Za-z_][\w.]*)`", doc.read_text())}
+    assert len(refs) > 20
+    assert sorted(ref for ref in refs if not _resolves(ref)) == []
 
 
 def test_analysis_doc_catalogs_every_rule():

@@ -2,8 +2,8 @@
 
 The rank-sharded engine replayed the sequential engine's exact global
 ``(time, seq)`` order, and this suite used to run both kinds side by side
-and compare run stats, per-template task counts, tracer task/message
-records, bench measurements, ledger totals and sanitizer findings for
+and compare run stats, per-template task counts, task/message records,
+bench measurements, ledger totals and sanitizer findings for
 *identity*.  The digests and findings below were recorded from the
 sharded engine on the last version that had it (its sequential runs gave
 the same values), so every comparison still holds at full strength:
@@ -19,7 +19,8 @@ import pytest
 
 from repro import core as ttg
 from repro.runtime import ParsecBackend
-from repro.sim import Cluster, HAWK, Tracer
+from repro.sim import Cluster, HAWK
+from repro.telemetry import Telemetry
 
 
 def _digest(obj):
@@ -28,11 +29,25 @@ def _digest(obj):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _rows(bus):
+    """Sorted task rows ``(name, repr(key), rank, worker, start, end)`` and
+    message rows ``(src, dst, nbytes, sent, arrived, tag)`` of a recording."""
+    tasks, messages = [], []
+    for ev in bus.spans():
+        if ev.cat == "task":
+            tasks.append((ev.name, ev.args["key"], ev.rank, ev.tid,
+                          ev.start, ev.end))
+        elif ev.cat == "comm":
+            messages.append((ev.args["src"], ev.rank, ev.args["nbytes"],
+                             ev.start, ev.end, ev.name.split(":", 1)[1]))
+    return sorted(tasks), sorted(messages)
+
+
 def _run(app, nranks, trace=False):
     """One simulated run; returns everything comparable about it."""
-    tracer = Tracer() if trace else None
+    tel = Telemetry(nranks=nranks, capacity=None) if trace else None
     backend = ParsecBackend(Cluster(HAWK.with_workers(4), nranks),
-                            tracer=tracer)
+                            telemetry=tel)
     if app == "potrf":
         from repro.apps.cholesky import cholesky_ttg
         from repro.bench.history import SeededBlockCyclic
@@ -66,8 +81,7 @@ def _run(app, nranks, trace=False):
         "stats": backend.stats.as_dict(),
         "makespan": res.makespan,
         "task_counts": dict(res.task_counts),
-        "tasks": None if tracer is None else tracer.tasks,
-        "messages": None if tracer is None else tracer.messages,
+        "rows": None if tel is None else _rows(tel.bus),
     }
 
 
@@ -96,14 +110,17 @@ def test_sharded_matches_sequential(app, nranks):
         == SHARDED_RUNS[app, nranks]
 
 
-#: ``_digest([tracer.tasks, tracer.messages])`` of the traced 4-rank runs.
-SHARDED_TRACES = {"potrf": "d532d2f3fc54e0cc", "mra": "f44103fc5dec5625"}
+#: ``_digest(_rows(bus))`` of the recorded 4-rank runs: 81 task and 90
+#: message rows (POTRF), 368 and 268 (MRA).  Recorded where the rows still
+#: equalled those of the first-generation tracer, whose digests of the
+#: sharded runs this test compared against before.
+SHARDED_TRACES = {"potrf": "d8bf593dcf6b6180", "mra": "7f277c3a161a43d4"}
 
 
 @pytest.mark.parametrize("app", ["potrf", "mra"])
 def test_trace_records_identical(app):
     run = _run(app, 4, trace=True)
-    assert _digest([run["tasks"], run["messages"]]) == SHARDED_TRACES[app]
+    assert _digest(run["rows"]) == SHARDED_TRACES[app]
 
 
 def test_bench_measurements_identical():

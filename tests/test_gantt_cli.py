@@ -1,59 +1,40 @@
-"""Tests for the Gantt SVG export and the bench CLI."""
+"""Tests for the report's Gantt SVG edge cases and the bench CLI."""
 
 import pytest
 
-from repro.apps.floydwarshall import floyd_warshall_ttg
 from repro.bench.__main__ import main as bench_main
-from repro.linalg import BlockCyclicDistribution, TiledMatrix, random_weight_matrix
-from repro.runtime import ParsecBackend
-from repro.sim import Cluster, HAWK, Tracer
-from repro.sim.gantt import gantt_svg, write_gantt
+from repro.telemetry.events import EventBus
+from repro.telemetry.report_html import gantt_svg
 
 
-@pytest.fixture(scope="module")
-def traced():
-    tracer = Tracer()
-    cluster = Cluster(HAWK, 2)
-    w = random_weight_matrix(48, seed=1)
-    W = TiledMatrix.from_dense(w, 16, BlockCyclicDistribution.for_ranks(2))
-    floyd_warshall_ttg(W, ParsecBackend(cluster, tracer=tracer))
-    return tracer, cluster
+def _task(bus, template, key, rank, tid, start, end):
+    bus.complete(template, rank, tid, start, end, cat="task",
+                 args={"key": repr(key), "template": template})
 
 
-def test_gantt_svg_structure(traced):
-    tracer, cluster = traced
-    svg = gantt_svg(tracer, cluster)
-    assert svg.startswith("<svg")
-    assert svg.endswith("</svg>")
-    assert svg.count("<rect") >= len(tracer.tasks)
-    assert "FW_D" in svg  # legend entry
-    assert "rank 0" in svg and "rank 1" in svg
-
-
-def test_gantt_rect_count_capped(traced):
-    tracer, cluster = traced
-    svg = gantt_svg(tracer, cluster, max_lanes=1)
-    assert svg.count("rank") >= 1
+def test_gantt_rect_count_capped():
+    bus = EventBus(nranks=2, capacity=None)
+    _task(bus, "A", 0, 0, 0, 0.0, 1.0)
+    _task(bus, "A", 1, 0, 0, 1.0, 2.0)
+    _task(bus, "B", 0, 0, 1, 0.0, 1.0)
+    _task(bus, "B", 1, 1, 0, 0.0, 2.0)
+    svg = gantt_svg(bus, max_lanes=1)
+    assert "r0 w0" in svg
+    assert "r0 w1" not in svg and "r1 w0" not in svg
+    assert svg.count("<rect") == 2  # only the first lane's two tasks
 
 
 def test_gantt_empty_trace():
-    svg = gantt_svg(Tracer())
-    assert "empty trace" in svg
-
-
-def test_write_gantt(tmp_path, traced):
-    tracer, cluster = traced
-    path = tmp_path / "run.svg"
-    write_gantt(str(path), tracer, cluster)
-    assert path.read_text().startswith("<svg")
+    svg = gantt_svg(EventBus(capacity=None))
+    assert svg.startswith("<svg") and "no spans recorded" in svg
 
 
 def test_gantt_escapes_keys():
-    tracer = Tracer()
-    tracer.record_task("<evil>", "<key&>", 0, 0, 0.0, 1.0)
-    svg = gantt_svg(tracer)
-    assert "<evil>" not in svg
-    assert "&lt;evil&gt;" in svg
+    bus = EventBus(capacity=None)
+    _task(bus, "<evil>", "<key&>", 0, 0, 0.0, 1.0)
+    svg = gantt_svg(bus)
+    assert "<evil>" not in svg and "<key&>" not in svg
+    assert "&lt;evil&gt;" in svg and "&lt;key&amp;&gt;" in svg
 
 
 def test_cli_table1(capsys):

@@ -123,12 +123,13 @@ def test_gpu_cholesky_correct_and_faster():
 
 
 def test_gpu_tasks_traced_with_device_label():
-    from repro.sim import Tracer
+    from repro.telemetry import Telemetry
 
-    tracer = Tracer()
+    tel = Telemetry(nranks=1, capacity=None)
     machine = gpu_machine()
-    be = ParsecBackend(Cluster(machine, 1), tracer=tracer)
+    be = ParsecBackend(Cluster(machine, 1), telemetry=tel)
     be.submit(0, lambda: None, flops=1e6, device="gpu", name="K")
     be.run()
-    assert tracer.tasks[0].name == "K@gpu"
-    assert tracer.tasks[0].worker >= machine.node.workers  # device lanes
+    (span,) = tel.bus.spans("task")
+    assert span.name == "K@gpu"
+    assert span.tid >= machine.node.workers  # device lanes

@@ -1,6 +1,6 @@
 """Cross-cutting integration tests: multi-seed, multi-backend, multi-grid
-equivalence of all four applications, plus tracing/profile integration on
-each of them.  These pin down that results are independent of placement,
+equivalence of all four applications, plus telemetry analysis of a real
+run.  These pin down that results are independent of placement,
 scheduling policy, and backend -- the core promise of the model.
 """
 
@@ -20,7 +20,8 @@ from repro.linalg import (
 )
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.runtime.base import BackendConfig
-from repro.sim import Cluster, HAWK, SEAWULF, Profile, Tracer
+from repro.sim import Cluster, HAWK, SEAWULF
+from repro.telemetry import Telemetry, idle_breakdown, summary_by_template
 
 
 @pytest.mark.parametrize("grid", [(1, 1), (1, 4), (2, 2), (4, 1)])
@@ -74,15 +75,15 @@ def test_seawulf_slower_than_hawk_for_transfers():
 
 
 def test_profile_over_bspmm_run():
-    tracer = Tracer()
-    cluster = Cluster(HAWK, 3)
+    tel = Telemetry(nranks=3, capacity=None)
     a = yukawa_blocksparse(15, target_tile=24, seed=3)
-    res = bspmm_ttg(a, a, ParsecBackend(cluster, tracer=tracer))
-    prof = Profile(tracer, cluster)
-    by_name = {s.name: s.count for s in prof.by_template()}
+    res = bspmm_ttg(a, a, ParsecBackend(Cluster(HAWK, 3), telemetry=tel))
+    by_name = {s.template: s.count for s in summary_by_template(tel)}
     assert by_name["MULTIPLY_ADD"] == res.plan.num_gemms
-    assert prof.parallel_efficiency() > 0
-    assert prof.makespan == pytest.approx(res.makespan)
+    ranks = idle_breakdown(tel)
+    assert [r.workers for r in ranks] == [HAWK.node.workers] * 3
+    assert sum(r.busy for r in ranks) > 0
+    assert tel.bus.makespan() == pytest.approx(res.makespan)
 
 
 def test_two_graphs_one_backend_sequential():

@@ -8,15 +8,14 @@ from repro.linalg import BlockCyclicDistribution, TiledMatrix, spd_matrix
 from repro.runtime import ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
 from repro.telemetry.analyze import (
-    compare_counters,
     critical_path,
     dep_edges,
-    format_compare,
     idle_breakdown,
     report,
     summary_by_template,
     task_nodes,
 )
+from repro.telemetry.diff import RunView, diff_counter_payloads, diff_runs
 from repro.telemetry.events import EventBus, TID_RT, Telemetry
 
 
@@ -138,14 +137,15 @@ def test_compare_counters_and_format():
                       "h": {"total": 5.0, "count": 2}}}
     b = {"counters": {"tasks": {"value": 5.0}, "new": {"value": 2.0},
                       "h": {"total": 5.0, "count": 2}}}
-    rows = compare_counters(a, b)
+    rows = diff_counter_payloads(a, b)
     as_map = {k: (va, vb, d) for k, va, vb, d in rows}
     assert as_map["tasks"] == (3.0, 5.0, 2.0)
     assert as_map["old"] == (1.0, 0.0, -1.0)
     assert as_map["new"] == (0.0, 2.0, 2.0)
     assert as_map["h"] == (5.0, 5.0, 0.0)
-    text = format_compare(rows, only_changed=True)
-    assert "tasks" in text and "h" not in text.split("\n", 1)[1]
+    text = diff_runs(RunView.from_counters(a), RunView.from_counters(b)).format()
+    table = text.split("\ncounter ", 1)[1].splitlines()[1:]
+    assert [line.split()[0] for line in table] == ["new", "old", "tasks"]
 
 
 def test_report_on_empty_bus():
@@ -183,12 +183,28 @@ def test_idle_breakdown_empty_bus():
     assert idle_breakdown(EventBus(capacity=None)) == []
 
 
+def test_idle_breakdown_counts_lanes_never_filled():
+    # One task on rank 0 and three on rank 1, all running at once on
+    # 4-worker nodes: a quarter and three quarters of the lanes are busy,
+    # although the task spans use only lanes 0 and 0..2.
+    tel = Telemetry(nranks=2, capacity=None)
+    backend = ParsecBackend(Cluster(HAWK.with_workers(4), 2), telemetry=tel)
+    for rank, key in ((0, 0), (1, 1), (1, 2), (1, 3)):
+        backend.submit(rank, lambda: None, flops=1e6, name="T", key=key)
+    backend.run()
+    rows = idle_breakdown(tel)
+    assert [r.workers for r in rows] == [4, 4]
+    assert [r.utilization for r in rows] == pytest.approx([0.25, 0.75])
+    # A bare bus, as read back from a file, carries no lane count.
+    assert [r.workers for r in idle_breakdown(tel.bus)] == [1, 3]
+
+
 def test_compare_counters_missing_histogram_fields():
     # Snapshots without value/total (hand-written or pre-v1): fall back to
     # count, then 0.0 -- never KeyError.
     a = {"counters": {"h": {"count": 4}, "weird": {"p50": 1.0}}}
     b = {"counters": {"h": {"count": 6}}}
-    as_map = {k: (va, vb, d) for k, va, vb, d in compare_counters(a, b)}
+    as_map = {k: (va, vb, d) for k, va, vb, d in diff_counter_payloads(a, b)}
     assert as_map["h"] == (4.0, 6.0, 2.0)
     assert as_map["weird"] == (0.0, 0.0, 0.0)
 

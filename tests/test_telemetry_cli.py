@@ -122,23 +122,6 @@ def test_validate_rejects_bad_trace(tmp_path):
     assert code == 1 and "name" in text
 
 
-def test_compare_counters(script, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    run_cli("record", script, "--counters", str(a))
-    run_cli("record", script, "--counters", str(b))
-    code, text = run_cli("compare", str(a), str(b))
-    assert code == 0
-    assert "tasks{" in text
-    code, text = run_cli("compare", str(a), str(b), "--only-changed")
-    assert code == 0
-    # Identical runs: nothing but the deprecation note (compare is now a
-    # thin alias over `telemetry diff`) and the header survives.
-    lines = text.strip().splitlines()
-    assert "deprecated" in lines[0]
-    assert len(lines) == 2
-
-
 def test_no_events_mode_records_metrics_only(script, tmp_path):
     counters = tmp_path / "c.json"
     code, text = run_cli("record", script, "--no-events",

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.bench.history import BenchHistory, BenchRecord
-from repro.telemetry.analyze import compare_counters
 from repro.telemetry.diff import (
     RunView,
     counter_scalar,
@@ -65,14 +64,6 @@ def test_diff_counter_payloads_aligns_missing_keys():
                                  {"counters": {"y": 5.0, "z": 3.0}})
     assert rows == [("x", 1.0, 0.0, -1.0), ("y", 2.0, 5.0, 3.0),
                     ("z", 0.0, 3.0, 3.0)]
-
-
-def test_compare_counters_is_the_same_alignment_path():
-    # Satellite: `telemetry compare` folded into the diff engine -- the
-    # analyze wrapper must return byte-identical rows.
-    a = {"counters": {"k": {"total": 7.0}, "g": {"value": 1.0}}}
-    b = {"counters": {"k": {"total": 9.0}}}
-    assert compare_counters(a, b) == diff_counter_payloads(a, b)
 
 
 # -------------------------------------------------------------- run views
@@ -298,16 +289,3 @@ def test_cli_diff_rejects_garbage(tmp_path):
     assert code == 1
     assert "not a JSON" in text
 
-
-def test_cli_compare_is_deprecated_alias(tmp_path):
-    payload = {"schema": "repro.telemetry/counters-v1",
-               "counters": {"x": 1.0}}
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps(payload))
-    b.write_text(json.dumps(dict(payload, counters={"x": 3.0})))
-    code, text = _cli("compare", str(a), str(b))
-    assert code == 0
-    assert "deprecated" in text
-    assert "use 'diff'" in text
-    assert "x" in text and "+2" in text

@@ -1,4 +1,4 @@
-"""Telemetry through the full stack: hooks, sampling, adapters, overhead."""
+"""Telemetry through the full stack: hooks, sampling, capture, overhead."""
 
 import time
 
@@ -9,8 +9,7 @@ from repro.runtime import MadnessBackend, ParsecBackend
 from repro.runtime.base import BackendConfig
 from repro.runtime.scheduler import InstrumentedQueue, get_scheduler
 from repro.sim.cluster import Cluster, HAWK
-from repro.telemetry.adapter import as_tracer, capture
-from repro.telemetry.events import Telemetry
+from repro.telemetry.events import Telemetry, capture
 
 
 def run_fanout(backend, nkeys=12, work=200.0):
@@ -215,38 +214,6 @@ def test_disabled_overhead_is_small():
     once()                      # warm imports/JIT-ish caches
     base = min(once() for _ in range(3))
     assert base < 5.0           # absolute sanity: this is a tiny graph
-
-
-def test_as_tracer_adapter_feeds_legacy_views():
-    tel = Telemetry(nranks=2, capacity=None)
-    backend = ParsecBackend(Cluster(HAWK, 2), telemetry=tel)
-    e = ttg.Edge("x", key_type=int, value_type=int)
-
-    def src(key, outs):
-        for k in range(4):
-            outs.send(0, k, k)
-
-    def snk(key, v, outs):
-        pass
-
-    A = ttg.make_tt(src, [], [e], name="A", keymap=lambda k: 0)
-    B = ttg.make_tt(snk, [e], [], name="B", keymap=lambda k: k % 2)
-    ex = ttg.TaskGraph([A, B]).executable(backend)
-    ex.invoke(A, 0)
-    ex.fence()
-
-    tracer = as_tracer(tel)
-    names = {t.name for t in tracer.tasks}
-    assert {"A", "B"} <= names
-    assert len(tracer.tasks) == backend.stats.tasks_executed
-    assert tracer.messages  # remote sends became message records
-
-    from repro.sim.gantt import gantt_svg
-    from repro.sim.profile import Profile
-
-    svg = gantt_svg(tracer, backend.cluster)
-    assert svg.startswith("<svg")
-    assert "B" in Profile(tracer, backend.cluster).report()
 
 
 def test_capture_attaches_to_every_backend():

@@ -148,15 +148,6 @@ def test_sensitivity_sweeps_templates_network_and_ranks():
     assert "knob" in format_sensitivity(rows)
 
 
-def test_whatif_estimate_is_first_order_amdahl():
-    from repro.sim.profile import whatif_estimate
-
-    assert whatif_estimate(1.0, 0.5, 1.0, 1.0) == 1.0     # no speedup
-    assert whatif_estimate(1.0, 0.5, 1.0, 2.0) == 0.75    # half the work, 2x
-    assert whatif_estimate(1.0, 0.0, 1.0, 8.0) == 1.0     # template absent
-    assert whatif_estimate(0.0, 0.5, 1.0, 2.0) == 0.0     # degenerate guard
-
-
 # --------------------------------------------------------------------- CLI
 
 
