@@ -126,7 +126,8 @@ def run_prune(args: argparse.Namespace) -> int:
 
 
 def run_resume(args: argparse.Namespace) -> int:
-    """``--resume RUN_ID``: rebuild and verify-replay a killed run."""
+    """``--resume RUN_ID``: rebuild a killed run and replay it; the count
+    printed is the stored checkpoints the replay re-verified."""
     from repro.durability import CheckpointError, resume_run
 
     try:

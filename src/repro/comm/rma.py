@@ -71,8 +71,7 @@ class RmaWindow:
 
 
 class _Landed:
-    """Heap record for an RMA payload landing at the origin (picklable,
-    unlike the closure it replaced -- see :mod:`repro.runtime.registry`)."""
+    """Heap record for an RMA payload landing at the origin."""
 
     __slots__ = ("payload", "on_complete")
 

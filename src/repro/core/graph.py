@@ -126,9 +126,7 @@ class _Pending:
     ``missing`` is the readiness counter of templates whose inputs all
     take a single message (``not tt.streams``): the number of inputs still
     empty; the instance fires when it reaches zero.  Templates with a
-    streaming input compare ``counts`` with ``expected`` instead.  The
-    counter is derived state: snapshots store ``slots``, ``counts`` and
-    ``expected`` only, and :meth:`restore` recomputes it.
+    streaming input compare ``counts`` with ``expected`` instead.
     """
 
     __slots__ = ("slots", "counts", "expected", "missing")
@@ -142,18 +140,6 @@ class _Pending:
         self.expected: List[Optional[int]] = (
             list(tt.expected_row) if tt.streams else tt.expected_row)
         self.missing = n
-
-    @classmethod
-    def restore(cls, tt: TemplateTask, slots: Sequence[Any],
-                counts: Sequence[int],
-                expected: Sequence[Optional[int]]) -> "_Pending":
-        """Rebuild an instance from the fields a snapshot stores."""
-        p = cls(tt)
-        p.slots = list(slots)
-        p.counts = list(counts)
-        p.expected = list(expected)
-        p.missing = p.counts.count(0)
-        return p
 
 
 class Executable:
@@ -209,11 +195,6 @@ class Executable:
             # (pending instances, per-template counts) at every cadence
             # point; see repro.durability.checkpoint.
             backend.checkpointer.bind_executable(self)
-        register = getattr(backend, "register_executable", None)
-        if register is not None:
-            # Runtime registry walks (event pickling for physical
-            # checkpoints) key executables by this order.
-            register(self)
         _notify_observers("executable", self)
 
     @classmethod
@@ -738,13 +719,7 @@ class _Finalize:
 
 
 class _RunBody:
-    """The body of one spawned task instance (template fn + bound inputs).
-
-    A record rather than a closure so ready tasks sitting in worker queues
-    or the event heap pickle: the executable and template task resolve by
-    reference through the runtime registry, only ``key`` and the input
-    values serialize by value.
-    """
+    """The body of one spawned task instance (template fn + bound inputs)."""
 
     __slots__ = ("ex", "tt", "rank", "key", "args")
 

@@ -1,10 +1,12 @@
 """Durable runs: crash-consistent checkpoint/resume + fault injection.
 
 - :mod:`repro.durability.checkpoint` -- the versioned checkpoint format
-  (``repro.durability/checkpoint`` v1), atomic write path, chain loader
-  and the :class:`Checkpointer` engine hook.
+  (``repro.durability/checkpoint`` v3: spec, cursor and an attested
+  logical core, no runtime bytes), atomic write path, chain loader and
+  the :class:`Checkpointer` engine hook.
 - :mod:`repro.durability.runner` -- :func:`resume_run`, rebuilding a
-  killed benchmark run from its checkpoint directory.
+  killed benchmark run from its checkpoint directory and replaying it
+  against the stored chain (the only resume path).
 - :mod:`repro.durability.chaos` -- deterministic fault injection
   (:class:`FaultPlan`) for the resilience test suite and the CI
   kill-and-resume smoke job.

@@ -23,37 +23,10 @@ nondeterminism -- raises :class:`ResumeMismatchError` instead of silently
 producing a different run).  Past the last stored checkpoint the
 checkpointer switches back to write mode and the run continues to
 completion, producing final stats, traces and bench records bit-for-bit
-identical to an uninterrupted run (asserted by the engine-parity suite).
+identical to an uninterrupted run (asserted by the resume-parity suite).
+This is the only resume path, and it is the same for every backend.
 
-Physical (heap-byte) checkpoints -- format v2
----------------------------------------------
-
-Now that every heap entry is a picklable record resolving runtime objects
-through :class:`repro.runtime.registry.RuntimeRegistry` (no captured
-closures anywhere on a scheduling path), a checkpoint *additionally*
-carries the serialized physical state: the event heap itself plus
-every piece of mutable runtime state an event can observe (ready queues,
-worker/GPU idle lists, comm/NIC occupancy, RMA regions, termination
-ledger, stats, telemetry rings and counters, per-graph pending
-instances).  On resume the prefix replay is **skipped**: the
-backend is rebuilt from the spec (build phase only), the heap bytes are
-deserialized against the fresh runtime objects at the stored execute
-phase, and the run continues from the exact cadence point.  A blob whose
-engine state this version cannot load -- written before the heap entry
-became the ``(time, seq, fn, args)`` event, or by the deleted sharded
-engine -- is refused with :class:`ResumeMismatchError`, never partially
-loaded.  The logical core is still recomputed from the restored state and
-must hash to the stored attestation digest -- a physical restore is
-always self-verifying.
-``verify=True`` (CLI ``--verify``) forces the old full-replay path, which
-remains the strongest end-to-end check.
-
-Physical capture degrades gracefully to the v1 logical core (an empty
-heap frame) when the run is not capturable: an armed sanitizer (its
-id-keyed tracking tables do not survive a process boundary), a non-empty
-GPU residency cache (same reason), or any unpicklable payload.
-
-On-disk format (``repro.durability/checkpoint`` v2)
+On-disk format (``repro.durability/checkpoint`` v3)
 ---------------------------------------------------
 
 One file per cadence point, ``<dir>/<run-id>/ckpt-NNNNNN-EEEEEEEEEEEE.ckpt``
@@ -62,18 +35,11 @@ order), written via :class:`repro.serialization.archive.BufferOutputArchive`
 frames::
 
     [0] schema  (str)   "repro.durability/checkpoint"
-    [1] version (int)   2
+    [1] version (int)   3
     [2] manifest (str)  canonical JSON: run/index/events/sim/seq/every/
-                        spec/state_digest/prev_digest/phase_idx/
-                        heap_bytes/host
+                        spec/state_digest/prev_digest/host
     [3] state   (str)   canonical JSON: the serializable core
-    [4] heap    (bytes) registry-pickled physical state (b"" = logical
-                        checkpoint; v2 only -- v1 files have no frame [4])
-    [5] checksum (bytes) sha256 over the exact bytes of all prior frames
-
-The state digest (and therefore the chain linkage) covers the logical
-core only, exactly as in v1: a v1 chain verifies unchanged under the v2
-reader, and a v2 run's attestations are comparable with a v1 run's.
+    [4] checksum (bytes) sha256 over the exact bytes of all prior frames
 
 Every write is crash-consistent: serialize to ``<file>.tmp``, flush,
 ``fsync``, ``os.replace`` onto the final name, ``fsync`` the directory.
@@ -82,8 +48,12 @@ checksum mismatch) and reported with a schema-versioned diagnostic; the
 chain loader then falls back to the newest intact checkpoint -- never a
 silent partial restore.  ``run.json`` (written before the first
 checkpoint) records the rebuild spec so even a run killed during build
-can be resumed.  Versioning follows the bench-history migration-chain
-pattern: ``_MIGRATIONS[v]`` upgrades a manifest/state pair from v to v+1.
+can be resumed.
+
+A checkpoint file of any other version is refused with a
+:class:`CheckpointError` naming it.  The chain loader lists such files as
+problems, so a resume replays the run from ``run.json`` instead and
+prints them as warnings: the same bits, reached loudly.
 """
 
 from __future__ import annotations
@@ -93,7 +63,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.durability import chaos
 from repro.serialization.archive import (
@@ -101,7 +71,7 @@ from repro.serialization.archive import (
 )
 
 CHECKPOINT_SCHEMA = "repro.durability/checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Default cadence (events between checkpoints); matches the ledger
 #: heartbeat default so both hooks share the run's rhythm.
@@ -160,11 +130,6 @@ class Checkpoint:
     state_digest: str = ""
     prev_digest: str = ""
     version: int = CHECKPOINT_VERSION
-    #: Ordinal of the execute phase (fence) this checkpoint was taken in
-    #: (1-based); physical resume restores at that phase boundary.
-    phase_idx: int = 0
-    #: Registry-pickled physical state; b"" = logical-only checkpoint.
-    heap: bytes = b""
     path: Optional[str] = None
 
     def manifest(self, host: float = 0.0) -> Dict[str, Any]:
@@ -175,8 +140,7 @@ class Checkpoint:
             "run": self.run_id, "index": self.index, "events": self.events,
             "sim": self.sim, "seq": self.seq, "every": self.every,
             "spec": dict(self.spec), "state_digest": self.state_digest,
-            "prev_digest": self.prev_digest, "phase_idx": self.phase_idx,
-            "heap_bytes": len(self.heap), "host": host,
+            "prev_digest": self.prev_digest, "host": host,
         }
 
 
@@ -216,8 +180,6 @@ def encode_checkpoint(ckpt: Checkpoint, host: float = 0.0) -> bytes:
     arch.store(int(ckpt.version))
     arch.store(_canonical(ckpt.manifest(host)))
     arch.store(_canonical(ckpt.state))
-    if ckpt.version >= 2:
-        arch.store(bytes(ckpt.heap))
     body = arch.bytes()
     arch.store(hashlib.sha256(body).digest())
     return arch.bytes()
@@ -230,31 +192,12 @@ def write_checkpoint(path: str, ckpt: Checkpoint, host: float = 0.0) -> str:
     return path
 
 
-def _migrate_v1_to_v2(manifest: Dict[str, Any],
-                      state: Dict[str, Any]) -> Tuple[dict, dict]:
-    """v1 -> v2: logical-only checkpoints gain the (empty) physical
-    fields.  The state core and its digest are unchanged, so v1 chains
-    keep verifying byte-for-byte."""
-    manifest = dict(manifest)
-    manifest.setdefault("phase_idx", 0)
-    manifest.setdefault("heap_bytes", 0)
-    return manifest, state
-
-
-#: version -> migration of (manifest, state) to the *next* version,
-#: applied in sequence -- the bench-history pattern.
-_MIGRATIONS: Dict[int, Callable[[Dict[str, Any], Dict[str, Any]],
-                                Tuple[Dict[str, Any], Dict[str, Any]]]] = {
-    1: _migrate_v1_to_v2,
-}
-
-
 def read_checkpoint(path: str) -> Checkpoint:
     """Decode + fully validate one checkpoint file.
 
-    Any truncation, corruption or version skew raises
+    Any truncation, corruption or other version raises
     :class:`CheckpointError` with a diagnostic naming the schema version
-    involved -- a damaged file is never partially restored.
+    involved -- a damaged file is never partially read.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -267,24 +210,20 @@ def read_checkpoint(path: str) -> Checkpoint:
                 f"v{CHECKPOINT_VERSION}"
             )
         version = arch.load()
-        if not isinstance(version, int) or version < 1:
+        if not isinstance(version, int):
             raise CheckpointError(
                 f"{path}: bad checkpoint version {version!r} "
                 f"(reader supports v{CHECKPOINT_VERSION})"
             )
-        if version > CHECKPOINT_VERSION:
+        if version != CHECKPOINT_VERSION:
+            age = "newer" if version > CHECKPOINT_VERSION else "older"
             raise CheckpointError(
-                f"{path}: checkpoint schema v{version} is newer than this "
-                f"code's v{CHECKPOINT_VERSION}"
+                f"{path}: schema {CHECKPOINT_SCHEMA} v{version} is {age} "
+                f"than this code's v{CHECKPOINT_VERSION}; a resume replays "
+                f"the run from {RUN_MANIFEST} instead"
             )
         manifest = json.loads(arch.load())
         state = json.loads(arch.load())
-        heap = arch.load() if version >= 2 else b""
-        if not isinstance(heap, bytes):
-            raise CheckpointError(
-                f"{path}: heap frame is {type(heap).__name__}, expected "
-                f"bytes (schema {CHECKPOINT_SCHEMA} v{version})"
-            )
         body_end = arch.tell
         checksum = arch.load()
     except ArchiveError as e:
@@ -307,9 +246,6 @@ def read_checkpoint(path: str) -> Checkpoint:
             f"{path}: {len(data) - arch.tell} trailing byte(s) after the "
             f"checksum frame (schema {CHECKPOINT_SCHEMA} v{version})"
         )
-    while version < CHECKPOINT_VERSION:
-        manifest, state = _MIGRATIONS[version](manifest, state)
-        version += 1
     digest = manifest.get("state_digest", "")
     if state_digest(state) != digest:
         raise CheckpointError(
@@ -323,8 +259,7 @@ def read_checkpoint(path: str) -> Checkpoint:
         every=int(manifest.get("every", 0)),
         spec=dict(manifest.get("spec", {})), state=state,
         state_digest=digest, prev_digest=manifest.get("prev_digest", ""),
-        version=version, phase_idx=int(manifest.get("phase_idx", 0)),
-        heap=heap, path=path,
+        version=version, path=path,
     )
 
 
@@ -463,37 +398,6 @@ def load_chain(directory: str, run_id: str) -> ChainReport:
 # ------------------------------------------------------------ checkpointer
 
 
-def _dump_executable(ex: Any) -> Dict[str, Any]:
-    """One Executable's mutable bookkeeping for the physical blob.
-
-    ``_pending`` is keyed by ``tt.id`` -- a process-global counter that is
-    *not* stable across processes -- so entries are stored against the
-    template-task object itself (which pickles as a registry reference)
-    and re-keyed by the restoring process's ids on load.
-    """
-    tts = {tt.id: tt for tt in ex.graph.tts}
-    return {
-        "pending": [
-            (tts[ttid], key, list(p.slots), list(p.counts), list(p.expected))
-            for (ttid, key), p in ex._pending.items()
-        ],
-        "task_counts": dict(ex.task_counts),
-    }
-
-
-def _load_executable(ex: Any, state: Dict[str, Any]) -> None:
-    from repro.core.graph import _Pending
-
-    # The snapshot stores the three lists only; what an instance derives
-    # from them (its readiness counter) is rebuilt by _Pending.restore.
-    ex._pending = {
-        (tt.id, key): _Pending.restore(tt, slots, counts, expected)
-        for tt, key, slots, counts, expected in state["pending"]
-    }
-    ex.task_counts.clear()
-    ex.task_counts.update(state["task_counts"])
-
-
 class Checkpointer:
     """Periodic crash-consistent checkpoints of one backend's run.
 
@@ -502,16 +406,11 @@ class Checkpointer:
     atomic checkpoint file per cadence point (plus one at every completed
     drain, so finished runs carry a terminal attestation).
 
-    Resume mode (``resume=True``): loads the stored chain.  When the
-    newest checkpoint carries physical heap bytes (format v2) and
-    ``verify`` is False, the prefix replay is skipped entirely: the
-    restore happens at the checkpoint's execute-phase boundary, the
-    recomputed logical core must hash to the stored attestation, and the
-    run continues from the exact cadence point.  Otherwise (``verify=True``
-    or a logical-only chain) every cadence point covered by a stored
-    checkpoint is re-verified against its digest during replay
-    (:class:`ResumeMismatchError` on divergence); past the chain the
-    checkpointer transparently switches to write mode.  A spec passed
+    Resume mode (``resume=True``): loads the stored chain.  Every cadence
+    point covered by a stored checkpoint is re-verified against its
+    digest during replay (:class:`ResumeMismatchError` on divergence);
+    past the chain the checkpointer transparently switches to write
+    mode.  A spec passed
     alongside ``resume=True`` must equal the stored spec
     (:class:`ResumeConfigError` names the differing keys).
 
@@ -526,7 +425,6 @@ class Checkpointer:
         spec: Optional[Dict[str, Any]] = None,
         every: int = DEFAULT_EVERY,
         resume: bool = False,
-        verify: bool = False,
     ) -> None:
         if every < 1:
             raise CheckpointError(f"checkpoint_every must be >= 1, got {every}")
@@ -536,20 +434,14 @@ class Checkpointer:
         self.every = int(every)
         self.spec: Dict[str, Any] = dict(spec or {})
         self.resuming = resume
-        self.verify = verify
         self.written = 0
         self.verified = 0
-        self.restored = False      # a physical restore happened
-        self.restored_events = 0   # events skipped by that restore
         self.problems: List[str] = []
         self.backend: Any = None
         self.executables: List[Any] = []
         self._pending: List[Checkpoint] = []
         self._index = 0          # ordinal of the next cadence point
         self._last_digest = ""
-        self._phase_seen = 0     # execute phases entered so far
-        self._restore_target: Optional[Checkpoint] = None
-        self._capture_disabled = False  # sticky after one pickle failure
         if resume:
             manifest = read_run_manifest(directory, run_id)
             stored = dict(manifest.get("spec", {}))
@@ -568,10 +460,6 @@ class Checkpointer:
             chain = load_chain(directory, run_id)
             self.problems = list(chain.problems)
             self._pending = list(chain.checkpoints)
-            last = chain.latest
-            if not verify and last is not None and last.heap \
-                    and last.phase_idx > 0:
-                self._restore_target = last
         else:
             os.makedirs(self.run_dir, exist_ok=True)
             for name in os.listdir(self.run_dir):
@@ -642,20 +530,8 @@ class Checkpointer:
         self.executables.append(ex)
 
     def phase(self, name: str) -> None:
-        """Life-cycle transition: a fault-injection site, and -- on
-        entering the execute phase a physical checkpoint was taken in --
-        the restore seam.  :meth:`repro.runtime.base.Backend.run` calls
-        ``phase("execute")`` right before draining the engine, which is
-        exactly where the checkpointed heaps replace the freshly built
-        pre-run events."""
+        """Life-cycle transition: a fault-injection site."""
         chaos.poke("phase", phase=name)
-        if name != "execute":
-            return
-        self._phase_seen += 1
-        target = self._restore_target
-        if target is not None and self._phase_seen == target.phase_idx:
-            self._restore_target = None
-            self._restore_physical(target)
 
     # ------------------------------------------------------------ snapshot
 
@@ -694,164 +570,6 @@ class Checkpointer:
                 _canonical(backend.telemetry.metrics.as_dict()).encode()
             ).hexdigest()
         return state
-
-    # ------------------------------------------------- physical state (v2)
-
-    def _capture_heap(self) -> bytes:
-        """Registry-pickle the full physical runtime state, or return
-        ``b""`` (a logical-only checkpoint) when the run is not capturable.
-
-        Not capturable: a backend whose heap entries do not pickle
-        (``heap_picklable`` False -- e.g. MADNESS World futures are
-        address-space local), an armed sanitizer or non-empty
-        GPU residency cache (both track objects by ``id()``), or any
-        payload that fails to pickle.
-        """
-        backend = self.backend
-        if backend is None or self._capture_disabled:
-            return b""
-        if not getattr(backend, "heap_picklable", False):
-            return b""
-        if backend.sanitizer is not None:
-            return b""
-        for pool in backend.pools:
-            if pool._resident:
-                return b""
-        comm = backend.comm
-        rma = backend.rma
-        blob: Dict[str, Any] = {
-            "engine": backend.engine.dump_state(),
-            "termination": backend.termination.dump_state(),
-            "stats": backend.stats.as_dict(),
-            "comm": {
-                "am_free": list(comm._am_free),
-                "am_count": comm.am_count, "am_bytes": comm.am_bytes,
-                "rma_count": comm.rma_count, "rma_bytes": comm.rma_bytes,
-            },
-            "rma": {"regions": dict(rma._regions), "next": rma._next},
-            "pools": [
-                {"queue": pool._queue.dump_state(),
-                 "gpu_queue": pool._gpu_queue.dump_state(),
-                 "idle": list(pool._idle), "gpu_idle": list(pool._gpu_idle),
-                 "gpu_tasks_executed": pool.gpu_tasks_executed,
-                 "gpu_transfer_bytes": pool.gpu_transfer_bytes}
-                for pool in backend.pools
-            ],
-            "executables": [_dump_executable(ex)
-                            for ex in backend.executables],
-        }
-        net = getattr(backend.cluster, "network", None)
-        if net is not None:
-            blob["network"] = {
-                "tx_free": list(net._tx_free),
-                "backbone_free": net._backbone_free,
-                "messages_sent": net.messages_sent,
-                "bytes_sent": net.bytes_sent,
-            }
-        tel = backend.telemetry
-        if tel is not None:
-            blob["telemetry"] = {"bus": tel.bus.dump_state(),
-                                 "metrics": tel.metrics.dump_state()}
-        try:
-            from repro.runtime.registry import RuntimeRegistry
-
-            return RuntimeRegistry.for_backend(backend).dumps(blob)
-        except Exception as e:  # noqa: BLE001 - degrade, never fail the run
-            self._capture_disabled = True
-            self.problems.append(
-                f"physical capture disabled (logical checkpoints continue): "
-                f"{type(e).__name__}: {e}"
-            )
-            return b""
-
-    def _restore_physical(self, ckpt: Checkpoint) -> None:
-        """Load ``ckpt``'s heap bytes into the freshly rebuilt runtime and
-        fast-forward the chain cursor past the stored checkpoints.  Always
-        self-verifying: the restored runtime's recomputed logical core
-        must hash to the stored attestation digest.  A blob that does not
-        unpickle, or whose engine state the engine refuses, changes
-        nothing: the engine is the first thing loaded, all or nothing."""
-        backend = self.backend
-        if backend is None:
-            raise CheckpointError("physical restore requires bind() first")
-        from repro.runtime.registry import RuntimeRegistry
-
-        try:
-            blob = RuntimeRegistry.for_backend(backend).loads(ckpt.heap)
-            if len(blob["executables"]) == len(backend.executables):
-                backend.engine.load_state(blob["engine"])
-        except Exception as e:
-            raise ResumeMismatchError(
-                f"resume of {self.run_id!r}: physical state of checkpoint "
-                f"#{ckpt.index} does not load against the rebuilt runtime "
-                f"({type(e).__name__}: {e}); resume with verify=True to "
-                f"replay instead"
-            ) from e
-        if len(blob["executables"]) != len(backend.executables):
-            raise ResumeMismatchError(
-                f"resume of {self.run_id!r}: checkpoint #{ckpt.index} "
-                f"captured {len(blob['executables'])} executable(s), the "
-                f"rebuilt backend has {len(backend.executables)}"
-            )
-        backend.termination.load_state(blob["termination"])
-        stats = backend.stats
-        for k, v in blob["stats"].items():
-            setattr(stats, k, dict(v) if isinstance(v, dict) else v)
-        comm = backend.comm
-        c = blob["comm"]
-        comm._am_free[:] = c["am_free"]
-        comm.am_count = c["am_count"]
-        comm.am_bytes = c["am_bytes"]
-        comm.rma_count = c["rma_count"]
-        comm.rma_bytes = c["rma_bytes"]
-        rma = backend.rma
-        r = blob["rma"]
-        rma._regions = dict(r["regions"])
-        rma._next = r["next"]
-        net = getattr(backend.cluster, "network", None)
-        n = blob.get("network")
-        if net is not None and n is not None:
-            net._tx_free[:] = n["tx_free"]
-            net._backbone_free = n["backbone_free"]
-            net.messages_sent = n["messages_sent"]
-            net.bytes_sent = n["bytes_sent"]
-        for pool, ps in zip(backend.pools, blob["pools"]):
-            pool._queue.load_state(ps["queue"])
-            pool._gpu_queue.load_state(ps["gpu_queue"])
-            pool._idle = list(ps["idle"])
-            pool._gpu_idle = list(ps["gpu_idle"])
-            pool.gpu_tasks_executed = ps["gpu_tasks_executed"]
-            pool.gpu_transfer_bytes = ps["gpu_transfer_bytes"]
-        for ex, es in zip(backend.executables, blob["executables"]):
-            _load_executable(ex, es)
-        tel = backend.telemetry
-        t = blob.get("telemetry")
-        if tel is not None and t is not None:
-            tel.bus.load_state(t["bus"])
-            tel.metrics.load_state(t["metrics"])
-        state = self.snapshot()
-        digest = state_digest(state)
-        if digest != ckpt.state_digest:
-            bad = sorted(
-                k for k in set(state) | set(ckpt.state)
-                if state.get(k) != ckpt.state.get(k)
-            )
-            raise ResumeMismatchError(
-                f"resume of {self.run_id!r} diverged at physically restored "
-                f"checkpoint #{ckpt.index} (events={ckpt.events}): restored "
-                f"state hashes to {digest[:12]}, stored attestation is "
-                f"{ckpt.state_digest[:12]} (differing section(s): {bad})"
-            )
-        self._index = len(self._pending)
-        self._last_digest = ckpt.state_digest
-        self.restored = True
-        self.restored_events = ckpt.events
-        if backend.ledger is not None:
-            backend.ledger.resume(
-                run=self.run_id, point=self.resume_point,
-                checkpoints=len(self._pending), events=ckpt.events,
-                physical=True,
-            )
 
     # ---------------------------------------------------------------- hook
 
@@ -903,7 +621,6 @@ class Checkpointer:
             run_id=self.run_id, index=index, events=events, sim=now,
             seq=backend.engine._seq, every=self.every, spec=self.spec,
             state=state, state_digest=digest, prev_digest=self._last_digest,
-            phase_idx=self._phase_seen, heap=self._capture_heap(),
         )
         write_checkpoint(
             checkpoint_path(self.directory, self.run_id, index, events),

@@ -4,8 +4,8 @@ Subcommands::
 
     inspect DIR [RUN]          list durable runs, or one run's chain
     validate TARGET            validate a checkpoint file, run dir, or root
-    resume DIR RUN             rebuild + resume a killed run (physical
-                               restore, or verify-replay with --verify)
+    resume DIR RUN             rebuild + resume a killed run (replay that
+                               re-verifies every stored checkpoint)
     run                        run one benchmark cell with checkpoints on
     chaos                      like run, but with a fault plan armed
     parity                     kill-and-resume parity check (the CI smoke)
@@ -179,8 +179,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from repro.durability.runner import resume_run
 
     try:
-        result = resume_run(args.dir, args.run, ledger_dir=args.ledger,
-                            verify=args.verify)
+        result = resume_run(args.dir, args.run, ledger_dir=args.ledger)
     except CheckpointError as e:
         print(f"resume failed: {e}", file=sys.stderr)
         return 1
@@ -190,11 +189,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
     for problem in result.problems:
         print(f"warning: {problem}", file=sys.stderr)
     rec = result.record
-    how = (f"restored physically, skipped {result.restored_events} "
-           f"event(s) of replay" if result.restored
-           else f"verified {result.verified} stored checkpoint(s)")
     print(f"resumed {result.run_id} from {result.resume_point or 'start'}: "
-          f"{how}, wrote {result.written} new")
+          f"verified {result.verified} stored checkpoint(s), wrote "
+          f"{result.written} new")
     print(f"  makespan={rec.makespan:.6g}s tasks={rec.tasks_total}")
     return 0
 
@@ -303,19 +300,14 @@ def cmd_parity(args: argparse.Namespace) -> int:
             print(f"  resumed  {key} = {resumed.get(key)!r}",
                   file=sys.stderr)
         return 1
-    # A physical restore attests the restored state against the stored
-    # digest itself, so it counts as a used chain just like a verified
-    # replay does.
-    if fired and not result.restored and result.verified < 1:
-        print(f"parity[{run_id}]: no stored checkpoint was restored or "
-              f"verified during the resume -- the crash left no usable "
-              f"chain", file=sys.stderr)
+    if fired and result.verified < 1:
+        print(f"parity[{run_id}]: no stored checkpoint was verified during "
+              f"the resume -- the crash left no usable chain",
+              file=sys.stderr)
         return 1
-    how = (f"restored physically past {result.restored_events} event(s)"
-           if result.restored
-           else f"{result.verified} checkpoint(s) verified")
     print(f"parity[{run_id}]: OK -- resumed record identical to control "
-          f"({how}, {result.written} written)")
+          f"({result.verified} checkpoint(s) verified, {result.written} "
+          f"written)")
     return 0
 
 
@@ -364,17 +356,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("resume", help="rebuild + resume a killed run "
-                       "(physical restore when the chain carries heap "
-                       "bytes; verify-replay otherwise)")
+    p = sub.add_parser("resume", help="rebuild + resume a killed run, "
+                       "re-verifying every stored checkpoint on the way")
     p.add_argument("dir", help="checkpoint directory")
     p.add_argument("run", help="run id, e.g. mra-seed0-seq")
     p.add_argument("--ledger", default=None, metavar="DIR",
                    help="also write a run ledger (header stamped with the "
                    "resume point)")
-    p.add_argument("--verify", action="store_true",
-                   help="force full verify-replay even when a physical "
-                   "(heap-byte) checkpoint is available")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_resume)
 

@@ -6,17 +6,12 @@
 checkpoint chain), rebuilds the benchmark cell from the stored spec, and
 continues it with the :class:`~repro.durability.checkpoint.Checkpointer`.
 
-When the newest checkpoint carries physical heap bytes (format v2) the
-prefix replay is skipped entirely -- the serialized event heaps and
-runtime state are restored at the stored execute phase and the run
-continues from the exact cadence point (still self-verifying: the
-restored state must hash to the stored attestation digest).
-``verify=True`` (CLI ``--verify``) forces the slower full-replay path,
-re-deriving and comparing every stored checkpoint's state digest during
-the replay.  Either way, because the simulator is deterministic, the
-resumed run's final stats, traces and bench record are bit-for-bit
-identical to an uninterrupted run (the resume-parity suite asserts this
-for all four applications).
+The cell replays from the start, re-deriving and comparing every stored
+checkpoint's state digest on the way; past the chain it writes fresh
+checkpoints.  Because the simulator is deterministic, the resumed run's
+final stats, traces and bench record are bit-for-bit identical to an
+uninterrupted run (the resume-parity suite asserts this for all four
+applications).
 """
 
 from __future__ import annotations
@@ -38,16 +33,12 @@ class ResumeResult:
     resume_point: str = ""
     verified: int = 0                # stored checkpoints re-attested
     written: int = 0                 # fresh checkpoints past the chain
-    restored: bool = False           # physical (replay-skipping) restore
-    restored_events: int = 0         # events skipped by that restore
     problems: List[str] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "run": self.run_id, "resume_point": self.resume_point,
             "verified": self.verified, "written": self.written,
-            "restored": self.restored,
-            "restored_events": self.restored_events,
             "problems": list(self.problems),
             "record": self.record.as_dict(),
         }
@@ -60,16 +51,16 @@ def resume_run(
     spec: Optional[Dict[str, Any]] = None,
     ledger_dir: Optional[str] = None,
     live: bool = False,
-    verify: bool = False,
 ) -> ResumeResult:
     """Rebuild and resume the durable run ``run_id``.
 
     ``spec``, when given, must equal the stored spec
     (:class:`~repro.durability.checkpoint.ResumeConfigError` otherwise) --
     a resume must never silently run a different experiment than the one
-    that was killed.  Corrupt or torn checkpoints in the chain are
-    skipped (reported in ``problems``).  ``verify=True`` forces
-    verify-replay even when a physical checkpoint is available.
+    that was killed.  Corrupt, torn or other-version checkpoint files are
+    skipped and reported in ``problems``; the replay verifies the intact
+    chain before them (none at all for a chain of older files) and
+    rewrites the rest.
     ``ledger_dir``/``live`` arm the run ledger on the resumed run
     (observability is not part of the stored spec, so it may differ from
     the killed run); the ledger header is stamped with the resume point.
@@ -84,8 +75,7 @@ def resume_run(
     """
     from repro.bench.history import measure_cell
 
-    ckpt = Checkpointer(checkpoint_dir, run_id, spec=spec, resume=True,
-                        verify=verify)
+    ckpt = Checkpointer(checkpoint_dir, run_id, spec=spec, resume=True)
     kind = ckpt.spec.get("engine", "seq")
     if kind == "sharded":
         # The deleted kind replayed the one loop's exact event order (the
@@ -112,6 +102,5 @@ def resume_run(
     return ResumeResult(
         run_id=run_id, record=record, resume_point=ckpt.resume_point,
         verified=ckpt.verified, written=ckpt.written,
-        restored=ckpt.restored, restored_events=ckpt.restored_events,
         problems=list(ckpt.problems),
     )

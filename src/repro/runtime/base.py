@@ -110,9 +110,8 @@ def _run_local(termination: TerminationDetector, fn: Callable[..., None],
     """A rank-local delivery posted via ``post_local``: the event's
     ``fn`` with ``(termination, fn, args)`` as its arguments.
 
-    A module-level function, not a closure, so heap entries pickle
-    (physical checkpoints serialize them to disk); the termination
-    detector resolves through the runtime registry, never by value.
+    A module-level function scheduled with positional arguments, not a
+    closure built per post: no wrapper frame per message (DESIGN §7).
     """
     try:
         fn(*args)
@@ -483,12 +482,6 @@ class Backend:
 
     name = "base"
 
-    #: Whether this backend's heap entries pickle through the runtime
-    #: registry (checkpoint format v2 stores heap bytes when they do).
-    #: The MADNESS backend says False: World futures are address-space
-    #: local.
-    heap_picklable = True
-
     def __init__(
         self,
         cluster: Cluster,
@@ -522,15 +515,8 @@ class Backend:
         )
         self.rma = RmaWindow(self.comm)
         self.pools = [WorkerPool(self, r) for r in range(cluster.nranks)]
-        # Executables in registration order: the runtime registry walks
-        # this list to key graphs/template tasks for event pickling.
-        self.executables: list = []
         if telemetry is not None:
             self.attach_telemetry(telemetry)
-
-    def register_executable(self, ex: Any) -> None:
-        """Record ``ex`` for registry walks (called by Executable)."""
-        self.executables.append(ex)
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Arm the telemetry hooks on every layer this backend owns.

@@ -26,10 +26,6 @@ class MadnessBackend(Backend):
 
     name = "madness"
 
-    # World futures and RMI replies are address-space local, so heap
-    # entries do not pickle: checkpoints stay logical for this backend.
-    heap_picklable = False
-
     def __init__(
         self,
         cluster: Cluster,

@@ -34,23 +34,6 @@ class ReadyQueue:
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    # Physical checkpoints (repro.durability, format v2) capture queue
-    # *contents* -- never the queue object itself, whose clock/telemetry
-    # closures do not pickle -- and load them back into a live queue of
-    # the same policy.
-    def dump_state(self) -> dict:
-        raise NotImplementedError
-
-    def load_state(self, state: dict) -> None:
-        raise NotImplementedError
-
-    def _check_policy(self, state: dict) -> None:
-        if state.get("policy") != self.name:
-            raise ValueError(
-                f"queue state is for policy {state.get('policy')!r}, "
-                f"cannot load into {self.name!r}"
-            )
-
 
 class LifoQueue(ReadyQueue):
     name = "lifo"
@@ -70,13 +53,6 @@ class LifoQueue(ReadyQueue):
     def __bool__(self) -> bool:
         return bool(self._items)
 
-    def dump_state(self) -> dict:
-        return {"policy": self.name, "items": list(self._items)}
-
-    def load_state(self, state: dict) -> None:
-        self._check_policy(state)
-        self._items = list(state["items"])
-
 
 class FifoQueue(ReadyQueue):
     name = "fifo"
@@ -95,13 +71,6 @@ class FifoQueue(ReadyQueue):
 
     def __bool__(self) -> bool:
         return bool(self._items)
-
-    def dump_state(self) -> dict:
-        return {"policy": self.name, "items": list(self._items)}
-
-    def load_state(self, state: dict) -> None:
-        self._check_policy(state)
-        self._items = deque(state["items"])
 
 
 class PriorityQueue(ReadyQueue):
@@ -123,15 +92,6 @@ class PriorityQueue(ReadyQueue):
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def dump_state(self) -> dict:
-        return {"policy": self.name, "heap": list(self._heap),
-                "seq": self._seq}
-
-    def load_state(self, state: dict) -> None:
-        self._check_policy(state)
-        self._heap = list(state["heap"])
-        self._seq = state["seq"]
 
 
 class InstrumentedQueue(ReadyQueue):
@@ -181,15 +141,6 @@ class InstrumentedQueue(ReadyQueue):
 
     def __len__(self) -> int:
         return len(self._inner)
-
-    def dump_state(self) -> dict:
-        # Boxed (enqueue_ts, item) pairs dump as-is; the timestamps are
-        # virtual times, valid again after the engine clock is restored.
-        return {"policy": self.name, "inner": self._inner.dump_state()}
-
-    def load_state(self, state: dict) -> None:
-        self._check_policy(state)
-        self._inner.load_state(state["inner"])
 
 
 _POLICIES = {"lifo": LifoQueue, "fifo": FifoQueue, "priority": PriorityQueue}

@@ -106,30 +106,6 @@ class TerminationDetector:
             for cb in callbacks:
                 cb()
 
-    def dump_state(self) -> dict:
-        """Counters for physical checkpoints (format v2).
-
-        Callbacks and the telemetry binding are *not* captured: a restore
-        lands in a live backend whose own callbacks/telemetry are already
-        wired.
-        """
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "tasks_created": self.tasks_created,
-            "tasks_retired": self.tasks_retired,
-            "armed": self._armed,
-            "epochs": self._epochs,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.messages_sent = state["messages_sent"]
-        self.messages_delivered = state["messages_delivered"]
-        self.tasks_created = state["tasks_created"]
-        self.tasks_retired = state["tasks_retired"]
-        self._armed = state["armed"]
-        self._epochs = state["epochs"]
-
     def validate(self) -> None:
         """Raise unless every message was delivered and every task retired."""
         if not self.quiescent:

@@ -113,14 +113,12 @@ class World:
 
 
 def _noop() -> None:
-    """Barrier placeholder event (module-level so heap entries pickle)."""
+    """Barrier placeholder event."""
 
 
 class _Invoke:
     """Heap record for a World RMI: run the method at ``dst``, route the
-    result back into the caller's future.  World futures are address-space
-    local, so these records do not pickle (the MADNESS backend advertises
-    ``heap_picklable = False`` accordingly)."""
+    result back into the caller's future."""
 
     __slots__ = ("backend", "obj", "method", "args", "fut", "src", "dst")
 

@@ -217,50 +217,6 @@ class Engine:
         finally:
             self._running = False
 
-    # ------------------------------------------------------------- snapshot
-
-    def dump_state(self) -> dict:
-        """Physical engine state for heap-byte checkpoints (format v2).
-
-        The heap entries themselves are returned live -- the caller
-        (:meth:`repro.durability.Checkpointer.snapshot`) serializes them
-        through the runtime registry so runtime objects pickle by
-        reference.  A list copy of a heap is itself a valid heap.
-        """
-        return {
-            "kind": "seq",
-            "now": self.now,
-            "seq": self._seq,
-            "events": self._events_processed,
-            "heap": list(self._heap),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore the engine to a :meth:`dump_state` snapshot.
-
-        All or nothing: a state of another engine kind, or a heap whose
-        entries are not ``(time, seq, fn, args)`` tuples (a snapshot from
-        before the heap entry became the event), raises
-        :class:`EngineError` and leaves the engine untouched.
-        """
-        if state.get("kind") != "seq":
-            raise EngineError(
-                f"engine state kind {state.get('kind')!r} does not match "
-                "this engine"
-            )
-        heap = list(state["heap"])
-        for entry in heap:
-            if type(entry) is not tuple or len(entry) != 4:
-                raise EngineError(
-                    f"heap entry {type(entry).__name__} of length "
-                    f"{len(entry) if isinstance(entry, tuple) else '?'} is "
-                    "not a (time, seq, fn, args) event"
-                )
-        self.now = state["now"]
-        self._seq = state["seq"]
-        self._events_processed = state["events"]
-        self._heap = heap
-
     def reset(self) -> None:
         """Clear all state; clock back to zero."""
         self._heap.clear()

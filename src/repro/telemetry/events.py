@@ -191,9 +191,6 @@ class EventBus:
         self.dropped: List[int] = []
         self.ensure_ranks(max(1, nranks))
         self._stacks: Dict[Tuple[int, int], List[_OpenSpan]] = {}
-        # Explicit flow counter (not itertools.count): physical checkpoints
-        # capture/restore it so flow ids of a resumed run match an
-        # uninterrupted one.
         self._flow_next = 1
         # Streaming subscribers: called with every event as it is recorded
         # (even in capacity=0 metrics-only mode -- a subscriber is a live
@@ -223,25 +220,6 @@ class EventBus:
         flow = self._flow_next
         self._flow_next = flow + 1
         return flow
-
-    def dump_state(self) -> dict:
-        """Ring/stack/flow state for physical checkpoints (format v2)."""
-        return {
-            "rings": [list(r) for r in self._rings],
-            "dropped": list(self.dropped),
-            "stacks": {k: list(v) for k, v in self._stacks.items()},
-            "flow_next": self._flow_next,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.ensure_ranks(len(state["rings"]))
-        for ring, evs in zip(self._rings, state["rings"]):
-            ring.clear()
-            ring.extend(evs)
-        for r, n in enumerate(state["dropped"]):
-            self.dropped[r] = n
-        self._stacks = {k: list(v) for k, v in state["stacks"].items()}
-        self._flow_next = state["flow_next"]
 
     def subscribe(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
         """Stream every subsequently recorded event to ``fn``.

@@ -211,39 +211,5 @@ class MetricsRegistry:
                 self._metrics[(name, lk)] = mine = type(m)()
             mine.merge(m)
 
-    # ------------------------------------------------------------- snapshot
-
-    def dump_state(self) -> Dict[Tuple[str, LabelsKey], Tuple[str, dict]]:
-        """Full instrument state for physical checkpoints (format v2)."""
-        out: Dict[Tuple[str, LabelsKey], Tuple[str, dict]] = {}
-        for key, m in self._metrics.items():
-            if isinstance(m, Histogram):
-                out[key] = ("histogram", {
-                    "count": m.count, "total": m.total, "vmin": m.vmin,
-                    "vmax": m.vmax, "buckets": dict(m.buckets),
-                })
-            else:
-                out[key] = (m.kind, {"value": m.value})
-        return out
-
-    def load_state(self, state: Dict[Tuple[str, LabelsKey],
-                                     Tuple[str, dict]]) -> None:
-        """Restore instrument values *in place*: telemetry hook closures
-        hold direct references to instruments created at attach time, so
-        existing objects are mutated, never replaced."""
-        classes = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        for key, (kind, data) in state.items():
-            m = self._metrics.get(key)
-            if m is None:
-                m = self._metrics[key] = classes[kind]()
-            if kind == "histogram":
-                m.count = data["count"]
-                m.total = data["total"]
-                m.vmin = data["vmin"]
-                m.vmax = data["vmax"]
-                m.buckets = dict(data["buckets"])
-            else:
-                m.value = data["value"]
-
     def __len__(self) -> int:
         return len(self._metrics)

@@ -1,11 +1,12 @@
 """Checkpoint format: framing, atomicity, corruption rejection, chains."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
-import repro.durability.checkpoint as ckpt_mod
+from repro.bench.history import measure_cell
 from repro.durability import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
@@ -17,17 +18,15 @@ from repro.durability import (
     load_chain,
     read_checkpoint,
     read_run_manifest,
+    resume_run,
     run_id_for,
     state_digest,
     write_checkpoint,
 )
-from repro.durability.checkpoint import (
-    _MIGRATIONS,
-    encode_checkpoint,
-    write_run_manifest,
-)
+from repro.durability.checkpoint import encode_checkpoint, write_run_manifest
 from repro.durability.cli import main as durability_main
 from repro.serialization.archive import BufferOutputArchive
+from tests.test_durability_resume import _core, _crash, _spec
 
 
 def _mk(index=0, events=10, prev="", run="app-seed0-seq", **state):
@@ -134,23 +133,56 @@ def test_newer_version_rejected(tmp_path):
         read_checkpoint(path)
 
 
-def test_migration_chain_upgrades_old_versions(tmp_path, monkeypatch):
-    """The bench-history migration pattern: a v(N) file read by v(N+1)
-    code passes through ``_MIGRATIONS[N]`` exactly once."""
-    c = _mk()
-    path = write_checkpoint(checkpoint_path(str(tmp_path), c.run_id, 0, 10), c)
+def _write_v2(path, ckpt):
+    """Rewrite ``ckpt`` at ``path`` in the retired format v2: a heap frame
+    between state and checksum, and its size in the manifest."""
+    heap = b"registry-pickled heap"
+    arch = BufferOutputArchive()
+    arch.store(CHECKPOINT_SCHEMA)
+    arch.store(2)
+    arch.store(json.dumps(dict(ckpt.manifest(), phase_idx=1,
+                               heap_bytes=len(heap))))
+    arch.store(json.dumps(ckpt.state))
+    arch.store(heap)
+    arch.store(hashlib.sha256(arch.bytes()).digest())
+    with open(path, "wb") as fh:
+        fh.write(arch.bytes())
 
-    calls = []
 
-    def _v1_to_v2(manifest, state):
-        calls.append(manifest["index"])
-        return dict(manifest, upgraded=True), state
+def test_older_versions_are_refused_and_the_run_still_resumes(tmp_path):
+    spec, every = _spec("mra")
+    control = _core(measure_cell(dict(spec)))
+    _crash(spec, every, str(tmp_path), nth=3)
+    run_id = run_id_for(spec)
+    stored = load_chain(str(tmp_path), run_id).checkpoints
+    assert len(stored) >= 2
+    for ckpt in stored:
+        _write_v2(ckpt.path, ckpt)
+    with pytest.raises(CheckpointError, match="v2") as exc:
+        read_checkpoint(stored[0].path)
+    assert CHECKPOINT_SCHEMA in str(exc.value)
+    report = load_chain(str(tmp_path), run_id)
+    assert not report.checkpoints
+    assert len(report.problems) == len(stored)
+    assert all(" v2 " in p for p in report.problems)
+    # the refused chain is reported, and the replay from run.json lands on
+    # the same bits
+    result = resume_run(str(tmp_path), run_id)
+    assert result.problems == report.problems
+    assert result.verified == 0
+    assert _core(result.record) == control
 
-    monkeypatch.setattr(ckpt_mod, "CHECKPOINT_VERSION", CHECKPOINT_VERSION + 1)
-    monkeypatch.setitem(_MIGRATIONS, CHECKPOINT_VERSION, _v1_to_v2)
-    out = read_checkpoint(path)
-    assert calls == [0]
-    assert out.version == CHECKPOINT_VERSION + 1
+
+def test_checkpoint_size_is_independent_of_run_length(tmp_path):
+    """A checkpoint holds a cursor and an attested core, never the heap
+    or the telemetry rings, so its size does not grow with the run."""
+    spec, every = _spec("bspmm")
+    measure_cell(dict(spec, checkpoint_dir=str(tmp_path),
+                      checkpoint_every=every))
+    run_dir = tmp_path / run_id_for(spec)
+    sizes = [p.stat().st_size for p in run_dir.glob("*.ckpt")]
+    assert len(sizes) >= 10
+    assert max(sizes) < 16 * 1024
 
 
 def test_atomic_write_leaves_no_tmp(tmp_path):

@@ -90,9 +90,8 @@ def _as_stored_by(engine, spec, directory):
 
 
 def _assert_replayed_from_start(result, capsys):
-    """A sharded-engine chain: its heap bytes are not the one loop's, so
-    nothing is restored or re-verified, and a one-line note says so."""
-    assert not result.restored and result.restored_events == 0
+    """A sharded-engine chain attests another engine's internal state, so
+    nothing is re-verified, and a one-line note says so."""
     assert result.verified == 0
     note = capsys.readouterr().err.splitlines()
     assert len(note) == 1 and "'sharded'" in note[0]
@@ -111,37 +110,11 @@ def test_crash_resume_parity(tmp_path, capsys, app, engine):
     capsys.readouterr()
     result = resume_run(str(tmp_path), run_id)
     if engine == "seq":
-        # format v2: the newest checkpoint carries physical heap bytes, so
-        # the prefix replay is skipped entirely instead of re-verified
-        assert result.restored
-        assert result.restored_events >= 1
-        assert result.verified == 0
+        # the replay re-attests every stored checkpoint on its way
+        assert result.verified == len(chain.checkpoints)
     else:
         _assert_replayed_from_start(result, capsys)
     assert result.written >= 1  # the run continued past the chain
-    assert not result.problems
-    assert _core(result.record) == control
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_verify_replay_fallback(tmp_path, capsys, engine):
-    """``verify=True`` (CLI ``--verify``) forces the full prefix replay
-    even when physical heap bytes are available, re-attesting every
-    stored checkpoint -- and still lands on the identical record.  A
-    sharded-engine chain has nothing to re-attest: it replays from the
-    start."""
-    spec, every = _spec("mra")
-    control = _core(measure_cell(dict(spec)))
-    _crash(spec, every, str(tmp_path))
-    run_id = _as_stored_by(engine, spec, str(tmp_path))
-    capsys.readouterr()
-    result = resume_run(str(tmp_path), run_id, verify=True)
-    if engine == "seq":
-        assert not result.restored and result.restored_events == 0
-        assert result.verified >= 1
-    else:
-        _assert_replayed_from_start(result, capsys)
-    assert result.written >= 1
     assert not result.problems
     assert _core(result.record) == control
 
@@ -168,17 +141,13 @@ def test_resume_of_completed_run_is_idempotent(tmp_path):
     control = _core(measure_cell(dict(spec, checkpoint_dir=str(tmp_path),
                                       checkpoint_every=every)))
     stored = len(load_chain(str(tmp_path), run_id_for(spec)).checkpoints)
-    result = resume_run(str(tmp_path), run_id_for(spec), verify=True)
-    # every stored checkpoint re-attested, nothing new written
-    assert result.verified == stored
-    assert result.written == 0
-    assert _core(result.record) == control
-    # the physical path restores straight to the terminal (drain)
-    # checkpoint and re-attests that cursor; record parity still holds
-    result = resume_run(str(tmp_path), run_id_for(spec))
-    assert result.restored
-    assert result.verified == 0 and result.written == 1
-    assert _core(result.record) == control
+    # every stored checkpoint re-attested, nothing new written -- and a
+    # second resume finds the same chain untouched
+    for _ in range(2):
+        result = resume_run(str(tmp_path), run_id_for(spec))
+        assert result.verified == stored
+        assert result.written == 0
+        assert _core(result.record) == control
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
@@ -189,7 +158,7 @@ def test_resume_rejects_mismatched_config(tmp_path):
         resume_run(str(tmp_path), run_id_for(spec), spec=wrong)
     # the matching spec is accepted
     result = resume_run(str(tmp_path), run_id_for(spec), spec=dict(spec))
-    assert result.restored or result.verified >= 1
+    assert result.verified >= 1
 
 
 def test_resume_unknown_run_fails_loudly(tmp_path):
@@ -226,6 +195,22 @@ def test_resume_skips_torn_tail_and_reports_it(tmp_path):
     result = resume_run(str(tmp_path), run_id)
     assert result.problems  # the torn file is reported...
     assert _core(result.record) == control  # ...and parity still holds
+
+
+def test_bench_resume_prints_the_checkpoints_the_replay_verified(
+        tmp_path, capsys):
+    from repro.bench.__main__ import main as bench_main
+
+    spec, every = _spec("mra")
+    _crash(spec, every, str(tmp_path), nth=3)
+    run_id = run_id_for(spec)
+    stored = len(load_chain(str(tmp_path), run_id).checkpoints)
+    assert stored >= 2
+    capsys.readouterr()
+    assert bench_main(["--checkpoint-dir", str(tmp_path),
+                       "--resume", run_id]) == 0
+    out = capsys.readouterr().out
+    assert f": verified {stored} stored checkpoint(s), wrote " in out
 
 
 def test_ledger_records_resume_point(tmp_path):

@@ -1,16 +1,15 @@
-"""What a resume does with artefacts older than this version.
+"""What a resume does with run manifests older than this version.
 
-Three kinds of on-disk leftovers can still turn up in a checkpoint
-directory: a run manifest whose spec names an engine kind that no longer
-exists -- ``"mp"``, which must fail with a message and never a traceback,
-or ``"sharded"``, which replayed the one loop's exact event order and so
-resumes on the one engine with a note; format-v2 heap blobs whose RMA
-section carries the ``"stride"`` key the multiprocess engine's workers
-used, which restore as if the key were not there; and heap blobs written
-before the heap entry became the ``(time, seq, fn, args)`` event, which
-are refused rather than partially loaded.  The ``parity`` gate CI runs on
-top of a resume is pinned here too.
+A run manifest whose spec names an engine kind that no longer exists can
+still turn up in a checkpoint directory: ``"mp"`` must fail with a
+message and never a traceback; ``"sharded"`` replayed the one loop's
+exact event order and so resumes on the one engine with a note.  (Older
+checkpoint *files* are refused by the reader; see
+``test_durability_checkpoint``.)  The ``parity`` gate CI runs on top of a
+resume is pinned here too.
 """
+
+import re
 
 import pytest
 
@@ -19,15 +18,12 @@ from repro.durability import (
     FaultPlan,
     InjectedFault,
     ResumeConfigError,
-    ResumeMismatchError,
     chaos,
-    load_chain,
     resume_run,
     run_id_for,
 )
 from repro.durability.checkpoint import write_run_manifest
 from repro.durability.cli import VOLATILE_RECORD_KEYS
-from repro.runtime.registry import RuntimeRegistry
 
 STALE_SPEC = {"app": "fw", "seed": 0, "engine": "mp", "nodes": 2, "n": 256,
               "b": 128, "workers": 2}
@@ -68,9 +64,9 @@ def test_durability_cli_has_no_engine_flag(capsys):
     assert "unrecognized arguments: --engine seq" in capsys.readouterr().err
 
 
-def test_parity_cli_accepts_a_physical_restore(tmp_path, capsys):
-    """The CI kill-and-resume gate: a resume that restored heap bytes
-    (and so re-verified nothing by replay) still used the chain."""
+def test_parity_cli_reports_the_verified_checkpoints(tmp_path, capsys):
+    """The CI kill-and-resume gate: the resume re-verified the stored
+    chain by replay and says how much of it."""
     from repro.durability.cli import main as durability_main
 
     code = durability_main([
@@ -79,7 +75,8 @@ def test_parity_cli_accepts_a_physical_restore(tmp_path, capsys):
         "workers=2", "--every", "10", "--nth", "2", "--kill-mode",
         "exception"])
     assert code == 0
-    assert "restored physically" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert re.search(r"OK -- .*\(([1-9]\d*) checkpoint\(s\) verified", out)
 
 
 def _core(record):
@@ -98,144 +95,6 @@ def _kill_at_third_checkpoint(spec, tmp_path, every):
         with pytest.raises(InjectedFault):
             measure_cell(dict(spec, checkpoint_dir=str(tmp_path),
                               checkpoint_every=every))
-
-
-def _assert_physical_resume_matches(control, spec, tmp_path):
-    result = resume_run(str(tmp_path), run_id_for(spec))
-    assert result.restored and result.restored_events >= 1
-    assert result.verified == 0 and result.written >= 1
-    assert not result.problems
-    assert _core(result.record) == control
-
-
-@pytest.mark.parametrize("old_stride_key", [False, True])
-def test_physical_restore_of_four_rank_potrf(tmp_path, monkeypatch,
-                                             old_stride_key):
-    """A v2 heap-byte restore resumes bit-for-bit, with or without the
-    ``"stride": 1`` key that blobs of the multiprocess era carry."""
-    control = _core(measure_cell(dict(POTRF_SPEC)))
-    with monkeypatch.context() as patched:
-        if old_stride_key:
-            dumps = RuntimeRegistry.dumps
-
-            def dumps_old_shape(self, blob):
-                blob["rma"]["stride"] = 1
-                return dumps(self, blob)
-
-            patched.setattr(RuntimeRegistry, "dumps", dumps_old_shape)
-        _kill_at_third_checkpoint(POTRF_SPEC, tmp_path, every=10)
-    _assert_physical_resume_matches(control, POTRF_SPEC, tmp_path)
-
-
-def test_physical_restore_of_both_entry_shapes(tmp_path, monkeypatch):
-    """A fresh blob whose heap holds single events and same-time bursts
-    restores into the rebuilt runtime and resumes bit-for-bit."""
-    control = _core(measure_cell(dict(POTRF_SPEC)))
-    shapes = []
-    dumps = RuntimeRegistry.dumps
-
-    def dumps_recording_shapes(self, blob):
-        shapes.append({fn is None for _, _, fn, _ in blob["engine"]["heap"]})
-        return dumps(self, blob)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(RuntimeRegistry, "dumps", dumps_recording_shapes)
-        _kill_at_third_checkpoint(POTRF_SPEC, tmp_path, every=15)
-    assert shapes[-1] == {True, False}  # the blob resumed from holds both
-    _assert_physical_resume_matches(control, POTRF_SPEC, tmp_path)
-
-
-def _assert_refused_then_replayed(tmp_path, monkeypatch, old_engine_state,
-                                  patch_base=()):
-    """Crash ``POTRF_SPEC`` writing blobs whose engine state is rewritten
-    by ``old_engine_state``; a physical resume must refuse the newest
-    blob with the replay hint and leave the rebuilt engine untouched, and
-    the replay the hint names must land on the identical record.
-    ``patch_base`` names ``repro.runtime.base`` attributes that exist only
-    while the blobs are written (heap record classes this version lacks)."""
-    import repro.runtime.base as base
-
-    dumps = RuntimeRegistry.dumps
-
-    def dumps_old_shape(self, blob):
-        return dumps(self, dict(blob, engine=old_engine_state(blob["engine"])))
-
-    with monkeypatch.context() as patched:
-        patched.setattr(RuntimeRegistry, "dumps", dumps_old_shape)
-        for name, value in patch_base:
-            patched.setattr(base, name, value, raising=False)
-        _kill_at_third_checkpoint(POTRF_SPEC, tmp_path, every=10)
-    run_id = run_id_for(POTRF_SPEC)
-    assert load_chain(str(tmp_path), run_id).latest.heap
-    loads = RuntimeRegistry.loads
-    restored_into = []
-
-    def loads_noting_engine(self, data):
-        restored_into.append(self.obj_of(("engine",)))
-        return loads(self, data)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(RuntimeRegistry, "loads", loads_noting_engine)
-        with pytest.raises(ResumeMismatchError,
-                           match="resume with verify=True to replay"):
-            resume_run(str(tmp_path), run_id)
-    engine, = restored_into
-    assert engine.events_processed == 0 and engine.now == 0.0
-    result = resume_run(str(tmp_path), run_id, verify=True)
-    assert result.verified >= 1 and not result.restored
-    assert _core(result.record) == _core(measure_cell(dict(POTRF_SPEC)))
-
-
-@pytest.mark.parametrize("engine", ["seq", "sharded"])
-def test_physical_restore_of_blob_without_owner_ranks(tmp_path, monkeypatch,
-                                                      engine):
-    """A v2 blob written before the owner rank travelled with the message
-    is older still than the heap-entry event: its heap held
-    ``(time, seq, event)`` triples whose deliveries lack the rank, in one
-    heap (``seq``) or in per-shard heaps (``sharded``).  It is refused,
-    never partially loaded; the replay lands on the identical record."""
-    from repro.core.graph import Executable
-    from repro.runtime.base import _run_local
-
-    stripped = []
-
-    def old_event(fn, args):
-        if fn is _run_local and \
-                getattr(args[1], "__func__", None) is Executable._deliver:
-            term, deliver, (tt, idx, key, value, _rank) = args
-            stripped.append(key)
-            args = (term, deliver, (tt, idx, key, value))
-        return fn, args
-
-    def old_engine_state(state):
-        heap = [(t, s, old_event(fn, args) if fn is not None
-                 else [old_event(*call) for call in args])
-                for t, s, fn, args in state["heap"]]
-        if engine == "seq":
-            return dict(state, heap=heap)
-        return dict(kind="sharded", nshards=4, shards=[heap], incoming=[],
-                    now=state["now"], seq=state["seq"],
-                    events=state["events"])
-
-    _assert_refused_then_replayed(tmp_path, monkeypatch, old_engine_state)
-    assert stripped  # the blobs held rank-less deliveries
-
-
-def test_physical_restore_refuses_a_pre_event_blob(tmp_path, monkeypatch):
-    """A v2 blob whose heap entries already have the event's shape but
-    hold a ``_LocalRun`` record -- a class this version no longer has --
-    is refused with the replay hint, like every pre-event blob."""
-    import repro.runtime.base as base
-
-    # stands in for the heap record class this version no longer has
-    old_record = type("_LocalRun", (), {"__module__": base.__name__})
-
-    def old_engine_state(state):
-        return dict(state, heap=[(t, s, None, [(old_record(), ())])
-                                 for t, s, _, _ in state["heap"]])
-
-    _assert_refused_then_replayed(tmp_path, monkeypatch, old_engine_state,
-                                  patch_base=[("_LocalRun", old_record)])
 
 
 def test_resume_of_sharded_spec_runs_on_the_one_engine(tmp_path, capsys):
@@ -259,12 +118,12 @@ def test_resume_of_sharded_spec_runs_on_the_one_engine(tmp_path, capsys):
     note = capsys.readouterr().err.splitlines()
     assert len(note) == 1 and note[0].startswith("note: ")
     assert "'sharded'" in note[0] and "one engine" in note[0]
-    assert not result.restored and result.verified == 0 and result.written
+    assert result.verified == 0 and result.written
     assert _core(result.record) == _core(measure_cell(dict(POTRF_SPEC)))
     # the run directory now holds a one-engine chain: a second resume
-    # restores it physically, without a note
+    # re-verifies all of it, without a note
     assert json.loads(manifest.read_text())["spec"]["engine"] == "seq"
     again = resume_run(str(tmp_path), run_id)
     assert capsys.readouterr().err == ""
-    assert again.restored
+    assert again.verified == result.written and again.written == 0
     assert _core(again.record) == _core(result.record)

@@ -262,40 +262,3 @@ def test_reused_calls_list_is_safe():
     eng.run()
     assert hits == ["a", "b", "changed", "b", "appended"]
 
-
-def test_dump_and_load_round_trip_a_heap_of_both_entry_shapes():
-    def build(eng, hits):
-        eng.schedule(1.0, hits.append, "single")
-        eng.schedule_batch(1.0, [(hits.append, (i,)) for i in range(3)])
-        eng.schedule(2.0, hits.append, "last")
-
-    want = []
-    eng = Engine()
-    build(eng, want)
-    eng.run()
-
-    hits = []
-    src = Engine()
-    build(src, hits)
-    src.run(max_events=2)  # splits the burst: one member left queued
-    state = src.dump_state()
-    assert {fn is None for _, _, fn, _ in state["heap"]} == {True, False}
-    dst = Engine()
-    dst.load_state(state)
-    assert (dst.now, dst.pending, dst.events_processed) == (1.0, 3, 2)
-    dst.run()
-    assert hits == want
-    assert dst.events_processed == eng.events_processed == 5
-
-
-@pytest.mark.parametrize("state", [
-    {"kind": "sharded", "now": 1.0, "seq": 3, "events": 2, "heap": []},
-    {"kind": "seq", "now": 1.0, "seq": 3, "events": 2,
-     "heap": [(2.0, 1, "an Event object")]},
-])
-def test_load_state_refuses_an_older_shape_and_changes_nothing(state):
-    eng = Engine()
-    eng.schedule(5.0, print)
-    with pytest.raises(EngineError):
-        eng.load_state(state)
-    assert (eng.now, eng.pending, eng.events_processed) == (0.0, 1, 0)

@@ -19,7 +19,6 @@ labels.  Four checks hold that together:
 import gc
 import hashlib
 import json
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -126,21 +125,10 @@ def test_fast_path_reads_back_like_the_public_api(ops, capacity):
     _record_both(ops, public, fast)
     _record_both(ops, EventBus(capacity=0), unbuffered)
 
-    # Unread records survive a checkpoint round trip as records.
-    state = pickle.loads(pickle.dumps(fast.dump_state()))
-    assert all(type(r) is tuple for ring in state["rings"] for r in ring)
-    restored = EventBus(capacity=capacity)
-    restored.load_state(state)
-
     want = _views(public)
     assert _views(fast) == want
-    assert _views(restored) == want
     # Reading twice hands out the same objects.
     assert all(a is b for a, b in zip(fast.events(), fast.events()))
-    # A restored bus takes event objects as well as records.
-    again = EventBus(capacity=capacity)
-    again.load_state(pickle.loads(pickle.dumps(fast.dump_state())))
-    assert _views(again) == want
     # Subscribers got event objects, in recording order.
     if capacity is None:
         assert sorted(streamed, key=lambda e: (e.rank, e.ts)) == \
