@@ -448,7 +448,7 @@ def _priomap_probe(ctx: LintContext) -> Iterator[Finding]:
 _RUNTIME_TYPE_NAMES = frozenset({
     "Backend", "Executable", "Cluster", "Engine", "CommEngine", "RmaWindow",
     "EventBus", "Telemetry", "MetricsRegistry", "World", "Sanitizer",
-    "TerminationDetector", "WorkerPool",
+    "WorkerPool",
 })
 
 #: Methods that mark a value as mutable application data: tiles and

@@ -256,21 +256,21 @@ class Executable:
             raise keymap_out_of_range(tt, key, dst, nranks)
         self.backend.post_local(self._deliver, tt, term.index, key, value, dst)
 
-    def fence(self, max_events: Optional[int] = None) -> float:
+    def fence(self) -> float:
         """Drain all tasks and messages; returns the makespan.
 
-        With the sanitizer armed and telemetry attached, a completed
-        fence (``max_events=None``) additionally runs the happens-before
-        race detector over the recorded event stream; findings land on
-        :attr:`race_findings` (strict mode raises instead).
+        With the sanitizer armed and telemetry attached, the fence
+        additionally runs the happens-before race detector over the
+        recorded event stream; findings land on :attr:`race_findings`
+        (strict mode raises instead).
         """
         if self.backend.ledger is not None:
             self.backend.ledger.phase("fence", sim=self.backend.engine.now,
                                       graph=self.graph.name)
         if self.backend.checkpointer is not None:
             self.backend.checkpointer.phase("fence")
-        makespan = self.backend.run(max_events=max_events)
-        if self.sanitizer is not None and max_events is None:
+        makespan = self.backend.run()
+        if self.sanitizer is not None:
             self.sanitizer.on_shutdown()
             tel = self.backend.telemetry
             if tel is not None and tel.bus.enabled:

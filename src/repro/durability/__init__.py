@@ -1,7 +1,7 @@
 """Durable runs: crash-consistent checkpoint/resume + fault injection.
 
 - :mod:`repro.durability.checkpoint` -- the versioned checkpoint format
-  (``repro.durability/checkpoint`` v3: spec, cursor and an attested
+  (``repro.durability/checkpoint`` v4: spec, cursor and an attested
   logical core, no runtime bytes), atomic write path, chain loader and
   the :class:`Checkpointer` engine hook.
 - :mod:`repro.durability.runner` -- :func:`resume_run`, rebuilding a

@@ -4,15 +4,14 @@ Design -- deterministic-replay (logical) checkpoints
 ----------------------------------------------------
 
 A simulated run's event heap holds callbacks into shared runtime state
-(worker pools, the NIC model, termination counters), so the heap alone is
-not a checkpoint.  What *can* be captured exactly is everything TaskTorrent
+(worker pools, the NIC model, the RMA window), so the heap alone is not a
+checkpoint.  What *can* be captured exactly is everything TaskTorrent
 showed a task runtime reduces to when task bodies are pure functions of
 their inputs: the rebuild **spec** (the cell description that constructs
 the Backend/Executable), the replay **cursor** (events processed, virtual
 clock, scheduling sequence number), and the serializable **core** --
-run-stat counters, the termination detector's message/task ledger,
-per-graph pending-instance and template-task counts, and a digest of the
-telemetry counters.  Because the simulator is deterministic, that core is a
+run-stat counters, per-graph pending-instance and template-task counts,
+and a digest of the telemetry counters.  Because the simulator is deterministic, that core is a
 bit-for-bit *attestation* of the run's trajectory at the cadence point.
 
 Resume rebuilds the Backend/Executable from the stored spec and replays
@@ -26,7 +25,7 @@ completion, producing final stats, traces and bench records bit-for-bit
 identical to an uninterrupted run (asserted by the resume-parity suite).
 This is the only resume path, and it is the same for every backend.
 
-On-disk format (``repro.durability/checkpoint`` v3)
+On-disk format (``repro.durability/checkpoint`` v4)
 ---------------------------------------------------
 
 One file per cadence point, ``<dir>/<run-id>/ckpt-NNNNNN-EEEEEEEEEEEE.ckpt``
@@ -35,7 +34,7 @@ order), written via :class:`repro.serialization.archive.BufferOutputArchive`
 frames::
 
     [0] schema  (str)   "repro.durability/checkpoint"
-    [1] version (int)   3
+    [1] version (int)   4
     [2] manifest (str)  canonical JSON: run/index/events/sim/seq/every/
                         spec/state_digest/prev_digest/host
     [3] state   (str)   canonical JSON: the serializable core
@@ -71,7 +70,7 @@ from repro.serialization.archive import (
 )
 
 CHECKPOINT_SCHEMA = "repro.durability/checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Default cadence (events between checkpoints); matches the ledger
 #: heartbeat default so both hooks share the run's rhythm.
@@ -546,17 +545,9 @@ class Checkpointer:
             "seq": engine._seq,
             "pending": engine.pending,
         }
-        term = backend.termination
-        termination: Dict[str, Any] = {
-            "messages_sent": term.messages_sent,
-            "messages_delivered": term.messages_delivered,
-            "tasks_created": term.tasks_created,
-            "tasks_retired": term.tasks_retired,
-        }
         state: Dict[str, Any] = {
             "engine": eng,
             "stats": backend.stats.as_dict(),
-            "termination": termination,
             "executables": [
                 {"graph": ex.graph.name, "pending": ex.pending_instances,
                  "task_counts": dict(ex.task_counts)}

@@ -14,10 +14,11 @@ Both support the full TTG feature set; they differ only in performance
 characteristics, exactly as the paper states.
 """
 
-from repro.runtime.base import Backend, BackendConfig, RunStats, WorkerPool
+from repro.runtime.base import (
+    Backend, BackendConfig, RunStats, TerminationError, WorkerPool,
+)
 from repro.runtime.scheduler import get_scheduler, SCHEDULER_NAMES
 from repro.runtime.futures import Future, FutureError
-from repro.runtime.termination import TerminationDetector, DijkstraScholten
 from repro.runtime.parsec import ParsecBackend
 from repro.runtime.madness import MadnessBackend
 from repro.runtime.world import World
@@ -43,8 +44,7 @@ __all__ = [
     "SCHEDULER_NAMES",
     "Future",
     "FutureError",
-    "TerminationDetector",
-    "DijkstraScholten",
+    "TerminationError",
     "ParsecBackend",
     "MadnessBackend",
     "World",

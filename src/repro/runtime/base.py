@@ -11,7 +11,7 @@ communication and computation in a distributed setting.  The TTG core layer
 - :meth:`Backend.send_value` -- serialize a value with the best available
   protocol and deliver it on the destination rank (eager or splitmd+RMA).
 - :meth:`Backend.send_control` -- small control-only active message.
-- :meth:`Backend.run` -- drain the event queue and validate termination.
+- :meth:`Backend.run` -- drain the event queue and check nothing was lost.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.comm.endpoint import CommEngine
-from repro.comm.rma import RmaWindow
+from repro.comm.rma import RmaError, RmaWindow
 from repro.runtime.scheduler import InstrumentedQueue, get_scheduler
-from repro.runtime.termination import TerminationDetector
 from repro.serialization.protocols import Protocol, SerializedMessage
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
 from repro.serialization.traits import pack
 from repro.sim.cluster import Cluster
-from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, Telemetry
+from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, TID_RT, Telemetry
 
 #: Size charged for control-only active messages (task-id only, no data).
 CONTROL_BYTES = 64
@@ -37,6 +36,11 @@ CONTROL_BYTES = 64
 _TASK_ARGS = "key! template priority pcie_bytes? data*"
 _PROTO_ARGS = ("src", "nbytes")
 _DEPTH_ARGS = ("depth",)
+
+
+class TerminationError(RuntimeError):
+    """Work left behind after the event queue drained: a queued task that
+    was never dispatched, or a worker whose completion never came."""
 
 
 @dataclass
@@ -103,35 +107,6 @@ class RunStats:
         d["tasks_by_template"] = dict(self.tasks_by_template)
         d["bytes_by_protocol"] = dict(self.bytes_by_protocol)
         return d
-
-
-def _run_local(termination: TerminationDetector, fn: Callable[..., None],
-               args: Tuple[Any, ...]) -> None:
-    """A rank-local delivery posted via ``post_local``: the event's
-    ``fn`` with ``(termination, fn, args)`` as its arguments.
-
-    A module-level function scheduled with positional arguments, not a
-    closure built per post: no wrapper frame per message (DESIGN §7).
-    """
-    try:
-        fn(*args)
-    finally:
-        termination.task_retired()
-
-
-class _CtrlDeliver:
-    """Heap record for the arrival of a control-only active message."""
-
-    __slots__ = ("termination", "on_deliver")
-
-    def __init__(self, termination: TerminationDetector,
-                 on_deliver: Callable[[], None]) -> None:
-        self.termination = termination
-        self.on_deliver = on_deliver
-
-    def __call__(self) -> None:
-        self.termination.message_delivered()
-        self.on_deliver()
 
 
 class _OnMeta:
@@ -219,7 +194,6 @@ class _OnPayload:
             self.dst, self.src, CONTROL_BYTES, backend._release_handle,
             self.handle, tag="rel"
         )
-        backend.termination.message_delivered()
         self.on_deliver(obj)
 
 
@@ -268,7 +242,6 @@ class _EagerDeliver:
         self.on_deliver = on_deliver
 
     def __call__(self) -> None:
-        self.backend.termination.message_delivered()
         self.on_deliver(self.proto.deserialize(self.msg))
 
 
@@ -369,6 +342,11 @@ class WorkerPool:
     def busy_workers(self) -> int:
         return self.nworkers - len(self._idle)
 
+    @property
+    def running(self) -> int:
+        """Tasks on a worker or accelerator slot, completion pending."""
+        return self.busy_workers + self._node.gpus - len(self._gpu_idle)
+
     def submit_gpu(self, task: _ReadyTask) -> None:
         """Queue an accelerator task (CPU tasks are queued inline by
         :meth:`Backend.submit`)."""
@@ -455,7 +433,6 @@ class WorkerPool:
             task.fn()
         finally:
             self._idle.append(worker)
-            backend.termination.task_retired()
             self._dispatch()
 
     def _complete_gpu(self, task: _ReadyTask, slot: int, start: float,
@@ -473,7 +450,6 @@ class WorkerPool:
             task.fn()
         finally:
             self._gpu_idle.append(slot)
-            backend.termination.task_retired()
             self._dispatch()
 
 
@@ -506,7 +482,6 @@ class Backend:
         # repro.durability.Checkpointer writing crash-consistent snapshots
         # at engine cadence points.  None => no engine hook installed.
         self.checkpointer = None
-        self.termination = TerminationDetector()
         base_am = cluster.machine.network.am_overhead
         per_byte = self.config.am_cost_per_byte
         self.comm = CommEngine(
@@ -522,14 +497,13 @@ class Backend:
         """Arm the telemetry hooks on every layer this backend owns.
 
         Binds the bus clock to this backend's engine, installs the
-        instrumented ready queues, and points the comm engine and
-        termination detector at the same bus.  Attach before submitting
-        work (the queue wrappers require empty queues).
+        instrumented ready queues, and points the comm engine at the same
+        bus.  Attach before submitting work (the queue wrappers require
+        empty queues).
         """
         telemetry.bind(self)
         self.telemetry = telemetry
         self.comm.telemetry = telemetry
-        self.termination.telemetry = telemetry
         for pool in self.pools:
             pool.enable_telemetry(telemetry)
 
@@ -570,15 +544,16 @@ class Backend:
     def _ledger_progress(self, sim: float) -> None:
         """One incremental progress snapshot from the live run counters.
 
-        ``tasks_total`` is the termination detector's created count --
-        TTG task graphs are dynamic, so the total grows as execution
-        discovers work; the watch layer treats it as a moving target.
+        ``tasks_total`` adds the tasks queued or running on the pools right
+        now to the executed ones -- TTG task graphs are dynamic, so the
+        total grows as execution discovers work; the watch layer treats it
+        as a moving target.
         """
-        term = self.termination
+        done = self.stats.tasks_executed
         self.ledger.progress(
             sim,
-            tasks_done=term.tasks_retired,
-            tasks_total=term.tasks_created,
+            tasks_done=done,
+            tasks_total=done + sum(p.queued + p.running for p in self.pools),
             by_template=self.stats.tasks_by_template,
             bytes_by_protocol=self.stats.bytes_by_protocol,
             events=self.engine.events_processed,
@@ -614,7 +589,6 @@ class Backend:
 
         CPU tasks are queued and dispatched right here, in the caller's
         frame: this runs once per simulated task."""
-        self.termination.task_created()
         task = _ReadyTask(fn, flops, bytes_moved, priority, name, key,
                           device, inputs)
         pool = self.pools[rank]
@@ -635,10 +609,8 @@ class Backend:
         task body take effect after the body returns, in send order; the
         delay charges local copy costs.
         """
-        term = self.termination
-        term.task_created()
         engine = self.engine
-        engine.schedule_at(engine.now + delay, _run_local, term, fn, args)
+        engine.schedule_at(engine.now + delay, fn, *args)
 
     def post_local_batch(
         self,
@@ -653,12 +625,7 @@ class Backend:
         the event engine (broadcast fan-out posts dozens of same-timestamp
         deliveries; see :meth:`repro.sim.engine.Engine.schedule_batch`).
         """
-        if not calls:
-            return
-        term = self.termination
-        term.task_created(len(calls))
-        self.engine.schedule_batch(
-            delay, [(_run_local, (term, fn, args)) for fn, args in calls])
+        self.engine.schedule_batch(delay, calls)
 
     # -------------------------------------------------------------- messages
 
@@ -684,7 +651,6 @@ class Backend:
         self, src: int, dst: int, on_deliver: Callable[[], None], nbytes: int = CONTROL_BYTES
     ) -> None:
         """Small control-only active message (task id, no data)."""
-        self.termination.message_sent()
         self.stats.remote_messages += 1
         self.stats.remote_bytes += nbytes
         proto_stats = self.stats.bytes_by_protocol
@@ -694,10 +660,7 @@ class Backend:
             tel.metrics.counter("messages", protocol="control",
                                 src=src, dst=dst).inc()
             tel.metrics.counter("message_bytes", protocol="control").inc(nbytes)
-
-        self.comm.send_am(src, dst, nbytes,
-                          _CtrlDeliver(self.termination, on_deliver),
-                          tag="ctrl")
+        self.comm.send_am(src, dst, nbytes, on_deliver, tag="ctrl")
 
     def send_value(
         self,
@@ -720,7 +683,6 @@ class Backend:
         proto, msg = self.serialize(value)
         msg.eager_bytes += extra_bytes
         node = self.cluster.node
-        self.termination.message_sent()
         self.stats.remote_messages += 1
         self.stats.remote_bytes += msg.total_bytes
         proto_stats = self.stats.bytes_by_protocol
@@ -816,42 +778,70 @@ class Backend:
 
     # ------------------------------------------------------------------ run
 
-    def run(self, max_events: Optional[int] = None) -> float:
+    def run(self) -> float:
         """Drain all events; returns the makespan (final virtual time).
 
-        Validates termination (no lost messages/tasks) and the data
-        life-cycle (every splitmd source released -- the PaRSEC backend
-        owns the data flowing through the graph, so a leak is a bug).
+        Then checks that the drain left nothing behind (see
+        :meth:`_check_drained`).
         """
         ledger = self.ledger
         if ledger is not None:
             ledger.phase("execute", sim=self.engine.now)
         if self.checkpointer is not None:
             self.checkpointer.phase("execute")
-        self.engine.run(max_events=max_events)
-        self.termination.validate()
+        self.engine.run()
+        if self.sanitizer is not None:
+            self.sanitizer.on_backend_drain(self)
+        self._check_drained()
         if ledger is not None:
             ledger.phase("drain", sim=self.engine.now)
             self._ledger_progress(self.engine.now)
-        if self.sanitizer is not None and max_events is None:
-            self.sanitizer.on_backend_drain(self)
-        if max_events is None and self.rma.live_handles():
-            from repro.comm.rma import RmaError
-
-            raise RmaError(
-                f"{self.rma.live_handles()} splitmd source objects were "
-                "never released (data life-cycle leak)"
-            )
         self.stats.makespan = self.engine.now
         if self.telemetry is not None:
             self.telemetry.metrics.gauge("makespan").set(self.engine.now)
-        if self.checkpointer is not None and max_events is None:
+        if self.checkpointer is not None:
             # Terminal cadence point: a completed run always carries an
-            # attestation of its final state (partial drains excluded --
-            # more work will follow in the same run).
+            # attestation of its final state.
             self.checkpointer.on_drain(self.engine.now,
                                        self.engine.events_processed)
         return self.engine.now
+
+    def _check_drained(self) -> None:
+        """Quiescence check after a full drain of the event queue.
+
+        With one event loop an empty heap *is* global quiescence, so lost
+        work shows up as the state it leaves behind: a task queued but
+        never dispatched, a worker or accelerator slot whose completion
+        never came (:class:`TerminationError`), or a splitmd source never
+        released (:class:`~repro.comm.rma.RmaError` -- the PaRSEC backend
+        owns the data flowing through the graph, so a leak is a bug).
+        Marks the quiescence once per drain on the telemetry timeline.
+        """
+        for pool in self.pools:
+            if pool.queued or pool.running:
+                raise TerminationError(
+                    f"lost work on rank {pool.rank}: {pool.queued} task(s) "
+                    f"queued and {pool.running} running after the event "
+                    "queue drained"
+                )
+        live = self.rma.live_handles()
+        if live:
+            raise RmaError(
+                f"{live} splitmd source objects were never released "
+                "(data life-cycle leak)"
+            )
+        tel = self.telemetry
+        if tel is not None:
+            epochs = tel.metrics.counter("quiescence_epochs")
+            epochs.inc()
+            if tel.bus.recording:
+                stats = self.stats
+                tel.bus.instant(
+                    "quiescence", 0, TID_RT, cat="rt",
+                    epoch=int(epochs.value),
+                    tasks=stats.tasks_executed + stats.local_deliveries,
+                    messages=stats.remote_messages,
+                )
 
     def close_ledger(self) -> None:
         """Seal the attached ledger (final snapshot) and disarm the engine

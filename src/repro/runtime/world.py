@@ -104,7 +104,7 @@ class World:
         MADNESS's ``world.gop.fence()``.
         """
         self.backend.engine.run()
-        self.backend.termination.validate()
+        self.backend._check_drained()
         barrier = self.backend.cluster.network.barrier_time(self.nranks)
         if barrier > 0.0:
             self.backend.engine.schedule(barrier, _noop)

@@ -133,23 +133,32 @@ def test_newer_version_rejected(tmp_path):
         read_checkpoint(path)
 
 
-def _write_v2(path, ckpt):
-    """Rewrite ``ckpt`` at ``path`` in the retired format v2: a heap frame
-    between state and checksum, and its size in the manifest."""
+def _write_old(path, ckpt, version):
+    """Rewrite ``ckpt`` at ``path`` in a retired format: v2 carried a heap
+    frame between state and checksum (its size in the manifest); v3 had
+    today's frames, with the termination counters in the state."""
+    manifest, state = ckpt.manifest(), dict(ckpt.state)
     heap = b"registry-pickled heap"
+    if version == 2:
+        manifest.update(phase_idx=1, heap_bytes=len(heap))
+    else:
+        state["termination"] = {"messages_sent": 0, "messages_delivered": 0,
+                                "tasks_created": 0, "tasks_retired": 0}
     arch = BufferOutputArchive()
     arch.store(CHECKPOINT_SCHEMA)
-    arch.store(2)
-    arch.store(json.dumps(dict(ckpt.manifest(), phase_idx=1,
-                               heap_bytes=len(heap))))
-    arch.store(json.dumps(ckpt.state))
-    arch.store(heap)
+    arch.store(version)
+    arch.store(json.dumps(manifest))
+    arch.store(json.dumps(state))
+    if version == 2:
+        arch.store(heap)
     arch.store(hashlib.sha256(arch.bytes()).digest())
     with open(path, "wb") as fh:
         fh.write(arch.bytes())
 
 
-def test_older_versions_are_refused_and_the_run_still_resumes(tmp_path):
+@pytest.mark.parametrize("version", [2, 3])
+def test_older_versions_are_refused_and_the_run_still_resumes(tmp_path,
+                                                              version):
     spec, every = _spec("mra")
     control = _core(measure_cell(dict(spec)))
     _crash(spec, every, str(tmp_path), nth=3)
@@ -157,14 +166,14 @@ def test_older_versions_are_refused_and_the_run_still_resumes(tmp_path):
     stored = load_chain(str(tmp_path), run_id).checkpoints
     assert len(stored) >= 2
     for ckpt in stored:
-        _write_v2(ckpt.path, ckpt)
-    with pytest.raises(CheckpointError, match="v2") as exc:
+        _write_old(ckpt.path, ckpt, version)
+    with pytest.raises(CheckpointError, match=f"v{version}") as exc:
         read_checkpoint(stored[0].path)
     assert CHECKPOINT_SCHEMA in str(exc.value)
     report = load_chain(str(tmp_path), run_id)
     assert not report.checkpoints
     assert len(report.problems) == len(stored)
-    assert all(" v2 " in p for p in report.problems)
+    assert all(f" v{version} " in p for p in report.problems)
     # the refused chain is reported, and the replay from run.json lands on
     # the same bits
     result = resume_run(str(tmp_path), run_id)

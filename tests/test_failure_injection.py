@@ -3,14 +3,13 @@
 The simulator executes everything inline, so a failing task body, reducer,
 keymap, cost function or serializer must propagate out of ``fence`` as the
 original exception (with the run left diagnosable) -- silent loss of work
-is the one unacceptable outcome, and the termination validator guards it.
+is the one unacceptable outcome, and the drain check guards it.
 """
 
 import pytest
 
 from repro import core as ttg
-from repro.runtime import ParsecBackend
-from repro.runtime.termination import TerminationError
+from repro.runtime import ParsecBackend, TerminationError
 from repro.sim.cluster import Cluster, HAWK
 
 
@@ -134,9 +133,12 @@ def test_unserializable_value_local_send_is_fine():
 
 
 def test_lost_message_detected_by_termination():
+    """A completion event the loop never runs leaves its worker busy; the
+    drain names the rank instead of returning a short run."""
     be = backend(2)
-    be.termination.message_sent()  # simulate a message the network ate
-    with pytest.raises(TerminationError, match="lost work"):
+    be.submit(1, lambda: None, flops=1e6)
+    be.engine._heap.clear()  # the completion event is lost
+    with pytest.raises(TerminationError, match="lost work on rank 1"):
         be.run()
 
 

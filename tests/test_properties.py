@@ -11,7 +11,6 @@ from repro.linalg.blocksparse import IrregularTiling
 from repro.linalg.tile import MatrixTile
 from repro.linalg.tiled_matrix import BlockCyclicDistribution, grid_dims
 from repro.runtime import ParsecBackend
-from repro.runtime.termination import DijkstraScholten
 from repro.serialization.archive import BufferInputArchive, BufferOutputArchive
 from repro.sim.cluster import Cluster, HAWK
 from repro.sim.engine import Engine
@@ -168,28 +167,3 @@ def test_fw_reference_fixed_point_and_triangle(n, seed):
             assert d[i, j] <= d[i, 0] + d[0, j] + 1e-9
     # never longer than direct edge
     assert np.all(d <= w + 1e-12)
-
-
-# -------------------------------------------------------------- termination
-
-
-@given(st.data())
-@_settings
-def test_dijkstra_scholten_always_terminates(data):
-    n = data.draw(st.integers(min_value=1, max_value=5))
-    done = []
-    ds = DijkstraScholten(n, on_terminate=lambda: done.append(True))
-    ds.start(0)
-    active = {0}
-    # random message exchanges from active nodes
-    nsteps = data.draw(st.integers(min_value=0, max_value=20))
-    for _ in range(nsteps):
-        src = data.draw(st.sampled_from(sorted(active)))
-        dst = data.draw(st.integers(min_value=0, max_value=n - 1))
-        ds.send(src, dst)
-        ds.deliver(src, dst)
-        active.add(dst)
-    for rank in sorted(active, reverse=True):
-        ds.idle(rank)
-    assert done == [True]
-    assert all(d == 0 for d in ds.deficit)

@@ -1,4 +1,4 @@
-"""Tests for schedulers, futures, termination detection and backends."""
+"""Tests for schedulers, futures, backends and the drain check."""
 
 import pytest
 
@@ -7,17 +7,17 @@ from repro.runtime import (
     BACKENDS,
     Backend,
     BackendConfig,
-    DijkstraScholten,
     Future,
     FutureError,
     MadnessBackend,
     ParsecBackend,
-    TerminationDetector,
+    TerminationError,
+    World,
     make_backend,
 )
+from repro.runtime.base import _ReadyTask
 from repro.runtime.futures import when_all
 from repro.runtime.scheduler import SCHEDULER_NAMES, get_scheduler
-from repro.runtime.termination import TerminationError
 from repro.sim.cluster import Cluster, HAWK
 
 
@@ -118,77 +118,6 @@ def test_when_all():
     fs[2].set("c")
     assert combined.get() == ["a", "b", "c"]
     assert when_all([]).get() == []
-
-
-# -------------------------------------------------------------- termination
-
-
-def test_counting_detector_quiescence():
-    td = TerminationDetector()
-    assert td.quiescent
-    td.task_created()
-    assert not td.quiescent
-    td.task_retired()
-    assert td.quiescent
-    td.validate()
-
-
-def test_counting_detector_callback_fires_once_per_epoch():
-    td = TerminationDetector()
-    fired = []
-    td.task_created()
-    td.on_quiescence(lambda: fired.append(1))
-    td.task_retired()
-    assert fired == [1]
-    # re-arm
-    td.message_sent()
-    td.on_quiescence(lambda: fired.append(2))
-    td.message_delivered()
-    assert fired == [1, 2]
-
-
-def test_counting_detector_conservation_errors():
-    td = TerminationDetector()
-    with pytest.raises(TerminationError):
-        td.message_delivered()
-    td2 = TerminationDetector()
-    td2.message_sent()
-    with pytest.raises(TerminationError):
-        td2.validate()
-
-
-def test_dijkstra_scholten_simple():
-    done = []
-    ds = DijkstraScholten(3, on_terminate=lambda: done.append(True))
-    ds.start(0)
-    ds.send(0, 1)
-    ds.deliver(0, 1)
-    ds.send(1, 2)
-    ds.deliver(1, 2)
-    ds.idle(2)
-    ds.idle(1)
-    assert not done
-    ds.idle(0)
-    assert done == [True]
-
-
-def test_dijkstra_scholten_ack_to_engaged_node():
-    done = []
-    ds = DijkstraScholten(2, on_terminate=lambda: done.append(True))
-    ds.start(0)
-    ds.send(0, 1)
-    ds.deliver(0, 1)
-    ds.send(0, 1)   # second message to an already-engaged node
-    ds.deliver(0, 1)  # acked immediately
-    ds.idle(1)
-    ds.idle(0)
-    assert done == [True]
-
-
-def test_dijkstra_scholten_idle_cannot_send():
-    ds = DijkstraScholten(2)
-    with pytest.raises(TerminationError):
-        ds.send(1, 0)
 
 
 # ----------------------------------------------------------------- backends
@@ -301,11 +230,29 @@ def test_maybe_copy_local_modes():
     assert v is not tile and d > 0.0  # madness copies even const-ref
 
 
+def _strand_queued_task(be, rank):
+    """A task pushed onto a ready queue without a dispatch."""
+    be.pools[rank]._queue.push(_ReadyTask(lambda: None, 0.0, 0.0, 0, "t", 0), 0)
+
+
+def _strand_busy_worker(be, rank):
+    """A worker marked busy whose completion event never comes."""
+    be.pools[rank]._idle.pop()
+
+
 def test_run_validates_termination():
-    be = ParsecBackend(Cluster(HAWK, 2))
-    be.termination.message_sent()  # never delivered
-    with pytest.raises(TerminationError):
-        be.run()
+    """Both drains -- Backend.run and World.fence -- name the rank that
+    lost work, for both shapes lost work can take."""
+    for strand in (_strand_queued_task, _strand_busy_worker):
+        be = ParsecBackend(Cluster(HAWK, 2))
+        be.submit(0, lambda: None, flops=1e6)
+        strand(be, 1)
+        with pytest.raises(TerminationError, match="lost work on rank 1"):
+            be.run()
+        world = World(MadnessBackend(Cluster(HAWK, 2)))
+        strand(world.backend, 1)
+        with pytest.raises(TerminationError, match="lost work on rank 1"):
+            world.fence()
 
 
 def test_backend_config_affects_scheduler():

@@ -155,7 +155,6 @@ def test_backend_without_telemetry_records_nothing():
     be = ParsecBackend(Cluster(HAWK, 2))
     assert be.telemetry is None
     assert be.comm.telemetry is None
-    assert be.termination.telemetry is None
     done = []
     be.submit(0, lambda: done.append(1))
     be.send_control(0, 1, lambda: done.append(2))

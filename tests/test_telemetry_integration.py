@@ -123,14 +123,25 @@ def test_bytes_by_protocol_split():
 
 
 def test_termination_quiescence_instants():
-    tel = Telemetry(nranks=1, capacity=None)
-    backend = ParsecBackend(Cluster(HAWK, 1), telemetry=tel)
-    run_fanout(backend, nkeys=3)
-    qs = tel.bus.instants(cat="rt")
-    assert qs and qs[-1].name == "quiescence"
-    assert qs[-1].args["tasks"] == backend.stats.tasks_executed + \
-        backend.stats.local_deliveries
-    assert tel.metrics.counter("quiescence_epochs").value >= 1
+    """One ``quiescence`` instant per fence, at the end of the run, carrying
+    the final task and message totals -- on a fan-out and on the golden
+    16-rank POTRF cell."""
+    from tests.test_telemetry_records import _cell
+
+    fanout = Telemetry(nranks=1, capacity=None)
+    run_fanout(ParsecBackend(Cluster(HAWK, 1), telemetry=fanout), nkeys=3)
+    for tel in (fanout, _cell("potrf")):
+        stats = tel.backend.stats
+        qs = [ev for ev in tel.bus.instants(cat="rt")
+              if ev.name == "quiescence"]
+        assert len(qs) == 1
+        assert qs[0].ts == tel.bus.makespan() == stats.makespan
+        assert qs[0].args == {
+            "epoch": 1,
+            "tasks": stats.tasks_executed + stats.local_deliveries,
+            "messages": stats.remote_messages,
+        }
+        assert tel.metrics.counter("quiescence_epochs").value == 1
 
 
 def test_sanitizer_findings_land_on_timeline():

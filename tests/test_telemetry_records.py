@@ -10,7 +10,9 @@ labels.  Four checks hold that together:
 - golden digests of three deterministic cells, computed on the commit
   *before* the flat-record change (0187b73) -- regenerate them only for an
   intended change of telemetry content, with
-  ``PYTHONPATH=src python -m tests.test_telemetry_records``;
+  ``PYTHONPATH=src python -m tests.test_telemetry_records``.  POTRF was
+  regenerated once since, when ``quiescence`` became one instant per
+  drain (its trace had two); every other record is unchanged;
 - the recording guard: a metrics-only run builds no event at all, and a
   subscriber on an unbuffered bus sees what a buffered bus records;
 - a structural GC check: the hooks' records leave the cyclic collector.
@@ -141,7 +143,7 @@ def test_fast_path_reads_back_like_the_public_api(ops, capacity):
 # ------------------------------------------------------------------ cells
 
 GOLDEN = {
-    "potrf": "60ba201703526d503758ba70ff27a3fa6a6a0a8137d7bbec0dd94c73e5fdd0d2",
+    "potrf": "fd876a4ba7f75d2945a8b76d9916a20336c6c80e864584ba05928cc55fde31dc",
     "bspmm": "8184c652a779b8cce0396b151162a070f93b761e67d53981f4a2f971129dc1a5",
     "mra": "46e3cbf91bcdbe0d04890e48c1bec1d724c1607c7a3f3cd064ec224853bafbb4",
 }
