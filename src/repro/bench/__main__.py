@@ -6,6 +6,7 @@ without going through pytest:
     python -m repro.bench table1
     python -m repro.bench fig5 --max-nodes 8
     python -m repro.bench fig8 --telemetry fig8.json   # + .trace.json/.jsonl
+    python -m repro.bench fig5 --ledger runs/ --telemetry fig5.json
     python -m repro.bench all
 
 The benchmark-history watchdog (no experiment argument needed):
@@ -14,7 +15,7 @@ The benchmark-history watchdog (no experiment argument needed):
     python -m repro.bench --check-regressions            # exit 1 on regression
     python -m repro.bench --check-regressions --record-history --seeds 0,1,2
     python -m repro.bench --record-history --parallel 4
-    python -m repro.bench --record-history --ledger runs/ --live
+    python -m repro.bench --record-history --ledger runs/
 
 Root-causing a failure (see ``docs/observability.md``): ``--explain``
 auto-runs the trace differ and the deterministic what-if profiler against
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import figures, history
@@ -132,7 +134,7 @@ def run_resume(args: argparse.Namespace) -> int:
 
     try:
         result = resume_run(args.checkpoint_dir, args.resume,
-                            ledger_dir=args.ledger, live=args.live)
+                            ledger_dir=args.ledger)
     except CheckpointError as e:
         print(f"resume failed: {e}", file=sys.stderr)
         return 1
@@ -274,7 +276,6 @@ def run_watchdog_cli(args: argparse.Namespace) -> int:
             if args.threshold is not None else None,
             parallel=args.parallel,
             ledger_dir=args.ledger,
-            live=args.live,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             overrides=overrides,
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
                     "processes (0 = inline)")
     wd.add_argument("--ledger", default=None, metavar="DIR",
                     help="write one append-only run ledger per matrix cell "
-                    "into DIR (tail with: python -m repro.telemetry watch)")
+                    "(or per backend an experiment binds) into DIR")
     wd.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                     help="write crash-consistent checkpoints of every matrix "
                     "cell into DIR (resume a killed cell with --resume; see "
@@ -377,9 +378,6 @@ def main(argv=None) -> int:
                     help="resume the killed run RUN_ID from --checkpoint-dir "
                     "(e.g. mra-seed0-seq); verifies every stored "
                     "checkpoint during the replay")
-    wd.add_argument("--live", action="store_true",
-                    help="stream a console progress dashboard while each "
-                    "cell runs (implies in-process ledger records)")
     wd.add_argument("--keep", type=int, default=50, metavar="N",
                     help="prune: non-baseline records to keep per config "
                     "group (default 50)")
@@ -410,19 +408,19 @@ def main(argv=None) -> int:
         elif args.experiment != "table1":
             run_figure(args.experiment, args.max_nodes)
 
-    if args.ledger is not None or args.live:
-        from repro.telemetry.ledger import ledger_capture
+    runs = None
+    with ExitStack() as stack:
+        if args.ledger is not None:
+            from repro.telemetry.ledger import ledger_capture
 
-        with ledger_capture(args.ledger or ".", live=args.live,
-                            prefix=args.experiment or "bench"):
-            run_all()
-        return 0
+            stack.enter_context(ledger_capture(
+                args.ledger, prefix=args.experiment or "bench"))
+        if args.telemetry is not None:
+            from repro.telemetry import capture
 
-    if args.telemetry is not None:
-        from repro.telemetry import capture
-
-        with capture(events=True) as runs:
-            run_all()
+            runs = stack.enter_context(capture(events=True))
+        run_all()
+    if runs is not None:
         written = write_telemetry_bundle(
             args.telemetry, runs, meta={"experiment": args.experiment}
         )
@@ -431,8 +429,6 @@ def main(argv=None) -> int:
             print(f"wrote {written['trace']} and {written['jsonl']} "
                   f"(replay: python -m repro.telemetry report-html "
                   f"{written['jsonl']} -o report.html)")
-    else:
-        run_all()
     return 0
 
 

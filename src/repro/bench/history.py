@@ -615,42 +615,34 @@ def _instrumented_cluster(nodes: int, workers: int, overrides: Any = None):
 
 def _attach_ledger(
     backend: Any, app: str, seed: int,
-    ledger_dir: Optional[str], live: bool, resumed_from: str = "",
+    ledger_dir: Optional[str], resumed_from: str = "",
 ) -> None:
-    """Arm the run ledger on a watchdog backend (``--ledger`` / ``--live``).
+    """Arm the run ledger on a watchdog backend (``--ledger``).
 
-    Writes ``<dir>/<app>-seed<seed>-seq.ledger.jsonl``; with ``live`` a
-    console dashboard renders in-process as records stream.  No-op when
-    neither is requested.  Ledger params deliberately stay OUT of the
-    record config (observability must not fork the watchdog's config
-    groups).  ``resumed_from`` stamps the ledger header when this run
-    resumes a killed predecessor (cross-link into the checkpoint chain).
+    Writes ``<dir>/<app>-seed<seed>-seq.ledger.jsonl``; no-op without a
+    directory.  Ledger params deliberately stay OUT of the record config
+    (observability must not fork the watchdog's config groups).
+    ``resumed_from`` stamps the ledger header when this run resumes a
+    killed predecessor (cross-link into the checkpoint chain).
     """
-    if ledger_dir is None and not live:
+    if ledger_dir is None:
         return
     from repro.telemetry.ledger import LedgerWriter
 
-    path = None
-    if ledger_dir is not None:
-        Path(ledger_dir).mkdir(parents=True, exist_ok=True)
-        path = str(Path(ledger_dir) / f"{app}-seed{seed}-seq.ledger.jsonl")
-    sinks: tuple = ()
-    if live:
-        from repro.telemetry.live import LiveRenderer
-
-        sinks = (LiveRenderer().feed,)
+    Path(ledger_dir).mkdir(parents=True, exist_ok=True)
     meta: Dict[str, Any] = {"app": app, "seed": seed, "engine": "seq",
                             "nranks": backend.nranks}
     if resumed_from:
         meta["resumed_from"] = resumed_from
     writer = LedgerWriter(
-        path, run_id=f"{app}-seed{seed}-seq", sinks=sinks, meta=meta,
+        str(Path(ledger_dir) / f"{app}-seed{seed}-seq.ledger.jsonl"),
+        run_id=f"{app}-seed{seed}-seq", meta=meta,
     )
     backend.attach_ledger(writer)
 
 
 #: Checkpoint cadence (events between checkpoints) when ``--checkpoint-dir``
-#: is given without ``--checkpoint-every``; matches the ledger heartbeat.
+#: is given without ``--checkpoint-every``.
 DEFAULT_CHECKPOINT_EVERY = 2048
 
 
@@ -703,7 +695,7 @@ def _make_checkpointer(
 def measure_potrf(
     seed: int = 0, *, nodes: int = 4, n: int = 1024, b: int = 128,
     workers: int = 4,
-    ledger_dir: Optional[str] = None, live: bool = False,
+    ledger_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
     checkpointer: Any = None, overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
@@ -723,7 +715,7 @@ def measure_potrf(
         "potrf", seed,
         _spec_params({"nodes": nodes, "n": n, "b": b, "workers": workers}, ov),
         checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "potrf", seed, ledger_dir, live,
+    _attach_ledger(backend, "potrf", seed, ledger_dir,
                    resumed_from=ckpt.resume_point if ckpt is not None else "")
     if ckpt is not None:
         backend.attach_checkpointer(ckpt)
@@ -744,7 +736,7 @@ def measure_potrf(
 def measure_fw(
     seed: int = 0, *, nodes: int = 4, n: int = 896, b: int = 128,
     workers: int = 4,
-    ledger_dir: Optional[str] = None, live: bool = False,
+    ledger_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
     checkpointer: Any = None, overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
@@ -764,7 +756,7 @@ def measure_fw(
         "fw", seed,
         _spec_params({"nodes": nodes, "n": n, "b": b, "workers": workers}, ov),
         checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "fw", seed, ledger_dir, live,
+    _attach_ledger(backend, "fw", seed, ledger_dir,
                    resumed_from=ckpt.resume_point if ckpt is not None else "")
     if ckpt is not None:
         backend.attach_checkpointer(ckpt)
@@ -785,7 +777,7 @@ def measure_fw(
 def measure_bspmm(
     seed: int = 0, *, nodes: int = 4, natoms: int = 30, target_tile: int = 24,
     workers: int = 4,
-    ledger_dir: Optional[str] = None, live: bool = False,
+    ledger_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
     checkpointer: Any = None, overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
@@ -810,7 +802,7 @@ def measure_bspmm(
         _spec_params({"nodes": nodes, "natoms": natoms,
                       "target_tile": target_tile, "workers": workers}, ov),
         checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "bspmm", seed, ledger_dir, live,
+    _attach_ledger(backend, "bspmm", seed, ledger_dir,
                    resumed_from=ckpt.resume_point if ckpt is not None else "")
     if ckpt is not None:
         backend.attach_checkpointer(ckpt)
@@ -831,7 +823,7 @@ def measure_bspmm(
 def measure_mra(
     seed: int = 0, *, nodes: int = 4, nfuncs: int = 8, k: int = 4,
     workers: int = 4,
-    ledger_dir: Optional[str] = None, live: bool = False,
+    ledger_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
     checkpointer: Any = None, overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
@@ -853,7 +845,7 @@ def measure_mra(
         _spec_params({"nodes": nodes, "nfuncs": nfuncs, "k": k,
                       "workers": workers}, ov),
         checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "mra", seed, ledger_dir, live,
+    _attach_ledger(backend, "mra", seed, ledger_dir,
                    resumed_from=ckpt.resume_point if ckpt is not None else "")
     if ckpt is not None:
         backend.attach_checkpointer(ckpt)
@@ -918,7 +910,6 @@ def measure_matrix(
     *,
     parallel: int = 0,
     ledger_dir: Optional[str] = None,
-    live: bool = False,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
     overrides: Optional[Dict[str, Any]] = None,
@@ -929,11 +920,10 @@ def measure_matrix(
     many worker processes (run-granularity host parallelism -- see
     :mod:`repro.bench.parallel`; results are deterministic and ordered
     regardless).  ``ledger_dir`` writes one run ledger per cell (the cell
-    specs stay picklable, so forked workers write their own files);
-    ``live`` streams a console dashboard per cell.  ``checkpoint_dir``
-    arms durable checkpoints on every cell (one run directory per cell;
-    see :mod:`repro.durability`) -- a killed sweep is resumable cell by
-    cell with ``--resume``.  ``overrides`` (a plain
+    specs stay picklable, so forked workers write their own files).
+    ``checkpoint_dir`` arms durable checkpoints on every cell (one run
+    directory per cell; see :mod:`repro.durability`) -- a killed sweep is
+    resumable cell by cell with ``--resume``.  ``overrides`` (a plain
     :meth:`~repro.sim.cluster.CostOverrides.as_dict` mapping, so cells
     stay picklable) perturbs every cell's costs -- the synthetic-regression
     injection hook behind ``--slowdown``.
@@ -949,8 +939,6 @@ def measure_matrix(
             cell: Dict[str, Any] = {"app": app, "seed": seed}
             if ledger_dir is not None:
                 cell["ledger_dir"] = ledger_dir
-            if live:
-                cell["live"] = True
             if checkpoint_dir is not None:
                 cell["checkpoint_dir"] = checkpoint_dir
                 if checkpoint_every:
@@ -981,7 +969,6 @@ def run_watchdog(
     thresholds: Optional[Dict[str, float]] = None,
     parallel: int = 0,
     ledger_dir: Optional[str] = None,
-    live: bool = False,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
     overrides: Optional[Dict[str, Any]] = None,
@@ -993,16 +980,16 @@ def run_watchdog(
       candidates (plus any trailing non-baseline records already stored).
     - ``record``: append the fresh records to the ``BENCH_*.json`` files.
     - ``update_baseline``: mark the fresh records as baseline.
-    - ``parallel`` / ``ledger_dir`` / ``live`` /
-      ``checkpoint_dir`` / ``checkpoint_every`` / ``overrides``: forwarded
-      to :func:`measure_matrix`.
+    - ``parallel`` / ``ledger_dir`` / ``checkpoint_dir`` /
+      ``checkpoint_every`` / ``overrides``: forwarded to
+      :func:`measure_matrix`.
     - ``fresh_out``: when given, filled with the fresh per-app records so
       the caller can root-cause a failure without re-measuring (the
       ``--explain`` path).
     Returns the per-app reports and the paths written (if any).
     """
     fresh = (measure_matrix(apps, seeds, parallel=parallel,
-                            ledger_dir=ledger_dir, live=live,
+                            ledger_dir=ledger_dir,
                             checkpoint_dir=checkpoint_dir,
                             checkpoint_every=checkpoint_every,
                             overrides=overrides)

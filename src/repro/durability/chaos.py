@@ -1,10 +1,10 @@
 """Fault-injection harness: deterministic crashes for resilience testing.
 
 A :class:`FaultPlan` names *where* a fault fires (the Nth checkpoint
-cadence point, engine heartbeat, life-cycle phase transition, or
-benchmark matrix cell) and *what* happens there: an
-in-process :class:`InjectedFault` (the sandbox-safe default -- it unwinds
-exactly like a crash from the event loop's point of view, and
+cadence point, life-cycle phase transition, or benchmark matrix cell)
+and *what* happens there: an in-process :class:`InjectedFault` (the
+sandbox-safe default -- it unwinds exactly like a crash from the event
+loop's point of view, and
 :meth:`repro.sim.engine.Engine.run` requeues the unexecuted tail), a real
 ``SIGKILL`` of the current process (the CI smoke job's mode), or a
 ``SIGSTOP`` suspension.
@@ -16,8 +16,7 @@ Usage::
 
 Instrumented call sites ``poke(site, **context)`` as they pass; with no
 active plan a poke is one module-global read.  Sites are wired through the
-durability checkpointer (``checkpoint``, ``phase``) and its engine-hook
-chaining (``heartbeat``), plus the top of
+durability checkpointer (``checkpoint``, ``phase``), plus the top of
 :func:`repro.bench.history.measure_cell` (``cell``) so a forked pool
 worker can be killed mid-cell.  The plan rides into ``fork`` workers via
 the inherited module global; ``latch`` (a path created atomically on
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional
 
 #: Sites a plan may target.
-FAULT_SITES = ("checkpoint", "heartbeat", "phase", "cell")
+FAULT_SITES = ("checkpoint", "phase", "cell")
 
 #: What happens when the plan fires.
 FAULT_KINDS = ("exception", "kill", "suspend")
@@ -59,8 +58,8 @@ class FaultPlan:
         ``kill`` delivers ``SIGKILL`` to the current process,
         ``suspend`` delivers ``SIGSTOP``.
     site:
-        Which instrumented site triggers: ``checkpoint`` | ``heartbeat``
-        | ``phase`` | ``cell``.
+        Which instrumented site triggers: ``checkpoint`` | ``phase`` |
+        ``cell``.
     nth:
         Fire on the Nth matching poke (1-based).
     phase:

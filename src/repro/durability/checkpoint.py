@@ -72,8 +72,7 @@ from repro.serialization.archive import (
 CHECKPOINT_SCHEMA = "repro.durability/checkpoint"
 CHECKPOINT_VERSION = 4
 
-#: Default cadence (events between checkpoints); matches the ledger
-#: heartbeat default so both hooks share the run's rhythm.
+#: Default cadence (events between checkpoints).
 DEFAULT_EVERY = 2048
 
 #: The per-run rebuild manifest, written before any checkpoint exists.
@@ -489,7 +488,6 @@ class Checkpointer:
         engine = backend.engine
         engine.on_checkpoint = self._hook
         engine.checkpoint_every = self.every
-        self._chain_chaos_hooks(engine)
         if self.resuming:
             tel = backend.telemetry
             if tel is not None and tel.bus.recording:
@@ -505,23 +503,6 @@ class Checkpointer:
                     checkpoints=len(self._pending), events=self.resume_events,
                 )
         chaos.poke("phase", phase="build")
-
-    def _chain_chaos_hooks(self, engine: Any) -> None:
-        """Give an armed heartbeat fault plan something to fire on
-        (chained in front of any existing hook; test-path only)."""
-        plan = chaos.active()
-        if plan is None or plan.site != "heartbeat":
-            return
-        prev_hb = engine.on_heartbeat
-
-        def _hb(now: float, events: int) -> None:
-            chaos.poke("heartbeat", events=events)
-            if prev_hb is not None:
-                prev_hb(now, events)
-
-        engine.on_heartbeat = _hb
-        if not engine.heartbeat_every:
-            engine.heartbeat_every = self.every
 
     def bind_executable(self, ex: Any) -> None:
         """Track one Executable's bookkeeping in the snapshot (called by

@@ -50,7 +50,6 @@ def resume_run(
     *,
     spec: Optional[Dict[str, Any]] = None,
     ledger_dir: Optional[str] = None,
-    live: bool = False,
 ) -> ResumeResult:
     """Rebuild and resume the durable run ``run_id``.
 
@@ -61,7 +60,7 @@ def resume_run(
     skipped and reported in ``problems``; the replay verifies the intact
     chain before them (none at all for a chain of older files) and
     rewrites the rest.
-    ``ledger_dir``/``live`` arm the run ledger on the resumed run
+    ``ledger_dir`` arms the run ledger on the resumed run
     (observability is not part of the stored spec, so it may differ from
     the killed run); the ledger header is stamped with the resume point.
 
@@ -96,8 +95,6 @@ def resume_run(
     cell = dict(ckpt.spec, checkpointer=ckpt)
     if ledger_dir is not None:
         cell["ledger_dir"] = ledger_dir
-    if live:
-        cell["live"] = True
     record = measure_cell(cell)
     return ResumeResult(
         run_id=run_id, record=record, resume_point=ckpt.resume_point,

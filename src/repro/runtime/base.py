@@ -474,9 +474,9 @@ class Backend:
         # Telemetry hook point: attach_telemetry arms every layer's hooks.
         # None => the default path pays one attribute load + branch.
         self.telemetry = None
-        # Run-ledger hook point (attach_ledger): a LedgerWriter streaming
-        # phase/heartbeat/progress records to disk during execution.
-        # None => zero ledger I/O and no engine hooks installed.
+        # Run-ledger hook point (attach_ledger): a LedgerWriter recording
+        # the run's life cycle (phase and drain-progress records).
+        # None => zero ledger I/O.
         self.ledger = None
         # Durability hook point (attach_checkpointer): a
         # repro.durability.Checkpointer writing crash-consistent snapshots
@@ -507,53 +507,35 @@ class Backend:
         for pool in self.pools:
             pool.enable_telemetry(telemetry)
 
-    def attach_ledger(self, ledger: Any, heartbeat_every: int = 2048) -> None:
-        """Stream this execution into ``ledger`` (a
-        :class:`~repro.telemetry.ledger.LedgerWriter`).
-
-        Emits the ``build`` phase immediately, installs the engine
-        heartbeat hook (a heartbeat plus an incremental progress snapshot
-        at least every ``heartbeat_every`` events -- flushed *during*
-        execution, so a killed run leaves its last snapshot on disk).
+    def attach_ledger(self, ledger: Any) -> None:
+        """Record this execution's life cycle into ``ledger`` (a
+        :class:`~repro.telemetry.ledger.LedgerWriter`): emits the
+        ``build`` phase now; :meth:`run` adds the rest.
         """
         self.ledger = ledger
         ledger.phase("build", sim=self.engine.now,
                      nranks=self.nranks, engine=type(self.engine).__name__)
 
-        def _heartbeat(now: float, events: int) -> None:
-            ledger.heartbeat(now, events)
-            self._ledger_progress(now)
-
-        self.engine.on_heartbeat = _heartbeat
-        self.engine.heartbeat_every = heartbeat_every
-
     def attach_checkpointer(self, checkpointer: Any) -> None:
         """Write crash-consistent checkpoints of this run (a
         :class:`~repro.durability.Checkpointer`).
 
-        Installs the engine's ``on_checkpoint`` hook (same hoisted
-        one-int-check pattern as the heartbeat: zero overhead when never
-        attached) and registers this backend so every subsequently built
-        :class:`~repro.core.graph.Executable` joins the snapshot.  Attach
-        before building graphs; see :mod:`repro.durability.checkpoint`
-        for the format and the resume/verify semantics.
+        Installs the engine's one periodic hook, ``on_checkpoint`` (zero
+        overhead when never attached), and registers this backend so every
+        subsequently built :class:`~repro.core.graph.Executable` joins the
+        snapshot.  Attach before building graphs; see
+        :mod:`repro.durability.checkpoint` for the format and the
+        resume/verify semantics.
         """
         self.checkpointer = checkpointer
         checkpointer.bind(self)
 
     def _ledger_progress(self, sim: float) -> None:
-        """One incremental progress snapshot from the live run counters.
-
-        ``tasks_total`` adds the tasks queued or running on the pools right
-        now to the executed ones -- TTG task graphs are dynamic, so the
-        total grows as execution discovers work; the watch layer treats it
-        as a moving target.
-        """
-        done = self.stats.tasks_executed
+        """The drain's progress record.  Runs after :meth:`_check_drained`
+        has proven every pool empty, so every task found has executed."""
         self.ledger.progress(
             sim,
-            tasks_done=done,
-            tasks_total=done + sum(p.queued + p.running for p in self.pools),
+            tasks_done=self.stats.tasks_executed,
             by_template=self.stats.tasks_by_template,
             bytes_by_protocol=self.stats.bytes_by_protocol,
             events=self.engine.events_processed,
@@ -844,14 +826,12 @@ class Backend:
                 )
 
     def close_ledger(self) -> None:
-        """Seal the attached ledger (final snapshot) and disarm the engine
-        hooks.  Idempotent; no-op without a ledger."""
+        """Seal the attached ledger (final snapshot).  Idempotent; no-op
+        without a ledger."""
         ledger = self.ledger
         if ledger is None:
             return
         ledger.close(self.engine.now, makespan=self.stats.makespan)
-        self.engine.on_heartbeat = None
-        self.engine.heartbeat_every = 0
         self.ledger = None  # a later fence() must not write a sealed ledger
 
     def close_checkpointer(self) -> None:

@@ -60,19 +60,12 @@ class Engine:
         self._seq: int = 0
         self._events_processed: int = 0
         self._running: bool = False
-        # Heartbeat hook: when ``on_heartbeat`` is set and
-        # ``heartbeat_every`` > 0, ``run`` calls
-        # ``on_heartbeat(now, events_processed)`` at least every that many
-        # events.  Disabled (the default) it costs one integer truthiness
-        # check per heap entry -- this loop is the host-time hot path, so
-        # the hook must stay invisible when off.
-        self.on_heartbeat: Optional[Callable[[float, int], None]] = None
-        self.heartbeat_every: int = 0
-        # Checkpoint hook: same contract and same hoisted-local pattern as
-        # the heartbeat -- ``run`` calls ``on_checkpoint(now,
-        # events_processed)`` at least every ``checkpoint_every`` events,
-        # and the disabled default costs one integer truthiness check per
-        # heap entry.  Installed by
+        # The one periodic hook: when ``on_checkpoint`` is set and
+        # ``checkpoint_every`` > 0, ``run`` calls ``on_checkpoint(now,
+        # events_processed)`` at least every that many events.  Disabled
+        # (the default) it costs one integer truthiness check per heap
+        # entry -- this loop is the host-time hot path, so the hook must
+        # stay invisible when off.  Installed by
         # :meth:`repro.runtime.base.Backend.attach_checkpointer`.
         self.on_checkpoint: Optional[Callable[[float, int], None]] = None
         self.checkpoint_every: int = 0
@@ -171,17 +164,11 @@ class Engine:
         self._running = True
         heap = self._heap
         stop = None if max_events is None else self._events_processed + max_events
-        on_heartbeat = self.on_heartbeat
-        hb_every = self.heartbeat_every if on_heartbeat is not None else 0
-        hb_next = self._events_processed + hb_every
         on_checkpoint = self.on_checkpoint
         cp_every = self.checkpoint_every if on_checkpoint is not None else 0
         cp_next = self._events_processed + cp_every
         try:
             while heap:
-                if hb_every and self._events_processed >= hb_next:
-                    on_heartbeat(self.now, self._events_processed)
-                    hb_next = self._events_processed + hb_every
                 if cp_every and self._events_processed >= cp_next:
                     on_checkpoint(self.now, self._events_processed)
                     cp_next = self._events_processed + cp_every

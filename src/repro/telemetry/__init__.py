@@ -22,12 +22,11 @@ records into:
   run reports (inline-SVG Gantt with critical-path highlight, tables,
   sparklines, benchmark-history trend charts).
 - :mod:`repro.telemetry.ledger` -- the append-only, versioned **run
-  ledger**: phase transitions, heartbeats and progress snapshots flushed
-  to JSONL *during* execution, so a killed run stays inspectable.
-- :mod:`repro.telemetry.live` -- streaming progress: tail a ledger and
-  render a dependency-free console dashboard.
+  ledger**: life-cycle records (phase transitions, the drain's progress
+  snapshot, checkpoints, retries) flushed to JSONL as they happen, so a
+  killed run still shows the last phase it reached.
 - ``python -m repro.telemetry`` -- record / report / report-html /
-  export / critical-path / diff / whatif / validate / watch CLI
+  export / critical-path / diff / whatif / validate CLI
   (:mod:`repro.telemetry.cli`).
 
 Telemetry is off by default and adds only a ``None``-check per hook when
@@ -87,7 +86,6 @@ from repro.telemetry.ledger import (
     replay_path,
     validate_ledger,
 )
-from repro.telemetry.live import LiveRenderer, render_dashboard, watch
 
 __all__ = [
     "CounterEvent",
@@ -130,7 +128,4 @@ __all__ = [
     "read_ledger",
     "replay_path",
     "validate_ledger",
-    "LiveRenderer",
-    "render_dashboard",
-    "watch",
 ]

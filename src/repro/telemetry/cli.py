@@ -36,10 +36,6 @@ Subcommands:
   (auto-detected); diagnostics name the schema version, ``--json`` emits
   a machine-readable result, and traces recorded on an overflowing ring
   buffer fail unless ``--allow-drops``.
-- ``watch RUN.ledger.jsonl`` -- tail a run ledger (live or completed)
-  and render a console dashboard: phase rail, per-template progress
-  bars, byte split and ETA.  ``--once``
-  renders the current state without following.
 
 Exit status 0 on success; 1 when the script crashed, a validation found
 problems, or nothing was recorded.
@@ -417,28 +413,6 @@ def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def cmd_watch(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.telemetry.live import watch
-
-    try:
-        snap = watch(
-            args.ledger, stream=out, follow=not args.once,
-            poll=args.interval, idle_timeout=args.timeout, width=args.width,
-        )
-    except BrokenPipeError:
-        return 0  # downstream consumer (head, less) closed the pipe
-    except OSError as e:
-        try:
-            print(f"cannot read {args.ledger}: {e}", file=out)
-        except BrokenPipeError:
-            pass
-        return 1
-    if snap.records == 0:
-        print(f"{args.ledger}: no ledger records", file=out)
-        return 1
-    return 0
-
-
 # -------------------------------------------------------------------- main
 
 
@@ -548,20 +522,6 @@ def main(argv: Optional[Sequence[str]] = None,
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable result object")
     p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser(
-        "watch", help="tail a run ledger as a live console dashboard")
-    p.add_argument("ledger", metavar="RUN.ledger.jsonl")
-    p.add_argument("--once", action="store_true",
-                   help="render the current state once instead of following")
-    p.add_argument("--interval", type=float, default=0.2, metavar="SEC",
-                   help="poll interval while following (default 0.2)")
-    p.add_argument("--timeout", type=float, default=5.0, metavar="SEC",
-                   help="give up after SEC with no new records (default 5; "
-                        "the last flushed snapshot has been shown by then)")
-    p.add_argument("--width", type=int, default=72,
-                   help="dashboard width in columns")
-    p.set_defaults(fn=cmd_watch)
 
     args = parser.parse_args(argv)
     out = stream or sys.stdout

@@ -1,15 +1,11 @@
-"""Append-only, versioned run ledger: a live JSONL stream of one execution.
+"""Append-only, versioned run ledger: the life cycle of one execution.
 
-Everything the telemetry stack produced before this module is
-*post-mortem*: traces and counters exist only after a run finishes and an
-exporter walks the ring buffers.  The run ledger inverts that: records are
-flushed to disk **while the run executes**, so a killed 64-rank MRA run
-still leaves a readable file whose last heartbeat tells you exactly how
-far it got -- and a live consumer (``python -m repro.telemetry watch``)
-can tail the file and render progress as it happens.  This is the
-addressable-run substrate the ROADMAP's checkpoint/resume and
-simulation-as-a-service items build on: a run id plus a monotonic record
-stream is what makes an execution an inspectable job.
+Traces and counters exist only after a run finishes and an exporter
+walks the ring buffers.  The run ledger records life-cycle facts as they
+happen and flushes each one, so a killed 64-rank MRA run still leaves a
+readable file whose last phase record tells you how far it got.  A run
+id plus a monotonic record stream is what makes an execution an
+inspectable, resumable job (:mod:`repro.durability`).
 
 Ledger format: one JSON object per line.  The first line is the header::
 
@@ -23,13 +19,12 @@ the reader and dropped, never fatal.  Record types:
 
 - ``phase`` -- life-cycle transition (``build`` / ``fence`` / ``execute``
   / ``drain``), with the virtual clock at the transition.
-- ``heartbeat`` -- periodic liveness while the event loop runs: virtual
-  clock, host clock, events processed.
-- ``progress`` -- incremental snapshot: tasks done/created (total), the
-  per-template task breakdown, bytes by protocol, virtual clock.
-- ``window`` / ``quiescence`` -- per-window health records of the
-  deleted sharded engine.  Nothing writes them any more; ledgers that
-  carry them stay valid and readers skip them.
+- ``progress`` -- the drain's snapshot: tasks done, the per-template
+  task breakdown, bytes by protocol, events processed, virtual clock.
+- legacy types -- ``window`` / ``quiescence`` of the deleted sharded
+  engine, and the periodic liveness record of the removed mid-run
+  progress stream.  Nothing writes them any more; ledgers that carry
+  them stay valid and replay skips them.
 - ``checkpoint`` (v2) -- a durable checkpoint was written or verified at
   this cadence point (:mod:`repro.durability.checkpoint`): virtual clock,
   events processed, chain index, state-digest prefix.
@@ -53,13 +48,12 @@ torn last line.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 LEDGER_SCHEMA = "repro.telemetry/ledger"
 # v2: durability records (checkpoint / resume) and pool-resilience
@@ -74,8 +68,8 @@ RECORD_TYPES = (
     "ledger_close",
 )
 
-#: Life-cycle phases in their canonical order (watch renders them as a
-#: progress rail; out-of-order transitions are legal -- fence may recur).
+#: Life-cycle phases in their canonical order (out-of-order transitions
+#: are legal -- fence may recur).
 PHASES = ("build", "fence", "execute", "drain")
 
 _run_counter = count(1)
@@ -94,10 +88,8 @@ class LedgerError(ValueError):
 class LedgerWriter:
     """Append-only JSONL writer for one run.
 
-    ``path=None`` writes no file (sink-only mode: live rendering without
-    persistence).  ``sinks`` are callables receiving every record dict as
-    it is emitted -- the live dashboard subscribes here.  Every record is
-    flushed immediately so a kill leaves at most one torn line.
+    Every record is flushed immediately so a kill leaves at most one torn
+    line.
 
     ``append=True`` takes over an existing ledger file of a killed
     predecessor run: the file is opened for appending and **no**
@@ -108,27 +100,23 @@ class LedgerWriter:
 
     def __init__(
         self,
-        path: Optional[str] = None,
+        path: str,
         *,
         run_id: Optional[str] = None,
-        sinks: Tuple[Callable[[Dict[str, Any]], None], ...] = (),
         meta: Optional[Dict[str, Any]] = None,
         append: bool = False,
     ) -> None:
         self.run_id = run_id or new_run_id()
         self.path = path
-        mode = "a" if append else "w"
-        self._fh: Optional[io.TextIOBase] = open(path, mode) if path else None
-        if append and self._fh is not None and path is not None:
+        self._fh = open(path, "a" if append else "w")
+        if append and os.path.getsize(path) > 0:
             # The predecessor may have died mid-write without a trailing
             # newline; terminate its torn line so our records start clean.
-            if os.path.getsize(path) > 0:
-                with open(path, "rb") as rf:
-                    rf.seek(-1, os.SEEK_END)
-                    if rf.read(1) != b"\n":
-                        self._fh.write("\n")
-                        self._fh.flush()
-        self._sinks = list(sinks)
+            with open(path, "rb") as rf:
+                rf.seek(-1, os.SEEK_END)
+                if rf.read(1) != b"\n":
+                    self._fh.write("\n")
+                    self._fh.flush()
         self._seq = count(0)
         self.records_written = 0
         self.closed = False
@@ -139,22 +127,16 @@ class LedgerWriter:
 
     # --------------------------------------------------------------- output
 
-    def add_sink(self, sink: Callable[[Dict[str, Any]], None]) -> None:
-        self._sinks.append(sink)
-
     def emit(self, type: str, **fields: Any) -> Dict[str, Any]:
         """Write one record; returns the record dict (with run/seq set)."""
         if self.closed:
             raise LedgerError(f"ledger {self.run_id} already closed")
         rec = {"type": type, "run": self.run_id, "seq": next(self._seq)}
         rec.update(fields)
-        if self._fh is not None:
-            self._fh.write(json.dumps(rec))
-            self._fh.write("\n")
-            self._fh.flush()
+        self._fh.write(json.dumps(rec))
+        self._fh.write("\n")
+        self._fh.flush()
         self.records_written += 1
-        for sink in self._sinks:
-            sink(rec)
         return rec
 
     # -------------------------------------------------------- record helpers
@@ -162,21 +144,15 @@ class LedgerWriter:
     def phase(self, name: str, sim: float = 0.0, **fields: Any) -> None:
         self.emit("phase", phase=name, sim=sim, **fields)
 
-    def heartbeat(self, sim: float, events: int, **fields: Any) -> None:
-        self.emit("heartbeat", sim=sim, events=events, host=time.time(),
-                  **fields)
-
     def progress(
         self,
         sim: float,
         tasks_done: int,
-        tasks_total: int,
         by_template: Optional[Dict[str, int]] = None,
         bytes_by_protocol: Optional[Dict[str, int]] = None,
         **fields: Any,
     ) -> None:
         self.emit("progress", sim=sim, tasks_done=tasks_done,
-                  tasks_total=tasks_total,
                   by_template=dict(by_template or {}),
                   bytes_by_protocol=dict(bytes_by_protocol or {}), **fields)
 
@@ -208,9 +184,7 @@ class LedgerWriter:
             return
         self.emit("ledger_close", sim=sim, host=time.time(), **fields)
         self.closed = True
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
 
 # -------------------------------------------------------------------- read
@@ -315,9 +289,9 @@ def validate_ledger(records: List[Dict[str, Any]]) -> List[str]:
 class LedgerSnapshot:
     """The state of a run as reconstructed from its ledger records.
 
-    Replaying a completed ledger and replaying a torn one differ only in
-    ``complete`` and how fresh the aggregates are -- which is the point:
-    the last flushed heartbeat/progress record *is* the recovery state.
+    Replaying a completed ledger and replaying a torn one differ in
+    ``complete`` and in the last phase reached: a run killed before its
+    drain has no progress record.
     """
 
     run_id: str = ""
@@ -326,11 +300,7 @@ class LedgerSnapshot:
     phases_seen: List[str] = field(default_factory=list)
     sim: float = 0.0
     events: int = 0
-    heartbeats: int = 0
-    last_host: float = 0.0
-    first_host: float = 0.0
     tasks_done: int = 0
-    tasks_total: int = 0
     by_template: Dict[str, int] = field(default_factory=dict)
     bytes_by_protocol: Dict[str, int] = field(default_factory=dict)
     checkpoints: int = 0
@@ -341,23 +311,6 @@ class LedgerSnapshot:
     complete: bool = False
     records: int = 0
 
-    @property
-    def progress_fraction(self) -> float:
-        """Done/total task fraction (total = tasks discovered so far)."""
-        return self.tasks_done / self.tasks_total if self.tasks_total else 0.0
-
-    def eta_seconds(self) -> Optional[float]:
-        """Host-time ETA from the observed completion rate, or ``None``
-        when the run is complete or no rate is measurable yet."""
-        if self.complete or self.tasks_done == 0:
-            return None
-        elapsed = self.last_host - self.first_host
-        if elapsed <= 0.0:
-            return None
-        rate = self.tasks_done / elapsed
-        remaining = max(self.tasks_total - self.tasks_done, 0)
-        return remaining / rate if rate > 0 else None
-
     def apply(self, rec: Dict[str, Any]) -> None:
         """Fold one ledger record into the snapshot."""
         self.records += 1
@@ -367,21 +320,15 @@ class LedgerSnapshot:
         if rtype == "ledger_open":
             self.run_id = rec.get("run", "")
             self.schema_version = int(rec.get("version", 0))
-            self.first_host = float(rec.get("host", 0.0))
-            self.last_host = self.first_host
             if rec.get("resumed_from"):
                 self.resumed_from = str(rec["resumed_from"])
         elif rtype == "phase":
             self.phase = rec.get("phase", "")
             if self.phase not in self.phases_seen:
                 self.phases_seen.append(self.phase)
-        elif rtype == "heartbeat":
-            self.heartbeats += 1
-            self.events = int(rec.get("events", self.events))
-            self.last_host = float(rec.get("host", self.last_host))
         elif rtype == "progress":
             self.tasks_done = int(rec.get("tasks_done", self.tasks_done))
-            self.tasks_total = int(rec.get("tasks_total", self.tasks_total))
+            self.events = int(rec.get("events", self.events))
             for k, v in (rec.get("by_template") or {}).items():
                 self.by_template[k] = int(v)
             for k, v in (rec.get("bytes_by_protocol") or {}).items():
@@ -390,7 +337,6 @@ class LedgerSnapshot:
             self.checkpoints += 1
             self.last_checkpoint = rec
             self.events = int(rec.get("events", self.events))
-            self.last_host = float(rec.get("host", self.last_host))
         elif rtype == "resume":
             self.resumed_from = str(rec.get("point", "")) or self.resumed_from
         elif rtype == "retry":
@@ -399,7 +345,6 @@ class LedgerSnapshot:
             self.failures += 1
         elif rtype == "ledger_close":
             self.complete = True
-            self.last_host = float(rec.get("host", self.last_host))
 
 
 def replay(records: List[Dict[str, Any]]) -> LedgerSnapshot:
@@ -428,17 +373,12 @@ class ledger_capture:
             run_experiment()
         # ledgers/: one <label>.ledger.jsonl per backend bound
 
-    ``directory=None`` with ``live=True`` streams progress to the console
-    without persisting anything.  Open ledgers are closed (with a final
-    progress snapshot) on context exit.
+    Open ledgers are closed (with a final snapshot) on context exit.
     """
 
-    def __init__(self, directory: Optional[str] = None, *, live: bool = False,
-                 prefix: str = "run", heartbeat_every: int = 2048) -> None:
+    def __init__(self, directory: str, *, prefix: str = "run") -> None:
         self.directory = directory
-        self.live = live
         self.prefix = prefix
-        self.heartbeat_every = heartbeat_every
         self.writers: List[LedgerWriter] = []
         self._backends: List[Any] = []
         self._seen: set = set()
@@ -451,22 +391,15 @@ class ledger_capture:
             return
         self._seen.add(id(backend))
         run_id = new_run_id(self.prefix)
-        path = None
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
-            path = os.path.join(self.directory, f"{run_id}.ledger.jsonl")
-        sinks: Tuple[Callable[[Dict[str, Any]], None], ...] = ()
-        if self.live:
-            from repro.telemetry.live import LiveRenderer
-
-            sinks = (LiveRenderer().feed,)
+        os.makedirs(self.directory, exist_ok=True)
         writer = LedgerWriter(
-            path, run_id=run_id, sinks=sinks,
+            os.path.join(self.directory, f"{run_id}.ledger.jsonl"),
+            run_id=run_id,
             meta={"backend": getattr(backend, "name", "backend"),
                   "nranks": backend.nranks,
                   "graph": obj.graph.name},
         )
-        backend.attach_ledger(writer, heartbeat_every=self.heartbeat_every)
+        backend.attach_ledger(writer)
         self.writers.append(writer)
         self._backends.append(backend)
 

@@ -77,3 +77,19 @@ def test_design_no_title_collision_note():
 def test_changelog_and_contributing_exist():
     assert (ROOT / "CHANGELOG.md").read_text().startswith("# Changelog")
     assert "pytest" in (ROOT / "CONTRIBUTING.md").read_text()
+
+
+def test_ledger_doc_has_a_row_per_record_type():
+    """The record table of docs/observability.md "The run ledger" has one
+    row per record type current code writes, and none for a legacy type
+    the reader only tolerates.  A type is written when LedgerWriter has a
+    helper of that name, or it is the header / close record."""
+    from repro.telemetry.ledger import RECORD_TYPES, LedgerWriter
+
+    doc = (ROOT / "docs" / "observability.md").read_text()
+    section = doc.split("## The run ledger", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+    written = {t for t in RECORD_TYPES
+               if hasattr(LedgerWriter, t) or t in ("ledger_open",
+                                                    "ledger_close")}
+    assert rows == written

@@ -23,6 +23,8 @@ def test_fault_plan_validates_kind_site_nth():
         FaultPlan(kind="meteor")
     with pytest.raises(ValueError, match="site"):
         FaultPlan(site="nowhere")
+    with pytest.raises(ValueError, match="site"):
+        FaultPlan(site="heartbeat")  # the deleted engine heartbeat
     with pytest.raises(ValueError, match="nth"):
         FaultPlan(nth=0)
 
@@ -41,7 +43,7 @@ def test_poke_without_plan_is_a_noop():
 def test_inject_fires_on_nth_poke_only():
     with chaos.inject(FaultPlan(site="checkpoint", nth=3)):
         chaos.poke("checkpoint")
-        chaos.poke("heartbeat")  # other sites never count
+        chaos.poke("cell")  # other sites never count
         chaos.poke("checkpoint")
         with pytest.raises(InjectedFault):
             chaos.poke("checkpoint")
@@ -65,7 +67,7 @@ def test_inject_phase_and_match_filters():
 
 def test_inject_nests_and_restores():
     outer = FaultPlan(site="checkpoint", nth=99)
-    inner = FaultPlan(site="heartbeat", nth=99)
+    inner = FaultPlan(site="cell", nth=99)
     with chaos.inject(outer):
         assert chaos.active() is outer
         with chaos.inject(inner):

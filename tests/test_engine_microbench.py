@@ -1,8 +1,8 @@
 """Micro-benchmark of the event-engine hot loop.
 
 Measures events/second on a synthetic event storm, on the bare loop
-(``seq``) and on the loop with its heartbeat and checkpoint hooks firing
-before every event (``sharded``: the row id from when the second row ran
+(``seq``) and on the loop with its one periodic hook, ``on_checkpoint``,
+firing before every event (``sharded``: the row id from when the second row ran
 the deleted sharded engine), and checks the optimizations stay effective:
 
 - the batched ``schedule_batch`` path must hold one heap entry per burst
@@ -32,8 +32,8 @@ N_EVENTS = 20_000
 def _engine(kind):
     eng = Engine()
     if kind == "sharded":
-        eng.on_heartbeat = eng.on_checkpoint = lambda now, n: None
-        eng.heartbeat_every = eng.checkpoint_every = 1
+        eng.on_checkpoint = lambda now, n: None
+        eng.checkpoint_every = 1
     return eng
 
 

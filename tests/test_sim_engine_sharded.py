@@ -6,7 +6,7 @@ row ids are kept.  Each row now builds the one engine a different way:
 - ``seq``: a bare :class:`~repro.sim.engine.Engine`;
 - ``sharded1``: the engine of a one-rank cluster;
 - ``sharded4``: the engine of a four-rank cluster, with the run loop's
-  heartbeat and checkpoint hooks firing before every event;
+  one periodic hook, ``on_checkpoint``, firing before every event;
 - ``sharded4-zero-la``: the same on a zero-latency network.
 
 Rank count, network and armed observers may not change what runs when.
@@ -23,9 +23,8 @@ ZERO_LATENCY = replace(HAWK, network=replace(HAWK.network, latency=0.0))
 
 
 def _armed(engine, calls):
-    engine.on_heartbeat = engine.on_checkpoint = \
-        lambda now, n: calls.append((now, n))
-    engine.heartbeat_every = engine.checkpoint_every = 1
+    engine.on_checkpoint = lambda now, n: calls.append((now, n))
+    engine.checkpoint_every = 1
     return engine
 
 

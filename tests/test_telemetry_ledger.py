@@ -1,9 +1,8 @@
-"""The run ledger: live JSONL stream, crash recovery, replay, validation.
+"""The run ledger: life-cycle records, crash recovery, replay, validation.
 
-The contract under test is the tentpole one: a ledger written *during*
-execution must (a) replay to the exact final state of the run, (b) stay
+A ledger must (a) replay to the exact final state of the run, (b) stay
 readable when the writer is killed mid-run (torn tail dropped, last
-flushed snapshot recovered), and (c) cost nothing when not attached.
+flushed phase recovered), and (c) cost nothing when not attached.
 """
 
 import json
@@ -31,9 +30,9 @@ from repro.telemetry.ledger import (
 
 #: The run-loop axis of the end-to-end tests.  ``"seq"`` runs the ledger
 #: alone; ``"sharded"`` -- the row id from when these rows ran on the
-#: deleted sharded engine -- also fires the loop's checkpoint hook before
-#: every event, so the ledger heartbeat shares the loop with a second
-#: armed observer.
+#: deleted sharded engine -- also fires the loop's one periodic hook,
+#: ``on_checkpoint``, before every event, so the ledger records a run whose
+#: loop has an armed observer.
 LOOPS = ("seq", "sharded")
 
 
@@ -59,11 +58,11 @@ def _pipeline_backend(nranks=4, keys=64, loop="seq"):
     return backend, ex, g, results, keys
 
 
-def _run_with_ledger(tmp_path, heartbeat_every=8, loop="seq"):
+def _run_with_ledger(tmp_path, loop="seq"):
     path = str(tmp_path / "run.ledger.jsonl")
     backend, ex, gen, results, keys = _pipeline_backend(loop=loop)
     led = LedgerWriter(path, run_id="test-run")
-    backend.attach_ledger(led, heartbeat_every=heartbeat_every)
+    backend.attach_ledger(led)
     for k in range(keys):
         ex.invoke(gen, k)
     ex.fence()
@@ -79,8 +78,7 @@ def test_writer_emits_header_and_monotonic_seq(tmp_path):
     path = str(tmp_path / "w.ledger.jsonl")
     led = LedgerWriter(path, run_id="r1", meta={"app": "unit"})
     led.phase("build", sim=0.0)
-    led.heartbeat(1.0, events=10)
-    led.progress(1.0, tasks_done=1, tasks_total=2, by_template={"T": 1})
+    led.progress(1.0, tasks_done=1, by_template={"T": 1})
     led.close(2.0, makespan=2.0)
     records = read_ledger(path)
     head = records[0]
@@ -104,17 +102,6 @@ def test_writer_close_is_idempotent_and_seals(tmp_path):
         led.emit("phase", phase="build")
 
 
-def test_writer_sinks_see_every_record(tmp_path):
-    seen = []
-    led = LedgerWriter(str(tmp_path / "s.jsonl"), run_id="r",
-                       sinks=(seen.append,))
-    led.phase("build")
-    led.close()
-    assert [r["type"] for r in seen] == ["ledger_open", "phase",
-                                         "ledger_close"]
-    assert seen == read_ledger(str(tmp_path / "s.jsonl"))
-
-
 def test_new_run_ids_unique():
     ids = {new_run_id("t") for _ in range(100)}
     assert len(ids) == 100
@@ -134,36 +121,32 @@ def test_run_roundtrip_replays_to_final_state(tmp_path, loop):
     assert snap.run_id == "test-run"
     assert snap.schema_version == LEDGER_VERSION
     # The final snapshot must agree with the backend's own counters.
-    assert snap.tasks_done == snap.tasks_total == backend.stats.tasks_executed
+    assert snap.tasks_done == sum(snap.by_template.values()) \
+        == backend.stats.tasks_executed
     assert snap.tasks_done > 0
     assert snap.by_template == backend.stats.tasks_by_template
     assert snap.by_template["GEN"] == 64
     assert snap.by_template["SINK"] == 64
     assert snap.sim == pytest.approx(backend.stats.makespan)
     assert snap.phases_seen == ["build", "fence", "execute", "drain"]
-    # watch's replay path must land on the same state.
+    # Replaying from the file must land on the same state.
     assert replay_path(path) == snap
 
 
-def test_heartbeats_and_progress_flushed_during_execution(tmp_path):
-    path, _ = _run_with_ledger(tmp_path, heartbeat_every=4)
-    kinds = [r["type"] for r in read_ledger(path)]
-    assert kinds.count("heartbeat") >= 2
-    # Progress snapshots ride along with heartbeats, before the drain.
-    first_progress = kinds.index("progress")
-    assert first_progress < kinds.index("ledger_close") - 1
-
-
 def test_sharded_ledger_carries_window_and_quiescence(tmp_path):
-    """Ledgers written on the deleted sharded engine carry per-window
-    ``window`` and ``quiescence`` health records; they stay valid, and
-    replay skips them to the state the other records describe."""
+    """Older ledgers carry records nothing writes any more: per-window
+    ``window`` and ``quiescence`` health records of the deleted sharded
+    engine, and ``heartbeat`` records of the deleted mid-run progress
+    stream.  They stay valid, and replay skips them to the state the other
+    records describe."""
     path, _ = _run_with_ledger(tmp_path)
     records = read_ledger(path)
     old = []
     for rec in records:
         old.append(rec)
-        if rec["type"] == "heartbeat":
+        if rec["type"] == "phase":
+            old.append({"type": "heartbeat", "run": rec["run"],
+                        "sim": rec["sim"], "events": 7, "host": 1.0})
             old.append({"type": "window", "run": rec["run"], "width": 1e-6,
                         "lookahead": 1e-6, "events_by_shard": [3, 1, 0, 2],
                         "sim": rec["sim"]})
@@ -185,10 +168,10 @@ def test_seq_ledger_has_no_window_records(tmp_path):
 
 
 def test_torn_tail_is_dropped_and_last_snapshot_recovered(tmp_path):
-    path, _ = _run_with_ledger(tmp_path, heartbeat_every=4)
+    path, _ = _run_with_ledger(tmp_path)
     with open(path) as fh:
         lines = fh.read().splitlines()
-    # Simulate a kill: drop the close, tear the last surviving line.
+    # Simulate a kill: drop the close, tear the drain's progress record.
     torn = lines[:-2] + [lines[-2][: len(lines[-2]) // 2]]
     truncated = str(tmp_path / "killed.ledger.jsonl")
     with open(truncated, "w") as fh:
@@ -197,7 +180,9 @@ def test_torn_tail_is_dropped_and_last_snapshot_recovered(tmp_path):
     assert len(records) == len(torn) - 1
     snap = replay(records)
     assert not snap.complete
-    assert snap.tasks_done > 0  # the last flushed progress survived
+    assert snap.phase == "drain"  # the last flushed phase survived
+    assert snap.phases_seen == ["build", "fence", "execute", "drain"]
+    assert snap.tasks_done == 0  # the torn progress record is gone
     problems = validate_ledger(records)
     assert problems == []  # truncation is not corruption
 
@@ -253,9 +238,13 @@ def test_no_ledger_means_no_hooks_and_no_files(tmp_path, monkeypatch):
         ex.invoke(gen, k)
     ex.fence()
     assert backend.ledger is None
-    assert backend.engine.on_heartbeat is None
-    assert backend.engine.heartbeat_every == 0
     assert os.listdir(tmp_path) == []  # not a byte of ledger I/O
+    # Attaching a ledger installs no engine hook either.
+    backend = _pipeline_backend()[0]
+    engine_state = dict(vars(backend.engine))
+    backend.attach_ledger(LedgerWriter(str(tmp_path / "a.ledger.jsonl")))
+    assert vars(backend.engine) == engine_state
+    assert backend.engine.on_checkpoint is None
 
 
 @pytest.mark.parametrize("loop", LOOPS)
@@ -264,7 +253,7 @@ def test_ledger_never_perturbs_virtual_time(tmp_path, loop):
     for k in range(keys):
         ex.invoke(gen, k)
     bare = ex.fence()
-    _, with_ledger = _run_with_ledger(tmp_path, heartbeat_every=1, loop=loop)
+    _, with_ledger = _run_with_ledger(tmp_path, loop=loop)
     assert with_ledger.stats.makespan == bare
 
 
@@ -283,7 +272,7 @@ def test_ledger_capture_writes_one_ledger_per_backend(tmp_path):
     assert len(files) == 1 and files[0].endswith(".ledger.jsonl")
     snap = replay_path(os.path.join(directory, files[0]))
     assert snap.complete
-    assert snap.tasks_done == snap.tasks_total == 2 * keys
+    assert snap.tasks_done == sum(snap.by_template.values()) == 2 * keys
     head = read_ledger(os.path.join(directory, files[0]))[0]
     assert head["nranks"] == 4
 
@@ -345,7 +334,7 @@ def _torn_then_resumed(tmp_path, torn_line):
     path = str(tmp_path / "resumed.ledger.jsonl")
     led = LedgerWriter(path, run_id="run-a", meta={"app": "unit"})
     led.phase("execute", sim=1.0)
-    led.progress(1.0, tasks_done=3, tasks_total=8)
+    led.progress(1.0, tasks_done=3)
     led._fh.close()  # simulate the kill: no ledger_close
     with open(path, "a") as fh:
         fh.write(torn_line)  # the record the kill tore (no newline)
@@ -353,14 +342,14 @@ def _torn_then_resumed(tmp_path, torn_line):
     resumed = LedgerWriter(path, run_id="run-b", append=True)
     resumed.resume(point="ckpt-3", predecessor="run-a", checkpoints=3)
     resumed.checkpoint(2.0, events=100, verified=True)
-    resumed.progress(2.5, tasks_done=8, tasks_total=8)
+    resumed.progress(2.5, tasks_done=8)
     resumed.close(3.0)
     return path
 
 
 def test_append_resume_heals_torn_tail(tmp_path):
     path = _torn_then_resumed(
-        tmp_path, '{"type": "heartbeat", "run": "run-a", "se')
+        tmp_path, '{"type": "progress", "run": "run-a", "se')
     records = read_ledger(path)  # torn record skipped, not fatal
     assert [r["type"] for r in records] == [
         "ledger_open", "phase", "progress",           # predecessor
@@ -373,19 +362,19 @@ def test_append_resume_heals_torn_tail(tmp_path):
 
 def test_validate_accepts_resume_takeover(tmp_path):
     path = _torn_then_resumed(
-        tmp_path, '{"type": "heartbeat", "run": "run-a", "se')
+        tmp_path, '{"type": "progress", "run": "run-a", "se')
     records = read_ledger(path)
     assert validate_ledger(records) == []
 
 
 def test_append_resume_replays_to_resumed_state(tmp_path):
     path = _torn_then_resumed(
-        tmp_path, '{"type": "heartbeat", "run": "run-a", "se')
+        tmp_path, '{"type": "progress", "run": "run-a", "se')
     snap = replay_path(path)
     assert snap.complete is True
     assert snap.resumed_from == "ckpt-3"
     assert snap.checkpoints == 1
-    assert snap.tasks_done == 8 and snap.tasks_total == 8
+    assert snap.tasks_done == 8
 
 
 def test_append_resume_terminates_newline_less_torn_tail(tmp_path):
