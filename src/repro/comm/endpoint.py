@@ -14,6 +14,7 @@ from typing import Any, Callable, Optional
 
 from repro.sim.cluster import Cluster
 from repro.telemetry.events import SPAN, TID_AM, TID_RMA
+from repro.telemetry.metrics import Handles
 
 #: ``EventBus.record`` arg names of the AM/RMA spans.
 _COMM_ARGS = ("src", "nbytes")
@@ -51,6 +52,20 @@ class CommEngine:
         self.rma_count = 0
         self.rma_bytes = 0
 
+    def attach_telemetry(self, telemetry: Any) -> None:
+        """Arm the AM and RMA hooks: per (tag, rank), the span head and the
+        rank's instruments, each resolved at its first message."""
+        m = telemetry.metrics
+        self._am_handles = Handles(lambda k: (
+            (SPAN, f"am:{k[0] or 'am'}", "comm", k[1], TID_AM, _COMM_ARGS),
+            m.counter("am", dst=k[1]), m.counter("am_bytes", dst=k[1]),
+            m.histogram("am_latency", dst=k[1])))
+        self._rma_handles = Handles(lambda k: (
+            (SPAN, f"rma:{k[0]}", "comm", k[1], TID_RMA, _COMM_ARGS),
+            m.counter("rma_gets", origin=k[1]),
+            m.counter("rma_get_bytes", origin=k[1])))
+        self.telemetry = telemetry
+
     # ------------------------------------------------------------------ AMs
 
     def send_am(
@@ -84,12 +99,12 @@ class CommEngine:
         self._am_free[dst] = done
         tel = self.telemetry
         if tel is not None:
+            head, am, am_bytes, latency = self._am_handles[(tag, dst)]
             if tel.bus.recording:
-                tel.bus.record(SPAN, f"am:{tag or 'am'}", "comm", dst, TID_AM,
-                               t_sent, done, None, _COMM_ARGS, src, nbytes)
-            tel.metrics.counter("am", dst=dst).inc()
-            tel.metrics.counter("am_bytes", dst=dst).inc(nbytes)
-            tel.metrics.histogram("am_latency", dst=dst).observe(done - t_sent)
+                tel.bus.emit((head, t_sent, done, None, src, nbytes))
+            am.value += 1
+            am_bytes.value += nbytes
+            latency.observe(done - t_sent)
         self.engine.schedule_at(done, handler, *args)
 
     # ------------------------------------------------------------------ RMA
@@ -114,9 +129,9 @@ class CommEngine:
         self.rma_bytes += nbytes
         tel = self.telemetry
         if tel is not None:
+            head, gets, get_bytes = self._rma_handles[(tag, origin)]
             if tel.bus.recording:
-                tel.bus.record(SPAN, f"rma:{tag}", "comm", origin, TID_RMA,
-                               t0, done, None, _COMM_ARGS, target, nbytes)
-            tel.metrics.counter("rma_gets", origin=origin).inc()
-            tel.metrics.counter("rma_get_bytes", origin=origin).inc(nbytes)
+                tel.bus.emit((head, t0, done, None, target, nbytes))
+            gets.value += 1
+            get_bytes.value += nbytes
         self.engine.schedule_at(done, on_complete, *args)

@@ -30,11 +30,15 @@ from repro.core.task import TemplateTask, default_owner, keymap_out_of_range
 from repro.core.terminals import OutputTerminal
 from repro.runtime.base import Backend
 from repro.telemetry.events import INSTANT, TID_RT
+from repro.telemetry.metrics import Handles
 
-#: ``EventBus.record`` arg specs of the dependency / zero-copy instants:
-#: the consumer label ``dst`` is formatted from (template name, key) on read.
-_DEP_ARGS = "src dst[] edge obj? mode?"
-_ALIAS_ARGS = "src dst[] obj mode"
+#: Record heads (see ``EventBus.emit``) of the dependency / zero-copy
+#: instants, per source rank: a memo of constants, shared by every run.
+#: The consumer label ``dst`` is formatted from (template name, key) on read.
+_DEP_HEADS = Handles(lambda rank: (
+    INSTANT, "dep", "dep", rank, TID_RT, "src dst[] edge obj? mode?"))
+_ALIAS_HEADS = Handles(lambda rank: (
+    INSTANT, "alias", "alias", rank, TID_RT, "src dst[] obj mode"))
 
 _EMPTY = object()
 
@@ -243,12 +247,10 @@ class Executable:
         tel = self.backend.telemetry
         if tel is not None and tel.bus.recording:
             tok = tel.data_token(value)
-            now = tel.bus.now()
-            tel.bus.record(
-                INSTANT, "dep", "dep", 0, TID_RT, now, now, None, _DEP_ARGS,
-                "<external>", tt.name, key, term.edge.name,
-                tok, None if tok is None else "value",
-            )
+            now = self.backend.engine.now
+            tel.bus.emit((_DEP_HEADS[0], now, now, None, "<external>",
+                          tt.name, key, term.edge.name,
+                          tok, None if tok is None else "value"))
         nranks = self.nranks
         km = tt._keymap
         dst = default_owner(key, nranks) if km is None else km(key)
@@ -331,16 +333,16 @@ class Executable:
             # across ranks.
             tok = tel.data_token(value)
             tok_mode = None if tok is None else mode
-            src, now = current_task_label(), bus.now()
+            src, now = current_task_label(), backend.engine.now
+            dep_head = _DEP_HEADS[src_rank]
         # Message tags are only ever read by a recording bus.
         tagged = bus is not None
         for ctt, cidx in edge.consumers:
             if sanitizer is not None:
                 sanitizer.on_route(ctt, cidx, key, value, mode)
             if bus is not None:
-                bus.record(INSTANT, "dep", "dep", src_rank, TID_RT, now, now,
-                           None, _DEP_ARGS, src, ctt.name, key, edge.name,
-                           tok, tok_mode)
+                bus.emit((dep_head, now, now, None, src, ctt.name, key,
+                          edge.name, tok, tok_mode))
             # The one keymap evaluation of this message, range-checked
             # here (TTG006): the owner rank rides along to _deliver/_spawn.
             km = ctt._keymap
@@ -351,9 +353,8 @@ class Executable:
                 backend.stats.local_deliveries += 1
                 v2, delay = backend.maybe_copy_local(value, mode)
                 if bus is not None and tok is not None and v2 is value:
-                    bus.record(INSTANT, "alias", "alias", src_rank, TID_RT,
-                               now, now, None, _ALIAS_ARGS, src, ctt.name,
-                               key, tok, mode)
+                    bus.emit((_ALIAS_HEADS[src_rank], now, now, None, src,
+                              ctt.name, key, tok, mode))
                 backend.post_local(self._deliver, ctt, cidx, key, v2, dst,
                                    delay=delay)
             elif value is None:
@@ -383,18 +384,22 @@ class Executable:
         tel = backend.telemetry
         backend.stats.broadcasts += 1
         if tel is not None:
-            tel.metrics.counter("broadcasts", mode=backend.config.broadcast).inc()
+            backend._h_broadcasts[backend.config.broadcast].value += 1
         if backend.config.broadcast == "naive":
             for term, keys in spec:
                 for k in keys:
                     self.send_from(src_rank, term, k, value, mode)
             return
+        sanitizer = self.sanitizer
         bus = tel.bus if tel is not None and tel.bus.recording else None
         if bus is not None:
             tok = tel.data_token(value)
             tok_mode = None if tok is None else mode
-            src, now = current_task_label(), bus.now()
-        sanitizer = self.sanitizer
+            src, now = current_task_label(), backend.engine.now
+            # The dep instants of the whole fan-out are one entry (one per
+            # key while the sanitizer may record a finding in between).
+            deps = bus.batch((_DEP_HEADS[src_rank], now, now, None, src), 3,
+                             (tok, tok_mode), expand=sanitizer is not None)
         nranks = self.nranks
         per_rank: Dict[int, List[Tuple[TemplateTask, int, Any]]] = {}
         for term, keys in spec:
@@ -415,9 +420,7 @@ class Executable:
                     if sanitizer is not None:
                         sanitizer.on_route(ctt, cidx, k, value, mode)
                     if bus is not None:
-                        bus.record(INSTANT, "dep", "dep", src_rank, TID_RT,
-                                   now, now, None, _DEP_ARGS, src, ctt.name,
-                                   k, edge.name, tok, tok_mode)
+                        deps.extend((ctt.name, k, edge.name))
                     # The targets of one destination share its rank, which
                     # rides along on the batch / the _DeliverN(V) record.
                     km = ctt._keymap
@@ -432,10 +435,11 @@ class Executable:
                 backend.stats.local_deliveries += len(targets)
                 v2, delay = backend.maybe_copy_local(value, mode)
                 if bus is not None and tok is not None and v2 is value:
+                    aliases = bus.batch(
+                        (_ALIAS_HEADS[src_rank], now, now, None, src), 2,
+                        (tok, mode))
                     for ctt, cidx, k in targets:
-                        bus.record(INSTANT, "alias", "alias", src_rank,
-                                   TID_RT, now, now, None, _ALIAS_ARGS, src,
-                                   ctt.name, k, tok, mode)
+                        aliases.extend((ctt.name, k))
                 # One heap entry for the whole same-timestamp fan-out.
                 backend.post_local_batch(
                     [(self._deliver, (ctt, cidx, k, v2, dst))
@@ -484,11 +488,8 @@ class Executable:
             else:
                 p.slots[idx] = term.reducer(p.slots[idx], value)
             p.counts[idx] += 1
-            tel = self.backend.telemetry
-            if tel is not None:
-                tel.metrics.counter(
-                    "stream_items", template=tt.name, terminal=term.name
-                ).inc()
+            if self.backend.telemetry is not None:
+                self.backend._h_stream_items[(tt.name, term.name)].value += 1
             exp = p.expected[idx]
             if exp is not None and p.counts[idx] > exp:
                 raise StreamError(

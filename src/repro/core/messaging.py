@@ -134,12 +134,13 @@ class TaskOutputs:
         if tel is not None and tel.bus.recording:
             from repro.telemetry.events import INSTANT, TID_RT
 
-            now = tel.bus.now()
-            tel.bus.record(
-                INSTANT, name, "stream", self._rank, TID_RT, now, now, None,
-                "sender terminal key! size?", current_task_label(),
-                str(self._terminal(which).name), key, size,
-            )
+            now = self._ex.backend.engine.now
+            tel.bus.emit((
+                (INSTANT, name, "stream", self._rank, TID_RT,
+                 "sender terminal key! size?"), now, now, None,
+                current_task_label(), str(self._terminal(which).name), key,
+                size,
+            ))
 
 
 def _check_mode(mode: str) -> None:

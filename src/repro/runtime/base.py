@@ -17,17 +17,17 @@ communication and computation in a distributed setting.  The TTG core layer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.comm.endpoint import CommEngine
 from repro.comm.rma import RmaError, RmaWindow
-from repro.runtime.scheduler import InstrumentedQueue, get_scheduler
+from repro.runtime.scheduler import get_scheduler
 from repro.serialization.protocols import Protocol, SerializedMessage
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
 from repro.serialization.traits import pack
 from repro.sim.cluster import Cluster
 from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, TID_RT, Telemetry
+from repro.telemetry.metrics import Handles
 
 #: Size charged for control-only active messages (task-id only, no data).
 CONTROL_BYTES = 64
@@ -116,13 +116,13 @@ class _OnMeta:
     window until the release control message fires."""
 
     __slots__ = ("backend", "src", "dst", "meta_bytes", "eager_bytes",
-                 "rma_bytes", "handle", "send_start", "flow", "meta_name",
-                 "rma_name", "on_deliver")
+                 "rma_bytes", "handle", "send_start", "flow", "heads",
+                 "on_deliver")
 
     def __init__(self, backend: "Backend", src: int, dst: int,
                  meta_bytes: bytes, eager_bytes: int, rma_bytes: int,
                  handle: int, send_start: float, flow: Optional[int],
-                 meta_name: Optional[str], rma_name: Optional[str],
+                 heads: Optional[Tuple[tuple, tuple]],
                  on_deliver: Callable[[Any], None]) -> None:
         self.backend = backend
         self.src = src
@@ -133,26 +133,24 @@ class _OnMeta:
         self.handle = handle
         self.send_start = send_start
         self.flow = flow
-        self.meta_name = meta_name
-        self.rma_name = rma_name
+        self.heads = heads
         self.on_deliver = on_deliver
 
     def __call__(self) -> None:
         backend = self.backend
         meta_end = backend.engine.now
         if self.flow is not None:
-            backend.telemetry.bus.record(
-                SPAN, self.meta_name, "proto", self.dst, TID_PROTO,
-                self.send_start, meta_end, self.flow, _PROTO_ARGS,
+            backend.telemetry.bus.emit((
+                self.heads[0], self.send_start, meta_end, self.flow,
                 self.src, self.eager_bytes,
-            )
+            ))
         cls, meta = unpack_metadata(self.meta_bytes)
         obj = cls.splitmd_allocate(meta)
         backend.rma.get(
             self.dst, self.handle,
             _OnPayload(backend, self.src, self.dst, obj, meta_end,
                        self.rma_bytes, self.handle, self.flow,
-                       self.rma_name, self.on_deliver),
+                       self.heads, self.on_deliver),
         )
 
 
@@ -161,11 +159,11 @@ class _OnPayload:
     release the source region, deliver."""
 
     __slots__ = ("backend", "src", "dst", "obj", "meta_end", "rma_bytes",
-                 "handle", "flow", "rma_name", "on_deliver")
+                 "handle", "flow", "heads", "on_deliver")
 
     def __init__(self, backend: "Backend", src: int, dst: int, obj: Any,
                  meta_end: float, rma_bytes: int, handle: int,
-                 flow: Optional[int], rma_name: Optional[str],
+                 flow: Optional[int], heads: Optional[Tuple[tuple, tuple]],
                  on_deliver: Callable[[Any], None]) -> None:
         self.backend = backend
         self.src = src
@@ -175,7 +173,7 @@ class _OnPayload:
         self.rma_bytes = rma_bytes
         self.handle = handle
         self.flow = flow
-        self.rma_name = rma_name
+        self.heads = heads
         self.on_deliver = on_deliver
 
     def __call__(self, data: Any) -> None:
@@ -184,11 +182,10 @@ class _OnPayload:
         if data is not None:
             obj.splitmd_fill(data)
         if self.flow is not None:
-            backend.telemetry.bus.record(
-                SPAN, self.rma_name, "proto", self.dst, TID_PROTO,
-                self.meta_end, backend.engine.now, self.flow, _PROTO_ARGS,
+            backend.telemetry.bus.emit((
+                self.heads[1], self.meta_end, backend.engine.now, self.flow,
                 self.src, self.rma_bytes,
-            )
+            ))
         # Notify the sender to release the registered region.
         backend.comm.send_am(
             self.dst, self.src, CONTROL_BYTES, backend._release_handle,
@@ -246,10 +243,11 @@ class _EagerDeliver:
 
 
 class _ReadyTask:
-    """A task instance bound for a worker pool."""
+    """A task instance bound for a worker pool.  ``enqueued``, its push
+    time, is set only with telemetry attached (queue-wait sampling)."""
 
     __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key",
-                 "device", "inputs")
+                 "device", "inputs", "enqueued")
 
     def __init__(
         self,
@@ -300,39 +298,49 @@ class WorkerPool:
         self._speedups = dict(ov.speedups) if ov is not None and ov.speedups else None
         self.gpu_tasks_executed = 0
         self.gpu_transfer_bytes = 0
+        # Telemetry hook point (enable_telemetry).  None => one branch at
+        # each push, pop and completion.
+        self._tel: Optional[Telemetry] = None
 
     def enable_telemetry(self, tel: Telemetry) -> None:
-        """Wrap the ready queues with queue-wait / depth sampling."""
-        rank = self.rank
-        bus = tel.bus
-        clock = partial(getattr, self.backend.engine, "now")
+        """Sample queue wait and depth at the pushes (:meth:`Backend.submit`,
+        :meth:`submit_gpu`) and pops (:meth:`_dispatch`), and record every
+        completed task.  The queues must be empty: a task queued before
+        has no push time."""
+        if self.queued:
+            raise ValueError(
+                f"cannot attach telemetry to rank {self.rank}'s non-empty "
+                "ready queue (attach telemetry before submitting tasks)"
+            )
+        rank, metrics = self.rank, tel.metrics
+        # Per device: (queue_wait histogram, queue_depth_peak gauge, head
+        # of the depth samples).
+        self._cpu_sampling, self._gpu_sampling = (
+            (metrics.histogram("queue_wait", rank=rank, device=device),
+             metrics.gauge("queue_depth_peak", rank=rank, device=device),
+             (COUNTER, f"queue_depth_{device}", "counter", rank, 0, _DEPTH_ARGS))
+            for device in ("cpu", "gpu"))
 
-        def _sampler(device: str):
-            wait_hist = tel.metrics.histogram("queue_wait", rank=rank, device=device)
-            depth_gauge = tel.metrics.gauge("queue_depth_peak", rank=rank, device=device)
-            name = f"queue_depth_{device}"
+        self._task_metrics = Handles(lambda template: (
+            metrics.counter("tasks", template=template, rank=rank),
+            metrics.histogram("task_time", template=template)))
+        # Task span heads per (template, lane): accelerator slots sit
+        # above the workers and name their spans "TEMPLATE@gpu".
+        self._task_heads = Handles(lambda k: (
+            SPAN, k[0] if k[1] < self.nworkers else f"{k[0]}@gpu", "task",
+            rank, k[1], _TASK_ARGS))
+        self._tel = tel
 
-            def sample(depth: int) -> None:
-                if bus.recording:
-                    now = clock()
-                    bus.record(COUNTER, name, "counter", rank, 0, now, now,
-                               None, _DEPTH_ARGS, depth)
-
-            def on_push(depth: int) -> None:
-                if depth > depth_gauge.value:
-                    depth_gauge.set(depth)
-                sample(depth)
-
-            def on_pop(wait: float, depth: int) -> None:
-                wait_hist.observe(wait)
-                sample(depth)
-
-            return on_push, on_pop
-
-        on_push, on_pop = _sampler("cpu")
-        self._queue = InstrumentedQueue(self._queue, clock, on_push, on_pop)
-        on_push, on_pop = _sampler("gpu")
-        self._gpu_queue = InstrumentedQueue(self._gpu_queue, clock, on_push, on_pop)
+    def _pushed(self, task: _ReadyTask, queue: Any, sampling: tuple) -> None:
+        """Queue-wait / depth sampling of one push (telemetry attached)."""
+        tel = self._tel
+        task.enqueued = now = self.backend.engine.now
+        depth = len(queue)
+        peak = sampling[1]
+        if depth > peak.value:
+            peak.set(depth)
+        if tel.bus.recording:
+            tel.bus.emit((sampling[2], now, now, None, depth))
 
     @property
     def queued(self) -> int:
@@ -356,6 +364,8 @@ class WorkerPool:
                 "node has none"
             )
         self._gpu_queue.push(task, task.priority)
+        if self._tel is not None:
+            self._pushed(task, self._gpu_queue, self._gpu_sampling)
         # With every slot busy the task just waits: the next completion
         # dispatches it.
         if self._gpu_idle:
@@ -376,10 +386,16 @@ class WorkerPool:
 
     def _dispatch(self) -> None:
         engine = self.backend.engine
+        tel = self._tel
         while self._idle and self._queue:
             task = self._queue.pop()
             worker = self._idle.pop()
             start = engine.now
+            if tel is not None:
+                wait, _, head = self._cpu_sampling
+                wait.observe(start - task.enqueued)
+                if tel.bus.recording:
+                    tel.bus.emit((head, start, start, None, len(self._queue)))
             duration = self._node.compute_time(task.flops, task.bytes_moved)
             if self._speedups is not None:
                 s = self._speedups.get(task.name)
@@ -391,6 +407,12 @@ class WorkerPool:
             task = self._gpu_queue.pop()
             slot = self._gpu_idle.pop()
             start = engine.now
+            if tel is not None:
+                wait, _, head = self._gpu_sampling
+                wait.observe(start - task.enqueued)
+                if tel.bus.recording:
+                    tel.bus.emit((head, start, start, None,
+                                  len(self._gpu_queue)))
             transfer = self._transfer_bytes(task)
             self.gpu_transfer_bytes += transfer
             duration = self._node.gpu_compute_time(task.flops, transfer)
@@ -403,29 +425,27 @@ class WorkerPool:
                 transfer
             )
 
-    def _record_task(self, tel: Telemetry, name: str, task: _ReadyTask,
-                     tid: int, start: float,
-                     pcie_bytes: Optional[int] = None) -> None:
+    def _record_task(self, tel: Telemetry, task: _ReadyTask, tid: int,
+                     start: float, pcie_bytes: Optional[int] = None) -> None:
         end = self.backend.engine.now
+        tasks, task_time = self._task_metrics[task.name]
         if tel.bus.recording:
             # Data tokens of trackable inputs: the race detector uses
             # them to see which rank shards observed a buffer live.
             # Accelerator tasks carry their host->device traffic so
             # the report can split PCIe bytes out of the byte budget.
-            tel.bus.record(
-                SPAN, name, "task", self.rank, tid, start, end, None,
-                _TASK_ARGS, task.key, task.name, task.priority,
-                pcie_bytes, *[tok for tok in map(tel.data_token, task.inputs)
-                              if tok is not None],
-            )
-        tel.metrics.counter("tasks", template=task.name, rank=self.rank).inc()
-        tel.metrics.histogram("task_time", template=task.name).observe(end - start)
+            tel.bus.emit((self._task_heads[(task.name, tid)], start, end,
+                          None, task.key, task.name,
+                          task.priority, pcie_bytes,
+                          *tel.data_tokens(task.inputs)))
+        tasks.value += 1
+        task_time.observe(end - start)
 
     def _complete(self, task: _ReadyTask, worker: int, start: float) -> None:
         backend = self.backend
-        tel = backend.telemetry
+        tel = self._tel
         if tel is not None:
-            self._record_task(tel, task.name, task, worker, start)
+            self._record_task(tel, task, worker, start)
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1
@@ -438,10 +458,10 @@ class WorkerPool:
     def _complete_gpu(self, task: _ReadyTask, slot: int, start: float,
                       transfer: int = 0) -> None:
         backend = self.backend
-        tel = backend.telemetry
+        tel = self._tel
         if tel is not None:
-            self._record_task(tel, f"{task.name}@gpu", task,
-                              self.nworkers + slot, start, pcie_bytes=transfer)
+            self._record_task(tel, task, self.nworkers + slot, start,
+                              pcie_bytes=transfer)
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1
@@ -496,16 +516,42 @@ class Backend:
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Arm the telemetry hooks on every layer this backend owns.
 
-        Binds the bus clock to this backend's engine, installs the
-        instrumented ready queues, and points the comm engine at the same
-        bus.  Attach before submitting work (the queue wrappers require
-        empty queues).
+        Binds the bus clock to this backend's engine, arms the worker
+        pools' queue sampling and the comm engine, and sets up the metric
+        handles of the hooks here and in :mod:`repro.core.graph`, each
+        resolved at its first event.  Attach before submitting work (the
+        pools refuse non-empty queues).
         """
-        telemetry.bind(self)
-        self.telemetry = telemetry
-        self.comm.telemetry = telemetry
         for pool in self.pools:
             pool.enable_telemetry(telemetry)
+        telemetry.bind(self)
+        self.telemetry = telemetry
+        self.comm.attach_telemetry(telemetry)
+        m = telemetry.metrics
+
+        def copies(src: Optional[int]) -> tuple:
+            # Sender copies carry the sending rank, local copies no rank.
+            if src is None:
+                return (m.counter("copies", kind="local"),
+                        m.counter("copy_bytes", kind="local"))
+            return (m.counter("copies", kind="sender", rank=src),
+                    m.counter("copy_bytes", kind="sender"))
+
+        self._h_messages = Handles(lambda k: (
+            m.counter("messages", protocol=k[0], src=k[1], dst=k[2]),
+            m.counter("message_bytes", protocol=k[0])))
+        self._h_copies = Handles(copies)
+        self._h_avoided = Handles(lambda mode: (
+            m.counter("copies_avoided", mode=mode),
+            m.counter("copy_bytes_avoided", mode=mode)))
+        self._h_broadcasts = Handles(
+            lambda mode: m.counter("broadcasts", mode=mode))
+        self._h_stream_items = Handles(lambda k: m.counter(
+            "stream_items", template=k[0], terminal=k[1]))
+        # Heads of the two splitmd phase spans, per (tag, destination).
+        self._h_proto = Handles(lambda k: tuple(
+            (SPAN, name, "proto", k[1], TID_PROTO, _PROTO_ARGS)
+            for name in splitmd_phase_names(k[0])))
 
     def attach_ledger(self, ledger: Any) -> None:
         """Record this execution's life cycle into ``ledger`` (a
@@ -578,6 +624,8 @@ class Backend:
             pool.submit_gpu(task)
             return
         pool._queue.push(task, priority)
+        if pool._tel is not None:
+            pool._pushed(task, pool._queue, pool._cpu_sampling)
         # With every worker busy the task just waits: the next completion
         # dispatches it.
         if pool._idle:
@@ -637,11 +685,10 @@ class Backend:
         self.stats.remote_bytes += nbytes
         proto_stats = self.stats.bytes_by_protocol
         proto_stats["control"] = proto_stats.get("control", 0) + nbytes
-        tel = self.telemetry
-        if tel is not None:
-            tel.metrics.counter("messages", protocol="control",
-                                src=src, dst=dst).inc()
-            tel.metrics.counter("message_bytes", protocol="control").inc(nbytes)
+        if self.telemetry is not None:
+            messages, message_bytes = self._h_messages[("control", src, dst)]
+            messages.value += 1
+            message_bytes.value += nbytes
         self.comm.send_am(src, dst, nbytes, on_deliver, tag="ctrl")
 
     def send_value(
@@ -671,35 +718,34 @@ class Backend:
         proto_stats[msg.protocol] = proto_stats.get(msg.protocol, 0) + msg.total_bytes
         tel = self.telemetry
         if tel is not None:
-            tel.metrics.counter("messages", protocol=msg.protocol,
-                                src=src, dst=dst).inc()
-            tel.metrics.counter("message_bytes", protocol=msg.protocol).inc(
-                msg.total_bytes)
+            messages, message_bytes = self._h_messages[(msg.protocol, src, dst)]
+            messages.value += 1
+            message_bytes.value += msg.total_bytes
         send_start = self.engine.now
         if msg.sender_copy_bytes:
             self.stats.copies += 1
             self.stats.copy_bytes += msg.sender_copy_bytes
             send_start += node.copy_time(msg.sender_copy_bytes)
             if tel is not None:
-                tel.metrics.counter("copies", kind="sender", rank=src).inc()
-                tel.metrics.counter("copy_bytes", kind="sender").inc(
-                    msg.sender_copy_bytes)
+                copies, copy_bytes = self._h_copies[src]
+                copies.value += 1
+                copy_bytes.value += msg.sender_copy_bytes
 
         if msg.protocol == "splitmd":
             meta_bytes, payload = msg.payload
             handle = self.rma.register(src, payload, max(msg.rma_bytes, 1))
             self.stats.rma_transfers += 1
             self.stats.rma_bytes += msg.rma_bytes
-            # Flow id and phase names exist for the recorded spans only.
-            flow = meta_name = rma_name = None
+            # Flow id and span heads exist for the recorded spans only.
+            flow = heads = None
             if tel is not None and tel.bus.recording:
                 flow = tel.bus.new_flow()
-                meta_name, rma_name = splitmd_phase_names(tag)
+                heads = self._h_proto[(tag, dst)]
             self.comm.send_am(
                 src, dst, msg.eager_bytes,
                 _OnMeta(self, src, dst, meta_bytes, msg.eager_bytes,
-                        msg.rma_bytes, handle, send_start, flow,
-                        meta_name, rma_name, on_deliver),
+                        msg.rma_bytes, handle, send_start, flow, heads,
+                        on_deliver),
                 start=send_start, tag=tag)
         else:
             recv_copy = msg.receiver_copy_bytes
@@ -742,9 +788,9 @@ class Backend:
                 # later mutation by the sender is a write-after-share race.
                 self.sanitizer.on_cref_share(value)
             if tel is not None:
-                tel.metrics.counter("copies_avoided", mode=mode).inc()
-                tel.metrics.counter("copy_bytes_avoided", mode=mode).inc(
-                    int(getattr(value, "nbytes", 0) or 0))
+                avoided, avoided_bytes = self._h_avoided[mode]
+                avoided.value += 1
+                avoided_bytes.value += int(getattr(value, "nbytes", 0) or 0)
             return value, 0.0
         nbytes = int(getattr(value, "nbytes", 0) or 0)
         delay = 0.0
@@ -753,8 +799,9 @@ class Backend:
             self.stats.copy_bytes += nbytes
             delay = self.cluster.node.copy_time(nbytes)
             if tel is not None:
-                tel.metrics.counter("copies", kind="local").inc()
-                tel.metrics.counter("copy_bytes", kind="local").inc(nbytes)
+                copies, copy_bytes = self._h_copies[None]
+                copies.value += 1
+                copy_bytes.value += nbytes
         clone = getattr(value, "clone", None)
         return (clone() if callable(clone) else value), delay
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Tuple
 
 
 class ReadyQueue:
@@ -92,55 +92,6 @@ class PriorityQueue(ReadyQueue):
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-class InstrumentedQueue(ReadyQueue):
-    """Telemetry wrapper around any policy: queue-wait + depth sampling.
-
-    Items are boxed with their enqueue timestamp (the inner policy treats
-    them opaquely, so every policy instruments the same way); on ``pop``
-    the wait time and post-pop depth are reported through ``on_pop``, and
-    ``on_push`` sees the post-push depth.  Installed by
-    ``WorkerPool.enable_telemetry`` -- the uninstrumented queues have no
-    overhead at all.
-    """
-
-    name = "instrumented"
-
-    def __init__(
-        self,
-        inner: ReadyQueue,
-        clock: Callable[[], float],
-        on_push: Optional[Callable[[int], None]] = None,
-        on_pop: Optional[Callable[[float, int], None]] = None,
-    ) -> None:
-        if len(inner):
-            raise ValueError(
-                "cannot instrument a non-empty ready queue "
-                "(attach telemetry before submitting tasks)"
-            )
-        self._inner = inner
-        self._clock = clock
-        self._on_push = on_push
-        self._on_pop = on_pop
-
-    @property
-    def policy(self) -> str:
-        return self._inner.name
-
-    def push(self, item: Any, priority: int = 0) -> None:
-        self._inner.push((self._clock(), item), priority)
-        if self._on_push is not None:
-            self._on_push(len(self._inner))
-
-    def pop(self) -> Any:
-        enqueued, item = self._inner.pop()
-        if self._on_pop is not None:
-            self._on_pop(self._clock() - enqueued, len(self._inner))
-        return item
-
-    def __len__(self) -> int:
-        return len(self._inner)
 
 
 _POLICIES = {"lifo": LifoQueue, "fifo": FifoQueue, "priority": PriorityQueue}

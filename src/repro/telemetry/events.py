@@ -21,10 +21,12 @@ enabled, events land in per-rank ring buffers (``deque(maxlen=capacity)``)
 so memory stays bounded on long runs; evictions are counted in
 :attr:`EventBus.dropped`.
 
-Recording is cheap, reading pays: the runtime's hooks append one flat
-tuple of atoms per event (:meth:`EventBus.record`: no ``args`` dict, no
-``repr`` of a task key, no formatted label) and the event objects are built
-the first time the bus is read, or at once while a subscriber is attached.
+Recording is cheap, reading pays: the runtime's hooks append one tuple
+of atoms per event (:meth:`EventBus.emit`: no ``args`` dict, no ``repr`` of
+a task key, no formatted label), led by a head tuple the hook site built
+once, and one entry per broadcast fan-out (:meth:`EventBus.batch`).  The
+event objects are built the first time the bus is read, or at once while a
+subscriber is attached.
 
 Timelines within a rank are identified by an integer ``tid``: worker
 threads use their worker index, and the reserved ids below keep transport
@@ -63,8 +65,11 @@ THREAD_NAMES = {
 }
 
 
-#: Event kinds, the first argument of :meth:`EventBus.record`.
+#: Event kinds, the first argument of :meth:`EventBus.record` and the
+#: first field of a record head.
 SPAN, INSTANT, COUNTER = 0, 1, 2
+#: Leads a ring entry standing for several records (:meth:`EventBus.batch`).
+BATCH = 3
 
 
 class TelemetryError(RuntimeError):
@@ -127,12 +132,13 @@ def _fields(spec: str) -> Tuple[Tuple[str, str], ...]:
 
 
 def _event(rec: tuple) -> Any:
-    """Build the event object a record (see :meth:`EventBus.record`) stands for."""
-    kind, name, cat, rank, tid, t0, t1, flow, keys = rec[:9]
+    """Build the event object a record (see :meth:`EventBus.emit`) stands for."""
+    (kind, name, cat, rank, tid, keys), t0, t1, flow = rec[:4]
+    vals = rec[4:]
     if type(keys) is tuple:
-        args = dict(zip(keys, rec[9:]))
+        args = dict(zip(keys, vals))
     else:
-        args, vals = {}, iter(rec[9:])
+        args, vals = {}, iter(vals)
         for key, how in _fields(keys):
             v = list(vals) if how == "*" else next(vals)
             if how == "[]":
@@ -147,6 +153,34 @@ def _event(rec: tuple) -> Any:
     if kind == INSTANT:
         return InstantEvent(name, cat, rank, tid, t0, args)
     return CounterEvent(name, rank, t0, args)
+
+
+def _records(entries: Iterable[Any]) -> Iterator[Any]:
+    """``entries`` with every batch expanded into its records, in order."""
+    for entry in entries:
+        if type(entry) is tuple and entry[0] == BATCH:
+            _, head, width, values, tail = entry
+            for i in range(0, len(values), width):
+                yield head + tuple(values[i:i + width]) + tail
+        else:
+            yield entry
+
+
+class _Expanding:
+    """What :meth:`EventBus.batch` hands out when the batch cannot be one
+    entry: each item is stored as its own record as it comes in."""
+
+    __slots__ = ("bus", "rank", "head", "width", "tail")
+
+    def __init__(self, bus: "EventBus", rank: int, head: tuple, width: int,
+                 tail: tuple) -> None:
+        self.bus, self.rank, self.head = bus, rank, head
+        self.width, self.tail = width, tail
+
+    def extend(self, values: Iterable[Any]) -> None:
+        flat, width = tuple(values), self.width
+        for i in range(0, len(flat), width):
+            self.bus._put(self.rank, self.head + flat[i:i + width] + self.tail)
 
 
 class _OpenSpan:
@@ -176,7 +210,9 @@ class EventBus:
     replaces it with the backend engine's clock.
 
     A ring holds event objects and unread records side by side; reading
-    replaces the records in place, so an event keeps its identity.
+    replaces the records in place, so an event keeps its identity.  Only
+    an unbounded ring keeps batches (:meth:`batch`): eviction, ``dropped``
+    and subscribers work per event.
     """
 
     def __init__(
@@ -255,11 +291,11 @@ class EventBus:
     def extend(self, events: Iterable[Any], rank_offset: int = 0) -> None:
         """Append events recorded elsewhere (event objects, or another bus's
         :meth:`drain`) in order, each on its own rank plus ``rank_offset``."""
-        for item in events:
+        for item in _records(events):
             if rank_offset:
                 item = _event(item) if type(item) is tuple else item
                 item = dataclasses.replace(item, rank=item.rank + rank_offset)
-            self._put(item[3] if type(item) is tuple else item.rank, item)
+            self._put(item[0][3] if type(item) is tuple else item.rank, item)
 
     def clear(self) -> None:
         """Forget every buffered event and eviction count."""
@@ -270,7 +306,8 @@ class EventBus:
     def drain(self) -> Tuple[List[Any], List[int]]:
         """Remove and return ``(events, dropped)``: everything buffered, rank
         by rank in recording order and still unread, for :meth:`extend`."""
-        out = [item for ring in self._rings for item in ring], list(self.dropped)
+        out = ([item for ring in self._rings for item in _records(ring)],
+               list(self.dropped))
         self.clear()
         return out
 
@@ -279,8 +316,9 @@ class EventBus:
     def record(self, kind: int, name: str, cat: str, rank: int, tid: int,
                t0: float, t1: float, flow: Optional[int],
                keys: Union[str, Tuple[str, ...]], *vals: Any) -> None:
-        """The runtime hooks' recording path: store the parts of one event
-        (check :attr:`recording` first), build the object on first read.
+        """Store the parts of one event (check :attr:`recording` first);
+        the object is built on first read.  Hot hook sites call
+        :meth:`emit` instead, with a head they built once.
 
         ``kind`` is :data:`SPAN`, :data:`INSTANT` or :data:`COUNTER`
         (instants and counters pass ``ts`` as ``t0`` and ``t1``; counters
@@ -291,16 +329,50 @@ class EventBus:
         ``"NAME[key!r]"``, ``size?`` is left out when ``None``, a final
         ``data*`` stores the remaining values as a list (left out when
         empty).  Pass atoms (strings, numbers, ``None``, immutable keys):
-        such a record costs the cyclic GC nothing, and a deferred value
-        must not change before it is read.
+        a deferred value must not change before it is read, and a tuple of
+        atoms leaves the cyclic GC at the first collection that sees it.
+        Until then it counts toward the young generation's threshold like
+        any other allocation, so every retained record still costs
+        collections: fewer and smaller records are what make watching
+        cheaper.
         """
-        rec = (kind, name, cat, rank, tid, t0, t1, flow, keys) + vals
+        self.emit(((kind, name, cat, rank, tid, keys), t0, t1, flow) + vals)
+
+    def emit(self, rec: tuple) -> None:
+        """Store one record ``(head, t0, t1, flow, *vals)``.  ``head`` is
+        ``(kind, name, cat, rank, tid, keys)``, the fields :meth:`record`
+        takes in the same order; a hook site builds each head once and
+        shares it between the records of one timeline and shape."""
+        rank = rec[0][3]
         if self._subscribers or self.capacity == 0 or rank >= len(self._rings):
             return self._put(rank, rec)
         ring = self._rings[rank]  # _put's common case, inline
         if len(ring) == ring.maxlen:
             self.dropped[rank] += 1
         ring.append(rec)
+
+    def batch(self, head: tuple, width: int, tail: tuple,
+              expand: bool = False) -> "Union[List[Any], _Expanding]":
+        """One ring entry for many records that differ only in ``width``
+        values: a broadcast's per-key instants share everything but the
+        consumer.  Each ``width`` values the caller adds with ``extend``
+        to the returned list stand for the record ``head + item + tail``:
+        ``head`` is a record's leading part (see :meth:`emit`), ``tail``
+        its last values.  The items lie flat in one list, so a key costs
+        no allocation of its own.
+
+        The entry is stored now, so it keeps its place among the rank's
+        records.  A bounded ring, a subscriber, or ``expand=True`` (the
+        caller may record between two items) stores each item as its own
+        record as it comes in instead.
+        """
+        rank = head[0][3]
+        if (expand or self._subscribers or self.capacity is not None
+                or rank >= len(self._rings)):
+            return _Expanding(self, rank, head, width, tail)
+        values: List[Any] = []
+        self._rings[rank].append((BATCH, head, width, values, tail))
+        return values
 
     def begin(self, name: str, rank: int, tid: int = 0, cat: str = "",
               flow: Optional[int] = None, **args: Any) -> _OpenSpan:
@@ -363,7 +435,7 @@ class EventBus:
 
     def _read(self, ring: deque) -> List[Any]:
         """``ring``'s events, its unread records replaced by their objects."""
-        evs = [_event(r) if type(r) is tuple else r for r in ring]
+        evs = [_event(r) if type(r) is tuple else r for r in _records(ring)]
         ring.clear()
         ring.extend(evs)
         return evs
@@ -387,7 +459,8 @@ class EventBus:
                 if isinstance(e, CounterEvent) and (name is None or e.name == name)]
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self._rings)
+        return sum(len(e[3]) // e[2] if type(e) is tuple and e[0] == BATCH else 1
+                   for ring in self._rings for e in ring)
 
     @property
     def nranks(self) -> int:
@@ -443,6 +516,12 @@ class Telemetry:
         Returns ``None`` for untrackable values (they are not race
         subjects).
         """
+        # A value already seen is the common case: its pinned entry
+        # answers by identity before any class probe.
+        key = id(value)
+        rec = self._data_tokens.get(key)
+        if rec is not None and rec[0] is value:
+            return rec[1]
         cls = type(value)
         trackable = self._trackable.get(cls)
         if trackable is None:
@@ -454,13 +533,24 @@ class Telemetry:
                    or callable(getattr(value, "tobytes", None)))
         if not trackable:
             return None
-        key = id(value)
-        rec = self._data_tokens.get(key)
-        if rec is not None and rec[0] is value:
-            return rec[1]
         token = len(self._data_tokens) + 1
         self._data_tokens[key] = (value, token)
         return token
+
+    def data_tokens(self, values: Iterable[Any]) -> List[int]:
+        """The tokens of the trackable ``values``, in order: a task span's
+        inputs in one call, :meth:`data_token` only at a first sighting."""
+        pinned, trackable = self._data_tokens, self._trackable
+        out: List[int] = []
+        for value in values:
+            rec = pinned.get(id(value))
+            if rec is not None and rec[0] is value:
+                out.append(rec[1])
+            elif trackable.get(type(value)) is not False:
+                tok = self.data_token(value)
+                if tok is not None:
+                    out.append(tok)
+        return out
 
     def bind(self, backend: Any) -> None:
         """Wire the bus to ``backend``'s engine clock, rank and lane count."""

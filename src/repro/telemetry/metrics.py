@@ -10,6 +10,9 @@ over a label key -- per-template, per-rank, per-edge, per-protocol --
 which is how :class:`~repro.runtime.base.RunStats` breakdowns and the
 bench counters JSON are produced.
 
+Hook sites on the per-task path skip even that probe: they keep a
+:class:`Handles` per metric family and index it with the label value.
+
 Histograms keep count/total/min/max plus power-of-two buckets of the
 observed values, enough for queue-wait and task-time distributions
 without storing samples.
@@ -18,7 +21,7 @@ without storing samples.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -122,6 +125,31 @@ class Histogram:
         self.vmax = max(self.vmax, other.vmax)
         for b, n in other.buckets.items():
             self.buckets[b] = self.buckets.get(b, 0) + n
+
+
+class Handles(dict):
+    """Hook-site handles resolved once per label value.
+
+    ``handles[value]`` is ``make(value)`` -- an instrument, a tuple of the
+    instruments one event updates, or a record head (see
+    :meth:`~repro.telemetry.events.EventBus.emit`) -- computed on first
+    use and a plain dict hit after that, so a hook site pays no registry
+    look-up and no keyword labels per event.  Resolving on first use, not
+    up front, keeps the registry holding exactly the instruments the
+    events touched.  The hooks bump such a counter's ``value`` directly
+    (their counts and byte sizes are never negative), saving the ``inc``
+    call.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, value: Any) -> Any:
+        handle = self[value] = self.make(value)
+        return handle
 
 
 class MetricsRegistry:

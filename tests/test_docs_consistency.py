@@ -69,6 +69,25 @@ def test_analysis_doc_catalogs_every_rule():
     assert mentioned <= registered, sorted(mentioned - registered)
 
 
+def test_observability_doc_catalogs_every_recorded_metric():
+    """Every (metric, label set) the three golden telemetry cells record
+    has a row of that kind and exactly those labels in the catalog."""
+    from repro.telemetry import Telemetry
+    from tests.test_telemetry_records import GOLDEN, _cell
+
+    doc = (ROOT / "docs" / "observability.md").read_text()
+    rows = {(name, kind, frozenset(re.findall(r"\w+", labels)))
+            for names, kind, labels in re.findall(
+                r"^\| (`.+?`) \| (counter|gauge|histogram) \| (.+?) \|",
+                doc, re.MULTILINE)
+            for name in re.findall(r"`(\w+)`", names)}
+    recorded = {(name, m.kind, frozenset(labels))
+                for app in GOLDEN
+                for name, labels, m in _cell(app, Telemetry(
+                    nranks=16, events=False)).metrics.collect()}
+    assert sorted(recorded - rows, key=str) == []
+
+
 def test_design_no_title_collision_note():
     design = (ROOT / "DESIGN.md").read_text()
     assert "no title collision" in design

@@ -10,13 +10,22 @@ leaves out C built-ins, NumPy and the standard library, and comprehension
 frames (inlined since Python 3.12), so that one budget serves every
 interpreter and NumPy version.  Nothing here reads a clock.
 
+Each cell also runs with ``Telemetry(capacity=None)`` attached: what the
+observer *adds* per task is the cost of watching, budgeted in all and at
+the runtime's hook sites.  Without telemetry, each layer has its own
+budget too, so a regression names its layer.
+
 The budgets are 5 % above the measured calls per task (Python 3.11).
 History: 116.6 / 91.1 (POTRF / BSPMM) before the one-evaluation-per-message
 rework, 80.6 / 64.1 after it, 67.8 / 49.8 once the heap entry became the
 event and the per-event and per-message wrapper frames went, 61.9 / 42.0
 once quiescence became a check of the drained state instead of counting
-every task and message.  A change that adds a call per message to the
-common path trips them; raise a budget only with a measured reason.
+every task and message.  The observer added 55.6 / 47.6 (15.0 / 15.0 at
+the runtime's hook sites) until it recorded one entry per broadcast,
+shared record heads, resolved metric handles once and sampled the ready
+queues at the pool's own push and pop sites: 23.0 / 18.5 (4.8 / 4.6).
+A change that adds a call per message to the common path trips them;
+raise a budget only with a measured reason.
 """
 
 import cProfile
@@ -28,18 +37,33 @@ import pytest
 import repro
 from repro.runtime import ParsecBackend
 from repro.sim.cluster import HAWK, Cluster
+from repro.telemetry import Telemetry
 
 from tests.test_cell_statistics_pinned import NRANKS, bspmm_cell, potrf_cell
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
-#: calls of repro-defined functions per simulated task
-BUDGETS = {"potrf": (potrf_cell, 65.0), "bspmm": (bspmm_cell, 44.1)}
+#: the packages behind each layer budget ("total" and "observer": all)
+LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
+          "core": ("core",), "comm+serialization": ("comm", "serialization"),
+          "observer": None, "observer:runtime": ("runtime",)}
+
+#: calls of repro-defined functions per simulated task; "observer*" count
+#: what attaching Telemetry(capacity=None) adds
+BUDGETS = {
+    "potrf": (potrf_cell, {"total": 65.0, "sim": 7.0, "runtime": 16.1,
+                           "core": 11.8, "comm+serialization": 11.8,
+                           "observer": 24.2, "observer:runtime": 5.0}),
+    "bspmm": (bspmm_cell, {"total": 44.1, "sim": 4.4, "runtime": 14.3,
+                           "core": 12.6, "comm+serialization": 2.3,
+                           "observer": 19.5, "observer:runtime": 4.9}),
+}
 
 
-def profiled_calls(cell):
+def profiled_calls(cell, observed=False):
     """(calls per repro-defined function, simulated tasks) of one run."""
-    backend = ParsecBackend(Cluster(HAWK, NRANKS))
+    telemetry = Telemetry(NRANKS, capacity=None) if observed else None
+    backend = ParsecBackend(Cluster(HAWK, NRANKS), telemetry=telemetry)
     profile = cProfile.Profile()
     profile.enable()
     cell(backend)
@@ -55,16 +79,31 @@ def profiled_calls(cell):
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_calls_per_task_stay_under_budget(name):
-    cell, budget = BUDGETS[name]
+    cell, budgets = BUDGETS[name]
     profiled_calls(cell)  # lazy imports and per-class memos fill here
+    profiled_calls(cell, observed=True)
     first, tasks = profiled_calls(cell)
     second, tasks_again = profiled_calls(cell)
     assert tasks == tasks_again
     assert sum(first.values()) == sum(second.values()), "run is not repeatable"
-    per_task = sum(first.values()) / tasks
+    observed, tasks_observed = profiled_calls(cell, observed=True)
+    assert tasks_observed == tasks
+    added = {fn: observed.get(fn, 0) - first.get(fn, 0)
+             for fn in observed.keys() | first.keys()}
+
+    def per_task(layer):
+        calls = added if layer.startswith("observer") else first
+        return sum(n for fn, n in calls.items() if LAYERS[layer] is None
+                   or fn.split(os.sep)[0] in LAYERS[layer]) / tasks
+
+    over = {layer: round(per_task(layer), 2) for layer in budgets
+            if per_task(layer) > budgets[layer]}
     top = sorted(first.items(), key=lambda kv: -kv[1])[:10]
-    assert per_task <= budget, (
-        f"{name}: {per_task:.1f} calls of repro functions per simulated task "
-        f"exceed the budget of {budget} ({tasks} tasks); most called:\n"
+    top_added = sorted(added.items(), key=lambda kv: -kv[1])[:10]
+    assert not over, (
+        f"{name}: calls of repro functions per simulated task exceed the "
+        f"budgets {budgets} in {over} ({tasks} tasks); most called:\n"
         + "\n".join(f"  {n:7d}  {fn}" for fn, n in top)
+        + "\nmost added by the observer:\n"
+        + "\n".join(f"  {n:7d}  {fn}" for fn, n in top_added)
     )

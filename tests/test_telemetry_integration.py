@@ -7,7 +7,7 @@ import pytest
 from repro import core as ttg
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.runtime.base import BackendConfig
-from repro.runtime.scheduler import InstrumentedQueue, get_scheduler
+from repro.runtime.scheduler import SCHEDULER_NAMES
 from repro.sim.cluster import Cluster, HAWK
 from repro.telemetry.events import Telemetry, capture
 
@@ -62,28 +62,38 @@ def test_queue_wait_sampled_under_priority_scheduler():
     assert tel.metrics.gauge("queue_depth_peak", rank=0, device="cpu").value >= 11
 
 
-def test_instrumented_queue_wraps_any_policy():
-    now = [0.0]
-    seen = []
-    q = InstrumentedQueue(
-        get_scheduler("fifo"), lambda: now[0],
-        on_pop=lambda wait, depth: seen.append((wait, depth)),
-    )
-    q.push("a")
-    now[0] = 2.0
-    q.push("b")
-    now[0] = 5.0
-    assert q.pop() == "a" and q.pop() == "b"
-    assert seen == [(5.0, 1), (3.0, 0)]
-    assert q.policy == "fifo"
-    assert len(q) == 0 and not q
+def test_pool_samples_queue_wait_and_depth_under_any_policy():
+    """The pool samples at its push and pop sites, whatever the policy: a
+    task's wait is its start minus its submission, and every push and pop
+    leaves one depth sample (the depth after it)."""
+    for policy in SCHEDULER_NAMES:
+        tel = Telemetry(nranks=1, capacity=None)
+        backend = ParsecBackend(Cluster(HAWK.with_workers(1), 1),
+                                config=BackendConfig(scheduler=policy),
+                                telemetry=tel)
+        busy = backend.cluster.node.compute_time(1e9, 0.0)
+        backend.submit(0, lambda: None, flops=1e9, name="X")  # takes the worker
+        backend.submit(0, lambda: None, name="a")
+        backend.engine.schedule_at(
+            busy / 2, lambda: backend.submit(0, lambda: None, name="b"))
+        backend.run()
+        start = {s.name: s.start for s in tel.bus.spans("task")}
+        assert (start["a"] < start["b"]) == (policy != "lifo"), policy
+        wait = tel.metrics.get("queue_wait", rank=0, device="cpu")
+        assert wait.count == 3
+        assert wait.total == pytest.approx(
+            start["X"] + start["a"] + start["b"] - busy / 2)
+        depths = [c.values["depth"] for c in tel.bus.counters("queue_depth_cpu")]
+        assert depths == [1, 0, 1, 2, 1, 0], policy
+        assert tel.metrics.get("queue_depth_peak", rank=0, device="cpu").value == 2
 
 
-def test_instrumented_queue_rejects_nonempty_inner():
-    inner = get_scheduler("lifo")
-    inner.push("x")
-    with pytest.raises(ValueError):
-        InstrumentedQueue(inner, lambda: 0.0)
+def test_attach_telemetry_refuses_nonempty_queue():
+    backend = ParsecBackend(Cluster(HAWK.with_workers(1), 1))
+    backend.submit(0, lambda: None, flops=1e9)
+    backend.submit(0, lambda: None)  # the one worker is busy: queued
+    with pytest.raises(ValueError, match="non-empty"):
+        backend.attach_telemetry(Telemetry(nranks=1))
 
 
 def test_runstats_breakdowns_maintained_without_telemetry():

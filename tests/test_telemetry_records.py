@@ -1,12 +1,15 @@
 """Oracles for the flat-record event bus: what is read must not depend on
 how it was stored.
 
-The runtime's hooks append flat records (``EventBus.record``) and event
+The runtime's hooks append records (``EventBus.record``, or ``emit`` with a
+shared head), one entry per broadcast fan-out (``batch``), and event
 objects are built on read; the metrics registry caches handles by raw
 labels.  Four checks hold that together:
 
 - a differential property test: the same recordings through the public
-  methods and through ``record`` read back as equal events, in every view;
+  methods and through ``record`` / ``emit`` / ``batch`` read back as equal
+  events, in every view, on bounded, unbounded and unbuffered buses, and
+  after a ``drain`` / ``extend`` round trip;
 - golden digests of three deterministic cells, computed on the commit
   *before* the flat-record change (0187b73) -- regenerate them only for an
   intended change of telemetry content, with
@@ -18,6 +21,7 @@ labels.  Four checks hold that together:
 - a structural GC check: the hooks' records leave the cyclic collector.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -59,12 +63,17 @@ _op = st.one_of(
               st.lists(st.integers(1, 9), max_size=3)),
     st.tuples(st.just("dep"), _names, _where, _keys,
               st.one_of(st.none(), st.integers(1, 9))),
+    # A broadcast fan-out: one dep per (consumer, key), one batch entry.
+    st.tuples(st.just("bcast"), _names, _where,
+              st.lists(st.tuples(_names, _keys), max_size=4),
+              st.one_of(st.none(), st.integers(1, 9))),
 )
 
 
 def _record_both(ops, public, fast):
     """Apply ``ops`` to ``public`` through complete/instant/counter and to
-    ``fast`` through record()."""
+    ``fast`` through record(), emit() (task spans, as the pools record
+    them) and batch()."""
     now = [0.0]
     public.clock = lambda: now[0]
     for op in ops:
@@ -92,9 +101,20 @@ def _record_both(ops, public, fast):
             if data:
                 args["data"] = list(data)
             public.complete(name, rank, tid, t, t + dur, cat="task", args=args)
-            fast.record(SPAN, name, "task", rank, tid, t, t + dur, None,
-                        "key! template priority pcie_bytes? data*",
-                        key, name, 7, pcie, *data)
+            head = (SPAN, name, "task", rank, tid,
+                    "key! template priority pcie_bytes? data*")
+            fast.emit((head, t, t + dur, None, key, name, 7, pcie, *data))
+        elif kind == "bcast":
+            targets, tok = op[3:]
+            extra = {} if tok is None else {"obj": tok, "mode": "cref"}
+            for tname, key in targets:
+                public.instant("dep", rank, tid, cat="dep", src=name,
+                               dst=f"{tname}[{key!r}]", edge="e", **extra)
+            head = (INSTANT, "dep", "dep", rank, tid, "src dst[] edge obj? mode?")
+            items = fast.batch((head, t, t, None, name), 3,
+                               (tok, None if tok is None else "cref"))
+            for tname, key in targets:
+                items.extend((tname, key, "e"))
         else:
             key, tok = op[3:]
             extra = {} if tok is None else {"obj": tok, "mode": "cref"}
@@ -129,6 +149,19 @@ def test_fast_path_reads_back_like_the_public_api(ops, capacity):
 
     want = _views(public)
     assert _views(fast) == want
+    # Eviction and ``dropped`` count events, not ring entries.
+    recorded = sum(len(op[3]) if op[0] == "bcast" else 1 for op in ops)
+    assert len(fast) + sum(fast.dropped) == recorded
+    # Moved to another bus, the records read back as the same events.
+    drained = EventBus(capacity=capacity)
+    _record_both(ops, EventBus(capacity=capacity), drained)
+    records, dropped = drained.drain()
+    assert len(records) == want["len"] and dropped == want["dropped"]
+    assert len(drained) == 0
+    moved = EventBus(capacity=None)
+    moved.extend(records, rank_offset=1)
+    assert moved.events() == [dataclasses.replace(e, rank=e.rank + 1)
+                              for e in want["events"]]
     # Reading twice hands out the same objects.
     assert all(a is b for a, b in zip(fast.events(), fast.events()))
     # Subscribers got event objects, in recording order.
@@ -203,13 +236,16 @@ def test_metrics_only_run_builds_no_event(monkeypatch):
 
     for name in ("SpanEvent", "InstantEvent", "CounterEvent"):
         monkeypatch.setattr(events_mod, name, counted(getattr(events_mod, name)))
-    record = EventBus.record
-    monkeypatch.setattr(
-        EventBus, "record",
-        lambda self, *rec: built.append("record") or record(self, *rec))
+    for method in ("record", "emit", "batch"):
+        real = getattr(EventBus, method)
+        monkeypatch.setattr(
+            EventBus, method,
+            lambda self, *a, _m=method, _real=real, **kw:
+                built.append(_m) or _real(self, *a, **kw))
 
     full = _cell("potrf")
-    assert "record" in built and "InstantEvent" in built  # the probe works
+    # The probe works.
+    assert {"emit", "batch", "InstantEvent"} <= set(built)
     del built[:]
     tel = _cell("potrf", Telemetry(nranks=16, events=False))
     assert not tel.bus.recording and built == []
