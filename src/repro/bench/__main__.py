@@ -28,10 +28,8 @@ probes with, so the whole pipeline is testable end to end:
     python -m repro.bench --check-regressions --explain
     python -m repro.bench --check-regressions --slowdown GEMM=2 --explain
 
-Durable runs (crash-consistent checkpoints; see ``docs/durability.md``):
-
-    python -m repro.bench --record-history --checkpoint-dir ckpts/
-    python -m repro.bench --checkpoint-dir ckpts/ --resume mra-seed0-seq
+A killed sweep is not resumed: the simulator is deterministic, so
+rerunning the command reproduces every record bit for bit.
 
 History lives in ``BENCH_<app>.json`` files (``--history-dir``, default the
 current directory); see :mod:`repro.bench.history`.  The append-only files
@@ -107,7 +105,7 @@ def _parse_names(text: str, known, what: str) -> List[str]:
 
 
 def _parse_apps(text: str) -> List[str]:
-    return _parse_names(text, history.MEASUREMENTS, "app")
+    return _parse_names(text, history.APPS, "app")
 
 
 def run_prune(args: argparse.Namespace) -> int:
@@ -124,28 +122,6 @@ def run_prune(args: argparse.Namespace) -> int:
         print(f"{path}: dropped {dropped} record(s), kept {len(hist)}")
         total += dropped
     print(f"pruned {total} record(s) total (keep={args.keep} per config group)")
-    return 0
-
-
-def run_resume(args: argparse.Namespace) -> int:
-    """``--resume RUN_ID``: rebuild a killed run and replay it; the count
-    printed is the stored checkpoints the replay re-verified."""
-    from repro.durability import CheckpointError, resume_run
-
-    try:
-        result = resume_run(args.checkpoint_dir, args.resume,
-                            ledger_dir=args.ledger)
-    except CheckpointError as e:
-        print(f"resume failed: {e}", file=sys.stderr)
-        return 1
-    for problem in result.problems:
-        print(f"warning: {problem}", file=sys.stderr)
-    rec = result.record
-    print(f"resumed {result.run_id} from {result.resume_point or 'start'}: "
-          f"verified {result.verified} stored checkpoint(s), wrote "
-          f"{result.written} new")
-    print(f"  makespan={rec.makespan:.6g}s gflops={rec.gflops:.6g} "
-          f"tasks={rec.tasks_total}")
     return 0
 
 
@@ -276,8 +252,6 @@ def run_watchdog_cli(args: argparse.Namespace) -> int:
             if args.threshold is not None else None,
             parallel=args.parallel,
             ledger_dir=args.ledger,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
             overrides=overrides,
             fresh_out=fresh,
         )
@@ -306,7 +280,8 @@ def run_watchdog_cli(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.bench`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate a table/figure of the TTG paper on the "
@@ -367,29 +342,19 @@ def main(argv=None) -> int:
     wd.add_argument("--ledger", default=None, metavar="DIR",
                     help="write one append-only run ledger per matrix cell "
                     "(or per backend an experiment binds) into DIR")
-    wd.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                    help="write crash-consistent checkpoints of every matrix "
-                    "cell into DIR (resume a killed cell with --resume; see "
-                    "python -m repro.durability)")
-    wd.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                    help="checkpoint cadence in engine events "
-                    "(default 2048)")
-    wd.add_argument("--resume", default=None, metavar="RUN_ID",
-                    help="resume the killed run RUN_ID from --checkpoint-dir "
-                    "(e.g. mra-seed0-seq); verifies every stored "
-                    "checkpoint during the replay")
     wd.add_argument("--keep", type=int, default=50, metavar="N",
                     help="prune: non-baseline records to keep per config "
                     "group (default 50)")
     wd.add_argument("--drop-old-baselines", action="store_true",
                     help="prune: also drop baselines superseded by a newer "
                     "baseline sweep")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.resume is not None:
-        if args.checkpoint_dir is None:
-            parser.error("--resume requires --checkpoint-dir")
-        return run_resume(args)
     if args.experiment == "prune":
         return run_prune(args)
     watchdog = args.record_history or args.check_regressions or args.update_baseline

@@ -613,45 +613,33 @@ def _instrumented_cluster(nodes: int, workers: int, overrides: Any = None):
     return cluster, tel
 
 
-def _attach_ledger(
-    backend: Any, app: str, seed: int,
-    ledger_dir: Optional[str], resumed_from: str = "",
-) -> None:
+def _attach_ledger(backend: Any, app: str, seed: int,
+                   ledger_dir: Optional[str]) -> None:
     """Arm the run ledger on a watchdog backend (``--ledger``).
 
     Writes ``<dir>/<app>-seed<seed>-seq.ledger.jsonl``; no-op without a
     directory.  Ledger params deliberately stay OUT of the record config
     (observability must not fork the watchdog's config groups).
-    ``resumed_from`` stamps the ledger header when this run resumes a
-    killed predecessor (cross-link into the checkpoint chain).
     """
     if ledger_dir is None:
         return
     from repro.telemetry.ledger import LedgerWriter
 
     Path(ledger_dir).mkdir(parents=True, exist_ok=True)
-    meta: Dict[str, Any] = {"app": app, "seed": seed, "engine": "seq",
-                            "nranks": backend.nranks}
-    if resumed_from:
-        meta["resumed_from"] = resumed_from
     writer = LedgerWriter(
         str(Path(ledger_dir) / f"{app}-seed{seed}-seq.ledger.jsonl"),
-        run_id=f"{app}-seed{seed}-seq", meta=meta,
+        run_id=f"{app}-seed{seed}-seq",
+        meta={"app": app, "seed": seed, "engine": "seq",
+              "nranks": backend.nranks},
     )
     backend.attach_ledger(writer)
-
-
-#: Checkpoint cadence (events between checkpoints) when ``--checkpoint-dir``
-#: is given without ``--checkpoint-every``.
-DEFAULT_CHECKPOINT_EVERY = 2048
 
 
 def _coerce_overrides(overrides: Any) -> Any:
     """Normalize an ``overrides`` kwarg (CostOverrides | dict | None).
 
-    Dicts are the picklable form used by fork-pool cell specs and stored
-    checkpoint specs; both round-trip through
-    :meth:`repro.sim.cluster.CostOverrides.as_dict`.
+    Dicts are the picklable form used by fork-pool cell specs; both
+    round-trip through :meth:`repro.sim.cluster.CostOverrides.as_dict`.
     """
     if overrides is None:
         return None
@@ -660,216 +648,142 @@ def _coerce_overrides(overrides: Any) -> Any:
     return CostOverrides.coerce(overrides)
 
 
-def _spec_params(params: Dict[str, Any], overrides: Any) -> Dict[str, Any]:
-    """Checkpoint-spec params with the override stamp (when active), so a
-    resumed run replays under the exact same perturbed costs."""
-    if overrides is not None:
-        params = dict(params, overrides=overrides.as_dict())
-    return params
-
-
-def _make_checkpointer(
-    app: str, seed: int, params: Dict[str, Any],
-    checkpoint_dir: Optional[str], checkpoint_every: int, checkpointer: Any,
-) -> Any:
-    """The durability checkpointer of one measurement, or ``None``.
-
-    A pre-built (resume-mode) ``checkpointer`` wins; otherwise
-    ``checkpoint_dir`` arms a fresh write-mode one whose stored spec is
-    the full rebuild cell (app/seed/engine + app params -- observability
-    params deliberately excluded, they may differ across a resume).
-    """
-    if checkpointer is not None:
-        return checkpointer
-    if checkpoint_dir is None:
-        return None
-    from repro.durability.checkpoint import Checkpointer, run_id_for
-
-    spec = dict({"app": app, "seed": seed, "engine": "seq"}, **params)
-    return Checkpointer(
-        checkpoint_dir, run_id_for(spec), spec=spec,
-        every=checkpoint_every or DEFAULT_CHECKPOINT_EVERY,
-    )
-
-
-def measure_potrf(
-    seed: int = 0, *, nodes: int = 4, n: int = 1024, b: int = 128,
-    workers: int = 4,
-    ledger_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
-    checkpointer: Any = None, overrides: Any = None,
-    telemetry_out: Optional[List[Any]] = None,
-) -> BenchRecord:
-    """One telemetry-instrumented POTRF run on the scaled Hawk machine."""
-    from time import perf_counter
-
-    from repro.apps.cholesky import cholesky_ttg
+def _tiled_matrix(seed: int, p: Dict[str, Any]) -> Any:
     from repro.linalg import TiledMatrix
-    from repro.runtime import ParsecBackend
 
-    ov = _coerce_overrides(overrides)
-    a = TiledMatrix(n, b, SeededBlockCyclic.for_ranks(nodes, seed), synthetic=True)
-    cluster, tel = _instrumented_cluster(nodes, workers, overrides=ov)
-    backend = ParsecBackend(cluster, telemetry=tel)
-    ckpt = _make_checkpointer(
-        "potrf", seed,
-        _spec_params({"nodes": nodes, "n": n, "b": b, "workers": workers}, ov),
-        checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "potrf", seed, ledger_dir,
-                   resumed_from=ckpt.resume_point if ckpt is not None else "")
-    if ckpt is not None:
-        backend.attach_checkpointer(ckpt)
-    t0 = perf_counter()
-    res = cholesky_ttg(a, backend)
-    host = perf_counter() - t0
-    backend.close_ledger()
-    backend.close_checkpointer()
-    if telemetry_out is not None:
-        telemetry_out.append(tel)
-    config = {"machine": "hawk", "nodes": nodes, "workers": workers,
-              "n": n, "b": b}
-    return _observed_record("potrf", res, tel, config=config, seed=seed,
-                            backend_name="parsec", host_seconds=host,
-                            overrides=ov)
+    return TiledMatrix(p["n"], p["b"],
+                       SeededBlockCyclic.for_ranks(p["nodes"], seed),
+                       synthetic=True)
 
 
-def measure_fw(
-    seed: int = 0, *, nodes: int = 4, n: int = 896, b: int = 128,
-    workers: int = 4,
-    ledger_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
-    checkpointer: Any = None, overrides: Any = None,
-    telemetry_out: Optional[List[Any]] = None,
-) -> BenchRecord:
-    """One telemetry-instrumented FW-APSP run on the scaled Hawk machine."""
-    from time import perf_counter
-
-    from repro.apps.floydwarshall import floyd_warshall_ttg
-    from repro.linalg import TiledMatrix
-    from repro.runtime import ParsecBackend
-
-    ov = _coerce_overrides(overrides)
-    w = TiledMatrix(n, b, SeededBlockCyclic.for_ranks(nodes, seed), synthetic=True)
-    cluster, tel = _instrumented_cluster(nodes, workers, overrides=ov)
-    backend = ParsecBackend(cluster, telemetry=tel)
-    ckpt = _make_checkpointer(
-        "fw", seed,
-        _spec_params({"nodes": nodes, "n": n, "b": b, "workers": workers}, ov),
-        checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "fw", seed, ledger_dir,
-                   resumed_from=ckpt.resume_point if ckpt is not None else "")
-    if ckpt is not None:
-        backend.attach_checkpointer(ckpt)
-    t0 = perf_counter()
-    res = floyd_warshall_ttg(w, backend)
-    host = perf_counter() - t0
-    backend.close_ledger()
-    backend.close_checkpointer()
-    if telemetry_out is not None:
-        telemetry_out.append(tel)
-    config = {"machine": "hawk", "nodes": nodes, "workers": workers,
-              "n": n, "b": b}
-    return _observed_record("fw", res, tel, config=config, seed=seed,
-                            backend_name="parsec", host_seconds=host,
-                            overrides=ov)
-
-
-def measure_bspmm(
-    seed: int = 0, *, nodes: int = 4, natoms: int = 30, target_tile: int = 24,
-    workers: int = 4,
-    ledger_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
-    checkpointer: Any = None, overrides: Any = None,
-    telemetry_out: Optional[List[Any]] = None,
-) -> BenchRecord:
-    """One block-sparse SUMMA (BSPMM) run on a Yukawa-structured matrix.
-
-    The atom layout is seeded, so the seed sweep perturbs the sparsity
-    pattern (and thus the communication volume) rather than the tile map.
-    """
-    from time import perf_counter
-
-    from repro.apps.bspmm import bspmm_ttg
+def _yukawa_matrix(seed: int, p: Dict[str, Any]) -> Any:
+    # The atom layout is seeded, so the seed sweep perturbs the sparsity
+    # pattern (and thus the communication volume) rather than the tile map.
     from repro.linalg import yukawa_blocksparse
-    from repro.runtime import ParsecBackend
 
-    ov = _coerce_overrides(overrides)
-    a = yukawa_blocksparse(natoms, target_tile=target_tile, seed=seed)
-    cluster, tel = _instrumented_cluster(nodes, workers, overrides=ov)
-    backend = ParsecBackend(cluster, telemetry=tel)
-    ckpt = _make_checkpointer(
-        "bspmm", seed,
-        _spec_params({"nodes": nodes, "natoms": natoms,
-                      "target_tile": target_tile, "workers": workers}, ov),
-        checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "bspmm", seed, ledger_dir,
-                   resumed_from=ckpt.resume_point if ckpt is not None else "")
-    if ckpt is not None:
-        backend.attach_checkpointer(ckpt)
-    t0 = perf_counter()
-    res = bspmm_ttg(a, a, backend)
-    host = perf_counter() - t0
-    backend.close_ledger()
-    backend.close_checkpointer()
-    if telemetry_out is not None:
-        telemetry_out.append(tel)
-    config = {"machine": "hawk", "nodes": nodes, "workers": workers,
-              "natoms": natoms, "tile": target_tile}
-    return _observed_record("bspmm", res, tel, config=config, seed=seed,
-                            backend_name="parsec", host_seconds=host,
-                            overrides=ov)
+    return yukawa_blocksparse(p["natoms"], target_tile=p["target_tile"],
+                              seed=seed)
 
 
-def measure_mra(
-    seed: int = 0, *, nodes: int = 4, nfuncs: int = 8, k: int = 4,
-    workers: int = 4,
+def _gaussians(seed: int, p: Dict[str, Any]) -> Any:
+    from repro.apps.mra import random_gaussians
+
+    return random_gaussians(p["nfuncs"], seed=seed)
+
+
+def _run_potrf(a: Any, backend: Any, p: Dict[str, Any]) -> Any:
+    from repro.apps.cholesky import cholesky_ttg
+
+    return cholesky_ttg(a, backend)
+
+
+def _run_fw(w: Any, backend: Any, p: Dict[str, Any]) -> Any:
+    from repro.apps.floydwarshall import floyd_warshall_ttg
+
+    return floyd_warshall_ttg(w, backend)
+
+
+def _run_bspmm(a: Any, backend: Any, p: Dict[str, Any]) -> Any:
+    from repro.apps.bspmm import bspmm_ttg
+
+    return bspmm_ttg(a, a, backend)
+
+
+def _run_mra(functions: Any, backend: Any, p: Dict[str, Any]) -> Any:
+    # Tree-structured, so no Gflop/s figure: only makespan/task/byte
+    # metrics are gated.
+    from repro.apps.mra import mra_ttg
+
+    return mra_ttg(functions, backend, k=p["k"], thresh=1.0e-4, max_level=6)
+
+
+@dataclass(frozen=True)
+class AppRow:
+    """How :func:`measure` runs one watchdog application.
+
+    ``params`` are the app's parameters with their defaults, in record
+    order; every app also takes ``nodes`` and ``workers``
+    (:data:`COMMON_PARAMS`).  ``config_names`` renames a parameter in the
+    record's config (bspmm's ``target_tile`` is stored as ``tile``).
+    """
+
+    inputs: Callable[[int, Dict[str, Any]], Any]
+    driver: Callable[[Any, Any, Dict[str, Any]], Any]
+    params: Dict[str, Any]
+    config_names: Dict[str, str] = field(default_factory=dict)
+
+    def config(self, p: Dict[str, Any]) -> Dict[str, Any]:
+        """The record config of parameters ``p``."""
+        config: Dict[str, Any] = {"machine": "hawk"}
+        for name in (*COMMON_PARAMS, *self.params):
+            config[self.config_names.get(name, name)] = p[name]
+        return config
+
+    def params_of(self, config: Dict[str, Any]) -> Dict[str, Any]:
+        """The :func:`measure` parameters a record config was taken with."""
+        names = {self.config_names.get(n, n): n
+                 for n in (*COMMON_PARAMS, *self.params)}
+        return {names.get(key, key): value for key, value in config.items()
+                if key != "machine"}
+
+
+#: Parameters every watchdog app takes, with their defaults.
+COMMON_PARAMS: Dict[str, Any] = {"nodes": 4, "workers": 4}
+
+#: The watchdog matrix: one row per application.
+APPS: Dict[str, AppRow] = {
+    "potrf": AppRow(_tiled_matrix, _run_potrf, {"n": 1024, "b": 128}),
+    "fw": AppRow(_tiled_matrix, _run_fw, {"n": 896, "b": 128}),
+    "bspmm": AppRow(_yukawa_matrix, _run_bspmm,
+                    {"natoms": 30, "target_tile": 24},
+                    config_names={"target_tile": "tile"}),
+    "mra": AppRow(_gaussians, _run_mra, {"nfuncs": 8, "k": 4}),
+}
+
+
+def _row(app: str) -> AppRow:
+    row = APPS.get(app)
+    if row is None:
+        raise ValueError(
+            f"unknown watchdog app {app!r} (have: {sorted(APPS)})")
+    return row
+
+
+def measure(
+    app: str, seed: int = 0, *,
     ledger_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None, checkpoint_every: int = 0,
-    checkpointer: Any = None, overrides: Any = None,
+    overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
+    **params: Any,
 ) -> BenchRecord:
-    """One MRA (project/compress/reconstruct/norm) run over a seeded batch
-    of sharp Gaussians (no Gflop/s figure: the workload is tree-structured,
-    so only makespan/task/byte metrics are gated)."""
+    """One telemetry-instrumented run of ``app`` on the scaled Hawk
+    machine.  ``params`` override the row's defaults (:data:`APPS`)."""
     from time import perf_counter
 
-    from repro.apps.mra import mra_ttg, random_gaussians
     from repro.runtime import ParsecBackend
 
+    row = _row(app)
+    unknown = set(params) - set(COMMON_PARAMS) - set(row.params)
+    if unknown:
+        raise TypeError(f"measure({app!r}) got unknown parameter(s) "
+                        f"{sorted(unknown)}")
+    p = dict(COMMON_PARAMS, **row.params)
+    p.update(params)
     ov = _coerce_overrides(overrides)
-    functions = random_gaussians(nfuncs, seed=seed)
-    cluster, tel = _instrumented_cluster(nodes, workers, overrides=ov)
+    inputs = row.inputs(seed, p)
+    cluster, tel = _instrumented_cluster(p["nodes"], p["workers"],
+                                         overrides=ov)
     backend = ParsecBackend(cluster, telemetry=tel)
-    ckpt = _make_checkpointer(
-        "mra", seed,
-        _spec_params({"nodes": nodes, "nfuncs": nfuncs, "k": k,
-                      "workers": workers}, ov),
-        checkpoint_dir, checkpoint_every, checkpointer)
-    _attach_ledger(backend, "mra", seed, ledger_dir,
-                   resumed_from=ckpt.resume_point if ckpt is not None else "")
-    if ckpt is not None:
-        backend.attach_checkpointer(ckpt)
+    _attach_ledger(backend, app, seed, ledger_dir)
     t0 = perf_counter()
-    res = mra_ttg(functions, backend, k=k, thresh=1.0e-4, max_level=6)
+    res = row.driver(inputs, backend, p)
     host = perf_counter() - t0
     backend.close_ledger()
-    backend.close_checkpointer()
     if telemetry_out is not None:
         telemetry_out.append(tel)
-    config = {"machine": "hawk", "nodes": nodes, "workers": workers,
-              "nfuncs": nfuncs, "k": k}
-    return _observed_record("mra", res, tel, config=config, seed=seed,
+    return _observed_record(app, res, tel, config=row.config(p), seed=seed,
                             backend_name="parsec", host_seconds=host,
                             overrides=ov)
-
-
-#: The default watchdog matrix: app -> measurement function of one seed.
-MEASUREMENTS: Dict[str, Callable[..., BenchRecord]] = {
-    "potrf": measure_potrf,
-    "fw": measure_fw,
-    "bspmm": measure_bspmm,
-    "mra": measure_mra,
-}
 
 
 def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
@@ -880,7 +794,7 @@ def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
     of these specs over a worker pool.  ``spec`` must contain ``app`` and
     ``seed``; an ``engine`` key, if any, must name a kind of
     :data:`repro.sim.engine.ENGINE_KINDS`; every other key is passed to
-    the measurement function.
+    :func:`measure`.
     """
     from repro.durability import chaos
     from repro.sim.engine import ENGINE_KINDS
@@ -892,16 +806,12 @@ def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
     if engine not in ENGINE_KINDS:
         raise ValueError(
             f"unknown engine kind {engine!r}; known: {ENGINE_KINDS}")
-    fn = MEASUREMENTS.get(app)
-    if fn is None:
-        raise ValueError(
-            f"unknown watchdog app {app!r} (have: {sorted(MEASUREMENTS)})"
-        )
+    _row(app)
     # Fault-injection site: a FaultPlan targeting this (app, seed) cell
     # fires here -- including inside a forked pool worker, which is how
     # the resilience suite exercises run_cells' retry path.
     chaos.poke("cell", app=app, seed=seed)
-    return fn(seed, **spec)
+    return measure(app, seed, **spec)
 
 
 def measure_matrix(
@@ -910,8 +820,6 @@ def measure_matrix(
     *,
     parallel: int = 0,
     ledger_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
     overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, List[BenchRecord]]:
     """Seed-swept measurements of the watchdog matrix, grouped by app.
@@ -921,28 +829,19 @@ def measure_matrix(
     :mod:`repro.bench.parallel`; results are deterministic and ordered
     regardless).  ``ledger_dir`` writes one run ledger per cell (the cell
     specs stay picklable, so forked workers write their own files).
-    ``checkpoint_dir`` arms durable checkpoints on every cell (one run
-    directory per cell; see :mod:`repro.durability`) -- a killed sweep is
-    resumable cell by cell with ``--resume``.  ``overrides`` (a plain
+    ``overrides`` (a plain
     :meth:`~repro.sim.cluster.CostOverrides.as_dict` mapping, so cells
     stay picklable) perturbs every cell's costs -- the synthetic-regression
     injection hook behind ``--slowdown``.
     """
     for app in apps:
-        if app not in MEASUREMENTS:
-            raise ValueError(
-                f"unknown watchdog app {app!r} (have: {sorted(MEASUREMENTS)})"
-            )
+        _row(app)
     cells = []
     for app in apps:
         for seed in seeds:
             cell: Dict[str, Any] = {"app": app, "seed": seed}
             if ledger_dir is not None:
                 cell["ledger_dir"] = ledger_dir
-            if checkpoint_dir is not None:
-                cell["checkpoint_dir"] = checkpoint_dir
-                if checkpoint_every:
-                    cell["checkpoint_every"] = checkpoint_every
             if overrides:
                 cell["overrides"] = dict(overrides)
             cells.append(cell)
@@ -969,8 +868,6 @@ def run_watchdog(
     thresholds: Optional[Dict[str, float]] = None,
     parallel: int = 0,
     ledger_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
     overrides: Optional[Dict[str, Any]] = None,
     fresh_out: Optional[Dict[str, List[BenchRecord]]] = None,
 ) -> Tuple[List[RegressionReport], List[Path]]:
@@ -980,8 +877,7 @@ def run_watchdog(
       candidates (plus any trailing non-baseline records already stored).
     - ``record``: append the fresh records to the ``BENCH_*.json`` files.
     - ``update_baseline``: mark the fresh records as baseline.
-    - ``parallel`` / ``ledger_dir`` / ``checkpoint_dir`` /
-      ``checkpoint_every`` / ``overrides``: forwarded to
+    - ``parallel`` / ``ledger_dir`` / ``overrides``: forwarded to
       :func:`measure_matrix`.
     - ``fresh_out``: when given, filled with the fresh per-app records so
       the caller can root-cause a failure without re-measuring (the
@@ -989,10 +885,7 @@ def run_watchdog(
     Returns the per-app reports and the paths written (if any).
     """
     fresh = (measure_matrix(apps, seeds, parallel=parallel,
-                            ledger_dir=ledger_dir,
-                            checkpoint_dir=checkpoint_dir,
-                            checkpoint_every=checkpoint_every,
-                            overrides=overrides)
+                            ledger_dir=ledger_dir, overrides=overrides)
              if measure else {a: [] for a in apps})
     if fresh_out is not None:
         fresh_out.update(fresh)

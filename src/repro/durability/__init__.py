@@ -1,19 +1,17 @@
-"""Durable runs: crash-consistent checkpoint/resume + fault injection.
+"""Durable runs: a write-only checkpoint trail + fault injection.
 
 - :mod:`repro.durability.checkpoint` -- the versioned checkpoint format
   (``repro.durability/checkpoint`` v4: spec, cursor and an attested
   logical core, no runtime bytes), atomic write path, chain loader and
-  the :class:`Checkpointer` engine hook.
-- :mod:`repro.durability.runner` -- :func:`resume_run`, rebuilding a
-  killed benchmark run from its checkpoint directory and replaying it
-  against the stored chain (the only resume path).
+  the write-only :class:`Checkpointer` engine hook.
 - :mod:`repro.durability.chaos` -- deterministic fault injection
-  (:class:`FaultPlan`) for the resilience test suite and the CI
-  kill-and-resume smoke job.
-- CLI: ``python -m repro.durability {inspect,validate,resume,run,parity}``.
+  (:class:`FaultPlan`) for the resilience test suite.
 
-See ``docs/durability.md`` for the format and the deterministic-replay
-resume semantics.
+A killed run is not resumed: the simulator is deterministic, so running
+the cell again is the recovery, and it lands on the same bits.  The
+checkpoint trail attests how far a run got and that it followed the same
+trajectory; read it from Python with :func:`read_checkpoint` and
+:func:`load_chain`.  See ``docs/durability.md``.
 """
 
 from repro.durability.chaos import FaultPlan, InjectedFault, inject
@@ -25,8 +23,6 @@ from repro.durability.checkpoint import (
     Checkpoint,
     CheckpointError,
     Checkpointer,
-    ResumeConfigError,
-    ResumeMismatchError,
     checkpoint_path,
     list_runs,
     load_chain,
@@ -36,7 +32,6 @@ from repro.durability.checkpoint import (
     state_digest,
     write_checkpoint,
 )
-from repro.durability.runner import ResumeResult, resume_run
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -48,16 +43,12 @@ __all__ = [
     "Checkpointer",
     "FaultPlan",
     "InjectedFault",
-    "ResumeConfigError",
-    "ResumeMismatchError",
-    "ResumeResult",
     "checkpoint_path",
     "inject",
     "list_runs",
     "load_chain",
     "read_checkpoint",
     "read_run_manifest",
-    "resume_run",
     "run_id_for",
     "state_digest",
     "write_checkpoint",

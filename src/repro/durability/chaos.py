@@ -6,7 +6,7 @@ and *what* happens there: an in-process :class:`InjectedFault` (the
 sandbox-safe default -- it unwinds exactly like a crash from the event
 loop's point of view, and
 :meth:`repro.sim.engine.Engine.run` requeues the unexecuted tail), a real
-``SIGKILL`` of the current process (the CI smoke job's mode), or a
+``SIGKILL`` of the current process, or a
 ``SIGSTOP`` suspension.
 
 Usage::
@@ -29,7 +29,7 @@ import os
 import signal
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 #: Sites a plan may target.
 FAULT_SITES = ("checkpoint", "phase", "cell")
@@ -164,9 +164,3 @@ class inject:
     def __exit__(self, *exc: Any) -> None:
         global _ACTIVE
         _ACTIVE = self._prev
-
-
-def plans_for_phases(kind: str = "exception") -> Iterator[FaultPlan]:
-    """One plan per life-cycle phase -- the resilience suite's sweep."""
-    for phase in ("build", "fence", "execute", "drain"):
-        yield FaultPlan(kind=kind, site="phase", nth=1, phase=phase)

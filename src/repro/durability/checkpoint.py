@@ -1,29 +1,26 @@
 """Crash-consistent checkpoints of a run: format, chain, and Checkpointer.
 
-Design -- deterministic-replay (logical) checkpoints
-----------------------------------------------------
+Design -- logical checkpoints
+-----------------------------
 
 A simulated run's event heap holds callbacks into shared runtime state
 (worker pools, the NIC model, the RMA window), so the heap alone is not a
 checkpoint.  What *can* be captured exactly is everything TaskTorrent
 showed a task runtime reduces to when task bodies are pure functions of
-their inputs: the rebuild **spec** (the cell description that constructs
-the Backend/Executable), the replay **cursor** (events processed, virtual
-clock, scheduling sequence number), and the serializable **core** --
-run-stat counters, per-graph pending-instance and template-task counts,
-and a digest of the telemetry counters.  Because the simulator is deterministic, that core is a
-bit-for-bit *attestation* of the run's trajectory at the cadence point.
+their inputs: the **spec** (the cell description that constructs the
+Backend/Executable), the **cursor** (events processed, virtual clock,
+scheduling sequence number), and the serializable **core** -- run-stat
+counters, per-graph pending-instance and template-task counts, and a
+digest of the telemetry counters.  Because the simulator is
+deterministic, that core is a bit-for-bit *attestation* of the run's
+trajectory at the cadence point.
 
-Resume rebuilds the Backend/Executable from the stored spec and replays
-forward with the :class:`Checkpointer` in **verify mode**: at every
-cadence point covered by a stored checkpoint, the recomputed state digest
-must equal the stored one (a mismatch -- changed code, changed config,
-nondeterminism -- raises :class:`ResumeMismatchError` instead of silently
-producing a different run).  Past the last stored checkpoint the
-checkpointer switches back to write mode and the run continues to
-completion, producing final stats, traces and bench records bit-for-bit
-identical to an uninterrupted run (asserted by the resume-parity suite).
-This is the only resume path, and it is the same for every backend.
+The :class:`Checkpointer` only writes.  Nothing reads a checkpoint back
+to continue a run: a killed cell is cheaper to rerun than to replay, and
+the rerun gives the same bits.  What the trail adds is the attestation --
+two runs that wrote equal digests at every cadence point followed the
+same trajectory.  Read it from Python with :func:`read_checkpoint` and
+:func:`load_chain`.
 
 On-disk format (``repro.durability/checkpoint`` v4)
 ---------------------------------------------------
@@ -45,14 +42,13 @@ Every write is crash-consistent: serialize to ``<file>.tmp``, flush,
 A truncation at *any* byte offset is detected (frame underflow or
 checksum mismatch) and reported with a schema-versioned diagnostic; the
 chain loader then falls back to the newest intact checkpoint -- never a
-silent partial restore.  ``run.json`` (written before the first
-checkpoint) records the rebuild spec so even a run killed during build
-can be resumed.
+silent partial read.  ``run.json`` (written before the first checkpoint)
+records the cell's spec, so even a run killed during build names what to
+rerun.
 
 A checkpoint file of any other version is refused with a
-:class:`CheckpointError` naming it.  The chain loader lists such files as
-problems, so a resume replays the run from ``run.json`` instead and
-prints them as warnings: the same bits, reached loudly.
+:class:`CheckpointError` naming it; the chain loader lists such files as
+problems.
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ CHECKPOINT_VERSION = 4
 #: Default cadence (events between checkpoints).
 DEFAULT_EVERY = 2048
 
-#: The per-run rebuild manifest, written before any checkpoint exists.
+#: The per-run manifest (the cell spec), written before any checkpoint.
 RUN_MANIFEST = "run.json"
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{6})-(\d{12})\.ckpt$")
@@ -83,14 +79,6 @@ _CKPT_RE = re.compile(r"^ckpt-(\d{6})-(\d{12})\.ckpt$")
 
 class CheckpointError(ValueError):
     """A structurally invalid or unreadable checkpoint."""
-
-
-class ResumeMismatchError(CheckpointError):
-    """Replay diverged from a stored checkpoint (state digest or cadence)."""
-
-
-class ResumeConfigError(CheckpointError):
-    """Resume requested with a config that contradicts the stored spec."""
 
 
 def run_id_for(spec: Dict[str, Any]) -> str:
@@ -217,8 +205,7 @@ def read_checkpoint(path: str) -> Checkpoint:
             age = "newer" if version > CHECKPOINT_VERSION else "older"
             raise CheckpointError(
                 f"{path}: schema {CHECKPOINT_SCHEMA} v{version} is {age} "
-                f"than this code's v{CHECKPOINT_VERSION}; a resume replays "
-                f"the run from {RUN_MANIFEST} instead"
+                f"than this code's v{CHECKPOINT_VERSION}"
             )
         manifest = json.loads(arch.load())
         state = json.loads(arch.load())
@@ -349,7 +336,7 @@ def load_chain(directory: str, run_id: str) -> ChainReport:
     ``problems`` and skipped; chain-linkage breaks (a checkpoint whose
     ``prev_digest`` does not match the previous intact one, e.g. because
     the one between them was lost) truncate the chain at the break, so
-    ``latest`` is always safe to verify against.
+    ``latest`` is always safe to compare against.
     """
     run_dir = os.path.join(directory, run_id)
     report = ChainReport(run_id)
@@ -399,18 +386,11 @@ def load_chain(directory: str, run_id: str) -> ChainReport:
 class Checkpointer:
     """Periodic crash-consistent checkpoints of one backend's run.
 
-    Write mode (``resume=False``): installs the engine's
-    ``on_checkpoint`` hook at construction-time cadence and writes one
-    atomic checkpoint file per cadence point (plus one at every completed
-    drain, so finished runs carry a terminal attestation).
-
-    Resume mode (``resume=True``): loads the stored chain.  Every cadence
-    point covered by a stored checkpoint is re-verified against its
-    digest during replay (:class:`ResumeMismatchError` on divergence);
-    past the chain the checkpointer transparently switches to write
-    mode.  A spec passed
-    alongside ``resume=True`` must equal the stored spec
-    (:class:`ResumeConfigError` names the differing keys).
+    Installs the engine's ``on_checkpoint`` hook at construction-time
+    cadence and writes one atomic checkpoint file per cadence point (plus
+    one at every completed drain, so finished runs carry a terminal
+    attestation).  Write-only: nothing reads the files back to continue
+    a run.
 
     Attach via :meth:`repro.runtime.base.Backend.attach_checkpointer`.
     """
@@ -422,65 +402,25 @@ class Checkpointer:
         *,
         spec: Optional[Dict[str, Any]] = None,
         every: int = DEFAULT_EVERY,
-        resume: bool = False,
     ) -> None:
         if every < 1:
             raise CheckpointError(f"checkpoint_every must be >= 1, got {every}")
         self.directory = directory
         self.run_id = run_id
-        self.run_dir = os.path.join(directory, run_id)
         self.every = int(every)
         self.spec: Dict[str, Any] = dict(spec or {})
-        self.resuming = resume
-        self.written = 0
-        self.verified = 0
-        self.problems: List[str] = []
         self.backend: Any = None
         self.executables: List[Any] = []
-        self._pending: List[Checkpoint] = []
         self._index = 0          # ordinal of the next cadence point
         self._last_digest = ""
-        if resume:
-            manifest = read_run_manifest(directory, run_id)
-            stored = dict(manifest.get("spec", {}))
-            if spec is not None and dict(spec) != stored:
-                diff = sorted(
-                    k for k in set(spec) | set(stored)
-                    if dict(spec).get(k) != stored.get(k)
-                )
-                raise ResumeConfigError(
-                    f"resume of {run_id!r} with a mismatched config: "
-                    f"key(s) {diff} differ from the stored spec "
-                    f"(stored: {_canonical(stored)})"
-                )
-            self.spec = stored
-            self.every = int(manifest.get("every", self.every))
-            chain = load_chain(directory, run_id)
-            self.problems = list(chain.problems)
-            self._pending = list(chain.checkpoints)
-        else:
-            os.makedirs(self.run_dir, exist_ok=True)
-            for name in os.listdir(self.run_dir):
-                if _CKPT_RE.match(name):  # stale files of a previous run
-                    os.unlink(os.path.join(self.run_dir, name))
-            write_run_manifest(directory, run_id, self.spec, self.every)
+        run_dir = os.path.join(directory, run_id)
+        os.makedirs(run_dir, exist_ok=True)
+        for name in os.listdir(run_dir):
+            if _CKPT_RE.match(name):  # stale files of a previous run
+                os.unlink(os.path.join(run_dir, name))
+        write_run_manifest(directory, run_id, self.spec, self.every)
 
     # ------------------------------------------------------------- binding
-
-    @property
-    def resume_events(self) -> int:
-        """Events covered by the stored chain being verified (0 = none)."""
-        return self._pending[-1].events if self._pending else 0
-
-    @property
-    def resume_point(self) -> str:
-        """Human-readable description of where the resume picks up."""
-        if not self.resuming:
-            return ""
-        last = self._pending[-1] if self._pending else None
-        if last is None:
-            return f"{self.run_id}/start"
-        return f"{self.run_id}/ckpt-{last.index}@events={last.events}"
 
     def bind(self, backend: Any) -> None:
         """Install the engine hook; called by ``attach_checkpointer``."""
@@ -488,20 +428,6 @@ class Checkpointer:
         engine = backend.engine
         engine.on_checkpoint = self._hook
         engine.checkpoint_every = self.every
-        if self.resuming:
-            tel = backend.telemetry
-            if tel is not None and tel.bus.recording:
-                tel.bus.instant(
-                    "resume", 0, 905, cat="ckpt",
-                    run=self.run_id, point=self.resume_point,
-                    checkpoints=len(self._pending),
-                    events=self.resume_events,
-                )
-            if backend.ledger is not None:
-                backend.ledger.resume(
-                    run=self.run_id, point=self.resume_point,
-                    checkpoints=len(self._pending), events=self.resume_events,
-                )
         chaos.poke("phase", phase="build")
 
     def bind_executable(self, ex: Any) -> None:
@@ -546,7 +472,7 @@ class Checkpointer:
     # ---------------------------------------------------------------- hook
 
     def _hook(self, now: float, events: int) -> None:
-        """One cadence point: verify against the stored chain or write."""
+        """One cadence point: write its checkpoint."""
         chaos.poke("checkpoint", index=self._index, events=events)
         index = self._index
         self._index = index + 1
@@ -555,38 +481,11 @@ class Checkpointer:
         backend = self.backend
         tel = backend.telemetry
         if tel is not None and tel.bus.recording:
-            # Emitted identically in write and verify mode, so a resumed
-            # run's trace is indistinguishable from an uninterrupted one
-            # (bar the deliberate "resume" marker).
             tel.bus.instant("checkpoint", 0, 905, cat="ckpt",
                             index=index, events=events, digest=digest[:12])
         if backend.ledger is not None:
             backend.ledger.checkpoint(sim=now, events=events, index=index,
                                       digest=digest[:12])
-        if index < len(self._pending):
-            exp = self._pending[index]
-            if events != exp.events or now != exp.sim:
-                raise ResumeMismatchError(
-                    f"resume of {self.run_id!r} diverged at checkpoint "
-                    f"#{index}: replay reached (events={events}, sim={now}) "
-                    f"but the stored checkpoint recorded "
-                    f"(events={exp.events}, sim={exp.sim}) -- the code or "
-                    f"environment changed since the checkpoint was written"
-                )
-            if digest != exp.state_digest:
-                bad = sorted(
-                    k for k in set(state) | set(exp.state)
-                    if state.get(k) != exp.state.get(k)
-                )
-                raise ResumeMismatchError(
-                    f"resume of {self.run_id!r} diverged at checkpoint "
-                    f"#{index} (events={events}): state digest "
-                    f"{digest[:12]} != stored {exp.state_digest[:12]} "
-                    f"(differing section(s): {bad})"
-                )
-            self.verified += 1
-            self._last_digest = digest
-            return
         import time as _time
 
         ckpt = Checkpoint(
@@ -599,7 +498,6 @@ class Checkpointer:
             ckpt, host=_time.time(),
         )
         self._last_digest = digest
-        self.written += 1
 
     def on_drain(self, now: float, events: int) -> None:
         """Terminal cadence point at a completed drain (Backend.run)."""

@@ -570,8 +570,7 @@ class Backend:
         overhead when never attached), and registers this backend so every
         subsequently built :class:`~repro.core.graph.Executable` joins the
         snapshot.  Attach before building graphs; see
-        :mod:`repro.durability.checkpoint` for the format and the
-        resume/verify semantics.
+        :mod:`repro.durability.checkpoint` for the format.
         """
         self.checkpointer = checkpointer
         checkpointer.bind(self)

@@ -347,8 +347,8 @@ def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
         # A structurally valid ledger can still describe a run that never
         # finished: no ledger_close, or a final phase short of "drain" --
         # the signature of a killed process.  Flagged as a warning, not a
-        # problem (the ledger itself is sound; the run is resumable with
-        # python -m repro.durability resume when checkpoints exist).
+        # problem (the ledger itself is sound; rerunning the cell
+        # reproduces the run, since the simulator is deterministic).
         result["incomplete"] = (not snap.complete) or snap.phase != "drain"
         result["final_phase"] = snap.phase
         if snap.resumed_from:
@@ -368,9 +368,9 @@ def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
               f"({len(records)} records, {state})", file=out)
         if result["incomplete"]:
             print(f"  WARNING: run looks incomplete/killed (final phase "
-                  f"{snap.phase!r}, expected 'drain'); if it was "
-                  f"checkpointed, resume with: python -m repro.durability "
-                  f"resume <dir> {snap.run_id or '<run-id>'}", file=out)
+                  f"{snap.phase!r}, expected 'drain'); rerun the cell "
+                  f"{snap.run_id or '<run-id>'} to reproduce it (same "
+                  f"bits: the simulator is deterministic)", file=out)
         return 0
 
     from repro.telemetry.export import TRACE_SCHEMA_VERSION

@@ -53,7 +53,7 @@ TID_RMA = 901      #: one-sided transfers landing at the origin
 TID_PROTO = 902    #: serialization-protocol phases (eager, splitmd meta/rma)
 TID_SAN = 903      #: TTG-San findings
 TID_RT = 904       #: runtime housekeeping (quiescence, stream control, deps)
-TID_ENG = 905      #: event-engine lane (checkpoint / resume instants)
+TID_ENG = 905      #: event-engine lane (checkpoint instants)
 
 THREAD_NAMES = {
     TID_AM: "am-server",

@@ -58,8 +58,6 @@ th{background:#f4f4fa} td:first-child,th:first-child{text-align:left}
 .meta{color:#667;font-size:13px}
 .warn{background:#fff3cd;border:1px solid #e0c060;border-radius:4px;
       padding:8px 12px;margin:12px 0;font-size:13px}
-.resume{background:#e7f6ef;border:1px solid #009E73;border-radius:4px;
-        padding:8px 12px;margin:12px 0;font-size:13px}
 .bar{background:#0072B2;height:10px;display:inline-block;border-radius:2px}
 .spark{display:inline-block;margin:4px 14px 4px 0;vertical-align:top;
        font-size:11px;color:#667}
@@ -182,23 +180,17 @@ def gantt_svg(
             f'<rect x="{x:.2f}" y="{y + 1}" width="{w:.2f}" height="{h}" '
             f'fill="{fill}"{extra}><title>{title}</title></rect>'
         )
-    # Durability markers: vertical lines where a checkpoint was
-    # written/verified (green) or a resume replay started (vermillion).
+    # Durability markers: a green vertical line where a checkpoint was
+    # written.
     ckpt_marks = [ev for ev in bus.instants("ckpt")]
     for ev in ckpt_marks:
         x = left + ev.ts / makespan * width
-        color = "#D55E00" if ev.name == "resume" else "#009E73"
-        if ev.name == "resume":
-            title = _esc(f"resumed from {ev.args.get('point', '?')} "
-                         f"({ev.args.get('checkpoints', 0)} stored "
-                         f"checkpoint(s))")
-        else:
-            title = _esc(f"checkpoint #{ev.args.get('index', '?')} at "
-                         f"{ev.ts * 1e6:.1f} us "
-                         f"(events={ev.args.get('events', '?')})")
+        title = _esc(f"checkpoint #{ev.args.get('index', '?')} at "
+                     f"{ev.ts * 1e6:.1f} us "
+                     f"(events={ev.args.get('events', '?')})")
         parts.append(
             f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{height}" '
-            f'stroke="{color}" stroke-width="1.4" stroke-dasharray="3,2">'
+            f'stroke="#009E73" stroke-width="1.4" stroke-dasharray="3,2">'
             f"<title>{title}</title></line>"
         )
     parts.append("</svg>")
@@ -211,9 +203,6 @@ def gantt_svg(
     if ckpt_marks:
         legend += ('<span><i style="background:#009E73"></i>checkpoint'
                    "</span>")
-        if any(ev.name == "resume" for ev in ckpt_marks):
-            legend += ('<span><i style="background:#D55E00"></i>resume'
-                       "</span>")
     return "".join(parts) + f'<div class="legend">{legend}</div>'
 
 
@@ -434,18 +423,6 @@ def render_report(
             f"from the ring buffers (per-rank: {list(bus.dropped)}). Every "
             f"number below is computed on a truncated window; re-record "
             f"with a larger <code>--capacity</code>.</div>"
-        )
-    resumes = [ev for ev in bus.instants("ckpt") if ev.name == "resume"]
-    if resumes:
-        ev = resumes[0]
-        ckpts = sum(1 for e in bus.instants("ckpt") if e.name == "checkpoint")
-        out.append(
-            f'<div class="resume">This run <b>resumed from '
-            f"{_esc(ev.args.get('point', '?'))}</b> "
-            f"({ev.args.get('checkpoints', 0)} stored checkpoint(s) "
-            f"verified during replay; {ckpts} checkpoint marker(s) on the "
-            f"timeline). By the determinism guarantee the numbers below "
-            f"are identical to an uninterrupted run.</div>"
         )
 
     out.append(_section("Timeline", gantt_svg(bus, cp.labels())))

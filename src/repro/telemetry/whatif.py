@@ -34,13 +34,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.cluster import CostOverrides
 
-#: Config keys that are descriptive, not measure_* kwargs.
-_DROP_CONFIG_KEYS = ("machine",)
-
-#: Config-key -> measure_* kwarg renames (bspmm stores ``tile``).
-_RENAME_CONFIG_KEYS = {"tile": "target_tile"}
-
-
 def parse_factor(text: str) -> Tuple[str, float]:
     """Parse one ``TEMPLATE=FACTOR`` CLI knob (e.g. ``GEMM=2``)."""
     name, sep, factor = text.partition("=")
@@ -50,16 +43,6 @@ def parse_factor(text: str) -> Tuple[str, float]:
     if not value > 0.0:
         raise ValueError(f"speedup factor must be > 0, got {text!r}")
     return name, value
-
-
-def _measure_kwargs(record: Any) -> Dict[str, Any]:
-    """Map a stored record's config back to measure_* keyword arguments."""
-    kwargs: Dict[str, Any] = {}
-    for key, value in record.config.items():
-        if key in _DROP_CONFIG_KEYS:
-            continue
-        kwargs[_RENAME_CONFIG_KEYS.get(key, key)] = value
-    return kwargs
 
 
 def replay_record(
@@ -74,17 +57,17 @@ def replay_record(
     """Exact counterfactual replay of one stored bench record.
 
     Rebuilds the record's (app, seed, config) cell through
-    :data:`repro.bench.history.MEASUREMENTS` with the probe overrides
+    :func:`repro.bench.history.measure` with the probe overrides
     *composed onto* the overrides the record was taken under.  ``nodes``
     replays at a different rank count (the rank-count knob).  Returns the
     replayed :class:`~repro.bench.history.BenchRecord`.
     """
-    from repro.bench.history import MEASUREMENTS
+    from repro.bench.history import APPS, measure
 
-    fn = MEASUREMENTS.get(record.app)
-    if fn is None:
+    row = APPS.get(record.app)
+    if row is None:
         raise ValueError(f"cannot replay unknown app {record.app!r}")
-    kwargs = _measure_kwargs(record)
+    kwargs = row.params_of(record.config)
     if nodes is not None:
         kwargs["nodes"] = int(nodes)
     recorded = CostOverrides.from_dict(record.cost_overrides or {})
@@ -94,8 +77,8 @@ def replay_record(
         bandwidth_scale=bandwidth_scale,
     )
     composed = recorded.compose(probe)
-    return fn(
-        record.seed,
+    return measure(
+        record.app, record.seed,
         overrides=None if composed.is_null else composed,
         telemetry_out=telemetry_out,
         **kwargs,

@@ -14,9 +14,9 @@ from repro.bench.history import (
     check_history,
     classify,
     mad,
+    measure,
     measure_cell,
     measure_matrix,
-    measure_potrf,
     median,
     robust_stats,
     run_watchdog,
@@ -231,7 +231,7 @@ def test_seeded_block_cyclic_rotates_ownership():
 
 
 def test_measure_potrf_fills_observability_fields():
-    rec = measure_potrf(seed=0)
+    rec = measure("potrf", seed=0)
     assert rec.app == "potrf" and rec.backend == "parsec"
     assert rec.makespan > 0 and rec.gflops > 0 and rec.tasks_total > 0
     assert rec.tasks_by_template and sum(rec.tasks_by_template.values()) == rec.tasks_total
@@ -241,7 +241,7 @@ def test_measure_potrf_fills_observability_fields():
 
 
 def test_seed_sweep_produces_a_distribution():
-    makespans = {round(measure_potrf(seed=s).makespan, 9) for s in (0, 1, 2)}
+    makespans = {round(measure("potrf", seed=s).makespan, 9) for s in (0, 1, 2)}
     assert len(makespans) > 1
 
 
@@ -459,7 +459,7 @@ def test_cli_prune_compacts_files(tmp_path, capsys):
 
 
 def test_measure_cell_matches_direct_measurement():
-    direct = measure_potrf(0).as_dict()
+    direct = measure("potrf", 0).as_dict()
     via_cell = measure_cell({"app": "potrf", "seed": 0}).as_dict()
     for skip in ("host_seconds", "git_sha"):
         direct.pop(skip), via_cell.pop(skip)
@@ -478,11 +478,25 @@ def test_measure_matrix_records_engine_field():
         measure_cell({"app": "fw", "seed": 0, "engine": "sharded"})
 
 
-def test_measure_bspmm_and_mra_fill_records():
-    from repro.bench.history import MEASUREMENTS, measure_bspmm, measure_mra
+def test_app_table_config_round_trips():
+    """A record's config maps back to the parameters it was measured
+    with -- the what-if replay depends on it (bspmm stores ``tile``)."""
+    from repro.bench.history import APPS, COMMON_PARAMS
 
-    assert set(MEASUREMENTS) == {"potrf", "fw", "bspmm", "mra"}
-    b = measure_bspmm(0)
+    for app, row in APPS.items():
+        params = dict(COMMON_PARAMS, **row.params)
+        config = row.config(params)
+        assert config["machine"] == "hawk"
+        assert row.params_of(config) == params, app
+    assert APPS["bspmm"].config(dict(COMMON_PARAMS, natoms=30,
+                                     target_tile=24))["tile"] == 24
+
+
+def test_measure_bspmm_and_mra_fill_records():
+    from repro.bench.history import APPS
+
+    assert set(APPS) == {"potrf", "fw", "bspmm", "mra"}
+    b = measure("bspmm", 0)
     assert b.app == "bspmm" and b.makespan > 0 and b.tasks_total > 0
-    m = measure_mra(0)
+    m = measure("mra", 0)
     assert m.app == "mra" and m.makespan > 0 and m.tasks_total > 0

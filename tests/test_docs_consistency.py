@@ -112,3 +112,31 @@ def test_ledger_doc_has_a_row_per_record_type():
                if hasattr(LedgerWriter, t) or t in ("ledger_open",
                                                     "ledger_close")}
     assert rows == written
+
+
+def test_docs_name_only_existing_commands():
+    """Every `python -m repro.<pkg>` in the docs and CI names a package
+    with a ``__main__``, and every long option after `python -m
+    repro.bench` on the same line is one the bench parser accepts."""
+    from repro.bench.__main__ import build_parser
+
+    bench_options = set(build_parser()._option_string_actions)
+    files = [ROOT / "README.md", ROOT / "DESIGN.md",
+             *sorted((ROOT / "docs").glob("*.md")),
+             ROOT / ".github" / "workflows" / "ci.yml"]
+    commands, missing, unknown = 0, [], []
+    for path in files:
+        for line in path.read_text().splitlines():
+            for m in re.finditer(r"python -m repro\.(\w+)", line):
+                commands += 1
+                pkg = m.group(1)
+                if not (ROOT / "src" / "repro" / pkg / "__main__.py").exists():
+                    missing.append(f"{path.name}: repro.{pkg}")
+                if pkg == "bench":
+                    tail = line[m.end():].split("python -m", 1)[0]
+                    unknown += [f"{path.name}: {opt}"
+                                for opt in re.findall(r"(?<![\w-])--[\w-]+", tail)
+                                if opt not in bench_options]
+    assert commands > 20
+    assert missing == []
+    assert unknown == []

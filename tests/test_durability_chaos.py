@@ -154,10 +154,3 @@ def test_watchdog_cli_exits_one_on_permanent_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(history, "run_watchdog", _boom)
     code = bench_main(["--record-history", "--history-dir", str(tmp_path)])
     assert code == 1
-
-
-def test_bench_resume_requires_checkpoint_dir():
-    from repro.bench.__main__ import main as bench_main
-
-    with pytest.raises(SystemExit):
-        bench_main(["--resume", "mra-seed0-seq"])

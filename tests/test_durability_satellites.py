@@ -1,6 +1,6 @@
 """Satellites of the durability PR: archive coverage of every app payload
 type, ``telemetry validate``'s killed-run warning, ledger v2 records, and
-the report's checkpoint/resume markers."""
+the report's checkpoint markers."""
 
 import json
 
@@ -144,7 +144,8 @@ def test_validate_flags_killed_ledger_as_incomplete(tmp_path):
     code, text = _cli("validate", path)
     assert code == 0
     assert "WARNING" in text and "incomplete/killed" in text
-    assert "repro.durability resume" in text
+    assert "rerun the cell" in text
+    assert "repro.durability" not in text
 
 
 def test_validate_complete_ledger_not_flagged(tmp_path):
@@ -195,7 +196,7 @@ def test_ledger_rejects_unknown_record_type(tmp_path):
     assert any("telepathy" in p for p in validate_ledger(records))
 
 
-# ------------------------------------------- report markers and banner
+# ------------------------------------------------------ report markers
 
 
 @pytest.fixture()
@@ -218,19 +219,6 @@ def test_gantt_draws_checkpoint_markers(marked_run):
     assert "checkpoint #0" in svg and "checkpoint #1" in svg
     assert "checkpoint</span>" in svg          # legend entry
     assert 'stroke="#D55E00"' not in svg       # no resume marker
-
-
-def test_report_resume_banner_and_marker(marked_run):
-    from repro.telemetry.report_html import render_report
-
-    marked_run.bus.instant("resume", 0, 905, cat="ckpt", run="r",
-                           point="r/ckpt-1@events=50", checkpoints=2,
-                           events=50)
-    html = render_report(marked_run, title="resumed")
-    assert '<div class="resume">' in html
-    assert "resumed from" in html and "r/ckpt-1@events=50" in html
-    assert 'stroke="#D55E00"' in html
-    assert "resume</span>" in html             # legend entry
 
 
 def test_report_without_checkpoints_is_unchanged(tmp_path):

@@ -124,16 +124,19 @@ def test_trace_records_identical(app):
 
 
 def test_bench_measurements_identical():
-    from repro.bench.history import measure_fw, measure_potrf
+    """All four watchdog records at each app's defaults.  The BSPMM and
+    MRA digests were taken from the per-app measurement functions that
+    the one table-driven ``measure`` replaced."""
+    from repro.bench.history import measure
 
-    want = {measure_potrf: "85404bb571d2d1ab",
-            measure_fw: "548a71e89e599015"}
-    for fn, digest in want.items():
-        record = fn(0).as_dict()
+    want = {"potrf": "85404bb571d2d1ab", "fw": "548a71e89e599015",
+            "bspmm": "8aab56b7b03ea1ca", "mra": "f37b9506876bbda5"}
+    for app, digest in want.items():
+        record = measure(app, 0).as_dict()
         assert record["engine"] == "seq"
         for skip in ("host_seconds", "engine", "git_sha"):
             record.pop(skip)
-        assert _digest(record) == digest, fn.__name__
+        assert _digest(record) == digest, app
 
 
 def test_pooled_cells_identical_to_inline():
@@ -154,10 +157,10 @@ def test_run_ledgers_agree_on_final_progress(tmp_path):
     """The run ledger replays to the totals the sharded engine's ledger
     of the same run replayed to, and carries no per-window records.  Its
     task progress is the executed-task count."""
-    from repro.bench.history import measure_potrf
+    from repro.bench.history import measure
     from repro.telemetry.ledger import read_ledger, replay_path
 
-    rec = measure_potrf(0, ledger_dir=str(tmp_path))
+    rec = measure("potrf", 0, ledger_dir=str(tmp_path))
     path = f"{tmp_path}/potrf-seed0-seq.ledger.jsonl"
     snap = replay_path(path)
     assert snap.complete

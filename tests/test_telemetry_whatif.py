@@ -10,7 +10,7 @@ with zero tolerance -- an injected ``1/f`` slowdown replayed under an
 import pytest
 
 from repro.bench.__main__ import main as bench_main
-from repro.bench.history import BenchHistory, measure_potrf
+from repro.bench.history import BenchHistory, measure
 from repro.sim.cluster import CostOverrides
 from repro.telemetry import whatif
 from repro.telemetry.whatif import (
@@ -25,12 +25,12 @@ _SMALL = dict(nodes=2, n=512, b=128, workers=2)
 
 
 def _clean(seed=0):
-    return measure_potrf(seed, **_SMALL)
+    return measure("potrf", seed, **_SMALL)
 
 
 def _slowed(seed=0, template="TRSM", factor=2.0):
-    return measure_potrf(seed, overrides={"speedups": {template: 1.0 / factor}},
-                         **_SMALL)
+    return measure("potrf", seed,
+                   overrides={"speedups": {template: 1.0 / factor}}, **_SMALL)
 
 
 # ------------------------------------------------------------ CostOverrides
