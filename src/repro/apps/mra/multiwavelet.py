@@ -8,11 +8,12 @@ The two-scale relation couples a box's basis to its two half-boxes::
                                + h1[i,j] phi_j(2x-1) (x in [1/2, 1]) ]
 
 ``H = [h0 h1]`` has orthonormal rows; the wavelet filters ``G = [g0 g1]``
-are an orthonormal basis of its complement (computed via the null space;
-any such choice yields an exact, orthogonal fast wavelet transform --
-Alpert's specific moment-vanishing choice is not needed for compress /
-reconstruct / norm).  d-dimensional transforms are separable: the 2k x 2k
-orthogonal filter ``W = [[h0, h1], [g0, g1]]`` is applied along each axis.
+are an orthonormal basis of its complement (the trailing right singular
+vectors of ``H``, see :func:`orthonormal_complement`; any such choice
+yields an exact, orthogonal fast wavelet transform -- Alpert's specific
+moment-vanishing choice is not needed for compress / reconstruct /
+norm).  d-dimensional transforms are separable: the 2k x 2k orthogonal
+filter ``W = [[h0, h1], [g0, g1]]`` is applied along each axis.
 """
 
 from __future__ import annotations
@@ -40,6 +41,24 @@ def legendre_scaling_values(k: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def orthonormal_complement(h: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the complement of the full-rank rows of
+    ``h`` (shape (m, n), m <= n): shape (n - m, n).
+
+    The trailing right singular vectors: what ``scipy.linalg.null_space(h).T``
+    computes (both call LAPACK ``gesdd``; the tests check the bits match),
+    without SciPy's import.  Raises ``ValueError`` if ``h`` is
+    rank-deficient under SciPy's tolerance, ``max(s) * eps * max(m, n)``.
+    """
+    m, n = h.shape
+    _, s, vh = np.linalg.svd(h, full_matrices=True)
+    tol = s.max() * np.finfo(s.dtype).eps * max(m, n)
+    rank = int(np.sum(s > tol))
+    if rank != m:
+        raise ValueError(f"filter rows have rank {rank}, expected {m}")
+    return vh[m:]
+
+
 class Multiwavelet:
     """Order-k multiwavelet transform tables for d dimensions."""
 
@@ -65,11 +84,7 @@ class Multiwavelet:
         self.h0 = inv_sqrt2 * (lo * self.wts[None, :]) @ phi.T
         self.h1 = inv_sqrt2 * (hi * self.wts[None, :]) @ phi.T
         h = np.hstack([self.h0, self.h1])  # (k, 2k), orthonormal rows
-        # Imported here, the one use: processes that never build a
-        # Multiwavelet do not pay SciPy's import (~0.3 s, ~30 MiB).
-        import scipy.linalg
-
-        g = scipy.linalg.null_space(h).T  # (k, 2k), orthonormal complement
+        g = orthonormal_complement(h)  # (k, 2k)
         self.g0 = g[:, :k]
         self.g1 = g[:, k:]
         # Full 2k x 2k orthogonal filter.

@@ -34,8 +34,9 @@ def potrf(akk: MatrixTile) -> MatrixTile:
 def trsm(lkk: MatrixTile, amk: MatrixTile) -> MatrixTile:
     """Triangular solve in place: A_mk -> A_mk * L_kk^{-T}."""
     if lkk.data is not None and amk.data is not None:
-        # SciPy is imported where it is used: the import costs every process
-        # ~0.3 s and ~30 MiB, and only real-data TRSM tiles need it.
+        # SciPy is imported where it is used: the import costs a process
+        # ~300 modules and ~21 MiB of peak RSS, and only real-data TRSM
+        # tiles need it.
         import scipy.linalg
 
         # Solve X L^T = A  =>  L X^T = A^T

@@ -17,6 +17,7 @@ from repro.apps.mra import (
     random_gaussians,
 )
 from repro.apps.mra.data import MraMessage
+from repro.apps.mra.multiwavelet import orthonormal_complement
 from repro.baselines.madness_mra import madness_mra
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
@@ -25,11 +26,24 @@ from repro.sim.cluster import Cluster, HAWK
 # -------------------------------------------------------------- multiwavelet
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 7])
+@pytest.mark.parametrize("k", range(1, 11))
 def test_filter_matrix_orthogonal(k):
-    mw = Multiwavelet(k, 1)
-    w = mw.filter_matrix
-    assert np.allclose(w @ w.T, np.eye(2 * k), atol=1e-12)
+    # The NumPy SVD complement is what SciPy's null_space computes, bit for
+    # bit: no simulated number moves with the import it saves.
+    import scipy.linalg
+
+    for d in (1, 3):
+        mw = Multiwavelet(k, d)
+        ref = scipy.linalg.null_space(np.hstack([mw.h0, mw.h1])).T
+        assert np.array_equal(np.hstack([mw.g0, mw.g1]), ref)
+        w = mw.filter_matrix
+        assert np.abs(w @ w.T - np.eye(2 * k)).max() < 1e-13
+
+
+def test_orthonormal_complement_rejects_rank_deficient_rows():
+    h = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="rank 1, expected 2"):
+        orthonormal_complement(h)
 
 
 @pytest.mark.parametrize("k,d", [(3, 1), (4, 2), (3, 3)])
@@ -351,7 +365,10 @@ def test_ttg_task_counts_consistent():
 
 def test_mra_cell_statistics_pinned():
     # Literals recorded before the batched kernels went in: a kernel change
-    # that flips one refinement decision moves every number below.
+    # that flips one refinement decision moves every number below.  The
+    # norms and the event count were recorded while the wavelet filters
+    # still came from SciPy's null_space: a filter change that moves one
+    # floating-point bit fails here even when no refinement decision flips.
     funcs = random_gaussians(2, d=3, exponent=200.0, seed=0)
     args = dict(k=4, thresh=1e-3, max_level=5)
     backend = ParsecBackend(Cluster(HAWK, 4))
@@ -363,6 +380,9 @@ def test_mra_cell_statistics_pinned():
     assert backend.stats.bytes_by_protocol == {"control": 3072, "generic": 116616}
     assert repr(res.makespan) == "6.85391933333333e-05"
     assert res.total_nodes == 688
+    assert repr(res.norms[0]) == "0.0006964375745353051"
+    assert repr(res.norms[1]) == "0.0006953722699520564"
+    assert backend.engine.events_processed == 2908
     native = madness_mra(Cluster(HAWK, 4), funcs, **args)
     assert repr(native.makespan) == "0.00014008048"
     assert native.total_nodes == 786

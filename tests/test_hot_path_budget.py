@@ -26,11 +26,19 @@ shared record heads, resolved metric handles once and sampled the ready
 queues at the pool's own push and pop sites: 23.0 / 18.5 (4.8 / 4.6).
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
+
+Memory and set-up time are end-to-end metrics too, and a process's
+footprint follows what it imports: SciPy alone pulls in ~300 modules and
+~21 MiB of peak RSS.  ``test_figure_cells_do_not_import_scipy`` runs one
+cell of each app in a fresh interpreter and checks that none reaches it;
+only real-data TRSM tiles (``linalg.kernels.trsm``) may import SciPy.
 """
 
 import cProfile
 import os
 import pstats
+import subprocess
+import sys
 
 import pytest
 
@@ -106,4 +114,36 @@ def test_calls_per_task_stay_under_budget(name):
         + "\n".join(f"  {n:7d}  {fn}" for fn, n in top)
         + "\nmost added by the observer:\n"
         + "\n".join(f"  {n:7d}  {fn}" for fn, n in top_added)
+    )
+
+
+#: one cell of each app, in a fresh interpreter; prints the SciPy modules
+#: loaded afterwards (none expected)
+_NO_SCIPY_SCRIPT = """
+import sys
+from repro.bench.figures import fig9_fw_seawulf, fig13a_mra_seawulf
+from repro.runtime import ParsecBackend
+from repro.sim.cluster import HAWK, Cluster
+from tests.test_cell_statistics_pinned import NRANKS, bspmm_cell, potrf_cell
+
+fig13a_mra_seawulf(max_nodes=2)
+fig9_fw_seawulf(max_nodes=2, n=256)
+potrf_cell(ParsecBackend(Cluster(HAWK, NRANKS)))
+bspmm_cell(ParsecBackend(Cluster(HAWK, NRANKS)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_figure_cells_do_not_import_scipy():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(_PACKAGE.rstrip(os.sep)), root,
+                    env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]", (
+        "SciPy was imported on the run path: " + proc.stdout[:2000]
     )
