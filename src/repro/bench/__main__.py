@@ -6,7 +6,6 @@ without going through pytest:
     python -m repro.bench table1
     python -m repro.bench fig5 --max-nodes 8
     python -m repro.bench fig8 --telemetry fig8.json   # + .trace.json/.jsonl
-    python -m repro.bench fig5 --ledger runs/ --telemetry fig5.json
     python -m repro.bench all
 
 The benchmark-history watchdog (no experiment argument needed):
@@ -15,7 +14,6 @@ The benchmark-history watchdog (no experiment argument needed):
     python -m repro.bench --check-regressions            # exit 1 on regression
     python -m repro.bench --check-regressions --record-history --seeds 0,1,2
     python -m repro.bench --record-history --parallel 4
-    python -m repro.bench --record-history --ledger runs/
 
 Root-causing a failure (see ``docs/observability.md``): ``--explain``
 auto-runs the trace differ and the deterministic what-if profiler against
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import figures, history
@@ -251,7 +248,6 @@ def run_watchdog_cli(args: argparse.Namespace) -> int:
             thresholds={"makespan": args.threshold, "gflops": args.threshold}
             if args.threshold is not None else None,
             parallel=args.parallel,
-            ledger_dir=args.ledger,
             overrides=overrides,
             fresh_out=fresh,
         )
@@ -339,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     wd.add_argument("--parallel", type=int, default=0, metavar="N",
                     help="fan the (app, seed) matrix cells out over N worker "
                     "processes (0 = inline)")
-    wd.add_argument("--ledger", default=None, metavar="DIR",
-                    help="write one append-only run ledger per matrix cell "
-                    "(or per backend an experiment binds) into DIR")
     wd.add_argument("--keep", type=int, default=50, metavar="N",
                     help="prune: non-baseline records to keep per config "
                     "group (default 50)")
@@ -373,27 +366,21 @@ def main(argv=None) -> int:
         elif args.experiment != "table1":
             run_figure(args.experiment, args.max_nodes)
 
-    runs = None
-    with ExitStack() as stack:
-        if args.ledger is not None:
-            from repro.telemetry.ledger import ledger_capture
-
-            stack.enter_context(ledger_capture(
-                args.ledger, prefix=args.experiment or "bench"))
-        if args.telemetry is not None:
-            from repro.telemetry import capture
-
-            runs = stack.enter_context(capture(events=True))
+    if args.telemetry is None:
         run_all()
-    if runs is not None:
-        written = write_telemetry_bundle(
-            args.telemetry, runs, meta={"experiment": args.experiment}
-        )
-        print(f"\nwrote {written['counters']} ({len(runs)} backend run(s))")
-        if "trace" in written:
-            print(f"wrote {written['trace']} and {written['jsonl']} "
-                  f"(replay: python -m repro.telemetry report-html "
-                  f"{written['jsonl']} -o report.html)")
+        return 0
+    from repro.telemetry import capture
+
+    with capture(events=True) as runs:
+        run_all()
+    written = write_telemetry_bundle(
+        args.telemetry, runs, meta={"experiment": args.experiment}
+    )
+    print(f"\nwrote {written['counters']} ({len(runs)} backend run(s))")
+    if "trace" in written:
+        print(f"wrote {written['trace']} and {written['jsonl']} "
+              f"(replay: python -m repro.telemetry report-html "
+              f"{written['jsonl']} -o report.html)")
     return 0
 
 

@@ -613,28 +613,6 @@ def _instrumented_cluster(nodes: int, workers: int, overrides: Any = None):
     return cluster, tel
 
 
-def _attach_ledger(backend: Any, app: str, seed: int,
-                   ledger_dir: Optional[str]) -> None:
-    """Arm the run ledger on a watchdog backend (``--ledger``).
-
-    Writes ``<dir>/<app>-seed<seed>-seq.ledger.jsonl``; no-op without a
-    directory.  Ledger params deliberately stay OUT of the record config
-    (observability must not fork the watchdog's config groups).
-    """
-    if ledger_dir is None:
-        return
-    from repro.telemetry.ledger import LedgerWriter
-
-    Path(ledger_dir).mkdir(parents=True, exist_ok=True)
-    writer = LedgerWriter(
-        str(Path(ledger_dir) / f"{app}-seed{seed}-seq.ledger.jsonl"),
-        run_id=f"{app}-seed{seed}-seq",
-        meta={"app": app, "seed": seed, "engine": "seq",
-              "nranks": backend.nranks},
-    )
-    backend.attach_ledger(writer)
-
-
 def _coerce_overrides(overrides: Any) -> Any:
     """Normalize an ``overrides`` kwarg (CostOverrides | dict | None).
 
@@ -751,7 +729,6 @@ def _row(app: str) -> AppRow:
 
 def measure(
     app: str, seed: int = 0, *,
-    ledger_dir: Optional[str] = None,
     overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
     **params: Any,
@@ -774,11 +751,9 @@ def measure(
     cluster, tel = _instrumented_cluster(p["nodes"], p["workers"],
                                          overrides=ov)
     backend = ParsecBackend(cluster, telemetry=tel)
-    _attach_ledger(backend, app, seed, ledger_dir)
     t0 = perf_counter()
     res = row.driver(inputs, backend, p)
     host = perf_counter() - t0
-    backend.close_ledger()
     if telemetry_out is not None:
         telemetry_out.append(tel)
     return _observed_record(app, res, tel, config=row.config(p), seed=seed,
@@ -819,7 +794,6 @@ def measure_matrix(
     seeds: Sequence[int] = (0, 1, 2),
     *,
     parallel: int = 0,
-    ledger_dir: Optional[str] = None,
     overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, List[BenchRecord]]:
     """Seed-swept measurements of the watchdog matrix, grouped by app.
@@ -827,9 +801,7 @@ def measure_matrix(
     ``parallel > 1`` fans the (app, seed) cells out over that
     many worker processes (run-granularity host parallelism -- see
     :mod:`repro.bench.parallel`; results are deterministic and ordered
-    regardless).  ``ledger_dir`` writes one run ledger per cell (the cell
-    specs stay picklable, so forked workers write their own files).
-    ``overrides`` (a plain
+    regardless).  ``overrides`` (a plain
     :meth:`~repro.sim.cluster.CostOverrides.as_dict` mapping, so cells
     stay picklable) perturbs every cell's costs -- the synthetic-regression
     injection hook behind ``--slowdown``.
@@ -840,15 +812,13 @@ def measure_matrix(
     for app in apps:
         for seed in seeds:
             cell: Dict[str, Any] = {"app": app, "seed": seed}
-            if ledger_dir is not None:
-                cell["ledger_dir"] = ledger_dir
             if overrides:
                 cell["overrides"] = dict(overrides)
             cells.append(cell)
     if parallel > 1:
         from repro.bench.parallel import run_cells
 
-        records = run_cells(cells, processes=parallel, ledger_dir=ledger_dir)
+        records = run_cells(cells, processes=parallel)
     else:
         records = [measure_cell(c) for c in cells]
     out: Dict[str, List[BenchRecord]] = {app: [] for app in apps}
@@ -867,7 +837,6 @@ def run_watchdog(
     update_baseline: bool = False,
     thresholds: Optional[Dict[str, float]] = None,
     parallel: int = 0,
-    ledger_dir: Optional[str] = None,
     overrides: Optional[Dict[str, Any]] = None,
     fresh_out: Optional[Dict[str, List[BenchRecord]]] = None,
 ) -> Tuple[List[RegressionReport], List[Path]]:
@@ -877,7 +846,7 @@ def run_watchdog(
       candidates (plus any trailing non-baseline records already stored).
     - ``record``: append the fresh records to the ``BENCH_*.json`` files.
     - ``update_baseline``: mark the fresh records as baseline.
-    - ``parallel`` / ``ledger_dir`` / ``overrides``: forwarded to
+    - ``parallel`` / ``overrides``: forwarded to
       :func:`measure_matrix`.
     - ``fresh_out``: when given, filled with the fresh per-app records so
       the caller can root-cause a failure without re-measuring (the
@@ -885,7 +854,7 @@ def run_watchdog(
     Returns the per-app reports and the paths written (if any).
     """
     fresh = (measure_matrix(apps, seeds, parallel=parallel,
-                            ledger_dir=ledger_dir, overrides=overrides)
+                            overrides=overrides)
              if measure else {a: [] for a in apps})
     if fresh_out is not None:
         fresh_out.update(fresh)

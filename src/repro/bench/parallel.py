@@ -10,18 +10,17 @@ The pool degrades loudly: sandboxes without working POSIX semaphores
 run the cells inline, preserving results exactly (cells are
 deterministic, so parallel and inline runs return identical records in
 identical order; only ``host_seconds`` differs) -- and say so with one
-``RuntimeWarning`` plus a ``fallback`` record in the pool ledger, because
-a sweep that silently lost its parallelism reports the wrong wall time.
+``RuntimeWarning``, because a sweep that silently lost its parallelism
+reports the wrong wall time.
 
 Resilience: a cell whose worker dies (``SIGKILL``, OOM, an injected
 fault) is retried with bounded exponential backoff -- the retries run
 *inline in the parent*, because a pool whose worker was killed cannot be
 trusted to return the result (``multiprocessing.Pool`` repopulates the
 worker but the in-flight ``apply_async`` never resolves; a ``get``
-timeout is the kill detector).  A cell that still fails after its
-retries raises :class:`CellFailureError`, and every retry/failure is
-recorded in a pool ledger when ``ledger_dir`` is set, so a watchdog
-sweep's crash history is inspectable after the fact.
+timeout is the kill detector).  Every retry says so with one
+``RuntimeWarning`` naming the cell, the attempt and the error; a cell
+that still fails after its retries raises :class:`CellFailureError`.
 """
 
 from __future__ import annotations
@@ -46,6 +45,11 @@ DEFAULT_BACKOFF = 0.25
 DEFAULT_CELL_TIMEOUT = 300.0
 
 
+def _cell_id(cell: Dict[str, Any]) -> str:
+    return (f"{cell.get('app')}-seed{cell.get('seed')}"
+            f"-{cell.get('engine', 'seq')}")
+
+
 @dataclass
 class CellFailure:
     """One cell's permanent failure after its retry budget."""
@@ -55,8 +59,7 @@ class CellFailure:
     error: str
 
     def describe(self) -> str:
-        return (f"{self.cell.get('app')}-seed{self.cell.get('seed')}"
-                f"-{self.cell.get('engine', 'seq')}: {self.error} "
+        return (f"{_cell_id(self.cell)}: {self.error} "
                 f"({self.attempts} attempt(s))")
 
 
@@ -103,27 +106,9 @@ def _retryable() -> tuple:
     return (Exception, InjectedFault)
 
 
-def _cell_tag(cell: Dict[str, Any]) -> Dict[str, Any]:
-    return {"app": cell.get("app"), "seed": cell.get("seed"),
-            "engine": cell.get("engine", "seq")}
-
-
-def _pool_ledger(ledger_dir: Optional[str]) -> Any:
-    """The sweep's pool ledger (retry/failure records), or ``None``."""
-    if ledger_dir is None:
-        return None
-    from pathlib import Path
-
-    from repro.telemetry.ledger import LedgerWriter
-
-    Path(ledger_dir).mkdir(parents=True, exist_ok=True)
-    return LedgerWriter(str(Path(ledger_dir) / "pool.ledger.jsonl"),
-                        meta={"kind": "pool"})
-
-
 def _retry_cell(
     cell: Dict[str, Any], err: str, attempts: int, retries: int,
-    backoff: float, ledger: Any,
+    backoff: float,
 ) -> Any:
     """Re-run a failed cell inline with exponential backoff.
 
@@ -132,8 +117,9 @@ def _retry_cell(
     ``(record, None)`` on success or ``(None, CellFailure)``.
     """
     while attempts <= retries:
-        if ledger is not None:
-            ledger.retry(attempt=attempts, error=err, **_cell_tag(cell))
+        warnings.warn(
+            f"run_cells: retrying {_cell_id(cell)} after attempt "
+            f"{attempts}: {err}", RuntimeWarning, stacklevel=2)
         if backoff > 0:
             time.sleep(backoff * 2 ** (attempts - 1))
         attempts += 1
@@ -141,15 +127,11 @@ def _retry_cell(
             return measure_cell(cell), None
         except _retryable() as e:
             err = f"{type(e).__name__}: {e}"
-    failure = CellFailure(cell, attempts=attempts, error=err)
-    if ledger is not None:
-        ledger.failure(attempts=attempts, error=err, **_cell_tag(cell))
-    return None, failure
+    return None, CellFailure(cell, attempts=attempts, error=err)
 
 
 def _run_inline(
     cells: Sequence[Dict[str, Any]], retries: int, backoff: float,
-    ledger: Any,
 ) -> List[BenchRecord]:
     results: List[BenchRecord] = []
     failures: List[CellFailure] = []
@@ -159,7 +141,7 @@ def _run_inline(
             continue
         except _retryable() as e:
             err = f"{type(e).__name__}: {e}"
-        rec, failure = _retry_cell(cell, err, 1, retries, backoff, ledger)
+        rec, failure = _retry_cell(cell, err, 1, retries, backoff)
         if failure is not None:
             failures.append(failure)
         else:
@@ -171,15 +153,13 @@ def _run_inline(
 
 def _inline_fallback(
     cells: Sequence[Dict[str, Any]], processes: int, reason: str,
-    retries: int, backoff: float, ledger: Any,
+    retries: int, backoff: float,
 ) -> List[BenchRecord]:
     """Run inline a matrix that was meant for the pool, and say so."""
     warnings.warn(
         f"run_cells: {len(cells)} cells asked for {processes} processes "
         f"but run inline: {reason}", RuntimeWarning, stacklevel=3)
-    if ledger is not None:
-        ledger.fallback(reason=reason, cells=len(cells), processes=processes)
-    return _run_inline(cells, retries, backoff, ledger)
+    return _run_inline(cells, retries, backoff)
 
 
 def run_cells(
@@ -189,7 +169,6 @@ def run_cells(
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     timeout: float = DEFAULT_CELL_TIMEOUT,
-    ledger_dir: Optional[str] = None,
 ) -> List[BenchRecord]:
     """Measure every cell spec (see ``measure_cell``), possibly in parallel.
 
@@ -198,64 +177,55 @@ def run_cells(
     inline run would produce.  One process or one cell runs inline by
     definition; a host that was asked for a pool and cannot run one (no
     usable semaphores, fork failure) also runs inline, with one
-    ``RuntimeWarning`` and a ``fallback`` pool-ledger record.
+    ``RuntimeWarning``.
 
     Crashed cells are retried up to ``retries`` times with exponential
-    backoff (``backoff * 2**attempt`` seconds).  A pooled cell whose
-    worker produces neither a result nor an exception within ``timeout``
-    seconds is presumed killed (``multiprocessing.Pool`` repopulates a
-    dead worker but the in-flight result is lost forever); its retries
-    run inline in the parent, where a second kill cannot hide.  Cells
-    that exhaust their retries raise :class:`CellFailureError` after the
-    whole matrix has been driven; with ``ledger_dir`` every retry and
-    permanent failure also lands in ``<ledger_dir>/pool.ledger.jsonl``.
+    backoff (``backoff * 2**attempt`` seconds), each with one
+    ``RuntimeWarning``.  A pooled cell whose worker produces neither a
+    result nor an exception within ``timeout`` seconds is presumed killed
+    (``multiprocessing.Pool`` repopulates a dead worker but the in-flight
+    result is lost forever); its retries run inline in the parent, where
+    a second kill cannot hide.  Cells that exhaust their retries raise
+    :class:`CellFailureError` after the whole matrix has been driven.
     Dispatch is per-cell so each result can be awaited (and timed out)
     individually.
     """
     cells = list(cells)
     n = default_processes() if processes is None else processes
     n = min(n, len(cells))
-    ledger = _pool_ledger(ledger_dir)
+    if n < 2:
+        return _run_inline(cells, retries, backoff)
+    if not _pool_usable():
+        return _inline_fallback(
+            cells, n, "no usable multiprocessing semaphores", retries,
+            backoff)
+    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
+                         else None)
     try:
-        if n < 2:
-            return _run_inline(cells, retries, backoff, ledger)
-        if not _pool_usable():
-            return _inline_fallback(
-                cells, n, "no usable multiprocessing semaphores",
-                retries, backoff, ledger)
-        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                             else None)
-        try:
-            with ctx.Pool(n) as pool:
-                pending = [pool.apply_async(measure_cell, (c,))
-                           for c in cells]
-                results: List[BenchRecord] = []
-                failures: List[CellFailure] = []
-                for cell, fut in zip(cells, pending):
-                    try:
-                        results.append(fut.get(timeout))
-                        continue
-                    except mp.TimeoutError:
-                        err = (f"worker returned nothing within {timeout:g}s "
-                               f"(presumed killed)")
-                    except _retryable() as e:
-                        err = f"{type(e).__name__}: {e}"
-                    rec, failure = _retry_cell(cell, err, 1, retries,
-                                               backoff, ledger)
-                    if failure is not None:
-                        failures.append(failure)
-                    else:
-                        results.append(rec)
-                if failures:
-                    raise CellFailureError(failures)
-                return results
-        except (OSError, PermissionError) as e:
-            # The probe passed but the pool still failed (e.g. fork
-            # limits): the cells are deterministic, so inline execution
-            # is equivalent.
-            return _inline_fallback(
-                cells, n, f"pool failed ({type(e).__name__}: {e})",
-                retries, backoff, ledger)
-    finally:
-        if ledger is not None:
-            ledger.close()
+        with ctx.Pool(n) as pool:
+            pending = [pool.apply_async(measure_cell, (c,)) for c in cells]
+            results: List[BenchRecord] = []
+            failures: List[CellFailure] = []
+            for cell, fut in zip(cells, pending):
+                try:
+                    results.append(fut.get(timeout))
+                    continue
+                except mp.TimeoutError:
+                    err = (f"worker returned nothing within {timeout:g}s "
+                           f"(presumed killed)")
+                except _retryable() as e:
+                    err = f"{type(e).__name__}: {e}"
+                rec, failure = _retry_cell(cell, err, 1, retries, backoff)
+                if failure is not None:
+                    failures.append(failure)
+                else:
+                    results.append(rec)
+            if failures:
+                raise CellFailureError(failures)
+            return results
+    except (OSError, PermissionError) as e:
+        # The probe passed but the pool still failed (e.g. fork limits):
+        # the cells are deterministic, so inline execution is equivalent.
+        return _inline_fallback(
+            cells, n, f"pool failed ({type(e).__name__}: {e})",
+            retries, backoff)

@@ -266,9 +266,6 @@ class Executable:
         recorded event stream; findings land on :attr:`race_findings`
         (strict mode raises instead).
         """
-        if self.backend.ledger is not None:
-            self.backend.ledger.phase("fence", sim=self.backend.engine.now,
-                                      graph=self.graph.name)
         if self.backend.checkpointer is not None:
             self.backend.checkpointer.phase("fence")
         makespan = self.backend.run()

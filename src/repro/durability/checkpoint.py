@@ -82,8 +82,8 @@ class CheckpointError(ValueError):
 
 
 def run_id_for(spec: Dict[str, Any]) -> str:
-    """Canonical durable run id of a bench cell (same shape the run
-    ledger uses): ``<app>-seed<seed>-<engine>``."""
+    """Canonical durable run id of a bench cell:
+    ``<app>-seed<seed>-<engine>``."""
     return (f"{spec.get('app', 'run')}-seed{spec.get('seed', 0)}"
             f"-{spec.get('engine', 'seq')}")
 
@@ -483,9 +483,6 @@ class Checkpointer:
         if tel is not None and tel.bus.recording:
             tel.bus.instant("checkpoint", 0, 905, cat="ckpt",
                             index=index, events=events, digest=digest[:12])
-        if backend.ledger is not None:
-            backend.ledger.checkpoint(sim=now, events=events, index=index,
-                                      digest=digest[:12])
         import time as _time
 
         ckpt = Checkpoint(

@@ -494,10 +494,6 @@ class Backend:
         # Telemetry hook point: attach_telemetry arms every layer's hooks.
         # None => the default path pays one attribute load + branch.
         self.telemetry = None
-        # Run-ledger hook point (attach_ledger): a LedgerWriter recording
-        # the run's life cycle (phase and drain-progress records).
-        # None => zero ledger I/O.
-        self.ledger = None
         # Durability hook point (attach_checkpointer): a
         # repro.durability.Checkpointer writing crash-consistent snapshots
         # at engine cadence points.  None => no engine hook installed.
@@ -553,15 +549,6 @@ class Backend:
             (SPAN, name, "proto", k[1], TID_PROTO, _PROTO_ARGS)
             for name in splitmd_phase_names(k[0])))
 
-    def attach_ledger(self, ledger: Any) -> None:
-        """Record this execution's life cycle into ``ledger`` (a
-        :class:`~repro.telemetry.ledger.LedgerWriter`): emits the
-        ``build`` phase now; :meth:`run` adds the rest.
-        """
-        self.ledger = ledger
-        ledger.phase("build", sim=self.engine.now,
-                     nranks=self.nranks, engine=type(self.engine).__name__)
-
     def attach_checkpointer(self, checkpointer: Any) -> None:
         """Write crash-consistent checkpoints of this run (a
         :class:`~repro.durability.Checkpointer`).
@@ -574,17 +561,6 @@ class Backend:
         """
         self.checkpointer = checkpointer
         checkpointer.bind(self)
-
-    def _ledger_progress(self, sim: float) -> None:
-        """The drain's progress record.  Runs after :meth:`_check_drained`
-        has proven every pool empty, so every task found has executed."""
-        self.ledger.progress(
-            sim,
-            tasks_done=self.stats.tasks_executed,
-            by_template=self.stats.tasks_by_template,
-            bytes_by_protocol=self.stats.bytes_by_protocol,
-            events=self.engine.events_processed,
-        )
 
     # ------------------------------------------------------------------ info
 
@@ -812,18 +788,12 @@ class Backend:
         Then checks that the drain left nothing behind (see
         :meth:`_check_drained`).
         """
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.phase("execute", sim=self.engine.now)
         if self.checkpointer is not None:
             self.checkpointer.phase("execute")
         self.engine.run()
         if self.sanitizer is not None:
             self.sanitizer.on_backend_drain(self)
         self._check_drained()
-        if ledger is not None:
-            ledger.phase("drain", sim=self.engine.now)
-            self._ledger_progress(self.engine.now)
         self.stats.makespan = self.engine.now
         if self.telemetry is not None:
             self.telemetry.metrics.gauge("makespan").set(self.engine.now)
@@ -870,15 +840,6 @@ class Backend:
                     tasks=stats.tasks_executed + stats.local_deliveries,
                     messages=stats.remote_messages,
                 )
-
-    def close_ledger(self) -> None:
-        """Seal the attached ledger (final snapshot).  Idempotent; no-op
-        without a ledger."""
-        ledger = self.ledger
-        if ledger is None:
-            return
-        ledger.close(self.engine.now, makespan=self.stats.makespan)
-        self.ledger = None  # a later fence() must not write a sealed ledger
 
     def close_checkpointer(self) -> None:
         """Disarm the checkpointer's engine hook.  Idempotent; no-op

@@ -21,10 +21,6 @@ records into:
 - :mod:`repro.telemetry.report_html` -- dependency-free single-file HTML
   run reports (inline-SVG Gantt with critical-path highlight, tables,
   sparklines, benchmark-history trend charts).
-- :mod:`repro.telemetry.ledger` -- the append-only, versioned **run
-  ledger**: life-cycle records (phase transitions, the drain's progress
-  snapshot, checkpoints, retries) flushed to JSONL as they happen, so a
-  killed run still shows the last phase it reached.
 - ``python -m repro.telemetry`` -- record / report / report-html /
   export / critical-path / diff / whatif / validate CLI
   (:mod:`repro.telemetry.cli`).
@@ -76,16 +72,6 @@ from repro.telemetry.report_html import (
     render_report,
     write_report_html,
 )
-from repro.telemetry.ledger import (
-    LEDGER_SCHEMA,
-    LEDGER_VERSION,
-    LedgerSnapshot,
-    LedgerWriter,
-    ledger_capture,
-    read_ledger,
-    replay_path,
-    validate_ledger,
-)
 
 __all__ = [
     "CounterEvent",
@@ -120,12 +106,4 @@ __all__ = [
     "load_histories",
     "render_report",
     "write_report_html",
-    "LEDGER_SCHEMA",
-    "LEDGER_VERSION",
-    "LedgerSnapshot",
-    "LedgerWriter",
-    "ledger_capture",
-    "read_ledger",
-    "replay_path",
-    "validate_ledger",
 ]

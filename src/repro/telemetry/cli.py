@@ -32,10 +32,10 @@ Subcommands:
   recorded run with perturbed costs (``--speedup T=F``,
   ``--latency-scale``, ``--bandwidth-scale``, ``--nodes``) and report the
   exact counterfactual makespan; ``--sweep`` ranks every knob.
-- ``validate FILE`` -- schema-check a Chrome trace *or* a run ledger
-  (auto-detected); diagnostics name the schema version, ``--json`` emits
-  a machine-readable result, and traces recorded on an overflowing ring
-  buffer fail unless ``--allow-drops``.
+- ``validate TRACE.json`` -- schema-check a Chrome trace; diagnostics
+  name the schema version, ``--json`` emits a machine-readable result,
+  and traces recorded on an overflowing ring buffer fail unless
+  ``--allow-drops``.  Convert a JSONL event log with ``export`` first.
 
 Exit status 0 on success; 1 when the script crashed, a validation found
 problems, or nothing was recorded.
@@ -309,79 +309,60 @@ def cmd_whatif(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _sniff_ledger(path: str) -> bool:
-    """Whether ``path`` looks like a run ledger (JSONL, ``ledger_open``
-    header) rather than a single-document Chrome trace."""
+def _read_trace(path: str) -> tuple:
+    """``(document, None)`` for a JSON file, else ``(None, reason)``
+    naming why ``path`` cannot be a Chrome trace."""
+    from repro.telemetry.diff import sniff_payload_kind
+
     try:
         with open(path) as fh:
-            first = fh.readline()
-        rec = json.loads(first)
-    except (OSError, ValueError):
-        return False
-    return isinstance(rec, dict) and rec.get("type") == "ledger_open"
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        return None, f"cannot read it ({getattr(e, 'strerror', None) or e})"
+    try:
+        data = json.loads(text)
+    except ValueError:
+        data = None  # several JSON documents, or none
+    if not isinstance(data, dict) or "traceEvents" not in data:
+        try:
+            kind = sniff_payload_kind(path)
+        except ValueError:
+            kind = None
+        if kind == "jsonl":
+            return None, (f"a JSONL event log, not a Chrome trace; run "
+                          f"`python -m repro.telemetry export {path} -o "
+                          f"trace.json` first")
+        if data is None:
+            return None, "not a Chrome trace (not a single JSON document)"
+    return data, None
 
 
 def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
-    """Schema-check a Chrome trace or a run ledger (auto-detected).
+    """Schema-check a Chrome trace.
 
     Every diagnostic names the schema version it was checked against;
-    ``--json`` emits one machine-readable result object for CI.
+    ``--json`` emits one machine-readable result object for CI.  Input
+    that is not a trace at all (a JSONL log, a missing file) fails with
+    one line naming the file.
     """
-    result: dict = {"file": args.trace, "valid": False, "problems": []}
+    from repro.telemetry.export import TRACE_SCHEMA_VERSION
 
-    if _sniff_ledger(args.trace):
-        from repro.telemetry.ledger import (
-            LEDGER_VERSION, read_ledger, replay, validate_ledger,
-        )
-
-        records = read_ledger(args.trace)
-        version = records[0].get("version", "?") if records else "?"
-        result.update(kind="ledger", schema_version=version,
-                      supported_version=LEDGER_VERSION)
-        problems = validate_ledger(records)
-        result["problems"] = problems
-        result["valid"] = not problems
-        snap = replay(records)
-        result["complete"] = snap.complete
-        result["records"] = len(records)
-        # A structurally valid ledger can still describe a run that never
-        # finished: no ledger_close, or a final phase short of "drain" --
-        # the signature of a killed process.  Flagged as a warning, not a
-        # problem (the ledger itself is sound; rerunning the cell
-        # reproduces the run, since the simulator is deterministic).
-        result["incomplete"] = (not snap.complete) or snap.phase != "drain"
-        result["final_phase"] = snap.phase
-        if snap.resumed_from:
-            result["resumed_from"] = snap.resumed_from
+    result: dict = {"file": args.trace, "valid": False, "problems": [],
+                    "kind": "trace", "schema_version": None,
+                    "supported_version": TRACE_SCHEMA_VERSION}
+    data, unreadable = _read_trace(args.trace)
+    if unreadable is not None:
+        result["problems"] = [unreadable]
         if args.json:
             json.dump(result, out, indent=2)
             print(file=out)
-            return 0 if result["valid"] else 1
-        if problems:
-            print(f"{args.trace}: INVALID ledger (schema v{version}, "
-                  f"validator supports v{LEDGER_VERSION}):", file=out)
-            for p in problems:
-                print(f"  {p}", file=out)
-            return 1
-        state = "complete" if snap.complete else "truncated (no ledger_close)"
-        print(f"{args.trace}: valid run ledger schema v{version} "
-              f"({len(records)} records, {state})", file=out)
-        if result["incomplete"]:
-            print(f"  WARNING: run looks incomplete/killed (final phase "
-                  f"{snap.phase!r}, expected 'drain'); rerun the cell "
-                  f"{snap.run_id or '<run-id>'} to reproduce it (same "
-                  f"bits: the simulator is deterministic)", file=out)
-        return 0
-
-    from repro.telemetry.export import TRACE_SCHEMA_VERSION
-
-    with open(args.trace) as fh:
-        data = json.load(fh)
+        else:
+            print(f"{args.trace}: INVALID: {unreadable}", file=out)
+        return 1
     version = 0
     if isinstance(data, dict):
         version = data.get("otherData", {}).get("schemaVersion", 0)
-    result.update(kind="trace", schema_version=version,
-                  supported_version=TRACE_SCHEMA_VERSION)
+    result["schema_version"] = version
     problems = validate_chrome_trace(data)
     dropped = 0
     if isinstance(data, dict):
@@ -416,8 +397,8 @@ def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
 # -------------------------------------------------------------------- main
 
 
-def main(argv: Optional[Sequence[str]] = None,
-         stream: Optional[TextIO] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.telemetry`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
         description="Record, export and analyze TTG runtime telemetry.",
@@ -513,17 +494,19 @@ def main(argv: Optional[Sequence[str]] = None,
                    help="emit a machine-readable result object")
     p.set_defaults(fn=cmd_whatif)
 
-    p = sub.add_parser(
-        "validate",
-        help="schema-check a Chrome trace or run ledger (auto-detected)")
-    p.add_argument("trace", help="TRACE.json or RUN.ledger.jsonl")
+    p = sub.add_parser("validate", help="schema-check a Chrome trace")
+    p.add_argument("trace", metavar="TRACE.json")
     p.add_argument("--allow-drops", action="store_true",
                    help="accept traces recorded with ring-buffer evictions")
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable result object")
     p.set_defaults(fn=cmd_validate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None,
+         stream: Optional[TextIO] = None) -> int:
+    args = build_parser().parse_args(argv)
     out = stream or sys.stdout
     try:
         return args.fn(args, out)

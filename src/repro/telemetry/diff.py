@@ -405,8 +405,6 @@ def sniff_payload_kind(path: str) -> str:
         if isinstance(obj.get("schema"), str) and \
                 obj["schema"].startswith("repro.telemetry/counters"):
             return "counters"
-        if obj.get("schema") == "repro.telemetry/ledger":
-            return "ledger"
         if "traceEvents" in obj:
             return "trace"
         if "counters" in obj:

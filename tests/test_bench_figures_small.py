@@ -66,23 +66,3 @@ def test_scaled_machine_helper():
     m = figures.scaled(HAWK, 4)
     assert m.node.workers == 4
     assert m.network == HAWK.network
-
-
-def test_cli_ledger_composes_with_telemetry(tmp_path, capsys):
-    """``--ledger`` and ``--telemetry`` on one experiment: the figure runs
-    once inside both captures and writes one complete ledger per backend
-    it binds plus the counters JSON of the same runs."""
-    import os
-
-    from repro.bench.__main__ import main
-    from repro.telemetry.ledger import replay_path
-
-    ledgers = tmp_path / "ledgers"
-    counters = tmp_path / "counters.json"
-    assert main(["fig5", "--max-nodes", "1", "--ledger", str(ledgers),
-                 "--telemetry", str(counters)]) == 0
-    files = os.listdir(ledgers)
-    assert files
-    assert all(replay_path(str(ledgers / f)).complete for f in files)
-    assert counters.exists()
-    assert f"({len(files)} backend run(s))" in capsys.readouterr().out

@@ -98,29 +98,21 @@ def test_changelog_and_contributing_exist():
     assert "pytest" in (ROOT / "CONTRIBUTING.md").read_text()
 
 
-def test_ledger_doc_has_a_row_per_record_type():
-    """The record table of docs/observability.md "The run ledger" has one
-    row per record type current code writes, and none for a legacy type
-    the reader only tolerates.  A type is written when LedgerWriter has a
-    helper of that name, or it is the header / close record."""
-    from repro.telemetry.ledger import RECORD_TYPES, LedgerWriter
-
-    doc = (ROOT / "docs" / "observability.md").read_text()
-    section = doc.split("## The run ledger", 1)[1].split("\n## ", 1)[0]
-    rows = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
-    written = {t for t in RECORD_TYPES
-               if hasattr(LedgerWriter, t) or t in ("ledger_open",
-                                                    "ledger_close")}
-    assert rows == written
-
-
 def test_docs_name_only_existing_commands():
     """Every `python -m repro.<pkg>` in the docs and CI names a package
-    with a ``__main__``, and every long option after `python -m
-    repro.bench` on the same line is one the bench parser accepts."""
-    from repro.bench.__main__ import build_parser
+    with a ``__main__``; every long option after `python -m repro.bench`
+    on the same line is one the bench parser accepts; and every
+    `python -m repro.telemetry SUB` names a real subcommand, followed only
+    by long options that subcommand accepts."""
+    import argparse
 
-    bench_options = set(build_parser()._option_string_actions)
+    from repro.bench.__main__ import build_parser as bench_parser
+    from repro.telemetry.cli import build_parser as telemetry_parser
+
+    bench_options = set(bench_parser()._option_string_actions)
+    telemetry_subs = next(
+        a for a in telemetry_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)).choices
     files = [ROOT / "README.md", ROOT / "DESIGN.md",
              *sorted((ROOT / "docs").glob("*.md")),
              ROOT / ".github" / "workflows" / "ci.yml"]
@@ -132,11 +124,23 @@ def test_docs_name_only_existing_commands():
                 pkg = m.group(1)
                 if not (ROOT / "src" / "repro" / pkg / "__main__.py").exists():
                     missing.append(f"{path.name}: repro.{pkg}")
+                tail = line[m.end():].split("python -m", 1)[0]
                 if pkg == "bench":
-                    tail = line[m.end():].split("python -m", 1)[0]
-                    unknown += [f"{path.name}: {opt}"
-                                for opt in re.findall(r"(?<![\w-])--[\w-]+", tail)
-                                if opt not in bench_options]
+                    accepted = bench_options
+                elif pkg == "telemetry":
+                    sub = re.match(r" ([\w-]+)", tail)
+                    if sub is None:
+                        continue  # the CLI named in prose, no subcommand
+                    if sub.group(1) not in telemetry_subs:
+                        unknown.append(f"{path.name}: telemetry {sub.group(1)}")
+                        continue
+                    accepted = set(
+                        telemetry_subs[sub.group(1)]._option_string_actions)
+                else:
+                    continue
+                unknown += [f"{path.name}: {pkg} {opt}"
+                            for opt in re.findall(r"(?<![\w-])--[\w-]+", tail)
+                            if opt not in accepted]
     assert commands > 20
     assert missing == []
     assert unknown == []

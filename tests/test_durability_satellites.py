@@ -1,8 +1,5 @@
 """Satellites of the durability PR: archive coverage of every app payload
-type, ``telemetry validate``'s killed-run warning, ledger v2 records, and
-the report's checkpoint markers."""
-
-import json
+type and the report's checkpoint markers."""
 
 import numpy as np
 import pytest
@@ -11,13 +8,6 @@ from repro.linalg.blocksparse import BlockSparseMatrix, IrregularTiling
 from repro.linalg.tile import MatrixTile
 from repro.serialization.archive import BufferInputArchive, BufferOutputArchive
 from repro.telemetry import Telemetry
-from repro.telemetry.ledger import (
-    LEDGER_VERSION,
-    LedgerWriter,
-    read_ledger,
-    replay,
-    validate_ledger,
-)
 
 
 def _roundtrip(value):
@@ -108,92 +98,6 @@ def test_archive_roundtrips_compressed_tree(mra_tree):
     for box in ct.diffs:
         assert np.allclose(out.diffs[box], ct.diffs[box])
     assert out.norm2() == pytest.approx(ct.norm2())
-
-
-# --------------------------------- telemetry validate: killed-run warning
-
-
-def _cli(*argv):
-    import io
-
-    from repro.telemetry.cli import main
-
-    out = io.StringIO()
-    code = main(list(argv), stream=out)
-    return code, out.getvalue()
-
-
-def _ledger(path, phases, close):
-    led = LedgerWriter(str(path), run_id="r1", meta={"app": "unit"})
-    for p in phases:
-        led.phase(p)
-    if close:
-        led.close(1.0)
-    return str(path)
-
-
-def test_validate_flags_killed_ledger_as_incomplete(tmp_path):
-    path = _ledger(tmp_path / "killed.jsonl",
-                   ["build", "fence", "execute"], close=False)
-    code, text = _cli("validate", path, "--json")
-    assert code == 0  # structurally valid -- a warning, not a problem
-    result = json.loads(text)
-    assert result["valid"] is True
-    assert result["incomplete"] is True
-    assert result["final_phase"] == "execute"
-    code, text = _cli("validate", path)
-    assert code == 0
-    assert "WARNING" in text and "incomplete/killed" in text
-    assert "rerun the cell" in text
-    assert "repro.durability" not in text
-
-
-def test_validate_complete_ledger_not_flagged(tmp_path):
-    path = _ledger(tmp_path / "done.jsonl",
-                   ["build", "fence", "execute", "drain"], close=True)
-    code, text = _cli("validate", path, "--json")
-    assert code == 0
-    result = json.loads(text)
-    assert result["incomplete"] is False
-    assert result["final_phase"] == "drain"
-    code, text = _cli("validate", path)
-    assert "WARNING" not in text
-
-
-# --------------------------------------------------- ledger v2 records
-
-
-def test_ledger_v2_durability_records_validate_and_replay(tmp_path):
-    path = str(tmp_path / "v2.jsonl")
-    led = LedgerWriter(path, run_id="r2",
-                       meta={"resumed_from": "r2/ckpt-1@events=50"})
-    led.phase("build")
-    led.resume(run="r2", point="r2/ckpt-1@events=50", checkpoints=2,
-               events=50)
-    led.checkpoint(sim=0.5, events=25, index=0, digest="abc123")
-    led.checkpoint(sim=1.0, events=50, index=1, digest="def456")
-    led.retry(app="mra", seed=0, attempt=1, error="InjectedFault: boom")
-    led.failure(app="fw", seed=1, attempts=3, error="killed")
-    led.phase("drain")
-    led.close(1.5)
-    records = read_ledger(path)
-    assert records[0]["version"] == LEDGER_VERSION >= 2
-    assert validate_ledger(records) == []
-    snap = replay(records)
-    assert snap.checkpoints == 2
-    assert snap.last_checkpoint["index"] == 1
-    assert snap.last_checkpoint["events"] == 50
-    assert snap.resumed_from == "r2/ckpt-1@events=50"
-    assert snap.retries == 1
-    assert snap.failures == 1
-    assert snap.complete
-
-
-def test_ledger_rejects_unknown_record_type(tmp_path):
-    path = _ledger(tmp_path / "ok.jsonl", ["build"], close=True)
-    records = read_ledger(path)
-    records.insert(1, dict(records[1], type="telepathy"))
-    assert any("telepathy" in p for p in validate_ledger(records))
 
 
 # ------------------------------------------------------ report markers

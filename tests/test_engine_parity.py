@@ -153,26 +153,6 @@ def test_pooled_cells_identical_to_inline():
         assert dp == di
 
 
-def test_run_ledgers_agree_on_final_progress(tmp_path):
-    """The run ledger replays to the totals the sharded engine's ledger
-    of the same run replayed to, and carries no per-window records.  Its
-    task progress is the executed-task count."""
-    from repro.bench.history import measure
-    from repro.telemetry.ledger import read_ledger, replay_path
-
-    rec = measure("potrf", 0, ledger_dir=str(tmp_path))
-    path = f"{tmp_path}/potrf-seed0-seq.ledger.jsonl"
-    snap = replay_path(path)
-    assert snap.complete
-    assert snap.tasks_done == sum(snap.by_template.values()) == 160
-    assert snap.tasks_done == rec.counters["tasks_executed"]
-    assert snap.sim == 0.0028362470716666657  # identical virtual makespan
-    assert _digest([snap.by_template, snap.bytes_by_protocol]) \
-        == "e6a02aca015816fb"
-    assert not any(r["type"] in ("window", "quiescence")
-                   for r in read_ledger(path))
-
-
 # -------------------------------------------------- sanitizer parity
 
 

@@ -122,6 +122,58 @@ def test_validate_rejects_bad_trace(tmp_path):
     assert code == 1 and "name" in text
 
 
+def test_cli_validate_json_on_trace(tmp_path):
+    from repro.telemetry import Telemetry, write_chrome_trace
+    from repro.telemetry.export import TRACE_SCHEMA_VERSION
+
+    tel = Telemetry(nranks=1)
+    tel.bus.complete("t", 0, 0, 0.0, 1.0)
+    path = str(tmp_path / "t.trace.json")
+    write_chrome_trace(path, tel)
+    code, text = run_cli("validate", path, "--json")
+    assert code == 0
+    result = json.loads(text)
+    assert result["kind"] == "trace"
+    assert result["schema_version"] == TRACE_SCHEMA_VERSION
+
+
+def _event_log(path):
+    from repro.telemetry import Telemetry, write_jsonl
+
+    tel = Telemetry(nranks=1)
+    tel.bus.complete("t", 0, 0, 0.0, 1.0)
+    tel.bus.complete("t", 0, 0, 1.0, 2.0)
+    assert write_jsonl(str(path), tel) == 2
+
+
+def _old_ledger(path):
+    head = {"type": "ledger_open", "schema": "repro.telemetry/ledger",
+            "version": 2, "run": "r1", "seq": 0}
+    path.write_text(json.dumps(head) + "\n"
+                    + json.dumps({"type": "ledger_close", "run": "r1",
+                                  "seq": 1}) + "\n")
+
+
+@pytest.mark.parametrize("make,hint", [
+    (_event_log, "python -m repro.telemetry export"),
+    (_old_ledger, "not a Chrome trace"),
+    (None, "cannot read"),
+], ids=["jsonl-log", "ledger", "missing"])
+def test_validate_rejects_non_trace_in_one_line(tmp_path, make, hint):
+    path = tmp_path / "input.jsonl"
+    if make is not None:
+        make(path)
+    code, text = run_cli("validate", str(path))
+    assert code == 1
+    assert text.startswith(f"{path}: INVALID: ") and text.count("\n") == 1
+    assert hint in text
+    code, text = run_cli("validate", str(path), "--json")
+    assert code == 1
+    result = json.loads(text)
+    assert result["file"] == str(path) and result["valid"] is False
+    assert len(result["problems"]) == 1 and hint in result["problems"][0]
+
+
 def test_no_events_mode_records_metrics_only(script, tmp_path):
     counters = tmp_path / "c.json"
     code, text = run_cli("record", script, "--no-events",
