@@ -24,7 +24,7 @@ from repro.comm.rma import RmaError, RmaWindow
 from repro.runtime.scheduler import get_scheduler
 from repro.serialization.protocols import Protocol, SerializedMessage
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
-from repro.serialization.traits import pack
+from repro.serialization.traits import SPLITMD, pack
 from repro.sim.cluster import Cluster
 from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, TID_RT, Telemetry
 from repro.telemetry.metrics import Handles
@@ -387,7 +387,8 @@ class WorkerPool:
     def _dispatch(self) -> None:
         engine = self.backend.engine
         tel = self._tel
-        while self._idle and self._queue:
+        ready = self._queue.items
+        while self._idle and ready:
             task = self._queue.pop()
             worker = self._idle.pop()
             start = engine.now
@@ -395,7 +396,7 @@ class WorkerPool:
                 wait, _, head = self._cpu_sampling
                 wait.observe(start - task.enqueued)
                 if tel.bus.recording:
-                    tel.bus.emit((head, start, start, None, len(self._queue)))
+                    tel.bus.emit((head, start, start, None, len(ready)))
             duration = self._node.compute_time(task.flops, task.bytes_moved)
             if self._speedups is not None:
                 s = self._speedups.get(task.name)
@@ -403,7 +404,8 @@ class WorkerPool:
                     duration = duration / s
             engine.schedule_at(start + duration, self._complete, task, worker,
                                start)
-        while self._gpu_idle and self._gpu_queue:
+        ready = self._gpu_queue.items
+        while self._gpu_idle and ready:
             task = self._gpu_queue.pop()
             slot = self._gpu_idle.pop()
             start = engine.now
@@ -411,8 +413,7 @@ class WorkerPool:
                 wait, _, head = self._gpu_sampling
                 wait.observe(start - task.enqueued)
                 if tel.bus.recording:
-                    tel.bus.emit((head, start, start, None,
-                                  len(self._gpu_queue)))
+                    tel.bus.emit((head, start, start, None, len(ready)))
             transfer = self._transfer_bytes(task)
             self.gpu_transfer_bytes += transfer
             duration = self._node.gpu_compute_time(task.flops, transfer)
@@ -640,17 +641,19 @@ class Backend:
         the generic protocols).
 
         splitmd is only worth its extra round-trips for payloads beyond the
-        eager threshold; small objects always go eager.
+        eager threshold; small objects always go eager.  splitmd heads the
+        preference order, so a class already known to implement it skips
+        the candidate walk.
         """
-        splitmd_ok = self.config.supports_splitmd and (
+        config = self.config
+        allowed = config.serialization_allowed
+        splitmd_ok = config.supports_splitmd and (
             int(getattr(value, "nbytes", 0) or 0)
-            > self.cluster.machine.network.eager_threshold
-        )
-        return pack(
-            value,
-            backend_supports_splitmd=splitmd_ok,
-            allowed=self.config.serialization_allowed,
-        )
+            > self.cluster.machine.network.eager_threshold)
+        if splitmd_ok and SPLITMD.verdicts.get(type(value)) and (
+                allowed is None or "splitmd" in allowed):
+            return SPLITMD, SPLITMD.serialize(value)
+        return pack(value, backend_supports_splitmd=splitmd_ok, allowed=allowed)
 
     def send_control(
         self, src: int, dst: int, on_deliver: Callable[[], None], nbytes: int = CONTROL_BYTES
@@ -687,15 +690,16 @@ class Backend:
         proto, msg = self.serialize(value)
         msg.eager_bytes += extra_bytes
         node = self.cluster.node
+        total = msg.total_bytes
         self.stats.remote_messages += 1
-        self.stats.remote_bytes += msg.total_bytes
+        self.stats.remote_bytes += total
         proto_stats = self.stats.bytes_by_protocol
-        proto_stats[msg.protocol] = proto_stats.get(msg.protocol, 0) + msg.total_bytes
+        proto_stats[msg.protocol] = proto_stats.get(msg.protocol, 0) + total
         tel = self.telemetry
         if tel is not None:
             messages, message_bytes = self._h_messages[(msg.protocol, src, dst)]
             messages.value += 1
-            message_bytes.value += msg.total_bytes
+            message_bytes.value += total
         send_start = self.engine.now
         if msg.sender_copy_bytes:
             self.stats.copies += 1

@@ -14,84 +14,63 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Tuple
+from typing import Any
 
 
 class ReadyQueue:
-    """Abstract ready queue of (priority, item)."""
+    """Abstract ready queue of (priority, item).
+
+    ``items`` is the policy's container (a list or deque), empty exactly
+    when the queue is: the dispatch loop tests it without a call.  A push
+    appends to it unless the policy orders its items on push.
+    """
 
     name = "abstract"
 
     def push(self, item: Any, priority: int = 0) -> None:
-        raise NotImplementedError
+        self.items.append(item)
 
     def pop(self) -> Any:
         raise NotImplementedError
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self.items)
 
 
 class LifoQueue(ReadyQueue):
     name = "lifo"
 
     def __init__(self) -> None:
-        self._items: list[Any] = []
-
-    def push(self, item: Any, priority: int = 0) -> None:
-        self._items.append(item)
+        self.items: list[Any] = []
 
     def pop(self) -> Any:
-        return self._items.pop()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+        return self.items.pop()
 
 
 class FifoQueue(ReadyQueue):
     name = "fifo"
 
     def __init__(self) -> None:
-        self._items: deque[Any] = deque()
-
-    def push(self, item: Any, priority: int = 0) -> None:
-        self._items.append(item)
+        self.items: deque[Any] = deque()
 
     def pop(self) -> Any:
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+        return self.items.popleft()
 
 
 class PriorityQueue(ReadyQueue):
     name = "priority"
 
     def __init__(self) -> None:
-        self._heap: list[Tuple[int, int, Any]] = []
+        # heap of (-priority, push sequence, item)
+        self.items: list[tuple[int, int, Any]] = []
         self._seq = 0
 
     def push(self, item: Any, priority: int = 0) -> None:
-        heapq.heappush(self._heap, (-priority, self._seq, item))
+        heapq.heappush(self.items, (-priority, self._seq, item))
         self._seq += 1
 
     def pop(self) -> Any:
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+        return heapq.heappop(self.items)[2]
 
 
 _POLICIES = {"lifo": LifoQueue, "fifo": FifoQueue, "priority": PriorityQueue}

@@ -37,9 +37,6 @@ class SerializedMessage:
         In-memory bytes copied while packing/unpacking on each side.
     payload:
         Opaque wire payload consumed by :meth:`Protocol.deserialize`.
-    source:
-        For zero-copy protocols, the live source object (the simulator is a
-        single address space; the cost model is what distinguishes copies).
     """
 
     protocol: str
@@ -48,7 +45,6 @@ class SerializedMessage:
     sender_copy_bytes: int = 0
     receiver_copy_bytes: int = 0
     payload: Any = None
-    source: Any = None
 
     @property
     def total_bytes(self) -> int:
@@ -70,7 +66,8 @@ class Protocol:
         """The message for ``value``, or ``None`` when this protocol does
         not apply -- the send path's one call (:func:`traits.pack`).
         Protocols whose applicability test *is* packing override it, so
-        that a sent value is packed exactly once."""
+        that a sent value is packed exactly once, and raise the packing
+        error instead of returning ``None``."""
         return self.serialize(value) if self.applicable(value) else None
 
     def deserialize(self, msg: SerializedMessage) -> Any:
@@ -162,11 +159,9 @@ class GenericProtocol(Protocol):
         )
 
     def try_serialize(self, value: Any) -> Optional[SerializedMessage]:
-        # Whether a value can be packed is only known by packing it.
-        try:
-            return self.serialize(value)
-        except Exception:
-            return None
+        # Whether a value can be packed is only known by packing it; pack
+        # keeps the error as the cause of its refusal.
+        return self.serialize(value)
 
     def deserialize(self, msg: SerializedMessage) -> Any:
         return _generic_unpack(msg.payload)

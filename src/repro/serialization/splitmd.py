@@ -57,45 +57,63 @@ def splitmd_phase_names(tag: str) -> Tuple[str, str]:
     return f"splitmd:meta:{tag}", f"splitmd:rma:{tag}"
 
 
-@lru_cache(maxsize=None)
-def _identity_frames(cls: type) -> bytes:
-    """The two type-identity frames (module, qualified name) every metadata
-    buffer of ``cls`` starts with: the same bytes for every instance."""
-    ar = BufferOutputArchive()
-    ar.store(cls.__module__)
-    ar.store(cls.__qualname__)
-    return ar.bytes()
+#: Entries each metadata memo keeps (a run sends a handful of tile shapes).
+METADATA_MEMO_SIZE = 256
+
+#: Leaf types a memo key may hold: immutable, and equal values of one type
+#: encode to the same bytes.  ``float`` is left out because ``-0.0 == 0.0``
+#: yet the two encode differently.
+_LEAVES = frozenset({type(None), bool, int, str, bytes})
+
+_encoded: Dict[tuple, bytes] = {}
+_decoded: Dict[bytes, Tuple[type, Any]] = {}
+
+
+def _exact(meta: Any) -> Any:
+    """The leaf types of ``meta``, or None when it holds anything but
+    (nested) tuples of :data:`_LEAVES`.  Part of each memo key: ``1`` and
+    ``True`` hash equal but encode to different lengths."""
+    cls = type(meta)
+    if cls is not tuple:
+        return cls if cls in _LEAVES else None
+    types = tuple(map(type, meta))
+    if not _LEAVES.issuperset(types):
+        types = tuple(map(_exact, meta))
+    return None if None in types else types
+
+
+def _remember(memo: dict, key: Any, value: Any) -> None:
+    if len(memo) >= METADATA_MEMO_SIZE:
+        del memo[next(iter(memo))]  # oldest first
+    memo[key] = value
 
 
 def pack_metadata(value: SplitMetadataSupport) -> bytes:
-    """Serialize (type identity, metadata) into a small eager buffer."""
-    ar = BufferOutputArchive()
-    ar.store(value.splitmd_metadata())
-    return _identity_frames(type(value)) + ar.bytes()
+    """Serialize (type identity, metadata) into a small eager buffer,
+    once per distinct ``(class, metadata)``."""
+    cls = type(value)
+    meta = value.splitmd_metadata()
+    exact = _exact(meta)
+    key = (cls, meta, exact)
+    data = _encoded.get(key) if exact is not None else None
+    if data is None:
+        ar = BufferOutputArchive()
+        data = ar.store(cls.__module__).store(cls.__qualname__).store(meta).bytes()
+        if exact is not None:
+            _remember(_encoded, key, data)
+    return data
 
 
 def unpack_metadata(data: bytes) -> Tuple[type, Any]:
-    """Inverse of :func:`pack_metadata`: returns ``(cls, metadata)``."""
-    ar = BufferInputArchive(data)
-    module = ar.load()
-    qualname = ar.load()
-    meta = ar.load()
-    return _resolve(module, qualname), meta
-
-
-def payload_nbytes(value: Any) -> int:
-    """Bytes the RMA stage must move for ``value``.
-
-    Uses the live payload when present; synthetic objects (``payload is
-    None``) fall back to their declared nominal ``nbytes``.
-    """
-    return _nbytes(value, value.splitmd_payload())
-
-
-def _nbytes(value: Any, payload: Optional[np.ndarray]) -> int:
-    if payload is not None:
-        return int(payload.nbytes)
-    return int(getattr(value, "nbytes", 0) or 0)
+    """Inverse of :func:`pack_metadata`: returns ``(cls, metadata)``, once
+    per distinct buffer (only metadata a memo key may hold is kept)."""
+    out = _decoded.get(data)
+    if out is None:
+        ar = BufferInputArchive(data)
+        out = _resolve(ar.load(), ar.load()), ar.load()  # module, name, meta
+        if _exact(out[1]) is not None:
+            _remember(_decoded, data, out)
+    return out
 
 
 class SplitMetadataProtocol(Protocol):
@@ -107,14 +125,14 @@ class SplitMetadataProtocol(Protocol):
         # Verdict per class: the runtime_checkable isinstance walks the
         # protocol's attribute list on every call, and this sits on the
         # send path of every message.  The interface is methods and a
-        # classmethod, so the class decides.
-        self._verdicts: Dict[type, bool] = {}
+        # classmethod, so the class decides (Backend.serialize reads it).
+        self.verdicts: Dict[type, bool] = {}
 
     def applicable(self, value: Any) -> bool:
         cls = type(value)
-        verdict = self._verdicts.get(cls)
+        verdict = self.verdicts.get(cls)
         if verdict is None:
-            verdict = self._verdicts[cls] = isinstance(
+            verdict = self.verdicts[cls] = isinstance(
                 value, SplitMetadataSupport
             ) and not isinstance(value, (int, float, str, bytes, tuple))
         return verdict
@@ -125,11 +143,10 @@ class SplitMetadataProtocol(Protocol):
         return SerializedMessage(
             protocol=self.name,
             eager_bytes=len(meta_bytes) + RMA_REGISTRATION_BYTES,
-            rma_bytes=_nbytes(value, payload),
-            sender_copy_bytes=0,
-            receiver_copy_bytes=0,
-            payload=(meta_bytes, payload),
-            source=value,
+            # synthetic objects (no payload) are charged their nominal size
+            rma_bytes=int(payload.nbytes if payload is not None
+                          else getattr(value, "nbytes", 0) or 0),
+            payload=(meta_bytes, payload),  # zero-copy on both sides
         )
 
     def deserialize(self, msg: SerializedMessage) -> Any:

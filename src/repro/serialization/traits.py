@@ -17,7 +17,7 @@ from typing import Any, Iterable, Optional, Set, Tuple, Type
 from repro.serialization.protocols import PROTOCOLS, Protocol, SerializedMessage
 from repro.serialization.splitmd import SplitMetadataProtocol
 
-_SPLITMD = SplitMetadataProtocol()
+SPLITMD = SplitMetadataProtocol()
 _TRIVIAL_TYPES: Set[type] = {int, float, bool, complex}
 
 
@@ -40,7 +40,7 @@ def is_trivially_serializable(value: Any) -> bool:
 
 def supports_splitmd(value: Any) -> bool:
     """True when the value implements the intrusive splitmd interface."""
-    return _SPLITMD.applicable(value)
+    return SPLITMD.applicable(value)
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +48,7 @@ def _preference(splitmd: bool,
                 allowed: Optional[Tuple[str, ...]]) -> Tuple[Protocol, ...]:
     """Protocols to try, best first (two backends, a few whitelists: the
     order is looked up once per message and built once per combination)."""
-    order = [_SPLITMD] if splitmd else []
+    order = [SPLITMD] if splitmd else []
     order.extend(PROTOCOLS[name] for name in ("trivial", "generic", "madness"))
     return tuple(p for p in order if allowed is None or p.name in allowed)
 
@@ -96,10 +96,15 @@ def pack(
 
     The send path: same choice as :func:`select_protocol` followed by
     ``serialize``, but each value is packed exactly once (the generic
-    protocols can only tell that they apply by packing).
+    protocols can only tell that they apply by packing).  A refusal
+    carries the last protocol's packing error as its ``__cause__``.
     """
+    error = None
     for proto in _candidates(backend_supports_splitmd, allowed):
-        msg = proto.try_serialize(value)
-        if msg is not None:
-            return proto, msg
-    raise _refused(value)
+        try:
+            msg = proto.try_serialize(value)
+            if msg is not None:
+                return proto, msg
+        except Exception as e:
+            error = e
+    raise _refused(value) from error

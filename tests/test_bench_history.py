@@ -490,13 +490,3 @@ def test_app_table_config_round_trips():
         assert row.params_of(config) == params, app
     assert APPS["bspmm"].config(dict(COMMON_PARAMS, natoms=30,
                                      target_tile=24))["tile"] == 24
-
-
-def test_measure_bspmm_and_mra_fill_records():
-    from repro.bench.history import APPS
-
-    assert set(APPS) == {"potrf", "fw", "bspmm", "mra"}
-    b = measure("bspmm", 0)
-    assert b.app == "bspmm" and b.makespan > 0 and b.tasks_total > 0
-    m = measure("mra", 0)
-    assert m.app == "mra" and m.makespan > 0 and m.tasks_total > 0

@@ -124,16 +124,19 @@ def test_trace_records_identical(app):
 
 
 def test_bench_measurements_identical():
-    """All four watchdog records at each app's defaults.  The BSPMM and
-    MRA digests were taken from the per-app measurement functions that
-    the one table-driven ``measure`` replaced."""
-    from repro.bench.history import measure
+    """All four watchdog records at each app's defaults, one per app of
+    ``APPS``.  The BSPMM and MRA digests were taken from the per-app
+    measurement functions that the one table-driven ``measure``
+    replaced."""
+    from repro.bench.history import APPS, measure
 
     want = {"potrf": "85404bb571d2d1ab", "fw": "548a71e89e599015",
             "bspmm": "8aab56b7b03ea1ca", "mra": "f37b9506876bbda5"}
+    assert set(APPS) == set(want) == {"potrf", "fw", "bspmm", "mra"}
     for app, digest in want.items():
         record = measure(app, 0).as_dict()
-        assert record["engine"] == "seq"
+        assert record["engine"] == "seq" and record["app"] == app
+        assert record["makespan"] > 0 and record["tasks_total"] > 0
         for skip in ("host_seconds", "engine", "git_sha"):
             record.pop(skip)
         assert _digest(record) == digest, app

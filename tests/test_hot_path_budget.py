@@ -20,10 +20,13 @@ History: 116.6 / 91.1 (POTRF / BSPMM) before the one-evaluation-per-message
 rework, 80.6 / 64.1 after it, 67.8 / 49.8 once the heap entry became the
 event and the per-event and per-message wrapper frames went, 61.9 / 42.0
 once quiescence became a check of the drained state instead of counting
-every task and message.  The observer added 55.6 / 47.6 (15.0 / 15.0 at
-the runtime's hook sites) until it recorded one entry per broadcast,
-shared record heads, resolved metric handles once and sampled the ready
-queues at the pool's own push and pop sites: 23.0 / 18.5 (4.8 / 4.6).
+every task and message, 52.2 / 38.9 once splitmd metadata was encoded and
+decoded once per distinct value, a known splitmd class skipped the
+protocol walk and dispatch tested the ready container itself.  The
+observer added 55.6 / 47.6 (15.0 / 15.0 at the runtime's hook sites)
+until it recorded one entry per broadcast, shared record heads, resolved
+metric handles once and sampled the ready queues at the pool's own push
+and pop sites: 23.0 / 18.5 (4.8 / 4.6).
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
 
@@ -59,10 +62,10 @@ LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
 #: calls of repro-defined functions per simulated task; "observer*" count
 #: what attaching Telemetry(capacity=None) adds
 BUDGETS = {
-    "potrf": (potrf_cell, {"total": 65.0, "sim": 7.0, "runtime": 16.1,
-                           "core": 11.8, "comm+serialization": 11.8,
+    "potrf": (potrf_cell, {"total": 54.9, "sim": 7.0, "runtime": 12.9,
+                           "core": 11.8, "comm+serialization": 4.8,
                            "observer": 24.2, "observer:runtime": 5.0}),
-    "bspmm": (bspmm_cell, {"total": 44.1, "sim": 4.4, "runtime": 14.3,
+    "bspmm": (bspmm_cell, {"total": 40.9, "sim": 4.4, "runtime": 11.1,
                            "core": 12.6, "comm+serialization": 2.3,
                            "observer": 19.5, "observer:runtime": 4.9}),
 }

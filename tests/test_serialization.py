@@ -1,12 +1,15 @@
 """Tests for archives, protocols, splitmd and trait-based selection."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro import runtime
+from repro.apps.mra.data import MraMessage
 from repro.linalg.tile import MatrixTile
+from repro.serialization import splitmd
 from repro.serialization.archive import ArchiveError, BufferInputArchive, BufferOutputArchive
 from repro.serialization.protocols import (
     GenericProtocol,
@@ -15,9 +18,9 @@ from repro.serialization.protocols import (
     wire_size,
 )
 from repro.serialization.splitmd import (
+    METADATA_MEMO_SIZE,
     SplitMetadataProtocol,
     pack_metadata,
-    payload_nbytes,
     unpack_metadata,
 )
 from repro.serialization.traits import (
@@ -196,11 +199,6 @@ def test_pack_unpack_metadata():
     assert meta == (3, 3, True)
 
 
-def test_payload_nbytes():
-    assert payload_nbytes(MatrixTile.zeros(2, 2)) == 32
-    assert payload_nbytes(MatrixTile.synthetic(2, 2)) == 32
-
-
 # ------------------------------------------------------------------- traits
 
 
@@ -265,6 +263,13 @@ def test_natively_storable_values_need_no_trial_pickle(pickle_dumps_calls):
     assert pickle_dumps_calls == []
 
 
+def test_refusal_carries_the_packing_error():
+    with pytest.raises(TypeError, match="applicable to lock") as info:
+        pack(threading.Lock(), allowed=("generic", "madness"))
+    assert isinstance(info.value.__cause__, TypeError)
+    assert "pickle" in str(info.value.__cause__)
+
+
 def test_unpicklable_value_is_refused_with_the_same_error():
     for choose in (select_protocol, pack):
         with pytest.raises(TypeError, match="no serialization protocol "
@@ -294,11 +299,88 @@ def test_pack_agrees_with_select_then_serialize():
                     ref.receiver_copy_bytes)
 
 
-def test_metadata_buffer_is_three_archive_frames():
-    # The type-identity frames are memoised per class; the bytes on the
-    # wire must stay exactly what three store() calls produce.
-    t = MatrixTile.zeros(3, 5)
+def _fresh_metadata(value):
+    """What three ``store`` calls on a fresh archive write for ``value``."""
+    cls = type(value)
     ar = BufferOutputArchive()
-    ar.store(MatrixTile.__module__).store(MatrixTile.__qualname__)
-    ar.store(t.splitmd_metadata())
-    assert pack_metadata(t) == ar.bytes() == pack_metadata(MatrixTile.zeros(3, 5))
+    ar.store(cls.__module__).store(cls.__qualname__)
+    return ar.store(value.splitmd_metadata()).bytes()
+
+
+def test_metadata_buffer_is_three_archive_frames(metadata_memos):
+    # Metadata is memoised per (class, metadata) and per buffer; the bytes
+    # on the wire and what they decode to must not depend on a hit.
+    values = [MatrixTile.zeros(3, 5), MatrixTile.synthetic(3, 5),
+              MraMessage((np.zeros((2, 2)), None), (7, 0.5, True), 2.0),
+              MraMessage((np.zeros(3),), ((1, 2), "k", None))]
+    for _ in range(2):
+        for v in values:
+            data = pack_metadata(v)
+            assert data == _fresh_metadata(v)
+            assert unpack_metadata(data) == (type(v), v.splitmd_metadata())
+    assert len(metadata_memos[0]) == 2  # the float-free metadata only
+
+
+class Meta:
+    """A splitmd type whose metadata is whatever it was built with."""
+
+    def __init__(self, meta):
+        self.meta = meta
+
+    def splitmd_metadata(self):
+        return self.meta
+
+    def splitmd_payload(self):
+        return None
+
+    @classmethod
+    def splitmd_allocate(cls, meta):
+        return cls(meta)
+
+    def splitmd_fill(self, payload):
+        pass
+
+
+@pytest.fixture
+def metadata_memos():
+    """The emptied (encode, decode) metadata memos, emptied again after."""
+    memos = (splitmd._encoded, splitmd._decoded)
+    for memo in memos:
+        memo.clear()
+    yield memos
+    for memo in memos:
+        memo.clear()
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_metadata_memo_is_type_exact(metadata_memos, first):
+    # Equal metadata of other leaf types must not hit: 1 == 1.0 == True
+    # but each encodes to its own bytes (and -0.0 == 0.0 but not in bits).
+    metas = [(128, 128, False), (128.0, 128, 0), (128, 128, 0), (0.0,),
+             (-0.0,), ((1, True), "x"), ((True, 1), "x")]
+    if first:
+        metas.reverse()
+    datas = [pack_metadata(Meta(m)) for m in metas]
+    assert len(set(datas)) == len(metas)
+    for meta, data in zip(metas, datas):
+        assert data == _fresh_metadata(Meta(meta))
+        assert pack_metadata(Meta(meta)) == data
+        for _ in range(2):
+            cls, got = unpack_metadata(data)
+            assert cls is Meta and got == meta
+            assert repr(got) == repr(meta)
+
+
+def test_mutable_metadata_round_trips_uncached(metadata_memos):
+    data = pack_metadata(Meta([1, 2]))
+    assert data == pack_metadata(Meta([1, 2])) == _fresh_metadata(Meta([1, 2]))
+    first, second = unpack_metadata(data)[1], unpack_metadata(data)[1]
+    assert first == second == [1, 2] and first is not second
+    assert metadata_memos == ({}, {})
+
+
+def test_metadata_memos_are_bounded(metadata_memos):
+    for i in range(10 * METADATA_MEMO_SIZE):
+        cls, meta = unpack_metadata(pack_metadata(Meta((i, "tile"))))
+        assert meta == (i, "tile")
+    assert [len(memo) for memo in metadata_memos] == [METADATA_MEMO_SIZE] * 2
