@@ -18,7 +18,7 @@ The benchmark-history watchdog (no experiment argument needed):
 Root-causing a failure (see ``docs/observability.md``): ``--explain``
 auto-runs the trace differ and the deterministic what-if profiler against
 the baseline window, prints the root-cause block under the failure, and
-writes ``rootcause-<app>.json`` / ``.html`` (``--explain-out``).
+writes ``rootcause-<app>.json`` (``--explain-out``).
 ``--slowdown TEMPLATE=FACTOR`` injects a synthetic cost regression through
 the same :class:`repro.sim.cluster.CostOverrides` hook the profiler
 probes with, so the whole pipeline is testable end to end:
@@ -148,15 +148,14 @@ def explain_regressions(
     what-if profiler (:func:`repro.telemetry.whatif.explain`) and the
     trace differ over deterministic replays of both records.  Prints
     nothing itself; returns the text blocks to embed in the failure
-    output.  Writes ``rootcause-<app>.json`` and ``rootcause-<app>.html``
-    into ``out_dir`` (default: the history directory).
+    output.  Writes ``rootcause-<app>.json`` into ``out_dir`` (default:
+    the history directory).
     """
     import json
     from pathlib import Path
 
     from repro.telemetry import diff as tdiff
     from repro.telemetry import whatif
-    from repro.telemetry.report_html import write_diff_report_html
 
     out_dir = out_dir or history_dir
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -193,8 +192,8 @@ def explain_regressions(
             exp = whatif.explain(base, cand)
             # Deterministic replays reproduce both records bit-for-bit
             # while capturing full event traces, so the diff gets span
-            # totals, rank budgets, and both Gantt timelines -- not just
-            # the counts the stored records carry.
+            # totals, rank budgets and byte splits -- not just the counts
+            # the stored records carry.
             tel_a: List[object] = []
             tel_b: List[object] = []
             whatif.replay_record(base, telemetry_out=tel_a)
@@ -206,8 +205,6 @@ def explain_regressions(
                     bus_a, label=f"baseline {app} seed {base.seed}")
                 view_b = tdiff.RunView.from_bus(
                     bus_b, label=f"candidate {app} seed {cand.seed}")
-                view_a.bytes_by_protocol = tdiff.protocol_bytes_of(bus_a)
-                view_b.bytes_by_protocol = tdiff.protocol_bytes_of(bus_b)
                 view_a.counters = {k: float(x) for k, x in base.counters.items()}
                 view_b.counters = {k: float(x) for k, x in cand.counters.items()}
                 run_diff = tdiff.diff_runs(view_a, view_b)
@@ -221,13 +218,7 @@ def explain_regressions(
                            "diff": run_diff.as_dict()},
                           fh, indent=1, sort_keys=True)
                 fh.write("\n")
-            html_path = Path(out_dir) / f"rootcause-{app}.html"
-            write_diff_report_html(
-                str(html_path), run_diff, explanation=exp,
-                bus_a=bus_a, bus_b=bus_b, histories=[hist],
-                title=f"root cause: {app} ({key})",
-            )
-            blocks.append(f"wrote {json_path} and {html_path}")
+            blocks.append(f"wrote {json_path}")
     return blocks
 
 
@@ -323,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="on a gated regression, auto-run the trace differ "
                     "and the deterministic what-if profiler against the "
                     "baseline window, print the root-cause block, and write "
-                    "rootcause-<app>.json/.html")
+                    "rootcause-<app>.json")
     wd.add_argument("--explain-out", default=None, metavar="DIR",
-                    help="directory for the rootcause-<app>.json/.html "
+                    help="directory for the rootcause-<app>.json "
                     "reports (default --history-dir)")
     wd.add_argument("--slowdown", action="append", default=[],
                     metavar="TEMPLATE=FACTOR",
@@ -379,8 +370,8 @@ def main(argv=None) -> int:
     print(f"\nwrote {written['counters']} ({len(runs)} backend run(s))")
     if "trace" in written:
         print(f"wrote {written['trace']} and {written['jsonl']} "
-              f"(replay: python -m repro.telemetry report-html "
-              f"{written['jsonl']} -o report.html)")
+              f"(replay: python -m repro.telemetry report "
+              f"{written['jsonl']})")
     return 0
 
 

@@ -106,7 +106,7 @@ def write_telemetry_bundle(
     """The full bench-side telemetry emission: counters JSON plus the
     Chrome trace and JSONL event log (``<stem>.trace.json`` /
     ``<stem>.jsonl``) of the rank-namespaced merged event stream, so a
-    bench run replays into ``python -m repro.telemetry report-html``.
+    bench run replays into ``python -m repro.telemetry report``.
 
     Returns ``{kind: path}`` for what was written (trace/jsonl are
     skipped when the capture recorded no events).

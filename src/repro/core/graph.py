@@ -266,7 +266,7 @@ class Executable:
         if self.sanitizer is not None:
             self.sanitizer.on_shutdown()
             tel = self.backend.telemetry
-            if tel is not None and tel.bus.enabled:
+            if tel is not None and tel.bus.recording:
                 from repro.analysis.race import detect_races
                 from repro.core.exceptions import SanitizerError
 

@@ -15,15 +15,17 @@ records into:
 - :mod:`repro.telemetry.export` -- Chrome trace-event JSON (loads in
   Perfetto / chrome://tracing), JSONL event logs, counters JSON.
 - :mod:`repro.telemetry.analyze` -- critical-path extraction over the
-  recorded task/message DAG, per-template summaries, idle breakdowns.
+  recorded task/message DAG, per-template summaries, idle breakdowns,
+  per-channel byte splits, accelerator lanes, and the text report.
 - :mod:`repro.telemetry.diff` -- align two runs and rank what moved,
   counter deltas included.
-- :mod:`repro.telemetry.report_html` -- dependency-free single-file HTML
-  run reports (inline-SVG Gantt with critical-path highlight, tables,
-  sparklines, benchmark-history trend charts).
-- ``python -m repro.telemetry`` -- record / report / report-html /
-  export / critical-path / diff / whatif / validate CLI
-  (:mod:`repro.telemetry.cli`).
+- ``python -m repro.telemetry`` -- record / report / export / diff /
+  whatif / validate CLI (:mod:`repro.telemetry.cli`).
+
+Each question has one view: the timeline is ``export``'s Chrome trace
+opened in Perfetto; per-template, per-rank, critical-path, byte and
+accelerator numbers are the text ``report``; what moved between two runs
+is ``diff``.
 
 Telemetry is off by default and adds only a ``None``-check per hook when
 disabled.  Enable it per run::
@@ -42,7 +44,6 @@ from repro.telemetry.events import (
     RecordedRun,
     SpanEvent,
     Telemetry,
-    TelemetryError,
     TID_AM,
     TID_PROTO,
     TID_RMA,
@@ -66,11 +67,6 @@ from repro.telemetry.analyze import (
     idle_breakdown,
     summary_by_template,
 )
-from repro.telemetry.report_html import (
-    load_histories,
-    render_report,
-    write_report_html,
-)
 
 __all__ = [
     "CounterEvent",
@@ -78,7 +74,6 @@ __all__ = [
     "InstantEvent",
     "SpanEvent",
     "Telemetry",
-    "TelemetryError",
     "TID_AM",
     "TID_PROTO",
     "TID_RMA",
@@ -101,7 +96,4 @@ __all__ = [
     "summary_by_template",
     "RecordedRun",
     "capture",
-    "load_histories",
-    "render_report",
-    "write_report_html",
 ]

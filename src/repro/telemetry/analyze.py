@@ -8,13 +8,16 @@ its bus, or a bus re-ingested from JSONL):
   link producer task instances to consumer instances by label).
 - :func:`summary_by_template` -- count/total/mean/max per template.
 - :func:`idle_breakdown` -- per-rank busy vs. comm vs. idle time.
+- :func:`protocol_bytes` -- bytes moved per transport channel.
+- :func:`gpu_lane_summary` -- per-template accelerator rows.
+- :func:`report` -- all of the above as the text report the CLI prints.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.events import EventBus, SpanEvent, Telemetry
 
@@ -170,11 +173,13 @@ def critical_path(source: Union[Telemetry, EventBus]) -> CriticalPath:
 
 @dataclass
 class TemplateSummary:
+    """Per-template execution stats of one run (durations need spans)."""
+
     template: str
-    count: int
-    total: float
-    mean: float
-    max: float
+    count: int = 0
+    total: float = 0.0
+    mean: float = 0.0
+    max: float = 0.0
 
 
 def summary_by_template(source: Union[Telemetry, EventBus]) -> List[TemplateSummary]:
@@ -193,11 +198,11 @@ class RankBreakdown:
     """Where one rank's time went across the makespan."""
 
     rank: int
-    workers: int
-    busy: float      # worker-seconds executing tasks
-    comm: float      # seconds of AM-server / RMA / protocol activity
-    idle: float      # workers * makespan - busy
-    utilization: float
+    workers: int = 1
+    busy: float = 0.0    # worker-seconds executing tasks
+    comm: float = 0.0    # seconds of AM-server / RMA / protocol activity
+    idle: float = 0.0    # workers * makespan - busy
+    utilization: float = 0.0
 
 
 def idle_breakdown(source: Union[Telemetry, EventBus]) -> List[RankBreakdown]:
@@ -240,6 +245,54 @@ def idle_breakdown(source: Union[Telemetry, EventBus]) -> List[RankBreakdown]:
     return out
 
 
+def protocol_bytes(source: Union[Telemetry, EventBus]) -> Dict[str, int]:
+    """Bytes moved per transport channel, from the recorded comm/proto
+    spans (``am:*``, ``rma:*``, ``splitmd:meta:*``, ``splitmd:rma:*``) --
+    plus a ``pcie`` channel from accelerator task spans that carried
+    host->device transfers (``pcie_bytes`` span arg)."""
+    out: Dict[str, int] = defaultdict(int)
+    for ev in _bus_of(source).spans():
+        if ev.cat == "task":
+            pcie = int(ev.args.get("pcie_bytes", 0) or 0)
+            if pcie:
+                out["pcie"] += pcie
+            continue
+        if ev.cat not in ("comm", "proto"):
+            continue
+        parts = ev.name.split(":")
+        channel = ":".join(parts[:2]) if parts[0] == "splitmd" else parts[0]
+        out[channel] += int(ev.args.get("nbytes", 0))
+    return dict(out)
+
+
+def gpu_lane_summary(source: Union[Telemetry, EventBus]) -> List[Dict[str, Any]]:
+    """Per-template rows of accelerator task spans: count, ranks, busy
+    time and the PCIe bytes their inputs paid.
+
+    GPU executions are recorded as ``<TEMPLATE>@gpu`` spans on the
+    device-slot lanes above the worker tids.
+    """
+    rows: Dict[str, Dict[str, Any]] = {}
+    for ev in _bus_of(source).spans("task"):
+        if not ev.name.endswith("@gpu"):
+            continue
+        template = ev.args.get("template", ev.name[:-len("@gpu")])
+        row = rows.setdefault(template, {
+            "template": template, "count": 0, "busy": 0.0,
+            "pcie_bytes": 0, "ranks": set(),
+        })
+        row["count"] += 1
+        row["busy"] += ev.duration
+        row["pcie_bytes"] += int(ev.args.get("pcie_bytes", 0) or 0)
+        row["ranks"].add(ev.rank)
+    out = []
+    for template in sorted(rows):
+        row = rows[template]
+        row["ranks"] = len(row["ranks"])
+        out.append(row)
+    return out
+
+
 def report(source: Union[Telemetry, EventBus]) -> str:
     """The human-readable per-run report the CLI prints."""
     bus = _bus_of(source)
@@ -275,6 +328,22 @@ def report(source: Union[Telemetry, EventBus]) -> str:
             lines.append(f"{r.rank:<6}{r.workers:>8}{r.busy * 1e3:>10.3f}"
                          f"{r.comm * 1e3:>10.3f}{r.idle * 1e3:>10.3f}"
                          f"{r.utilization * 100:>8.1f}")
+    gpu = gpu_lane_summary(bus)
+    if gpu:
+        lines.append("")
+        lines.append(f"{'accelerator':<16}{'tasks':>8}{'ranks':>6}"
+                     f"{'busy ms':>10}{'PCIe bytes':>14}")
+        for g in gpu:
+            lines.append(f"{g['template']:<16}{g['count']:>8}{g['ranks']:>6}"
+                         f"{g['busy'] * 1e3:>10.3f}{g['pcie_bytes']:>14}")
+    split = protocol_bytes(bus)
+    if split:
+        lines.append("")
+        lines.append(f"{'channel':<16}{'bytes':>14}{'share %':>8}")
+        total = sum(split.values()) or 1
+        for chan, n in sorted(split.items(), key=lambda kv: -kv[1]):
+            lines.append(f"{chan:<16}{n:>14}{n / total * 100:>8.1f}")
+    lines += ["", critical_path(bus).report()]
     san = bus.instants(cat="san")
     if san:
         lines.append("")

@@ -9,24 +9,23 @@ Subcommands:
       python -m repro.telemetry record examples/cholesky_example.py \\
           --export trace.json --jsonl events.jsonl --counters counters.json
       python -m repro.telemetry record examples/cholesky_example.py \\
-          --critical-path
+          --report
 
   Scripts binding several backends record one run each; ``--graph N``
   selects which run the exporters use (default 0, ``--list`` shows all).
 
-- ``report LOG.jsonl`` -- per-template summary, idle breakdown and
-  sanitizer findings of a recorded JSONL event log.
-- ``report-html LOG.jsonl -o report.html`` -- self-contained single-file
-  HTML report (Gantt + critical path + tables + sparklines; add
-  ``--history-dir`` to include the BENCH_*.json trend charts).
-- ``critical-path LOG.jsonl`` -- longest task chain of a recording.
-- ``export LOG.jsonl -o trace.json`` -- convert JSONL to Chrome trace.
+- ``report LOG.jsonl`` -- per-template summary, idle breakdown,
+  accelerator lanes, per-channel byte split, critical path and sanitizer
+  findings of a recorded JSONL event log (``record --report`` prints the
+  same for a fresh run).
+- ``export LOG.jsonl -o trace.json`` -- convert JSONL to Chrome trace;
+  open it in Perfetto for the timeline.
 - ``diff A B`` -- align two recorded runs (JSONL traces, counters JSONs,
   or ``BENCH_*.json`` histories -- kinds auto-detected and mixable) and
   print the ranked attribution report: template span totals, protocol
   byte shifts, per-rank idle divergence, critical-path churn.  ``--json``
-  emits the attribution-report object; ``--html`` renders the side-by-side
-  report; ``--select-a``/``--select-b`` pick records out of a history
+  emits the attribution-report object; ``--select-a``/``--select-b`` pick
+  records out of a history
   (``last`` | ``baseline`` | ``seed:<n>`` | ``index:<i>``).
 - ``whatif HISTORY.json`` -- deterministic causal profiling: replay a
   recorded run with perturbed costs (``--speedup T=F``,
@@ -38,7 +37,8 @@ Subcommands:
   ``--allow-drops``.  Convert a JSONL event log with ``export`` first.
 
 Exit status 0 on success; 1 when the script crashed, a validation found
-problems, or nothing was recorded.
+problems, nothing was recorded, or an input could not be read (one line
+``<subcommand>: <path>: <reason>``).
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ def cmd_record(args: argparse.Namespace, out: TextIO) -> int:
         write_counters_json(args.counters, run.telemetry,
                             meta={"script": args.script, "run": run.label})
         print(f"  wrote {args.counters}", file=out)
-    if args.critical_path:
-        print(analyze.critical_path(run.telemetry).report(), file=out)
     if args.report:
         print(analyze.report(run.telemetry), file=out)
     return 0
@@ -158,26 +156,6 @@ def cmd_record(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_report(args: argparse.Namespace, out: TextIO) -> int:
     print(analyze.report(read_jsonl(args.log)), file=out)
     return 0
-
-
-def cmd_report_html(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.telemetry.report_html import load_histories, write_report_html
-
-    bus = read_jsonl(args.log)
-    histories = load_histories(args.history_dir) if args.history_dir else []
-    nbytes = write_report_html(
-        args.output, bus, title=args.title or f"repro run report: {args.log}",
-        histories=histories,
-    )
-    print(f"wrote {args.output} ({nbytes} bytes, {len(bus)} events, "
-          f"{len(histories)} history file(s))", file=out)
-    return 0
-
-
-def cmd_critical_path(args: argparse.Namespace, out: TextIO) -> int:
-    cp = analyze.critical_path(read_jsonl(args.log))
-    print(cp.report(), file=out)
-    return 0 if cp.nodes else 1
 
 
 def cmd_export(args: argparse.Namespace, out: TextIO) -> int:
@@ -196,28 +174,13 @@ def cmd_export(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
     from repro.telemetry.diff import diff_runs, load_view
 
-    try:
-        view_a = load_view(args.a, selector=args.select_a)
-        view_b = load_view(args.b, selector=args.select_b)
-    except ValueError as e:
-        print(f"diff: {e}", file=out)
-        return 1
-    result = diff_runs(view_a, view_b)
+    result = diff_runs(load_view(args.a, selector=args.select_a),
+                       load_view(args.b, selector=args.select_b))
     if args.json:
         json.dump(result.as_dict(), out, indent=2)
         print(file=out)
     else:
         print(result.format(only_changed=not args.all), file=out)
-    if args.html:
-        from repro.telemetry.report_html import write_diff_report_html
-
-        bus_a = read_jsonl(args.a) if args.a.endswith(".jsonl") else None
-        bus_b = read_jsonl(args.b) if args.b.endswith(".jsonl") else None
-        nbytes = write_diff_report_html(
-            args.html, result, bus_a=bus_a, bus_b=bus_b,
-            title=f"run diff: {args.a} vs {args.b}",
-        )
-        print(f"wrote {args.html} ({nbytes} bytes)", file=out)
     return 0
 
 
@@ -226,23 +189,15 @@ def cmd_whatif(args: argparse.Namespace, out: TextIO) -> int:
     from repro.telemetry import whatif
     from repro.telemetry.diff import select_record, sniff_payload_kind
 
-    try:
-        kind = sniff_payload_kind(args.history)
-    except (OSError, ValueError) as e:
-        print(f"whatif: {e}", file=out)
-        return 1
+    kind = sniff_payload_kind(args.history)
     if kind != "bench-history":
         print(f"whatif: {args.history} is a {kind!r} payload; what-if replay "
               "needs a BENCH_*.json history (the stored record is the "
               "replayable graph spec)", file=out)
         return 1
     history = BenchHistory.load(args.history)
-    try:
-        record = select_record(history.records, args.select)
-        speedups = dict(whatif.parse_factor(s) for s in args.speedup or ())
-    except ValueError as e:
-        print(f"whatif: {e}", file=out)
-        return 1
+    record = select_record(history.records, args.select)
+    speedups = dict(whatif.parse_factor(s) for s in args.speedup or ())
 
     if args.sweep:
         rows = whatif.sensitivity(
@@ -413,10 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the raw event log")
     p.add_argument("--counters", metavar="COUNTERS.json",
                    help="write the metrics-registry counters JSON")
-    p.add_argument("--critical-path", action="store_true",
-                   help="print the critical-path report")
     p.add_argument("--report", action="store_true",
-                   help="print the per-template / per-rank summary")
+                   help="print the text report of the run")
     p.add_argument("--graph", type=int, default=0, metavar="N",
                    help="which recorded run the exporters use (default 0)")
     p.add_argument("--list", action="store_true",
@@ -432,19 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a JSONL event log")
     p.add_argument("log")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("report-html",
-                       help="render a JSONL log as a single-file HTML report")
-    p.add_argument("log")
-    p.add_argument("-o", "--output", required=True, metavar="REPORT.html")
-    p.add_argument("--history-dir", default=None, metavar="DIR",
-                   help="include BENCH_*.json trend charts from DIR")
-    p.add_argument("--title", default=None)
-    p.set_defaults(fn=cmd_report_html)
-
-    p = sub.add_parser("critical-path", help="critical path of a JSONL log")
-    p.add_argument("log")
-    p.set_defaults(fn=cmd_critical_path)
 
     p = sub.add_parser("export", help="convert a JSONL log to a Chrome trace")
     p.add_argument("log")
@@ -464,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record selector when B is a history (default last)")
     p.add_argument("--json", action="store_true",
                    help="emit the attribution-report JSON object")
-    p.add_argument("--html", metavar="REPORT.html",
-                   help="additionally render the side-by-side HTML report")
     p.add_argument("--all", action="store_true",
                    help="include rows with zero delta")
     p.set_defaults(fn=cmd_diff)
@@ -512,3 +450,12 @@ def main(argv: Optional[Sequence[str]] = None,
         return args.fn(args, out)
     except BrokenPipeError:
         return 0  # downstream consumer (head, less) closed the pipe
+    except OSError as e:
+        # Unreadable input: one line, as ``validate`` answers it.
+        where = f"{e.filename}: {e.strerror}" if e.filename else str(e)
+        print(f"{args.command}: {where}", file=out)
+        return 1
+    except ValueError as e:
+        # Loaders name the path first: "<path>: <reason>".
+        print(f"{args.command}: {e}", file=out)
+        return 1

@@ -14,8 +14,7 @@ task key, protocol channel, and rank, and the movement is attributed:
   duration deltas along the common stretch;
 - the full counter delta table (:func:`diff_counter_payloads`).
 
-Rendered as text (:meth:`RunDiff.format`), JSON (:meth:`RunDiff.as_dict`),
-and a side-by-side HTML section (:func:`repro.telemetry.report_html.render_diff_report`).
+Rendered as text (:meth:`RunDiff.format`) or JSON (:meth:`RunDiff.as_dict`).
 The what-if profiler (:mod:`repro.telemetry.whatif`) turns the ranking
 into causal statements by exact counterfactual replay.
 """
@@ -27,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.telemetry import analyze
+from repro.telemetry.analyze import RankBreakdown, TemplateSummary
 from repro.telemetry.events import EventBus, Telemetry
 
 # ------------------------------------------------------------ counter core
@@ -70,29 +70,6 @@ def diff_counter_payloads(
 
 
 @dataclass
-class TemplateStat:
-    """Per-template execution stats of one run (durations need spans)."""
-
-    template: str
-    count: int = 0
-    total: float = 0.0
-    mean: float = 0.0
-    max: float = 0.0
-
-
-@dataclass
-class RankStat:
-    """Per-rank time budget of one run."""
-
-    rank: int
-    workers: int = 1
-    busy: float = 0.0
-    comm: float = 0.0
-    idle: float = 0.0
-    utilization: float = 0.0
-
-
-@dataclass
 class RunView:
     """One run, normalized for diffing regardless of its source form.
 
@@ -103,9 +80,9 @@ class RunView:
 
     label: str
     makespan: float = 0.0
-    templates: Dict[str, TemplateStat] = field(default_factory=dict)
+    templates: Dict[str, TemplateSummary] = field(default_factory=dict)
     bytes_by_protocol: Dict[str, float] = field(default_factory=dict)
-    ranks: Dict[int, RankStat] = field(default_factory=dict)
+    ranks: Dict[int, RankBreakdown] = field(default_factory=dict)
     critical_path: List[Tuple[str, float]] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
     has_spans: bool = False
@@ -116,12 +93,11 @@ class RunView:
         """Full view from a recorded event stream (live or re-ingested)."""
         bus = source.bus if isinstance(source, Telemetry) else source
         view = cls(label=label, makespan=bus.makespan(), has_spans=True)
-        for s in analyze.summary_by_template(bus):
-            view.templates[s.template] = TemplateStat(
-                s.template, s.count, s.total, s.mean, s.max)
-        for r in analyze.idle_breakdown(source):
-            view.ranks[r.rank] = RankStat(
-                r.rank, r.workers, r.busy, r.comm, r.idle, r.utilization)
+        view.templates = {s.template: s
+                          for s in analyze.summary_by_template(bus)}
+        view.ranks = {r.rank: r for r in analyze.idle_breakdown(source)}
+        view.bytes_by_protocol = {
+            k: float(v) for k, v in analyze.protocol_bytes(bus).items()}
         cp = analyze.critical_path(bus)
         view.critical_path = [(n.label, n.duration) for n in cp.nodes]
         return view
@@ -136,7 +112,7 @@ class RunView:
             makespan=float(record.makespan),
         )
         for name, count in record.tasks_by_template.items():
-            view.templates[name] = TemplateStat(name, count=int(count))
+            view.templates[name] = TemplateSummary(name, count=int(count))
         view.bytes_by_protocol = {
             k: float(v) for k, v in record.bytes_by_protocol.items()
         }
@@ -151,14 +127,6 @@ class RunView:
         counters = payload.get("counters", payload)
         view.counters = {k: counter_scalar(v) for k, v in counters.items()}
         return view
-
-
-def protocol_bytes_of(source: Union[Telemetry, EventBus]) -> Dict[str, float]:
-    """Per-protocol byte totals from a trace (lazy import: report_html
-    owns the canonical channel classification)."""
-    from repro.telemetry.report_html import protocol_bytes
-
-    return {k: float(v) for k, v in protocol_bytes(source).items()}
 
 
 # ------------------------------------------------------------- the differ
@@ -345,8 +313,8 @@ def diff_runs(a: RunView, b: RunView) -> RunDiff:
         has_spans=a.has_spans and b.has_spans,
     )
     for name in sorted(set(a.templates) | set(b.templates)):
-        ta = a.templates.get(name) or TemplateStat(name)
-        tb = b.templates.get(name) or TemplateStat(name)
+        ta = a.templates.get(name) or TemplateSummary(name)
+        tb = b.templates.get(name) or TemplateSummary(name)
         out.templates.append(TemplateDelta(
             name, ta.count, tb.count, ta.total, tb.total))
     for chan in sorted(set(a.bytes_by_protocol) | set(b.bytes_by_protocol)):
@@ -354,8 +322,8 @@ def diff_runs(a: RunView, b: RunView) -> RunDiff:
         vb = b.bytes_by_protocol.get(chan, 0.0)
         out.protocols.append((chan, va, vb, vb - va))
     for rank in sorted(set(a.ranks) | set(b.ranks)):
-        ra = a.ranks.get(rank) or RankStat(rank)
-        rb = b.ranks.get(rank) or RankStat(rank)
+        ra = a.ranks.get(rank) or RankBreakdown(rank)
+        rb = b.ranks.get(rank) or RankBreakdown(rank)
         out.ranks.append((rank, ra.idle, rb.idle, rb.idle - ra.idle))
     out.counters = diff_counter_payloads(a.counters, b.counters)
     cpa = dict(a.critical_path)
@@ -388,16 +356,16 @@ def sniff_payload_kind(path: str) -> str:
             # means it's not ours at all.
             raise ValueError(f"{path}: not a JSON/JSONL telemetry payload")
         first_line = fh.readline()
-        rest = fh.readline()
     try:
         obj = json.loads(first_line)
     except json.JSONDecodeError:
-        with open(path) as fh:
-            obj = json.load(fh)
-        rest = ""
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not a JSON/JSONL telemetry payload "
+                             f"({e})") from None
     if isinstance(obj, dict):
-        if obj.get("type") in ("span", "instant", "counter") and rest:
-            return "jsonl"
         if obj.get("type") in ("span", "instant", "counter"):
             return "jsonl"
         if obj.get("schema") == "repro.bench/history":
@@ -448,10 +416,7 @@ def load_view(path: str, selector: str = "last",
     if kind == "jsonl":
         from repro.telemetry.export import read_jsonl
 
-        bus = read_jsonl(path)
-        view = RunView.from_bus(bus, label=label or path)
-        view.bytes_by_protocol = protocol_bytes_of(bus)
-        return view
+        return RunView.from_bus(read_jsonl(path), label=label or path)
     if kind == "counters":
         from repro.telemetry.export import read_counters_json
 

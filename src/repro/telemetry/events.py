@@ -6,10 +6,8 @@ registry in :mod:`repro.telemetry.metrics` aggregates; the bus *records*).
 Three event kinds:
 
 - **spans** -- an interval on one (rank, tid) timeline: a task execution,
-  an active message occupying the AM server, a splitmd phase.  Spans may
-  be recorded whole (:meth:`EventBus.complete`) or opened and closed
-  (:meth:`EventBus.begin` / :meth:`EventBus.end`), in which case proper
-  LIFO nesting per timeline is enforced.
+  an active message occupying the AM server, a splitmd phase.  A span is
+  recorded whole, once it has ended (:meth:`EventBus.complete`).
 - **instants** -- a point event: a dependency edge, a sanitizer finding,
   a quiescence epoch, stream control.
 - **counters** -- a sampled numeric snapshot (queue depth and the like).
@@ -25,8 +23,7 @@ Recording is cheap, reading pays: the runtime's hooks append one tuple
 of atoms per event (:meth:`EventBus.emit`: no ``args`` dict, no ``repr`` of
 a task key, no formatted label), led by a head tuple the hook site built
 once, and one entry per broadcast fan-out (:meth:`EventBus.batch`).  The
-event objects are built the first time the bus is read, or at once while a
-subscriber is attached.
+event objects are built the first time the bus is read.
 
 Timelines within a rank are identified by an integer ``tid``: worker
 threads use their worker index, and the reserved ids below keep transport
@@ -68,10 +65,6 @@ THREAD_NAMES = {
 SPAN, INSTANT, COUNTER = 0, 1, 2
 #: Leads a ring entry standing for several records (:meth:`EventBus.batch`).
 BATCH = 3
-
-
-class TelemetryError(RuntimeError):
-    """Misuse of the telemetry API (mis-nested spans, late attach...)."""
 
 
 @dataclass(frozen=True)
@@ -181,23 +174,6 @@ class _Expanding:
             self.bus._put(self.rank, self.head + flat[i:i + width] + self.tail)
 
 
-class _OpenSpan:
-    """Handle returned by :meth:`EventBus.begin`; close with ``end``."""
-
-    __slots__ = ("name", "cat", "rank", "tid", "start", "args", "flow", "closed")
-
-    def __init__(self, name: str, cat: str, rank: int, tid: int, start: float,
-                 args: Dict[str, Any], flow: Optional[int]) -> None:
-        self.name = name
-        self.cat = cat
-        self.rank = rank
-        self.tid = tid
-        self.start = start
-        self.args = args
-        self.flow = flow
-        self.closed = False
-
-
 class EventBus:
     """Per-rank ring buffers of telemetry events.
 
@@ -209,8 +185,8 @@ class EventBus:
 
     A ring holds event objects and unread records side by side; reading
     replaces the records in place, so an event keeps its identity.  Only
-    an unbounded ring keeps batches (:meth:`batch`): eviction, ``dropped``
-    and subscribers work per event.
+    an unbounded ring keeps batches (:meth:`batch`): eviction and
+    ``dropped`` work per event.
     """
 
     def __init__(
@@ -224,14 +200,9 @@ class EventBus:
         self._rings: List[deque] = []
         self.dropped: List[int] = []
         self.ensure_ranks(max(1, nranks))
-        self._stacks: Dict[Tuple[int, int], List[_OpenSpan]] = {}
         self._flow_next = 1
-        # Streaming subscribers: called with every event as it is recorded
-        # (even in capacity=0 metrics-only mode -- a subscriber is a live
-        # consumer, not a buffer).
-        self._subscribers: List[Callable[[Any], None]] = []
-        #: Whether anything can see an event (a buffer or a subscriber);
-        #: every hook site checks it before gathering an event's parts.
+        #: False in metrics-only mode (``capacity=0``): nothing is stored,
+        #: so every hook site checks it before gathering an event's parts.
         self.recording = capacity != 0
 
     # ------------------------------------------------------------- plumbing
@@ -244,39 +215,14 @@ class EventBus:
             self._rings.append(deque(maxlen=self.capacity))
             self.dropped.append(0)
 
-    @property
-    def enabled(self) -> bool:
-        """False in metrics-only mode (``capacity=0``): nothing to read back."""
-        return self.capacity != 0
-
     def new_flow(self) -> int:
         """A fresh id linking related spans (exported as a flow arrow)."""
         flow = self._flow_next
         self._flow_next = flow + 1
         return flow
 
-    def subscribe(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
-        """Stream every subsequently recorded event to ``fn``.
-
-        Subscribers see events even in metrics-only mode (``capacity=0``):
-        streaming does not require buffering.  Returns ``fn`` so the call
-        can be used inline; detach with :meth:`unsubscribe`.
-        """
-        self._subscribers.append(fn)
-        self.recording = True
-        return fn
-
-    def unsubscribe(self, fn: Callable[[Any], None]) -> None:
-        self._subscribers.remove(fn)
-        self.recording = self.capacity != 0 or bool(self._subscribers)
-
     def _put(self, rank: int, item: Any) -> None:
-        """Store one event object or record; subscribers get the object."""
-        if self._subscribers:
-            if type(item) is tuple:
-                item = _event(item)
-            for fn in self._subscribers:
-                fn(item)
+        """Store one event object or record."""
         if self.capacity == 0:
             return
         if rank >= len(self._rings):
@@ -342,7 +288,7 @@ class EventBus:
         takes in the same order; a hook site builds each head once and
         shares it between the records of one timeline and shape."""
         rank = rec[0][3]
-        if self._subscribers or self.capacity == 0 or rank >= len(self._rings):
+        if self.capacity == 0 or rank >= len(self._rings):
             return self._put(rank, rec)
         ring = self._rings[rank]  # _put's common case, inline
         if len(ring) == ring.maxlen:
@@ -360,57 +306,21 @@ class EventBus:
         no allocation of its own.
 
         The entry is stored now, so it keeps its place among the rank's
-        records.  A bounded ring, a subscriber, or ``expand=True`` (the
-        caller may record between two items) stores each item as its own
-        record as it comes in instead.
+        records.  A bounded ring, or ``expand=True`` (the caller may record
+        between two items), stores each item as its own record as it comes
+        in instead.
         """
         rank = head[0][3]
-        if (expand or self._subscribers or self.capacity is not None
-                or rank >= len(self._rings)):
+        if expand or self.capacity is not None or rank >= len(self._rings):
             return _Expanding(self, rank, head, width, tail)
         values: List[Any] = []
         self._rings[rank].append((BATCH, head, width, values, tail))
         return values
 
-    def begin(self, name: str, rank: int, tid: int = 0, cat: str = "",
-              flow: Optional[int] = None, **args: Any) -> _OpenSpan:
-        """Open a span on (rank, tid); close it with :meth:`end`."""
-        span = _OpenSpan(name, cat, rank, tid, self.now(), dict(args), flow)
-        self._stacks.setdefault((rank, tid), []).append(span)
-        return span
-
-    def end(self, span: _OpenSpan, **extra: Any) -> SpanEvent:
-        """Close ``span``; open spans on a timeline must close LIFO."""
-        if span.closed:
-            raise TelemetryError(f"span {span.name!r} ended twice")
-        stack = self._stacks.get((span.rank, span.tid), [])
-        if not stack or stack[-1] is not span:
-            raise TelemetryError(
-                f"span {span.name!r} ended out of order on rank {span.rank} "
-                f"tid {span.tid} (open: {[s.name for s in stack]})"
-            )
-        stack.pop()
-        span.closed = True
-        if extra:
-            span.args.update(extra)
-        ev = SpanEvent(span.name, span.cat, span.rank, span.tid, span.start,
-                       self.now(), span.args, span.flow)
-        self._put(span.rank, ev)
-        return ev
-
-    @contextmanager
-    def span(self, name: str, rank: int, tid: int = 0, cat: str = "",
-             flow: Optional[int] = None, **args: Any) -> Iterator[_OpenSpan]:
-        handle = self.begin(name, rank, tid, cat, flow, **args)
-        try:
-            yield handle
-        finally:
-            self.end(handle)
-
     def complete(self, name: str, rank: int, tid: int, start: float, end: float,
                  cat: str = "", flow: Optional[int] = None,
                  args: Optional[Dict[str, Any]] = None) -> SpanEvent:
-        """Record an already-finished span (no nesting bookkeeping)."""
+        """Record an already-finished span."""
         ev = SpanEvent(name, cat, rank, tid, start, end, args or {}, flow)
         self._put(rank, ev)
         return ev
@@ -427,9 +337,6 @@ class EventBus:
         return ev
 
     # -------------------------------------------------------------- queries
-
-    def open_spans(self) -> List[_OpenSpan]:
-        return [s for stack in self._stacks.values() for s in stack]
 
     def _read(self, ring: deque) -> List[Any]:
         """``ring``'s events, its unread records replaced by their objects."""

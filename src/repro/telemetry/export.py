@@ -246,11 +246,16 @@ def write_jsonl(path: str, source: Union[Telemetry, EventBus]) -> int:
 
 
 def read_jsonl(path: str) -> EventBus:
-    """Re-ingest a JSONL event log into an (unbounded) EventBus."""
+    """Re-ingest a JSONL event log into an (unbounded) EventBus; a file
+    that is not one raises ``ValueError`` naming ``path``."""
     bus = EventBus(nranks=1, capacity=None)
     with open(path) as fh:
-        bus.extend(event_from_json(json.loads(line))
-                   for line in fh if line.strip())
+        try:
+            bus.extend(event_from_json(json.loads(line))
+                       for line in fh if line.strip())
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: not a JSONL event log "
+                             f"({type(e).__name__}: {e})") from None
     return bus
 
 

@@ -1,11 +1,13 @@
-"""Fast smoke tests of the figure experiment plumbing (tiny scales).
+"""Fast smoke tests of the figure experiment plumbing and the bench CLI (tiny scales).
 
 The full figure runs live in benchmarks/; these exercise the same code
 paths in seconds so `pytest tests/` alone covers the harness.
 """
 
+import pytest
 
 from repro.bench import figures
+from repro.bench.__main__ import main as bench_main
 
 
 def test_fig5_tiny():
@@ -66,3 +68,21 @@ def test_scaled_machine_helper():
     m = figures.scaled(HAWK, 4)
     assert m.node.workers == 4
     assert m.network == HAWK.network
+
+
+def test_cli_table1(capsys):
+    assert bench_main(["table1"]) == 0
+    out = capsys.readouterr().out
+    assert "hawk" in out and "seawulf" in out
+
+
+def test_cli_figure_with_max_nodes(capsys):
+    assert bench_main(["fig13b", "--max-nodes", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "Fig 13b" in out
+    assert "ttg-parsec" in out
+
+
+def test_cli_rejects_unknown():
+    with pytest.raises(SystemExit):
+        bench_main(["fig99"])

@@ -1,4 +1,4 @@
-"""CLI: record/report/export/critical-path/compare/validate subcommands."""
+"""CLI: record/report/export/diff/validate subcommands."""
 
 import io
 import json
@@ -54,7 +54,7 @@ def test_record_exports_all_artifacts(script, tmp_path):
     counters = tmp_path / "counters.json"
     code, text = run_cli(
         "record", script, "--export", str(trace), "--jsonl", str(jsonl),
-        "--counters", str(counters), "--critical-path", "--report",
+        "--counters", str(counters), "--report",
     )
     assert code == 0
     assert "1 run(s)" in text
@@ -89,7 +89,7 @@ def test_record_crashing_script(tmp_path):
 def test_record_script_with_no_graphs(tmp_path):
     p = tmp_path / "empty.py"
     p.write_text("x = 1\n")
-    code, text = run_cli("record", str(p), "--critical-path")
+    code, text = run_cli("record", str(p), "--report")
     assert code == 1 and "nothing recorded" in text
 
 
@@ -99,10 +99,14 @@ def test_report_and_critical_path_from_jsonl(script, tmp_path):
     assert code == 0
     code, text = run_cli("report", str(jsonl))
     assert code == 0 and "template" in text and "B" in text
-    code, text = run_cli("critical-path", str(jsonl))
-    assert code == 0
-    assert text.splitlines()[0].startswith("critical path:")
+    lines = text.splitlines()
+    assert any(line.startswith("critical path:") for line in lines)
     assert "A[0]" in text
+    # The byte split: one row per channel, the AM channel moved bytes.
+    header = lines.index(next(ln for ln in lines if ln.startswith("channel")))
+    assert lines[header].split() == ["channel", "bytes", "share", "%"]
+    assert any(ln.split()[0] == "am" and int(ln.split()[1]) > 0
+               for ln in lines[header + 1:] if ln.strip())
 
 
 def test_export_and_validate_round_trip(script, tmp_path):
@@ -172,6 +176,24 @@ def test_validate_rejects_non_trace_in_one_line(tmp_path, make, hint):
     result = json.loads(text)
     assert result["file"] == str(path) and result["valid"] is False
     assert len(result["problems"]) == 1 and hint in result["problems"][0]
+
+
+@pytest.mark.parametrize("command", ["report", "export", "diff"])
+@pytest.mark.parametrize("content", [None, "[build-system]\nrequires = []\n"],
+                         ids=["missing", "not-json"])
+def test_unreadable_input_is_one_line_not_a_traceback(tmp_path, command,
+                                                      content):
+    path = tmp_path / "input.jsonl"
+    if content is not None:
+        path.write_text(content)
+    argv = {"report": [str(path)],
+            "export": [str(path), "-o", str(tmp_path / "t.json")],
+            "diff": [str(path), str(path)]}[command]
+    code, text = run_cli(command, *argv)
+    assert code == 1
+    assert text.count("\n") == 1
+    assert text.startswith(f"{command}: {path}: ")
+    assert "Traceback" not in text
 
 
 def test_no_events_mode_records_metrics_only(script, tmp_path):

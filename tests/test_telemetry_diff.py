@@ -1,4 +1,4 @@
-"""The trace differ: run alignment, attribution ranking, loaders, HTML."""
+"""The trace differ: run alignment, attribution ranking, loaders, CLI."""
 
 import json
 
@@ -223,25 +223,6 @@ def test_load_view_dispatch(tmp_path):
     assert load_view(bench, selector="baseline").templates["T"].count == 1
 
 
-# ------------------------------------------------------------------- HTML
-
-
-def test_diff_report_html_renders_all_sections(tmp_path):
-    from repro.telemetry.report_html import write_diff_report_html
-
-    bus_a, bus_b = _diamond(3.0), _diamond(4.5)
-    d = diff_runs(RunView.from_bus(bus_a, label="base"),
-                  RunView.from_bus(bus_b, label="slow"))
-    out = str(tmp_path / "diff.html")
-    nbytes = write_diff_report_html(out, d, bus_a=bus_a, bus_b=bus_b)
-    html = (tmp_path / "diff.html").read_text()
-    assert nbytes == len(html.encode())
-    assert "sidebyside" in html          # dual Gantt lanes
-    assert "worse" in html               # delta coloring
-    assert "base" in html and "slow" in html
-    assert "<svg" in html
-
-
 # --------------------------------------------------------------------- CLI
 
 
@@ -265,21 +246,6 @@ def test_cli_diff_on_histories(tmp_path):
     code, text = _cli("diff", path, path, "--json")
     assert code == 0
     assert json.loads(text)["schema"] == "repro.telemetry/diff-v1"
-
-
-def test_cli_diff_html_output(tmp_path):
-    from repro.telemetry.export import write_jsonl
-
-    tel = Telemetry(nranks=1)
-    tel.bus.complete("T", 0, 0, 0.0, 1.0, cat="task",
-                     args={"key": "0", "template": "T"})
-    jsonl = str(tmp_path / "run.jsonl")
-    write_jsonl(jsonl, tel)
-    out = str(tmp_path / "d.html")
-    code, text = _cli("diff", jsonl, jsonl, "--html", out)
-    assert code == 0
-    assert f"wrote {out}" in text
-    assert "sidebyside" in (tmp_path / "d.html").read_text()
 
 
 def test_cli_diff_rejects_garbage(tmp_path):
