@@ -1,67 +1,58 @@
-"""Versioned benchmark history and the statistical regression watchdog.
+"""Versioned benchmark history and the pinned watchdog cells.
 
 The paper's evaluation is a *trajectory*: the same four applications
 measured repeatedly as runtime features landed.  This module keeps that
 trajectory for the reproduction -- one ``BENCH_<app>.json`` file per
 application, each an append-only list of :class:`BenchRecord` runs
 (makespan, Gflop/s, task/byte breakdowns, critical-path and idle
-fractions, a counter snapshot, the git SHA) -- and compares new runs
-against the stored baseline window with robust statistics so a future PR
-cannot silently regress POTRF or FW-APSP.
+fractions, a counter snapshot, the git SHA).
 
-Because the simulator is deterministic, a distribution is obtained by
-sweeping *seeds*: each seed rotates the block-cyclic tile-to-rank map
-(:class:`SeededBlockCyclic`), which keeps the DAG and total work
-identical while perturbing the communication pattern, so makespans vary
-the way real placement jitter makes them vary.
-
-Regression rule (per config group and metric): candidate median vs.
-baseline median must not move in the "worse" direction by more than
-``max(threshold * baseline_median, 3 * 1.4826 * MAD(baseline))``.
+The simulator is deterministic, so every virtual number of a record is a
+function of the commit, the app, its parameters and the seed.  The
+watchdog does not judge them as samples: :data:`PINS` holds the
+:func:`record_digest` of each cell it measures (four apps at seeds 0, 1
+and 2), and any digest that differs fails the check.  A change that
+moves a virtual number edits its pins and says why.
 
 CLI (see ``python -m repro.bench --help``)::
 
-    python -m repro.bench --record-history --update-baseline   # seed sweep
-    python -m repro.bench --check-regressions                  # CI gate
+    python -m repro.bench --check-regressions                   # CI gate
+    python -m repro.bench --check-regressions --record-history  # + trajectory
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 SCHEMA = "repro.bench/history"
 SCHEMA_VERSION = 4
 
-#: Baseline windows smaller than this make the MAD spread degenerate
-#: (MAD of <3 samples is 0 or half a range), so :func:`classify` falls
-#: back to the pure relative-threshold margin and flags the verdict.
-MIN_ROBUST_BASELINE = 3
-
-#: Relative tolerance per gated metric (fraction of the baseline median).
-DEFAULT_THRESHOLDS: Dict[str, float] = {
-    "makespan": 0.10,
-    "gflops": 0.10,
-    "bytes_by_protocol.splitmd": 0.25,
-    "bytes_by_protocol.eager": 0.25,
+#: The watchdog's cells: ``(app, seed)`` -> :func:`record_digest` of
+#: ``measure(app, seed)`` at the app's defaults.  A change that moves a
+#: virtual number edits the literals here and says why.
+PINS: Dict[Tuple[str, int], str] = {
+    ("potrf", 0): "85404bb571d2d1ab",
+    ("potrf", 1): "8e642b0a7bb9ff41",
+    ("potrf", 2): "fc0a58bc54178516",
+    ("fw", 0): "548a71e89e599015",
+    ("fw", 1): "fad00f87f1efa80e",
+    ("fw", 2): "2661523708d5b1f4",
+    ("bspmm", 0): "8aab56b7b03ea1ca",
+    ("bspmm", 1): "7b2385c1d7658df3",
+    ("bspmm", 2): "d615123b9abc0c85",
+    ("mra", 0): "f37b9506876bbda5",
+    ("mra", 1): "364e8b38ef0b717b",
+    ("mra", 2): "98931e06e1ec35d1",
 }
 
-#: Metrics the watchdog gates on, with the direction that is "better".
-#: Dotted names index into a record's dict fields; the protocol split is
-#: gated so a serialization regression (splitmd traffic silently falling
-#: back to eager) fails CI even when the makespan barely moves.
-GATED_METRICS: Dict[str, str] = {
-    "makespan": "lower",
-    "gflops": "higher",
-    "bytes_by_protocol.splitmd": "higher",
-    "bytes_by_protocol.eager": "lower",
-}
-
-#: MAD -> sigma consistency constant for normal data.
-_MAD_SIGMA = 1.4826
+#: Record fields the digest leaves out: they describe the host and the
+#: commit, not the simulated run.
+UNPINNED_FIELDS = ("host_seconds", "engine", "git_sha")
 
 
 def git_sha() -> str:
@@ -106,10 +97,10 @@ class BenchRecord:
     engine: str = "seq"
     # v4: the what-if cost overrides active during this run (see
     # repro.sim.cluster.CostOverrides.as_dict; {} = unperturbed).  Kept
-    # OUT of config_key on purpose: a synthetically perturbed run must
-    # gate against the clean baselines -- that is the whole point of
-    # injecting regressions -- and the what-if replayer needs to know the
-    # recorded factors so probe overrides compose exactly.
+    # OUT of config_key on purpose: ``--explain`` compares a perturbed and
+    # a clean run of the same cell, and the what-if replayer needs to know
+    # the recorded factors so probe overrides compose exactly.  It is part
+    # of record_digest, so a perturbed run never matches a pin.
     cost_overrides: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -117,14 +108,6 @@ class BenchRecord:
         """Canonical group key: records with equal keys are comparable."""
         cfg = ",".join(f"{k}={self.config[k]}" for k in sorted(self.config))
         return f"{self.backend}|{cfg}"
-
-    def metric(self, name: str) -> float:
-        """Metric by name; dotted names index into dict fields, e.g.
-        ``bytes_by_protocol.splitmd`` (missing keys read as 0.0)."""
-        if "." in name:
-            attr, key = name.split(".", 1)
-            return float(getattr(self, attr).get(key, 0.0))
-        return float(getattr(self, name))
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -281,256 +264,8 @@ class BenchHistory:
     def group(self, config_key: str) -> List[BenchRecord]:
         return [r for r in self.records if r.config_key == config_key]
 
-    def baselines(self, config_key: str) -> List[BenchRecord]:
-        return [r for r in self.group(config_key) if r.baseline]
-
-    def candidates(self, config_key: str) -> List[BenchRecord]:
-        """Non-baseline records recorded *after* the group's last baseline."""
-        group = self.group(config_key)
-        last = -1
-        for i, r in enumerate(group):
-            if r.baseline:
-                last = i
-        return [r for r in group[last + 1:] if not r.baseline]
-
-    def prune(self, keep: int, *, keep_baselines: bool = True) -> int:
-        """Compact the append-only history in place.
-
-        Keeps, per config group, the most recent ``keep`` non-baseline
-        records; baseline records are kept unconditionally unless
-        ``keep_baselines=False`` (then only each group's *latest* baseline
-        sweep -- the one the watchdog actually compares against -- is
-        kept).  Relative record order is preserved.  Returns the number of
-        records dropped.
-        """
-        if keep < 0:
-            raise ValueError("keep must be >= 0")
-        drop: set = set()
-        for key in self.config_keys():
-            group = [(i, r) for i, r in enumerate(self.records)
-                     if r.config_key == key]
-            nonbase = [i for i, r in group if not r.baseline]
-            drop.update(nonbase[:-keep] if keep else nonbase)
-            if not keep_baselines:
-                base = [i for i, r in group if r.baseline]
-                # The latest contiguous baseline run is the active one.
-                active: List[int] = []
-                for i in base:
-                    if active and any(
-                        not self.records[j].baseline
-                        for j in range(active[-1] + 1, i)
-                    ):
-                        active = []
-                    active.append(i)
-                drop.update(set(base) - set(active))
-        before = len(self.records)
-        self.records = [r for i, r in enumerate(self.records) if i not in drop]
-        return before - len(self.records)
-
     def __len__(self) -> int:
         return len(self.records)
-
-
-# --------------------------------------------------------------- statistics
-
-
-def median(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("median of empty sequence")
-    xs = sorted(values)
-    n = len(xs)
-    mid = n // 2
-    return xs[mid] if n % 2 else 0.5 * (xs[mid - 1] + xs[mid])
-
-
-def mad(values: Sequence[float], center: Optional[float] = None) -> float:
-    """Median absolute deviation (unscaled)."""
-    if not values:
-        raise ValueError("mad of empty sequence")
-    c = median(values) if center is None else center
-    return median([abs(x - c) for x in values])
-
-
-def robust_stats(values: Sequence[float]) -> Tuple[float, float]:
-    """(median, sigma-consistent MAD spread) of a sample."""
-    m = median(values)
-    return m, _MAD_SIGMA * mad(values, m)
-
-
-@dataclass
-class MetricVerdict:
-    """The watchdog's decision for one (config group, metric)."""
-
-    app: str
-    config_key: str
-    metric: str
-    status: str              # "improved" | "regressed" | "unchanged" | "no-baseline"
-    baseline_median: float = 0.0
-    baseline_spread: float = 0.0
-    candidate_median: float = 0.0
-    n_baseline: int = 0
-    n_candidate: int = 0
-    gating: bool = True
-    note: str = ""           # e.g. the small-baseline-window warning
-
-    @property
-    def delta_pct(self) -> float:
-        if self.baseline_median == 0.0:
-            return 0.0
-        return 100.0 * (self.candidate_median - self.baseline_median) / self.baseline_median
-
-    def row(self) -> str:
-        mark = {"regressed": "!!", "improved": "++", "unchanged": "  ",
-                "no-baseline": "??"}[self.status]
-        suffix = f"  ({self.note})" if self.note else ""
-        return (f"{mark} {self.app:<8} {self.metric:<10} "
-                f"{self.baseline_median:12.6g} -> {self.candidate_median:12.6g} "
-                f"({self.delta_pct:+6.2f}%)  [{self.status}]  {self.config_key}"
-                f"{suffix}")
-
-
-@dataclass
-class RegressionReport:
-    """Every verdict of one watchdog pass."""
-
-    verdicts: List[MetricVerdict] = field(default_factory=list)
-    thresholds: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-
-    @property
-    def regressions(self) -> List[MetricVerdict]:
-        return [v for v in self.verdicts if v.status == "regressed" and v.gating]
-
-    @property
-    def improvements(self) -> List[MetricVerdict]:
-        return [v for v in self.verdicts if v.status == "improved"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def format(self) -> str:
-        if not self.verdicts:
-            return "benchmark watchdog: nothing to check (no baselines/candidates)"
-        lines = [v.row() for v in self.verdicts]
-        lines.append(
-            f"benchmark watchdog: {len(self.regressions)} regression(s), "
-            f"{len(self.improvements)} improvement(s) across "
-            f"{len(self.verdicts)} checks"
-        )
-        return "\n".join(lines)
-
-
-def classify(
-    baseline: Sequence[float],
-    candidates: Sequence[float],
-    threshold: float,
-    better: str = "lower",
-) -> Tuple[str, float, float, float, str]:
-    """Compare candidate vs. baseline samples of one metric.
-
-    Returns ``(status, baseline_median, baseline_spread, candidate_median,
-    note)``.  The move must exceed ``max(threshold * |median|, 3 * spread)``
-    in either direction to count as a change; the sign + ``better`` decide
-    which.
-
-    With fewer than :data:`MIN_ROBUST_BASELINE` baseline samples the MAD
-    spread is degenerate (one sample: exactly 0; two samples: half the
-    range, still no robust scale) and would silently collapse the margin
-    to the pure ``threshold * |median|`` term.  The fallback is now
-    *explicit*: the spread term is dropped entirely and ``note`` carries a
-    warning the verdict surfaces, rather than pretending a 0.0 MAD was a
-    measured spread.
-    """
-    m_b, spread = robust_stats(baseline)
-    m_c = median(candidates)
-    note = ""
-    if len(baseline) < MIN_ROBUST_BASELINE:
-        note = (f"small baseline window (n={len(baseline)} < "
-                f"{MIN_ROBUST_BASELINE}): MAD unreliable, margin is "
-                f"threshold-only")
-        spread = 0.0
-    if m_b == 0.0 and m_c == 0.0:
-        return "unchanged", m_b, spread, m_c, note
-    margin = max(threshold * abs(m_b), 3.0 * spread)
-    delta = m_c - m_b
-    if abs(delta) <= margin:
-        return "unchanged", m_b, spread, m_c, note
-    worse = delta > 0 if better == "lower" else delta < 0
-    return ("regressed" if worse else "improved"), m_b, spread, m_c, note
-
-
-def check_history(
-    history: BenchHistory,
-    extra_candidates: Iterable[BenchRecord] = (),
-    thresholds: Optional[Dict[str, float]] = None,
-) -> RegressionReport:
-    """Run the watchdog over one app's history (+ fresh measurements).
-
-    Candidates are the trailing non-baseline records of each config group
-    plus any ``extra_candidates`` (fresh runs not yet persisted).  Groups
-    without candidates are skipped; candidates without a baseline produce
-    a non-gating ``no-baseline`` verdict.
-    """
-    thresholds = dict(DEFAULT_THRESHOLDS, **(thresholds or {}))
-    extras = list(extra_candidates)
-    merged = BenchHistory(history.app, history.records + extras)
-    report = RegressionReport(thresholds=thresholds)
-    for key in merged.config_keys():
-        base = history.baselines(key)
-        cands = history.candidates(key) + [r for r in extras if r.config_key == key]
-        if not cands:
-            continue
-        for metric, better in GATED_METRICS.items():
-            if not base:
-                report.verdicts.append(MetricVerdict(
-                    history.app, key, metric, "no-baseline",
-                    candidate_median=median([r.metric(metric) for r in cands]),
-                    n_candidate=len(cands), gating=False,
-                ))
-                continue
-            bvals = [r.metric(metric) for r in base]
-            cvals = [r.metric(metric) for r in cands]
-            if all(v == 0.0 for v in bvals + cvals):
-                continue   # metric not recorded for this app (e.g. figure-only)
-            status, m_b, spread, m_c, note = classify(
-                bvals, cvals, thresholds.get(metric, 0.10), better
-            )
-            report.verdicts.append(MetricVerdict(
-                history.app, key, metric, status,
-                baseline_median=m_b, baseline_spread=spread,
-                candidate_median=m_c, n_baseline=len(base),
-                n_candidate=len(cands), note=note,
-            ))
-        # Host wall-clock cost: reported, never gated (CI runners and
-        # laptops are not comparable machines).
-        if base:
-            b_host = [r.metric("host_seconds") for r in base]
-            c_host = [r.metric("host_seconds") for r in cands]
-            if any(b_host) and any(c_host):
-                m_b, m_c = median(b_host), median(c_host)
-                report.verdicts.append(MetricVerdict(
-                    history.app, key, "host_seconds",
-                    "unchanged" if m_b == m_c
-                    else ("improved" if m_c < m_b else "regressed"),
-                    baseline_median=m_b, candidate_median=m_c,
-                    n_baseline=len(base), n_candidate=len(cands),
-                    gating=False,
-                ))
-        # Task counts must not drift silently within one config: report
-        # (non-gating) when the candidate DAG executed a different number
-        # of tasks than the baseline DAG.
-        if base:
-            b_tasks = median([float(r.tasks_total) for r in base])
-            c_tasks = median([float(r.tasks_total) for r in cands])
-            if b_tasks != c_tasks and (b_tasks or c_tasks):
-                report.verdicts.append(MetricVerdict(
-                    history.app, key, "tasks_total", "improved"
-                    if c_tasks < b_tasks else "regressed",
-                    baseline_median=b_tasks, candidate_median=c_tasks,
-                    n_baseline=len(base), n_candidate=len(cands),
-                    gating=False,
-                ))
-    return report
 
 
 # ------------------------------------------------------------- measurement
@@ -538,8 +273,9 @@ def check_history(
 
 class SeededBlockCyclic:
     """Block-cyclic tile map rotated by ``seed`` -- same grid, same DAG,
-    different owners, so a seed sweep yields a makespan distribution from
-    a fully deterministic simulator."""
+    different owners.  Seeds 0, 1 and 2 are three pinned placements
+    (:data:`PINS`), not samples of a distribution: each one is a cell
+    whose communication pattern differs from the others'."""
 
     def __init__(self, prows: int, pcols: int, seed: int = 0) -> None:
         self.prows = prows
@@ -613,19 +349,6 @@ def _instrumented_cluster(nodes: int, workers: int, overrides: Any = None):
     return cluster, tel
 
 
-def _coerce_overrides(overrides: Any) -> Any:
-    """Normalize an ``overrides`` kwarg (CostOverrides | dict | None).
-
-    Dicts are the picklable form used by fork-pool cell specs; both
-    round-trip through :meth:`repro.sim.cluster.CostOverrides.as_dict`.
-    """
-    if overrides is None:
-        return None
-    from repro.sim.cluster import CostOverrides
-
-    return CostOverrides.coerce(overrides)
-
-
 def _tiled_matrix(seed: int, p: Dict[str, Any]) -> Any:
     from repro.linalg import TiledMatrix
 
@@ -635,8 +358,8 @@ def _tiled_matrix(seed: int, p: Dict[str, Any]) -> Any:
 
 
 def _yukawa_matrix(seed: int, p: Dict[str, Any]) -> Any:
-    # The atom layout is seeded, so the seed sweep perturbs the sparsity
-    # pattern (and thus the communication volume) rather than the tile map.
+    # The atom layout is seeded, so each seed has its own sparsity pattern
+    # (and thus communication volume) rather than its own tile map.
     from repro.linalg import yukawa_blocksparse
 
     return yukawa_blocksparse(p["natoms"], target_tile=p["target_tile"],
@@ -738,6 +461,7 @@ def measure(
     from time import perf_counter
 
     from repro.runtime import ParsecBackend
+    from repro.sim.cluster import CostOverrides
 
     row = _row(app)
     unknown = set(params) - set(COMMON_PARAMS) - set(row.params)
@@ -746,7 +470,7 @@ def measure(
                         f"{sorted(unknown)}")
     p = dict(COMMON_PARAMS, **row.params)
     p.update(params)
-    ov = _coerce_overrides(overrides)
+    ov = CostOverrides.coerce(overrides)
     inputs = row.inputs(seed, p)
     cluster, tel = _instrumented_cluster(p["nodes"], p["workers"],
                                          overrides=ov)
@@ -764,12 +488,9 @@ def measure(
 def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
     """Measure one (app, seed) cell described by a plain dict.
 
-    Module-level and driven by picklable inputs/outputs, so it can cross a
-    process boundary: :func:`repro.bench.parallel.run_cells` maps a list
-    of these specs over a worker pool.  ``spec`` must contain ``app`` and
-    ``seed``; an ``engine`` key, if any, must name a kind of
-    :data:`repro.sim.engine.ENGINE_KINDS`; every other key is passed to
-    :func:`measure`.
+    ``spec`` must contain ``app`` and ``seed``; an ``engine`` key, if
+    any, must name a kind of :data:`repro.sim.engine.ENGINE_KINDS`; every
+    other key is passed to :func:`measure`.
     """
     from repro.sim.engine import ENGINE_KINDS
 
@@ -785,85 +506,71 @@ def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
 
 
 def measure_matrix(
-    apps: Sequence[str] = ("potrf", "fw"),
+    apps: Sequence[str],
     seeds: Sequence[int] = (0, 1, 2),
-    *,
-    parallel: int = 0,
-    overrides: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, List[BenchRecord]]:
-    """Seed-swept measurements of the watchdog matrix, grouped by app.
-
-    ``parallel > 1`` fans the (app, seed) cells out over that
-    many worker processes (run-granularity host parallelism -- see
-    :mod:`repro.bench.parallel`; results are deterministic and ordered
-    regardless).  ``overrides`` (a plain
-    :meth:`~repro.sim.cluster.CostOverrides.as_dict` mapping, so cells
-    stay picklable) perturbs every cell's costs -- the synthetic-regression
-    injection hook behind ``--slowdown``.
-    """
+    """The records of every (app, seed) cell at the apps' defaults,
+    measured inline and grouped by app.  A cell that raises raises."""
     for app in apps:
         _row(app)
-    cells = []
-    for app in apps:
-        for seed in seeds:
-            cell: Dict[str, Any] = {"app": app, "seed": seed}
-            if overrides:
-                cell["overrides"] = dict(overrides)
-            cells.append(cell)
-    if parallel > 1:
-        from repro.bench.parallel import run_cells
+    return {app: [measure(app, seed) for seed in seeds] for app in apps}
 
-        records = run_cells(cells, processes=parallel)
-    else:
-        records = [measure_cell(c) for c in cells]
-    out: Dict[str, List[BenchRecord]] = {app: [] for app in apps}
-    for rec in records:
-        out[rec.app].append(rec)
-    return out
+
+# ----------------------------------------------------------------- the pins
+
+
+def record_digest(record: BenchRecord) -> str:
+    """16 hex digits of the sha256 of ``record`` as canonical JSON,
+    without :data:`UNPINNED_FIELDS`."""
+    fields = {k: v for k, v in record.as_dict().items()
+              if k not in UNPINNED_FIELDS}
+    text = json.dumps(fields, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@dataclass
+class PinCheck:
+    """One watchdog cell measured afresh, against its pin ("" if none)."""
+
+    record: BenchRecord
+    pinned: str
+
+    @property
+    def measured(self) -> str:
+        return record_digest(self.record)
+
+    @property
+    def ok(self) -> bool:
+        return self.measured == self.pinned
+
+    def row(self) -> str:
+        mark = "ok   " if self.ok else "MOVED"
+        return (f"{mark} {self.record.app:<6} seed {self.record.seed}  "
+                f"pinned {self.pinned or '-':<16}  measured {self.measured}")
 
 
 def run_watchdog(
     directory: str = ".",
-    apps: Sequence[str] = ("potrf", "fw"),
-    seeds: Sequence[int] = (0, 1, 2),
+    apps: Optional[Sequence[str]] = None,
     *,
-    measure: bool = True,
     record: bool = False,
-    update_baseline: bool = False,
-    thresholds: Optional[Dict[str, float]] = None,
-    parallel: int = 0,
-    overrides: Optional[Dict[str, Any]] = None,
-    fresh_out: Optional[Dict[str, List[BenchRecord]]] = None,
-) -> Tuple[List[RegressionReport], List[Path]]:
-    """The full record / baseline / check cycle the CLI drives.
+) -> Tuple[List[PinCheck], List[Path]]:
+    """Measure the watchdog cells of ``apps`` (default: all of
+    :data:`APPS`) at seeds 0, 1 and 2, inline, and check each record
+    against its pin; a cell without a pin fails.
 
-    - ``measure``: run the seed-swept matrix and use the fresh records as
-      candidates (plus any trailing non-baseline records already stored).
-    - ``record``: append the fresh records to the ``BENCH_*.json`` files.
-    - ``update_baseline``: mark the fresh records as baseline.
-    - ``parallel`` / ``overrides``: forwarded to
-      :func:`measure_matrix`.
-    - ``fresh_out``: when given, filled with the fresh per-app records so
-      the caller can root-cause a failure without re-measuring (the
-      ``--explain`` path).
-    Returns the per-app reports and the paths written (if any).
+    ``record`` appends the fresh records to the ``BENCH_<app>.json``
+    files in ``directory``.  Returns one :class:`PinCheck` per cell and
+    the paths written (if any).
     """
-    fresh = (measure_matrix(apps, seeds, parallel=parallel,
-                            overrides=overrides)
-             if measure else {a: [] for a in apps})
-    if fresh_out is not None:
-        fresh_out.update(fresh)
-    reports: List[RegressionReport] = []
+    fresh = measure_matrix(list(APPS) if apps is None else apps)
+    checks = [PinCheck(r, PINS.get((app, r.seed), ""))
+              for app, records in fresh.items() for r in records]
     written: List[Path] = []
-    for app in apps:
-        history = BenchHistory.load_app(app, directory)
-        records = fresh.get(app, [])
-        if update_baseline:
-            for r in records:
-                r.baseline = True
-        reports.append(check_history(history, records, thresholds))
-        if record or update_baseline:
+    if record:
+        for app, records in fresh.items():
+            history = BenchHistory.load_app(app, directory)
             for r in records:
                 history.append(r)
             written.append(history.save(directory=directory))
-    return reports, written
+    return checks, written

@@ -1,7 +1,7 @@
 """Trace differ: align two recorded runs, rank what moved, say why.
 
-The regression watchdog (``python -m repro.bench --check-regressions``)
-can tell *that* a metric moved; this module tells *where*.  Two runs --
+The pinned watchdog (``python -m repro.bench --check-regressions``)
+can tell *that* a record moved; this module tells *where*.  Two runs --
 each a recorded trace (JSONL event log / live bus), a stored
 ``BENCH_*.json`` record, or a counters JSON -- are aligned by template,
 task key, protocol channel, and rank, and the movement is attributed:

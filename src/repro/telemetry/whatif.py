@@ -234,6 +234,10 @@ def explain(
     probes compose exactly with recorded overrides, an injected ``1/f``
     slowdown probed at ``f`` recovers the baseline makespan bit-for-bit
     and is flagged ``exact_baseline``.
+
+    Attributions are ranked by how close the probed makespan lands to
+    the baseline, then by recovery: a probe on a large template that
+    overshoots the delta says the template is big, not that it moved.
     """
     base_ms = float(baseline.makespan)
     cand_ms = float(candidate.makespan)
@@ -252,5 +256,6 @@ def explain(
             share=recovered / delta if delta != 0.0 else 0.0,
             exact_baseline=rep.makespan == base_ms,
         ))
-    out.attributions.sort(key=lambda a: -a.recovered)
+    out.attributions.sort(
+        key=lambda a: (abs(a.makespan - base_ms), -a.recovered))
     return out

@@ -1,4 +1,4 @@
-"""Benchmark history store, robust watchdog statistics, regression CLI."""
+"""Benchmark history store, the pinned watchdog cells, the watchdog CLI."""
 
 import json
 
@@ -6,19 +6,17 @@ import pytest
 
 from repro.bench.__main__ import main as bench_main
 from repro.bench.history import (
+    PINS,
     BenchHistory,
     BenchRecord,
     SCHEMA,
     SCHEMA_VERSION,
+    PinCheck,
     SeededBlockCyclic,
-    check_history,
-    classify,
-    mad,
     measure,
     measure_cell,
     measure_matrix,
-    median,
-    robust_stats,
+    record_digest,
     run_watchdog,
 )
 from repro.linalg import BlockCyclicDistribution
@@ -103,113 +101,22 @@ def test_future_schema_version_refused(tmp_path):
         BenchHistory.load(p)
 
 
-def test_baseline_window_and_candidates():
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010, baseline=True, seed=0))
-    h.append(_rec(0.011, seed=1))                 # pre-re-baseline candidate
-    h.append(_rec(0.0102, baseline=True, seed=2))  # new baseline window
-    h.append(_rec(0.012, seed=3))
-    h.append(_rec(0.013, seed=4))
-    key = h.records[0].config_key
-    assert [r.seed for r in h.baselines(key)] == [0, 2]
-    assert [r.seed for r in h.candidates(key)] == [3, 4]
-
-
-# -------------------------------------------------------------- statistics
-
-
-def test_median_and_mad():
-    assert median([3.0, 1.0, 2.0]) == 2.0
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-    assert mad([1.0, 1.0, 1.0]) == 0.0
-    assert mad([1.0, 2.0, 3.0]) == 1.0
-    m, spread = robust_stats([10.0, 12.0, 11.0])
-    assert m == 11.0 and spread == pytest.approx(1.0 * 1.4826)
-
-
-def test_classify_directions():
-    base = [0.010, 0.010, 0.010]
-    # 30% slower on a lower-is-better metric: regression.
-    assert classify(base, [0.013], 0.10, "lower")[0] == "regressed"
-    # 30% faster: improvement.
-    assert classify(base, [0.007], 0.10, "lower")[0] == "improved"
-    # Within the 10% band: unchanged.
-    assert classify(base, [0.0105], 0.10, "lower")[0] == "unchanged"
-    # Higher-is-better flips the direction.
-    assert classify([100.0] * 3, [70.0], 0.10, "higher")[0] == "regressed"
-    assert classify([100.0] * 3, [130.0], 0.10, "higher")[0] == "improved"
-
-
-def test_classify_wide_baseline_spread_absorbs_shift():
-    # MAD-based margin: a noisy baseline tolerates a shift the relative
-    # threshold alone would flag.
-    noisy = [0.010, 0.014, 0.006]   # MAD = 0.004 -> margin ~ 0.0178
-    assert classify(noisy, [0.013], 0.10, "lower")[0] == "unchanged"
-
-
-def test_classify_window_of_one_is_threshold_only_and_warns():
-    # n=1: MAD is degenerately 0.0.  The margin must be the pure
-    # threshold term and the verdict must say so.
-    status, m_b, spread, m_c, note = classify([0.010], [0.013], 0.10, "lower")
-    assert status == "regressed"
-    assert spread == 0.0
-    assert "small baseline window (n=1" in note
-    assert "threshold-only" in note
-    # Inside the threshold band: unchanged, same warning.
-    status, _, _, _, note = classify([0.010], [0.0105], 0.10, "lower")
-    assert status == "unchanged"
-    assert "small baseline window" in note
-
-
-def test_classify_window_of_two_drops_the_spread_term():
-    # n=2: MAD is half the range -- not a robust scale.  A wide two-sample
-    # spread must NOT absorb a > threshold shift the way a real MAD would.
-    base = [0.008, 0.012]   # median 0.010, naive MAD would be 0.002
-    status, _, spread, _, note = classify(base, [0.013], 0.10, "lower")
-    assert status == "regressed"   # 3*1.4826*0.002 would have absorbed it
-    assert spread == 0.0
-    assert "small baseline window (n=2" in note
-
-
-def test_classify_window_of_three_uses_mad_and_does_not_warn():
-    base = [0.010, 0.014, 0.006]
-    status, _, spread, _, note = classify(base, [0.013], 0.10, "lower")
-    assert status == "unchanged"   # the MAD margin absorbs the shift
-    assert spread > 0.0
-    assert note == ""
-
-
-def test_small_window_note_surfaces_in_verdict_row():
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010, baseline=True, seed=0))   # one-sample baseline
-    h.append(_rec(0.013, seed=9))
-    rep = check_history(h)
-    rows = [v for v in rep.verdicts if v.metric == "makespan"]
-    assert rows and "small baseline window" in rows[0].note
-    assert "small baseline window" in rows[0].row()
-    assert "small baseline window" in rep.format()
-
-
-def test_check_history_flags_injected_regression():
-    h = BenchHistory("potrf")
-    for seed in (0, 1, 2):
-        h.append(_rec(0.010, baseline=True, seed=seed))
-    ok = check_history(h)
-    assert ok.ok and not ok.regressions
-
-    h.append(_rec(0.012, seed=9))   # +20% makespan candidate
-    bad = check_history(h)
-    assert not bad.ok
-    assert any(v.metric == "makespan" for v in bad.regressions)
-    assert "regressed" in bad.format()
-
-
-def test_check_history_no_baseline_is_not_gating():
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010))           # candidate with no baseline window
-    rep = check_history(h)
-    assert rep.ok
-    assert any(v.status == "no-baseline" for v in rep.verdicts)
+def test_moved_makespan_fails_its_pin():
+    """A +20 % makespan changes a record's digest, so its pin fails;
+    host time, the engine name and the commit do not."""
+    base = _rec(0.010)
+    pinned = record_digest(base)
+    assert len(pinned) == 16 and int(pinned, 16) >= 0
+    assert PinCheck(base, pinned).ok
+    host_only = _rec(0.010)
+    host_only.host_seconds, host_only.engine = 9.5, "sharded"
+    host_only.git_sha = "abc1234"
+    assert PinCheck(host_only, pinned).ok
+    slow = _rec(0.012)
+    check = PinCheck(slow, pinned)
+    assert not check.ok and check.measured != pinned
+    assert check.row().startswith("MOVED potrf") and pinned in check.row()
+    assert not PinCheck(base, "").ok          # a cell without a pin fails
 
 
 # ------------------------------------------------------- seeded placement
@@ -250,42 +157,56 @@ def test_seed_sweep_produces_a_distribution():
 
 def test_run_watchdog_update_then_check(tmp_path):
     d = str(tmp_path)
-    reports, written = run_watchdog(d, apps=("potrf",), seeds=(0, 1),
-                                    update_baseline=True)
+    checks, written = run_watchdog(d, apps=("potrf",), record=True)
     assert [p.name for p in written] == ["BENCH_potrf.json"]
-    assert all(r.ok for r in reports)
+    assert [(c.record.app, c.record.seed) for c in checks] == \
+        [("potrf", 0), ("potrf", 1), ("potrf", 2)]
+    assert all(c.ok for c in checks)
+    stored = BenchHistory.load(written[0]).records
+    assert [record_digest(r) for r in stored] == [c.pinned for c in checks]
 
-    reports, written = run_watchdog(d, apps=("potrf",), seeds=(0, 1))
+    checks, written = run_watchdog(d, apps=("potrf",))
     assert not written                      # check-only: nothing recorded
-    assert all(r.ok for r in reports)       # deterministic: identical reruns
+    assert all(c.ok for c in checks)        # deterministic: identical reruns
+    assert len(BenchHistory.load_app("potrf", d)) == 3
 
 
-def test_cli_check_regressions_passes_then_fails_on_injection(tmp_path, capsys):
+def test_default_sweep_is_the_pinned_cells(monkeypatch):
+    """With no app named, the watchdog measures exactly the cells of
+    ``PINS``, in table order."""
+    import repro.bench.history as history
+
+    monkeypatch.setattr(history, "measure",
+                        lambda app, seed: BenchRecord(app=app, seed=seed))
+    checks, written = run_watchdog()
+    assert [(c.record.app, c.record.seed) for c in checks] == list(PINS)
+    assert [c.pinned for c in checks] == list(PINS.values())
+    assert not written and not any(c.ok for c in checks)
+
+
+def test_cli_check_regressions_passes_then_fails_on_injection(
+        tmp_path, monkeypatch, capsys):
     d = str(tmp_path)
-    assert bench_main(["--update-baseline", "--history-dir", d,
-                       "--apps", "potrf", "--seeds", "0,1"]) == 0
-    assert bench_main(["--check-regressions", "--history-dir", d,
-                       "--apps", "potrf", "--seeds", "0,1"]) == 0
-    assert "no regressions" in capsys.readouterr().out
+    args = ["--check-regressions", "--history-dir", d, "--apps", "potrf"]
+    assert bench_main(args) == 0
+    assert "all 3 cell(s) match their pins" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())     # a check writes nothing
 
-    # Inject a +20% makespan / -20% gflops run, then judge the stored
-    # trailing candidates alone (--no-measure): the gate must trip.
-    path = BenchHistory.path_for("potrf", d)
-    h = BenchHistory.load(path)
-    slow = BenchRecord.from_dict(h.records[-1].as_dict())
-    slow.makespan *= 1.2
-    slow.gflops /= 1.2
-    slow.baseline = False
-    slow.seed = 99
-    h.append(slow)
-    h.save(path)
-
-    code = bench_main(["--check-regressions", "--no-measure",
-                       "--history-dir", d, "--apps", "potrf"])
+    # Editing one pin fails the check and names that app and seed.
+    real = PINS[("potrf", 1)]
+    monkeypatch.setitem(PINS, ("potrf", 1), "0" * 16)
+    code = bench_main(args)
     captured = capsys.readouterr()
     assert code == 1
-    assert "REGRESSION" in captured.err
-    assert "!!" in captured.out              # regression marker rows
+    assert "PIN MOVED: 1 of 3 cell(s)" in captured.err
+    assert (f"MOVED potrf  seed 1  pinned {'0' * 16}  measured {real}"
+            in captured.out)
+
+
+def test_cli_rejects_an_empty_app_list(capsys):
+    with pytest.raises(SystemExit):
+        bench_main(["--check-regressions", "--apps", ""])
+    assert "empty app list" in capsys.readouterr().err
 
 
 def test_cli_requires_experiment_or_watchdog_flag(capsys):
@@ -358,101 +279,30 @@ def test_engine_and_host_seconds_excluded_from_config_key():
     assert a.config_key == b.config_key
 
 
-def test_dotted_metric_indexes_dict_fields():
-    r = _rec(0.01)
-    r.bytes_by_protocol = {"splitmd": 4096.0, "eager": 128.0}
-    assert r.metric("bytes_by_protocol.splitmd") == 4096.0
-    assert r.metric("bytes_by_protocol.eager") == 128.0
-    assert r.metric("bytes_by_protocol.rendezvous") == 0.0   # missing -> 0
-    assert r.metric("makespan") == 0.01
-
-
-def test_protocol_gate_catches_splitmd_to_eager_fallback():
-    # The failure mode: a serialization regression silently routes large
-    # payloads through the eager protocol.  Makespan barely moves, but the
-    # protocol split must trip the gate.
-    h = BenchHistory("potrf")
-    for seed in (0, 1, 2):
-        r = _rec(0.010, baseline=True, seed=seed)
-        r.bytes_by_protocol = {"splitmd": 10000.0, "eager": 500.0}
-        h.append(r)
-    bad = _rec(0.010, seed=9)
-    bad.bytes_by_protocol = {"splitmd": 0.0, "eager": 10500.0}
-    h.append(bad)
-    rep = check_history(h)
-    assert not rep.ok
-    flagged = {v.metric for v in rep.regressions}
-    assert "bytes_by_protocol.splitmd" in flagged
-    assert "bytes_by_protocol.eager" in flagged
-    assert "makespan" not in flagged
-
-
-def test_host_seconds_verdict_reported_but_not_gating():
-    h = BenchHistory("potrf")
-    for seed in (0, 1, 2):
-        r = _rec(0.010, baseline=True, seed=seed)
-        r.host_seconds = 2.0
-        h.append(r)
-    fast = _rec(0.010, seed=9)
-    fast.host_seconds = 1.0   # 2x host speedup, same virtual results
-    h.append(fast)
-    rep = check_history(h)
-    assert rep.ok                                   # never gates
-    hv = [v for v in rep.verdicts if v.metric == "host_seconds"]
-    assert len(hv) == 1
-    assert hv[0].status == "improved" and not hv[0].gating
-
-
-def test_prune_keeps_recent_per_group():
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010, baseline=True, seed=0))
-    for seed in range(1, 7):
-        h.append(_rec(0.011, seed=seed))
-    # A second config group must be pruned independently.
-    for seed in range(3):
-        h.append(_rec(0.02, seed=seed, n=2048))
-    dropped = h.prune(2)
-    assert dropped == 5                    # 6 -> 2 and 3 -> 2 per group
-    key = _rec(0.01).config_key
-    assert [r.seed for r in h.group(key)] == [0, 5, 6]
-    assert h.records[0].baseline           # baselines kept unconditionally
-    assert len(h.group(_rec(0.02, n=2048).config_key)) == 2
-
-
-def test_prune_drop_old_baselines_keeps_active_sweep():
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010, baseline=True, seed=0))   # superseded sweep
-    h.append(_rec(0.011, seed=1))
-    h.append(_rec(0.0102, baseline=True, seed=2))  # active sweep
-    h.append(_rec(0.0101, baseline=True, seed=3))  # same sweep (contiguous)
-    h.append(_rec(0.012, seed=4))
-    dropped = h.prune(10, keep_baselines=False)
-    assert dropped == 1
-    assert [r.seed for r in h.records] == [1, 2, 3, 4]
-
-
-def test_prune_zero_keep_and_negative(tmp_path):
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010, baseline=True, seed=0))
-    h.append(_rec(0.011, seed=1))
-    with pytest.raises(ValueError):
-        h.prune(-1)
-    assert h.prune(0) == 1
-    assert [r.seed for r in h.records] == [0]
-
-
-def test_cli_prune_compacts_files(tmp_path, capsys):
+def test_protocol_gate_catches_splitmd_to_eager_fallback(
+        tmp_path, monkeypatch, capsys):
+    """The failure mode: a serialization change moves payloads between
+    protocols while the makespan does not move.  The byte split alone
+    must fail the pin, and ``--explain`` must name it."""
     d = str(tmp_path)
-    h = BenchHistory("potrf")
-    h.append(_rec(0.010, baseline=True, seed=0))
-    for seed in range(1, 6):
-        h.append(_rec(0.011, seed=seed))
-    h.save(directory=d)
-    assert bench_main(["prune", "--history-dir", d, "--apps", "potrf",
-                       "--keep", "2"]) == 0
+    fresh = measure("potrf", 0)
+    stored = BenchRecord.from_dict(fresh.as_dict())
+    stored.bytes_by_protocol = {"eager": sum(fresh.bytes_by_protocol.values())}
+    BenchHistory("potrf", [stored]).save(directory=d)
+    monkeypatch.setitem(PINS, ("potrf", 0), record_digest(stored))
+
+    code = bench_main(["--check-regressions", "--explain", "--history-dir", d,
+                       "--apps", "potrf"])
     out = capsys.readouterr().out
-    assert "dropped 3" in out
-    assert len(BenchHistory.load(BenchHistory.path_for("potrf", d))) == 3
+    assert code == 1
+    assert "MOVED potrf  seed 0" in out
+    assert "moved since the stored record: bytes_by_protocol\n" in out
+    assert "root cause" not in out           # makespan equal: no what-if
+    rc = json.loads((tmp_path / "rootcause-potrf.json").read_text())
+    assert rc["explanation"] is None
+    assert rc["diff"]["makespan"]["delta"] == 0.0
+    assert {row["channel"] for row in rc["diff"]["bytes_by_protocol"]} == \
+        {"eager", "splitmd"}
 
 
 # --------------------------------------------------- measurement matrix

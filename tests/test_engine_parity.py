@@ -8,7 +8,7 @@ bench measurements, ledger totals and sanitizer findings for
 sharded engine on the last version that had it (its sequential runs gave
 the same values), so every comparison still holds at full strength:
 the one loop must land on what both kinds produced -- not approximately,
-bit for bit.  Pooled benchmark cells are compared with inline ones.
+bit for bit.
 """
 
 import hashlib
@@ -124,36 +124,24 @@ def test_trace_records_identical(app):
 
 
 def test_bench_measurements_identical():
-    """All four watchdog records at each app's defaults, one per app of
-    ``APPS``.  The BSPMM and MRA digests were taken from the per-app
-    measurement functions that the one table-driven ``measure``
-    replaced."""
-    from repro.bench.history import APPS, measure
+    """The seed-0 rows of the watchdog's pin table, one per app of
+    ``APPS``, measured at each app's defaults.  The BSPMM and MRA digests
+    were taken from the per-app measurement functions that the one
+    table-driven ``measure`` replaced.  Every app is pinned at seeds 0, 1
+    and 2, so an app added without pins fails here."""
+    from repro.bench.history import APPS, PINS, measure, record_digest
 
-    want = {"potrf": "85404bb571d2d1ab", "fw": "548a71e89e599015",
-            "bspmm": "8aab56b7b03ea1ca", "mra": "f37b9506876bbda5"}
-    assert set(APPS) == set(want) == {"potrf", "fw", "bspmm", "mra"}
-    for app, digest in want.items():
-        record = measure(app, 0).as_dict()
-        assert record["engine"] == "seq" and record["app"] == app
-        assert record["makespan"] > 0 and record["tasks_total"] > 0
-        for skip in ("host_seconds", "engine", "git_sha"):
-            record.pop(skip)
-        assert _digest(record) == digest, app
-
-
-def test_pooled_cells_identical_to_inline():
-    from repro.bench.history import measure_cell
-    from repro.bench.parallel import run_cells
-
-    cells = [{"app": "fw", "seed": s} for s in (0, 1)]
-    parallel = run_cells(cells, processes=2)
-    inline = [measure_cell(c) for c in cells]
-    for p, i in zip(parallel, inline):
-        dp, di = p.as_dict(), i.as_dict()
-        for skip in ("host_seconds", "git_sha"):
-            dp.pop(skip), di.pop(skip)
-        assert dp == di
+    assert set(APPS) == {"potrf", "fw", "bspmm", "mra"}
+    assert {app for app, _ in PINS} == set(APPS)
+    assert {seed for _, seed in PINS} == {0, 1, 2}
+    assert set(PINS) == {(app, seed) for app in APPS for seed in (0, 1, 2)}
+    for (app, seed), digest in PINS.items():
+        if seed != 0:
+            continue
+        record = measure(app, seed)
+        assert record.engine == "seq" and record.app == app
+        assert record.makespan > 0 and record.tasks_total > 0
+        assert record_digest(record) == digest, app
 
 
 # -------------------------------------------------- sanitizer parity

@@ -10,7 +10,7 @@ with zero tolerance -- an injected ``1/f`` slowdown replayed under an
 import pytest
 
 from repro.bench.__main__ import main as bench_main
-from repro.bench.history import BenchHistory, measure
+from repro.bench.history import PINS, BenchHistory, measure, record_digest
 from repro.sim.cluster import CostOverrides
 from repro.telemetry import whatif
 from repro.telemetry.whatif import (
@@ -82,9 +82,11 @@ def test_injected_slowdown_slows_run_and_is_recorded():
     assert cand.makespan > base.makespan
     assert cand.cost_overrides == {"speedups": {"TRSM": 0.5}}
     assert base.cost_overrides == {}
-    # Deliberate: overrides are excluded from the config key, so the
-    # regressed run gates against the clean baseline window.
+    # Deliberate: overrides are excluded from the config key, so
+    # --explain compares the regressed run with the clean one...
     assert cand.config_key == base.config_key
+    # ...but not from the pin digest: a perturbed run never matches.
+    assert record_digest(cand) != record_digest(base)
 
 
 def test_pure_replay_reproduces_the_record_bit_for_bit():
@@ -203,23 +205,35 @@ def test_cli_whatif_rejects_non_history(tmp_path):
 # -------------------------------------------------- watchdog --explain
 
 
-def test_watchdog_explain_end_to_end(tmp_path, capsys):
-    """The ISSUE acceptance scenario through the real CLI: a 2x cost
-    injection on one potrf template must exit 1 with that template ranked
-    first at >= 50% of the makespan delta, and write the root-cause
-    JSON artifact."""
+@pytest.fixture(scope="module")
+def faster_trsm():
+    """A potrf seed-0 record taken with TRSM twice as fast: it stands in
+    for a parent commit whose TRSM cost half of what it costs now."""
+    return measure("potrf", 0, overrides={"speedups": {"TRSM": 2.0}})
+
+
+def _moved_pin(directory, monkeypatch, stored):
+    """Store ``stored`` as the history of potrf and pin seed 0 to it."""
+    BenchHistory("potrf", [stored]).save(directory=directory)
+    monkeypatch.setitem(PINS, ("potrf", 0), record_digest(stored))
+
+
+def test_watchdog_explain_end_to_end(tmp_path, capsys, monkeypatch,
+                                     faster_trsm):
+    """Through the real CLI: a pin that moved because TRSM got 2x slower
+    exits 1 with TRSM ranked first at >= 50% of the makespan delta, and
+    writes the root-cause JSON artifact."""
     import json as _json
 
     d = str(tmp_path)
-    assert bench_main(["--update-baseline", "--history-dir", d,
-                       "--apps", "potrf", "--seeds", "0,1"]) == 0
-    capsys.readouterr()
+    _moved_pin(d, monkeypatch, faster_trsm)
     code = bench_main(["--check-regressions", "--history-dir", d,
-                       "--apps", "potrf", "--seeds", "0,1",
-                       "--slowdown", "TRSM=2", "--explain"])
+                       "--apps", "potrf", "--explain"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "REGRESSION" in captured.err
+    assert "PIN MOVED: 1 of 3" in captured.err
+    assert "MOVED potrf  seed 0" in captured.out
+    assert "run diff:" in captured.out
     assert "root cause" in captured.out
     assert "=> TRSM accounts for" in captured.out
 
@@ -232,16 +246,29 @@ def test_watchdog_explain_end_to_end(tmp_path, capsys):
     assert rc["diff"]["schema"] == "repro.telemetry/diff-v1"
 
 
-def test_watchdog_explain_out_dir(tmp_path, capsys):
+def test_watchdog_explain_out_dir(tmp_path, capsys, monkeypatch,
+                                  faster_trsm):
     d = str(tmp_path / "hist")
     out = str(tmp_path / "artifacts")
     (tmp_path / "hist").mkdir()
-    assert bench_main(["--update-baseline", "--history-dir", d,
-                       "--apps", "potrf", "--seeds", "0"]) == 0
+    _moved_pin(d, monkeypatch, faster_trsm)
     code = bench_main(["--check-regressions", "--history-dir", d,
-                       "--apps", "potrf", "--seeds", "0",
-                       "--slowdown", "GEMM=2", "--explain",
-                       "--explain-out", out])
+                       "--apps", "potrf", "--explain", "--explain-out", out])
     capsys.readouterr()
     assert code == 1
     assert (tmp_path / "artifacts" / "rootcause-potrf.json").exists()
+    assert not (tmp_path / "hist" / "rootcause-potrf.json").exists()
+
+
+def test_watchdog_explain_without_a_stored_record(tmp_path, capsys,
+                                                  monkeypatch):
+    """A moved pin with no stored record of its cell is one line, and the
+    check still fails."""
+    monkeypatch.setitem(PINS, ("potrf", 0), "0" * 16)
+    code = bench_main(["--check-regressions", "--history-dir", str(tmp_path),
+                       "--apps", "potrf", "--explain"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("cannot explain potrf seed 0 (parsec|b=128,machine=hawk,n=1024,"
+            "nodes=4,workers=4): no stored record of this cell") in out
+    assert not (tmp_path / "rootcause-potrf.json").exists()
