@@ -7,9 +7,9 @@ overlap compute, and a closing barrier.  A round's duration is::
     max_over_ranks( compute_time(rank) ) + comm + barrier
 
 where a rank's compute time honours Brent's bound --
-``max(total_work / (workers * rate), critical_path / rate)`` -- so limited
-task parallelism (the fork-join pathology the paper highlights) is charged
-faithfully.
+``max(total_work / (workers * rate), min(critical_path, total_work) / rate)``
+-- so limited task parallelism (the fork-join pathology the paper
+highlights) is charged faithfully.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ class Round:
     work:
         flops per rank (only ranks with work need appear).
     critical_path:
-        flops of the longest dependent chain per rank (defaults to the
-        largest single task if omitted -- pass explicitly for fork-join
-        phases with dependency chains).
+        flops of the longest dependent chain per rank (0 if omitted: the
+        work spreads over every worker).  A chain longer than the rank's
+        work is charged as the work.
     comm:
         duration of the round's communication phase in seconds (use the
         :class:`~repro.comm.collectives.Collectives` duration helpers).
@@ -60,15 +60,15 @@ class RoundTiming:
 class BulkSyncExecutor:
     """Executes rounds against a cluster's cost model."""
 
-    def __init__(self, cluster: Cluster, per_task_overhead: float = 0.0) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.per_task_overhead = per_task_overhead
         self.timeline: List[RoundTiming] = []
 
     def _compute_time(self, flops: float, cp: float) -> float:
         node = self.cluster.node
         rate = node.flops_per_worker
-        return max(flops / (node.workers * rate), cp / rate)
+        # A chain cannot hold more work than the rank has.
+        return max(flops / (node.workers * rate), min(cp, flops) / rate)
 
     def run(self, rounds: List[Round]) -> float:
         """Total makespan of the round sequence."""

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.apps.cholesky import cholesky_ttg
 from repro.baselines.bulksync import BulkSyncExecutor, Round
 from repro.linalg.kernels import (
@@ -40,6 +42,10 @@ from repro.runtime.base import BackendConfig
 from repro.runtime.parsec import ParsecBackend
 from repro.sim.cluster import Cluster
 
+#: The fork-join codes' own blockings: ScaLAPACK's nb and SLATE's tile.
+SCALAPACK_NB = 64
+SLATE_TILE = 256
+
 
 @dataclass
 class BaselineResult:
@@ -52,6 +58,17 @@ class BaselineResult:
 
     def __repr__(self) -> str:
         return f"{self.name}: {self.gflops:.1f} Gflop/s ({self.makespan:.4f}s)"
+
+
+def _update_work(owner: np.ndarray, k: int, syrk: float, gemm: float) -> Dict[int, float]:
+    """Per-rank flops of iteration ``k``'s trailing update, ``owner[m, n]``
+    being the rank of tile (m, n).  Row by row, SYRK (m, m) comes first,
+    then the GEMMs (m, n) for k < n < m; ``bincount`` adds each rank's
+    kernels in that order, as a loop over the tiles would."""
+    i, j = np.tril_indices(len(owner) - k - 1)
+    owners = owner[i + k + 1, np.where(j == 0, i, j - 1) + k + 1]
+    sums = np.bincount(owners, np.where(j == 0, syrk, gemm))
+    return {int(r): float(sums[r]) for r in np.unique(owners)}
 
 
 def _forkjoin_cholesky(
@@ -107,6 +124,10 @@ def _forkjoin_cholesky(
     dist = BlockCyclicDistribution.for_ranks(nranks)
     net = cluster.network
     tile_bytes = b * b * 8
+    owner = np.array([[dist.rank_of(i, j) for j in range(nt)] for i in range(nt)])
+    trsm = effective_flops(trsm_flops(b), b)
+    syrk = effective_flops(syrk_flops(b), b)
+    gemm = effective_flops(gemm_flops(b, b, b), b)
     rounds = []
     for k in range(nt):
         owner_kk = dist.rank_of(k, k)
@@ -128,7 +149,7 @@ def _forkjoin_cholesky(
         tiles_per_rank: Dict[int, int] = {}
         for m in range(k + 1, nt):
             r = dist.rank_of(m, k)
-            work[r] = work.get(r, 0.0) + effective_flops(trsm_flops(b), b)
+            work[r] = work.get(r, 0.0) + trsm
             tiles_per_rank[r] = tiles_per_rank.get(r, 0) + 1
         max_tiles = max(tiles_per_rank.values(), default=0)
         bcast = net.bcast_time(dist.pcols, tile_bytes) + net.bcast_time(
@@ -137,24 +158,18 @@ def _forkjoin_cholesky(
         rounds.append(
             Round(
                 work=work,
-                critical_path={r: effective_flops(trsm_flops(b), b) for r in work},
+                critical_path={r: trsm for r in work},
                 comm=comm_factor * max_tiles * bcast,
                 name=f"trsm({k})",
             )
         )
         # Round 3: trailing update (SYRK + GEMM), embarrassingly parallel
         # across tiles but one worker per tile kernel.
-        work = {}
-        for m in range(k + 1, nt):
-            r = dist.rank_of(m, m)
-            work[r] = work.get(r, 0.0) + effective_flops(syrk_flops(b), b)
-            for nn in range(k + 1, m):
-                r = dist.rank_of(m, nn)
-                work[r] = work.get(r, 0.0) + effective_flops(gemm_flops(b, b, b), b)
+        work = _update_work(owner, k, syrk, gemm)
         rounds.append(
             Round(
                 work=work,
-                critical_path={r: effective_flops(gemm_flops(b, b, b), b) for r in work},
+                critical_path={r: gemm for r in work},
                 name=f"update({k})",
             )
         )
@@ -168,21 +183,21 @@ def _forkjoin_cholesky(
     )
 
 
-def scalapack_cholesky(cluster: Cluster, n: int, b: int = 512) -> BaselineResult:
-    """ScaLAPACK: pure-MPI (one rank per core) with its own nb=64 internal
-    blocking (the tile size argument of the tiled codes does not apply),
-    serial panel, grid-wide collectives."""
+def scalapack_cholesky(cluster: Cluster, n: int) -> BaselineResult:
+    """ScaLAPACK: pure-MPI (one rank per core) with its own
+    ``SCALAPACK_NB`` internal blocking (the tile size of the tiled codes
+    does not apply), serial panel, grid-wide collectives."""
     return _forkjoin_cholesky(
-        cluster, n, 64, name="scalapack", panel_workers=1, comm_factor=1.3,
-        pure_mpi=True,
+        cluster, n, SCALAPACK_NB, name="scalapack", panel_workers=1,
+        comm_factor=1.3, pure_mpi=True,
     )
 
 
-def slate_cholesky(cluster: Cluster, n: int, b: int = 512) -> BaselineResult:
-    """SLATE: 256^2 tiles with a multithreaded panel, tuned broadcasts,
-    still fork-join without lookahead."""
+def slate_cholesky(cluster: Cluster, n: int) -> BaselineResult:
+    """SLATE: ``SLATE_TILE``^2 tiles with a multithreaded panel, tuned
+    broadcasts, still fork-join without lookahead."""
     return _forkjoin_cholesky(
-        cluster, n, 256, name="slate", panel_workers=4, comm_factor=1.0
+        cluster, n, SLATE_TILE, name="slate", panel_workers=4, comm_factor=1.0
     )
 
 

@@ -13,8 +13,7 @@ from repro.analysis.cli import lint_file, main, parse_waivers
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(ROOT, "examples")
 
-FAST_EXAMPLES = ["quickstart.py", "sending_modes.py", "ptg_wavefront.py",
-                 "spmd_pingpong.py"]
+FAST_EXAMPLES = ["quickstart.py", "sending_modes.py", "ptg_wavefront.py"]
 
 
 def run_cli(args):

@@ -1,5 +1,6 @@
 """Tests for the comparator models."""
 
+import numpy as np
 import pytest
 
 from repro.apps.mra import random_gaussians
@@ -14,6 +15,7 @@ from repro.baselines import (
     scalapack_cholesky,
     slate_cholesky,
 )
+from repro.baselines.cholesky_variants import _update_work
 from repro.linalg import BlockCyclicDistribution, TiledMatrix, yukawa_blocksparse
 from repro.sim.cluster import Cluster, HAWK
 
@@ -35,6 +37,10 @@ def test_round_duration_brent_bound():
     ex2 = BulkSyncExecutor(cluster(1, workers=4))
     t2 = ex2.run([Round(work={0: 4 * rate}, critical_path={0: 3 * rate})])
     assert t2 == pytest.approx(3.0, rel=1e-6)
+    # a chain longer than the rank's work is clamped to the work
+    ex3 = BulkSyncExecutor(cluster(1, workers=4))
+    t3 = ex3.run([Round(work={0: 2 * rate}, critical_path={0: 5 * rate})])
+    assert t3 == pytest.approx(2.0, rel=1e-6)
 
 
 def test_round_max_over_ranks_plus_comm_barrier():
@@ -65,6 +71,24 @@ def test_forkjoin_cholesky_results_sane():
     assert 0 < sc.gflops < cl.peak_gflops
     assert 0 < sl.gflops < cl.peak_gflops
     assert sc.makespan > 0 and sl.makespan > 0
+
+
+def test_update_work_sums_like_the_tile_loop():
+    """The vectorised trailing update adds each rank's kernels in the
+    loop's order, so the per-rank sums are bit-identical to it."""
+    syrk, gemm = 0.1, 0.7  # inexact in binary: order-sensitive sums
+    for nt, prows, pcols in ((1, 1, 1), (7, 2, 3), (12, 4, 4), (9, 3, 1)):
+        owner = np.array([[(i % prows) * pcols + j % pcols for j in range(nt)]
+                          for i in range(nt)])
+        for k in range(nt):
+            ref = {}
+            for m in range(k + 1, nt):
+                r = int(owner[m, m])
+                ref[r] = ref.get(r, 0.0) + syrk
+                for n in range(k + 1, m):
+                    r = int(owner[m, n])
+                    ref[r] = ref.get(r, 0.0) + gemm
+            assert _update_work(owner, k, syrk, gemm) == ref, (nt, k)
 
 
 def test_taskbased_beats_forkjoin_at_scale():

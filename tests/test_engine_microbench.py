@@ -2,8 +2,8 @@
 
 Measures events/second on a synthetic event storm, on the bare loop
 (``seq``) and on the loop with its one periodic hook, ``on_checkpoint``,
-firing before every event (``sharded``: the row id from when the second row ran
-the deleted sharded engine), and checks the optimizations stay effective:
+firing before every event (``hooked``), and checks the optimizations stay
+effective:
 
 - the batched ``schedule_batch`` path must hold one heap entry per burst
   (it exists to amortize ``heappush``), and under REPRO_BENCH_STRICT
@@ -31,7 +31,7 @@ N_EVENTS = 20_000
 
 def _engine(kind):
     eng = Engine()
-    if kind == "sharded":
+    if kind == "hooked":
         eng.on_checkpoint = lambda now, n: None
         eng.checkpoint_every = 1
     return eng
@@ -53,7 +53,7 @@ def _time_drain(eng):
     return time.perf_counter() - t0
 
 
-@pytest.mark.parametrize("kind", ["seq", "sharded"])
+@pytest.mark.parametrize("kind", ["seq", "hooked"])
 def test_storm_throughput_smoke(kind):
     eng = _engine(kind)
     hits = []
@@ -70,9 +70,9 @@ def test_storm_throughput_smoke(kind):
         assert rate > 20_000, f"{kind} loop at {rate:,.0f} ev/s"
 
 
-def test_seq_and_sharded_order_identical_on_storm():
+def test_seq_and_hooked_order_identical_on_storm():
     results = []
-    for kind in ("seq", "sharded"):
+    for kind in ("seq", "hooked"):
         hits = []
         eng = _engine(kind)
         _storm(eng, hits, n=5_000)

@@ -128,8 +128,12 @@ def test_bench_measurements_identical():
     ``APPS``, measured at each app's defaults.  The BSPMM and MRA digests
     were taken from the per-app measurement functions that the one
     table-driven ``measure`` replaced.  Every app is pinned at seeds 0, 1
-    and 2, so an app added without pins fails here."""
+    and 2, so an app added without pins fails here.  The POTRF and FW
+    records must also take at least ``max(S, W / P)`` of their cell."""
     from repro.bench.history import APPS, PINS, measure, record_digest
+    from repro.bench.workspan import fw_work_span, potrf_work_span
+
+    work_span = {"potrf": potrf_work_span, "fw": fw_work_span}
 
     assert set(APPS) == {"potrf", "fw", "bspmm", "mra"}
     assert {app for app, _ in PINS} == set(APPS)
@@ -142,6 +146,12 @@ def test_bench_measurements_identical():
         assert record.engine == "seq" and record.app == app
         assert record.makespan > 0 and record.tasks_total > 0
         assert record_digest(record) == digest, app
+        if app in work_span:
+            c = record.config
+            ws = work_span[app](c["n"] // c["b"], c["b"],
+                                HAWK.with_workers(c["workers"]).node)
+            bound = ws.lower_bound(c["nodes"] * c["workers"])
+            assert record.makespan >= bound * (1 - 1e-9), (app, bound)
 
 
 # -------------------------------------------------- sanitizer parity

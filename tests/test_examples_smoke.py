@@ -16,7 +16,6 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 FAST = [
     "quickstart.py",
     "sending_modes.py",
-    "spmd_pingpong.py",
     "ptg_wavefront.py",
 ]
 

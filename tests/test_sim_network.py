@@ -1,9 +1,15 @@
 """Tests for the network model."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.network import NetworkModel, NetworkSpec
+
+_settings = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 def make(nnodes=4, **kw):
@@ -134,3 +140,42 @@ def test_invalid_nnodes():
     eng = Engine()
     with pytest.raises(ValueError):
         NetworkModel(NetworkSpec(), 0, eng)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@_settings
+def test_network_arrivals_respect_latency_and_fifo(msgs):
+    eng = Engine()
+    spec = NetworkSpec(latency=1e-6, bandwidth=1e9)
+    net = NetworkModel(spec, 4, eng)
+    last_arrival = {}
+    for src, dst, nbytes in msgs:
+        t = net.send(src, dst, nbytes)
+        if src != dst:
+            assert t >= spec.latency + nbytes / spec.bandwidth - 1e-15
+            key = (src, dst)
+            if key in last_arrival:
+                # FIFO per channel: arrivals never reorder
+                assert t >= last_arrival[key] - 1e-15
+            last_arrival[key] = t
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=10**6))
+@_settings
+def test_collective_durations_monotone_in_ranks(nranks, nbytes):
+    eng = Engine()
+    net = NetworkModel(NetworkSpec(), 64, eng)
+    t1 = net.bcast_time(nranks, nbytes)
+    t2 = net.bcast_time(min(64, nranks * 2), nbytes)
+    assert t2 >= t1
+    assert net.barrier_time(nranks) <= net.barrier_time(min(64, nranks * 2))
