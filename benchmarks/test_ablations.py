@@ -7,9 +7,7 @@ matters, and asserts the direction of the effect:
 - splitmd vs generic serialization (copy avoidance + RMA);
 - per-template priority maps on/off (critical-path scheduling);
 - MCA scheduler policy (priority vs fifo/lifo);
-- the BSPMM coordinator window (feedback loop focusing the scheduler);
-- GPU offload of the O(n^3) Cholesky kernels (the heterogeneous-platforms
-  extension of the paper's future work).
+- the BSPMM coordinator window (feedback loop focusing the scheduler).
 """
 
 import pytest
@@ -154,55 +152,6 @@ def test_ablation_coordinator_window(benchmark):
     best = max(out.values())
     assert out[2] >= 0.98 * best          # the default is a good choice
     assert min(out.values()) >= 0.8 * best  # no setting collapses
-
-
-def test_ablation_gpu_offload(benchmark):
-    """Offloading TRSM/SYRK/GEMM to device slots beats host-only execution
-    once tiles are large enough to amortize PCIe transfers."""
-    from dataclasses import replace
-
-    from repro.apps.cholesky.graph import build_cholesky_graph
-    from repro.linalg import TiledMatrix
-
-    node = replace(MACHINE.node, gpus=2, gpu_flops=400.0e9,
-                   pcie_bandwidth=12.0e9)
-    machine = replace(MACHINE, node=node)
-
-    def run(offload, b):
-        n = 8192
-        a = TiledMatrix(n, b, BlockCyclicDistribution.for_ranks(NODES),
-                        synthetic=True)
-        result = TiledMatrix(n, b, a.dist, synthetic=True)
-        graph, initiator = build_cholesky_graph(a, result)
-        if offload:
-            for tt in graph.tts:
-                if tt.name in ("TRSM", "SYRK", "GEMM"):
-                    tt.set_devicemap("gpu")
-        be = ParsecBackend(Cluster(machine, NODES))
-        ex = graph.executable(be)
-        for r in range(NODES):
-            ex.invoke(initiator, r)
-        t = ex.fence()
-        from repro.linalg.kernels import cholesky_total_flops
-
-        return cholesky_total_flops(n) / t / 1e9
-
-    def sweep():
-        return {
-            "cpu b=256": run(False, 256),
-            "gpu b=256": run(True, 256),
-            "gpu b=64": run(True, 64),
-        }
-
-    out = run_once(benchmark, sweep)
-    print_table(
-        "Ablation: GPU offload of Cholesky kernels (8 nodes, 2 GPUs/node)",
-        ["variant", "Gflop/s"],
-        [[k, f"{v:.1f}"] for k, v in out.items()],
-    )
-    # Offload wins at large tiles; small tiles drown in PCIe+latency.
-    assert out["gpu b=256"] > 1.3 * out["cpu b=256"]
-    assert out["gpu b=256"] > out["gpu b=64"]
 
 
 def test_ablation_variant_left_vs_right_looking(benchmark):

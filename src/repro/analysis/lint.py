@@ -505,8 +505,8 @@ def _impure_map_captures(ctx: LintContext) -> Iterator[Finding]:
 
     The sender evaluates a keymap once per message and the owner rank
     travels with it (DESIGN §3.1 rule 1), which is only sound if every
-    evaluation of the map agrees.  Cost and device maps are out of scope:
-    their values never travel.
+    evaluation of the map agrees.  Cost maps are out of scope: their
+    values never travel.
     """
     for tt in ctx.graph.tts:
         if ctx.waived(tt, "TTG011"):

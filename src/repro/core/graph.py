@@ -538,13 +538,11 @@ class Executable:
             else:
                 flops, bytes_moved = float(out), 0.0
         priomap = tt._priomap
-        devicemap = tt._devicemap
         name = tt.name
         self.task_counts[name] += 1
         self.backend.submit(
             rank, _RunBody(self, tt, rank, key, args), flops, bytes_moved,
-            0 if priomap is None else priomap(key), name, key,
-            "cpu" if devicemap is None else devicemap(key), args,
+            0 if priomap is None else priomap(key), name, key, args,
         )
 
     # ------------------------------------------------------------- streams

@@ -82,7 +82,6 @@ class TemplateTask:
         self._keymap = keymap
         self._priomap = priomap
         self._cost = cost
-        self._devicemap: Optional[Callable[[Any], str]] = None
         self._lint_waivers: frozenset = frozenset()
         self._lint_waiver_expiry: dict = {}
 
@@ -120,16 +119,6 @@ class TemplateTask:
     def set_cost(self, cost: CostFn) -> "TemplateTask":
         """Cost model hook: flops (and optionally bytes) per task instance."""
         self._cost = cost
-        return self
-
-    def set_devicemap(self, devicemap: Union[str, Callable[[Any], str]]) -> "TemplateTask":
-        """Execution-space map: task ID -> 'cpu' | 'gpu' (heterogeneous
-        platforms, the paper's future-work item).  A plain string pins the
-        whole template to that device."""
-        if isinstance(devicemap, str):
-            self._devicemap = lambda key: devicemap
-        else:
-            self._devicemap = devicemap
         return self
 
     def lint_waive(self, *rule_ids: str,
@@ -207,9 +196,6 @@ class TemplateTask:
 
     def priority(self, key: Any) -> int:
         return 0 if self._priomap is None else self._priomap(key)
-
-    def device(self, key: Any) -> str:
-        return "cpu" if self._devicemap is None else self._devicemap(key)
 
     def cost(self, key: Any, args: Sequence[Any]) -> Tuple[float, float]:
         """(flops, bytes_moved) for the instance with this key/args."""

@@ -33,7 +33,7 @@ from repro.telemetry.metrics import Handles
 CONTROL_BYTES = 64
 
 #: ``EventBus.record`` arg specs of the events recorded here.
-_TASK_ARGS = "key! template priority pcie_bytes? data*"
+_TASK_ARGS = "key! template priority data*"
 _PROTO_ARGS = ("src", "nbytes")
 _DEPTH_ARGS = ("depth",)
 
@@ -247,7 +247,7 @@ class _ReadyTask:
     time, is set only with telemetry attached (queue-wait sampling)."""
 
     __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key",
-                 "device", "inputs", "enqueued")
+                 "inputs", "enqueued")
 
     def __init__(
         self,
@@ -257,7 +257,6 @@ class _ReadyTask:
         priority: int,
         name: str,
         key: Any,
-        device: str = "cpu",
         inputs: Tuple[Any, ...] = (),
     ) -> None:
         self.fn = fn
@@ -266,18 +265,11 @@ class _ReadyTask:
         self.priority = priority
         self.name = name
         self.key = key
-        self.device = device
         self.inputs = inputs
 
 
 class WorkerPool:
-    """Per-rank pool of simulated workers (and accelerator slots) draining
-    device-specific ready queues.
-
-    Accelerator tasks pay PCIe transfers for inputs not already resident on
-    the rank's device memory (a simple grow-only residency cache: producers
-    and consumers that stay on the device reuse operands for free).
-    """
+    """Per-rank pool of simulated workers draining one ready queue."""
 
     def __init__(self, backend: "Backend", rank: int) -> None:
         self.backend = backend
@@ -286,9 +278,6 @@ class WorkerPool:
         self.nworkers = node.workers
         self._idle = list(range(node.workers - 1, -1, -1))
         self._queue = get_scheduler(backend.config.scheduler)
-        self._gpu_idle = list(range(node.gpus - 1, -1, -1))
-        self._gpu_queue = get_scheduler(backend.config.scheduler)
-        self._resident: set = set()
         self._node = node
         # What-if cost-override hook (repro.sim.cluster.CostOverrides):
         # per-template virtual speedups applied as exact duration divisions
@@ -296,93 +285,51 @@ class WorkerPool:
         # bit-for-bit.  None => zero-overhead default path.
         ov = getattr(backend.cluster, "overrides", None)
         self._speedups = dict(ov.speedups) if ov is not None and ov.speedups else None
-        self.gpu_tasks_executed = 0
-        self.gpu_transfer_bytes = 0
         # Telemetry hook point (enable_telemetry).  None => one branch at
         # each push, pop and completion.
         self._tel: Optional[Telemetry] = None
 
     def enable_telemetry(self, tel: Telemetry) -> None:
-        """Sample queue wait and depth at the pushes (:meth:`Backend.submit`,
-        :meth:`submit_gpu`) and pops (:meth:`_dispatch`), and record every
-        completed task.  The queues must be empty: a task queued before
-        has no push time."""
+        """Sample queue wait and depth at the pushes (:meth:`Backend.submit`)
+        and pops (:meth:`_dispatch`), and record every completed task.  The
+        queue must be empty: a task queued before has no push time."""
         if self.queued:
             raise ValueError(
                 f"cannot attach telemetry to rank {self.rank}'s non-empty "
                 "ready queue (attach telemetry before submitting tasks)"
             )
         rank, metrics = self.rank, tel.metrics
-        # Per device: (queue_wait histogram, queue_depth_peak gauge, head
-        # of the depth samples).
-        self._cpu_sampling, self._gpu_sampling = (
-            (metrics.histogram("queue_wait", rank=rank, device=device),
-             metrics.gauge("queue_depth_peak", rank=rank, device=device),
-             (COUNTER, f"queue_depth_{device}", "counter", rank, 0, _DEPTH_ARGS))
-            for device in ("cpu", "gpu"))
-
+        self._wait = metrics.histogram("queue_wait", rank=rank)
+        self._depth_peak = metrics.gauge("queue_depth_peak", rank=rank)
+        self._depth_head = (COUNTER, "queue_depth", "counter", rank, 0,
+                            _DEPTH_ARGS)
         self._task_metrics = Handles(lambda template: (
             metrics.counter("tasks", template=template, rank=rank),
             metrics.histogram("task_time", template=template)))
-        # Task span heads per (template, lane): accelerator slots sit
-        # above the workers and name their spans "TEMPLATE@gpu".
+        # Task span heads per (template, worker).
         self._task_heads = Handles(lambda k: (
-            SPAN, k[0] if k[1] < self.nworkers else f"{k[0]}@gpu", "task",
-            rank, k[1], _TASK_ARGS))
+            SPAN, k[0], "task", rank, k[1], _TASK_ARGS))
         self._tel = tel
 
-    def _pushed(self, task: _ReadyTask, queue: Any, sampling: tuple) -> None:
+    def _pushed(self, task: _ReadyTask) -> None:
         """Queue-wait / depth sampling of one push (telemetry attached)."""
         tel = self._tel
         task.enqueued = now = self.backend.engine.now
-        depth = len(queue)
-        peak = sampling[1]
+        depth = len(self._queue)
+        peak = self._depth_peak
         if depth > peak.value:
             peak.set(depth)
         if tel.bus.recording:
-            tel.bus.emit((sampling[2], now, now, None, depth))
+            tel.bus.emit((self._depth_head, now, now, None, depth))
 
     @property
     def queued(self) -> int:
-        return len(self._queue) + len(self._gpu_queue)
+        return len(self._queue)
 
     @property
     def busy_workers(self) -> int:
+        """Workers running a task whose completion is pending."""
         return self.nworkers - len(self._idle)
-
-    @property
-    def running(self) -> int:
-        """Tasks on a worker or accelerator slot, completion pending."""
-        return self.busy_workers + self._node.gpus - len(self._gpu_idle)
-
-    def submit_gpu(self, task: _ReadyTask) -> None:
-        """Queue an accelerator task (CPU tasks are queued inline by
-        :meth:`Backend.submit`)."""
-        if self._node.gpus < 1:
-            raise RuntimeError(
-                f"task {task.name}[{task.key!r}] requests a GPU but the "
-                "node has none"
-            )
-        self._gpu_queue.push(task, task.priority)
-        if self._tel is not None:
-            self._pushed(task, self._gpu_queue, self._gpu_sampling)
-        # With every slot busy the task just waits: the next completion
-        # dispatches it.
-        if self._gpu_idle:
-            self._dispatch()
-
-    def _transfer_bytes(self, task: _ReadyTask) -> int:
-        """PCIe bytes for inputs not yet resident on the device."""
-        total = 0
-        for obj in task.inputs:
-            nbytes = int(getattr(obj, "nbytes", 0) or 0)
-            if nbytes == 0:
-                continue
-            oid = id(obj)
-            if oid not in self._resident:
-                total += nbytes
-                self._resident.add(oid)
-        return total
 
     def _dispatch(self) -> None:
         engine = self.backend.engine
@@ -393,10 +340,10 @@ class WorkerPool:
             worker = self._idle.pop()
             start = engine.now
             if tel is not None:
-                wait, _, head = self._cpu_sampling
-                wait.observe(start - task.enqueued)
+                self._wait.observe(start - task.enqueued)
                 if tel.bus.recording:
-                    tel.bus.emit((head, start, start, None, len(ready)))
+                    tel.bus.emit((self._depth_head, start, start, None,
+                                  len(ready)))
             duration = self._node.compute_time(task.flops, task.bytes_moved)
             if self._speedups is not None:
                 s = self._speedups.get(task.name)
@@ -404,40 +351,16 @@ class WorkerPool:
                     duration = duration / s
             engine.schedule_at(start + duration, self._complete, task, worker,
                                start)
-        ready = self._gpu_queue.items
-        while self._gpu_idle and ready:
-            task = self._gpu_queue.pop()
-            slot = self._gpu_idle.pop()
-            start = engine.now
-            if tel is not None:
-                wait, _, head = self._gpu_sampling
-                wait.observe(start - task.enqueued)
-                if tel.bus.recording:
-                    tel.bus.emit((head, start, start, None, len(ready)))
-            transfer = self._transfer_bytes(task)
-            self.gpu_transfer_bytes += transfer
-            duration = self._node.gpu_compute_time(task.flops, transfer)
-            if self._speedups is not None:
-                s = self._speedups.get(task.name)
-                if s:
-                    duration = duration / s
-            engine.schedule_at(
-                start + duration, self._complete_gpu, task, slot, start,
-                transfer
-            )
 
-    def _record_task(self, tel: Telemetry, task: _ReadyTask, tid: int,
-                     start: float, pcie_bytes: Optional[int] = None) -> None:
+    def _record_task(self, tel: Telemetry, task: _ReadyTask, worker: int,
+                     start: float) -> None:
         end = self.backend.engine.now
         tasks, task_time = self._task_metrics[task.name]
         if tel.bus.recording:
             # Data tokens of trackable inputs: the race detector uses
             # them to see which rank shards observed a buffer live.
-            # Accelerator tasks carry their host->device traffic so
-            # the report can split PCIe bytes out of the byte budget.
-            tel.bus.emit((self._task_heads[(task.name, tid)], start, end,
-                          None, task.key, task.name,
-                          task.priority, pcie_bytes,
+            tel.bus.emit((self._task_heads[(task.name, worker)], start, end,
+                          None, task.key, task.name, task.priority,
                           *tel.data_tokens(task.inputs)))
         tasks.value += 1
         task_time.observe(end - start)
@@ -454,23 +377,6 @@ class WorkerPool:
             task.fn()
         finally:
             self._idle.append(worker)
-            self._dispatch()
-
-    def _complete_gpu(self, task: _ReadyTask, slot: int, start: float,
-                      transfer: int = 0) -> None:
-        backend = self.backend
-        tel = self._tel
-        if tel is not None:
-            self._record_task(tel, task, self.nworkers + slot, start,
-                              pcie_bytes=transfer)
-        backend.stats.tasks_executed += 1
-        stats = backend.stats.tasks_by_template
-        stats[task.name] = stats.get(task.name, 0) + 1
-        self.gpu_tasks_executed += 1
-        try:
-            task.fn()
-        finally:
-            self._gpu_idle.append(slot)
             self._dispatch()
 
 
@@ -567,24 +473,18 @@ class Backend:
         priority: int = 0,
         name: str = "task",
         key: Any = None,
-        device: str = "cpu",
         inputs: Tuple[Any, ...] = (),
     ) -> None:
-        """Enqueue a ready task on ``rank``'s worker pool (or its device
-        queue when ``device == 'gpu'``; ``inputs`` feed the residency
-        tracker for PCIe-transfer accounting).
+        """Enqueue a ready task on ``rank``'s worker pool (``inputs`` are
+        the task's arguments, whose data tokens the recorded task carries).
 
-        CPU tasks are queued and dispatched right here, in the caller's
+        The task is queued and dispatched right here, in the caller's
         frame: this runs once per simulated task."""
-        task = _ReadyTask(fn, flops, bytes_moved, priority, name, key,
-                          device, inputs)
+        task = _ReadyTask(fn, flops, bytes_moved, priority, name, key, inputs)
         pool = self.pools[rank]
-        if device == "gpu":
-            pool.submit_gpu(task)
-            return
         pool._queue.push(task, priority)
         if pool._tel is not None:
-            pool._pushed(task, pool._queue, pool._cpu_sampling)
+            pool._pushed(task)
         # With every worker busy the task just waits: the next completion
         # dispatches it.
         if pool._idle:
@@ -789,17 +689,17 @@ class Backend:
 
         With one event loop an empty heap *is* global quiescence, so lost
         work shows up as the state it leaves behind: a task queued but
-        never dispatched, a worker or accelerator slot whose completion
-        never came (:class:`TerminationError`), or a splitmd source never
-        released (:class:`~repro.comm.rma.RmaError` -- the PaRSEC backend
-        owns the data flowing through the graph, so a leak is a bug).
+        never dispatched, a worker whose completion never came
+        (:class:`TerminationError`), or a splitmd source never released
+        (:class:`~repro.comm.rma.RmaError` -- the PaRSEC backend owns the
+        data flowing through the graph, so a leak is a bug).
         Marks the quiescence once per drain on the telemetry timeline.
         """
         for pool in self.pools:
-            if pool.queued or pool.running:
+            if pool.queued or pool.busy_workers:
                 raise TerminationError(
                     f"lost work on rank {pool.rank}: {pool.queued} task(s) "
-                    f"queued and {pool.running} running after the event "
+                    f"queued and {pool.busy_workers} running after the event "
                     "queue drained"
                 )
         live = self.rma.live_handles()

@@ -32,11 +32,6 @@ class NodeSpec:
         on one thread, far below the node's aggregate memory bandwidth --
         this is what makes copy-avoiding protocols (splitmd, runtime-owned
         data) pay off, as the paper reports.
-    gpus / gpu_flops / pcie_bandwidth:
-        Optional accelerators (the paper's heterogeneous-platforms future
-        work): number of device slots, sustained flop rate per device, and
-        host-device transfer bandwidth.  A device task pays PCIe transfers
-        for non-resident inputs (see the runtime's residency tracker).
     """
 
     workers: int = 60
@@ -44,30 +39,16 @@ class NodeSpec:
     mem_bandwidth: float = 150.0e9
     task_overhead: float = 2.0e-6
     copy_bandwidth: float = 8.0e9
-    gpus: int = 0
-    gpu_flops: float = 0.0
-    pcie_bandwidth: float = 12.0e9
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.flops_per_worker <= 0 or self.mem_bandwidth <= 0:
             raise ValueError("rates must be positive")
-        if self.gpus < 0:
-            raise ValueError("gpus must be >= 0")
-        if self.gpus > 0 and self.gpu_flops <= 0:
-            raise ValueError("gpu_flops must be positive when gpus > 0")
-
-    def gpu_compute_time(self, flops: float, transfer_bytes: float = 0.0) -> float:
-        """Execution time of one task on one accelerator slot, including
-        the PCIe traffic for non-resident operands."""
-        if self.gpus < 1:
-            raise ValueError("node has no accelerators")
-        return (
-            flops / self.gpu_flops
-            + transfer_bytes / self.pcie_bandwidth
-            + self.task_overhead
-        )
+        if self.copy_bandwidth <= 0:
+            raise ValueError("copy_bandwidth must be positive")
+        if self.task_overhead < 0:
+            raise ValueError("task_overhead must be >= 0")
 
     def compute_time(self, flops: float, bytes_moved: float = 0.0) -> float:
         """Roofline-style execution time of one task on one worker.

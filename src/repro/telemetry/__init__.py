@@ -16,15 +16,15 @@ records into:
   Perfetto / chrome://tracing), JSONL event logs, counters JSON.
 - :mod:`repro.telemetry.analyze` -- critical-path extraction over the
   recorded task/message DAG, per-template summaries, idle breakdowns,
-  per-channel byte splits, accelerator lanes, and the text report.
+  per-channel byte splits, and the text report.
 - :mod:`repro.telemetry.diff` -- align two runs and rank what moved,
   counter deltas included.
 - ``python -m repro.telemetry`` -- record / report / export / diff /
   whatif / validate CLI (:mod:`repro.telemetry.cli`).
 
 Each question has one view: the timeline is ``export``'s Chrome trace
-opened in Perfetto; per-template, per-rank, critical-path, byte and
-accelerator numbers are the text ``report``; what moved between two runs
+opened in Perfetto; per-template, per-rank, critical-path and byte
+numbers are the text ``report``; what moved between two runs
 is ``diff``.
 
 Telemetry is off by default and adds only a ``None``-check per hook when

@@ -9,7 +9,6 @@ its bus, or a bus re-ingested from JSONL):
 - :func:`summary_by_template` -- count/total/mean/max per template.
 - :func:`idle_breakdown` -- per-rank busy vs. comm vs. idle time.
 - :func:`protocol_bytes` -- bytes moved per transport channel.
-- :func:`gpu_lane_summary` -- per-template accelerator rows.
 - :func:`report` -- all of the above as the text report the CLI prints.
 """
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.events import EventBus, SpanEvent, Telemetry
 
@@ -208,12 +207,11 @@ class RankBreakdown:
 def idle_breakdown(source: Union[Telemetry, EventBus]) -> List[RankBreakdown]:
     """Per-rank busy/comm/idle split.
 
-    A rank's worker count is its lane count (CPU workers + GPU slots),
-    kept by a :class:`Telemetry` bound to a backend.  A bare bus -- one
-    read back from a file -- has no lane count, so it is inferred from
-    the highest task-span timeline id used; a rank that never ran all of
-    its lanes at once then shows too few workers and too high a
-    utilization.
+    A rank's worker count is kept by a :class:`Telemetry` bound to a
+    backend.  A bare bus -- one read back from a file -- has no worker
+    count, so it is inferred from the highest task-span timeline id used;
+    a rank that never ran all of its workers at once then shows too few
+    workers and too high a utilization.
     """
     bus = _bus_of(source)
     lanes = source.lanes if isinstance(source, Telemetry) else None
@@ -247,50 +245,15 @@ def idle_breakdown(source: Union[Telemetry, EventBus]) -> List[RankBreakdown]:
 
 def protocol_bytes(source: Union[Telemetry, EventBus]) -> Dict[str, int]:
     """Bytes moved per transport channel, from the recorded comm/proto
-    spans (``am:*``, ``rma:*``, ``splitmd:meta:*``, ``splitmd:rma:*``) --
-    plus a ``pcie`` channel from accelerator task spans that carried
-    host->device transfers (``pcie_bytes`` span arg)."""
+    spans (``am:*``, ``rma:*``, ``splitmd:meta:*``, ``splitmd:rma:*``)."""
     out: Dict[str, int] = defaultdict(int)
     for ev in _bus_of(source).spans():
-        if ev.cat == "task":
-            pcie = int(ev.args.get("pcie_bytes", 0) or 0)
-            if pcie:
-                out["pcie"] += pcie
-            continue
         if ev.cat not in ("comm", "proto"):
             continue
         parts = ev.name.split(":")
         channel = ":".join(parts[:2]) if parts[0] == "splitmd" else parts[0]
         out[channel] += int(ev.args.get("nbytes", 0))
     return dict(out)
-
-
-def gpu_lane_summary(source: Union[Telemetry, EventBus]) -> List[Dict[str, Any]]:
-    """Per-template rows of accelerator task spans: count, ranks, busy
-    time and the PCIe bytes their inputs paid.
-
-    GPU executions are recorded as ``<TEMPLATE>@gpu`` spans on the
-    device-slot lanes above the worker tids.
-    """
-    rows: Dict[str, Dict[str, Any]] = {}
-    for ev in _bus_of(source).spans("task"):
-        if not ev.name.endswith("@gpu"):
-            continue
-        template = ev.args.get("template", ev.name[:-len("@gpu")])
-        row = rows.setdefault(template, {
-            "template": template, "count": 0, "busy": 0.0,
-            "pcie_bytes": 0, "ranks": set(),
-        })
-        row["count"] += 1
-        row["busy"] += ev.duration
-        row["pcie_bytes"] += int(ev.args.get("pcie_bytes", 0) or 0)
-        row["ranks"].add(ev.rank)
-    out = []
-    for template in sorted(rows):
-        row = rows[template]
-        row["ranks"] = len(row["ranks"])
-        out.append(row)
-    return out
 
 
 def report(source: Union[Telemetry, EventBus]) -> str:
@@ -328,14 +291,6 @@ def report(source: Union[Telemetry, EventBus]) -> str:
             lines.append(f"{r.rank:<6}{r.workers:>8}{r.busy * 1e3:>10.3f}"
                          f"{r.comm * 1e3:>10.3f}{r.idle * 1e3:>10.3f}"
                          f"{r.utilization * 100:>8.1f}")
-    gpu = gpu_lane_summary(bus)
-    if gpu:
-        lines.append("")
-        lines.append(f"{'accelerator':<16}{'tasks':>8}{'ranks':>6}"
-                     f"{'busy ms':>10}{'PCIe bytes':>14}")
-        for g in gpu:
-            lines.append(f"{g['template']:<16}{g['count']:>8}{g['ranks']:>6}"
-                         f"{g['busy'] * 1e3:>10.3f}{g['pcie_bytes']:>14}")
     split = protocol_bytes(bus)
     if split:
         lines.append("")

@@ -15,7 +15,7 @@ Subcommands:
   selects which run the exporters use (default 0, ``--list`` shows all).
 
 - ``report LOG.jsonl`` -- per-template summary, idle breakdown,
-  accelerator lanes, per-channel byte split, critical path and sanitizer
+  per-channel byte split, critical path and sanitizer
   findings of a recorded JSONL event log (``record --report`` prints the
   same for a fresh run).
 - ``export LOG.jsonl -o trace.json`` -- convert JSONL to Chrome trace;

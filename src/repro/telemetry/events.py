@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-#: Reserved timeline ids (per rank).  Worker threads occupy 0..nworkers-1
-#: (plus GPU slots right above); these lanes hold non-worker activity.
+#: Reserved timeline ids (per rank).  Worker threads occupy 0..nworkers-1;
+#: these lanes hold non-worker activity.
 TID_AM = 900       #: active-message server processing
 TID_RMA = 901      #: one-sided transfers landing at the origin
 TID_PROTO = 902    #: serialization-protocol phases (eager, splitmd meta/rma)
@@ -399,9 +399,8 @@ class Telemetry:
         self.bus = EventBus(nranks=nranks, capacity=capacity if events else 0)
         self.metrics = MetricsRegistry()
         self._bound_backend: Optional[Any] = None
-        #: Lanes (CPU workers + GPU slots) of each rank of the bound
-        #: backend.  No export carries it: a bus read back from a file
-        #: has none.
+        #: Workers of each rank of the bound backend.  No export carries
+        #: it: a bus read back from a file has none.
         self.lanes: Optional[List[int]] = None
         # Data tokens: id(value) -> (value, token).  The strong ref on
         # ``value`` pins it for the run so CPython cannot recycle its id
@@ -464,8 +463,7 @@ class Telemetry:
         # Not a lambda: the ``now`` property is the only Python-level call.
         self.bus.clock = partial(getattr, engine, "now")
         self.bus.ensure_ranks(backend.nranks)
-        node = backend.cluster.node
-        self.lanes = [node.workers + node.gpus] * backend.nranks
+        self.lanes = [backend.cluster.node.workers] * backend.nranks
 
     @property
     def backend(self) -> Optional[Any]:

@@ -1,8 +1,7 @@
 """Smoke tests: the fast examples must run clean end-to-end.
 
-The slower examples (bspmm, mra, heterogeneous sweeps) are exercised by
-their own application tests; here we pin the quick ones that double as
-documentation.
+The slower examples (bspmm, mra) are exercised by their own application
+tests; here we pin the quick ones that double as documentation.
 """
 
 import subprocess

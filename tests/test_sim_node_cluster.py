@@ -35,10 +35,18 @@ def test_node_flops_aggregate():
 
 
 def test_invalid_node_spec():
-    with pytest.raises(ValueError):
-        NodeSpec(workers=0)
-    with pytest.raises(ValueError):
-        NodeSpec(flops_per_worker=-1)
+    bad = (
+        {"workers": 0},
+        {"flops_per_worker": -1},
+        {"copy_bandwidth": 0.0},
+        {"task_overhead": -1e-3},
+    )
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            NodeSpec(**kwargs)
+    # The work/span Graham cells use a free node: both limits stay legal.
+    free = NodeSpec(copy_bandwidth=float("inf"), task_overhead=0.0)
+    assert free.copy_time(1e9) == 0.0
 
 
 def test_machine_presets():

@@ -1,5 +1,5 @@
 """Analysis: critical path (hand-built diamond + real Cholesky), summaries,
-byte splits, accelerator lanes and the text report."""
+byte splits and the text report."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.sim.cluster import Cluster, HAWK
 from repro.telemetry.analyze import (
     critical_path,
     dep_edges,
-    gpu_lane_summary,
     idle_breakdown,
     protocol_bytes,
     report,
@@ -204,7 +203,7 @@ def test_idle_breakdown_counts_lanes_never_filled():
     rows = idle_breakdown(tel)
     assert [r.workers for r in rows] == [4, 4]
     assert [r.utilization for r in rows] == pytest.approx([0.25, 0.75])
-    # A bare bus, as read back from a file, carries no lane count.
+    # A bare bus, as read back from a file, carries no worker count.
     assert [r.workers for r in idle_breakdown(tel.bus)] == [1, 3]
 
 
@@ -230,51 +229,3 @@ def test_protocol_bytes_split(cholesky_run):
     split = protocol_bytes(cholesky_run)
     assert split, "2-rank run must move bytes"
     assert all(isinstance(v, int) and v > 0 for v in split.values())
-
-
-@pytest.fixture(scope="module")
-def gpu_run():
-    """A 1-rank run with accelerator tasks paying PCIe transfers."""
-    from dataclasses import replace
-
-    node = replace(HAWK.node, workers=2, gpus=1, gpu_flops=500.0e9,
-                   pcie_bandwidth=12.0e9)
-    machine = replace(HAWK, node=node)
-    tel = Telemetry(nranks=1, capacity=None)
-    be = ParsecBackend(Cluster(machine, 1), telemetry=tel)
-    buf = np.zeros(4096, dtype=np.uint8)
-    for i in range(4):
-        be.submit(0, lambda: None, flops=1e9, device="gpu",
-                  name="GEMM", key=i, inputs=(buf,) if i == 0 else ())
-    be.submit(0, lambda: None, flops=1e6, name="HOST", key=9)
-    be.run()
-    return tel
-
-
-def test_gpu_lane_summary_rows(gpu_run):
-    rows = gpu_lane_summary(gpu_run)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["template"] == "GEMM"
-    assert row["count"] == 4
-    assert row["ranks"] == 1
-    assert row["busy"] > 0.0
-    # The buffer transfers once; residency absorbs the other three tasks.
-    assert row["pcie_bytes"] == 4096
-    assert gpu_lane_summary(Telemetry(nranks=1)) == []
-
-
-def test_protocol_bytes_includes_pcie_channel(gpu_run):
-    split = protocol_bytes(gpu_run)
-    assert split.get("pcie") == 4096
-
-
-def test_report_renders_accelerator_section(gpu_run, cholesky_run):
-    text = report(gpu_run)
-    rows = [line.split() for line in text.splitlines()]
-    assert ["accelerator", "tasks", "ranks", "busy", "ms", "PCIe",
-            "bytes"] in rows
-    assert any(r[:3] == ["GEMM", "4", "1"] and r[-1] == "4096" for r in rows)
-    assert ["pcie", "4096"] in [r[:2] for r in rows]
-    # CPU-only runs must not grow the section.
-    assert "accelerator" not in report(cholesky_run)

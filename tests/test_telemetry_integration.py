@@ -50,16 +50,16 @@ def test_queue_wait_sampled_under_priority_scheduler():
     # Key 0 starts on the idle worker as it arrives; everything else piles
     # up behind it and must drain highest-priority-first.
     assert done[1:] == sorted(done[1:], reverse=True)
-    wait = tel.metrics.get("queue_wait", rank=0, device="cpu")
+    wait = tel.metrics.get("queue_wait", rank=0)
     assert wait is not None
     assert wait.count == 13       # 12 WORK tasks + the SRC task itself
     # The last-popped task waited through its 11 predecessors.
     assert wait.vmax > wait.vmin >= 0.0
     assert wait.total > 0.0
-    depths = tel.bus.counters("queue_depth_cpu")
+    depths = tel.bus.counters("queue_depth")
     assert depths
     assert max(v.values["depth"] for v in depths) >= 11
-    assert tel.metrics.gauge("queue_depth_peak", rank=0, device="cpu").value >= 11
+    assert tel.metrics.gauge("queue_depth_peak", rank=0).value >= 11
 
 
 def test_pool_samples_queue_wait_and_depth_under_any_policy():
@@ -79,13 +79,13 @@ def test_pool_samples_queue_wait_and_depth_under_any_policy():
         backend.run()
         start = {s.name: s.start for s in tel.bus.spans("task")}
         assert (start["a"] < start["b"]) == (policy != "lifo"), policy
-        wait = tel.metrics.get("queue_wait", rank=0, device="cpu")
+        wait = tel.metrics.get("queue_wait", rank=0)
         assert wait.count == 3
         assert wait.total == pytest.approx(
             start["X"] + start["a"] + start["b"] - busy / 2)
-        depths = [c.values["depth"] for c in tel.bus.counters("queue_depth_cpu")]
+        depths = [c.values["depth"] for c in tel.bus.counters("queue_depth")]
         assert depths == [1, 0, 1, 2, 1, 0], policy
-        assert tel.metrics.get("queue_depth_peak", rank=0, device="cpu").value == 2
+        assert tel.metrics.get("queue_depth_peak", rank=0).value == 2
 
 
 def test_attach_telemetry_refuses_nonempty_queue():

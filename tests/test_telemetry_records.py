@@ -15,7 +15,11 @@ labels.  Four checks hold that together:
   intended change of telemetry content, with
   ``PYTHONPATH=src python -m tests.test_telemetry_records``.  POTRF was
   regenerated once since, when ``quiescence`` became one instant per
-  drain (its trace had two); every other record is unchanged;
+  drain (its trace had two).  All three were regenerated when the
+  single-queue worker pool dropped the queue metrics' ``device`` label
+  (and the never-sampled second-queue metrics) and renamed the
+  ``queue_depth_cpu`` counter to ``queue_depth``; every other record is
+  unchanged;
 - the recording guard: a metrics-only run builds no event at all;
 - a structural GC check: the hooks' records leave the cyclic collector.
 """
@@ -93,16 +97,16 @@ def _record_both(ops, public, fast):
             fast.record(COUNTER, name, "counter", rank, 0, t, t, None,
                         tuple(op[3]), *op[3].values())
         elif kind == "task":
-            dur, key, pcie, data = op[3:]
+            dur, key, extra, data = op[3:]
             args = {"key": repr(key), "template": name, "priority": 7}
-            if pcie is not None:
-                args["pcie_bytes"] = pcie
+            if extra is not None:
+                args["extra"] = extra
             if data:
                 args["data"] = list(data)
             public.complete(name, rank, tid, t, t + dur, cat="task", args=args)
             head = (SPAN, name, "task", rank, tid,
-                    "key! template priority pcie_bytes? data*")
-            fast.emit((head, t, t + dur, None, key, name, 7, pcie, *data))
+                    "key! template priority extra? data*")
+            fast.emit((head, t, t + dur, None, key, name, 7, extra, *data))
         elif kind == "bcast":
             targets, tok = op[3:]
             extra = {} if tok is None else {"obj": tok, "mode": "cref"}
@@ -164,9 +168,9 @@ def test_fast_path_reads_back_like_the_public_api(ops, capacity):
 # ------------------------------------------------------------------ cells
 
 GOLDEN = {
-    "potrf": "fd876a4ba7f75d2945a8b76d9916a20336c6c80e864584ba05928cc55fde31dc",
-    "bspmm": "8184c652a779b8cce0396b151162a070f93b761e67d53981f4a2f971129dc1a5",
-    "mra": "46e3cbf91bcdbe0d04890e48c1bec1d724c1607c7a3f3cd064ec224853bafbb4",
+    "potrf": "5d8fe8b315910c25f1d3132caa6dfb091bf5abd89fe6ca64057cfab6e19b64e5",
+    "bspmm": "d781094786f034b760cec6bade5f83e9d3c025c0feb36edb1b534c1b30c0ee67",
+    "mra": "3f18f04dd96be83579d6704c9b5b0cddb161303d661a810851d3b7fc17dafac1",
 }
 
 
