@@ -6,19 +6,17 @@ Three rule families, one catalog (:mod:`repro.analysis.rules`):
   :class:`~repro.core.graph.TaskGraph` for wiring defects and impure
   maps (``TTG0xx`` rules) before any task runs;
 - :class:`Sanitizer` observes an execution for runtime faults
-  (``SAN0xx`` checks) with task/key provenance;
-- :func:`detect_races` replays a recorded telemetry stream through
-  per-rank vector clocks and reports happens-before violations
-  (``RACE0xx``): the simulated ranks share one address space, the
-  modelled ones do not, so cross-rank aliasing is a real hazard.
+  (``SAN0xx`` checks) with task/key provenance, and keeps happens-before
+  online through per-rank vector clocks to report races (``RACE0xx``):
+  the simulated ranks share one address space, the modelled ones do
+  not, so cross-rank aliasing is a real hazard.
 
-All are wired into :meth:`repro.core.graph.Executable.make`: the linter
-runs at every binding, ``strict``/``sanitize`` arm the sanitizer and,
-with telemetry attached, the race detector at a completed fence; strict
-mode raises on error-severity findings, the default warns.  The CLI
-(``python -m repro.analysis example.py [--trace run.jsonl]``) lints any
-script that builds a graph, runs the race detector over recorded traces
-and prints rule-grouped reports; see ``docs/analysis.md`` for the full
+Both are wired into :meth:`repro.core.graph.Executable.make`: the linter
+runs at every binding, ``strict``/``sanitize`` arm the sanitizer (race
+checks included, with or without telemetry); strict mode raises on
+error-severity findings, the default warns.  The CLI (``python -m
+repro.analysis example.py``) lints any script that builds a graph and
+prints rule-grouped reports; see ``docs/analysis.md`` for the full
 catalog and the exit-code contract.
 """
 
@@ -32,7 +30,6 @@ from repro.analysis.rules import (
     get_rule,
 )
 from repro.analysis.lint import lint_graph, lint_ptg
-from repro.analysis.race import detect_races
 from repro.analysis.sanitizer import (
     Sanitizer,
     canonical_findings,
@@ -47,7 +44,6 @@ __all__ = [
     "SANITIZER_RULE_IDS",
     "all_rules",
     "canonical_findings",
-    "detect_races",
     "get_rule",
     "lint_graph",
     "lint_ptg",

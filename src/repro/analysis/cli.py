@@ -8,22 +8,17 @@ and prints one rule-grouped report per file::
 
     python -m repro.analysis examples/quickstart.py
     python -m repro.analysis examples/*.py --strict
-    python -m repro.analysis examples/bspmm_example.py --trace run.jsonl
 
-``--trace`` (repeatable) feeds a recorded telemetry JSONL trace to the
-happens-before race detector (:mod:`repro.analysis.race`, RACE rules);
-record one with ``python -m repro.telemetry record script.py --jsonl
-run.jsonl``.  Scripts and traces may be given together or alone.
 ``--json PATH`` additionally writes the full machine-readable report
-(the CI artifact).
+(the CI artifact).  Races are not a lint: the runtime sanitizer checks
+them while a graph executes (``sanitize=True`` / ``strict=True``).
 
 Exit-code contract
 ------------------
 ==  ============================================================
 0   clean: no findings above info severity, none suppressed
 1   hard findings: an unwaived error (or, under ``--strict``, an
-    unwaived warning) survives, a script failed to run, a trace
-    could not be read, or a trace has a race
+    unwaived warning) survives, or a script failed to run
 2   waived-only: every error/warning finding is suppressed by a
     waiver (template ``tt.lint_waive`` or file-scope comment) --
     the graph passes, but only by explicit acknowledgment
@@ -291,25 +286,6 @@ def _report_json(report: FileReport, strict: bool) -> Dict[str, Any]:
     }
 
 
-def _check_trace(trace: str, stream: TextIO) -> Tuple[int, Dict[str, Any]]:
-    """Run the race detector over one JSONL trace: (exit code, JSON)."""
-    from repro.analysis.race import detect_races
-    from repro.telemetry.export import read_jsonl
-
-    try:
-        bus = read_jsonl(trace)
-    except (OSError, ValueError) as e:
-        print(f"== race detector == {trace}\n  cannot read trace: {e}\n",
-              file=stream)
-        return EXIT_HARD, {"path": trace, "error": str(e)}
-    races = detect_races(bus)
-    lines = [f"== race detector == {trace}"]
-    lines.extend(_rule_groups(races) or ["  ok: no findings"])
-    print("\n".join(lines) + "\n", file=stream)
-    return (EXIT_HARD if races else EXIT_CLEAN,
-            {"path": trace, "findings": [_finding_json(f) for f in races]})
-
-
 def _combine(codes: Sequence[int]) -> int:
     """Overall exit status: hard failure beats waived-only beats clean."""
     if EXIT_HARD in codes:
@@ -324,16 +300,10 @@ def main(argv: Optional[Sequence[str]] = None,
     out = stream or sys.stdout
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Lint the task graphs built by Python scripts and run "
-                    "the race detector over recorded telemetry traces "
+        description="Lint the task graphs built by Python scripts "
                     "(exit 0 clean / 1 hard findings / 2 waived-only).",
     )
-    parser.add_argument("files", nargs="*", help="scripts that construct TTGs")
-    parser.add_argument(
-        "--trace", action="append", default=[], metavar="LOG.jsonl",
-        help="telemetry JSONL trace to run the race detector over "
-             "(repeatable; record with python -m repro.telemetry record)",
-    )
+    parser.add_argument("files", nargs="+", help="scripts that construct TTGs")
     parser.add_argument(
         "--json", metavar="PATH",
         help="write the full machine-readable report to PATH (CI artifact)",
@@ -347,23 +317,16 @@ def main(argv: Optional[Sequence[str]] = None,
         help="include each script's own stdout in the report",
     )
     args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
-    if not args.files and not args.trace:
-        parser.error("nothing to do: give scripts or --trace")
 
     codes: List[int] = []
-    payload: Dict[str, Any] = {
-        "schema": "repro.analysis/report-v1", "files": [], "traces": [],
-    }
+    payload: Dict[str, Any] = {"schema": "repro.analysis/report-v1",
+                               "files": []}
     for path in args.files:
         report = lint_file(path)
         print(format_report(report, verbose=args.verbose, strict=args.strict)
               + "\n", file=out)
         codes.append(report.exit_code(strict=args.strict))
         payload["files"].append(_report_json(report, args.strict))
-    for trace in args.trace:
-        code, entry = _check_trace(trace, out)
-        codes.append(code)
-        payload["traces"].append(entry)
 
     code = _combine(codes)
     payload["exit_code"] = code

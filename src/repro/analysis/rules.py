@@ -2,7 +2,7 @@
 
 Every diagnostic the analysis layer can emit is declared here as a
 :class:`Rule` with a stable id (``TTG0xx`` for static lint, ``SAN0xx`` for
-the runtime sanitizer, ``RACE0xx`` for the happens-before race detector),
+the runtime sanitizer, ``RACE0xx`` for its happens-before race checks),
 a severity, and a fix hint.  Findings reference rules by object, so
 reports, waivers, and strict-mode filtering all share one source of truth.
 
@@ -177,9 +177,9 @@ SAN007 = _rule(
 
 # ------------------------------------------------------------- race rules
 #
-# The RACE family is a happens-before race detector over the telemetry
-# event stream (per-rank vector clocks built from task spans, dep
-# instants, and zero-copy alias instants).
+# The RACE family is checked by the runtime sanitizer too, against
+# happens-before kept online (per-rank vector clocks joined at every
+# message delivery; see repro.analysis.sanitizer).
 
 RACE001 = _rule(
     "RACE001", "error", "unordered-write-read",

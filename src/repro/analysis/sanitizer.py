@@ -3,11 +3,12 @@
 The static linter (:mod:`repro.analysis.lint`) catches wiring defects; a
 second class of defects only exists at runtime -- double-sends, task-ID
 reuse, mutation of const-ref-shared data, stream control arriving after
-the task fired, and data stranded or leaked at termination.  The
-sanitizer observes every delivery, spawn, and stream-control event (hooks
-threaded through :mod:`repro.core.graph`, :mod:`repro.core.messaging`,
-and :mod:`repro.runtime.base`) and reports each fault with precise
-task/key provenance.
+the task fired, data stranded or leaked at termination, and data races
+between ranks.  The sanitizer observes every delivery, spawn, task body
+and stream-control event (hooks threaded through
+:mod:`repro.core.graph`, :mod:`repro.core.messaging`, and
+:mod:`repro.runtime.base`) and reports each fault with precise task/key
+provenance.
 
 Enable it per execution::
 
@@ -16,20 +17,45 @@ Enable it per execution::
 
 In strict mode each fault raises :class:`~repro.core.exceptions.SanitizerError`
 at the detection point; otherwise findings accumulate on
-``ex.sanitizer.findings`` and are emitted as warnings.
+``ex.sanitizer.findings`` and are emitted as warnings.  Telemetry is not
+needed for any check.
 
 Tracking is identity-based: only *data-carrying* values (numpy arrays and
 clone()-able objects such as :class:`~repro.linalg.tile.MatrixTile`) are
-entered into the cref/move/lifetime ledgers, and the ledgers hold strong
-references so Python cannot recycle an id mid-run.  Small immutable
-values (ints, floats, strings, None) are never tracked.
+entered into the cref/move/lifetime/access ledgers, and the ledgers hold
+strong references so Python cannot recycle an id mid-run.  Small
+immutable values (ints, floats, strings, None) are never tracked.
+
+Races (``RACE0xx``).  The simulated ranks share one host address space;
+the modelled ones do not, so a buffer that two ranks reach by reference
+(PaRSEC's copy-free ``cref`` send is the way there) is a hazard the
+simulator alone would hide.  Happens-before is kept online, in Lamport's
+message order: one vector clock per rank; a task takes its rank's clock
+(own entry advanced) when its body begins; a send carries the sender's
+clock and its delivery joins that clock into the receiving rank's.  Task
+``a`` happens before task ``b`` iff ``b``'s clock has caught up with
+``a``'s own entry, so same-rank tasks are always ordered.  Per tracked
+buffer, a task that sends it or receives it by a zero-copy ``move``
+writes it, a task whose inputs hold it reads it, and a delivery or task
+input observes it live on that rank.  At each fence:
+
+- **RACE001** -- a write and a read on two ranks with no happens-before;
+- **RACE002** -- two such writes;
+- **RACE003** -- one buffer observed live on two ranks at all;
+- **RACE004** -- a SAN003 mutation detected later in virtual time than
+  the body of the task that shared the buffer by cref.
+
+Race findings are deduplicated and sorted by ``(rule, location,
+message)``; the buffer of a location ``data#N`` is the N-th tracked
+buffer the run touched.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from typing import Any, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.rules import Finding, get_rule
 from repro.core.exceptions import SanitizerError
@@ -86,6 +112,39 @@ def _fingerprint(value: Any) -> str:
     return repr(value)
 
 
+class _Stamp(NamedTuple):
+    """One task body: its label, rank and vector clock."""
+
+    label: str
+    rank: int
+    clock: Tuple[int, ...]
+
+
+#: A routed message: sender, sender clock (None from outside any task
+#: body), and the id of the value when it was moved.
+_Message = Tuple[str, Optional[Tuple[int, ...]], Optional[int]]
+
+
+class _Buffer:
+    """The accesses to one tracked value (held strongly, so its id stays
+    its own for the run)."""
+
+    __slots__ = ("value", "number", "writes", "reads", "ranks")
+
+    def __init__(self, value: Any, number: int) -> None:
+        self.value = value
+        self.number = number
+        self.writes: Dict[str, _Stamp] = {}
+        self.reads: Dict[str, _Stamp] = {}
+        self.ranks: Set[int] = set()
+
+
+def _concurrent(a: _Stamp, b: _Stamp) -> bool:
+    """Two task bodies on two ranks, neither happening before the other."""
+    return (a.rank != b.rank and b.clock[a.rank] < a.clock[a.rank]
+            and a.clock[b.rank] < b.clock[b.rank])
+
+
 class Sanitizer:
     """Per-execution fault detector; one instance per Executable."""
 
@@ -97,23 +156,38 @@ class Sanitizer:
         self._routed: Dict[Tuple[int, int, Any], str] = {}
         # (tt.id, key) of instances that already fired.
         self._fired: Set[Tuple[int, Any]] = set()
-        # id(value) -> (value, fingerprint at share time, sharer provenance).
-        self._shared: Dict[int, Tuple[Any, str, str]] = {}
+        # id(value) -> (value, fingerprint at share time, sharer provenance,
+        # virtual time of the share when a task body made it, else None).
+        self._shared: Dict[int, Tuple[Any, str, str, Optional[float]]] = {}
         # id(value) -> (value, provenance of the move).
         self._moved: Dict[int, Tuple[Any, str]] = {}
         # id(value) -> (value, refcount, provenance): delivered, not consumed.
         self._inflight: Dict[int, Tuple[Any, int, str]] = {}
         self._mutation_reported: Set[int] = set()
+        # Happens-before: the vector clock of each rank, and the running
+        # task body as (label, rank, clock) -- None between bodies.
+        n = ex.nranks
+        self._clocks: List[List[int]] = [[0] * n for _ in range(n)]
+        self._body: Optional[_Stamp] = None
+        # (tt.id, terminal index, key) -> (sender, sender clock, id of a
+        # moved value) of each routed message not yet delivered.  Messages
+        # to one slot are matched to deliveries first in, first out; the
+        # instance fires after all of them, so its clock joins every
+        # sender's either way.
+        self._inbox: Dict[Tuple[int, int, Any], Deque[_Message]] = {}
+        # (tt.id, key) -> ids of buffers it received by zero-copy move.
+        self._takes: Dict[Tuple[int, Any], Set[int]] = {}
+        # id(value) -> access ledger entry of one tracked buffer.
+        self._buffers: Dict[int, _Buffer] = {}
+        # RACE004 candidates: (sharer, location, shared at, detected at).
+        self._late: List[Tuple[str, str, float, float]] = []
+        self._races_reported: Set[Tuple[str, str, str]] = set()
 
     # -------------------------------------------------------------- report
 
-    def record(self, rule_id: str, location: str, message: str,
-               **telargs: Any) -> Finding:
-        """Report one fault.  Extra keyword args ride on the telemetry
-        instant only (e.g. SAN003's ``sharer=`` label, which the race
-        detector uses for RACE004); findings themselves stay
-        ``(rule, location, message)`` so engine-parity comparison is
-        unaffected."""
+    def record(self, rule_id: str, location: str, message: str) -> Finding:
+        """Report one fault (and put it on the telemetry timeline, when
+        telemetry is attached)."""
         f = Finding(get_rule(rule_id), message, location=location)
         self.findings.append(f)
         tel = getattr(self.ex.backend, "telemetry", None)
@@ -122,7 +196,7 @@ class Sanitizer:
                 from repro.telemetry.events import TID_SAN
 
                 tel.bus.instant(rule_id, 0, TID_SAN, cat="san",
-                                location=location, message=message, **telargs)
+                                location=location, message=message)
             tel.metrics.counter("san_findings", rule=rule_id).inc()
         if self.strict:
             raise SanitizerError(str(f), rule=rule_id)
@@ -132,26 +206,52 @@ class Sanitizer:
     def findings_for(self, rule_id: str) -> List[Finding]:
         return [f for f in self.findings if f.rule.id == rule_id]
 
-    @staticmethod
-    def _provenance() -> str:
+    def _provenance(self) -> str:
         """Identity of the task currently executing (sender side)."""
-        from repro.core.messaging import current_task_label
-
-        return current_task_label()
+        return "<external>" if self._body is None else self._body.label
 
     @staticmethod
     def _instance(tt: Any, key: Any) -> str:
         return f"{tt.name}[{key!r}]"
+
+    def _buffer(self, value: Any) -> _Buffer:
+        """The access ledger entry of a tracked value (created on first
+        sighting, which numbers it)."""
+        buf = self._buffers.get(id(value))
+        if buf is None:
+            buf = self._buffers[id(value)] = _Buffer(value, len(self._buffers) + 1)
+        return buf
+
+    # ------------------------------------------------------------ task body
+
+    def on_body(self, tt: Any, key: Any, rank: int, args: Tuple[Any, ...]) -> None:
+        """A task body begins on ``rank``: it takes the rank's clock and
+        reads its tracked inputs (and writes those it took by move)."""
+        clock = self._clocks[rank]
+        clock[rank] += 1
+        body = self._body = _Stamp(self._instance(tt, key), rank, tuple(clock))
+        takes = self._takes.pop((tt.id, key), ())
+        for a in args:
+            if _trackable(a):
+                buf = self._buffer(a)
+                buf.reads[body.label] = body
+                buf.ranks.add(rank)
+                if id(a) in takes:
+                    buf.writes[body.label] = body
+
+    def on_body_end(self) -> None:
+        self._body = None
 
     # ------------------------------------------------------- send-side hooks
 
     def on_route(self, ctt: Any, cidx: int, key: Any, value: Any,
                  mode: str, provenance: Optional[str] = None) -> None:
         """One message routed toward ``(consumer terminal, key)``."""
+        body = self._body
         prov = provenance or self._provenance()
         term = ctt.inputs[cidx]
+        slot = (ctt.id, cidx, key)
         if not term.is_streaming:
-            slot = (ctt.id, cidx, key)
             first = self._routed.get(slot)
             if first is not None:
                 self.record(
@@ -161,8 +261,12 @@ class Sanitizer:
                 )
             else:
                 self._routed[slot] = prov
-        if mode == "move" and _trackable(value):
-            vid = id(value)
+        tracked = _trackable(value)
+        if tracked and body is not None:
+            self._buffer(value).writes[body.label] = body
+        moved = None
+        if mode == "move" and tracked:
+            vid = moved = id(value)
             earlier = self._moved.get(vid)
             if earlier is not None:
                 self.record(
@@ -171,6 +275,8 @@ class Sanitizer:
                 )
             else:
                 self._moved[vid] = (value, prov)
+        self._inbox.setdefault(slot, deque()).append(
+            (prov, None if body is None else body.clock, moved))
 
     def on_cref_share(self, value: Any) -> None:
         """A value was shared by const-ref with no copy (runtime-owned)."""
@@ -178,13 +284,30 @@ class Sanitizer:
             return
         vid = id(value)
         if vid not in self._shared:
-            self._shared[vid] = (value, _fingerprint(value), self._provenance())
+            # A share from a task body happens at its span's end.
+            at = None if self._body is None else self.ex.backend.engine.now
+            self._shared[vid] = (value, _fingerprint(value),
+                                 self._provenance(), at)
 
     # ---------------------------------------------------- delivery-side hooks
 
-    def on_deliver(self, tt: Any, idx: int, key: Any, value: Any) -> None:
-        """A message reached an input terminal at its owner rank."""
+    def on_deliver(self, tt: Any, idx: int, key: Any, value: Any,
+                   rank: int) -> None:
+        """A message reached an input terminal at its owner ``rank``."""
         term = tt.inputs[idx]
+        slot = (tt.id, idx, key)
+        inbox = self._inbox.get(slot)
+        if inbox:
+            prov, clock, moved = inbox.popleft()
+            if not inbox:
+                del self._inbox[slot]
+        else:
+            prov, clock, moved = "<external>", None, None
+        if clock is not None:
+            mine = self._clocks[rank]
+            for r, c in enumerate(clock):
+                if c > mine[r]:
+                    mine[r] = c
         if (tt.id, key) in self._fired:
             self.record(
                 "SAN002", f"{self._instance(tt, key)}.{term.name}",
@@ -194,25 +317,29 @@ class Sanitizer:
         self._check_mutation(value, where=f"{self._instance(tt, key)}.{term.name}")
         if _trackable(value):
             vid = id(value)
+            self._buffer(value).ranks.add(rank)
+            if moved == vid:  # the sender's own object: ownership moved
+                self._takes.setdefault((tt.id, key), set()).add(vid)
             prev = self._inflight.get(vid)
             count = prev[1] + 1 if prev else 1
-            # Provenance: the sender recorded at routing time (delivery
-            # itself happens between tasks, when no body is executing).
-            prov = self._routed.get((tt.id, idx, key), "<external>")
             self._inflight[vid] = (value, count, prov)
 
     def _check_mutation(self, value: Any, where: str) -> None:
         rec = self._shared.get(id(value))
         if rec is None or id(value) in self._mutation_reported:
             return
-        obj, fp, sharer = rec
+        obj, fp, sharer, shared_at = rec
         if obj is value and _fingerprint(value) != fp:
             self._mutation_reported.add(id(value))
+            now = self.ex.backend.engine.now
+            # The sharer's own post-send mutation is seen at its span's
+            # end; strictly later means someone else wrote the buffer.
+            if shared_at is not None and now > shared_at:
+                self._late.append((sharer, where, shared_at, now))
             self.record(
                 "SAN003", where,
                 f"value shared via cref by {sharer} was mutated before "
                 "its consumer observed it (write-after-share race)",
-                sharer=sharer,
             )
 
     # ------------------------------------------------------------ task hooks
@@ -261,7 +388,8 @@ class Sanitizer:
             )
 
     def on_shutdown(self) -> None:
-        """Fence completed: report stranded instances and leaked data."""
+        """Fence completed: report stranded instances, leaked data and
+        races."""
         ex = self.ex
         by_id = {tt.id: tt for tt in ex.graph.tts}
         for (ttid, key), p in sorted(
@@ -288,3 +416,42 @@ class Sanitizer:
                 f"data-copy leak: {len(self._inflight)} value(s) delivered "
                 f"but never consumed by a task: {'; '.join(leaks)}",
             )
+        for race in self._races():
+            if race not in self._races_reported:
+                self._races_reported.add(race)
+                self.record(*race)
+
+    def _races(self) -> List[Tuple[str, str, str]]:
+        """``(rule, location, message)`` of every race so far, sorted."""
+        out: Set[Tuple[str, str, str]] = set()
+        for buf in self._buffers.values():
+            where = f"data#{buf.number}"
+            writes = sorted(buf.writes.values())
+            for i, a in enumerate(writes):
+                for b in writes[i + 1:]:
+                    if _concurrent(a, b):
+                        out.add(("RACE002", where,
+                                 f"buffer {where} written by {a.label} (rank "
+                                 f"{a.rank}) and {b.label} (rank {b.rank}) "
+                                 "with no happens-before edge between the "
+                                 "writes"))
+            for w in writes:
+                for r in sorted(buf.reads.values()):
+                    if r.label != w.label and _concurrent(w, r):
+                        out.add(("RACE001", where,
+                                 f"buffer {where} written by {w.label} (rank "
+                                 f"{w.rank}) and read by {r.label} (rank "
+                                 f"{r.rank}) with no happens-before edge "
+                                 "between the accesses"))
+            if len(buf.ranks) > 1:
+                out.add(("RACE003", where,
+                         f"buffer {where} observed live on ranks "
+                         f"{sorted(buf.ranks)}; the modelled ranks have "
+                         "disjoint address spaces, so this aliasing must "
+                         "become per-rank copies or messages"))
+        for sharer, where, shared_at, seen_at in self._late:
+            out.add(("RACE004", where,
+                     f"cref-shared data owned by {sharer} (span ended at "
+                     f"{shared_at:.6g}) was mutated by t={seen_at:.6g}, "
+                     "outside the owning task's execution span"))
+        return sorted(out)

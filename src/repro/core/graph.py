@@ -32,13 +32,11 @@ from repro.runtime.base import Backend
 from repro.telemetry.events import INSTANT, TID_RT
 from repro.telemetry.metrics import Handles
 
-#: Record heads (see ``EventBus.emit``) of the dependency / zero-copy
-#: instants, per source rank: a memo of constants, shared by every run.
-#: The consumer label ``dst`` is formatted from (template name, key) on read.
+#: Record heads (see ``EventBus.emit``) of the dependency instants, per
+#: source rank: a memo of constants, shared by every run.  The consumer
+#: label ``dst`` is formatted from (template name, key) on read.
 _DEP_HEADS = Handles(lambda rank: (
-    INSTANT, "dep", "dep", rank, TID_RT, "src dst[] edge obj? mode?"))
-_ALIAS_HEADS = Handles(lambda rank: (
-    INSTANT, "alias", "alias", rank, TID_RT, "src dst[] obj mode"))
+    INSTANT, "dep", "dep", rank, TID_RT, "src dst[] edge"))
 
 _EMPTY = object()
 
@@ -118,9 +116,8 @@ class TaskGraph:
 
         ``strict=True`` raises on any error-severity lint finding and
         arms the runtime sanitizer in raising mode; ``sanitize=True``
-        arms the sanitizer in collect-and-warn mode.  Either one, with
-        telemetry attached, also runs the happens-before race detector
-        at a completed :meth:`Executable.fence`.
+        arms the sanitizer in collect-and-warn mode, race checks
+        included.
         """
         return Executable(self, backend, strict=strict, sanitize=sanitize)
 
@@ -156,8 +153,7 @@ class Executable:
     execution proceeds (preserving historical behaviour).  All findings
     are kept on :attr:`findings`.  ``strict``/``sanitize`` also arm the
     runtime sanitizer (:class:`repro.analysis.sanitizer.Sanitizer`),
-    exposed as :attr:`sanitizer`, and the fence-time race detector
-    (:attr:`race_findings`).
+    exposed as :attr:`sanitizer`.
     """
 
     def __init__(
@@ -174,8 +170,6 @@ class Executable:
         self._pending: Dict[Tuple[int, Any], _Pending] = {}
         self.task_counts: Counter = Counter()
         self._tt_ids = {tt.id for tt in graph.tts}
-        self.strict = strict
-        self.race_findings: List[Any] = []
         self.sanitizer = None
         if strict or sanitize:
             from repro.analysis.sanitizer import Sanitizer
@@ -209,9 +203,8 @@ class Executable:
         """Bind ``graph`` to ``backend`` (``make_graph_executable``).
 
         ``Executable.make(graph, backend, strict=True)`` is the verified
-        entry point: the linter raises on error findings, the runtime
-        sanitizer raises at the first detected fault and, with telemetry
-        attached, the fence-time race detector raises on a race.
+        entry point: the linter raises on error findings and the runtime
+        sanitizer raises at the first detected fault, races included.
         """
         return cls(graph, backend, strict=strict, sanitize=sanitize)
 
@@ -242,11 +235,9 @@ class Executable:
                                     provenance="<inject>")
         tel = self.backend.telemetry
         if tel is not None and tel.bus.recording:
-            tok = tel.data_token(value)
             now = self.backend.engine.now
             tel.bus.emit((_DEP_HEADS[0], now, now, None, "<external>",
-                          tt.name, key, term.edge.name,
-                          tok, None if tok is None else "value"))
+                          tt.name, key, term.edge.name))
         nranks = self.nranks
         km = tt._keymap
         dst = default_owner(key, nranks) if km is None else km(key)
@@ -255,33 +246,11 @@ class Executable:
         self.backend.post_local(self._deliver, tt, term.index, key, value, dst)
 
     def fence(self) -> float:
-        """Drain all tasks and messages; returns the makespan.
-
-        With the sanitizer armed and telemetry attached, the fence
-        additionally runs the happens-before race detector over the
-        recorded event stream; findings land on :attr:`race_findings`
-        (strict mode raises instead).
-        """
+        """Drain all tasks and messages; returns the makespan.  An armed
+        sanitizer then reports what termination left behind, and races."""
         makespan = self.backend.run()
         if self.sanitizer is not None:
             self.sanitizer.on_shutdown()
-            tel = self.backend.telemetry
-            if tel is not None and tel.bus.recording:
-                from repro.analysis.race import detect_races
-                from repro.core.exceptions import SanitizerError
-
-                self.race_findings = detect_races(tel)
-                if self.race_findings:
-                    if self.strict:
-                        raise SanitizerError(
-                            f"race detector found "
-                            f"{len(self.race_findings)} race(s): "
-                            + "; ".join(str(f) for f in self.race_findings),
-                            rule=self.race_findings[0].rule.id,
-                        )
-                    for f in self.race_findings:
-                        warnings.warn(f"TTG race: {f}", RuntimeWarning,
-                                      stacklevel=2)
         return makespan
 
     # ------------------------------------------------------------ delivery
@@ -318,12 +287,6 @@ class Executable:
         tel = backend.telemetry
         bus = tel.bus if tel is not None and tel.bus.recording else None
         if bus is not None:
-            # Data token: stable per-run identity for the sent buffer,
-            # stamped on dep instants (and alias instants for zero-copy
-            # deliveries) so the race detector can follow one buffer
-            # across ranks.
-            tok = tel.data_token(value)
-            tok_mode = None if tok is None else mode
             src, now = current_task_label(), backend.engine.now
             dep_head = _DEP_HEADS[src_rank]
         # Message tags are only ever read by a recording bus.
@@ -333,7 +296,7 @@ class Executable:
                 sanitizer.on_route(ctt, cidx, key, value, mode)
             if bus is not None:
                 bus.emit((dep_head, now, now, None, src, ctt.name, key,
-                          edge.name, tok, tok_mode))
+                          edge.name))
             # The one keymap evaluation of this message, range-checked
             # here (TTG006): the owner rank rides along to _deliver/_spawn.
             km = ctt._keymap
@@ -343,9 +306,6 @@ class Executable:
             if dst == src_rank:
                 backend.stats.local_deliveries += 1
                 v2, delay = backend.maybe_copy_local(value, mode)
-                if bus is not None and tok is not None and v2 is value:
-                    bus.emit((_ALIAS_HEADS[src_rank], now, now, None, src,
-                              ctt.name, key, tok, mode))
                 backend.post_local(self._deliver, ctt, cidx, key, v2, dst,
                                    delay=delay)
             elif value is None:
@@ -384,13 +344,12 @@ class Executable:
         sanitizer = self.sanitizer
         bus = tel.bus if tel is not None and tel.bus.recording else None
         if bus is not None:
-            tok = tel.data_token(value)
-            tok_mode = None if tok is None else mode
-            src, now = current_task_label(), backend.engine.now
+            now = backend.engine.now
             # The dep instants of the whole fan-out are one entry (one per
             # key while the sanitizer may record a finding in between).
-            deps = bus.batch((_DEP_HEADS[src_rank], now, now, None, src), 3,
-                             (tok, tok_mode), expand=sanitizer is not None)
+            deps = bus.batch((_DEP_HEADS[src_rank], now, now, None,
+                              current_task_label()), 3,
+                             expand=sanitizer is not None)
         nranks = self.nranks
         per_rank: Dict[int, List[Tuple[TemplateTask, int, Any]]] = {}
         for term, keys in spec:
@@ -425,12 +384,6 @@ class Executable:
             if dst == src_rank:
                 backend.stats.local_deliveries += len(targets)
                 v2, delay = backend.maybe_copy_local(value, mode)
-                if bus is not None and tok is not None and v2 is value:
-                    aliases = bus.batch(
-                        (_ALIAS_HEADS[src_rank], now, now, None, src), 2,
-                        (tok, mode))
-                    for ctt, cidx, k in targets:
-                        aliases.extend((ctt.name, k))
                 # One heap entry for the whole same-timestamp fan-out.
                 backend.post_local_batch(
                     [(self._deliver, (ctt, cidx, k, v2, dst))
@@ -461,7 +414,7 @@ class Executable:
         (keymaps are pure, TTG011).
         """
         if self.sanitizer is not None:
-            self.sanitizer.on_deliver(tt, idx, key, value)
+            self.sanitizer.on_deliver(tt, idx, key, value, rank)
         # Without a streaming input every input takes exactly one message
         # and readiness is a count; a lone such input is ready at once.
         counted = not tt.streams
@@ -525,8 +478,9 @@ class Executable:
             rank = default_owner(key, nranks) if km is None else km(key)
             if not 0 <= rank < nranks:
                 raise keymap_out_of_range(tt, key, rank, nranks)
-        if self.sanitizer is not None:
-            self.sanitizer.on_spawn(tt, key, args)
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_spawn(tt, key, args)
         args = tuple(args)
         cost = tt._cost
         if cost is None:
@@ -541,8 +495,9 @@ class Executable:
         name = tt.name
         self.task_counts[name] += 1
         self.backend.submit(
-            rank, _RunBody(self, tt, rank, key, args), flops, bytes_moved,
-            0 if priomap is None else priomap(key), name, key, args,
+            rank, (_RunBody if sanitizer is None else _SanitizedBody)(
+                self, tt, rank, key, args), flops, bytes_moved,
+            0 if priomap is None else priomap(key), name, key,
         )
 
     # ------------------------------------------------------------- streams
@@ -725,3 +680,18 @@ class _RunBody:
             self.tt.fn(self.key, *self.args, outs)
         finally:
             _CURRENT.pop()
+
+
+class _SanitizedBody(_RunBody):
+    """A task body bracketed by the armed sanitizer's hooks (it takes its
+    rank's clock as it begins)."""
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        sanitizer = self.ex.sanitizer
+        sanitizer.on_body(self.tt, self.key, self.rank, self.args)
+        try:
+            _RunBody.__call__(self)
+        finally:
+            sanitizer.on_body_end()

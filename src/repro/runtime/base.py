@@ -33,7 +33,7 @@ from repro.telemetry.metrics import Handles
 CONTROL_BYTES = 64
 
 #: ``EventBus.record`` arg specs of the events recorded here.
-_TASK_ARGS = "key! template priority data*"
+_TASK_ARGS = "key! template priority"
 _PROTO_ARGS = ("src", "nbytes")
 _DEPTH_ARGS = ("depth",)
 
@@ -247,7 +247,7 @@ class _ReadyTask:
     time, is set only with telemetry attached (queue-wait sampling)."""
 
     __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key",
-                 "inputs", "enqueued")
+                 "enqueued")
 
     def __init__(
         self,
@@ -257,7 +257,6 @@ class _ReadyTask:
         priority: int,
         name: str,
         key: Any,
-        inputs: Tuple[Any, ...] = (),
     ) -> None:
         self.fn = fn
         self.flops = flops
@@ -265,7 +264,6 @@ class _ReadyTask:
         self.priority = priority
         self.name = name
         self.key = key
-        self.inputs = inputs
 
 
 class WorkerPool:
@@ -357,11 +355,8 @@ class WorkerPool:
         end = self.backend.engine.now
         tasks, task_time = self._task_metrics[task.name]
         if tel.bus.recording:
-            # Data tokens of trackable inputs: the race detector uses
-            # them to see which rank shards observed a buffer live.
             tel.bus.emit((self._task_heads[(task.name, worker)], start, end,
-                          None, task.key, task.name, task.priority,
-                          *tel.data_tokens(task.inputs)))
+                          None, task.key, task.name, task.priority))
         tasks.value += 1
         task_time.observe(end - start)
 
@@ -473,14 +468,12 @@ class Backend:
         priority: int = 0,
         name: str = "task",
         key: Any = None,
-        inputs: Tuple[Any, ...] = (),
     ) -> None:
-        """Enqueue a ready task on ``rank``'s worker pool (``inputs`` are
-        the task's arguments, whose data tokens the recorded task carries).
+        """Enqueue a ready task on ``rank``'s worker pool.
 
         The task is queued and dispatched right here, in the caller's
         frame: this runs once per simulated task."""
-        task = _ReadyTask(fn, flops, bytes_moved, priority, name, key, inputs)
+        task = _ReadyTask(fn, flops, bytes_moved, priority, name, key)
         pool = self.pools[rank]
         pool._queue.push(task, priority)
         if pool._tel is not None:

@@ -67,29 +67,6 @@ def dep_edges(source: Union[Telemetry, EventBus]) -> List[Tuple[str, str]]:
     return out
 
 
-def program_order_edges(
-    nodes: Dict[str, "TaskNode"],
-) -> List[Tuple[str, str]]:
-    """Per-rank program-order chains over executed task instances.
-
-    Within one rank shard, tasks execute in recorded start order on a
-    single timeline, so consecutive spans are ordered even without a
-    dataflow edge between them.  The race detector
-    (:mod:`repro.analysis.race`) adds these chains to the dependency DAG
-    when building happens-before -- without them every independent
-    same-rank pair would look concurrent.
-    """
-    by_rank: Dict[int, List[TaskNode]] = defaultdict(list)
-    for node in nodes.values():
-        by_rank[node.rank].append(node)
-    out: List[Tuple[str, str]] = []
-    for rank in sorted(by_rank):
-        chain = sorted(by_rank[rank], key=lambda n: (n.start, n.end, n.label))
-        for a, b in zip(chain, chain[1:]):
-            out.append((a.label, b.label))
-    return out
-
-
 @dataclass
 class CriticalPath:
     """The longest task chain of one recorded run."""

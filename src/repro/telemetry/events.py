@@ -118,7 +118,7 @@ class CounterEvent:
 @lru_cache(maxsize=None)
 def _fields(spec: str) -> Tuple[Tuple[str, str], ...]:
     """``"dst[] key! size?"`` -> ``(("dst", "[]"), ("key", "!"), ("size", "?"))``."""
-    names = ((word, word.rstrip("[]!?*")) for word in spec.split())
+    names = ((word, word.rstrip("[]!?")) for word in spec.split())
     return tuple((name, word[len(name):]) for word, name in names)
 
 
@@ -131,12 +131,12 @@ def _event(rec: tuple) -> Any:
     else:
         args, vals = {}, iter(vals)
         for key, how in _fields(keys):
-            v = list(vals) if how == "*" else next(vals)
+            v = next(vals)
             if how == "[]":
                 v = f"{v}[{next(vals)!r}]"
             elif how == "!":
                 v = repr(v)
-            elif how == "?" and v is None or how == "*" and not v:
+            elif how == "?" and v is None:
                 continue
             args[key] = v
     if kind == SPAN:
@@ -150,9 +150,9 @@ def _records(entries: Iterable[Any]) -> Iterator[Any]:
     """``entries`` with every batch expanded into its records, in order."""
     for entry in entries:
         if type(entry) is tuple and entry[0] == BATCH:
-            _, head, width, values, tail = entry
+            _, head, width, values = entry
             for i in range(0, len(values), width):
-                yield head + tuple(values[i:i + width]) + tail
+                yield head + tuple(values[i:i + width])
         else:
             yield entry
 
@@ -161,17 +161,16 @@ class _Expanding:
     """What :meth:`EventBus.batch` hands out when the batch cannot be one
     entry: each item is stored as its own record as it comes in."""
 
-    __slots__ = ("bus", "rank", "head", "width", "tail")
+    __slots__ = ("bus", "rank", "head", "width")
 
-    def __init__(self, bus: "EventBus", rank: int, head: tuple, width: int,
-                 tail: tuple) -> None:
-        self.bus, self.rank, self.head = bus, rank, head
-        self.width, self.tail = width, tail
+    def __init__(self, bus: "EventBus", rank: int, head: tuple,
+                 width: int) -> None:
+        self.bus, self.rank, self.head, self.width = bus, rank, head, width
 
     def extend(self, values: Iterable[Any]) -> None:
         flat, width = tuple(values), self.width
         for i in range(0, len(flat), width):
-            self.bus._put(self.rank, self.head + flat[i:i + width] + self.tail)
+            self.bus._put(self.rank, self.head + flat[i:i + width])
 
 
 class EventBus:
@@ -270,10 +269,9 @@ class EventBus:
         ``args`` order: a tuple of names, or a space-separated string whose
         names may defer formatting -- ``key!`` stores ``repr(value)``,
         ``dst[]`` takes two values and stores the task label
-        ``"NAME[key!r]"``, ``size?`` is left out when ``None``, a final
-        ``data*`` stores the remaining values as a list (left out when
-        empty).  Pass atoms (strings, numbers, ``None``, immutable keys):
-        a deferred value must not change before it is read, and a tuple of
+        ``"NAME[key!r]"``, ``size?`` is left out when ``None``.  Pass atoms
+        (strings, numbers, ``None``, immutable keys): a deferred value must
+        not change before it is read, and a tuple of
         atoms leaves the cyclic GC at the first collection that sees it.
         Until then it counts toward the young generation's threshold like
         any other allocation, so every retained record still costs
@@ -295,14 +293,13 @@ class EventBus:
             self.dropped[rank] += 1
         ring.append(rec)
 
-    def batch(self, head: tuple, width: int, tail: tuple,
+    def batch(self, head: tuple, width: int,
               expand: bool = False) -> "Union[List[Any], _Expanding]":
         """One ring entry for many records that differ only in ``width``
         values: a broadcast's per-key instants share everything but the
         consumer.  Each ``width`` values the caller adds with ``extend``
-        to the returned list stand for the record ``head + item + tail``:
-        ``head`` is a record's leading part (see :meth:`emit`), ``tail``
-        its last values.  The items lie flat in one list, so a key costs
+        to the returned list stand for the record ``head + item``:
+        ``head`` is a record's leading part (see :meth:`emit`).  The items lie flat in one list, so a key costs
         no allocation of its own.
 
         The entry is stored now, so it keeps its place among the rank's
@@ -312,9 +309,9 @@ class EventBus:
         """
         rank = head[0][3]
         if expand or self.capacity is not None or rank >= len(self._rings):
-            return _Expanding(self, rank, head, width, tail)
+            return _Expanding(self, rank, head, width)
         values: List[Any] = []
-        self._rings[rank].append((BATCH, head, width, values, tail))
+        self._rings[rank].append((BATCH, head, width, values))
         return values
 
     def complete(self, name: str, rank: int, tid: int, start: float, end: float,
@@ -402,59 +399,6 @@ class Telemetry:
         #: Workers of each rank of the bound backend.  No export carries
         #: it: a bus read back from a file has none.
         self.lanes: Optional[List[int]] = None
-        # Data tokens: id(value) -> (value, token).  The strong ref on
-        # ``value`` pins it for the run so CPython cannot recycle its id
-        # for a different buffer -- which would corrupt the race
-        # detector's identity tracking.  Telemetry is opt-in, so regular
-        # runs never populate this.
-        self._data_tokens: Dict[int, Tuple[Any, int]] = {}
-        self._trackable: Dict[type, bool] = {}
-
-    def data_token(self, value: Any) -> Optional[int]:
-        """A stable per-run identity token for a trackable data value.
-
-        Trackable means tile-/array-like (has ``clone`` or ``tobytes``,
-        scalars and strings excluded) -- the buffers the race detector
-        follows across ranks.  The same object always yields the same
-        token; distinct live objects always yield distinct tokens.
-        Returns ``None`` for untrackable values (they are not race
-        subjects).
-        """
-        # A value already seen is the common case: its pinned entry
-        # answers by identity before any class probe.
-        key = id(value)
-        rec = self._data_tokens.get(key)
-        if rec is not None and rec[0] is value:
-            return rec[1]
-        cls = type(value)
-        trackable = self._trackable.get(cls)
-        if trackable is None:
-            # clone/tobytes are methods: probe each class once.
-            trackable = self._trackable[cls] = not (
-                value is None
-                or isinstance(value, (int, float, complex, str, bytes, bool))
-            ) and (callable(getattr(value, "clone", None))
-                   or callable(getattr(value, "tobytes", None)))
-        if not trackable:
-            return None
-        token = len(self._data_tokens) + 1
-        self._data_tokens[key] = (value, token)
-        return token
-
-    def data_tokens(self, values: Iterable[Any]) -> List[int]:
-        """The tokens of the trackable ``values``, in order: a task span's
-        inputs in one call, :meth:`data_token` only at a first sighting."""
-        pinned, trackable = self._data_tokens, self._trackable
-        out: List[int] = []
-        for value in values:
-            rec = pinned.get(id(value))
-            if rec is not None and rec[0] is value:
-                out.append(rec[1])
-            elif trackable.get(type(value)) is not False:
-                tok = self.data_token(value)
-                if tok is not None:
-                    out.append(tok)
-        return out
 
     def bind(self, backend: Any) -> None:
         """Wire the bus to ``backend``'s engine clock, rank and lane count."""

@@ -203,78 +203,18 @@ def test_expired_template_waiver_is_called_out(tmp_path):
     assert "TTG003 key-type-conflict [error] x1" in out
 
 
-# ------------------------------------------------------------- race traces
-
-
-def _write_trace(path, racy):
-    from repro.telemetry.events import EventBus, TID_RT
-    from repro.telemetry.export import write_jsonl
-
-    bus = EventBus(nranks=2, capacity=None)
-    bus.complete("GEN", 0, 0, 0.0, 1.0, cat="task",
-                 args={"template": "GEN", "key": "0"})
-    bus.clock = lambda: 1.0
-    if racy:  # tokenized write with an unordered cross-rank reader
-        bus.instant("dep", 0, TID_RT, cat="dep",
-                    src="GEN[0]", dst="LOST[9]", edge="e", obj=1, mode="value")
-        bus.complete("R", 1, 0, 0.5, 1.5, cat="task",
-                     args={"template": "R", "key": "0", "data": [1]})
-    else:
-        bus.instant("dep", 0, TID_RT, cat="dep",
-                    src="GEN[0]", dst="R[0]", edge="e", obj=1, mode="value")
-        bus.complete("R", 1, 0, 2.0, 3.0, cat="task",
-                     args={"template": "R", "key": "0", "data": [1]})
-    write_jsonl(str(path), bus)
-
-
-def test_trace_race_fails_hard(tmp_path):
-    trace = tmp_path / "racy.jsonl"
-    _write_trace(trace, racy=True)
-    code, out = run_cli(["--trace", str(trace)])
-    assert code == 1
-    assert out.startswith(f"== race detector == {trace}")
-    assert "RACE001 unordered-write-read [error] x1" in out
-
-
-def test_trace_clean_passes(tmp_path):
-    trace = tmp_path / "ordered.jsonl"
-    _write_trace(trace, racy=False)
-    code, out = run_cli(["--trace", str(trace)])
-    assert code == 0, out
-    assert "ok: no findings" in out
-
-
-def test_unreadable_trace_fails(tmp_path):
-    code, out = run_cli(["--trace", str(tmp_path / "no.jsonl")])
-    assert code == 1
-    assert "cannot read trace" in out
-
-
-def test_script_and_trace_together(tmp_path):
-    trace = tmp_path / "ordered.jsonl"
-    _write_trace(trace, racy=False)
-    code, out = run_cli([os.path.join(EXAMPLES, "quickstart.py"),
-                         "--trace", str(trace)])
-    assert code == 0, out
-    assert out.index("== repro.analysis ==") < out.index("== race detector ==")
-
-
 def test_json_artifact(tmp_path):
     import json
 
     script = tmp_path / "broken.py"
     script.write_text(BROKEN)
-    trace = tmp_path / "racy.jsonl"
-    _write_trace(trace, racy=True)
     artifact = tmp_path / "report.json"
-    code, _ = run_cli([
-        str(script), "--trace", str(trace), "--json", str(artifact),
-    ])
+    code, _ = run_cli([str(script), "--json", str(artifact)])
     payload = json.loads(artifact.read_text())
     assert payload["schema"] == "repro.analysis/report-v1"
     assert payload["exit_code"] == code == 1
     assert payload["files"][0]["findings"][0]["rule"] == "TTG003"
-    assert payload["traces"][0]["findings"][0]["rule"] == "RACE001"
+    assert set(payload) == {"schema", "files", "exit_code"}
 
 
 def test_requires_some_input():

@@ -308,10 +308,10 @@ def test_ttg011_runtime_object_behind_a_bound_helper():
     from repro.telemetry.events import Telemetry
 
     tel = Telemetry(nranks=1)
-    token = tel.data_token
+    token = tel.bind
     e = ttg.Edge("e", key_type=int, value_type=int)
     a = ttg.make_tt(_noop, [], [e], name="A", keymap=lambda k: token(k) or 0)
-    b = ttg.make_tt(_noop, [e], [], name="B", priomap=tel.data_token)
+    b = ttg.make_tt(_noop, [e], [], name="B", priomap=tel.bind)
     fs = findings_for(ttg.TaskGraph([a, b], name="g"), "TTG011")
     assert [f.location for f in fs] == ["g/A.keymap", "g/B.priomap"]
     assert "(Telemetry) as 'token'" in fs[0].message

@@ -1,10 +1,11 @@
-"""Tests for the happens-before race detector (RACE rules).
+"""Race checks of the runtime sanitizer (RACE rules), on live executions.
 
-Unit tests drive :func:`detect_races` over hand-built event buses (full
-control of spans, dep edges and timestamps); integration tests record a
-real execution through the runtime's telemetry hooks and assert that
-clean message-passing graphs stay race-free while cref aliasing abuse is
-caught.
+Each test arms the sanitizer (``sanitize=True``, no telemetry unless
+said) on a small graph whose tasks reach one tile by reference from
+chosen ranks -- captured by a body, injected, invoked, or sent by
+``cref``/``move`` -- and asserts which races the online happens-before
+relation (per-rank vector clocks, joined at every delivery) reports at
+the fence.
 """
 
 import warnings
@@ -12,242 +13,367 @@ import warnings
 import pytest
 
 from repro import core as ttg
-from repro.analysis.race import HappensBefore, detect_races
-from repro.runtime import ParsecBackend
+from repro.core.exceptions import SanitizerError
+from repro.linalg import MatrixTile
+from repro.runtime import MadnessBackend, ParsecBackend
 from repro.sim import Cluster, HAWK
-from repro.telemetry.analyze import dep_edges, program_order_edges, task_nodes
-from repro.telemetry.events import EventBus, TID_RT, Telemetry
-
-# ------------------------------------------------------- synthetic traces
+from repro.telemetry.events import Telemetry
 
 
-def _bus(nranks=2):
-    return EventBus(nranks=nranks, capacity=None)
+def _noop(key, *args):
+    pass
 
 
-def _task(bus, template, key, rank, start, end, data=None):
-    args = {"template": template, "key": key}
-    if data:
-        args["data"] = list(data)
-    bus.complete(template, rank, 0, start, end, cat="task", args=args)
+def _tiles(name):
+    return ttg.Edge(name, key_type=int, value_type=MatrixTile)
 
 
-def _instant(bus, name, cat, rank, ts, **args):
-    bus.clock = lambda t=ts: t
-    bus.instant(name, rank, TID_RT, cat=cat, **args)
+def _ints(name):
+    return ttg.Edge(name, key_type=int, value_type=int)
 
 
-def _dep(bus, rank, ts, src, dst, tok=None, mode="value"):
-    args = {"src": src, "dst": dst, "edge": "e"}
-    if tok is not None:
-        args.update(obj=tok, mode=mode)
-    _instant(bus, "dep", "dep", rank, ts, **args)
+def _on(rank):
+    return lambda key: rank
+
+
+def _execute(tts, nranks, drive, backend=ParsecBackend, telemetry=None,
+             **armed):
+    """Bind ``tts`` to a fresh backend with the sanitizer armed (collect
+    mode unless ``strict=True``), run ``drive(ex)`` and fence."""
+    armed = armed or {"sanitize": True}
+    ex = ttg.TaskGraph(tts).executable(
+        backend(Cluster(HAWK, nranks), telemetry=telemetry), **armed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        drive(ex)
+        ex.fence()
+    return ex
+
+
+def _races(ex):
+    return [f for f in ex.sanitizer.findings if f.rule.id.startswith("RACE")]
 
 
 def _ids(findings):
     return [f.rule.id for f in findings]
 
 
+def _writer(name, tile, keymap, after=None, **kw):
+    """A template that writes ``tile``: it sends the tile by value to a
+    sink on its own rank (which gets a clone) -- and then, given an
+    ``after`` edge, one int on that."""
+    out = _tiles(f"{name}.copy")
+
+    def body(key, outs):
+        outs.send(0, key, tile)
+        if after is not None:
+            outs.send(1, key, 1)
+
+    tt = ttg.make_tt(body, [], [out] + ([after] if after else []), name=name,
+                     keymap=keymap, **kw)
+    sink = ttg.make_tt(_noop, [out], [], name=f"{name}.SINK", keymap=keymap)
+    return tt, sink
+
+
+# ------------------------------------------------------------ RACE001/002
+
+
 def test_race001_unordered_cross_rank_write_read():
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0)
-    # Tokenized send whose consumer never executed: registers the write
-    # without creating a happens-before edge to the reader below.
-    _dep(bus, 0, 1.0, "GEN[0]", "LOST[9]", tok=1)
-    _task(bus, "R", "0", 1, 0.5, 1.5, data=[1])
-    findings = detect_races(bus)
+    tile = MatrixTile.zeros(2, 2)
+    gen, sink = _writer("GEN", tile, _on(0))
+    x = _tiles("x")
+    r = ttg.make_tt(_noop, [x], [], name="R", keymap=_on(1))
+
+    def drive(ex):
+        ex.invoke(gen, 0)
+        ex.inject(r, 0, 0, tile)
+
+    findings = _races(_execute([gen, sink, r], 2, drive))
     assert _ids(findings) == ["RACE001"]
-    assert "GEN[0]" in findings[0].message
-    assert "R[0]" in findings[0].message
+    assert "written by GEN[0] (rank 0)" in findings[0].message
+    assert "read by R[0] (rank 1)" in findings[0].message
     assert findings[0].location == "data#1"
 
 
 def test_no_race_when_dep_edge_orders_the_pair():
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0)
-    _task(bus, "R", "0", 1, 2.0, 3.0, data=[1])
-    _dep(bus, 0, 1.0, "GEN[0]", "R[0]", tok=1)
-    assert detect_races(bus) == []
+    tile = MatrixTile.zeros(2, 2)
+    t, x = _tiles("t"), _tiles("x")
+    gen = ttg.make_tt(lambda key, outs: outs.send(0, key, tile), [], [t],
+                      name="GEN", keymap=_on(0))
+    # R reads the tile only after GEN's message reached rank 1.
+    r = ttg.make_tt(_noop, [t, x], [], name="R", keymap=_on(1))
+
+    def drive(ex):
+        ex.invoke(gen, 0)
+        ex.inject(r, 1, 0, tile)
+
+    assert _execute([gen, r], 2, drive).sanitizer.findings == []
 
 
 def test_race002_two_unordered_writers():
-    bus = _bus()
-    _task(bus, "W1", "0", 0, 0.0, 1.0)
-    _task(bus, "W2", "0", 1, 0.0, 1.0)
-    _dep(bus, 0, 1.0, "W1[0]", "LOST[8]", tok=5)
-    _dep(bus, 1, 1.0, "W2[0]", "LOST[9]", tok=5)
-    findings = detect_races(bus)
+    tile = MatrixTile.zeros(2, 2)
+    w, sink = _writer("W", tile, lambda key: key)  # W[k] on rank k
+
+    def drive(ex):
+        ex.invoke(w, 0)
+        ex.invoke(w, 1)
+
+    findings = _races(_execute([w, sink], 2, drive))
     assert _ids(findings) == ["RACE002"]
-    assert "W1[0]" in findings[0].message and "W2[0]" in findings[0].message
+    assert "written by W[0] (rank 0) and W[1] (rank 1)" in findings[0].message
 
 
 def test_zero_copy_move_alias_counts_as_write():
-    bus = _bus()
-    _task(bus, "W1", "0", 0, 0.0, 1.0)
-    _task(bus, "C", "0", 0, 1.5, 2.5)
-    _task(bus, "R2", "0", 1, 2.0, 3.0, data=[5])
-    # Zero-copy ownership transfer W1 -> C on rank 0: C now writes the
-    # buffer, concurrently with the rank-1 reader R2 (and the buffer is
-    # live on both ranks: RACE003).
-    _instant(bus, "alias", "alias", 0, 1.0,
-             src="W1[0]", dst="C[0]", obj=5, mode="move")
-    findings = detect_races(bus)
-    assert _ids(findings) == ["RACE001", "RACE003"]
-    assert "written by C[0]" in findings[0].message
+    """W1 sends the tile zero-copy to C on its own rank and then tells R2
+    on rank 1 to go: W1's own write is ordered before R2's read, C's is
+    not -- a ``move`` hands C the buffer to write, a ``cref`` only to
+    read.  The tile is live on both ranks either way."""
+    for mode, want in (("move", ["RACE001", "RACE003"]),
+                       ("cref", ["RACE003"])):
+        tile = MatrixTile.zeros(2, 2)
+        m, go, x = _tiles("m"), _ints("go"), _tiles("x")
+
+        def w1_body(key, outs, mode=mode, tile=tile):
+            outs.send(0, key, tile, mode=mode)
+            outs.send(1, key, 1)
+
+        w1 = ttg.make_tt(w1_body, [], [m, go], name="W1", keymap=_on(0))
+        c = ttg.make_tt(_noop, [m], [], name="C", keymap=_on(0))
+        r2 = ttg.make_tt(_noop, [go, x], [], name="R2", keymap=_on(1))
+
+        def drive(ex, tile=tile):
+            ex.invoke(w1, 0)
+            ex.inject(r2, 1, 0, tile)
+
+        findings = _races(_execute([w1, c, r2], 2, drive))
+        assert _ids(findings) == want, mode
+        if mode == "move":
+            assert "written by C[0] (rank 0) and read by R2[0] (rank 1)" \
+                in findings[0].message
 
 
 def test_dep_destination_is_not_an_access():
-    # A delivery may hand the consumer a serialized or cloned copy, so
-    # the dep instant's dst must NOT count as touching the sender's
-    # buffer -- otherwise every broadcast tree reports its sibling
-    # branches as cross-rank races (regression test for exactly that).
-    bus = _bus()
-    _task(bus, "BCAST", "0", 0, 0.0, 1.0)
-    _task(bus, "LSTORE", "(1,)", 1, 2.0, 3.0)
-    _task(bus, "LBCAST", "(0,)", 0, 1.5, 2.5)
-    # One buffer fanned out to a remote sibling and re-sent locally.
-    _dep(bus, 0, 1.0, "BCAST[0]", "LSTORE[(1,)]", tok=9, mode="cref")
-    _dep(bus, 0, 2.0, "LBCAST[(0,)]", "LOST[9]", tok=9, mode="cref")
-    assert detect_races(bus) == []
+    """A remote delivery hands the consumer a deserialized copy, a fresh
+    buffer: a broadcast tree whose branches forward one tile by cref
+    never reports its sibling branches as cross-rank races."""
+    t, f = _tiles("t"), _tiles("f")
+
+    def bcast(key, outs):
+        tile = MatrixTile.zeros(2, 2)
+        outs.broadcast_multi([(0, [0]), (1, [1])], tile, mode="cref")
+
+    def lbcast(key, tile, outs):
+        outs.send(0, 2, tile, mode="cref")
+
+    root = ttg.make_tt(bcast, [], [t, f], name="BCAST", keymap=_on(0))
+    local = ttg.make_tt(lbcast, [t], [f], name="LBCAST", keymap=_on(0))
+    store = ttg.make_tt(_noop, [f], [], name="LSTORE", keymap=_on(1))
+    ex = _execute([root, local, store], 2, lambda ex: ex.invoke(root, 0))
+    assert ex.sanitizer.findings == []
+    assert ex.task_counts == {"BCAST": 1, "LBCAST": 1, "LSTORE": 2}
+
+
+# ---------------------------------------------------------------- RACE003
 
 
 def test_race003_token_observed_on_two_ranks_even_if_ordered():
-    bus = _bus()
-    _task(bus, "A", "0", 0, 0.0, 1.0, data=[7])
-    _task(bus, "B", "0", 1, 2.0, 3.0, data=[7])
-    _dep(bus, 0, 1.0, "A[0]", "B[0]")  # ordered -- still aliased
-    findings = detect_races(bus)
+    tile = MatrixTile.zeros(2, 2)
+    go, x = _ints("go"), _tiles("x")
+    a = ttg.make_tt(lambda key, tile, outs: outs.send(0, key, 1), [x], [go],
+                    name="A", keymap=_on(0))
+    b = ttg.make_tt(_noop, [go, x], [], name="B", keymap=_on(1))
+
+    def drive(ex):
+        ex.invoke(a, 0, [tile])       # A reads the tile on rank 0 ...
+        ex.inject(b, 1, 0, tile)      # ... B, after A, on rank 1
+
+    findings = _races(_execute([a, b], 2, drive))
     assert _ids(findings) == ["RACE003"]
     assert "ranks [0, 1]" in findings[0].message
 
 
 def test_race003_counts_zero_copy_alias_instants():
-    bus = _bus()
-    _task(bus, "A", "0", 0, 0.0, 1.0, data=[7])
-    _instant(bus, "alias", "alias", 1, 2.0,
-             src="A[0]", dst="B[0]", obj=7, mode="cref")
-    assert _ids(detect_races(bus)) == ["RACE003"]
+    """A delivery observes the buffer on its rank, even if the task it
+    feeds never runs."""
+    tile = MatrixTile.zeros(2, 2)
+    x, y = _tiles("x"), _tiles("y")
+    a = ttg.make_tt(_noop, [x], [], name="A", keymap=_on(0))
+    join = ttg.make_tt(_noop, [x, y], [], name="JOIN", keymap=_on(1))
+
+    def drive(ex):
+        ex.invoke(a, 0, [tile])
+        ex.inject(join, 0, 0, tile)   # JOIN's other input never arrives
+
+    ex = _execute([a, join], 2, drive)
+    assert _ids(_races(ex)) == ["RACE003"]
+    assert ex.sanitizer.findings_for("SAN006")
+
+
+# ---------------------------------------------------------------- RACE004
+
+
+def _cref_chain(mutate_in_gen=False):
+    """GEN shares a tile by cref; C1 (a long task) mutates it and forwards
+    the same object, so C2 observes a stale share -- the unordered
+    tile-write fixture.  ``mutate_in_gen`` makes GEN itself the writer."""
+    e1, e2 = _tiles("t1"), _tiles("t2")
+
+    def gen(key, outs):
+        tile = MatrixTile.zeros(2, 2)
+        outs.send(0, 0, tile, mode="cref")
+        if mutate_in_gen:
+            tile.data[0, 0] = 7.0       # the owner's own post-send write
+
+    def c1(key, tile, outs):
+        if not mutate_in_gen:
+            tile.data[0, 0] = 42.0      # write outside the owner's span
+        outs.send(0, 0, tile, mode="cref")
+
+    gen_tt = ttg.make_tt(gen, [], [e1], name="GEN", keymap=_on(0))
+    c1_tt = ttg.make_tt(c1, [e1], [e2], name="C1", keymap=_on(0),
+                        cost=lambda key, tile: (1.0e9, 0.0))
+    c2_tt = ttg.make_tt(_noop, [e2], [], name="C2", keymap=_on(0))
+    return [gen_tt, c1_tt, c2_tt], gen_tt
 
 
 def test_race004_mutation_after_sharer_span_is_strict():
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0)
-    # _record_task stamps the span before the body runs, so the sharer's
-    # own post-send mutation lands exactly at span.end: not a race.
-    _instant(bus, "SAN003", "san", 0, 1.0, location="C[0].in",
-             sharer="GEN[0]")
-    assert detect_races(bus) == []
-    _instant(bus, "SAN003", "san", 0, 2.0, location="C[1].in",
-             sharer="GEN[0]")
-    findings = detect_races(bus)
-    assert _ids(findings) == ["RACE004"]
-    assert "GEN[0]" in findings[0].message
-    assert findings[0].location == "C[1].in"
+    # The sharer's own post-send mutation is seen at its span's end: a
+    # cref fault (SAN003), not a write by someone else.
+    tts, gen = _cref_chain(mutate_in_gen=True)
+    ex = _execute(tts, 1, lambda ex: ex.invoke(gen, 0))
+    assert _ids(ex.sanitizer.findings) == ["SAN003"]
+    tts, gen = _cref_chain()
+    ex = _execute(tts, 1, lambda ex: ex.invoke(gen, 0))
+    assert _ids(ex.sanitizer.findings) == ["SAN003", "RACE004"]
+    assert ex.sanitizer.findings[1].location == "C2[0].in0"
 
 
 def test_race004_ignores_unknown_sharer():
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0)
-    _instant(bus, "SAN003", "san", 0, 5.0, location="x", sharer="GHOST[0]")
-    _instant(bus, "SAN003", "san", 0, 5.0, location="y")
-    assert detect_races(bus) == []
+    # A cref send made outside any task body has no owning span.
+    tile = MatrixTile.zeros(2, 2)
+    e = _tiles("e")
+    gen = ttg.make_tt(_noop, [], [e], name="GEN", keymap=_on(0))
+    sink = ttg.make_tt(_noop, [e], [], name="SINK", keymap=_on(0))
+
+    def drive(ex):
+        ex.send_from(0, gen.outputs[0], 0, tile, mode="cref")
+        tile.data[0, 0] = 1.0
+
+    ex = _execute([gen, sink], 1, drive)
+    assert _ids(ex.sanitizer.findings) == ["SAN003"]
+    assert "shared via cref by <external>" in ex.sanitizer.findings[0].message
+
+
+# ----------------------------------------------------------- happens-before
 
 
 def test_same_rank_accesses_never_race():
-    bus = _bus(nranks=1)
-    _task(bus, "W", "0", 0, 0.0, 1.0)
-    _task(bus, "R", "0", 0, 0.5, 1.5, data=[3])
-    _dep(bus, 0, 1.0, "W[0]", "LOST[9]", tok=3)
-    assert detect_races(bus) == []
+    tile = MatrixTile.zeros(2, 2)
+    w, sink = _writer("W", tile, _on(0))
+    x = _tiles("x")
+    r = ttg.make_tt(_noop, [x], [], name="R", keymap=_on(0))
 
+    def drive(ex):
+        ex.invoke(w, 0)
+        ex.inject(r, 0, 0, tile)
+        ex.invoke(r, 1, [tile])
 
-def test_ignore_filters_rules():
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0)
-    _dep(bus, 0, 1.0, "GEN[0]", "LOST[9]", tok=1)
-    _task(bus, "R", "0", 1, 0.5, 1.5, data=[1])
-    assert detect_races(bus, ignore=("RACE001",)) == []
+    assert _execute([w, sink, r], 1, drive).sanitizer.findings == []
 
 
 def test_findings_are_deduplicated_and_stably_ordered():
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0, data=[1])
-    _dep(bus, 0, 1.0, "GEN[0]", "LOST[9]", tok=1)
-    _dep(bus, 0, 1.0, "GEN[0]", "LOST[9]", tok=1)  # duplicate instant
-    _task(bus, "R", "0", 1, 0.5, 1.5, data=[1])
-    findings = detect_races(bus)
+    def run():
+        tile = MatrixTile.zeros(2, 2)
+        t, x = _tiles("t"), _tiles("x")
+
+        def gen_body(key, tile, outs):
+            outs.broadcast(0, [0, 1], tile)  # two writes of one buffer
+
+        gen = ttg.make_tt(gen_body, [x], [t], name="GEN", keymap=_on(0))
+        sink = ttg.make_tt(_noop, [t], [], name="SINK", keymap=_on(0))
+        r = ttg.make_tt(_noop, [x], [], name="R", keymap=_on(1))
+
+        def drive(ex):
+            ex.invoke(gen, 0, [tile])
+            ex.inject(r, 0, 0, tile)
+
+        return _execute([gen, sink, r], 2, drive)
+
+    ex = run()
+    findings = _races(ex)
     assert _ids(findings) == ["RACE001", "RACE003"]
-    assert detect_races(bus) == findings  # deterministic replay
+    assert [str(f) for f in _races(run())] == [str(f) for f in findings]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ex.fence()                    # a second fence repeats nothing
+    assert _races(ex) == findings
 
 
 def test_empty_trace_is_clean():
-    assert detect_races(_bus()) == []
-    assert detect_races(Telemetry(nranks=2, capacity=None)) == []
-
-
-# ------------------------------------------------------ HappensBefore core
+    sink = ttg.make_tt(_noop, [_tiles("x")], [], name="SINK", keymap=_on(0))
+    for telemetry in (None, Telemetry(nranks=2, capacity=None)):
+        ex = _execute([sink], 2, lambda ex: None, telemetry=telemetry)
+        assert ex.sanitizer.findings == []
 
 
 def test_vector_clocks_transitive_across_ranks():
-    bus = _bus(nranks=3)
-    _task(bus, "A", "0", 0, 0.0, 1.0)
-    _task(bus, "B", "0", 1, 2.0, 3.0)
-    _task(bus, "C", "0", 2, 4.0, 5.0)
-    _dep(bus, 0, 1.0, "A[0]", "B[0]")
-    _dep(bus, 1, 3.0, "B[0]", "C[0]")
-    nodes = task_nodes(bus)
-    hb = HappensBefore(nodes, dep_edges(bus) + program_order_edges(nodes))
-    assert hb.hb("A[0]", "B[0]")
-    assert hb.hb("A[0]", "C[0]")  # transitively, through rank 1
-    assert not hb.hb("C[0]", "A[0]")
-    assert hb.hb("A[0]", "A[0]")
+    """A on rank 0 writes the tile; C on rank 2 reads it after B on rank 1
+    heard from A and told C.  Without B's relay C is concurrent with A."""
+    for relay, want in ((True, []), (False, ["RACE001"])):
+        tile = MatrixTile.zeros(2, 2)
+        ab, bc, x = _ints("ab"), _ints("bc"), _tiles("x")
+        a, a_sink = _writer("A", tile, _on(0), after=ab)
+
+        def b_body(key, v, outs, relay=relay):
+            if relay:
+                outs.send(0, key, v)
+
+        b = ttg.make_tt(b_body, [ab], [bc], name="B", keymap=_on(1))
+        c = ttg.make_tt(_noop, [bc, x], [], name="C", keymap=_on(2))
+
+        def drive(ex, tile=tile, relay=relay):
+            ex.invoke(a, 0)
+            ex.inject(c, 1, 0, tile)
+            if not relay:
+                ex.inject(c, 0, 0, 1)
+
+        findings = _races(_execute([a, a_sink, b, c], 3, drive))
+        assert _ids(findings) == want, relay
+        if not relay:
+            assert "written by A[0] (rank 0) and read by C[0] (rank 2)" \
+                in findings[0].message
 
 
 def test_program_order_chains_same_rank_spans():
-    bus = _bus(nranks=2)
-    _task(bus, "A", "0", 0, 0.0, 1.0)
-    _task(bus, "A", "1", 0, 2.0, 3.0)
-    _task(bus, "B", "0", 1, 0.0, 1.0)
-    nodes = task_nodes(bus)
-    hb = HappensBefore(nodes, dep_edges(bus) + program_order_edges(nodes))
-    assert hb.hb("A[0]", "A[1]")          # same shard executes in order
-    assert hb.concurrent("A[0]", "B[0]")  # nothing links the ranks
+    """GEN writes the tile and LATER, on the same rank, tells R on rank 1
+    to read it.  Program order is the order the bodies run in: a short
+    GEN finishes first and is ordered before R; a long one is not."""
+    for gen_flops, want in ((1.0e3, []), (1.0e10, ["RACE001"])):
+        tile = MatrixTile.zeros(2, 2)
+        go, x = _ints("go"), _tiles("x")
+        gen, sink = _writer("GEN", tile, _on(0),
+                            cost=lambda key, f=gen_flops: (f, 0.0))
+        later = ttg.make_tt(lambda key, outs: outs.send(0, key, 1), [], [go],
+                            name="LATER", keymap=_on(0),
+                            cost=lambda key: (1.0e8, 0.0))
+        r = ttg.make_tt(_noop, [go, x], [], name="R", keymap=_on(1))
 
+        def drive(ex, tile=tile):
+            ex.invoke(gen, 0)
+            ex.invoke(later, 0)
+            ex.inject(r, 1, 0, tile)
 
-# ------------------------------------------------------------- data tokens
-
-
-def test_data_token_tracks_buffers_not_scalars():
-    import numpy as np
-
-    tel = Telemetry(nranks=1)
-    for scalar in (None, 1, 1.5, "s", b"b", True, 2 + 3j):
-        assert tel.data_token(scalar) is None
-    assert tel.data_token({"no": "buffer protocol"}) is None
-
-    a, b = np.zeros(4), np.zeros(4)
-    ta = tel.data_token(a)
-    assert ta == tel.data_token(a)      # stable per object
-    assert ta != tel.data_token(b)      # distinct per object
-    from repro.linalg import MatrixTile
-
-    assert tel.data_token(MatrixTile.zeros(2, 2)) not in (None, ta)
+        assert _ids(_races(_execute([gen, sink, later, r], 2, drive))) \
+            == want, gen_flops
 
 
 # --------------------------------------------------------- live executions
 
 
-def _telemetry_backend(nranks):
-    tel = Telemetry(nranks=nranks, capacity=None)
-    return ParsecBackend(Cluster(HAWK, nranks), telemetry=tel), tel
-
-
 def test_clean_message_passing_run_has_no_races():
     """Tiles sent by value across ranks deserialize to fresh buffers, so
-    a well-formed graph records zero RACE findings."""
-    from repro.linalg import MatrixTile
-
-    e = ttg.Edge("t", key_type=int, value_type=MatrixTile)
+    a well-formed graph has no findings, on either backend."""
+    e = _tiles("t")
 
     def gen(key, outs):
         for k in range(4):
@@ -256,107 +382,67 @@ def test_clean_message_passing_run_has_no_races():
     def sink(key, tile, outs):
         tile.data[0, 0] += 1.0  # local mutation of a private copy
 
-    gen_tt = ttg.make_tt(gen, [], [e], name="GEN", keymap=lambda k: 0)
+    gen_tt = ttg.make_tt(gen, [], [e], name="GEN", keymap=_on(0))
     sink_tt = ttg.make_tt(sink, [e], [], name="SINK", keymap=lambda k: k % 2)
-    backend, tel = _telemetry_backend(2)
-    ex = ttg.TaskGraph([gen_tt, sink_tt]).executable(backend, sanitize=True)
-    ex.invoke(gen_tt, 0)
-    ex.fence()
-    assert ex.race_findings == []
-    # The run did record tokenized dependency traffic.
-    assert any("obj" in ev.args for ev in tel.bus.instants(cat="dep"))
-
-
-def _cref_chain():
-    """GEN shares a tile by cref; the consumer mutates it and forwards
-    the same object, so the second consumer observes a stale share --
-    the acceptance-criteria unordered-tile-write fixture."""
-    from repro.linalg import MatrixTile
-
-    e1 = ttg.Edge("t1", key_type=int, value_type=MatrixTile)
-    e2 = ttg.Edge("t2", key_type=int, value_type=MatrixTile)
-
-    def gen(key, outs):
-        outs.send(0, 0, MatrixTile.zeros(2, 2), mode="cref")
-
-    def c1(key, tile, outs):
-        tile.data[0, 0] = 42.0          # write outside the owner's span
-        outs.send(0, 0, tile, mode="cref")
-
-    gen_tt = ttg.make_tt(gen, [], [e1], name="GEN", keymap=lambda k: 0)
-    c1_tt = ttg.make_tt(c1, [e1], [e2], name="C1", keymap=lambda k: 0,
-                        cost=lambda key, tile: (1.0e9, 0.0))
-    c2_tt = ttg.make_tt(lambda key, tile, outs: None, [e2], [],
-                        name="C2", keymap=lambda k: 0)
-    return ttg.TaskGraph([gen_tt, c1_tt, c2_tt]), gen_tt
+    for backend in (ParsecBackend, MadnessBackend):
+        ex = _execute([gen_tt, sink_tt], 2, lambda ex: ex.invoke(gen_tt, 0),
+                      backend=backend)
+        assert ex.sanitizer.findings == [], backend.__name__
 
 
 def test_cref_mutation_chain_triggers_race004():
-    graph, gen_tt = _cref_chain()
-    backend, tel = _telemetry_backend(1)
-    ex = graph.executable(backend, sanitize=True)
-    ex.invoke(gen_tt, 0)
+    tts, gen = _cref_chain()
+    ex = ttg.TaskGraph(tts).executable(
+        ParsecBackend(Cluster(HAWK, 1)), sanitize=True)
+    ex.invoke(gen, 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ex.fence()
-    assert any(f.rule.id == "RACE004" for f in ex.race_findings)
-    finding = next(f for f in ex.race_findings if f.rule.id == "RACE004")
-    assert "GEN[0]" in finding.message
-    assert any("TTG race: RACE004" in str(w.message) for w in caught)
-    # The underlying sanitizer fault is on record too.
-    assert any(f.rule.id == "SAN003" for f in ex.sanitizer.findings)
+    finding = ex.sanitizer.findings_for("RACE004")[0]
+    assert "owned by GEN[0]" in finding.message
+    assert any("TTG-San: RACE004" in str(w.message) for w in caught)
+    # The underlying cref fault is on record too.
+    assert ex.sanitizer.findings_for("SAN003")
+    # MadnessBackend copies on cref: the same program shares nothing.
+    tts, gen = _cref_chain()
+    ex = _execute(tts, 1, lambda ex: ex.invoke(gen, 0), backend=MadnessBackend)
+    assert ex.sanitizer.findings == []
+
+
+def _double_inject(nranks=2):
+    """One tile injected into SINK[0] (rank 0) and SINK[1] (rank 1)."""
+    tile = MatrixTile.zeros(2, 2)
+    sink = ttg.make_tt(_noop, [_tiles("t")], [], name="SINK",
+                       keymap=lambda k: k % nranks)
+
+    def drive(ex):
+        for k in range(2):
+            ex.inject(sink, 0, k, tile)  # one buffer live on both ranks
+
+    return [sink], drive
 
 
 def test_strict_fence_raises_on_races():
-    from repro.core.exceptions import SanitizerError
-
-    graph, gen_tt = _cref_chain()
-    backend, _ = _telemetry_backend(1)
-    # The sanitizer must run (RACE004 consumes its SAN003 instants) but
-    # in collect mode, so the raise below comes from the fence-time race
-    # detector alone.
-    ex = graph.executable(backend, sanitize=True)
-    ex.strict = True
-    ex.invoke(gen_tt, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(SanitizerError) as exc:
-            ex.fence()
-    assert str(exc.value.rule).startswith("RACE")
+    tts, drive = _double_inject()
+    with pytest.raises(SanitizerError) as exc:
+        _execute(tts, 2, drive, strict=True)
+    assert exc.value.rule == "RACE003"
 
 
 def test_unarmed_run_skips_race_detector():
-    """Telemetry alone does not arm the fence-time detector: one tile
-    injected on two ranks is a race the recorded stream shows offline,
-    yet a fence without ``sanitize``/``strict`` leaves no findings."""
-    from repro.linalg import MatrixTile
-
-    tile = MatrixTile.zeros(2, 2)
-    e = ttg.Edge("t", key_type=int, value_type=MatrixTile)
-    sink_tt = ttg.make_tt(lambda key, tile, outs: None, [e], [],
-                          name="SINK", keymap=lambda k: k % 2)
+    """``sanitize`` alone arms the race checks: telemetry neither arms
+    them nor is needed."""
     for sanitize in (False, True):
-        backend, tel = _telemetry_backend(2)
-        ex = ttg.TaskGraph([sink_tt]).executable(backend, sanitize=sanitize)
-        for k in range(2):
-            ex.inject(sink_tt, 0, k, tile)  # one buffer live on both ranks
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ex.fence()
-        assert _ids(detect_races(tel)) == ["RACE003"]
-        assert _ids(ex.race_findings) == (["RACE003"] if sanitize else [])
-
-
-def test_round_trip_through_jsonl_preserves_race_findings(tmp_path):
-    from repro.telemetry.export import read_jsonl, write_jsonl
-
-    bus = _bus()
-    _task(bus, "GEN", "0", 0, 0.0, 1.0)
-    _dep(bus, 0, 1.0, "GEN[0]", "LOST[9]", tok=1)
-    _task(bus, "R", "0", 1, 0.5, 1.5, data=[1])
-    direct = detect_races(bus)
-    path = str(tmp_path / "trace.jsonl")
-    write_jsonl(path, bus)
-    replayed = detect_races(read_jsonl(path))
-    assert [str(f) for f in replayed] == [str(f) for f in direct]
-    assert _ids(replayed) == ["RACE001"]
+        for telemetry in (None, Telemetry(nranks=2, capacity=None)):
+            tts, drive = _double_inject()
+            ex = ttg.TaskGraph(tts).executable(
+                ParsecBackend(Cluster(HAWK, 2), telemetry=telemetry),
+                sanitize=sanitize)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                drive(ex)
+                ex.fence()
+            if sanitize:
+                assert _ids(ex.sanitizer.findings) == ["RACE003"]
+            else:
+                assert ex.sanitizer is None

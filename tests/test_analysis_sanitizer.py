@@ -231,6 +231,22 @@ def test_san005_clean_run_has_no_leaks():
     assert len(got) == 4
 
 
+def test_san005_names_the_sender_of_a_streaming_input():
+    # One message of a two-message stream: the leak names who sent it.
+    e = ttg.Edge("s", key_type=int, value_type=np.ndarray)
+    red = ttg.make_tt(_noop, [e], [], name="RED", keymap=lambda k: 0)
+    red.set_input_reducer(0, lambda a, b: a + b, size=2)
+    gen = ttg.make_tt(lambda key, outs: outs.send(0, 0, np.zeros(2)), [], [e],
+                      name="GEN", keymap=lambda k: 0)
+    ex = ttg.TaskGraph([gen, red]).executable(_backend(), sanitize=True)
+    ex.invoke(gen, 0)
+    with pytest.warns(RuntimeWarning, match="TTG-San: SAN005"):
+        ex.fence()
+    fs = san_findings(ex, "SAN005")
+    assert len(fs) == 1
+    assert "ndarray delivered by GEN[0] (refcount 1)" in fs[0].message
+
+
 # ------------------------------------------------------- SAN007: use after move
 
 

@@ -26,7 +26,10 @@ protocol walk and dispatch tested the ready container itself.  The
 observer added 55.6 / 47.6 (15.0 / 15.0 at the runtime's hook sites)
 until it recorded one entry per broadcast, shared record heads, resolved
 metric handles once and sampled the ready queues at the pool's own push
-and pop sites: 23.0 / 18.5 (4.8 / 4.6).
+and pop sites: 23.0 / 18.5 (4.8 / 4.6); then 21.6 / 17.4 (3.8 / 3.6)
+until the race checks moved into the sanitizer and the observer stopped
+stamping data tokens on dependency and task records: 18.3 / 14.0
+(3.8 / 3.6).
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
 
@@ -64,10 +67,10 @@ LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
 BUDGETS = {
     "potrf": (potrf_cell, {"total": 54.9, "sim": 7.0, "runtime": 12.9,
                            "core": 11.8, "comm+serialization": 4.8,
-                           "observer": 24.2, "observer:runtime": 5.0}),
+                           "observer": 19.3, "observer:runtime": 4.1}),
     "bspmm": (bspmm_cell, {"total": 40.9, "sim": 4.4, "runtime": 11.1,
                            "core": 12.6, "comm+serialization": 2.3,
-                           "observer": 19.5, "observer:runtime": 4.9}),
+                           "observer": 14.7, "observer:runtime": 3.8}),
 }
 
 
