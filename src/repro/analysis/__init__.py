@@ -2,9 +2,10 @@
 
 Three rule families, one catalog (:mod:`repro.analysis.rules`):
 
-- :func:`lint_graph` / :func:`lint_ptg` statically analyze a constructed
-  :class:`~repro.core.graph.TaskGraph` for wiring defects and impure
-  maps (``TTG0xx`` rules) before any task runs;
+- :func:`lint_graph` statically analyzes a constructed
+  :class:`~repro.core.graph.TaskGraph` (a PTG's too, through its
+  ``.graph``) for wiring defects and impure maps (``TTG0xx`` rules)
+  before any task runs;
 - :class:`Sanitizer` observes an execution for runtime faults
   (``SAN0xx`` checks) with task/key provenance, and keeps happens-before
   online through per-rank vector clocks to report races (``RACE0xx``):
@@ -14,10 +15,10 @@ Three rule families, one catalog (:mod:`repro.analysis.rules`):
 Both are wired into :meth:`repro.core.graph.Executable.make`: the linter
 runs at every binding, ``strict``/``sanitize`` arm the sanitizer (race
 checks included, with or without telemetry); strict mode raises on
-error-severity findings, the default warns.  The CLI (``python -m
-repro.analysis example.py``) lints any script that builds a graph and
-prints rule-grouped reports; see ``docs/analysis.md`` for the full
-catalog and the exit-code contract.
+error-severity findings, the default warns.  There is no separate lint
+command: ``tests/test_examples_smoke.py`` runs every fast example and
+every paper app under ``strict=True`` and fails on any error or warning
+finding.  See ``docs/analysis.md`` for the full catalog.
 """
 
 from repro.analysis.rules import (
@@ -29,7 +30,7 @@ from repro.analysis.rules import (
     all_rules,
     get_rule,
 )
-from repro.analysis.lint import lint_graph, lint_ptg
+from repro.analysis.lint import lint_graph
 from repro.analysis.sanitizer import (
     Sanitizer,
     canonical_findings,
@@ -46,7 +47,6 @@ __all__ = [
     "canonical_findings",
     "get_rule",
     "lint_graph",
-    "lint_ptg",
     "merge_findings",
     "Sanitizer",
 ]

@@ -26,7 +26,7 @@ of the task ID.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.rules import Finding, get_rule
 from repro.core.edge import Void
@@ -45,19 +45,11 @@ def lint_rule(rule_id: str):
 
 
 class LintContext:
-    """Everything a rule implementation may inspect.
+    """Everything a rule implementation may inspect."""
 
-    ``honor_waivers=False`` runs the rules *raw*: template-level
-    ``tt.lint_waive(...)`` acknowledgments are ignored, which is how the
-    CLI computes the set of findings a waiver suppressed (the raw run
-    minus the effective run).
-    """
-
-    def __init__(self, graph: Any, nranks: Optional[int],
-                 honor_waivers: bool = True) -> None:
+    def __init__(self, graph: Any, nranks: Optional[int]) -> None:
         self.graph = graph
         self.nranks = nranks
-        self.honor_waivers = honor_waivers
         #: PTG front-end object when this graph was compiled from one.
         self.ptg = getattr(graph, "_ptg", None)
 
@@ -66,15 +58,10 @@ class LintContext:
     def finding(self, rule_id: str, location: str, message: str) -> Finding:
         return Finding(get_rule(rule_id), message, location=location)
 
-    def waived(self, tt: Any, rule_id: str) -> bool:
-        """Template-level waiver check (expiry-aware, see
-        :meth:`repro.core.task.TemplateTask.waiver_active`)."""
-        if not self.honor_waivers:
-            return False
-        active = getattr(tt, "waiver_active", None)
-        if callable(active):
-            return bool(active(rule_id))
-        return rule_id in getattr(tt, "_lint_waivers", ())
+    @staticmethod
+    def waived(tt: Any, rule_id: str) -> bool:
+        """Whether ``tt`` acknowledges ``rule_id`` (``tt.lint_waive``)."""
+        return rule_id in tt._lint_waivers
 
     def loc(self, tt: Any, terminal: Any = None) -> str:
         base = f"{self.graph.name}/{tt.name}"
@@ -89,47 +76,20 @@ class LintContext:
         return keys
 
 
-def lint_graph(
-    graph: Any,
-    nranks: Optional[int] = None,
-    ignore: Iterable[str] = (),
-    honor_waivers: bool = True,
-) -> List[Finding]:
+def lint_graph(graph: Any, nranks: Optional[int] = None) -> List[Finding]:
     """Lint a constructed TaskGraph (or PTG-compiled graph).
 
-    Parameters
-    ----------
-    graph:
-        The :class:`~repro.core.graph.TaskGraph` to analyze.
-    nranks:
-        Cluster size for keymap range checks; ``None`` probes against a
-        nominal 4-rank cluster (range findings then only fire for maps
-        that are wrong for *any* cluster, e.g. non-deterministic ones).
-    ignore:
-        Rule ids to suppress globally.  Per-template suppression uses
-        ``tt.lint_waive("TTG005", ...)``.
-    honor_waivers:
-        ``False`` ignores template-level waivers; the CLI diffs a raw
-        run against the effective run to report what waivers suppressed.
+    ``nranks`` is the cluster size for keymap range checks; ``None``
+    probes against a nominal 4-rank cluster (range findings then only
+    fire for maps that are wrong for *any* cluster, e.g.
+    non-deterministic ones).  A template suppresses a rule for itself
+    with ``tt.lint_waive("TTG005")``.
     """
-    ctx = LintContext(graph, nranks, honor_waivers=honor_waivers)
-    ignored = set(ignore)
+    ctx = LintContext(graph, nranks)
     out: List[Finding] = []
-    for rule_id, fn in _LINT_RULES:
-        if rule_id in ignored:
-            continue
+    for _, fn in _LINT_RULES:
         out.extend(fn(ctx))
-    return [
-        f
-        for f in out
-        if f.rule.id not in ignored
-    ]
-
-
-def lint_ptg(ptg: Any, nranks: Optional[int] = None,
-             ignore: Iterable[str] = ()) -> List[Finding]:
-    """Lint a PTG front-end object (delegates to its compiled graph)."""
-    return lint_graph(ptg.graph, nranks=nranks, ignore=ignore)
+    return out
 
 
 # ============================================================== wiring rules

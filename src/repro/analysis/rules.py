@@ -10,13 +10,14 @@ Severities
 ----------
 ``info``
     Worth surfacing (e.g. seed-only input terminals) but expected in
-    correct graphs; never fails the CLI.
+    correct graphs; never fails anything.
 ``warning``
-    Suspicious wiring that is legal but a common defect source; fails the
-    CLI only under ``--strict``.
+    Suspicious wiring that is legal but a common defect source; the
+    tier-1 lint test (``tests/test_examples_smoke.py``) fails on one in
+    any example or paper app unless its template waives the rule.
 ``error``
     The graph (or execution) is wrong or will misbehave; ``Executable``
-    warns by default and raises in strict mode, and the CLI exits nonzero.
+    warns by default and raises in strict mode.
 """
 
 from __future__ import annotations

@@ -159,10 +159,13 @@ class Sanitizer:
         # id(value) -> (value, fingerprint at share time, sharer provenance,
         # virtual time of the share when a task body made it, else None).
         self._shared: Dict[int, Tuple[Any, str, str, Optional[float]]] = {}
-        # id(value) -> (value, provenance of the move).
+        # id(value) -> (value, provenance of the last move).
         self._moved: Dict[int, Tuple[Any, str]] = {}
         # id(value) -> (value, refcount, provenance): delivered, not consumed.
         self._inflight: Dict[int, Tuple[Any, int, str]] = {}
+        # (tt.id, key) -> values delivered into its streaming inputs; the
+        # reducer folds them, so they are consumed when the instance fires.
+        self._streamed: Dict[Tuple[int, Any], List[Any]] = {}
         self._mutation_reported: Set[int] = set()
         # Happens-before: the vector clock of each rank, and the running
         # task body as (label, rank, clock) -- None between bodies.
@@ -171,12 +174,15 @@ class Sanitizer:
         self._body: Optional[_Stamp] = None
         # (tt.id, terminal index, key) -> (sender, sender clock, id of a
         # moved value) of each routed message not yet delivered.  Messages
-        # to one slot are matched to deliveries first in, first out; the
-        # instance fires after all of them, so its clock joins every
-        # sender's either way.
+        # to one slot are matched to deliveries first in, first out, save
+        # that a moved value finds its own message (a stream's senders can
+        # arrive out of order); the instance fires after all of them, so
+        # its clock joins every sender's either way.
         self._inbox: Dict[Tuple[int, int, Any], Deque[_Message]] = {}
         # (tt.id, key) -> ids of buffers it received by zero-copy move.
         self._takes: Dict[Tuple[int, Any], Set[int]] = {}
+        # Those the running body took and has not moved on: it owns them.
+        self._owned: Set[int] = set()
         # id(value) -> access ledger entry of one tracked buffer.
         self._buffers: Dict[int, _Buffer] = {}
         # RACE004 candidates: (sharer, location, shared at, detected at).
@@ -230,7 +236,7 @@ class Sanitizer:
         clock = self._clocks[rank]
         clock[rank] += 1
         body = self._body = _Stamp(self._instance(tt, key), rank, tuple(clock))
-        takes = self._takes.pop((tt.id, key), ())
+        takes = self._owned = self._takes.pop((tt.id, key), set())
         for a in args:
             if _trackable(a):
                 buf = self._buffer(a)
@@ -241,6 +247,7 @@ class Sanitizer:
 
     def on_body_end(self) -> None:
         self._body = None
+        self._owned = set()
 
     # ------------------------------------------------------- send-side hooks
 
@@ -268,12 +275,15 @@ class Sanitizer:
         if mode == "move" and tracked:
             vid = moved = id(value)
             earlier = self._moved.get(vid)
-            if earlier is not None:
+            # A body that took the value by move owns it and may move it
+            # on, once; anyone else re-sending it uses it after the move.
+            if earlier is not None and vid not in self._owned:
                 self.record(
                     "SAN007", f"{self._instance(ctt, key)}.{term.name}",
                     f"value moved by {earlier[1]} was sent again by {prov}",
                 )
             else:
+                self._owned.discard(vid)
                 self._moved[vid] = (value, prov)
         self._inbox.setdefault(slot, deque()).append(
             (prov, None if body is None else body.clock, moved))
@@ -298,7 +308,12 @@ class Sanitizer:
         slot = (tt.id, idx, key)
         inbox = self._inbox.get(slot)
         if inbox:
-            prov, clock, moved = inbox.popleft()
+            msg = inbox[0]
+            vid = id(value)
+            if msg[2] != vid and vid in self._moved:
+                msg = next((m for m in inbox if m[2] == vid), msg)
+            inbox.remove(msg)
+            prov, clock, moved = msg
             if not inbox:
                 del self._inbox[slot]
         else:
@@ -323,6 +338,8 @@ class Sanitizer:
             prev = self._inflight.get(vid)
             count = prev[1] + 1 if prev else 1
             self._inflight[vid] = (value, count, prov)
+            if term.is_streaming:
+                self._streamed.setdefault((tt.id, key), []).append(value)
 
     def _check_mutation(self, value: Any, where: str) -> None:
         rec = self._shared.get(id(value))
@@ -355,16 +372,26 @@ class Sanitizer:
         self._fired.add(inst)
         for idx in range(tt.num_inputs):
             self._routed.pop((tt.id, idx, key), None)
-        for a in args:
+        # A streaming argument is the reducer's fold: what the instance
+        # consumes is every value delivered into that stream.
+        inputs = tt.inputs
+        for idx, a in enumerate(args):
             self._check_mutation(a, where=self._instance(tt, key))
-            rec = self._inflight.get(id(a))
-            if rec is not None:
-                obj, count, prov = rec
-                if obj is a:
-                    if count <= 1:
-                        del self._inflight[id(a)]
-                    else:
-                        self._inflight[id(a)] = (obj, count - 1, prov)
+            if not inputs[idx].is_streaming:
+                self._consume(a)
+        for v in self._streamed.pop(inst, ()):
+            self._consume(v)
+
+    def _consume(self, value: Any) -> None:
+        """One delivered reference to ``value`` reached a firing task."""
+        rec = self._inflight.get(id(value))
+        if rec is not None:
+            obj, count, prov = rec
+            if obj is value:
+                if count <= 1:
+                    del self._inflight[id(value)]
+                else:
+                    self._inflight[id(value)] = (obj, count - 1, prov)
 
     def on_stream_control(self, tt: Any, term: Any, key: Any, kind: str) -> None:
         """set_argstream_size / finalize_argstream reached a terminal."""

@@ -41,10 +41,10 @@ _DEP_HEADS = Handles(lambda rank: (
 _EMPTY = object()
 
 # Construction observers: callables ``fn(kind, obj)`` invoked whenever a
-# TaskGraph ("graph") or Executable ("executable") is created.  The
-# analysis CLI uses this to discover every graph a script builds without
-# the script cooperating (see repro.analysis.cli), and
-# repro.durability.digest_trail to find the executables of a cell.
+# TaskGraph ("graph") or Executable ("executable") is created, so a caller
+# can find every executable a script or cell builds without its
+# cooperation: repro.durability.digest_trail, telemetry recording and the
+# example lint test use it.
 _CONSTRUCTION_OBSERVERS: List[Callable[[str, Any], None]] = []
 
 

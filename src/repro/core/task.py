@@ -83,7 +83,6 @@ class TemplateTask:
         self._priomap = priomap
         self._cost = cost
         self._lint_waivers: frozenset = frozenset()
-        self._lint_waiver_expiry: dict = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -121,57 +120,23 @@ class TemplateTask:
         self._cost = cost
         return self
 
-    def lint_waive(self, *rule_ids: str,
-                   expires: Optional[str] = None) -> "TemplateTask":
+    def lint_waive(self, *rule_ids: str) -> "TemplateTask":
         """Suppress specific :mod:`repro.analysis` lint rules on this
         template -- the explicit, reviewable acknowledgment that a pattern
         the linter flags (e.g. a dynamically-sized streaming feedback
-        loop, rule TTG005) is intended.
-
-        ``expires`` ("YYYY-MM-DD") bounds the acknowledgment in time:
-        past the date the waiver stops being honored and the findings
-        fire hard again, so a temporary acknowledgment cannot rot
-        silently.  Expired waivers are surfaced by the CLI summary.
+        loop, rule TTG005) is intended.  An id that names no lint rule
+        raises, so a typo cannot waive nothing silently.
         """
-        import datetime
+        from repro.analysis.rules import LINT_RULE_IDS
 
-        if expires is not None:
-            datetime.date.fromisoformat(expires)  # validate eagerly
-            for rid in rule_ids:
-                self._lint_waiver_expiry[rid] = expires
+        unknown = [rid for rid in rule_ids if rid not in LINT_RULE_IDS]
+        if unknown:
+            raise GraphConstructionError(
+                f"{self.name}.lint_waive: unknown lint rule id(s) {unknown}; "
+                f"known: {', '.join(LINT_RULE_IDS)}"
+            )
         self._lint_waivers = self._lint_waivers | frozenset(rule_ids)
         return self
-
-    def waiver_active(self, rule_id: str, today: Optional[str] = None) -> bool:
-        """Whether a :meth:`lint_waive` acknowledgment currently applies
-        (declared, and not past its ``expires`` date).  ISO dates compare
-        lexicographically, so string comparison is exact."""
-        if rule_id not in self._lint_waivers:
-            return False
-        expiry = self._lint_waiver_expiry.get(rule_id)
-        if expiry is None:
-            return True
-        if today is None:
-            import datetime
-
-            today = datetime.date.today().isoformat()
-        return today <= expiry
-
-    def expired_waivers(self, today: Optional[str] = None) -> Tuple[str, ...]:
-        """Rule ids waived on this template whose waiver has expired."""
-        if not self._lint_waiver_expiry:
-            return ()
-        if today is None:
-            import datetime
-
-            today = datetime.date.today().isoformat()
-        return tuple(
-            sorted(
-                rid
-                for rid, expiry in self._lint_waiver_expiry.items()
-                if rid in self._lint_waivers and today > expiry
-            )
-        )
 
     def set_input_reducer(
         self,

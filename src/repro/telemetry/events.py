@@ -433,8 +433,9 @@ class RecordedRun:
 def capture(events: bool = True, capacity: Optional[int] = 65536) -> Iterator[List[RecordedRun]]:
     """Attach a fresh Telemetry to every backend bound inside the block.
 
-    Observes :class:`~repro.core.graph.Executable` construction (the same
-    hook the analysis CLI uses), so scripts need no cooperation; one
+    Observes :class:`~repro.core.graph.Executable` construction (the
+    construction-observer hook of :mod:`repro.core.graph`), so scripts
+    need no cooperation; one
     :class:`RecordedRun` is appended per distinct backend, in binding
     order.  ``events=False`` records metrics only (bench mode).
     """

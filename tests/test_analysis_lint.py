@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from repro import core as ttg
-from repro.analysis import LINT_RULE_IDS, all_rules, get_rule, lint_graph, lint_ptg
+from repro.analysis import LINT_RULE_IDS, all_rules, get_rule, lint_graph
 from repro.core import Executable, GraphConstructionError, Void
 from repro.runtime import ParsecBackend
 from repro.sim import Cluster, HAWK
@@ -233,7 +233,7 @@ def test_ttg008_unknown_class_reference():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = _ptg(dests=lambda key: [("NOPE", key, "x")])
-    fs = [f for f in lint_ptg(p) if f.rule.id == "TTG008"]
+    fs = [f for f in lint_graph(p.graph) if f.rule.id == "TTG008"]
     assert len(fs) == 1
     assert "unknown task class 'NOPE'" in fs[0].message
 
@@ -242,7 +242,7 @@ def test_ttg008_unknown_flow_reference():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = _ptg(dests=lambda key: [("GEN", key + 1, "zz")])
-    fs = [f for f in lint_ptg(p) if f.rule.id == "TTG008"]
+    fs = [f for f in lint_graph(p.graph) if f.rule.id == "TTG008"]
     assert len(fs) == 1
     assert "unknown flow GEN.'zz'" in fs[0].message
 
@@ -251,7 +251,7 @@ def test_ttg010_invalid_mode():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = _ptg(mode="zap")
-    fs = [f for f in lint_ptg(p) if f.rule.id == "TTG010"]
+    fs = [f for f in lint_graph(p.graph) if f.rule.id == "TTG010"]
     assert len(fs) == 1
     assert "'zap'" in fs[0].message
     assert fs[0].rule.severity == "error"
@@ -260,7 +260,7 @@ def test_ttg010_invalid_mode():
 def test_ptg_graphs_skip_structural_rules():
     # All-to-all PTG wiring must not trip reachability/cycle rules.
     p = _ptg(dests=lambda key: [("GEN", key + 1, "x")] if key == 0 else [])
-    ids = ids_of(lint_ptg(p))
+    ids = ids_of(lint_graph(p.graph))
     assert "TTG004" not in ids and "TTG005" not in ids
 
 
@@ -340,67 +340,24 @@ def test_ttg011_exempts_cost_maps_and_pure_helpers():
     assert "mutable data (BlockSparseMatrix) as 'a'" in fs[0].message
 
 
-def test_app_graphs_have_no_impure_maps():
-    from repro.core.graph import add_construction_observer, remove_construction_observer
-    from tests.test_cell_statistics_pinned import bspmm_cell, fw_cell, potrf_cell
-
-    executables = []
-
-    def observe(kind, obj):
-        if kind == "executable":
-            executables.append(obj)
-
-    add_construction_observer(observe)
-    try:
-        for cell in (potrf_cell, fw_cell, bspmm_cell):
-            cell(_backend())
-    finally:
-        remove_construction_observer(observe)
-    assert len(executables) == 3
-    for ex in executables:
-        assert not any(f.rule.id == "TTG011" for f in ex.findings), ex.graph.name
-
-
 # -------------------------------------------------------------------- waivers
 
 
 def test_template_waiver_suppresses_rule():
-    from repro.analysis.cli import suppressed_findings
-
     g, t = _impure_graph()
+    assert len(findings_for(g, "TTG011")) == 2
     t.lint_waive("TTG011")
-    effective = lint_graph(g)
-    assert "TTG011" not in ids_of(effective)
-    raw = lint_graph(g, honor_waivers=False)
-    assert ids_of(suppressed_findings(effective, raw)) == ["TTG011"]
-    assert len(suppressed_findings(effective, raw)) == 2
+    assert "TTG011" not in ids_of(lint_graph(g))
 
 
-def test_call_level_ignore():
-    g = _broken_graph()
-    c = g.tts[2]
-    c.set_keymap(lambda k, table={}: table.get(k, 0))
-    assert ids_of(lint_graph(g)) == ["TTG003", "TTG011"]
-    assert ids_of(lint_graph(g, ignore=("TTG011",))) == ["TTG003"]
-    assert lint_graph(g, ignore=("TTG003", "TTG011")) == []
-
-
-def test_waiver_with_future_expiry_is_honored():
-    g = _broken_graph()
-    c = g.tts[2]
-    c.lint_waive("TTG003", expires="2099-01-01")
-    assert findings_for(g, "TTG003") == []
-    assert c.expired_waivers() == ()
-
-
-def test_expired_waiver_fires_hard_again():
-    g = _broken_graph()
-    c = g.tts[2]
-    c.lint_waive("TTG003", expires="2001-01-01")
-    # Past its date the waiver stops suppressing, and says so.
-    assert len(findings_for(g, "TTG003")) == 1
-    assert c.expired_waivers() == ("TTG003",)
-    assert c.waiver_active("TTG003", today="2000-12-31")
+def test_lint_waive_rejects_unknown_rule_id():
+    # A typo ("O" for "0") must not be accepted as a waiver of nothing.
+    t = ttg.make_tt(_noop, [], [], name="T")
+    with pytest.raises(GraphConstructionError, match="'TTG0O1'"):
+        t.lint_waive("TTG0O1")
+    with pytest.raises(GraphConstructionError, match="'SAN001'"):
+        t.lint_waive("TTG001", "SAN001")  # sanitizer checks are not lint
+    assert t._lint_waivers == frozenset()
 
 
 # ----------------------------------------------------- strict mode / validate
@@ -475,14 +432,6 @@ def test_validate_wraps_linter():
     out = ttg.TaskGraph([sink], name="g").validate()
     assert len(out) == 1
     assert out[0].startswith("TTG001 [info] g/SINK.in0:")
-
-
-def test_lint_ignore_list():
-    e = ttg.Edge("unfed", key_type=int)
-    sink = ttg.make_tt(_noop, [e], [], name="SINK")
-    g = ttg.TaskGraph([sink])
-    assert ids_of(lint_graph(g)) == ["TTG001"]
-    assert lint_graph(g, ignore=("TTG001",)) == []
 
 
 def test_lint_waive_is_chainable():

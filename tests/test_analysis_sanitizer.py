@@ -247,6 +247,26 @@ def test_san005_names_the_sender_of_a_streaming_input():
     assert "ndarray delivered by GEN[0] (refcount 1)" in fs[0].message
 
 
+def test_san005_reduced_stream_inputs_are_consumed():
+    # The reducer folds every delivered array; once the instance fires,
+    # none of them is a leak, on either backend.
+    for backend_cls in (ParsecBackend, MadnessBackend):
+        e = ttg.Edge("s", key_type=int, value_type=np.ndarray)
+        got = []
+        red = ttg.make_tt(lambda key, total, outs: got.append(total), [e], [],
+                          name="RED", keymap=lambda k: 0)
+        red.set_input_reducer(0, lambda a, b: a + b, size=4)
+        gen = ttg.make_tt(lambda key, outs: outs.send(0, 0, np.full(2, key)),
+                          [], [e], name="GEN", keymap=lambda k: k % 2)
+        ex = ttg.TaskGraph([gen, red]).executable(
+            backend_cls(Cluster(HAWK, 2)), strict=True)
+        for k in range(4):
+            ex.invoke(gen, k)
+        ex.fence()
+        assert ex.sanitizer.findings == []
+        assert got[0].tolist() == [6, 6]
+
+
 # ------------------------------------------------------- SAN007: use after move
 
 
@@ -268,6 +288,52 @@ def test_san007_send_after_move():
     assert len(fs) == 1
     assert "moved by GEN[0]" in fs[0].message
     assert "sent again by GEN[0]" in fs[0].message
+
+
+def test_san007_receiver_may_move_on_what_it_took():
+    # RELAY received the array by move, so it owns it and may move it on.
+    e1 = ttg.Edge("a", key_type=int, value_type=np.ndarray)
+    e2 = ttg.Edge("b", key_type=int, value_type=np.ndarray)
+    got = []
+    sink = ttg.make_tt(lambda key, v, outs: got.append(v), [e2], [],
+                       name="SINK", keymap=lambda k: 0)
+    relay = ttg.make_tt(
+        lambda key, v, outs: outs.send(0, key, v, mode="move"), [e1], [e2],
+        name="RELAY", keymap=lambda k: 0)
+    arr = np.zeros(4)
+    gen = ttg.make_tt(lambda key, outs: outs.send(0, 0, arr, mode="move"),
+                      [], [e1], name="GEN", keymap=lambda k: 0)
+    ex = ttg.TaskGraph([gen, relay, sink]).executable(_backend(), strict=True)
+    ex.invoke(gen, 0)
+    ex.fence()
+    assert ex.sanitizer.findings == []
+    assert got[0] is arr  # moved twice, never copied
+
+
+def test_san007_third_task_resending_a_moved_value():
+    # GEN moves the array to SINK[0]; THIRD, which never received it,
+    # sends the same object again.
+    data = ttg.Edge("d", key_type=int, value_type=np.ndarray)
+    token = ttg.Edge("t", key_type=int, value_type=int)
+    sink = ttg.make_tt(_noop, [data], [], name="SINK", keymap=lambda k: 0)
+    arr = np.zeros(4)
+
+    def gen_body(key, outs):
+        outs.send(0, 0, arr, mode="move")
+        outs.send(1, 0, 0)
+
+    gen = ttg.make_tt(gen_body, [], [data, token], name="GEN",
+                      keymap=lambda k: 0)
+    third = ttg.make_tt(
+        lambda key, _t, outs: outs.send(0, 1, arr, mode="move"), [token],
+        [data], name="THIRD", keymap=lambda k: 0)
+    ex = ttg.TaskGraph([gen, third, sink]).executable(_backend(), sanitize=True)
+    ex.invoke(gen, 0)
+    with pytest.warns(RuntimeWarning, match="TTG-San: SAN007"):
+        ex.fence()
+    fs = san_findings(ex, "SAN007")
+    assert [(f.location, f.message) for f in fs] == [
+        ("SINK[1].in0", "value moved by GEN[0] was sent again by THIRD[0]")]
 
 
 # --------------------------------------------------------------- housekeeping

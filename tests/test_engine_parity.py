@@ -199,32 +199,6 @@ def test_sanitizer_findings_identical():
     ]
 
 
-def test_app_sanitizer_findings_identical_across_engines():
-    from repro.apps.cholesky import build_cholesky_graph
-    from repro.bench.history import SeededBlockCyclic
-    from repro.linalg import TiledMatrix
-
-    backend = ParsecBackend(Cluster(HAWK.with_workers(4), 4))
-    a = TiledMatrix(512, 128, SeededBlockCyclic.for_ranks(4, 0),
-                    synthetic=True)
-    res = TiledMatrix(512, 128, a.dist, synthetic=True)
-    graph, initiator = build_cholesky_graph(a, res)
-    ex = graph.executable(backend, sanitize=True)
-    for rank in range(4):
-        ex.invoke(initiator, rank)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ex.fence()
-    moved = "value moved by {} was sent again by {}".format
-    assert _canonical(ex.sanitizer.findings) == [
-        ("SAN007", "POTRF[2].in0", moved("SYRK[(0, 2)]", "SYRK[(1, 2)]")),
-        ("SAN007", "POTRF[3].in0", moved("SYRK[(0, 3)]", "SYRK[(2, 3)]")),
-        ("SAN007", "SYRK[(2, 3)].in1", moved("SYRK[(0, 3)]", "SYRK[(1, 3)]")),
-        ("SAN007", "TRSM[(3, 2)].in1",
-         moved("GEMM[(3, 2, 0)]", "GEMM[(3, 2, 1)]")),
-    ]
-
-
 def test_sharded_engine_actually_sharded():
     """Guard against a silent fallback: asking for the deleted kind fails
     loudly wherever a kind is named, instead of quietly measuring the
