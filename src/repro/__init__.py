@@ -3,7 +3,7 @@
 Layered architecture (bottom-up):
 
 - :mod:`repro.sim` -- deterministic discrete-event cluster simulator.
-- :mod:`repro.comm` -- active messages, RMA, collectives on the simulator.
+- :mod:`repro.comm` -- active messages and RMA on the simulator.
 - :mod:`repro.serialization` -- trivial/generic/madness/splitmd protocols.
 - :mod:`repro.runtime` -- PaRSEC-like and MADNESS-like task runtimes.
 - :mod:`repro.core` -- the TTG programming model (the paper's contribution).

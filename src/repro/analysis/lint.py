@@ -407,7 +407,7 @@ def _priomap_probe(ctx: LintContext) -> Iterator[Finding]:
 #: MRO so that no runtime subsystem is imported here.
 _RUNTIME_TYPE_NAMES = frozenset({
     "Backend", "Executable", "Cluster", "Engine", "CommEngine", "RmaWindow",
-    "EventBus", "Telemetry", "MetricsRegistry", "World", "Sanitizer",
+    "EventBus", "Telemetry", "MetricsRegistry", "Sanitizer",
     "WorkerPool",
 })
 

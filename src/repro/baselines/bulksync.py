@@ -34,7 +34,8 @@ class Round:
         work is charged as the work.
     comm:
         duration of the round's communication phase in seconds (use the
-        :class:`~repro.comm.collectives.Collectives` duration helpers).
+        :class:`~repro.sim.network.NetworkModel` collective times,
+        e.g. ``bcast_time`` and ``allreduce_time``).
     name:
         label for the timeline.
     """

@@ -80,6 +80,16 @@ def run_figure(name: str, max_nodes: Optional[int]) -> None:
     print_chart(list(series.values()), title=title)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _parse_apps(text: str) -> List[str]:
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
@@ -193,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run (omit when using the watchdog flags)",
     )
     parser.add_argument(
-        "--max-nodes", type=int, default=None,
+        "--max-nodes", type=_positive_int, default=None,
         help="override the node-count range (fig6: the fixed node count)",
     )
     parser.add_argument(

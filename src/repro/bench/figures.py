@@ -319,26 +319,3 @@ def fig13b_mra_hawk(
         scaled(HAWK, workers), max_nodes, nfuncs, k=4, thresh=1e-4,
         exponent=1.0e5,
     )
-
-
-# ------------------------------------------------------------- telemetry
-
-
-def run_with_telemetry(fig_fn, counters_path: Optional[str] = None, **kwargs):
-    """Run one ``figN_*`` experiment with metrics-only telemetry attached.
-
-    Every backend the experiment binds gets its own registry; the merged
-    counters (comm volume by protocol, broadcast dedup, copies avoided,
-    queue waits...) are written to ``counters_path`` when given.  Returns
-    ``(series, runs)`` with ``runs`` the per-backend recordings.
-    """
-    from repro.bench.harness import write_telemetry_counters
-    from repro.telemetry import capture
-
-    with capture(events=False) as runs:
-        series = fig_fn(**kwargs)
-    if counters_path is not None:
-        write_telemetry_counters(
-            counters_path, runs, meta={"experiment": fig_fn.__name__}
-        )
-    return series, runs

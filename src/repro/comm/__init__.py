@@ -2,13 +2,12 @@
 
 Provides the abstractions the TTG backends consume (Section II-D): active
 messages for control, one-sided RMA transfers for bulk data, completion
-callbacks, FIFO point-to-point channels, and tree-based collectives for the
-bulk-synchronous baselines.
+callbacks and FIFO point-to-point channels.  The bulk-synchronous
+baselines charge their collectives analytically through
+:class:`~repro.sim.network.NetworkModel`.
 """
 
 from repro.comm.endpoint import CommEngine
-from repro.comm.am import ActiveMessageRegistry
 from repro.comm.rma import RmaWindow
-from repro.comm.collectives import Collectives
 
-__all__ = ["CommEngine", "ActiveMessageRegistry", "RmaWindow", "Collectives"]
+__all__ = ["CommEngine", "RmaWindow"]

@@ -44,7 +44,6 @@ from repro.core.messaging import (
     current_outputs,
 )
 from repro.core.task import TemplateTask, make_tt
-from repro.core.inject import make_initiator, make_matrix_initiator, seed_initiator
 from repro.core.ptg import PTG, Flow, TaskClass
 
 __all__ = [
@@ -74,9 +73,6 @@ __all__ = [
     "current_outputs",
     "TemplateTask",
     "make_tt",
-    "make_initiator",
-    "make_matrix_initiator",
-    "seed_initiator",
     "PTG",
     "Flow",
     "TaskClass",

@@ -15,6 +15,8 @@ from repro.linalg.tile import MatrixTile
 
 def grid_dims(nranks: int) -> Tuple[int, int]:
     """Nearly-square process grid P x Q = nranks with P <= Q."""
+    if nranks < 1:
+        raise ValueError(f"nranks must be >= 1, got {nranks}")
     p = int(math.isqrt(nranks))
     while nranks % p != 0:
         p -= 1

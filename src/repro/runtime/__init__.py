@@ -7,8 +7,9 @@ task runtime.  Two backends are provided, mirroring the paper:
   RMA/splitmd transfers, runtime-owned data (no copies for const-ref sends),
   cheap communication progress, MCA-style pluggable schedulers.
 - :class:`~repro.runtime.madness.MadnessBackend` -- the proof-of-concept
-  backend: futures + global namespace + remote method invocation, a single
-  AM server thread, full-object serialization with buffer copies.
+  backend: a single AM server thread, full-object serialization with
+  buffer copies, and copies even for const-ref sends (the runtime does
+  not own TTG data).
 
 Both support the full TTG feature set; they differ only in performance
 characteristics, exactly as the paper states.
@@ -18,10 +19,8 @@ from repro.runtime.base import (
     Backend, BackendConfig, RunStats, TerminationError, WorkerPool,
 )
 from repro.runtime.scheduler import get_scheduler, SCHEDULER_NAMES
-from repro.runtime.futures import Future, FutureError
 from repro.runtime.parsec import ParsecBackend
 from repro.runtime.madness import MadnessBackend
-from repro.runtime.world import World
 
 BACKENDS = {"parsec": ParsecBackend, "madness": MadnessBackend}
 
@@ -42,12 +41,9 @@ __all__ = [
     "WorkerPool",
     "get_scheduler",
     "SCHEDULER_NAMES",
-    "Future",
-    "FutureError",
     "TerminationError",
     "ParsecBackend",
     "MadnessBackend",
-    "World",
     "BACKENDS",
     "make_backend",
 ]

@@ -60,13 +60,20 @@ def replay_record(
     :func:`repro.bench.history.measure` with the probe overrides
     *composed onto* the overrides the record was taken under.  ``nodes``
     replays at a different rank count (the rank-count knob).  Returns the
-    replayed :class:`~repro.bench.history.BenchRecord`.
+    replayed :class:`~repro.bench.history.BenchRecord`.  A speedup on a
+    template the record never executed raises ``ValueError``.
     """
     from repro.bench.history import APPS, measure
 
     row = APPS.get(record.app)
     if row is None:
         raise ValueError(f"cannot replay unknown app {record.app!r}")
+    unknown = sorted(set(speedups or ()) - set(record.tasks_by_template))
+    if unknown:
+        raise ValueError(
+            f"speedup for template(s) {', '.join(unknown)} not in the "
+            f"{record.app} record; known: "
+            f"{', '.join(sorted(record.tasks_by_template))}")
     kwargs = row.params_of(record.config)
     if nodes is not None:
         kwargs["nodes"] = int(nodes)

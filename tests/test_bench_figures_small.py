@@ -81,6 +81,12 @@ def test_cli_figure_with_max_nodes(capsys):
     out = capsys.readouterr().out
     assert "Fig 13b" in out
     assert "ttg-parsec" in out
+    for fig in ("fig5", "fig6"):
+        for bad in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                bench_main([fig, "--max-nodes", bad])
+            assert exc.value.code == 2  # an argparse usage error
+            assert "--max-nodes: must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown():

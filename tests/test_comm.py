@@ -1,10 +1,8 @@
-"""Tests for the communication layer: AMs, RMA windows, collectives."""
+"""Tests for the communication layer: AMs and RMA windows."""
 
 import numpy as np
 import pytest
 
-from repro.comm.am import ActiveMessageRegistry, AmHandlerError
-from repro.comm.collectives import Collectives
 from repro.comm.endpoint import CommEngine
 from repro.comm.rma import RmaError, RmaWindow
 from repro.sim.cluster import Cluster, HAWK
@@ -88,37 +86,6 @@ def test_rma_counters():
     assert comm.rma_count == 1 and comm.rma_bytes == 2048
 
 
-# --------------------------------------------------------------- registry
-
-
-def test_registry_dispatch():
-    comm, cluster = make_comm()
-    reg = ActiveMessageRegistry(comm)
-    got = []
-    reg.register(1, "ping", lambda v: got.append(v))
-    reg.send(0, 1, "ping", 64, "hello")
-    cluster.engine.run()
-    assert got == ["hello"]
-
-
-def test_registry_register_all():
-    comm, cluster = make_comm()
-    reg = ActiveMessageRegistry(comm)
-    got = []
-    reg.register_all("t", lambda rank: (lambda: got.append(rank)))
-    for dst in range(4):
-        reg.send(0, dst, "t", 64)
-    cluster.engine.run()
-    assert sorted(got) == [0, 1, 2, 3]
-
-
-def test_registry_unknown_tag():
-    comm, _ = make_comm()
-    reg = ActiveMessageRegistry(comm)
-    with pytest.raises(AmHandlerError):
-        reg.send(0, 1, "nope", 64)
-
-
 # ------------------------------------------------------------------- RMA
 
 
@@ -162,46 +129,3 @@ def test_window_synthetic_payload():
     win.get(0, h, lambda data: got.append(data))
     cluster.engine.run()
     assert got == [None]
-
-
-# -------------------------------------------------------------- collectives
-
-
-def test_collective_durations():
-    comm, _ = make_comm(nnodes=8)
-    col = Collectives(comm)
-    assert col.bcast_duration(1, 100) == 0.0
-    assert col.bcast_duration(8, 100) > 0
-    assert col.allreduce_duration(8, 100) == pytest.approx(
-        2 * col.reduce_duration(8, 100)
-    )
-    assert col.allgather_duration(1, 100) == 0.0
-    assert col.allgather_duration(8, 100) > 0
-    assert col.barrier_duration(8) > col.barrier_duration(1)
-
-
-def test_event_barrier():
-    comm, cluster = make_comm(nnodes=8)
-    col = Collectives(comm)
-    hit = []
-    col.barrier(range(8), lambda: hit.append(cluster.engine.now))
-    cluster.engine.run()
-    assert hit and hit[0] == pytest.approx(col.barrier_duration(8))
-
-
-def test_event_bcast_reaches_all():
-    comm, cluster = make_comm(nnodes=8)
-    col = Collectives(comm)
-    got = []
-    col.bcast(0, range(8), 1000, lambda r: got.append(r))
-    cluster.engine.run()
-    assert sorted(got) == list(range(1, 8))
-
-
-def test_event_bcast_single_rank_noop():
-    comm, cluster = make_comm(nnodes=2)
-    col = Collectives(comm)
-    got = []
-    col.bcast(0, [0], 1000, lambda r: got.append(r))
-    cluster.engine.run()
-    assert got == []

@@ -1,13 +1,10 @@
-"""Tests for the PTG front-end and the data-injection helpers."""
+"""Tests for the PTG front-end and ``Executable.inject``."""
 
-import numpy as np
 import pytest
 
 from repro import core as ttg
 from repro.core.exceptions import GraphConstructionError
-from repro.core.inject import make_initiator, make_matrix_initiator, seed_initiator
 from repro.core.ptg import PTG, Flow, TaskClass
-from repro.linalg import BlockCyclicDistribution, TiledMatrix
 from repro.runtime import ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
 
@@ -17,62 +14,6 @@ def backend(nnodes=4):
 
 
 # -------------------------------------------------------------------- inject
-
-
-def test_make_initiator_routes_items():
-    e1 = ttg.Edge("odd")
-    e2 = ttg.Edge("even")
-    got = []
-    sink1 = ttg.make_tt(lambda k, v, outs: got.append(("odd", k, v)),
-                        [e1], [], keymap=lambda k: 0)
-    sink2 = ttg.make_tt(lambda k, v, outs: got.append(("even", k, v)),
-                        [e2], [], keymap=lambda k: 0)
-    init = make_initiator(
-        range(6),
-        owner_of=lambda x: x % 4,
-        route=lambda x: ((0, x, x * 10) if x % 2 else (1, x, x * 10)),
-        output_edges=[e1, e2],
-    )
-    ex = ttg.TaskGraph([init, sink1, sink2]).executable(backend())
-    seed_initiator(ex, init)
-    ex.fence()
-    assert sorted(got) == sorted(
-        [("odd", x, x * 10) if x % 2 else ("even", x, x * 10) for x in range(6)]
-    )
-
-
-def test_matrix_initiator_clones_tiles():
-    e = ttg.Edge("tiles")
-    m = TiledMatrix.from_dense(np.arange(16.0).reshape(4, 4), 2,
-                               BlockCyclicDistribution(2, 2))
-    got = {}
-
-    def sink(key, tile, outs):
-        tile.data += 1  # mutate the received copy
-        got[key] = tile
-
-    sink_tt = ttg.make_tt(sink, [e], [], keymap=lambda k: 0)
-    init = make_matrix_initiator(m, lambda i, j, t: (0, (i, j), t), [e])
-    ex = ttg.TaskGraph([init, sink_tt]).executable(backend())
-    seed_initiator(ex, init)
-    ex.fence()
-    assert len(got) == 4
-    # original matrix untouched by the sink's mutation
-    assert np.array_equal(m.to_dense(), np.arange(16.0).reshape(4, 4))
-
-
-def test_matrix_initiator_lower_only():
-    e = ttg.Edge("tiles")
-    m = TiledMatrix.from_dense(np.eye(4), 2, lower_only=False)
-    keys = []
-    sink_tt = ttg.make_tt(lambda k, t, outs: keys.append(k), [e], [],
-                          keymap=lambda k: 0)
-    init = make_matrix_initiator(m, lambda i, j, t: (0, (i, j), t), [e],
-                                 lower_only=True)
-    ex = ttg.TaskGraph([init, sink_tt]).executable(backend(1))
-    seed_initiator(ex, init)
-    ex.fence()
-    assert sorted(keys) == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_executable_inject_matches_terminals():
@@ -188,7 +129,8 @@ def test_ptg_unknown_destination_class():
         keymap=lambda k: 0,
     )
     ptg = PTG([src])
-    ex = ptg.executable(backend(1))
+    with pytest.warns(RuntimeWarning, match="TTG lint: TTG008 .*'NOPE'"):
+        ex = ptg.executable(backend(1))
     ptg.inject(ex, "SRC", "x", 0, 1)
     with pytest.raises(GraphConstructionError):
         ex.fence()

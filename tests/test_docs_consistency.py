@@ -71,7 +71,9 @@ def test_analysis_doc_catalogs_every_rule():
 
 def test_observability_doc_catalogs_every_recorded_metric():
     """Every (metric, label set) the three golden telemetry cells record
-    has a row of that kind and exactly those labels in the catalog."""
+    has a row of that kind and exactly those labels in the catalog, and
+    every metric the catalog names is recorded somewhere: its name is a
+    ``"name"`` string literal in ``src/repro``."""
     from repro.telemetry import Telemetry
     from tests.test_telemetry_records import GOLDEN, _cell
 
@@ -86,6 +88,11 @@ def test_observability_doc_catalogs_every_recorded_metric():
                 for name, labels, m in _cell(app, Telemetry(
                     nranks=16, events=False)).metrics.collect()}
     assert sorted(recorded - rows, key=str) == []
+    src = "\n".join(p.read_text()
+                    for p in sorted((ROOT / "src" / "repro").rglob("*.py")))
+    literals = set(re.findall(r'"(\w+)"', src))
+    assert sorted({name for name, _, _ in rows} - literals) == []
+
 
 
 def test_design_no_title_collision_note():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.history import SeededBlockCyclic
 from repro.linalg.blocksparse import BlockSparseMatrix, IrregularTiling
 from repro.linalg.generators import random_weight_matrix, spd_matrix, yukawa_blocksparse
 from repro.linalg.kernels import (
@@ -52,6 +53,13 @@ def test_block_cyclic_partition():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         BlockCyclicDistribution(0, 1)
+    for nranks in (0, -1):
+        with pytest.raises(ValueError, match="nranks must be >= 1"):
+            grid_dims(nranks)
+        with pytest.raises(ValueError, match="nranks must be >= 1"):
+            BlockCyclicDistribution.for_ranks(nranks)
+        with pytest.raises(ValueError, match="nranks must be >= 1"):
+            SeededBlockCyclic.for_ranks(nranks)
 
 
 # --------------------------------------------------------------- TiledMatrix

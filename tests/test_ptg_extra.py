@@ -71,7 +71,9 @@ def test_ptg_dest_with_unknown_flow_of_known_class():
     b = TaskClass("B", kernel=lambda k, d: got.append(k), flows=[Flow("y")],
                   keymap=lambda k: 0)
     ptg = PTG([a, b])
-    ex = ptg.executable(backend(1))
+    with pytest.warns(RuntimeWarning,
+                      match="TTG lint: TTG008 .*'wrong_flow'"):
+        ex = ptg.executable(backend(1))
     ptg.inject(ex, "A", "x", 0, 1)
     with pytest.raises(GraphConstructionError):
         ex.fence()

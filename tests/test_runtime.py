@@ -1,4 +1,4 @@
-"""Tests for schedulers, futures, backends and the drain check."""
+"""Tests for schedulers, backends and the drain check."""
 
 import pytest
 
@@ -7,16 +7,12 @@ from repro.runtime import (
     BACKENDS,
     Backend,
     BackendConfig,
-    Future,
-    FutureError,
     MadnessBackend,
     ParsecBackend,
     TerminationError,
-    World,
     make_backend,
 )
 from repro.runtime.base import _ReadyTask
-from repro.runtime.futures import when_all
 from repro.runtime.scheduler import SCHEDULER_NAMES, get_scheduler
 from repro.sim.cluster import Cluster, HAWK
 
@@ -70,54 +66,6 @@ def test_unknown_scheduler():
     with pytest.raises(KeyError):
         get_scheduler("wat")
     assert set(SCHEDULER_NAMES) == {"fifo", "lifo", "priority"}
-
-
-# ------------------------------------------------------------------ futures
-
-
-def test_future_set_get():
-    f = Future()
-    assert not f.done
-    f.set(7)
-    assert f.done and f.get() == 7
-
-
-def test_future_premature_get():
-    with pytest.raises(FutureError):
-        Future().get()
-
-
-def test_future_double_set():
-    f = Future.ready(1)
-    with pytest.raises(FutureError):
-        f.set(2)
-
-
-def test_future_callbacks_before_and_after():
-    f = Future()
-    got = []
-    f.add_callback(got.append)
-    f.set(1)
-    f.add_callback(got.append)
-    assert got == [1, 1]
-
-
-def test_future_then():
-    f = Future()
-    g = f.then(lambda v: v * 10)
-    f.set(4)
-    assert g.get() == 40
-
-
-def test_when_all():
-    fs = [Future() for _ in range(3)]
-    combined = when_all(fs)
-    fs[1].set("b")
-    fs[0].set("a")
-    assert not combined.done
-    fs[2].set("c")
-    assert combined.get() == ["a", "b", "c"]
-    assert when_all([]).get() == []
 
 
 # ----------------------------------------------------------------- backends
@@ -241,18 +189,15 @@ def _strand_busy_worker(be, rank):
 
 
 def test_run_validates_termination():
-    """Both drains -- Backend.run and World.fence -- name the rank that
-    lost work, for both shapes lost work can take."""
+    """Both backends' drains name the rank that lost work, for both shapes
+    lost work can take."""
     for strand in (_strand_queued_task, _strand_busy_worker):
-        be = ParsecBackend(Cluster(HAWK, 2))
-        be.submit(0, lambda: None, flops=1e6)
-        strand(be, 1)
-        with pytest.raises(TerminationError, match="lost work on rank 1"):
-            be.run()
-        world = World(MadnessBackend(Cluster(HAWK, 2)))
-        strand(world.backend, 1)
-        with pytest.raises(TerminationError, match="lost work on rank 1"):
-            world.fence()
+        for cls in (ParsecBackend, MadnessBackend):
+            be = cls(Cluster(HAWK, 2))
+            be.submit(0, lambda: None, flops=1e6)
+            strand(be, 1)
+            with pytest.raises(TerminationError, match="lost work on rank 1"):
+                be.run()
 
 
 def test_backend_config_affects_scheduler():

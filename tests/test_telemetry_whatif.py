@@ -194,6 +194,21 @@ def test_cli_whatif_sweep_json(tmp_path):
     assert any(k.startswith("speedup ") for k in knobs)
 
 
+def test_cli_whatif_rejects_bad_probes_in_one_line(tmp_path):
+    """A speedup on a template the record never ran, or a rank count
+    below one, is an error line, not a silent no-op or a traceback."""
+    base = _clean()
+    with pytest.raises(ValueError, match="NOPE"):
+        replay_record(base, speedups={"NOPE": 2.0})
+    path = str(BenchHistory("potrf", [base]).save(directory=str(tmp_path)))
+    for argv, needle in ((["--speedup", "NOPE=2"], "NOPE"),
+                         (["--nodes", "0"], "nranks must be >= 1"),
+                         (["--nodes", "-2"], "nranks must be >= 1")):
+        code, text = _cli("whatif", path, *argv)
+        assert code == 1
+        assert text.count("\n") == 1 and needle in text, text
+
+
 def test_cli_whatif_rejects_non_history(tmp_path):
     p = tmp_path / "counters.json"
     p.write_text('{"schema": "repro.telemetry/counters-v1", "counters": {}}')
