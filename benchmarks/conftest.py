@@ -6,45 +6,10 @@ series the paper reports, and asserts the paper's qualitative claims (who
 wins, by roughly what factor, where curves roll off).
 
 Scale via ``REPRO_BENCH_SCALE=small|large`` (default small).
-
-When ``REPRO_BENCH_HISTORY_DIR`` is set, every figure bench also appends
-its TTG curve endpoints to ``BENCH_<figure>.json`` in that directory (see
-:mod:`repro.bench.history`), so a CI sweep leaves a comparable perf
-trajectory behind.
 """
-
-import os
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Time ``fn`` exactly once (experiments are deterministic; repeated
     rounds would just re-run identical virtual-time simulations)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def record_figure_history(figure, series, metric="Gflop/s"):
-    """Append each TTG series' largest-x point into the benchmark history.
-
-    No-op unless ``REPRO_BENCH_HISTORY_DIR`` is set (plain test runs must
-    not dirty the repository).  Returns the path written, or None.
-    """
-    directory = os.environ.get("REPRO_BENCH_HISTORY_DIR")
-    if not directory:
-        return None
-    from repro.bench.history import BenchHistory, BenchRecord, git_sha
-
-    history = BenchHistory.load_app(figure, directory)
-    sha = git_sha()
-    scale = os.environ.get("REPRO_BENCH_SCALE", "small")
-    for name, s in series.items():
-        if not name.startswith("ttg") or not s.points:
-            continue
-        x, y = s.points[-1]
-        history.append(BenchRecord(
-            app=figure,
-            config={"figure": figure, "series": name, "x": x,
-                    "scale": scale, "metric": metric},
-            gflops=y,
-            git_sha=sha,
-        ))
-    return history.save(directory=directory)

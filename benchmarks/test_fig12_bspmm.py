@@ -10,7 +10,7 @@ communication-reducing) continues to 256 nodes thanks to its lower
 communication volume.
 """
 
-from conftest import record_figure_history, run_once
+from conftest import run_once
 
 from repro.bench.figures import fig12_bspmm
 from repro.bench.harness import print_series
@@ -41,7 +41,6 @@ def test_fig12_bspmm_strong_scaling(benchmark):
     print_series("Fig 12: BSPMM strong scaling (Gflop/s)", "nodes",
                  list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
-    record_figure_history("fig12", series)
     ttg = series["ttg-parsec"]
     dbcsr = series["dbcsr"]
     xs = ttg.xs

@@ -8,7 +8,7 @@ to ~32 nodes because of the explicit barrier after each computational step
 """
 
 import pytest
-from conftest import record_figure_history, run_once
+from conftest import run_once
 
 from repro.bench.figures import fig13a_mra_seawulf, fig13b_mra_hawk
 from repro.bench.harness import print_series
@@ -46,7 +46,6 @@ def test_fig13a_mra_seawulf(benchmark):
     print_series("Fig 13a: MRA strong scaling, Seawulf (functions/s)",
                  "nodes", list(series.values()), yfmt="{:.1f}")
     print_chart(list(series.values()), ylabel="functions/s")
-    record_figure_history("fig13a", series, metric="functions/s")
     _check(series)
 
 
@@ -55,5 +54,4 @@ def test_fig13b_mra_hawk(benchmark):
     print_series("Fig 13b: MRA strong scaling, Hawk (functions/s)",
                  "nodes", list(series.values()), yfmt="{:.1f}")
     print_chart(list(series.values()), ylabel="functions/s")
-    record_figure_history("fig13b", series, metric="functions/s")
     _check(series)

@@ -7,7 +7,7 @@ close together; ScaLAPACK and SLATE "steadily continue to grow their
 performance but at a slower pace" (no lookahead).
 """
 
-from conftest import record_figure_history, run_once
+from conftest import run_once
 
 from repro.bench.figures import fig5_potrf_weak
 from repro.bench.harness import print_series
@@ -19,7 +19,6 @@ def test_fig5_weak_scaling(benchmark):
     print_series("Fig 5: POTRF weak scaling, Hawk (Gflop/s)", "nodes",
                  list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
-    record_figure_history("fig5", series)
     ttg = series["ttg"]
     top = ttg.xs[-1]
 

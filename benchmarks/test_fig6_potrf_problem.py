@@ -6,7 +6,7 @@ peak, with the task-based codes reaching practical peak at *smaller*
 matrix sizes than ScaLAPACK/SLATE.
 """
 
-from conftest import record_figure_history, run_once
+from conftest import run_once
 
 from repro.bench.figures import fig6_potrf_problem
 from repro.bench.harness import print_series
@@ -18,7 +18,6 @@ def test_fig6_problem_scaling(benchmark):
     print_series("Fig 6: POTRF problem-size scaling (Gflop/s)", "n",
                  list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
-    record_figure_history("fig6", series)
     biggest = series["ttg"].xs[-1]
 
     # Performance grows with problem size for everyone.

@@ -7,7 +7,7 @@ finest block keeps scaling where coarser ones roll off); TTG over MADNESS
 benefits from larger tiles but is limited in its scalability.
 """
 
-from conftest import record_figure_history, run_once
+from conftest import run_once
 
 from repro.bench.figures import fig8_fw_hawk
 from repro.bench.harness import print_series
@@ -19,7 +19,6 @@ def test_fig8_fw_strong_scaling_hawk(benchmark):
     print_series("Fig 8: FW-APSP strong scaling, Hawk (Gflop/s)", "nodes",
                  list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
-    record_figure_history("fig8", series)
     names = sorted(series)
     parsec = sorted(n for n in names if n.startswith("ttg-parsec"))
     mpi = next(n for n in names if n.startswith("mpi+openmp"))

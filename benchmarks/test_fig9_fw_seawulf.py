@@ -6,7 +6,7 @@ to 4; TTG/MADNESS performs similar to the PaRSEC version at the larger
 block size (less communication with larger tiles).
 """
 
-from conftest import record_figure_history, run_once
+from conftest import run_once
 
 from repro.bench.figures import fig9_fw_seawulf
 from repro.bench.harness import print_series
@@ -18,7 +18,6 @@ def test_fig9_fw_strong_scaling_seawulf(benchmark):
     print_series("Fig 9: FW-APSP strong scaling, Seawulf (Gflop/s)", "nodes",
                  list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
-    record_figure_history("fig9", series)
     names = sorted(series)
     parsec = sorted(
         (n for n in names if n.startswith("ttg-parsec")),

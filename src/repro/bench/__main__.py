@@ -5,7 +5,7 @@ without going through pytest:
 
     python -m repro.bench table1
     python -m repro.bench fig5 --max-nodes 8
-    python -m repro.bench fig8 --telemetry fig8.json   # + .trace.json/.jsonl
+    python -m repro.bench fig8 --telemetry fig8.jsonl   # + its event log
     python -m repro.bench all
 
 The pinned watchdog (no experiment argument needed) measures the twelve
@@ -37,7 +37,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import figures, history
-from repro.bench.harness import print_series, print_table, write_telemetry_bundle
+from repro.bench.harness import merged_event_bus, print_series, print_table
 from repro.bench.plot import print_chart
 
 _FIGS: Dict[str, Callable] = {
@@ -207,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the node-count range (fig6: the fixed node count)",
     )
     parser.add_argument(
-        "--telemetry", metavar="COUNTERS.json", default=None,
+        "--telemetry", metavar="LOG.jsonl", default=None,
         help="capture telemetry across every backend the experiment binds "
-        "and write the merged counters JSON plus the replayable "
-        "<stem>.trace.json Chrome trace and <stem>.jsonl event log",
+        "and write their events as one JSONL event log (one rank "
+        "namespace per backend)",
     )
     wd = parser.add_argument_group("pinned watchdog")
     wd.add_argument("--record-history", action="store_true",
@@ -258,18 +258,14 @@ def main(argv=None) -> int:
     if args.telemetry is None:
         run_all()
         return 0
-    from repro.telemetry import capture
+    from repro.telemetry import capture, write_jsonl
 
-    with capture(events=True) as runs:
+    with capture() as runs:
         run_all()
-    written = write_telemetry_bundle(
-        args.telemetry, runs, meta={"experiment": args.experiment}
-    )
-    print(f"\nwrote {written['counters']} ({len(runs)} backend run(s))")
-    if "trace" in written:
-        print(f"wrote {written['trace']} and {written['jsonl']} "
-              f"(replay: python -m repro.telemetry report "
-              f"{written['jsonl']})")
+    n = write_jsonl(args.telemetry, merged_event_bus(runs))
+    print(f"\nwrote {args.telemetry} ({n} events, {len(runs)} backend "
+          f"run(s); replay: python -m repro.telemetry report "
+          f"{args.telemetry})")
     return 0
 
 

@@ -4,17 +4,17 @@ Every figure benchmark produces :class:`Series` objects -- named sequences
 of (x, y) points -- and prints them in the same rows/columns layout the
 paper reports, so a bench run's stdout *is* the regenerated figure data.
 
-:func:`write_telemetry_counters` is the bench side of the telemetry
-integration: ``python -m repro.bench <fig> --telemetry counters.json``
-captures every backend the figure binds (metrics only, no event buffers)
-and writes the merged counters JSON next to the printed rows, so a figure
-regression can be diagnosed by ``python -m repro.telemetry diff``.
+:func:`merged_event_bus` is the bench side of the telemetry
+integration: ``python -m repro.bench <fig> --telemetry LOG.jsonl``
+captures every backend the figure binds and writes their events as one
+JSONL event log, which ``python -m repro.telemetry report``, ``export``
+and ``diff`` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -57,26 +57,6 @@ def geometric_nodes(max_nodes: int, start: int = 1) -> List[int]:
     return out
 
 
-def write_telemetry_counters(
-    path: str, runs: Sequence[Any], meta: Optional[Dict[str, Any]] = None
-) -> int:
-    """Merge the metric registries of captured runs into one counters JSON.
-
-    ``runs`` is the list yielded by :func:`repro.telemetry.events.capture`;
-    returns the number of metric series written.
-    """
-    from repro.telemetry.events import Telemetry
-    from repro.telemetry.export import write_counters_json
-
-    merged = Telemetry(events=False)
-    full_meta = dict(meta or {})
-    full_meta["runs"] = [run.label for run in runs]
-    for run in runs:
-        merged.metrics.merge(run.telemetry.metrics)
-    write_counters_json(path, merged, meta=full_meta)
-    return len(merged.metrics)
-
-
 def merged_event_bus(runs: Sequence[Any]) -> Any:
     """One EventBus holding every captured run's events.
 
@@ -97,34 +77,6 @@ def merged_event_bus(runs: Sequence[Any]) -> Any:
             merged.dropped[offset + r] += n
         offset += bus.nranks
     return merged
-
-
-def write_telemetry_bundle(
-    counters_path: str, runs: Sequence[Any],
-    meta: Optional[Dict[str, Any]] = None,
-) -> Dict[str, str]:
-    """The full bench-side telemetry emission: counters JSON plus the
-    Chrome trace and JSONL event log (``<stem>.trace.json`` /
-    ``<stem>.jsonl``) of the rank-namespaced merged event stream, so a
-    bench run replays into ``python -m repro.telemetry report``.
-
-    Returns ``{kind: path}`` for what was written (trace/jsonl are
-    skipped when the capture recorded no events).
-    """
-    from repro.telemetry.export import write_chrome_trace, write_jsonl
-
-    write_telemetry_counters(counters_path, runs, meta)
-    out = {"counters": counters_path}
-    merged = merged_event_bus(runs)
-    if len(merged) == 0:
-        return out
-    stem = counters_path[:-5] if counters_path.endswith(".json") else counters_path
-    trace_path, jsonl_path = f"{stem}.trace.json", f"{stem}.jsonl"
-    write_chrome_trace(trace_path, merged)
-    write_jsonl(jsonl_path, merged)
-    out["trace"] = trace_path
-    out["jsonl"] = jsonl_path
-    return out
 
 
 def print_table(title: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -1,11 +1,13 @@
-"""Versioned benchmark history and the pinned watchdog cells.
+"""Benchmark history and the pinned watchdog cells.
 
 The paper's evaluation is a *trajectory*: the same four applications
 measured repeatedly as runtime features landed.  This module keeps that
 trajectory for the reproduction -- one ``BENCH_<app>.json`` file per
-application, each an append-only list of :class:`BenchRecord` runs
-(makespan, Gflop/s, task/byte breakdowns, critical-path and idle
-fractions, a counter snapshot, the git SHA).
+application, each an append-only list of the watchdog's
+:class:`BenchRecord` runs (makespan, Gflop/s, task/byte breakdowns,
+critical-path and idle fractions, a counter snapshot, the git SHA) at
+one schema version.  Host time is not recorded here: ``hostbench/``
+measures it.
 
 The simulator is deterministic, so every virtual number of a record is a
 function of the commit, the app, its parameters and the seed.  The
@@ -30,29 +32,29 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 SCHEMA = "repro.bench/history"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The watchdog's cells: ``(app, seed)`` -> :func:`record_digest` of
 #: ``measure(app, seed)`` at the app's defaults.  A change that moves a
 #: virtual number edits the literals here and says why.
 PINS: Dict[Tuple[str, int], str] = {
-    ("potrf", 0): "85404bb571d2d1ab",
-    ("potrf", 1): "8e642b0a7bb9ff41",
-    ("potrf", 2): "fc0a58bc54178516",
-    ("fw", 0): "548a71e89e599015",
-    ("fw", 1): "fad00f87f1efa80e",
-    ("fw", 2): "2661523708d5b1f4",
-    ("bspmm", 0): "8aab56b7b03ea1ca",
-    ("bspmm", 1): "7b2385c1d7658df3",
-    ("bspmm", 2): "d615123b9abc0c85",
-    ("mra", 0): "f37b9506876bbda5",
-    ("mra", 1): "364e8b38ef0b717b",
-    ("mra", 2): "98931e06e1ec35d1",
+    ("potrf", 0): "4ee71f0c9866fd4e",
+    ("potrf", 1): "37e69826e175562f",
+    ("potrf", 2): "922d28a50b6c5970",
+    ("fw", 0): "bf123a933c995db2",
+    ("fw", 1): "0f6f7bbbcef05b42",
+    ("fw", 2): "cb7d59dd41b2a4a1",
+    ("bspmm", 0): "ffe327dd2eaca12c",
+    ("bspmm", 1): "240e9dc90a4aa413",
+    ("bspmm", 2): "69df525dd0802b5e",
+    ("mra", 0): "c51e5a24b9be9ded",
+    ("mra", 1): "be8628f025ad0e07",
+    ("mra", 2): "454b04cdfb936ab8",
 }
 
-#: Record fields the digest leaves out: they describe the host and the
-#: commit, not the simulated run.
-UNPINNED_FIELDS = ("host_seconds", "engine", "git_sha")
+#: Record fields the digest leaves out: they describe the commit, not the
+#: simulated run.
+UNPINNED_FIELDS = ("git_sha",)
 
 
 def git_sha() -> str:
@@ -87,15 +89,7 @@ class BenchRecord:
     idle_fraction: float = 0.0
     counters: Dict[str, float] = field(default_factory=dict)
     git_sha: str = ""
-    baseline: bool = False
-    # v3: the host wall-clock cost of producing this record and the event
-    # engine that produced it.  There is one engine now and every record
-    # says "seq"; older records may name the deleted "sharded" engine,
-    # which replayed the same event order, so the engine stays OUT of
-    # config_key -- every record remains comparable.
-    host_seconds: float = 0.0
-    engine: str = "seq"
-    # v4: the what-if cost overrides active during this run (see
+    # The what-if cost overrides active during this run (see
     # repro.sim.cluster.CostOverrides.as_dict; {} = unperturbed).  Kept
     # OUT of config_key on purpose: ``--explain`` compares a perturbed and
     # a clean run of the same cell, and the what-if replayer needs to know
@@ -124,9 +118,6 @@ class BenchRecord:
             "idle_fraction": self.idle_fraction,
             "counters": dict(self.counters),
             "git_sha": self.git_sha,
-            "baseline": self.baseline,
-            "host_seconds": self.host_seconds,
-            "engine": self.engine,
             "cost_overrides": dict(self.cost_overrides),
         }
 
@@ -146,51 +137,8 @@ class BenchRecord:
             idle_fraction=float(obj.get("idle_fraction", 0.0)),
             counters=dict(obj.get("counters", {})),
             git_sha=obj.get("git_sha", ""),
-            baseline=bool(obj.get("baseline", False)),
-            host_seconds=float(obj.get("host_seconds", 0.0)),
-            engine=obj.get("engine", "seq"),
             cost_overrides=dict(obj.get("cost_overrides", {})),
         )
-
-
-def _migrate_v1(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """v1 -> v2: records gained protocol/critical-path/idle fields and the
-    counter snapshot was renamed ``metrics`` -> ``counters``."""
-    for rec in payload.get("records", []):
-        rec.setdefault("bytes_by_protocol", {})
-        rec.setdefault("critical_path_fraction", 0.0)
-        rec.setdefault("idle_fraction", 0.0)
-        if "counters" not in rec:
-            rec["counters"] = rec.pop("metrics", {})
-    payload["version"] = 2
-    return payload
-
-
-def _migrate_v2(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """v2 -> v3: records gained the host wall-clock cost and the event
-    engine that produced them (pre-v3 runs were all sequential)."""
-    for rec in payload.get("records", []):
-        rec.setdefault("host_seconds", 0.0)
-        rec.setdefault("engine", "seq")
-    payload["version"] = 3
-    return payload
-
-
-def _migrate_v3(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """v3 -> v4: records gained the what-if cost-override stamp (pre-v4
-    runs were all unperturbed)."""
-    for rec in payload.get("records", []):
-        rec.setdefault("cost_overrides", {})
-    payload["version"] = 4
-    return payload
-
-
-#: version -> migration to the *next* version, applied in sequence.
-_MIGRATIONS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    1: _migrate_v1,
-    2: _migrate_v2,
-    3: _migrate_v3,
-}
 
 
 class BenchHistory:
@@ -209,18 +157,19 @@ class BenchHistory:
     @classmethod
     def load(cls, path: Any) -> "BenchHistory":
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError:
+                payload = None
         if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-            raise ValueError(f"{path}: not a {SCHEMA} file")
-        version = int(payload.get("version", 1))
-        if version > SCHEMA_VERSION:
+            raise ValueError(f"{path}: not a BENCH_*.json history "
+                             f"(schema {SCHEMA})")
+        version = payload.get("version")
+        if version != SCHEMA_VERSION:
             raise ValueError(
-                f"{path}: schema version {version} is newer than this "
-                f"code's {SCHEMA_VERSION}"
-            )
-        while version < SCHEMA_VERSION:
-            payload = _MIGRATIONS[version](payload)
-            version = int(payload["version"])
+                f"{path}: schema version {version}, this code reads only "
+                f"{SCHEMA_VERSION}; re-record it with `python -m repro.bench "
+                f"--check-regressions --record-history`")
         return cls(
             payload["app"],
             [BenchRecord.from_dict(r) for r in payload.get("records", [])],
@@ -253,13 +202,6 @@ class BenchHistory:
         if record.app != self.app:
             raise ValueError(f"record app {record.app!r} != history {self.app!r}")
         self.records.append(record)
-
-    def config_keys(self) -> List[str]:
-        out: List[str] = []
-        for r in self.records:
-            if r.config_key not in out:
-                out.append(r.config_key)
-        return out
 
     def group(self, config_key: str) -> List[BenchRecord]:
         return [r for r in self.records if r.config_key == config_key]
@@ -305,8 +247,7 @@ class SeededBlockCyclic:
 
 def _observed_record(
     app: str, result: Any, telemetry: Any, *, config: Dict[str, Any],
-    seed: int, backend_name: str, host_seconds: float = 0.0,
-    overrides: Any = None,
+    seed: int, backend_name: str, overrides: Any = None,
 ) -> BenchRecord:
     """Assemble a BenchRecord from a driver result + its telemetry."""
     from repro.telemetry import analyze
@@ -334,7 +275,6 @@ def _observed_record(
         idle_fraction=1.0 - busy / avail if avail > 0 else 0.0,
         counters=counters,
         git_sha=git_sha(),
-        host_seconds=host_seconds,
         cost_overrides=overrides.as_dict() if overrides is not None else {},
     )
 
@@ -458,8 +398,6 @@ def measure(
 ) -> BenchRecord:
     """One telemetry-instrumented run of ``app`` on the scaled Hawk
     machine.  ``params`` override the row's defaults (:data:`APPS`)."""
-    from time import perf_counter
-
     from repro.runtime import ParsecBackend
     from repro.sim.cluster import CostOverrides
 
@@ -475,33 +413,23 @@ def measure(
     cluster, tel = _instrumented_cluster(p["nodes"], p["workers"],
                                          overrides=ov)
     backend = ParsecBackend(cluster, telemetry=tel)
-    t0 = perf_counter()
     res = row.driver(inputs, backend, p)
-    host = perf_counter() - t0
     if telemetry_out is not None:
         telemetry_out.append(tel)
     return _observed_record(app, res, tel, config=row.config(p), seed=seed,
-                            backend_name="parsec", host_seconds=host,
-                            overrides=ov)
+                            backend_name="parsec", overrides=ov)
 
 
 def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
     """Measure one (app, seed) cell described by a plain dict.
 
-    ``spec`` must contain ``app`` and ``seed``; an ``engine`` key, if
-    any, must name a kind of :data:`repro.sim.engine.ENGINE_KINDS`; every
-    other key is passed to :func:`measure`.
+    ``spec`` must contain ``app`` and may contain ``seed`` (default 0);
+    every other key is passed to :func:`measure`, which rejects unknown
+    ones.
     """
-    from repro.sim.engine import ENGINE_KINDS
-
     spec = dict(spec)
     app = spec.pop("app")
     seed = spec.pop("seed", 0)
-    engine = spec.pop("engine", "seq")
-    if engine not in ENGINE_KINDS:
-        raise ValueError(
-            f"unknown engine kind {engine!r}; known: {ENGINE_KINDS}")
-    _row(app)
     return measure(app, seed, **spec)
 
 

@@ -12,15 +12,16 @@ records into:
   runtime's only observer surface: every view below reads it.
 - :mod:`repro.telemetry.metrics` -- labelled counters, gauges and
   histograms with per-template / per-rank / per-edge rollups.
-- :mod:`repro.telemetry.export` -- Chrome trace-event JSON (loads in
-  Perfetto / chrome://tracing), JSONL event logs, counters JSON.
+- :mod:`repro.telemetry.export` -- the JSONL event log (the complete
+  recording, eviction counts included) and its Chrome trace-event view
+  (loads in Perfetto / chrome://tracing).
 - :mod:`repro.telemetry.analyze` -- critical-path extraction over the
   recorded task/message DAG, per-template summaries, idle breakdowns,
   per-channel byte splits, and the text report.
 - :mod:`repro.telemetry.diff` -- align two runs and rank what moved,
   counter deltas included.
 - ``python -m repro.telemetry`` -- record / report / export / diff /
-  whatif / validate CLI (:mod:`repro.telemetry.cli`).
+  whatif CLI (:mod:`repro.telemetry.cli`).
 
 Each question has one view: the timeline is ``export``'s Chrome trace
 opened in Perfetto; per-template, per-rank, critical-path and byte
@@ -53,12 +54,10 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.export import (
-    read_counters_json,
     read_jsonl,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_counters_json,
     write_jsonl,
 )
 from repro.telemetry.analyze import (
@@ -83,12 +82,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "read_counters_json",
     "read_jsonl",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_counters_json",
     "write_jsonl",
     "CriticalPath",
     "critical_path",

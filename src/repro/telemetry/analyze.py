@@ -233,20 +233,30 @@ def protocol_bytes(source: Union[Telemetry, EventBus]) -> Dict[str, int]:
     return dict(out)
 
 
+def drop_warning(source: Union[Telemetry, EventBus]) -> Optional[str]:
+    """The one-line ``WARNING`` for a recording whose ring buffers evicted
+    events, or None for a complete one."""
+    bus = _bus_of(source)
+    dropped = sum(bus.dropped)
+    if not dropped:
+        return None
+    per_rank = ", ".join(f"rank {r}: {n}" for r, n in
+                         enumerate(bus.dropped) if n)
+    return (f"WARNING: {dropped} event(s) evicted from the ring buffers "
+            f"({per_rank}).")
+
+
 def report(source: Union[Telemetry, EventBus]) -> str:
     """The human-readable per-run report the CLI prints."""
     bus = _bus_of(source)
     lines = [f"events: {len(bus)} "
              f"(dropped: {sum(bus.dropped)}), "
              f"makespan: {bus.makespan() * 1e3:.3f} ms"]
-    dropped = sum(bus.dropped)
-    if dropped > 0:
-        per_rank = ", ".join(f"rank {r}: {n}" for r, n in
-                             enumerate(bus.dropped) if n)
+    warning = drop_warning(bus)
+    if warning is not None:
         lines += [
             "",
-            f"WARNING: {dropped} event(s) evicted from the ring buffers "
-            f"({per_rank}).",
+            warning,
             "         Analysis below runs on a truncated window -- idle and",
             "         critical-path numbers are skewed. Re-record with a",
             "         larger --capacity (or capacity=None).",

@@ -7,7 +7,7 @@ Subcommands:
   to every backend it binds a graph to, and export the recording::
 
       python -m repro.telemetry record examples/cholesky_example.py \\
-          --export trace.json --jsonl events.jsonl --counters counters.json
+          --export trace.json --jsonl events.jsonl
       python -m repro.telemetry record examples/cholesky_example.py \\
           --report
 
@@ -18,26 +18,23 @@ Subcommands:
   per-channel byte split, critical path and sanitizer
   findings of a recorded JSONL event log (``record --report`` prints the
   same for a fresh run).
-- ``export LOG.jsonl -o trace.json`` -- convert JSONL to Chrome trace;
-  open it in Perfetto for the timeline.
-- ``diff A B`` -- align two recorded runs (JSONL traces, counters JSONs,
-  or ``BENCH_*.json`` histories -- kinds auto-detected and mixable) and
+- ``export LOG.jsonl -o trace.json`` -- convert JSONL to a Chrome trace,
+  validated after writing; open it in Perfetto for the timeline.
+- ``diff A B`` -- align two recorded runs (JSONL event logs or
+  ``BENCH_*.json`` histories -- kinds auto-detected and mixable) and
   print the ranked attribution report: template span totals, protocol
   byte shifts, per-rank idle divergence, critical-path churn.  ``--json``
   emits the attribution-report object; ``--select-a``/``--select-b`` pick
-  records out of a history
-  (``last`` | ``baseline`` | ``seed:<n>`` | ``index:<i>``).
+  records out of a history (``last`` | ``seed:<n>`` | ``index:<i>``).
 - ``whatif HISTORY.json`` -- deterministic causal profiling: replay a
   recorded run with perturbed costs (``--speedup T=F``,
   ``--latency-scale``, ``--bandwidth-scale``, ``--nodes``) and report the
   exact counterfactual makespan; ``--sweep`` ranks every knob.
-- ``validate TRACE.json`` -- schema-check a Chrome trace; diagnostics
-  name the schema version, ``--json`` emits a machine-readable result,
-  and traces recorded on an overflowing ring buffer fail unless
-  ``--allow-drops``.  Convert a JSONL event log with ``export`` first.
 
-Exit status 0 on success; 1 when the script crashed, a validation found
-problems, nothing was recorded, or an input could not be read (one line
+A recording whose ring buffers evicted events gets one ``WARNING`` line
+from ``report``, ``export`` and ``record --export``.  Exit status 0 on
+success; 1 when the script crashed, an exported trace failed validation,
+nothing was recorded, or an input could not be read (one line
 ``<subcommand>: <path>: <reason>``).
 """
 
@@ -49,21 +46,19 @@ import json
 import sys
 import traceback
 from contextlib import redirect_stdout
-from typing import List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence, TextIO, Union
 
 from repro.telemetry import analyze
-from repro.telemetry.events import RecordedRun, capture
+from repro.telemetry.events import EventBus, RecordedRun, Telemetry, capture
 from repro.telemetry.export import (
     read_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_counters_json,
     write_jsonl,
 )
 
 
-def run_script(path: str, events: bool = True,
-               capacity: Optional[int] = None) -> tuple:
+def run_script(path: str, capacity: Optional[int] = None) -> tuple:
     """Execute ``path`` under :func:`~repro.telemetry.events.capture`.
 
     Returns ``(runs, script_output, crash)``; ``crash`` is a formatted
@@ -79,7 +74,7 @@ def run_script(path: str, events: bool = True,
                 "__builtins__": __builtins__}
     crash = None
     buf = io.StringIO()
-    with capture(events=events, capacity=capacity) as runs:
+    with capture(capacity=capacity) as runs:
         try:
             with redirect_stdout(buf):
                 exec(compile(source, path, "exec"), globalns)
@@ -108,9 +103,8 @@ def _select_run(runs: List[RecordedRun], index: int, out: TextIO) -> Optional[Re
 
 
 def cmd_record(args: argparse.Namespace, out: TextIO) -> int:
-    runs, script_output, crash = run_script(
-        args.script, events=not args.no_events, capacity=args.capacity
-    )
+    runs, script_output, crash = run_script(args.script,
+                                            capacity=args.capacity)
     if args.verbose and script_output:
         for ln in script_output.rstrip().splitlines():
             print("  | " + ln, file=out)
@@ -132,25 +126,33 @@ def cmd_record(args: argparse.Namespace, out: TextIO) -> int:
         return 1
 
     if args.export:
-        write_chrome_trace(args.export, run.telemetry)
-        with open(args.export) as fh:
-            problems = validate_chrome_trace(json.load(fh))
-        if problems:
-            print(f"  exported {args.export} FAILED validation:", file=out)
-            for p in problems[:20]:
-                print(f"    {p}", file=out)
+        if not _export(args.export, run.telemetry, out):
             return 1
         print(f"  wrote {args.export} (valid Chrome trace)", file=out)
     if args.jsonl:
         n = write_jsonl(args.jsonl, run.telemetry)
         print(f"  wrote {args.jsonl} ({n} events)", file=out)
-    if args.counters:
-        write_counters_json(args.counters, run.telemetry,
-                            meta={"script": args.script, "run": run.label})
-        print(f"  wrote {args.counters}", file=out)
     if args.report:
         print(analyze.report(run.telemetry), file=out)
     return 0
+
+
+def _export(path: str, source: Union[Telemetry, EventBus],
+            out: TextIO) -> bool:
+    """Write the Chrome trace of ``source`` to ``path`` and validate what
+    was written.  Prints the drop warning of a truncated recording and
+    any validation problem; True when the trace is valid."""
+    write_chrome_trace(path, source)
+    with open(path) as fh:
+        problems = validate_chrome_trace(json.load(fh))
+    warning = analyze.drop_warning(source)
+    if warning is not None:
+        print(warning, file=out)
+    if problems:
+        print(f"{path} FAILED validation:", file=out)
+        for p in problems[:20]:
+            print(f"  {p}", file=out)
+    return not problems
 
 
 def cmd_report(args: argparse.Namespace, out: TextIO) -> int:
@@ -160,12 +162,7 @@ def cmd_report(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_export(args: argparse.Namespace, out: TextIO) -> int:
     bus = read_jsonl(args.log)
-    write_chrome_trace(args.output, bus)
-    with open(args.output) as fh:
-        problems = validate_chrome_trace(json.load(fh))
-    if problems:
-        for p in problems[:20]:
-            print(p, file=out)
+    if not _export(args.output, bus, out):
         return 1
     print(f"wrote {args.output} ({len(bus)} events)", file=out)
     return 0
@@ -187,14 +184,8 @@ def cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_whatif(args: argparse.Namespace, out: TextIO) -> int:
     from repro.bench.history import BenchHistory
     from repro.telemetry import whatif
-    from repro.telemetry.diff import select_record, sniff_payload_kind
+    from repro.telemetry.diff import select_record
 
-    kind = sniff_payload_kind(args.history)
-    if kind != "bench-history":
-        print(f"whatif: {args.history} is a {kind!r} payload; what-if replay "
-              "needs a BENCH_*.json history (the stored record is the "
-              "replayable graph spec)", file=out)
-        return 1
     history = BenchHistory.load(args.history)
     record = select_record(history.records, args.select)
     speedups = dict(whatif.parse_factor(s) for s in args.speedup or ())
@@ -264,91 +255,6 @@ def cmd_whatif(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _read_trace(path: str) -> tuple:
-    """``(document, None)`` for a JSON file, else ``(None, reason)``
-    naming why ``path`` cannot be a Chrome trace."""
-    from repro.telemetry.diff import sniff_payload_kind
-
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        return None, f"cannot read it ({getattr(e, 'strerror', None) or e})"
-    try:
-        data = json.loads(text)
-    except ValueError:
-        data = None  # several JSON documents, or none
-    if not isinstance(data, dict) or "traceEvents" not in data:
-        try:
-            kind = sniff_payload_kind(path)
-        except ValueError:
-            kind = None
-        if kind == "jsonl":
-            return None, (f"a JSONL event log, not a Chrome trace; run "
-                          f"`python -m repro.telemetry export {path} -o "
-                          f"trace.json` first")
-        if data is None:
-            return None, "not a Chrome trace (not a single JSON document)"
-    return data, None
-
-
-def cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
-    """Schema-check a Chrome trace.
-
-    Every diagnostic names the schema version it was checked against;
-    ``--json`` emits one machine-readable result object for CI.  Input
-    that is not a trace at all (a JSONL log, a missing file) fails with
-    one line naming the file.
-    """
-    from repro.telemetry.export import TRACE_SCHEMA_VERSION
-
-    result: dict = {"file": args.trace, "valid": False, "problems": [],
-                    "kind": "trace", "schema_version": None,
-                    "supported_version": TRACE_SCHEMA_VERSION}
-    data, unreadable = _read_trace(args.trace)
-    if unreadable is not None:
-        result["problems"] = [unreadable]
-        if args.json:
-            json.dump(result, out, indent=2)
-            print(file=out)
-        else:
-            print(f"{args.trace}: INVALID: {unreadable}", file=out)
-        return 1
-    version = 0
-    if isinstance(data, dict):
-        version = data.get("otherData", {}).get("schemaVersion", 0)
-    result["schema_version"] = version
-    problems = validate_chrome_trace(data)
-    dropped = 0
-    if isinstance(data, dict):
-        counts = data.get("otherData", {}).get("dropped", [])
-        dropped = sum(counts) if isinstance(counts, list) else 0
-    result["dropped"] = dropped
-    if not problems and dropped and not args.allow_drops:
-        problems = [
-            f"{dropped} event(s) were evicted from the ring buffers "
-            f"during recording -- the trace is truncated and analyses "
-            f"over it are skewed (pass --allow-drops to accept, or "
-            f"re-record with a larger --capacity)"
-        ]
-    result["problems"] = problems
-    result["valid"] = not problems
-    if args.json:
-        json.dump(result, out, indent=2)
-        print(file=out)
-        return 0 if result["valid"] else 1
-    if problems:
-        print(f"{args.trace}: INVALID Chrome trace (schema v{version}, "
-              f"validator supports v{TRACE_SCHEMA_VERSION}):", file=out)
-        for p in problems[:50]:
-            print(f"  {p}", file=out)
-        return 1
-    suffix = f" ({dropped} drops allowed)" if dropped else ""
-    print(f"{args.trace}: valid Chrome trace schema v{version}{suffix}",
-          file=out)
-    return 0
-
-
 # -------------------------------------------------------------------- main
 
 
@@ -366,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a Chrome trace (validated after writing)")
     p.add_argument("--jsonl", metavar="LOG.jsonl",
                    help="write the raw event log")
-    p.add_argument("--counters", metavar="COUNTERS.json",
-                   help="write the metrics-registry counters JSON")
     p.add_argument("--report", action="store_true",
                    help="print the text report of the run")
     p.add_argument("--graph", type=int, default=0, metavar="N",
@@ -376,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only list the recorded runs")
     p.add_argument("--capacity", type=int, default=None, metavar="N",
                    help="per-rank ring-buffer capacity (default unbounded)")
-    p.add_argument("--no-events", action="store_true",
-                   help="metrics only (no event recording)")
     p.add_argument("--verbose", action="store_true",
                    help="show the script's own stdout")
     p.set_defaults(fn=cmd_record)
@@ -394,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "diff",
         help="align two recorded runs and print the attribution report")
-    p.add_argument("a", metavar="A", help="JSONL trace, counters JSON, "
-                   "or BENCH_*.json history (auto-detected)")
+    p.add_argument("a", metavar="A", help="JSONL event log or "
+                   "BENCH_*.json history (auto-detected)")
     p.add_argument("b", metavar="B")
-    p.add_argument("--select-a", default="baseline", metavar="SEL",
+    p.add_argument("--select-a", default="last", metavar="SEL",
                    help="record selector when A is a history: last | "
-                        "baseline | seed:<n> | index:<i> (default baseline)")
+                        "seed:<n> | index:<i> (default last)")
     p.add_argument("--select-b", default="last", metavar="SEL",
                    help="record selector when B is a history (default last)")
     p.add_argument("--json", action="store_true",
@@ -413,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact counterfactual replay of a recorded bench run")
     p.add_argument("history", metavar="BENCH_app.json")
     p.add_argument("--select", default="last", metavar="SEL",
-                   help="record selector: last | baseline | seed:<n> | "
-                        "index:<i> (default last)")
+                   help="record selector: last | seed:<n> | index:<i> "
+                        "(default last)")
     p.add_argument("--speedup", action="append", metavar="TEMPLATE=FACTOR",
                    help="virtual speedup probe (repeatable; FACTOR>1 "
                         "speeds the template up, <1 slows it down)")
@@ -432,13 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a machine-readable result object")
     p.set_defaults(fn=cmd_whatif)
 
-    p = sub.add_parser("validate", help="schema-check a Chrome trace")
-    p.add_argument("trace", metavar="TRACE.json")
-    p.add_argument("--allow-drops", action="store_true",
-                   help="accept traces recorded with ring-buffer evictions")
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable result object")
-    p.set_defaults(fn=cmd_validate)
     return parser
 
 
@@ -451,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None,
     except BrokenPipeError:
         return 0  # downstream consumer (head, less) closed the pipe
     except OSError as e:
-        # Unreadable input: one line, as ``validate`` answers it.
+        # Unreadable input: one line naming the file.
         where = f"{e.filename}: {e.strerror}" if e.filename else str(e)
         print(f"{args.command}: {where}", file=out)
         return 1

@@ -2,9 +2,9 @@
 
 The pinned watchdog (``python -m repro.bench --check-regressions``)
 can tell *that* a record moved; this module tells *where*.  Two runs --
-each a recorded trace (JSONL event log / live bus), a stored
-``BENCH_*.json`` record, or a counters JSON -- are aligned by template,
-task key, protocol channel, and rank, and the movement is attributed:
+each a recorded trace (JSONL event log / live bus) or a stored
+``BENCH_*.json`` record -- are aligned by template, task key, protocol
+channel, and rank, and the movement is attributed:
 
 - per-template span-total deltas, ranked by absolute contribution;
 - ``bytes_by_protocol.*`` channel shifts (a splitmd->eager fallback shows
@@ -12,7 +12,7 @@ task key, protocol channel, and rank, and the movement is attributed:
 - per-rank busy/idle divergence (which shard absorbed the slowdown);
 - critical-path churn: tasks that entered or left the path, and per-node
   duration deltas along the common stretch;
-- the full counter delta table (:func:`diff_counter_payloads`).
+- the record counter delta table (:func:`diff_counters`).
 
 Rendered as text (:meth:`RunDiff.format`) or JSON (:meth:`RunDiff.as_dict`).
 The what-if profiler (:mod:`repro.telemetry.whatif`) turns the ranking
@@ -32,38 +32,14 @@ from repro.telemetry.events import EventBus, Telemetry
 # ------------------------------------------------------------ counter core
 
 
-def counter_scalar(snap: Any) -> float:
-    """Collapse one counter snapshot to a comparable scalar.
-
-    Counter payloads store plain numbers, ``{"value": ...}`` gauges, and
-    histogram snapshots (compared by ``total``, falling back to ``count``
-    for hand-written or pre-v1 payloads).
-    """
-    if isinstance(snap, dict):
-        if "value" in snap:
-            return float(snap["value"])
-        if "total" in snap:
-            return float(snap["total"])
-        return float(snap.get("count", 0.0))
-    return float(snap)
-
-
-def diff_counter_payloads(
-    a: Dict[str, Any], b: Dict[str, Any]
+def diff_counters(
+    a: Dict[str, float], b: Dict[str, float]
 ) -> List[Tuple[str, float, float, float]]:
-    """Rows of ``(counter, value_a, value_b, delta)`` between two runs.
-
-    The counter section of :func:`diff_runs`.  Accepts the payloads of
-    :func:`repro.telemetry.export.read_counters_json` or bare counter
-    dicts; histogram entries compare their totals.
-    """
-    ca, cb = a.get("counters", a), b.get("counters", b)
-    rows = []
-    for key in sorted(set(ca) | set(cb)):
-        va = counter_scalar(ca[key]) if key in ca else 0.0
-        vb = counter_scalar(cb[key]) if key in cb else 0.0
-        rows.append((key, va, vb, vb - va))
-    return rows
+    """Rows of ``(counter, value_a, value_b, delta)`` between two runs'
+    record counters, a counter missing on one side reading 0."""
+    return [(key, a.get(key, 0.0), b.get(key, 0.0),
+             b.get(key, 0.0) - a.get(key, 0.0))
+            for key in sorted(set(a) | set(b))]
 
 
 # -------------------------------------------------------------- run views
@@ -74,8 +50,8 @@ class RunView:
     """One run, normalized for diffing regardless of its source form.
 
     ``has_spans`` distinguishes a full trace (span durations, critical
-    path, rank budgets available) from a record/counters-only view (task
-    counts and byte totals only).
+    path, rank budgets available) from a record view (task counts, byte
+    totals and counters only).
     """
 
     label: str
@@ -117,15 +93,6 @@ class RunView:
             k: float(v) for k, v in record.bytes_by_protocol.items()
         }
         view.counters = {k: float(v) for k, v in record.counters.items()}
-        return view
-
-    @classmethod
-    def from_counters(cls, payload: Dict[str, Any],
-                      label: str = "counters") -> "RunView":
-        """View from a counters-JSON payload (counter table only)."""
-        view = cls(label=label)
-        counters = payload.get("counters", payload)
-        view.counters = {k: counter_scalar(v) for k, v in counters.items()}
         return view
 
 
@@ -325,7 +292,7 @@ def diff_runs(a: RunView, b: RunView) -> RunDiff:
         ra = a.ranks.get(rank) or RankBreakdown(rank)
         rb = b.ranks.get(rank) or RankBreakdown(rank)
         out.ranks.append((rank, ra.idle, rb.idle, rb.idle - ra.idle))
-    out.counters = diff_counter_payloads(a.counters, b.counters)
+    out.counters = diff_counters(a.counters, b.counters)
     cpa = dict(a.critical_path)
     cpb = dict(b.critical_path)
     out.cp_entered = [lab for lab, _ in b.critical_path if lab not in cpa]
@@ -341,62 +308,35 @@ def diff_runs(a: RunView, b: RunView) -> RunDiff:
 
 
 def sniff_payload_kind(path: str) -> str:
-    """Classify an input file for the diff CLI.
-
-    Returns one of ``"jsonl"`` (telemetry event log), ``"counters"``,
-    ``"bench-history"``, ``"trace"`` (Chrome trace object), or raises
-    ``ValueError`` for anything unrecognizable.
-    """
+    """Classify a diff input: ``"jsonl"`` (telemetry event log) or
+    ``"bench-history"`` (``BENCH_*.json``); anything else raises
+    ``ValueError`` naming ``path``."""
     with open(path) as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head != "{" and head != "[":
-            # JSONL event logs start with a {"type": ...} record per line,
-            # but so would a one-object JSON file; a non-JSON first byte
-            # means it's not ours at all.
-            raise ValueError(f"{path}: not a JSON/JSONL telemetry payload")
         first_line = fh.readline()
     try:
         obj = json.loads(first_line)
-    except json.JSONDecodeError:
+    except ValueError:
         try:
             with open(path) as fh:
                 obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not a JSON/JSONL telemetry payload "
-                             f"({e})") from None
+        except ValueError:
+            obj = None
     if isinstance(obj, dict):
         if obj.get("type") in ("span", "instant", "counter"):
             return "jsonl"
         if obj.get("schema") == "repro.bench/history":
             return "bench-history"
-        if isinstance(obj.get("schema"), str) and \
-                obj["schema"].startswith("repro.telemetry/counters"):
-            return "counters"
-        if "traceEvents" in obj:
-            return "trace"
-        if "counters" in obj:
-            return "counters"
-    raise ValueError(f"{path}: unrecognized telemetry payload")
+    raise ValueError(f"{path}: not a JSONL event log or a "
+                     f"BENCH_*.json history")
 
 
 def select_record(records: List[Any], selector: str) -> Any:
-    """Pick one record out of a BENCH history group.
-
-    Selectors: ``last`` (default candidate), ``baseline`` (median-makespan
-    baseline record), ``seed:<n>`` (last record of that seed),
-    ``index:<i>``.
-    """
+    """Pick one record out of a BENCH history: ``last``, ``seed:<n>``
+    (the last record of that seed) or ``index:<i>``."""
     if not records:
         raise ValueError("empty record list")
     if selector == "last":
         return records[-1]
-    if selector == "baseline":
-        base = [r for r in records if r.baseline]
-        if not base:
-            raise ValueError("history has no baseline records")
-        base.sort(key=lambda r: r.makespan)
-        return base[len(base) // 2]
     if selector.startswith("seed:"):
         seed = int(selector.split(":", 1)[1])
         matches = [r for r in records if r.seed == seed]
@@ -404,33 +344,26 @@ def select_record(records: List[Any], selector: str) -> Any:
             raise ValueError(f"no record with seed {seed}")
         return matches[-1]
     if selector.startswith("index:"):
-        return records[int(selector.split(":", 1)[1])]
+        index = int(selector.split(":", 1)[1])
+        if not -len(records) <= index < len(records):
+            raise ValueError(f"record index {index} out of range: the "
+                             f"history has {len(records)} record(s)")
+        return records[index]
     raise ValueError(f"unknown record selector {selector!r} "
-                     "(use last|baseline|seed:<n>|index:<i>)")
+                     "(use last|seed:<n>|index:<i>)")
 
 
 def load_view(path: str, selector: str = "last",
               label: Optional[str] = None) -> RunView:
     """Load one diff input into a :class:`RunView`, sniffing its kind."""
-    kind = sniff_payload_kind(path)
-    if kind == "jsonl":
+    if sniff_payload_kind(path) == "jsonl":
         from repro.telemetry.export import read_jsonl
 
         return RunView.from_bus(read_jsonl(path), label=label or path)
-    if kind == "counters":
-        from repro.telemetry.export import read_counters_json
+    from repro.bench.history import BenchHistory
 
-        return RunView.from_counters(read_counters_json(path),
-                                     label=label or path)
-    if kind == "bench-history":
-        from repro.bench.history import BenchHistory
-
-        history = BenchHistory.load(path)
-        rec = select_record(history.records, selector)
-        return RunView.from_record(rec, label=label)
-    raise ValueError(
-        f"{path}: cannot diff a {kind!r} payload (want a JSONL trace, "
-        "counters JSON, or BENCH_*.json history)")
+    rec = select_record(BenchHistory.load(path).records, selector)
+    return RunView.from_record(rec, label=label)
 
 
 def diff_records(a: Any, b: Any) -> RunDiff:

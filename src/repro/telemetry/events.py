@@ -177,7 +177,7 @@ class EventBus:
     """Per-rank ring buffers of telemetry events.
 
     ``capacity`` bounds each rank's buffer; ``capacity=0`` buffers nothing
-    (metrics-only mode, used by the bench harness); ``capacity=None``
+    (metrics-only mode); ``capacity=None``
     is unbounded (tests, short runs).  ``clock`` is a zero-argument
     callable returning the current virtual time; binding a backend
     replaces it with the backend engine's clock.
@@ -386,7 +386,7 @@ class Telemetry:
     the bus clock to the backend's virtual-time engine.
 
     ``events=False`` keeps only the metrics registry (bus capacity 0) --
-    the cheap mode the bench harness uses for counters-JSON emission.
+    the cheap mode whose cost hostbench measures as the metrics-only tax.
     """
 
     def __init__(self, nranks: int = 1, capacity: Optional[int] = 65536,
@@ -430,14 +430,14 @@ class RecordedRun:
 
 
 @contextmanager
-def capture(events: bool = True, capacity: Optional[int] = 65536) -> Iterator[List[RecordedRun]]:
+def capture(capacity: Optional[int] = 65536) -> Iterator[List[RecordedRun]]:
     """Attach a fresh Telemetry to every backend bound inside the block.
 
     Observes :class:`~repro.core.graph.Executable` construction (the
     construction-observer hook of :mod:`repro.core.graph`), so scripts
     need no cooperation; one
     :class:`RecordedRun` is appended per distinct backend, in binding
-    order.  ``events=False`` records metrics only (bench mode).
+    order.
     """
     from repro.core.graph import (
         add_construction_observer,
@@ -453,8 +453,7 @@ def capture(events: bool = True, capacity: Optional[int] = 65536) -> Iterator[Li
         backend = obj.backend
         run = by_backend.get(id(backend))
         if run is None:
-            tel = Telemetry(nranks=backend.nranks, capacity=capacity,
-                            events=events)
+            tel = Telemetry(nranks=backend.nranks, capacity=capacity)
             backend.attach_telemetry(tel)
             run = RecordedRun(tel, backend, [])
             by_backend[id(backend)] = run

@@ -1,4 +1,9 @@
-"""Exporters: Chrome trace-event JSON (Perfetto/chrome://tracing) and JSONL.
+"""Exporters: the JSONL event log and its Chrome trace-event view.
+
+The JSONL log is the complete recording: one event per line, plus one
+``{"type": "dropped", ...}`` line with the per-rank ring-buffer eviction
+counts when some rank evicted events, so a truncated recording reads back
+as one.  :func:`read_jsonl` restores both into an :class:`EventBus`.
 
 The Chrome format is the `trace-event` JSON Perfetto and chrome://tracing
 both load: a ``{"traceEvents": [...]}`` object whose events carry
@@ -9,14 +14,14 @@ Timestamps are microseconds of virtual time; ``pid`` is the rank and
 ``tid`` the timeline id (worker index or a reserved lane, see
 :mod:`repro.telemetry.events`).
 
-:func:`validate_chrome_trace` is the schema check CI and the tests run
-against every exported trace.
+:func:`validate_chrome_trace` is the schema check the CLI runs on every
+trace it writes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Union
 
 from repro.telemetry.events import (
     CounterEvent,
@@ -29,9 +34,7 @@ from repro.telemetry.events import (
 
 _US = 1e6  # seconds -> microseconds
 
-#: Version stamped into ``otherData.schemaVersion`` of every exported
-#: trace; ``validate`` reports it in diagnostics.  Traces written before
-#: this field existed read back as version 0.
+#: Version stamped into ``otherData.schemaVersion`` of every exported trace.
 TRACE_SCHEMA_VERSION = 1
 
 #: phases of the trace-event format this exporter emits / the validator knows
@@ -125,8 +128,8 @@ def to_chrome_trace(source: Union[Telemetry, EventBus]) -> Dict[str, Any]:
     """The full Chrome trace object, ready to ``json.dump``.
 
     Per-rank ring-buffer eviction counts ride along in
-    ``otherData.dropped`` so downstream consumers (``validate``, the HTML
-    report) can tell a complete recording from a truncated one.
+    ``otherData.dropped`` so a viewer can tell a complete recording from
+    a truncated one.
     """
     bus = _bus_of(source)
     return {
@@ -234,7 +237,8 @@ def event_from_json(obj: Dict[str, Any]) -> Any:
 
 
 def write_jsonl(path: str, source: Union[Telemetry, EventBus]) -> int:
-    """One JSON object per line, time-sorted; returns the event count."""
+    """One JSON object per line, time-sorted, then the per-rank eviction
+    counts if any rank evicted events; returns the event count."""
     bus = _bus_of(source)
     n = 0
     with open(path, "w") as fh:
@@ -242,47 +246,36 @@ def write_jsonl(path: str, source: Union[Telemetry, EventBus]) -> int:
             fh.write(json.dumps(event_to_json(ev)))
             fh.write("\n")
             n += 1
+        if any(bus.dropped):
+            fh.write(json.dumps({"type": "dropped",
+                                 "counts": list(bus.dropped)}))
+            fh.write("\n")
     return n
 
 
 def read_jsonl(path: str) -> EventBus:
-    """Re-ingest a JSONL event log into an (unbounded) EventBus; a file
-    that is not one raises ``ValueError`` naming ``path``."""
+    """Re-ingest a JSONL event log into an (unbounded) EventBus, eviction
+    counts included; a file that is not one raises ``ValueError`` naming
+    ``path``."""
     bus = EventBus(nranks=1, capacity=None)
+    dropped: List[int] = []
+
+    def events(lines: Iterable[str]) -> Iterator[Any]:
+        for line in lines:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if obj.get("type") == "dropped":
+                dropped[:] = [int(n) for n in obj["counts"]]
+            else:
+                yield event_from_json(obj)
+
     with open(path) as fh:
         try:
-            bus.extend(event_from_json(json.loads(line))
-                       for line in fh if line.strip())
+            bus.extend(events(fh))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: not a JSONL event log "
                              f"({type(e).__name__}: {e})") from None
+    bus.ensure_ranks(len(dropped))
+    bus.dropped[:len(dropped)] = dropped
     return bus
-
-
-# --------------------------------------------------------------- counters
-
-
-def counters_payload(
-    telemetry: Telemetry, meta: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """The counters-JSON object the bench harness writes next to figures."""
-    return {
-        "schema": "repro.telemetry/counters-v1",
-        "meta": dict(meta or {}),
-        "counters": telemetry.metrics.as_dict(),
-    }
-
-
-def write_counters_json(
-    path: str, telemetry: Telemetry, meta: Optional[Dict[str, Any]] = None
-) -> None:
-    with open(path, "w") as fh:
-        json.dump(counters_payload(telemetry, meta), fh, indent=1, sort_keys=True)
-
-
-def read_counters_json(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "counters" in data:
-        return data
-    raise ValueError(f"{path}: not a repro.telemetry counters JSON")

@@ -7,8 +7,8 @@ a repeated look-up is one dict probe on the labels as passed, and only
 the first one per call-site spelling sorts and stringifies them.
 Rollups (:meth:`MetricsRegistry.rollup`) aggregate one instrument family
 over a label key -- per-template, per-rank, per-edge, per-protocol --
-which is how :class:`~repro.runtime.base.RunStats` breakdowns and the
-bench counters JSON are produced.
+which is how :class:`~repro.runtime.base.RunStats` breakdowns are
+produced.
 
 Hook sites on the per-task path skip even that probe: they keep a
 :class:`Handles` per metric family and index it with the label value.
@@ -47,9 +47,6 @@ class Counter:
     def snapshot(self) -> Dict[str, float]:
         return {"value": self.value}
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
 
 class Gauge:
     """Last-write-wins value."""
@@ -65,9 +62,6 @@ class Gauge:
 
     def snapshot(self) -> Dict[str, float]:
         return {"value": self.value}
-
-    def merge(self, other: "Gauge") -> None:
-        self.value = other.value
 
 
 class Histogram:
@@ -115,16 +109,6 @@ class Histogram:
             "max": self.vmax,
             "mean": self.mean,
         }
-
-    def merge(self, other: "Histogram") -> None:
-        if not other.count:
-            return
-        self.count += other.count
-        self.total += other.total
-        self.vmin = min(self.vmin, other.vmin)
-        self.vmax = max(self.vmax, other.vmax)
-        for b, n in other.buckets.items():
-            self.buckets[b] = self.buckets.get(b, 0) + n
 
 
 class Handles(dict):
@@ -230,14 +214,6 @@ class MetricsRegistry:
             snap["kind"] = m.kind
             out[key] = snap
         return out
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s instruments into this registry (bench rollups)."""
-        for (name, lk), m in other._metrics.items():
-            mine = self._metrics.get((name, lk))
-            if mine is None:
-                self._metrics[(name, lk)] = mine = type(m)()
-            mine.merge(m)
 
     def __len__(self) -> int:
         return len(self._metrics)

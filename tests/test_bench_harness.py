@@ -67,7 +67,7 @@ def _two_captured_runs():
     def snk(key, v, outs):
         pass
 
-    with capture(events=True) as runs:
+    with capture() as runs:
         for _ in range(2):
             e = ttg.Edge("x", key_type=int, value_type=int)
             A = ttg.make_tt(src, [], [e], name="A", keymap=lambda k: 0)
@@ -89,36 +89,3 @@ def test_merged_event_bus_namespaces_ranks():
     ranks = {ev.rank for ev in merged.events()}
     assert ranks & {0, 1} and ranks & {2, 3}
     assert len(merged) == sum(len(r.telemetry.bus) for r in runs)
-
-
-def test_write_telemetry_bundle_emits_all_three_files(tmp_path):
-    import json
-
-    from repro.bench.harness import write_telemetry_bundle
-    from repro.telemetry.export import read_jsonl, validate_chrome_trace
-
-    runs = _two_captured_runs()
-    counters = tmp_path / "bench.json"
-    written = write_telemetry_bundle(str(counters), runs, meta={"x": 1})
-    assert set(written) == {"counters", "trace", "jsonl"}
-    assert written["trace"] == str(tmp_path / "bench.trace.json")
-    assert written["jsonl"] == str(tmp_path / "bench.jsonl")
-
-    assert "counters" in json.loads(counters.read_text())
-    trace = json.loads((tmp_path / "bench.trace.json").read_text())
-    assert validate_chrome_trace(trace) == []
-    bus = read_jsonl(written["jsonl"])
-    assert len(bus) > 0 and bus.nranks == 4
-
-
-def test_write_telemetry_bundle_counters_only_without_events(tmp_path):
-    from repro.bench.harness import write_telemetry_bundle
-
-    class FakeTel:
-        def __init__(self):
-            from repro.telemetry.events import Telemetry
-            self.telemetry = Telemetry(events=False)
-            self.label = "fake"
-
-    written = write_telemetry_bundle(str(tmp_path / "c.json"), [FakeTel()])
-    assert set(written) == {"counters"}

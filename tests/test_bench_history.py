@@ -1,6 +1,7 @@
 """Benchmark history store, the pinned watchdog cells, the watchdog CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,18 +16,16 @@ from repro.bench.history import (
     SeededBlockCyclic,
     measure,
     measure_cell,
-    measure_matrix,
     record_digest,
     run_watchdog,
 )
 from repro.linalg import BlockCyclicDistribution
 
 
-def _rec(makespan, baseline=False, seed=0, gflops=100.0, **cfg):
+def _rec(makespan, seed=0, gflops=100.0, **cfg):
     config = {"n": 1024, "b": 128, **cfg}
     return BenchRecord(app="potrf", config=config, seed=seed,
-                       makespan=makespan, gflops=gflops, tasks_total=160,
-                       baseline=baseline)
+                       makespan=makespan, gflops=gflops, tasks_total=160)
 
 
 # ----------------------------------------------------------------- records
@@ -38,8 +37,7 @@ def test_record_round_trip():
                     tasks_by_template={"POTRF": 4},
                     bytes_by_protocol={"eager": 1024},
                     critical_path_fraction=0.8, idle_fraction=0.3,
-                    counters={"tasks.executed|": 20.0}, git_sha="abc1234",
-                    baseline=True)
+                    counters={"tasks.executed|": 20.0}, git_sha="abc1234")
     again = BenchRecord.from_dict(json.loads(json.dumps(r.as_dict())))
     assert again == r
 
@@ -53,7 +51,7 @@ def test_config_key_is_order_independent():
 
 def test_history_save_load_round_trip(tmp_path):
     h = BenchHistory("potrf")
-    h.append(_rec(0.01, baseline=True))
+    h.append(_rec(0.01))
     h.append(_rec(0.011))
     path = h.save(directory=str(tmp_path))
     assert path.name == "BENCH_potrf.json"
@@ -68,50 +66,31 @@ def test_history_append_rejects_wrong_app():
         h.append(_rec(0.01))
 
 
-def test_v1_payload_migrates_to_current_schema(tmp_path):
-    v1 = {
-        "schema": SCHEMA,
-        "version": 1,
-        "app": "potrf",
-        "records": [{
-            "app": "potrf", "config": {"n": 1024}, "seed": 0,
-            "makespan": 0.01, "gflops": 99.0, "tasks_total": 160,
-            "tasks_by_template": {"POTRF": 8},
-            "metrics": {"tasks.executed|": 160.0},   # v1 name for counters
-            "baseline": True,
-        }],
-    }
-    p = tmp_path / "BENCH_potrf.json"
-    p.write_text(json.dumps(v1))
-    h = BenchHistory.load(p)
-    rec = h.records[0]
-    assert rec.counters == {"tasks.executed|": 160.0}
-    assert rec.bytes_by_protocol == {}
-    assert rec.critical_path_fraction == 0.0
-    # Saving rewrites at the current version.
-    h.save(p)
-    assert json.loads(p.read_text())["version"] == SCHEMA_VERSION
-
-
 def test_future_schema_version_refused(tmp_path):
+    """One schema: a file at any other version, older or newer, is refused
+    in one line that names the file and the re-record command."""
+    assert SCHEMA_VERSION == 5
     p = tmp_path / "BENCH_potrf.json"
-    p.write_text(json.dumps({"schema": SCHEMA, "version": SCHEMA_VERSION + 1,
-                             "app": "potrf", "records": []}))
-    with pytest.raises(ValueError, match="newer"):
-        BenchHistory.load(p)
+    for version in (SCHEMA_VERSION + 1, 4):
+        p.write_text(json.dumps({"schema": SCHEMA, "version": version,
+                                 "app": "potrf", "records": []}))
+        with pytest.raises(ValueError) as info:
+            BenchHistory.load(p)
+        message = str(info.value)
+        assert message.startswith(f"{p}: schema version {version},")
+        assert "--record-history" in message and "\n" not in message
 
 
 def test_moved_makespan_fails_its_pin():
     """A +20 % makespan changes a record's digest, so its pin fails;
-    host time, the engine name and the commit do not."""
+    the commit does not."""
     base = _rec(0.010)
     pinned = record_digest(base)
     assert len(pinned) == 16 and int(pinned, 16) >= 0
     assert PinCheck(base, pinned).ok
-    host_only = _rec(0.010)
-    host_only.host_seconds, host_only.engine = 9.5, "sharded"
-    host_only.git_sha = "abc1234"
-    assert PinCheck(host_only, pinned).ok
+    other_commit = _rec(0.010)
+    other_commit.git_sha = "abc1234"
+    assert PinCheck(other_commit, pinned).ok
     slow = _rec(0.012)
     check = PinCheck(slow, pinned)
     assert not check.ok and check.measured != pinned
@@ -171,6 +150,18 @@ def test_run_watchdog_update_then_check(tmp_path):
     assert len(BenchHistory.load_app("potrf", d)) == 3
 
 
+def test_committed_history_matches_pins():
+    """The newest record of each pinned cell in the repository's own
+    ``BENCH_<app>.json`` carries the pinned digest, so ``--explain``
+    diffs a moved cell against the record the pin names."""
+    root = Path(__file__).resolve().parents[1]
+    for (app, seed), pinned in PINS.items():
+        records = [r for r in BenchHistory.load_app(app, str(root)).records
+                   if r.seed == seed]
+        assert [record_digest(r) for r in records[-1:]] == [pinned], \
+            (app, seed)
+
+
 def test_default_sweep_is_the_pinned_cells(monkeypatch):
     """With no app named, the watchdog measures exactly the cells of
     ``PINS``, in table order."""
@@ -214,71 +205,6 @@ def test_cli_requires_experiment_or_watchdog_flag(capsys):
         bench_main([])
 
 
-# -------------------------------------------------------------- schema v3
-
-
-def test_v2_payload_migrates_to_current(tmp_path):
-    v2 = {
-        "schema": SCHEMA,
-        "version": 2,
-        "app": "potrf",
-        "records": [{
-            "app": "potrf", "config": {"n": 1024}, "seed": 0,
-            "makespan": 0.01, "gflops": 99.0, "tasks_total": 160,
-            "tasks_by_template": {"POTRF": 8},
-            "bytes_by_protocol": {"eager": 64},
-            "critical_path_fraction": 0.5, "idle_fraction": 0.2,
-            "counters": {}, "baseline": True,
-        }],
-    }
-    p = tmp_path / "BENCH_potrf.json"
-    p.write_text(json.dumps(v2))
-    h = BenchHistory.load(p)
-    rec = h.records[0]
-    # Pre-v3 runs were all sequential and did not time the host.
-    assert rec.host_seconds == 0.0
-    assert rec.engine == "seq"
-    # Pre-v4 runs carried no cost perturbations.
-    assert rec.cost_overrides == {}
-    h.save(p)
-    assert json.loads(p.read_text())["version"] == SCHEMA_VERSION == 4
-
-
-def test_v3_payload_migrates_to_v4(tmp_path):
-    v3 = {
-        "schema": SCHEMA,
-        "version": 3,
-        "app": "potrf",
-        "records": [{
-            "app": "potrf", "config": {"n": 1024}, "seed": 0,
-            "makespan": 0.01, "gflops": 99.0, "tasks_total": 160,
-            "tasks_by_template": {"POTRF": 8},
-            "bytes_by_protocol": {"eager": 64},
-            "critical_path_fraction": 0.5, "idle_fraction": 0.2,
-            "counters": {}, "baseline": True,
-            "engine": "sharded", "host_seconds": 1.25,
-        }],
-    }
-    p = tmp_path / "BENCH_potrf.json"
-    p.write_text(json.dumps(v3))
-    h = BenchHistory.load(p)
-    rec = h.records[0]
-    assert rec.engine == "sharded" and rec.host_seconds == 1.25
-    assert rec.cost_overrides == {}
-    h.save(p)
-    assert json.loads(p.read_text())["version"] == SCHEMA_VERSION == 4
-
-
-def test_engine_and_host_seconds_excluded_from_config_key():
-    a = _rec(0.01)
-    b = _rec(0.01)
-    b.engine = "sharded"
-    b.host_seconds = 3.5
-    # Virtual metrics are engine-invariant (parity suite), so records from
-    # any engine stay comparable against the stored baselines.
-    assert a.config_key == b.config_key
-
-
 def test_protocol_gate_catches_splitmd_to_eager_fallback(
         tmp_path, monkeypatch, capsys):
     """The failure mode: a serialization change moves payloads between
@@ -311,21 +237,9 @@ def test_protocol_gate_catches_splitmd_to_eager_fallback(
 def test_measure_cell_matches_direct_measurement():
     direct = measure("potrf", 0).as_dict()
     via_cell = measure_cell({"app": "potrf", "seed": 0}).as_dict()
-    for skip in ("host_seconds", "git_sha"):
-        direct.pop(skip), via_cell.pop(skip)
     assert via_cell == direct
     with pytest.raises(ValueError, match="unknown watchdog app"):
         measure_cell({"app": "nope", "seed": 0})
-
-
-def test_measure_matrix_records_engine_field():
-    out = measure_matrix(apps=("fw",), seeds=(0,))
-    assert list(out) == ["fw"]
-    rec = out["fw"][0]
-    assert rec.engine == "seq"
-    assert rec.host_seconds > 0
-    with pytest.raises(ValueError, match="'sharded'.*known: .'seq',."):
-        measure_cell({"app": "fw", "seed": 0, "engine": "sharded"})
 
 
 def test_app_table_config_round_trips():

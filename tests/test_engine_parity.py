@@ -143,7 +143,7 @@ def test_bench_measurements_identical():
         if seed != 0:
             continue
         record = measure(app, seed)
-        assert record.engine == "seq" and record.app == app
+        assert record.app == app
         assert record.makespan > 0 and record.tasks_total > 0
         assert record_digest(record) == digest, app
         if app in work_span:
@@ -201,11 +201,12 @@ def test_sanitizer_findings_identical():
 
 def test_sharded_engine_actually_sharded():
     """Guard against a silent fallback: asking for the deleted kind fails
-    loudly wherever a kind is named, instead of quietly measuring the
-    one engine under the old name."""
+    loudly instead of quietly measuring the one engine under the old
+    name.  A bench cell takes no engine at all: the key is an unknown
+    parameter."""
     from repro.bench.history import measure_cell
 
     with pytest.raises(ValueError, match=r"'sharded'.*\('seq',\)"):
         Cluster.with_engine(HAWK.with_workers(4), 16, engine="sharded")
-    with pytest.raises(ValueError, match=r"'sharded'.*\('seq',\)"):
+    with pytest.raises(TypeError, match=r"unknown parameter.*'engine'"):
         measure_cell({"app": "fw", "seed": 0, "engine": "sharded"})

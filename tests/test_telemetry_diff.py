@@ -7,8 +7,7 @@ import pytest
 from repro.bench.history import BenchHistory, BenchRecord
 from repro.telemetry.diff import (
     RunView,
-    counter_scalar,
-    diff_counter_payloads,
+    diff_counters,
     diff_records,
     diff_runs,
     load_view,
@@ -41,27 +40,17 @@ def _diamond(b_end=3.0):
     return bus
 
 
-def _rec(makespan, templates, seed=0, baseline=False, **extra):
+def _rec(makespan, templates, seed=0, **extra):
     return BenchRecord(app="potrf", config={"n": 512}, seed=seed,
                        makespan=makespan, gflops=100.0,
-                       tasks_by_template=dict(templates),
-                       baseline=baseline, **extra)
+                       tasks_by_template=dict(templates), **extra)
 
 
 # ----------------------------------------------------------- counter core
 
 
-def test_counter_scalar_forms():
-    assert counter_scalar(3) == 3.0
-    assert counter_scalar({"value": 2.5}) == 2.5
-    assert counter_scalar({"total": 10.0, "count": 4}) == 10.0
-    assert counter_scalar({"count": 4}) == 4.0
-    assert counter_scalar({}) == 0.0
-
-
 def test_diff_counter_payloads_aligns_missing_keys():
-    rows = diff_counter_payloads({"counters": {"x": 1.0, "y": 2.0}},
-                                 {"counters": {"y": 5.0, "z": 3.0}})
+    rows = diff_counters({"x": 1.0, "y": 2.0}, {"y": 5.0, "z": 3.0})
     assert rows == [("x", 1.0, 0.0, -1.0), ("y", 2.0, 5.0, 3.0),
                     ("z", 0.0, 3.0, 3.0)]
 
@@ -134,7 +123,7 @@ def test_diff_runs_critical_path_churn():
 
 
 def test_diff_records_counts_rank_by_count_delta():
-    a = _rec(0.010, {"GEMM": 8, "TRSM": 4}, baseline=True)
+    a = _rec(0.010, {"GEMM": 8, "TRSM": 4})
     b = _rec(0.013, {"GEMM": 14, "TRSM": 4})
     d = diff_records(a, b)
     assert not d.has_spans
@@ -159,48 +148,45 @@ def test_diff_as_dict_schema():
 
 
 def test_sniff_payload_kind(tmp_path):
-    from repro.telemetry.export import (
-        write_chrome_trace,
-        write_counters_json,
-        write_jsonl,
-    )
+    from repro.telemetry.export import write_chrome_trace, write_jsonl
 
     tel = Telemetry(nranks=1)
     tel.bus.complete("T", 0, 0, 0.0, 1.0, cat="task",
                      args={"key": "0", "template": "T"})
     jsonl = str(tmp_path / "run.jsonl")
     trace = str(tmp_path / "run.trace.json")
-    counters = str(tmp_path / "counters.json")
     write_jsonl(jsonl, tel)
     write_chrome_trace(trace, tel)
-    write_counters_json(counters, tel)
     hist = BenchHistory("potrf", [_rec(0.01, {"T": 1})])
     bench = str(hist.save(directory=str(tmp_path)))
 
     assert sniff_payload_kind(jsonl) == "jsonl"
-    assert sniff_payload_kind(trace) == "trace"
-    assert sniff_payload_kind(counters) == "counters"
     assert sniff_payload_kind(bench) == "bench-history"
 
     bad = tmp_path / "bad.txt"
     bad.write_text("not json at all\n")
-    with pytest.raises(ValueError):
-        sniff_payload_kind(str(bad))
+    other = tmp_path / "other.json"
+    other.write_text('{"counters": {}}\n')
+    for path in (trace, str(bad), str(other)):
+        with pytest.raises(ValueError, match="not a JSONL event log or a "
+                           "BENCH_"):
+            sniff_payload_kind(path)
 
 
 def test_select_record():
-    recs = [_rec(0.010, {}, seed=0, baseline=True),
-            _rec(0.012, {}, seed=1, baseline=True),
-            _rec(0.011, {}, seed=2, baseline=True),
+    recs = [_rec(0.010, {}, seed=0),
+            _rec(0.012, {}, seed=1),
+            _rec(0.011, {}, seed=2),
             _rec(0.015, {}, seed=0)]
     assert select_record(recs, "last") is recs[-1]
-    assert select_record(recs, "baseline") is recs[2]   # median of baselines
     assert select_record(recs, "seed:0") is recs[-1]    # last of that seed
     assert select_record(recs, "index:1") is recs[1]
     with pytest.raises(ValueError):
         select_record([], "last")
     with pytest.raises(ValueError):
         select_record(recs, "seed:77")
+    with pytest.raises(ValueError, match="index 99 out of range.* 4 record"):
+        select_record(recs, "index:99")
     with pytest.raises(ValueError):
         select_record(recs, "bogus")
 
@@ -216,11 +202,11 @@ def test_load_view_dispatch(tmp_path):
     view = load_view(jsonl)
     assert view.has_spans and "T" in view.templates
 
-    hist = BenchHistory("potrf", [_rec(0.01, {"T": 1}, baseline=True),
+    hist = BenchHistory("potrf", [_rec(0.01, {"T": 1}),
                                   _rec(0.02, {"T": 2})])
     bench = str(hist.save(directory=str(tmp_path)))
     assert load_view(bench, selector="last").templates["T"].count == 2
-    assert load_view(bench, selector="baseline").templates["T"].count == 1
+    assert load_view(bench, selector="index:0").templates["T"].count == 1
 
 
 # --------------------------------------------------------------------- CLI
@@ -237,7 +223,8 @@ def _cli(*argv):
 
 
 def test_cli_diff_on_histories(tmp_path):
-    hist = BenchHistory("potrf", [_rec(0.010, {"GEMM": 8}, baseline=True),
+    # Built as the watchdog writes it: plain records, none marked.
+    hist = BenchHistory("potrf", [_rec(0.010, {"GEMM": 8}),
                                   _rec(0.013, {"GEMM": 8})])
     path = str(hist.save(directory=str(tmp_path)))
     code, text = _cli("diff", path, path)

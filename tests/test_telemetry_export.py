@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace schema validity, JSONL round-trip, counters JSON."""
+"""Exporters: Chrome trace schema validity, JSONL round-trip."""
 
 import json
 
@@ -11,16 +11,13 @@ from repro.runtime import ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
 from repro.telemetry.events import EventBus, Telemetry
 from repro.telemetry.export import (
-    counters_payload,
     event_from_json,
     event_to_json,
-    read_counters_json,
     read_jsonl,
     to_chrome_events,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_counters_json,
     write_jsonl,
 )
 
@@ -121,23 +118,3 @@ def test_event_json_codec_all_kinds():
         event_from_json({"type": "alien"})
     with pytest.raises(TypeError):
         event_to_json(object())
-
-
-def test_counters_json_round_trip(cholesky_telemetry, tmp_path):
-    path = tmp_path / "counters.json"
-    write_counters_json(str(path), cholesky_telemetry, meta={"run": "t"})
-    data = read_counters_json(str(path))
-    assert data["schema"] == "repro.telemetry/counters-v1"
-    assert data["meta"]["run"] == "t"
-    counters = data["counters"]
-    task_keys = [k for k in counters if k.startswith("tasks{")]
-    assert task_keys and all(counters[k]["kind"] == "counter" for k in task_keys)
-    payload = counters_payload(cholesky_telemetry)
-    assert set(payload["counters"]) == set(counters)
-
-
-def test_read_counters_json_rejects_other_json(tmp_path):
-    p = tmp_path / "x.json"
-    p.write_text("[1, 2]")
-    with pytest.raises(ValueError):
-        read_counters_json(str(p))

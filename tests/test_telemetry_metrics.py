@@ -1,4 +1,4 @@
-"""Metrics registry: instrument caching, labels, rollups, merge."""
+"""Metrics registry: instrument caching, labels, rollups."""
 
 import pytest
 
@@ -70,29 +70,6 @@ def test_as_dict_keys_and_kinds():
     d = reg.as_dict()
     assert d["n{proto=eager}"] == {"value": 1.0, "kind": "counter"}
     assert d["depth"]["kind"] == "gauge"
-
-
-def test_merge_registries():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("x").inc(1)
-    b.counter("x").inc(2)
-    b.counter("y", rank=1).inc(5)
-    b.histogram("h").observe(1.0)
-    a.merge(b)
-    assert a.counter("x").value == 3
-    assert a.counter("y", rank=1).value == 5
-    assert a.histogram("h").count == 1
-    # merge copies instruments -- mutating the source must not alias.
-    b.counter("y", rank=1).inc(100)
-    assert a.counter("y", rank=1).value == 5
-
-
-def test_gauge_merge_last_write_wins():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.gauge("g").set(1)
-    b.gauge("g").set(9)
-    a.merge(b)
-    assert a.gauge("g").value == 9
 
 
 def test_collect_filters_and_get():
