@@ -8,19 +8,21 @@ without going through pytest:
     python -m repro.bench fig8 --telemetry fig8.jsonl   # + its event log
     python -m repro.bench all
 
-The pinned watchdog (no experiment argument needed) measures the twelve
-cells of ``repro.bench.history.PINS`` -- four apps at seeds 0, 1 and 2
--- and compares each record's digest with its pin:
+The watchdog (no experiment argument needed) measures the cells of
+``repro.bench.history.CELLS`` and compares each fresh record, field by
+field, with the newest committed record of the same cell in
+``BENCH_<app>.json``: each cell prints ``ok``, or ``MOVED`` and the
+fields that moved.
 
     python -m repro.bench --check-regressions            # exit 1 if a pin moved
     python -m repro.bench --check-regressions --apps potrf,fw
-    python -m repro.bench --check-regressions --record-history
+    python -m repro.bench --check-regressions --record-history   # move the pins
 
 ``--record-history`` appends the fresh records to ``BENCH_<app>.json``
-(``--history-dir``, default the current directory), the trajectory
-across commits.  ``--explain`` (see ``docs/observability.md``) compares
-the first moved cell of each app with the newest stored record of the
-same config and seed: it prints the field-level diff, runs the
+(``--history-dir``, default the current directory) after the
+comparison, so moving a pin is that one command.  ``--explain`` (see
+``docs/observability.md``) takes the first moved cell of each app:
+it prints the field-level diff against its committed record, runs the
 deterministic what-if profiler when the makespan moved, and writes
 ``rootcause-<app>.json`` (``--explain-out``):
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench import figures, history
 from repro.bench.harness import merged_event_bus, print_series, print_table
@@ -102,21 +104,31 @@ def _parse_apps(text: str) -> List[str]:
     return names
 
 
-def explain_moved_pins(
-    moved: List[history.PinCheck],
-    *,
-    history_dir: str = ".",
-    out_dir: Optional[str] = None,
-) -> List[str]:
-    """Explain the first cell of each app in ``moved``.
+def cell_row(fresh: history.BenchRecord,
+             pin: Optional[history.BenchRecord]) -> str:
+    """The watchdog's line for one cell: ``ok``, or ``MOVED`` with the
+    moved fields or with the note that the cell has no committed record."""
+    cell = f"{fresh.app:<6} seed {fresh.seed}  {fresh.config_key}"
+    if pin is None:
+        return f"MOVED {cell}  no committed record"
+    moved = history.moved_fields(pin, fresh)
+    return f"MOVED {cell}  moved: {', '.join(moved)}" if moved \
+        else f"ok    {cell}"
 
-    The fresh record is compared with the newest stored record of the
-    same config and seed: the names of the record fields that moved, the
-    field-level diff (:func:`repro.telemetry.diff.diff_records`), and,
-    when the makespan moved, the exact what-if attribution
+
+def explain_moved_pins(
+    moved: List[Tuple[history.BenchRecord, Optional[history.BenchRecord]]],
+    *,
+    out_dir: str = ".",
+) -> List[str]:
+    """Explain the first cell of each app in ``moved`` that has a pin.
+
+    The fresh record is compared with its pin: the field-level diff
+    (:func:`repro.telemetry.diff.diff_records`) and, when the makespan
+    moved, the exact what-if attribution
     (:func:`repro.telemetry.whatif.explain`).  Prints nothing itself;
     returns the text blocks.  Writes ``rootcause-<app>.json`` into
-    ``out_dir`` (default: the history directory).
+    ``out_dir``.
     """
     import json
     from pathlib import Path
@@ -124,33 +136,17 @@ def explain_moved_pins(
     from repro.telemetry import diff as tdiff
     from repro.telemetry import whatif
 
-    out_dir = out_dir or history_dir
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     blocks: List[str] = []
     explained = set()
-    for check in moved:
-        fresh = check.record
-        if fresh.app in explained:
+    for fresh, pin in moved:
+        if pin is None or fresh.app in explained:
             continue
         explained.add(fresh.app)
-        cell = f"{fresh.app} seed {fresh.seed}"
-        stored = [r for r in history.BenchHistory.load_app(
-                      fresh.app, history_dir).group(fresh.config_key)
-                  if r.seed == fresh.seed]
-        if not stored:
-            blocks.append(f"cannot explain {cell} ({fresh.config_key}): "
-                          f"no stored record of this cell")
-            continue
-        base = stored[-1]
-        old, new = base.as_dict(), fresh.as_dict()
-        fields = [k for k in new
-                  if k not in history.UNPINNED_FIELDS and old[k] != new[k]]
-        blocks.append(f"{cell}: moved since the stored record: "
-                      f"{', '.join(fields) or 'nothing'}")
-        run_diff = tdiff.diff_records(base, fresh)
+        run_diff = tdiff.diff_records(pin, fresh)
         blocks.append(run_diff.format())
-        exp = (whatif.explain(base, fresh)
-               if fresh.makespan != base.makespan else None)
+        exp = (whatif.explain(pin, fresh)
+               if fresh.makespan != pin.makespan else None)
         if exp is not None:
             blocks.append(exp.format())
         json_path = Path(out_dir) / f"rootcause-{fresh.app}.json"
@@ -165,29 +161,31 @@ def explain_moved_pins(
 
 
 def run_watchdog_cli(args: argparse.Namespace) -> int:
-    """--check-regressions / --record-history over the pinned cells."""
-    checks, written = history.run_watchdog(
+    """--check-regressions / --record-history over the cells of CELLS."""
+    pairs, written = history.run_watchdog(
         directory=args.history_dir, apps=args.apps,
         record=args.record_history)
-    for check in checks:
-        print(check.row())
+    for fresh, pin in pairs:
+        print(cell_row(fresh, pin))
     for path in written:
         print(f"wrote {path}")
-    if args.check_regressions:
-        moved = [c for c in checks if not c.ok]
-        if moved:
-            print(f"PIN MOVED: {len(moved)} of {len(checks)} cell(s) differ "
-                  f"from their digest in repro.bench.history.PINS; a change "
-                  f"that moves a virtual number edits the pin and says why",
-                  file=sys.stderr)
-            if args.explain:
-                for block in explain_moved_pins(
-                        moved, history_dir=args.history_dir,
-                        out_dir=args.explain_out):
-                    print(block)
-            return 1
-        print(f"all {len(checks)} cell(s) match their pins")
-    return 0
+    if not args.check_regressions:
+        return 0
+    moved = [(fresh, pin) for fresh, pin in pairs
+             if pin is None or history.moved_fields(pin, fresh)]
+    if not moved:
+        print(f"all {len(pairs)} cell(s) match their committed records")
+        return 0
+    print(f"PIN MOVED: {len(moved)} of {len(pairs)} cell(s) differ from "
+          f"their newest committed record in BENCH_<app>.json; a change "
+          f"that moves a virtual number appends its records with "
+          f"--check-regressions --record-history and says why",
+          file=sys.stderr)
+    if args.explain:
+        for block in explain_moved_pins(
+                moved, out_dir=args.explain_out or args.history_dir):
+            print(block)
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,15 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", metavar="LOG.jsonl", default=None,
         help="capture telemetry across every backend the experiment binds "
         "and write their events as one JSONL event log (one rank "
-        "namespace per backend)",
+        "namespace per backend).  Each rank keeps its last 65536 events: "
+        "a longer run writes that window and warns on stderr",
     )
     wd = parser.add_argument_group("pinned watchdog")
     wd.add_argument("--record-history", action="store_true",
                     help="measure the pinned cells and append the records "
-                    "to the BENCH_<app>.json files")
+                    "to the BENCH_<app>.json files, after comparing them")
     wd.add_argument("--check-regressions", action="store_true",
-                    help="measure the pinned cells; exit 1 when any record "
-                    "digest differs from its pin")
+                    help="measure the pinned cells; exit 1 when a field of "
+                    "a record differs from the newest committed record of "
+                    "its cell, or the cell has none")
     wd.add_argument("--history-dir", default=".", metavar="DIR",
                     help="directory of the BENCH_<app>.json files (default .)")
     wd.add_argument("--apps", type=_parse_apps, default=None,
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: every pinned app)")
     wd.add_argument("--explain", action="store_true",
                     help="for a moved pin, diff the fresh record against "
-                    "the newest stored one of that cell, run the "
+                    "the committed one of that cell, run the "
                     "deterministic what-if profiler when the makespan "
                     "moved, and write rootcause-<app>.json")
     wd.add_argument("--explain-out", default=None, metavar="DIR",
@@ -258,14 +258,18 @@ def main(argv=None) -> int:
     if args.telemetry is None:
         run_all()
         return 0
-    from repro.telemetry import capture, write_jsonl
+    from repro.telemetry import analyze, capture, write_jsonl
 
     with capture() as runs:
         run_all()
-    n = write_jsonl(args.telemetry, merged_event_bus(runs))
+    merged = merged_event_bus(runs)
+    n = write_jsonl(args.telemetry, merged)
     print(f"\nwrote {args.telemetry} ({n} events, {len(runs)} backend "
           f"run(s); replay: python -m repro.telemetry report "
           f"{args.telemetry})")
+    warning = analyze.drop_warning(merged)
+    if warning is not None:
+        print(warning, file=sys.stderr)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Benchmark history and the pinned watchdog cells.
+"""Benchmark history: the committed records are the pins.
 
 The paper's evaluation is a *trajectory*: the same four applications
 measured repeatedly as runtime features landed.  This module keeps that
@@ -10,21 +10,24 @@ one schema version.  Host time is not recorded here: ``hostbench/``
 measures it.
 
 The simulator is deterministic, so every virtual number of a record is a
-function of the commit, the app, its parameters and the seed.  The
-watchdog does not judge them as samples: :data:`PINS` holds the
-:func:`record_digest` of each cell it measures (four apps at seeds 0, 1
-and 2), and any digest that differs fails the check.  A change that
-moves a virtual number edits its pins and says why.
+function of the commit, the app, its parameters, the backend and the
+seed.  The watchdog does not judge them as samples: it measures each
+cell of :data:`CELLS` afresh and compares the record, field by field,
+with the newest committed record of the same cell; any field that
+differs (other than :data:`UNPINNED_FIELDS`) fails the check and is
+named.  A change that moves a virtual number appends the new records
+with ``--check-regressions --record-history`` and says why; the diff of
+``BENCH_*.json`` is what its review reads.
 
 CLI (see ``python -m repro.bench --help``)::
 
     python -m repro.bench --check-regressions                   # CI gate
-    python -m repro.bench --check-regressions --record-history  # + trajectory
+    python -m repro.bench --check-regressions --record-history  # move a pin
 """
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
 import subprocess
 from dataclasses import dataclass, field
@@ -34,26 +37,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 SCHEMA = "repro.bench/history"
 SCHEMA_VERSION = 5
 
-#: The watchdog's cells: ``(app, seed)`` -> :func:`record_digest` of
-#: ``measure(app, seed)`` at the app's defaults.  A change that moves a
-#: virtual number edits the literals here and says why.
-PINS: Dict[Tuple[str, int], str] = {
-    ("potrf", 0): "4ee71f0c9866fd4e",
-    ("potrf", 1): "37e69826e175562f",
-    ("potrf", 2): "922d28a50b6c5970",
-    ("fw", 0): "bf123a933c995db2",
-    ("fw", 1): "0f6f7bbbcef05b42",
-    ("fw", 2): "cb7d59dd41b2a4a1",
-    ("bspmm", 0): "ffe327dd2eaca12c",
-    ("bspmm", 1): "240e9dc90a4aa413",
-    ("bspmm", 2): "69df525dd0802b5e",
-    ("mra", 0): "c51e5a24b9be9ded",
-    ("mra", 1): "be8628f025ad0e07",
-    ("mra", 2): "454b04cdfb936ab8",
-}
-
-#: Record fields the digest leaves out: they describe the commit, not the
-#: simulated run.
+#: Record fields the watchdog does not compare: they describe the commit,
+#: not the simulated run.
 UNPINNED_FIELDS = ("git_sha",)
 
 
@@ -93,8 +78,8 @@ class BenchRecord:
     # repro.sim.cluster.CostOverrides.as_dict; {} = unperturbed).  Kept
     # OUT of config_key on purpose: ``--explain`` compares a perturbed and
     # a clean run of the same cell, and the what-if replayer needs to know
-    # the recorded factors so probe overrides compose exactly.  It is part
-    # of record_digest, so a perturbed run never matches a pin.
+    # the recorded factors so probe overrides compose exactly.  The
+    # watchdog compares it, so a perturbed run never matches a pin.
     cost_overrides: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -104,41 +89,20 @@ class BenchRecord:
         return f"{self.backend}|{cfg}"
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "app": self.app,
-            "backend": self.backend,
-            "config": dict(self.config),
-            "seed": self.seed,
-            "makespan": self.makespan,
-            "gflops": self.gflops,
-            "tasks_total": self.tasks_total,
-            "tasks_by_template": dict(self.tasks_by_template),
-            "bytes_by_protocol": dict(self.bytes_by_protocol),
-            "critical_path_fraction": self.critical_path_fraction,
-            "idle_fraction": self.idle_fraction,
-            "counters": dict(self.counters),
-            "git_sha": self.git_sha,
-            "cost_overrides": dict(self.cost_overrides),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "BenchRecord":
-        return cls(
-            app=obj["app"],
-            backend=obj.get("backend", "parsec"),
-            config=dict(obj.get("config", {})),
-            seed=int(obj.get("seed", 0)),
-            makespan=float(obj.get("makespan", 0.0)),
-            gflops=float(obj.get("gflops", 0.0)),
-            tasks_total=int(obj.get("tasks_total", 0)),
-            tasks_by_template=dict(obj.get("tasks_by_template", {})),
-            bytes_by_protocol=dict(obj.get("bytes_by_protocol", {})),
-            critical_path_fraction=float(obj.get("critical_path_fraction", 0.0)),
-            idle_fraction=float(obj.get("idle_fraction", 0.0)),
-            counters=dict(obj.get("counters", {})),
-            git_sha=obj.get("git_sha", ""),
-            cost_overrides=dict(obj.get("cost_overrides", {})),
-        )
+        """The record ``obj`` holds; a missing or unknown key raises
+        ``ValueError`` naming it."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        missing = sorted(names - obj.keys())
+        if missing:
+            raise ValueError(f"record lacks key {missing[0]!r}")
+        unknown = sorted(obj.keys() - names)
+        if unknown:
+            raise ValueError(f"record has unknown key {unknown[0]!r}")
+        return cls(**obj)
 
 
 class BenchHistory:
@@ -170,10 +134,13 @@ class BenchHistory:
                 f"{path}: schema version {version}, this code reads only "
                 f"{SCHEMA_VERSION}; re-record it with `python -m repro.bench "
                 f"--check-regressions --record-history`")
-        return cls(
-            payload["app"],
-            [BenchRecord.from_dict(r) for r in payload.get("records", [])],
-        )
+        records = []
+        for i, obj in enumerate(payload.get("records", [])):
+            try:
+                records.append(BenchRecord.from_dict(obj))
+            except ValueError as exc:
+                raise ValueError(f"{path}: record {i}: {exc}") from None
+        return cls(payload["app"], records)
 
     @classmethod
     def load_app(cls, app: str, directory: str = ".") -> "BenchHistory":
@@ -203,8 +170,15 @@ class BenchHistory:
             raise ValueError(f"record app {record.app!r} != history {self.app!r}")
         self.records.append(record)
 
-    def group(self, config_key: str) -> List[BenchRecord]:
-        return [r for r in self.records if r.config_key == config_key]
+    def pin(self, record: BenchRecord) -> Optional[BenchRecord]:
+        """The newest record of ``record``'s cell (same config key and
+        seed): the one its simulated numbers are compared with.  None if
+        the cell has no record."""
+        for stored in reversed(self.records):
+            if stored.config_key == record.config_key and \
+                    stored.seed == record.seed:
+                return stored
+        return None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -216,7 +190,7 @@ class BenchHistory:
 class SeededBlockCyclic:
     """Block-cyclic tile map rotated by ``seed`` -- same grid, same DAG,
     different owners.  Seeds 0, 1 and 2 are three pinned placements
-    (:data:`PINS`), not samples of a distribution: each one is a cell
+    (:data:`CELLS`), not samples of a distribution: each one is a cell
     whose communication pattern differs from the others'."""
 
     def __init__(self, prows: int, pcols: int, seed: int = 0) -> None:
@@ -246,10 +220,12 @@ class SeededBlockCyclic:
 
 
 def _observed_record(
-    app: str, result: Any, telemetry: Any, *, config: Dict[str, Any],
-    seed: int, backend_name: str, overrides: Any = None,
+    app: str, result: Any, backend: Any, telemetry: Any, *,
+    config: Dict[str, Any], seed: int, backend_name: str,
+    overrides: Any = None,
 ) -> BenchRecord:
-    """Assemble a BenchRecord from a driver result + its telemetry."""
+    """Assemble a BenchRecord from a driver result, its backend and its
+    telemetry."""
     from repro.telemetry import analyze
 
     stats = dict(result.stats)
@@ -257,10 +233,13 @@ def _observed_record(
     ranks = analyze.idle_breakdown(telemetry)
     avail = sum(r.workers for r in ranks) * cp.makespan
     busy = sum(r.busy for r in ranks)
+    # makespan and tasks_executed are the record's own fields.
     counters = {
         k: float(v) for k, v in stats.items()
         if isinstance(v, (int, float)) and not isinstance(v, bool)
+        and k not in ("makespan", "tasks_executed")
     }
+    counters["events_processed"] = float(backend.engine.events_processed)
     return BenchRecord(
         app=app,
         backend=backend_name,
@@ -277,16 +256,6 @@ def _observed_record(
         git_sha=git_sha(),
         cost_overrides=overrides.as_dict() if overrides is not None else {},
     )
-
-
-def _instrumented_cluster(nodes: int, workers: int, overrides: Any = None):
-    """(cluster, telemetry) pair for one watchdog measurement."""
-    from repro.sim.cluster import Cluster, HAWK
-    from repro.telemetry import Telemetry
-
-    tel = Telemetry(nranks=nodes, capacity=None)
-    cluster = Cluster(HAWK.with_workers(workers), nodes, overrides=overrides)
-    return cluster, tel
 
 
 def _tiled_matrix(seed: int, p: Dict[str, Any]) -> Any:
@@ -353,6 +322,14 @@ class AppRow:
     params: Dict[str, Any]
     config_names: Dict[str, str] = field(default_factory=dict)
 
+    def parameters(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """``params`` over the defaults; an unknown name raises
+        ``TypeError``."""
+        unknown = set(params) - set(COMMON_PARAMS) - set(self.params)
+        if unknown:
+            raise TypeError(f"unknown parameter(s) {sorted(unknown)}")
+        return {**COMMON_PARAMS, **self.params, **params}
+
     def config(self, p: Dict[str, Any]) -> Dict[str, Any]:
         """The record config of parameters ``p``."""
         config: Dict[str, Any] = {"machine": "hawk"}
@@ -382,6 +359,25 @@ APPS: Dict[str, AppRow] = {
 }
 
 
+#: The backends a cell can run on (see :func:`measure`).
+BACKENDS = ("parsec", "madness")
+
+#: The cells the watchdog measures, in order, as :func:`measure_cell`
+#: specs.  The newest committed record of each cell in its
+#: ``BENCH_<app>.json`` holds that cell's simulated numbers.  First every
+#: app of :data:`APPS` at its defaults on PaRSEC, at seeds 0, 1 and 2;
+#: then the tier-1 cells of ``tests/test_cell_statistics_pinned.py``:
+#: POTRF, FW and BSPMM on both backends with Hawk's 60 workers per node.
+CELLS: Tuple[Dict[str, Any], ...] = (
+    *({"app": app, "backend": "parsec", "seed": seed}
+      for app in APPS for seed in (0, 1, 2)),
+    *({"app": app, "backend": backend, "seed": 0, "workers": 60, **params}
+      for app, params in (("potrf", {}), ("fw", {"n": 1024}),
+                          ("bspmm", {"natoms": 8}))
+      for backend in BACKENDS),
+)
+
+
 def _row(app: str) -> AppRow:
     row = APPS.get(app)
     if row is None:
@@ -392,36 +388,39 @@ def _row(app: str) -> AppRow:
 
 def measure(
     app: str, seed: int = 0, *,
+    backend: str = "parsec",
     overrides: Any = None,
     telemetry_out: Optional[List[Any]] = None,
     **params: Any,
 ) -> BenchRecord:
     """One telemetry-instrumented run of ``app`` on the scaled Hawk
-    machine.  ``params`` override the row's defaults (:data:`APPS`)."""
-    from repro.runtime import ParsecBackend
-    from repro.sim.cluster import CostOverrides
+    machine, on the ``backend`` of :data:`BACKENDS`.  ``params`` override
+    the row's defaults (:data:`APPS`)."""
+    from repro.runtime import MadnessBackend, ParsecBackend
+    from repro.sim.cluster import HAWK, Cluster, CostOverrides
+    from repro.telemetry import Telemetry
 
     row = _row(app)
-    unknown = set(params) - set(COMMON_PARAMS) - set(row.params)
-    if unknown:
-        raise TypeError(f"measure({app!r}) got unknown parameter(s) "
-                        f"{sorted(unknown)}")
-    p = dict(COMMON_PARAMS, **row.params)
-    p.update(params)
+    backend_cls = {"parsec": ParsecBackend,
+                   "madness": MadnessBackend}.get(backend)
+    if backend_cls is None:
+        raise ValueError(f"unknown backend {backend!r} (have: {BACKENDS})")
+    p = row.parameters(params)
     ov = CostOverrides.coerce(overrides)
     inputs = row.inputs(seed, p)
-    cluster, tel = _instrumented_cluster(p["nodes"], p["workers"],
-                                         overrides=ov)
-    backend = ParsecBackend(cluster, telemetry=tel)
-    res = row.driver(inputs, backend, p)
+    tel = Telemetry(nranks=p["nodes"], capacity=None)
+    runtime = backend_cls(
+        Cluster(HAWK.with_workers(p["workers"]), p["nodes"], overrides=ov),
+        telemetry=tel)
+    res = row.driver(inputs, runtime, p)
     if telemetry_out is not None:
         telemetry_out.append(tel)
-    return _observed_record(app, res, tel, config=row.config(p), seed=seed,
-                            backend_name="parsec", overrides=ov)
+    return _observed_record(app, res, runtime, tel, config=row.config(p),
+                            seed=seed, backend_name=backend, overrides=ov)
 
 
 def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
-    """Measure one (app, seed) cell described by a plain dict.
+    """Measure one cell described by a plain dict (see :data:`CELLS`).
 
     ``spec`` must contain ``app`` and may contain ``seed`` (default 0);
     every other key is passed to :func:`measure`, which rejects unknown
@@ -433,48 +432,15 @@ def measure_cell(spec: Dict[str, Any]) -> BenchRecord:
     return measure(app, seed, **spec)
 
 
-def measure_matrix(
-    apps: Sequence[str],
-    seeds: Sequence[int] = (0, 1, 2),
-) -> Dict[str, List[BenchRecord]]:
-    """The records of every (app, seed) cell at the apps' defaults,
-    measured inline and grouped by app.  A cell that raises raises."""
-    for app in apps:
-        _row(app)
-    return {app: [measure(app, seed) for seed in seeds] for app in apps}
-
-
 # ----------------------------------------------------------------- the pins
 
 
-def record_digest(record: BenchRecord) -> str:
-    """16 hex digits of the sha256 of ``record`` as canonical JSON,
-    without :data:`UNPINNED_FIELDS`."""
-    fields = {k: v for k, v in record.as_dict().items()
-              if k not in UNPINNED_FIELDS}
-    text = json.dumps(fields, sort_keys=True, default=repr)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-@dataclass
-class PinCheck:
-    """One watchdog cell measured afresh, against its pin ("" if none)."""
-
-    record: BenchRecord
-    pinned: str
-
-    @property
-    def measured(self) -> str:
-        return record_digest(self.record)
-
-    @property
-    def ok(self) -> bool:
-        return self.measured == self.pinned
-
-    def row(self) -> str:
-        mark = "ok   " if self.ok else "MOVED"
-        return (f"{mark} {self.record.app:<6} seed {self.record.seed}  "
-                f"pinned {self.pinned or '-':<16}  measured {self.measured}")
+def moved_fields(pin: BenchRecord, record: BenchRecord) -> List[str]:
+    """The fields of ``record`` that differ from its ``pin``, in record
+    order, leaving out :data:`UNPINNED_FIELDS`."""
+    old = pin.as_dict()
+    return [k for k, v in record.as_dict().items()
+            if k not in UNPINNED_FIELDS and old[k] != v]
 
 
 def run_watchdog(
@@ -482,23 +448,25 @@ def run_watchdog(
     apps: Optional[Sequence[str]] = None,
     *,
     record: bool = False,
-) -> Tuple[List[PinCheck], List[Path]]:
-    """Measure the watchdog cells of ``apps`` (default: all of
-    :data:`APPS`) at seeds 0, 1 and 2, inline, and check each record
-    against its pin; a cell without a pin fails.
+) -> Tuple[List[Tuple[BenchRecord, Optional[BenchRecord]]], List[Path]]:
+    """Measure the cells of :data:`CELLS` (narrowed to ``apps``), inline,
+    and pair each fresh record with its pin: the newest record of its
+    cell in the ``BENCH_<app>.json`` files of ``directory``, or None.
 
-    ``record`` appends the fresh records to the ``BENCH_<app>.json``
-    files in ``directory``.  Returns one :class:`PinCheck` per cell and
-    the paths written (if any).
+    ``record`` then appends the fresh records to those files.  Returns
+    the ``(fresh, pin)`` pairs in :data:`CELLS` order and the paths
+    written (if any).
     """
-    fresh = measure_matrix(list(APPS) if apps is None else apps)
-    checks = [PinCheck(r, PINS.get((app, r.seed), ""))
-              for app, records in fresh.items() for r in records]
+    for app in apps or ():
+        _row(app)
+    fresh = [measure_cell(c) for c in CELLS
+             if apps is None or c["app"] in apps]
+    histories = {r.app: BenchHistory.load_app(r.app, directory)
+                 for r in fresh}
+    pairs = [(r, histories[r.app].pin(r)) for r in fresh]
     written: List[Path] = []
     if record:
-        for app, records in fresh.items():
-            history = BenchHistory.load_app(app, directory)
-            for r in records:
-                history.append(r)
-            written.append(history.save(directory=directory))
-    return checks, written
+        for r in fresh:
+            histories[r.app].append(r)
+        written = [h.save(directory=directory) for h in histories.values()]
+    return pairs, written

@@ -56,7 +56,7 @@ def replay_record(
 ) -> Any:
     """Exact counterfactual replay of one stored bench record.
 
-    Rebuilds the record's (app, seed, config) cell through
+    Rebuilds the record's (app, backend, seed, config) cell through
     :func:`repro.bench.history.measure` with the probe overrides
     *composed onto* the overrides the record was taken under.  ``nodes``
     replays at a different rank count (the rank-count knob).  Returns the
@@ -85,7 +85,7 @@ def replay_record(
     )
     composed = recorded.compose(probe)
     return measure(
-        record.app, record.seed,
+        record.app, record.seed, backend=record.backend,
         overrides=None if composed.is_null else composed,
         telemetry_out=telemetry_out,
         **kwargs,

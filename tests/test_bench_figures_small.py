@@ -92,3 +92,26 @@ def test_cli_figure_with_max_nodes(capsys):
 def test_cli_rejects_unknown():
     with pytest.raises(SystemExit):
         bench_main(["fig99"])
+
+
+def test_cli_telemetry_log_says_it_is_a_window(tmp_path, monkeypatch,
+                                               capsys):
+    """A figure's event log keeps a bounded window per rank: when a ring
+    evicted events the written log is truncated, and the CLI says so on
+    stderr (a ring of 64 events here, so a tiny figure overflows it)."""
+    import functools
+
+    import repro.telemetry as telemetry
+    from repro.bench.__main__ import build_parser
+
+    assert "last 65536 events" in " ".join(build_parser().format_help().split())
+    monkeypatch.setattr(telemetry, "capture",
+                        functools.partial(telemetry.capture, capacity=64))
+    log = tmp_path / "fig5.jsonl"
+    assert bench_main(["fig5", "--max-nodes", "1", "--telemetry",
+                       str(log)]) == 0
+    captured = capsys.readouterr()
+    assert f"wrote {log}" in captured.out
+    warning = captured.err.strip()
+    assert warning.startswith("WARNING: ") and "evicted" in warning
+    assert "\n" not in warning

@@ -1,25 +1,28 @@
-"""Benchmark history store, the pinned watchdog cells, the watchdog CLI."""
+"""Benchmark history store, the watchdog cells and their committed
+records, the watchdog CLI."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.bench.__main__ import cell_row
 from repro.bench.__main__ import main as bench_main
 from repro.bench.history import (
-    PINS,
+    CELLS,
     BenchHistory,
     BenchRecord,
     SCHEMA,
     SCHEMA_VERSION,
-    PinCheck,
     SeededBlockCyclic,
     measure,
     measure_cell,
-    record_digest,
+    moved_fields,
     run_watchdog,
 )
 from repro.linalg import BlockCyclicDistribution
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rec(makespan, seed=0, gflops=100.0, **cfg):
@@ -81,21 +84,38 @@ def test_future_schema_version_refused(tmp_path):
         assert "--record-history" in message and "\n" not in message
 
 
+def test_record_with_missing_key_refused(tmp_path):
+    """The one schema is read strictly: a record without ``makespan`` (or
+    with a key no record has) is refused in one line naming the file and
+    the key, not filled with a default."""
+    record = _rec(0.01).as_dict()
+    p = tmp_path / "BENCH_potrf.json"
+    for obj, problem in (({k: v for k, v in record.items()
+                           if k != "makespan"}, "lacks key 'makespan'"),
+                         (dict(record, baseline=True),
+                          "has unknown key 'baseline'")):
+        p.write_text(json.dumps({"schema": SCHEMA, "version": SCHEMA_VERSION,
+                                 "app": "potrf", "records": [obj]}))
+        with pytest.raises(ValueError) as info:
+            BenchHistory.load(p)
+        assert str(info.value) == f"{p}: record 0: record {problem}"
+
+
 def test_moved_makespan_fails_its_pin():
-    """A +20 % makespan changes a record's digest, so its pin fails;
-    the commit does not."""
+    """A +20 % makespan moves a record off its pin, and the watchdog line
+    names the field; the commit does not move it."""
     base = _rec(0.010)
-    pinned = record_digest(base)
-    assert len(pinned) == 16 and int(pinned, 16) >= 0
-    assert PinCheck(base, pinned).ok
     other_commit = _rec(0.010)
     other_commit.git_sha = "abc1234"
-    assert PinCheck(other_commit, pinned).ok
+    assert moved_fields(base, other_commit) == []
+    assert cell_row(other_commit, base).startswith("ok    potrf  seed 0  ")
     slow = _rec(0.012)
-    check = PinCheck(slow, pinned)
-    assert not check.ok and check.measured != pinned
-    assert check.row().startswith("MOVED potrf") and pinned in check.row()
-    assert not PinCheck(base, "").ok          # a cell without a pin fails
+    assert moved_fields(base, slow) == ["makespan"]
+    row = cell_row(slow, base)
+    assert row.startswith("MOVED potrf  seed 0  ")
+    assert row.endswith("  moved: makespan")
+    # a cell without a committed record fails in one line
+    assert cell_row(base, None).endswith("  no committed record")
 
 
 # ------------------------------------------------------- seeded placement
@@ -134,64 +154,81 @@ def test_seed_sweep_produces_a_distribution():
 # ---------------------------------------------------------------- watchdog
 
 
-def test_run_watchdog_update_then_check(tmp_path):
+def test_run_watchdog_update_then_check(tmp_path, capsys):
+    """Moving a pin is one command: ``--check-regressions`` names the moved
+    field, ``--check-regressions --record-history`` compares and then
+    appends, and the next check passes."""
     d = str(tmp_path)
-    checks, written = run_watchdog(d, apps=("potrf",), record=True)
+    pairs, written = run_watchdog(d, apps=("potrf",), record=True)
     assert [p.name for p in written] == ["BENCH_potrf.json"]
-    assert [(c.record.app, c.record.seed) for c in checks] == \
-        [("potrf", 0), ("potrf", 1), ("potrf", 2)]
-    assert all(c.ok for c in checks)
-    stored = BenchHistory.load(written[0]).records
-    assert [record_digest(r) for r in stored] == [c.pinned for c in checks]
+    assert len(pairs) == 5 and all(pin is None for _, pin in pairs)
+    history = BenchHistory.load(written[0])
+    assert history.records == [r for r, _ in pairs]
 
-    checks, written = run_watchdog(d, apps=("potrf",))
-    assert not written                      # check-only: nothing recorded
-    assert all(c.ok for c in checks)        # deterministic: identical reruns
-    assert len(BenchHistory.load_app("potrf", d)) == 3
+    history.records[0].makespan *= 1.2       # a stored, edited makespan
+    history.save(directory=d)
+    args = ["--check-regressions", "--history-dir", d, "--apps", "potrf"]
+    assert bench_main(args) == 1
+    out = capsys.readouterr().out
+    assert out.count("MOVED") == 1
+    assert "MOVED potrf  seed 0  parsec|" in out
+    assert "workers=4  moved: makespan\n" in out
+
+    assert bench_main([*args, "--record-history"]) == 1
+    assert "moved: makespan\nok" in capsys.readouterr().out
+    assert len(BenchHistory.load_app("potrf", d)) == 10
+
+    assert bench_main(args) == 0
+    assert "all 5 cell(s) match their committed records" in \
+        capsys.readouterr().out
+    assert len(BenchHistory.load_app("potrf", d)) == 10
 
 
-def test_committed_history_matches_pins():
-    """The newest record of each pinned cell in the repository's own
-    ``BENCH_<app>.json`` carries the pinned digest, so ``--explain``
-    diffs a moved cell against the record the pin names."""
-    root = Path(__file__).resolve().parents[1]
-    for (app, seed), pinned in PINS.items():
-        records = [r for r in BenchHistory.load_app(app, str(root)).records
-                   if r.seed == seed]
-        assert [record_digest(r) for r in records[-1:]] == [pinned], \
-            (app, seed)
-
-
-def test_default_sweep_is_the_pinned_cells(monkeypatch):
+def test_default_sweep_is_the_pinned_cells(monkeypatch, tmp_path):
     """With no app named, the watchdog measures exactly the cells of
-    ``PINS``, in table order."""
+    ``CELLS``, in table order: every app at its defaults at seeds 0, 1
+    and 2, then the tier-1 cells on both backends."""
     import repro.bench.history as history
 
-    monkeypatch.setattr(history, "measure",
-                        lambda app, seed: BenchRecord(app=app, seed=seed))
-    checks, written = run_watchdog()
-    assert [(c.record.app, c.record.seed) for c in checks] == list(PINS)
-    assert [c.pinned for c in checks] == list(PINS.values())
-    assert not written and not any(c.ok for c in checks)
+    monkeypatch.setattr(history, "measure", lambda app, seed, **params:
+                        BenchRecord(app=app, seed=seed, config=params))
+    pairs, written = run_watchdog(str(tmp_path))
+    assert [dict(r.config, app=r.app, seed=r.seed) for r, _ in pairs] == \
+        list(CELLS)
+    assert not written and all(pin is None for _, pin in pairs)
+    assert [(c["app"], c["backend"], c["seed"], c.get("workers", 4))
+            for c in CELLS] == [
+        *((app, "parsec", seed, 4) for app in ("potrf", "fw", "bspmm", "mra")
+          for seed in (0, 1, 2)),
+        *((app, backend, 0, 60) for app in ("potrf", "fw", "bspmm")
+          for backend in ("parsec", "madness"))]
 
 
 def test_cli_check_regressions_passes_then_fails_on_injection(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, capsys):
     d = str(tmp_path)
+    committed = BenchHistory.load_app("potrf", str(ROOT))
+    path = committed.save(directory=d)
+    text = path.read_text()
     args = ["--check-regressions", "--history-dir", d, "--apps", "potrf"]
     assert bench_main(args) == 0
-    assert "all 3 cell(s) match their pins" in capsys.readouterr().out
-    assert not list(tmp_path.iterdir())     # a check writes nothing
+    assert "all 5 cell(s) match their committed records" in \
+        capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == [path]   # a check writes nothing
+    assert path.read_text() == text
 
-    # Editing one pin fails the check and names that app and seed.
-    real = PINS[("potrf", 1)]
-    monkeypatch.setitem(PINS, ("potrf", 1), "0" * 16)
+    # Editing one committed record fails the check and names that cell
+    # and the field.
+    seed1 = [r for r in committed.records
+             if r.seed == 1 and r.config["workers"] == 4][-1]
+    seed1.tasks_by_template["GEMM"] += 1
+    committed.save(directory=d)
     code = bench_main(args)
     captured = capsys.readouterr()
     assert code == 1
-    assert "PIN MOVED: 1 of 3 cell(s)" in captured.err
-    assert (f"MOVED potrf  seed 1  pinned {'0' * 16}  measured {real}"
-            in captured.out)
+    assert "PIN MOVED: 1 of 5 cell(s)" in captured.err
+    assert ("MOVED potrf  seed 1  parsec|b=128,machine=hawk,n=1024,nodes=4,"
+            "workers=4  moved: tasks_by_template\n") in captured.out
 
 
 def test_cli_rejects_an_empty_app_list(capsys):
@@ -205,24 +242,22 @@ def test_cli_requires_experiment_or_watchdog_flag(capsys):
         bench_main([])
 
 
-def test_protocol_gate_catches_splitmd_to_eager_fallback(
-        tmp_path, monkeypatch, capsys):
+def test_protocol_gate_catches_splitmd_to_eager_fallback(tmp_path, capsys):
     """The failure mode: a serialization change moves payloads between
     protocols while the makespan does not move.  The byte split alone
-    must fail the pin, and ``--explain`` must name it."""
+    must fail the pin, and the watchdog must name it."""
     d = str(tmp_path)
     fresh = measure("potrf", 0)
     stored = BenchRecord.from_dict(fresh.as_dict())
     stored.bytes_by_protocol = {"eager": sum(fresh.bytes_by_protocol.values())}
     BenchHistory("potrf", [stored]).save(directory=d)
-    monkeypatch.setitem(PINS, ("potrf", 0), record_digest(stored))
 
     code = bench_main(["--check-regressions", "--explain", "--history-dir", d,
                        "--apps", "potrf"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "MOVED potrf  seed 0" in out
-    assert "moved since the stored record: bytes_by_protocol\n" in out
+    assert "MOVED potrf  seed 0  parsec|" in out
+    assert "workers=4  moved: bytes_by_protocol\n" in out
     assert "root cause" not in out           # makespan equal: no what-if
     rc = json.loads((tmp_path / "rootcause-potrf.json").read_text())
     assert rc["explanation"] is None

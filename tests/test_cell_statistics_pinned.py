@@ -1,41 +1,51 @@
 """Exact simulated statistics of one small POTRF, FW and BSPMM cell.
 
 MRA has ``test_mra_cell_statistics_pinned``; these are the other three
-apps.  The literals were recorded on the commit *before* the message path
-was reworked (owner-rank passthrough, counted readiness): a host-time
-optimisation may not move a single simulated number, with or without
-the run loop's observer hooks armed.
+apps.  Each cell is a tier-1 entry of ``repro.bench.history.CELLS`` (Hawk's
+60 workers per node on 4 nodes), measured through its ``APPS`` row with
+telemetry attached, and every field of the record -- makespan, task and
+byte breakdowns, ``events_processed``, deliveries, messages, copies,
+broadcast coverage -- must equal the newest committed record of the cell
+in ``BENCH_<app>.json``: a host-time optimisation may not move a single
+simulated number, with or without the run loop's observer hooks armed.
+A change that moves one on purpose appends new records with
+``python -m repro.bench --check-regressions --record-history``.
 ``tests/test_hot_path_budget.py`` profiles the same cells.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro.apps.bspmm import bspmm_ttg
-from repro.apps.cholesky import cholesky_ttg
-from repro.apps.floydwarshall import floyd_warshall_ttg
-from repro.linalg import BlockCyclicDistribution, TiledMatrix, yukawa_blocksparse
-from repro.runtime import MadnessBackend, ParsecBackend
-from repro.sim.cluster import HAWK, Cluster
+from repro.bench.history import (
+    APPS,
+    CELLS,
+    COMMON_PARAMS,
+    BenchHistory,
+    measure_cell,
+    moved_fields,
+)
+from repro.core.graph import add_construction_observer, remove_construction_observer
 
-NRANKS = 4
+ROOT = Path(__file__).resolve().parents[1]
 
+#: the tier-1 cells of CELLS, by (app, backend)
+TIER1 = {(c["app"], c["backend"]): c for c in CELLS if c.get("workers") == 60}
 
-def _synthetic_matrix():
-    return TiledMatrix(1024, 128, BlockCyclicDistribution.for_ranks(NRANKS),
-                       synthetic=True)
-
-
-def potrf_cell(backend):
-    return cholesky_ttg(_synthetic_matrix(), backend)
-
-
-def fw_cell(backend):
-    return floyd_warshall_ttg(_synthetic_matrix(), backend)
+NRANKS = COMMON_PARAMS["nodes"]
 
 
-def bspmm_cell(backend):
-    a = yukawa_blocksparse(8, target_tile=24, seed=0)
-    return bspmm_ttg(a, a, backend)
+def _driver(app):
+    """Run ``app``'s tier-1 cell through its APPS row on a given backend."""
+    cell, row = TIER1[app, "parsec"], APPS[app]
+    p = row.parameters({k: v for k, v in cell.items()
+                        if k not in ("app", "backend", "seed")})
+    return lambda backend: row.driver(row.inputs(cell["seed"], p), backend, p)
+
+
+potrf_cell = _driver("potrf")
+fw_cell = _driver("fw")
+bspmm_cell = _driver("bspmm")
 
 
 #: The run-loop axis.  ``"seq"`` runs the bare loop.  ``"sharded"`` -- the
@@ -45,89 +55,42 @@ def bspmm_cell(backend):
 LOOPS = ("seq", "sharded")
 
 
-def cell_statistics(drive, backend_cls, loop):
-    backend = backend_cls(Cluster(HAWK, NRANKS))
-    engine = backend.engine
+def assert_cell_matches_its_record(app, backend, loop):
     fired = []
-    if loop == "sharded":
-        engine.on_checkpoint = lambda now, n: fired.append(n)
-        engine.checkpoint_every = 1
-    res = drive(backend)
+
+    def arm(kind, obj):
+        if kind == "executable" and loop == "sharded":
+            obj.backend.engine.on_checkpoint = lambda now, n: fired.append(n)
+            obj.backend.engine.checkpoint_every = 1
+
+    add_construction_observer(arm)
+    try:
+        fresh = measure_cell(TIER1[app, backend])
+    finally:
+        remove_construction_observer(arm)
     assert bool(fired) == (loop == "sharded")
-    s = backend.stats
-    return {
-        "makespan": repr(res.makespan),
-        "tasks_by_template": dict(s.tasks_by_template),
-        "bytes_by_protocol": dict(s.bytes_by_protocol),
-        "events_processed": backend.engine.events_processed,
-        "local_deliveries": s.local_deliveries,
-        "remote_messages": s.remote_messages,
-        "copies": s.copies,
-        "broadcast_keys_covered": s.broadcast_keys_covered,
-    }
+    pin = BenchHistory.load_app(app, str(ROOT)).pin(fresh)
+    assert pin is not None, f"{fresh.config_key} has no committed record"
+    assert moved_fields(pin, fresh) == [], fresh.config_key
 
 
-_POTRF_TASKS = {"INITIATOR": 4, "POTRF": 8, "RESULT": 36, "TRSM": 28,
-                "SYRK": 28, "GEMM": 56}
-_FW_TASKS = {"INITIATOR": 4, "FW_A": 8, "FW_B": 56, "FW_C": 56, "FW_D": 392,
-             "RESULT": 64}
-_BSPMM_TASKS = {"READ_GATE": 8, "COORDINATOR": 32, "C_INIT": 4,
-                "READ_SP_A": 64, "READ_SP_B": 64, "BCAST_A": 64, "BCAST_B": 64,
-                "LSTORE_A": 128, "LSTORE_B": 128, "LBCAST_A": 128,
-                "LBCAST_B": 128, "MULTIPLY_ADD": 512, "WRITE_C": 64}
-
-BACKENDS = [ParsecBackend, MadnessBackend]
+BACKENDS = pytest.mark.parametrize("backend", ["parsec", "madness"],
+                                   ids=["ParsecBackend", "MadnessBackend"])
 
 
 @pytest.mark.parametrize("loop", LOOPS)
-@pytest.mark.parametrize("backend_cls", BACKENDS)
-def test_potrf_cell_statistics_pinned(backend_cls, loop):
-    parsec = backend_cls is ParsecBackend
-    assert cell_statistics(potrf_cell, backend_cls, loop) == {
-        "makespan": ("0.0026151797733333327" if parsec
-                     else "0.003322536719999998"),
-        "tasks_by_template": _POTRF_TASKS,
-        "bytes_by_protocol": ({"splitmd": 7348856} if parsec
-                              else {"madness": 7341856}),
-        "events_processed": 538 if parsec else 426,
-        "local_deliveries": 210,
-        "remote_messages": 56,
-        "copies": 36 if parsec else 184,
-        "broadcast_keys_covered": 204,
-    }
+@BACKENDS
+def test_potrf_cell_statistics_pinned(backend, loop):
+    assert_cell_matches_its_record("potrf", backend, loop)
 
 
 @pytest.mark.parametrize("loop", LOOPS)
-@pytest.mark.parametrize("backend_cls", BACKENDS)
-def test_fw_cell_statistics_pinned(backend_cls, loop):
-    parsec = backend_cls is ParsecBackend
-    assert cell_statistics(fw_cell, backend_cls, loop) == {
-        "makespan": ("0.006181482946666657" if parsec
-                     else "0.008514108640000007"),
-        "tasks_by_template": _FW_TASKS,
-        "bytes_by_protocol": ({"splitmd": 16801408} if parsec
-                              else {"madness": 16785408}),
-        "events_processed": 1924 if parsec else 1668,
-        "local_deliveries": 960,
-        "remote_messages": 128,
-        "copies": 120 if parsec else 496,
-        "broadcast_keys_covered": 896,
-    }
+@BACKENDS
+def test_fw_cell_statistics_pinned(backend, loop):
+    assert_cell_matches_its_record("fw", backend, loop)
 
 
 @pytest.mark.parametrize("loop", LOOPS)
-@pytest.mark.parametrize("backend_cls", BACKENDS)
-def test_bspmm_cell_statistics_pinned(backend_cls, loop):
-    parsec = backend_cls is ParsecBackend
-    assert cell_statistics(bspmm_cell, backend_cls, loop) == {
-        "makespan": ("7.016493999999994e-05" if parsec
-                     else "8.724931666666668e-05"),
-        "tasks_by_template": _BSPMM_TASKS,
-        "bytes_by_protocol": {"control": 8704,
-                              "generic" if parsec else "madness": 332992},
-        "events_processed": 4592 if parsec else 4464,
-        "local_deliveries": 2832,
-        "remote_messages": 244,
-        "copies": 256 if parsec else 1024,
-        "broadcast_keys_covered": 1664,
-    }
+@BACKENDS
+def test_bspmm_cell_statistics_pinned(backend, loop):
+    assert_cell_matches_its_record("bspmm", backend, loop)

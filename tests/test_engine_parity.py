@@ -124,28 +124,37 @@ def test_trace_records_identical(app):
 
 
 def test_bench_measurements_identical():
-    """The seed-0 rows of the watchdog's pin table, one per app of
-    ``APPS``, measured at each app's defaults.  The BSPMM and MRA digests
-    were taken from the per-app measurement functions that the one
-    table-driven ``measure`` replaced.  Every app is pinned at seeds 0, 1
-    and 2, so an app added without pins fails here.  The POTRF and FW
-    records must also take at least ``max(S, W / P)`` of their cell."""
-    from repro.bench.history import APPS, PINS, measure, record_digest
+    """The seed-0 cells of the watchdog's default sweep, one per app of
+    ``APPS``, measured at each app's defaults, equal their committed
+    records field for field.  Every app is swept at seeds 0, 1 and 2.
+    The POTRF and FW records must also take at least ``max(S, W / P)``
+    of their cell."""
+    from pathlib import Path
+
+    from repro.bench.history import (
+        APPS,
+        CELLS,
+        BenchHistory,
+        measure_cell,
+        moved_fields,
+    )
     from repro.bench.workspan import fw_work_span, potrf_work_span
 
     work_span = {"potrf": potrf_work_span, "fw": fw_work_span}
+    root = str(Path(__file__).resolve().parents[1])
 
     assert set(APPS) == {"potrf", "fw", "bspmm", "mra"}
-    assert {app for app, _ in PINS} == set(APPS)
-    assert {seed for _, seed in PINS} == {0, 1, 2}
-    assert set(PINS) == {(app, seed) for app in APPS for seed in (0, 1, 2)}
-    for (app, seed), digest in PINS.items():
-        if seed != 0:
+    defaults = [c for c in CELLS if set(c) == {"app", "backend", "seed"}]
+    assert [(c["app"], c["seed"]) for c in defaults] == \
+        [(app, seed) for app in APPS for seed in (0, 1, 2)]
+    for cell in defaults:
+        if cell["seed"] != 0:
             continue
-        record = measure(app, seed)
-        assert record.app == app
+        record = measure_cell(cell)
+        app = record.app
         assert record.makespan > 0 and record.tasks_total > 0
-        assert record_digest(record) == digest, app
+        pin = BenchHistory.load_app(app, root).pin(record)
+        assert pin is not None and moved_fields(pin, record) == [], app
         if app in work_span:
             c = record.config
             ws = work_span[app](c["n"] // c["b"], c["b"],

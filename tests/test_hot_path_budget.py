@@ -3,7 +3,8 @@
 Host time of every workload is the constant factor of the send / deliver /
 fire / dispatch path (docs/simulator.md, "Performance notes").  Wall-clock
 gates are noisy, so this guard counts instead: the small POTRF and BSPMM
-cells of ``test_cell_statistics_pinned.py`` run under ``cProfile`` and the
+cells of ``test_cell_statistics_pinned.py`` (tier-1 entries of
+``repro.bench.history.CELLS``) run under ``cProfile`` and the
 number of *calls of functions defined in ``src/repro``* per simulated task
 must stay under a budget.  The count repeats exactly from run to run; it
 leaves out C built-ins, NumPy and the standard library, and comprehension

@@ -10,7 +10,7 @@ with zero tolerance -- an injected ``1/f`` slowdown replayed under an
 import pytest
 
 from repro.bench.__main__ import main as bench_main
-from repro.bench.history import PINS, BenchHistory, measure, record_digest
+from repro.bench.history import BenchHistory, measure, moved_fields
 from repro.sim.cluster import CostOverrides
 from repro.telemetry import whatif
 from repro.telemetry.whatif import (
@@ -85,8 +85,8 @@ def test_injected_slowdown_slows_run_and_is_recorded():
     # Deliberate: overrides are excluded from the config key, so
     # --explain compares the regressed run with the clean one...
     assert cand.config_key == base.config_key
-    # ...but not from the pin digest: a perturbed run never matches.
-    assert record_digest(cand) != record_digest(base)
+    # ...but the watchdog compares them: a perturbed run never matches.
+    assert "cost_overrides" in moved_fields(base, cand)
 
 
 def test_pure_replay_reproduces_the_record_bit_for_bit():
@@ -227,27 +227,21 @@ def faster_trsm():
     return measure("potrf", 0, overrides={"speedups": {"TRSM": 2.0}})
 
 
-def _moved_pin(directory, monkeypatch, stored):
-    """Store ``stored`` as the history of potrf and pin seed 0 to it."""
-    BenchHistory("potrf", [stored]).save(directory=directory)
-    monkeypatch.setitem(PINS, ("potrf", 0), record_digest(stored))
-
-
-def test_watchdog_explain_end_to_end(tmp_path, capsys, monkeypatch,
-                                     faster_trsm):
+def test_watchdog_explain_end_to_end(tmp_path, capsys, faster_trsm):
     """Through the real CLI: a pin that moved because TRSM got 2x slower
     exits 1 with TRSM ranked first at >= 50% of the makespan delta, and
     writes the root-cause JSON artifact."""
     import json as _json
 
     d = str(tmp_path)
-    _moved_pin(d, monkeypatch, faster_trsm)
+    BenchHistory("potrf", [faster_trsm]).save(directory=d)
     code = bench_main(["--check-regressions", "--history-dir", d,
                        "--apps", "potrf", "--explain"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "PIN MOVED: 1 of 3" in captured.err
-    assert "MOVED potrf  seed 0" in captured.out
+    assert "PIN MOVED: 5 of 5" in captured.err   # 4 cells have no record
+    assert "MOVED potrf  seed 0  parsec|" in captured.out
+    assert "moved: makespan, gflops," in captured.out
     assert "run diff:" in captured.out
     assert "root cause" in captured.out
     assert "=> TRSM accounts for" in captured.out
@@ -261,12 +255,11 @@ def test_watchdog_explain_end_to_end(tmp_path, capsys, monkeypatch,
     assert rc["diff"]["schema"] == "repro.telemetry/diff-v1"
 
 
-def test_watchdog_explain_out_dir(tmp_path, capsys, monkeypatch,
-                                  faster_trsm):
+def test_watchdog_explain_out_dir(tmp_path, capsys, faster_trsm):
     d = str(tmp_path / "hist")
     out = str(tmp_path / "artifacts")
     (tmp_path / "hist").mkdir()
-    _moved_pin(d, monkeypatch, faster_trsm)
+    BenchHistory("potrf", [faster_trsm]).save(directory=d)
     code = bench_main(["--check-regressions", "--history-dir", d,
                        "--apps", "potrf", "--explain", "--explain-out", out])
     capsys.readouterr()
@@ -275,15 +268,15 @@ def test_watchdog_explain_out_dir(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "hist" / "rootcause-potrf.json").exists()
 
 
-def test_watchdog_explain_without_a_stored_record(tmp_path, capsys,
-                                                  monkeypatch):
-    """A moved pin with no stored record of its cell is one line, and the
-    check still fails."""
-    monkeypatch.setitem(PINS, ("potrf", 0), "0" * 16)
+def test_watchdog_explain_without_a_stored_record(tmp_path, capsys):
+    """A cell with no committed record fails in one line, which is all
+    ``--explain`` can say about it: no diff, no artifact."""
     code = bench_main(["--check-regressions", "--history-dir", str(tmp_path),
                        "--apps", "potrf", "--explain"])
     out = capsys.readouterr().out
     assert code == 1
-    assert ("cannot explain potrf seed 0 (parsec|b=128,machine=hawk,n=1024,"
-            "nodes=4,workers=4): no stored record of this cell") in out
+    assert ("MOVED potrf  seed 0  parsec|b=128,machine=hawk,n=1024,"
+            "nodes=4,workers=4  no committed record\n") in out
+    assert out.count("no committed record") == 5
+    assert "run diff" not in out
     assert not (tmp_path / "rootcause-potrf.json").exists()
