@@ -3,9 +3,8 @@
 Three rule families, one catalog (:mod:`repro.analysis.rules`):
 
 - :func:`lint_graph` statically analyzes a constructed
-  :class:`~repro.core.graph.TaskGraph` (a PTG's too, through its
-  ``.graph``) for wiring defects and impure maps (``TTG0xx`` rules)
-  before any task runs;
+  :class:`~repro.core.graph.TaskGraph` for wiring defects and impure
+  maps (``TTG0xx`` rules) before any task runs;
 - :class:`Sanitizer` observes an execution for runtime faults
   (``SAN0xx`` checks) with task/key provenance, and keeps happens-before
   online through per-rank vector clocks to report races (``RACE0xx``):

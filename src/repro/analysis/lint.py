@@ -50,8 +50,6 @@ class LintContext:
     def __init__(self, graph: Any, nranks: Optional[int]) -> None:
         self.graph = graph
         self.nranks = nranks
-        #: PTG front-end object when this graph was compiled from one.
-        self.ptg = getattr(graph, "_ptg", None)
 
     # ------------------------------------------------------------- helpers
 
@@ -77,7 +75,7 @@ class LintContext:
 
 
 def lint_graph(graph: Any, nranks: Optional[int] = None) -> List[Finding]:
-    """Lint a constructed TaskGraph (or PTG-compiled graph).
+    """Lint a constructed TaskGraph.
 
     ``nranks`` is the cluster size for keymap range checks; ``None``
     probes against a nominal 4-rank cluster (range findings then only
@@ -171,11 +169,8 @@ def _unreachable_templates(ctx: LintContext) -> Iterator[Finding]:
     with at least one producer-less input terminal (injectable), and
     templates that waive this rule -- the waiver declares "I am seeded
     externally", so everything downstream of a waived template counts as
-    reachable.  PTG graphs are exempt: the front-end wires every class to
-    every edge and feeds boundaries via inject by design.
+    reachable.
     """
-    if ctx.ptg is not None:
-        return
     tts = ctx.graph.tts
     sources = [
         tt
@@ -271,8 +266,6 @@ def _unbounded_stream_cycles(ctx: LintContext) -> Iterator[Finding]:
     nor (detectably) dynamically risks deadlock: the task never fires, so
     the cycle never produces the messages that would close the stream.
     """
-    if ctx.ptg is not None:
-        return  # PTG wires all-to-all; cycles are structural, not flows
     for comp in _template_sccs(ctx.graph.tts):
         members = {tt.id for tt in comp}
         names = sorted(tt.name for tt in comp)
@@ -481,57 +474,3 @@ def _impure_map_captures(ctx: LintContext) -> Iterator[Finding]:
                         "TTG011", f"{ctx.loc(tt)}.{role}",
                         f"captures {why} as {name!r}",
                     )
-
-
-# ================================================================ PTG rules
-
-
-@lint_rule("TTG008")
-def _ptg_undefined_refs(ctx: LintContext) -> Iterator[Finding]:
-    """Probe PTG flow destinations for undefined class/flow references."""
-    ptg = ctx.ptg
-    if ptg is None:
-        return
-    for cls in ptg.classes.values():
-        for flow in cls.flows:
-            seen: Set[str] = set()
-            for key in ctx.probe_keys():
-                try:
-                    dests = list(flow.dests(key))
-                except Exception:
-                    continue
-                for dest in dests:
-                    msg = _check_successor(ptg, dest)
-                    if msg and msg not in seen:
-                        seen.add(msg)
-                        yield ctx.finding(
-                            "TTG008", f"ptg/{cls.name}.{flow.name}", msg
-                        )
-
-
-def _check_successor(ptg: Any, dest: Any) -> Optional[str]:
-    if not (isinstance(dest, tuple) and len(dest) == 3):
-        return f"destination {dest!r} is not a (class, key, flow) triple"
-    dcls, _, dflow = dest
-    if dcls not in ptg.classes:
-        return f"references unknown task class {dcls!r}"
-    if all(f.name != dflow for f in ptg.classes[dcls].flows):
-        return f"references unknown flow {dcls}.{dflow!r}"
-    return None
-
-
-@lint_rule("TTG010")
-def _ptg_bad_modes(ctx: LintContext) -> Iterator[Finding]:
-    """PTG flows with invalid copy-semantics modes."""
-    ptg = ctx.ptg
-    if ptg is None:
-        return
-    from repro.core.messaging import MODES
-
-    for cls in ptg.classes.values():
-        for flow in cls.flows:
-            if flow.mode not in MODES:
-                yield ctx.finding(
-                    "TTG010", f"ptg/{cls.name}.{flow.name}",
-                    f"copy mode {flow.mode!r} is invalid; valid modes: {MODES}",
-                )

@@ -116,19 +116,10 @@ TTG007 = _rule(
     "TTG007", "error", "priomap-invalid",
     "a priority map must return an int for every task ID",
 )
-TTG008 = _rule(
-    "TTG008", "error", "ptg-undefined-ref",
-    "PTG flow destinations must be (class, key, flow) triples referencing "
-    "declared task classes and flows",
-)
 TTG009 = _rule(
     "TTG009", "warning", "void-stream",
     "a streaming terminal on a Void-valued edge reduces over None values; "
     "declare a value type or use a plain terminal",
-)
-TTG010 = _rule(
-    "TTG010", "error", "ptg-bad-mode",
-    "PTG flow copy mode must be one of 'value', 'cref', 'move'",
 )
 TTG011 = _rule(
     "TTG011", "warning", "map-impure-capture",

@@ -255,13 +255,16 @@ def main(argv=None) -> int:
         elif args.experiment != "table1":
             run_figure(args.experiment, args.max_nodes)
 
-    if args.telemetry is None:
-        run_all()
-        return 0
-    from repro.telemetry import analyze, capture, write_jsonl
+    try:
+        if args.telemetry is None:
+            run_all()
+            return 0
+        from repro.telemetry import analyze, capture, write_jsonl
 
-    with capture() as runs:
-        run_all()
+        with capture() as runs:
+            run_all()
+    except ValueError as exc:  # a --max-nodes below a figure's sweep
+        parser.error(str(exc))
     merged = merged_event_bus(runs)
     n = write_jsonl(args.telemetry, merged)
     print(f"\nwrote {args.telemetry} ({n} events, {len(runs)} backend "

@@ -48,7 +48,14 @@ class Series:
 
 
 def geometric_nodes(max_nodes: int, start: int = 1) -> List[int]:
-    """1, 2, 4, ... up to max_nodes."""
+    """start, 2*start, 4*start, ... up to max_nodes.
+
+    Raises ``ValueError`` when ``max_nodes < start``: a sweep with no
+    point is a caller error, not an empty figure.
+    """
+    if max_nodes < start:
+        raise ValueError(f"max nodes {max_nodes} is below the sweep's "
+                         f"first node count {start}")
     out = []
     n = start
     while n <= max_nodes:

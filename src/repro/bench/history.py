@@ -43,10 +43,13 @@ UNPINNED_FIELDS = ("git_sha",)
 
 
 def git_sha() -> str:
-    """Short SHA of HEAD, or "" outside a git checkout."""
+    """Short SHA of the checkout's HEAD at measure time, or "" outside a
+    git checkout.  ``-dirty`` is appended when tracked files differ from
+    HEAD (``git describe --dirty``): such a record was measured on
+    uncommitted code, not on the named commit."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):

@@ -44,7 +44,6 @@ from repro.core.messaging import (
     current_outputs,
 )
 from repro.core.task import TemplateTask, make_tt
-from repro.core.ptg import PTG, Flow, TaskClass
 
 __all__ = [
     "Edge",
@@ -73,7 +72,4 @@ __all__ = [
     "current_outputs",
     "TemplateTask",
     "make_tt",
-    "PTG",
-    "Flow",
-    "TaskClass",
 ]

@@ -218,52 +218,6 @@ def test_ttg007_partial_domain_priomap_ok():
                         "TTG007") == []
 
 
-# ------------------------------------------------------- TTG008 / TTG010 (PTG)
-
-
-def _ptg(dests=lambda key: (), mode="cref"):
-    cls = ttg.TaskClass(
-        "GEN", kernel=lambda key, data: None,
-        flows=[ttg.Flow("x", dests=dests, mode=mode)],
-    )
-    return ttg.PTG([cls])
-
-
-def test_ttg008_unknown_class_reference():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = _ptg(dests=lambda key: [("NOPE", key, "x")])
-    fs = [f for f in lint_graph(p.graph) if f.rule.id == "TTG008"]
-    assert len(fs) == 1
-    assert "unknown task class 'NOPE'" in fs[0].message
-
-
-def test_ttg008_unknown_flow_reference():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = _ptg(dests=lambda key: [("GEN", key + 1, "zz")])
-    fs = [f for f in lint_graph(p.graph) if f.rule.id == "TTG008"]
-    assert len(fs) == 1
-    assert "unknown flow GEN.'zz'" in fs[0].message
-
-
-def test_ttg010_invalid_mode():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = _ptg(mode="zap")
-    fs = [f for f in lint_graph(p.graph) if f.rule.id == "TTG010"]
-    assert len(fs) == 1
-    assert "'zap'" in fs[0].message
-    assert fs[0].rule.severity == "error"
-
-
-def test_ptg_graphs_skip_structural_rules():
-    # All-to-all PTG wiring must not trip reachability/cycle rules.
-    p = _ptg(dests=lambda key: [("GEN", key + 1, "x")] if key == 0 else [])
-    ids = ids_of(lint_graph(p.graph))
-    assert "TTG004" not in ids and "TTG005" not in ids
-
-
 # ------------------------------------------------------------------- TTG009
 
 

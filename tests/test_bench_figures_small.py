@@ -76,7 +76,7 @@ def test_cli_table1(capsys):
     assert "hawk" in out and "seawulf" in out
 
 
-def test_cli_figure_with_max_nodes(capsys):
+def test_cli_figure_with_max_nodes(capsys, tmp_path):
     assert bench_main(["fig13b", "--max-nodes", "2"]) == 0
     out = capsys.readouterr().out
     assert "Fig 13b" in out
@@ -87,6 +87,19 @@ def test_cli_figure_with_max_nodes(capsys):
                 bench_main([fig, "--max-nodes", bad])
             assert exc.value.code == 2  # an argparse usage error
             assert "--max-nodes: must be >= 1" in capsys.readouterr().err
+    # fig12 sweeps from 4 nodes: a lower cap is refused, not an empty table
+    log = tmp_path / "f.jsonl"
+    for argv in (["fig12", "--max-nodes", "1"],
+                 ["fig12", "--max-nodes", "2", "--telemetry", str(log)],
+                 ["all", "--max-nodes", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"max nodes {argv[2]} is below the sweep's first node " \
+            "count 4" in captured.err
+        assert "Fig" not in captured.out
+    assert not log.exists()
 
 
 def test_cli_rejects_unknown():

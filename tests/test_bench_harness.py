@@ -1,5 +1,7 @@
 """Tests for the bench harness (series, tables, node lists)."""
 
+import pytest
+
 from repro.bench.harness import Series, geometric_nodes, print_series, print_table
 from repro.bench.figures import table1_configs
 
@@ -27,6 +29,8 @@ def test_geometric_nodes():
     assert geometric_nodes(20) == [1, 2, 4, 8, 16]
     assert geometric_nodes(64, start=8) == [8, 16, 32, 64]
     assert geometric_nodes(1) == [1]
+    with pytest.raises(ValueError, match="max nodes 2 .* first node count 4"):
+        geometric_nodes(2, start=4)
 
 
 def test_print_table(capsys):

@@ -2,6 +2,7 @@
 records, the watchdog CLI."""
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from repro.bench.history import (
     SCHEMA,
     SCHEMA_VERSION,
     SeededBlockCyclic,
+    git_sha,
     measure,
     measure_cell,
     moved_fields,
@@ -116,6 +118,32 @@ def test_moved_makespan_fails_its_pin():
     assert row.endswith("  moved: makespan")
     # a cell without a committed record fails in one line
     assert cell_row(base, None).endswith("  no committed record")
+
+
+def test_git_sha_marks_a_dirty_tree(tmp_path, monkeypatch):
+    """A record names HEAD, with ``-dirty`` when tracked files differ
+    from it; untracked files do not count, and outside a checkout the
+    sha is empty."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    monkeypatch.chdir(repo)
+    assert git_sha() == ""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "f.txt").write_text("a\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "--short", "HEAD")
+    (repo / "untracked.txt").write_text("u\n")
+    assert git_sha() == head
+    (repo / "f.txt").write_text("b\n")
+    assert git_sha() == f"{head}-dirty"
 
 
 # ------------------------------------------------------- seeded placement

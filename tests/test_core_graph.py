@@ -427,6 +427,18 @@ def test_determinism_across_runs():
     assert g1 == g2 and t1 == t2
 
 
+def test_executable_inject_matches_terminals():
+    e1, e2 = ttg.Edge("a"), ttg.Edge("b")
+    got = []
+    T = ttg.make_tt(lambda k, a, b, outs: got.append((k, a, b)), [e1, e2], [],
+                    keymap=lambda k: 0)
+    ex = ttg.TaskGraph([T]).executable(backend(1))
+    ex.inject(T, 0, "k", 1)
+    ex.inject(T, 1, "k", 2)
+    ex.fence()
+    assert got == [("k", 1, 2)]
+
+
 def test_madness_backend_runs_same_graph():
     e = ttg.Edge("m")
     got = []

@@ -33,7 +33,6 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 FAST = [
     "quickstart.py",
     "sending_modes.py",
-    "ptg_wavefront.py",
 ]
 
 #: ``graph/template -> waived rule ids``: the reviewed acknowledgments.
