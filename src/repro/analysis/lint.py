@@ -400,7 +400,7 @@ def _priomap_probe(ctx: LintContext) -> Iterator[Finding]:
 #: MRO so that no runtime subsystem is imported here.
 _RUNTIME_TYPE_NAMES = frozenset({
     "Backend", "Executable", "Cluster", "Engine", "CommEngine", "RmaWindow",
-    "EventBus", "Telemetry", "MetricsRegistry", "Sanitizer",
+    "EventBus", "Telemetry", "Sanitizer",
     "WorkerPool",
 })
 

@@ -197,13 +197,11 @@ class Sanitizer:
         f = Finding(get_rule(rule_id), message, location=location)
         self.findings.append(f)
         tel = getattr(self.ex.backend, "telemetry", None)
-        if tel is not None:
-            if tel.bus.recording:
-                from repro.telemetry.events import TID_SAN
+        if tel is not None and tel.bus.recording:
+            from repro.telemetry.events import TID_SAN
 
-                tel.bus.instant(rule_id, 0, TID_SAN, cat="san",
-                                location=location, message=message)
-            tel.metrics.counter("san_findings", rule=rule_id).inc()
+            tel.bus.instant(rule_id, 0, TID_SAN, cat="san",
+                            location=location, message=message)
         if self.strict:
             raise SanitizerError(str(f), rule=rule_id)
         warnings.warn(f"TTG-San: {f}", RuntimeWarning, stacklevel=3)

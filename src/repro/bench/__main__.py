@@ -35,12 +35,14 @@ rerunning the command reproduces every record bit for bit.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench import figures, history
 from repro.bench.harness import merged_event_bus, print_series, print_table
 from repro.bench.plot import print_chart
+from repro.telemetry.cli import positive_int
 
 _FIGS: Dict[str, Callable] = {
     "fig5": figures.fig5_potrf_weak,
@@ -82,14 +84,15 @@ def run_figure(name: str, max_nodes: Optional[int]) -> None:
     print_chart(list(series.values()), title=title)
 
 
-def _positive_int(text: str) -> int:
+def _check_writable(parser: argparse.ArgumentParser, path: str) -> None:
+    """Refuse a log path that cannot be written, before the run."""
+    existed = os.path.exists(path)
     try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+        open(path, "a").close()
+    except OSError as exc:
+        parser.error(f"--telemetry {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
 
 
 def _parse_apps(text: str) -> List[str]:
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run (omit when using the watchdog flags)",
     )
     parser.add_argument(
-        "--max-nodes", type=_positive_int, default=None,
+        "--max-nodes", type=positive_int, default=None,
         help="override the node-count range (fig6: the fixed node count)",
     )
     parser.add_argument(
@@ -261,6 +264,7 @@ def main(argv=None) -> int:
             return 0
         from repro.telemetry import analyze, capture, write_jsonl
 
+        _check_writable(parser, args.telemetry)
         with capture() as runs:
             run_all()
     except ValueError as exc:  # a --max-nodes below a figure's sweep

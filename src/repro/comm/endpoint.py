@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.cluster import Cluster
-from repro.telemetry.events import SPAN, TID_AM, TID_RMA
-from repro.telemetry.metrics import Handles
+from repro.telemetry.events import SPAN, TID_AM, TID_RMA, Handles
 
 #: ``EventBus.record`` arg names of the AM/RMA spans.
 _COMM_ARGS = ("src", "nbytes")
@@ -53,17 +52,12 @@ class CommEngine:
         self.rma_bytes = 0
 
     def attach_telemetry(self, telemetry: Any) -> None:
-        """Arm the AM and RMA hooks: per (tag, rank), the span head and the
-        rank's instruments, each resolved at its first message."""
-        m = telemetry.metrics
-        self._am_handles = Handles(lambda k: (
-            (SPAN, f"am:{k[0] or 'am'}", "comm", k[1], TID_AM, _COMM_ARGS),
-            m.counter("am", dst=k[1]), m.counter("am_bytes", dst=k[1]),
-            m.histogram("am_latency", dst=k[1])))
-        self._rma_handles = Handles(lambda k: (
-            (SPAN, f"rma:{k[0]}", "comm", k[1], TID_RMA, _COMM_ARGS),
-            m.counter("rma_gets", origin=k[1]),
-            m.counter("rma_get_bytes", origin=k[1])))
+        """Arm the AM and RMA hooks: per (tag, rank), the span head,
+        resolved at its first message."""
+        self._am_heads = Handles(lambda k: (
+            SPAN, f"am:{k[0] or 'am'}", "comm", k[1], TID_AM, _COMM_ARGS))
+        self._rma_heads = Handles(lambda k: (
+            SPAN, f"rma:{k[0]}", "comm", k[1], TID_RMA, _COMM_ARGS))
         self.telemetry = telemetry
 
     # ------------------------------------------------------------------ AMs
@@ -98,13 +92,9 @@ class CommEngine:
         done = begin + proc
         self._am_free[dst] = done
         tel = self.telemetry
-        if tel is not None:
-            head, am, am_bytes, latency = self._am_handles[(tag, dst)]
-            if tel.bus.recording:
-                tel.bus.emit((head, t_sent, done, None, src, nbytes))
-            am.value += 1
-            am_bytes.value += nbytes
-            latency.observe(done - t_sent)
+        if tel is not None and tel.bus.recording:
+            tel.bus.emit((self._am_heads[(tag, dst)], t_sent, done, None,
+                          src, nbytes))
         self.engine.schedule_at(done, handler, *args)
 
     # ------------------------------------------------------------------ RMA
@@ -128,10 +118,7 @@ class CommEngine:
         self.rma_count += 1
         self.rma_bytes += nbytes
         tel = self.telemetry
-        if tel is not None:
-            head, gets, get_bytes = self._rma_handles[(tag, origin)]
-            if tel.bus.recording:
-                tel.bus.emit((head, t0, done, None, target, nbytes))
-            gets.value += 1
-            get_bytes.value += nbytes
+        if tel is not None and tel.bus.recording:
+            tel.bus.emit((self._rma_heads[(tag, origin)], t0, done, None,
+                          target, nbytes))
         self.engine.schedule_at(done, on_complete, *args)

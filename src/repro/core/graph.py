@@ -29,8 +29,7 @@ from repro.core.messaging import _CURRENT, TaskOutputs, current_task_label
 from repro.core.task import TemplateTask, default_owner, keymap_out_of_range
 from repro.core.terminals import OutputTerminal
 from repro.runtime.base import Backend
-from repro.telemetry.events import INSTANT, TID_RT
-from repro.telemetry.metrics import Handles
+from repro.telemetry.events import INSTANT, TID_RT, Handles
 
 #: Record heads (see ``EventBus.emit``) of the dependency instants, per
 #: source rank: a memo of constants, shared by every run.  The consumer
@@ -332,16 +331,14 @@ class Executable:
         covering all (terminal, key) targets; 'naive' config degrades to
         per-key sends (the pre-optimization behaviour, for ablations)."""
         backend = self.backend
-        tel = backend.telemetry
         backend.stats.broadcasts += 1
-        if tel is not None:
-            backend._h_broadcasts[backend.config.broadcast].value += 1
         if backend.config.broadcast == "naive":
             for term, keys in spec:
                 for k in keys:
                     self.send_from(src_rank, term, k, value, mode)
             return
         sanitizer = self.sanitizer
+        tel = backend.telemetry
         bus = tel.bus if tel is not None and tel.bus.recording else None
         if bus is not None:
             now = backend.engine.now
@@ -432,8 +429,6 @@ class Executable:
             else:
                 p.slots[idx] = term.reducer(p.slots[idx], value)
             p.counts[idx] += 1
-            if self.backend.telemetry is not None:
-                self.backend._h_stream_items[(tt.name, term.name)].value += 1
             exp = p.expected[idx]
             if exp is not None and p.counts[idx] > exp:
                 raise StreamError(

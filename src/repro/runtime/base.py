@@ -26,8 +26,8 @@ from repro.serialization.protocols import Protocol, SerializedMessage
 from repro.serialization.splitmd import splitmd_phase_names, unpack_metadata
 from repro.serialization.traits import SPLITMD, pack
 from repro.sim.cluster import Cluster
-from repro.telemetry.events import COUNTER, SPAN, TID_PROTO, TID_RT, Telemetry
-from repro.telemetry.metrics import Handles
+from repro.telemetry.events import (COUNTER, SPAN, TID_PROTO, TID_RT,
+                                    Handles, Telemetry)
 
 #: Size charged for control-only active messages (task-id only, no data).
 CONTROL_BYTES = 64
@@ -243,11 +243,9 @@ class _EagerDeliver:
 
 
 class _ReadyTask:
-    """A task instance bound for a worker pool.  ``enqueued``, its push
-    time, is set only with telemetry attached (queue-wait sampling)."""
+    """A task instance bound for a worker pool."""
 
-    __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key",
-                 "enqueued")
+    __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key")
 
     def __init__(
         self,
@@ -288,37 +286,28 @@ class WorkerPool:
         self._tel: Optional[Telemetry] = None
 
     def enable_telemetry(self, tel: Telemetry) -> None:
-        """Sample queue wait and depth at the pushes (:meth:`Backend.submit`)
-        and pops (:meth:`_dispatch`), and record every completed task.  The
-        queue must be empty: a task queued before has no push time."""
+        """Sample the queue depth at the pushes (:meth:`Backend.submit`) and
+        pops (:meth:`_dispatch`), and record every completed task.  The
+        queue must be empty: the recording starts before its first push."""
         if self.queued:
             raise ValueError(
                 f"cannot attach telemetry to rank {self.rank}'s non-empty "
                 "ready queue (attach telemetry before submitting tasks)"
             )
-        rank, metrics = self.rank, tel.metrics
-        self._wait = metrics.histogram("queue_wait", rank=rank)
-        self._depth_peak = metrics.gauge("queue_depth_peak", rank=rank)
+        rank = self.rank
         self._depth_head = (COUNTER, "queue_depth", "counter", rank, 0,
                             _DEPTH_ARGS)
-        self._task_metrics = Handles(lambda template: (
-            metrics.counter("tasks", template=template, rank=rank),
-            metrics.histogram("task_time", template=template)))
         # Task span heads per (template, worker).
         self._task_heads = Handles(lambda k: (
             SPAN, k[0], "task", rank, k[1], _TASK_ARGS))
         self._tel = tel
 
-    def _pushed(self, task: _ReadyTask) -> None:
-        """Queue-wait / depth sampling of one push (telemetry attached)."""
-        tel = self._tel
-        task.enqueued = now = self.backend.engine.now
-        depth = len(self._queue)
-        peak = self._depth_peak
-        if depth > peak.value:
-            peak.set(depth)
-        if tel.bus.recording:
-            tel.bus.emit((self._depth_head, now, now, None, depth))
+    def _pushed(self) -> None:
+        """The depth sample of one push (telemetry attached)."""
+        bus = self._tel.bus
+        if bus.recording:
+            now = self.backend.engine.now
+            bus.emit((self._depth_head, now, now, None, len(self._queue)))
 
     @property
     def queued(self) -> int:
@@ -337,11 +326,9 @@ class WorkerPool:
             task = self._queue.pop()
             worker = self._idle.pop()
             start = engine.now
-            if tel is not None:
-                self._wait.observe(start - task.enqueued)
-                if tel.bus.recording:
-                    tel.bus.emit((self._depth_head, start, start, None,
-                                  len(ready)))
+            if tel is not None and tel.bus.recording:
+                tel.bus.emit((self._depth_head, start, start, None,
+                              len(ready)))
             duration = self._node.compute_time(task.flops, task.bytes_moved)
             if self._speedups is not None:
                 s = self._speedups.get(task.name)
@@ -350,21 +337,13 @@ class WorkerPool:
             engine.schedule_at(start + duration, self._complete, task, worker,
                                start)
 
-    def _record_task(self, tel: Telemetry, task: _ReadyTask, worker: int,
-                     start: float) -> None:
-        end = self.backend.engine.now
-        tasks, task_time = self._task_metrics[task.name]
-        if tel.bus.recording:
-            tel.bus.emit((self._task_heads[(task.name, worker)], start, end,
-                          None, task.key, task.name, task.priority))
-        tasks.value += 1
-        task_time.observe(end - start)
-
     def _complete(self, task: _ReadyTask, worker: int, start: float) -> None:
         backend = self.backend
         tel = self._tel
-        if tel is not None:
-            self._record_task(tel, task, worker, start)
+        if tel is not None and tel.bus.recording:
+            tel.bus.emit((self._task_heads[(task.name, worker)], start,
+                          backend.engine.now, None, task.key, task.name,
+                          task.priority))
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1
@@ -404,44 +383,23 @@ class Backend:
         )
         self.rma = RmaWindow(self.comm)
         self.pools = [WorkerPool(self, r) for r in range(cluster.nranks)]
+        #: Completed drains of the event queue (the ``quiescence`` epoch).
+        self.drains = 0
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Arm the telemetry hooks on every layer this backend owns.
 
-        Binds the bus clock to this backend's engine, arms the worker
-        pools' queue sampling and the comm engine, and sets up the metric
-        handles of the hooks here and in :mod:`repro.core.graph`, each
-        resolved at its first event.  Attach before submitting work (the
-        pools refuse non-empty queues).
+        Binds the bus clock to this backend's engine and arms the worker
+        pools' queue sampling and the comm engine.  Attach before
+        submitting work (the pools refuse non-empty queues).
         """
         for pool in self.pools:
             pool.enable_telemetry(telemetry)
         telemetry.bind(self)
         self.telemetry = telemetry
         self.comm.attach_telemetry(telemetry)
-        m = telemetry.metrics
-
-        def copies(src: Optional[int]) -> tuple:
-            # Sender copies carry the sending rank, local copies no rank.
-            if src is None:
-                return (m.counter("copies", kind="local"),
-                        m.counter("copy_bytes", kind="local"))
-            return (m.counter("copies", kind="sender", rank=src),
-                    m.counter("copy_bytes", kind="sender"))
-
-        self._h_messages = Handles(lambda k: (
-            m.counter("messages", protocol=k[0], src=k[1], dst=k[2]),
-            m.counter("message_bytes", protocol=k[0])))
-        self._h_copies = Handles(copies)
-        self._h_avoided = Handles(lambda mode: (
-            m.counter("copies_avoided", mode=mode),
-            m.counter("copy_bytes_avoided", mode=mode)))
-        self._h_broadcasts = Handles(
-            lambda mode: m.counter("broadcasts", mode=mode))
-        self._h_stream_items = Handles(lambda k: m.counter(
-            "stream_items", template=k[0], terminal=k[1]))
         # Heads of the two splitmd phase spans, per (tag, destination).
         self._h_proto = Handles(lambda k: tuple(
             (SPAN, name, "proto", k[1], TID_PROTO, _PROTO_ARGS)
@@ -477,7 +435,7 @@ class Backend:
         pool = self.pools[rank]
         pool._queue.push(task, priority)
         if pool._tel is not None:
-            pool._pushed(task)
+            pool._pushed()
         # With every worker busy the task just waits: the next completion
         # dispatches it.
         if pool._idle:
@@ -539,10 +497,6 @@ class Backend:
         self.stats.remote_bytes += nbytes
         proto_stats = self.stats.bytes_by_protocol
         proto_stats["control"] = proto_stats.get("control", 0) + nbytes
-        if self.telemetry is not None:
-            messages, message_bytes = self._h_messages[("control", src, dst)]
-            messages.value += 1
-            message_bytes.value += nbytes
         self.comm.send_am(src, dst, nbytes, on_deliver, tag="ctrl")
 
     def send_value(
@@ -571,20 +525,11 @@ class Backend:
         self.stats.remote_bytes += total
         proto_stats = self.stats.bytes_by_protocol
         proto_stats[msg.protocol] = proto_stats.get(msg.protocol, 0) + total
-        tel = self.telemetry
-        if tel is not None:
-            messages, message_bytes = self._h_messages[(msg.protocol, src, dst)]
-            messages.value += 1
-            message_bytes.value += total
         send_start = self.engine.now
         if msg.sender_copy_bytes:
             self.stats.copies += 1
             self.stats.copy_bytes += msg.sender_copy_bytes
             send_start += node.copy_time(msg.sender_copy_bytes)
-            if tel is not None:
-                copies, copy_bytes = self._h_copies[src]
-                copies.value += 1
-                copy_bytes.value += msg.sender_copy_bytes
 
         if msg.protocol == "splitmd":
             meta_bytes, payload = msg.payload
@@ -593,6 +538,7 @@ class Backend:
             self.stats.rma_bytes += msg.rma_bytes
             # Flow id and span heads exist for the recorded spans only.
             flow = heads = None
+            tel = self.telemetry
             if tel is not None and tel.bus.recording:
                 flow = tel.bus.new_flow()
                 heads = self._h_proto[(tag, dst)]
@@ -636,16 +582,11 @@ class Backend:
         cloned) value and the copy delay to charge before delivery.
         """
         need_copy = mode == "value" or (mode == "cref" and self.config.copy_on_cref)
-        tel = self.telemetry
         if not need_copy:
             if self.sanitizer is not None and mode == "cref":
                 # The runtime now shares this object with a consumer; any
                 # later mutation by the sender is a write-after-share race.
                 self.sanitizer.on_cref_share(value)
-            if tel is not None:
-                avoided, avoided_bytes = self._h_avoided[mode]
-                avoided.value += 1
-                avoided_bytes.value += int(getattr(value, "nbytes", 0) or 0)
             return value, 0.0
         nbytes = int(getattr(value, "nbytes", 0) or 0)
         delay = 0.0
@@ -653,10 +594,6 @@ class Backend:
             self.stats.copies += 1
             self.stats.copy_bytes += nbytes
             delay = self.cluster.node.copy_time(nbytes)
-            if tel is not None:
-                copies, copy_bytes = self._h_copies[None]
-                copies.value += 1
-                copy_bytes.value += nbytes
         clone = getattr(value, "clone", None)
         return (clone() if callable(clone) else value), delay
 
@@ -673,8 +610,6 @@ class Backend:
             self.sanitizer.on_backend_drain(self)
         self._check_drained()
         self.stats.makespan = self.engine.now
-        if self.telemetry is not None:
-            self.telemetry.metrics.gauge("makespan").set(self.engine.now)
         return self.engine.now
 
     def _check_drained(self) -> None:
@@ -701,15 +636,12 @@ class Backend:
                 f"{live} splitmd source objects were never released "
                 "(data life-cycle leak)"
             )
+        self.drains += 1
         tel = self.telemetry
-        if tel is not None:
-            epochs = tel.metrics.counter("quiescence_epochs")
-            epochs.inc()
-            if tel.bus.recording:
-                stats = self.stats
-                tel.bus.instant(
-                    "quiescence", 0, TID_RT, cat="rt",
-                    epoch=int(epochs.value),
-                    tasks=stats.tasks_executed + stats.local_deliveries,
-                    messages=stats.remote_messages,
-                )
+        if tel is not None and tel.bus.recording:
+            stats = self.stats
+            tel.bus.instant(
+                "quiescence", 0, TID_RT, cat="rt", epoch=self.drains,
+                tasks=stats.tasks_executed + stats.local_deliveries,
+                messages=stats.remote_messages,
+            )

@@ -9,9 +9,8 @@ records into:
   (spans / instants / counters in per-rank ring buffers), the
   :class:`Telemetry` bundle backends carry, and the
   :func:`~repro.telemetry.events.capture` recorder.  ``Telemetry`` is the
-  runtime's only observer surface: every view below reads it.
-- :mod:`repro.telemetry.metrics` -- labelled counters, gauges and
-  histograms with per-template / per-rank / per-edge rollups.
+  runtime's only observer surface, and its recording is the only one:
+  every view below, and every count of a run, reads it.
 - :mod:`repro.telemetry.export` -- the JSONL event log (the complete
   recording, eviction counts included) and its Chrome trace-event view
   (loads in Perfetto / chrome://tracing).
@@ -52,7 +51,8 @@ from repro.telemetry.events import (
     TID_SAN,
     capture,
 )
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+# Read by hostbench only (repro.telemetry.metrics says why it stays).
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.export import (
     read_jsonl,
     to_chrome_trace,
@@ -78,9 +78,6 @@ __all__ = [
     "TID_RMA",
     "TID_RT",
     "TID_SAN",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "read_jsonl",
     "to_chrome_trace",

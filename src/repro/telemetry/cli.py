@@ -117,8 +117,8 @@ def cmd_record(args: argparse.Namespace, out: TextIO) -> int:
     print(f"== repro.telemetry == {args.script}: {len(runs)} run(s)", file=out)
     for i, run in enumerate(runs):
         marker = "*" if i == args.graph else " "
-        print(f"  [{i}]{marker} {run.label}: {len(run.telemetry.bus)} events, "
-              f"{len(run.telemetry.metrics)} metric series", file=out)
+        print(f"  [{i}]{marker} {run.label}: {len(run.telemetry.bus)} events",
+              file=out)
     if args.list:
         return 0
     run = _select_run(runs, args.graph, out)
@@ -258,6 +258,17 @@ def cmd_whatif(args: argparse.Namespace, out: TextIO) -> int:
 # -------------------------------------------------------------------- main
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro.telemetry`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which recorded run the exporters use (default 0)")
     p.add_argument("--list", action="store_true",
                    help="only list the recorded runs")
-    p.add_argument("--capacity", type=int, default=None, metavar="N",
+    p.add_argument("--capacity", type=positive_int, default=None, metavar="N",
                    help="per-rank ring-buffer capacity (default unbounded)")
     p.add_argument("--verbose", action="store_true",
                    help="show the script's own stdout")

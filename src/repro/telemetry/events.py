@@ -1,9 +1,9 @@
 """Structured event bus: spans, instants, counters in per-rank ring buffers.
 
 The bus is the single collection point for everything the runtime,
-communication and core layers can observe about an execution (the metrics
-registry in :mod:`repro.telemetry.metrics` aggregates; the bus *records*).
-Three event kinds:
+communication and core layers can observe about an execution: every
+count and distribution of a run is read from what it recorded here (and
+from the backend's always-on ``RunStats``).  Three event kinds:
 
 - **spans** -- an interval on one (rank, tid) timeline: a task execution,
   an active message occupying the AM server, a splitmd phase.  A span is
@@ -157,6 +157,25 @@ def _records(entries: Iterable[Any]) -> Iterator[Any]:
             yield entry
 
 
+class Handles(dict):
+    """Record heads (see :meth:`EventBus.emit`) resolved once per value.
+
+    ``handles[value]`` is ``make(value)``, computed on first use and a
+    plain dict hit after that, so a hook site builds no head tuple per
+    event.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, value: Any) -> Any:
+        handle = self[value] = self.make(value)
+        return handle
+
+
 class _Expanding:
     """What :meth:`EventBus.batch` hands out when the batch cannot be one
     entry: each item is stored as its own record as it comes in."""
@@ -177,7 +196,7 @@ class EventBus:
     """Per-rank ring buffers of telemetry events.
 
     ``capacity`` bounds each rank's buffer; ``capacity=0`` buffers nothing
-    (metrics-only mode); ``capacity=None``
+    (``Telemetry(events=False)``); ``capacity=None``
     is unbounded (tests, short runs).  ``clock`` is a zero-argument
     callable returning the current virtual time; binding a backend
     replaces it with the backend engine's clock.
@@ -200,8 +219,8 @@ class EventBus:
         self.dropped: List[int] = []
         self.ensure_ranks(max(1, nranks))
         self._flow_next = 1
-        #: False in metrics-only mode (``capacity=0``): nothing is stored,
-        #: so every hook site checks it before gathering an event's parts.
+        #: False when ``capacity=0``: nothing is stored, so every hook
+        #: site checks it before gathering an event's parts.
         self.recording = capacity != 0
 
     # ------------------------------------------------------------- plumbing
@@ -378,23 +397,21 @@ class EventBus:
 
 
 class Telemetry:
-    """The bundle a backend carries: one event bus + one metrics registry.
+    """The bundle a backend carries: one event bus and its binding.
 
     Create one per execution and attach it with
     ``backend.attach_telemetry(telemetry)`` (or pass ``telemetry=`` to the
     backend constructor); :meth:`bind` is called by the backend and wires
     the bus clock to the backend's virtual-time engine.
 
-    ``events=False`` keeps only the metrics registry (bus capacity 0) --
-    the cheap mode whose cost hostbench measures as the metrics-only tax.
+    ``events=False`` is bus capacity 0: the hooks are armed and record
+    nothing.  It goes with ``telemetry.metrics_only_tax``, which hostbench
+    times (ROADMAP, the ``benchmark`` item).
     """
 
     def __init__(self, nranks: int = 1, capacity: Optional[int] = 65536,
                  events: bool = True) -> None:
-        from repro.telemetry.metrics import MetricsRegistry
-
         self.bus = EventBus(nranks=nranks, capacity=capacity if events else 0)
-        self.metrics = MetricsRegistry()
         self._bound_backend: Optional[Any] = None
         #: Workers of each rank of the bound backend.  No export carries
         #: it: a bus read back from a file has none.

@@ -100,6 +100,14 @@ def test_cli_figure_with_max_nodes(capsys, tmp_path):
             "count 4" in captured.err
         assert "Fig" not in captured.out
     assert not log.exists()
+    # an unwritable log is refused before the figure runs
+    bad = tmp_path / "missing" / "f.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["fig9", "--max-nodes", "2", "--telemetry", str(bad)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--telemetry {bad}: No such file or directory" in captured.err
+    assert "Fig" not in captured.out
 
 
 def test_cli_rejects_unknown():

@@ -69,30 +69,24 @@ def test_analysis_doc_catalogs_every_rule():
     assert mentioned <= registered, sorted(mentioned - registered)
 
 
-def test_observability_doc_catalogs_every_recorded_metric():
-    """Every (metric, label set) the three golden telemetry cells record
-    has a row of that kind and exactly those labels in the catalog, and
-    every metric the catalog names is recorded somewhere: its name is a
-    ``"name"`` string literal in ``src/repro``."""
-    from repro.telemetry import Telemetry
+def test_observability_doc_catalogs_every_recorded_event():
+    """Every (event kind, category, arg names) the three golden telemetry
+    cells record has a row in the event catalog of
+    docs/observability.md, and every row is recorded by some cell."""
+    from repro.telemetry import CounterEvent, InstantEvent
     from tests.test_telemetry_records import GOLDEN, _cell
 
     doc = (ROOT / "docs" / "observability.md").read_text()
-    rows = {(name, kind, frozenset(re.findall(r"\w+", labels)))
-            for names, kind, labels in re.findall(
-                r"^\| (`.+?`) \| (counter|gauge|histogram) \| (.+?) \|",
-                doc, re.MULTILINE)
-            for name in re.findall(r"`(\w+)`", names)}
-    recorded = {(name, m.kind, frozenset(labels))
-                for app in GOLDEN
-                for name, labels, m in _cell(app, Telemetry(
-                    nranks=16, events=False)).metrics.collect()}
-    assert sorted(recorded - rows, key=str) == []
-    src = "\n".join(p.read_text()
-                    for p in sorted((ROOT / "src" / "repro").rglob("*.py")))
-    literals = set(re.findall(r'"(\w+)"', src))
-    assert sorted({name for name, _, _ in rows} - literals) == []
-
+    rows = {(kind, cat, tuple(re.findall(r"`(\w+)`", args)))
+            for kind, cat, args in re.findall(
+                r"^\| (span|instant|counter) \| `(\w+)` \| .+? \| (.+?) \|",
+                doc, re.MULTILINE)}
+    kinds = {CounterEvent: "counter", InstantEvent: "instant"}
+    recorded = {(kinds.get(type(ev), "span"), ev.cat,
+                 tuple(ev.values if type(ev) is CounterEvent else ev.args))
+                for app in GOLDEN for ev in _cell(app).bus.events()}
+    assert sorted(recorded - rows) == []
+    assert sorted(rows - recorded) == []
 
 
 def test_design_no_title_collision_note():

@@ -30,7 +30,8 @@ metric handles once and sampled the ready queues at the pool's own push
 and pop sites: 23.0 / 18.5 (4.8 / 4.6); then 21.6 / 17.4 (3.8 / 3.6)
 until the race checks moved into the sanitizer and the observer stopped
 stamping data tokens on dependency and task records: 18.3 / 14.0
-(3.8 / 3.6).
+(3.8 / 3.6); then 10.4 / 9.0 (2.6 / 2.5) once the hooks stopped feeding a
+live metrics registry and recorded events only.
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
 
@@ -68,10 +69,10 @@ LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
 BUDGETS = {
     "potrf": (potrf_cell, {"total": 54.9, "sim": 7.0, "runtime": 12.9,
                            "core": 11.8, "comm+serialization": 4.8,
-                           "observer": 19.3, "observer:runtime": 4.1}),
+                           "observer": 11.0, "observer:runtime": 2.8}),
     "bspmm": (bspmm_cell, {"total": 40.9, "sim": 4.4, "runtime": 11.1,
                            "core": 12.6, "comm+serialization": 2.3,
-                           "observer": 14.7, "observer:runtime": 3.8}),
+                           "observer": 9.5, "observer:runtime": 2.7}),
 }
 
 

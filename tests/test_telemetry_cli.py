@@ -147,6 +147,20 @@ def test_unreadable_input_is_one_line_not_a_traceback(tmp_path, command,
     assert "Traceback" not in text
 
 
+@pytest.mark.parametrize("capacity", ["0", "-5"])
+def test_record_refuses_capacity_below_one(script, tmp_path, capsys,
+                                           capacity):
+    """A ring of no events would write a complete-looking log of nothing:
+    refused at parse time, before the script runs."""
+    jsonl = tmp_path / "ev.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("record", script, "--capacity", capacity,
+                "--jsonl", str(jsonl))
+    assert exc.value.code == 2  # an argparse usage error
+    assert f"--capacity: must be >= 1, got {capacity}" in capsys.readouterr().err
+    assert not jsonl.exists()
+
+
 def test_report_warns_on_drops_from_capacity_limited_run(script, tmp_path):
     jsonl = tmp_path / "ev.jsonl"
     code, text = run_cli("record", script, "--capacity", "3",

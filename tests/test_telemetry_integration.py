@@ -36,9 +36,9 @@ def run_fanout(backend, nkeys=12, work=200.0):
 
 
 def test_queue_wait_sampled_under_priority_scheduler():
-    """On a 1-worker node every ready task but the first waits in queue;
-    the instrumented priority queue must observe those waits and pops
-    must come out priority-ordered."""
+    """On a 1-worker node every ready task but the first waits in queue:
+    the depth samples must see the pile-up, and pops must come out
+    priority-ordered."""
     machine = HAWK.with_workers(1)
     tel = Telemetry(nranks=1, capacity=None)
     backend = ParsecBackend(
@@ -50,22 +50,16 @@ def test_queue_wait_sampled_under_priority_scheduler():
     # Key 0 starts on the idle worker as it arrives; everything else piles
     # up behind it and must drain highest-priority-first.
     assert done[1:] == sorted(done[1:], reverse=True)
-    wait = tel.metrics.get("queue_wait", rank=0)
-    assert wait is not None
-    assert wait.count == 13       # 12 WORK tasks + the SRC task itself
-    # The last-popped task waited through its 11 predecessors.
-    assert wait.vmax > wait.vmin >= 0.0
-    assert wait.total > 0.0
-    depths = tel.bus.counters("queue_depth")
-    assert depths
-    assert max(v.values["depth"] for v in depths) >= 11
-    assert tel.metrics.gauge("queue_depth_peak", rank=0).value >= 11
+    depths = [c.values["depth"] for c in tel.bus.counters("queue_depth")]
+    # A push and a pop per task: 12 WORK tasks + the SRC task itself.
+    assert len(depths) == 2 * 13
+    # The peak is the 11 tasks queued behind key 0.
+    assert max(depths) == 11
 
 
 def test_pool_samples_queue_wait_and_depth_under_any_policy():
-    """The pool samples at its push and pop sites, whatever the policy: a
-    task's wait is its start minus its submission, and every push and pop
-    leaves one depth sample (the depth after it)."""
+    """The pool samples at its push and pop sites, whatever the policy:
+    every push and pop leaves one depth sample (the depth after it)."""
     for policy in SCHEDULER_NAMES:
         tel = Telemetry(nranks=1, capacity=None)
         backend = ParsecBackend(Cluster(HAWK.with_workers(1), 1),
@@ -79,13 +73,8 @@ def test_pool_samples_queue_wait_and_depth_under_any_policy():
         backend.run()
         start = {s.name: s.start for s in tel.bus.spans("task")}
         assert (start["a"] < start["b"]) == (policy != "lifo"), policy
-        wait = tel.metrics.get("queue_wait", rank=0)
-        assert wait.count == 3
-        assert wait.total == pytest.approx(
-            start["X"] + start["a"] + start["b"] - busy / 2)
         depths = [c.values["depth"] for c in tel.bus.counters("queue_depth")]
         assert depths == [1, 0, 1, 2, 1, 0], policy
-        assert tel.metrics.get("queue_depth_peak", rank=0).value == 2
 
 
 def test_attach_telemetry_refuses_nonempty_queue():
@@ -124,9 +113,11 @@ def test_bytes_by_protocol_split():
     bp = backend.stats.bytes_by_protocol
     assert "splitmd" in bp and "control" in bp
     assert bp["splitmd"] > 64 * 64 * 8
-    assert tel.metrics.get("messages", protocol="splitmd", src=0, dst=1).value == 1
+    assert backend.stats.remote_messages == 2
     proto = tel.bus.spans(cat="proto")
     assert {p.name for p in proto} == {"splitmd:meta:data", "splitmd:rma:data"}
+    # One splitmd message, 0 -> 1: both phases land on the receiving rank.
+    assert [(p.rank, p.args["src"]) for p in proto] == [(1, 0), (1, 0)]
     meta, rma = sorted(proto, key=lambda p: p.start)
     assert meta.flow == rma.flow is not None
     assert meta.end == pytest.approx(rma.start)
@@ -151,7 +142,6 @@ def test_termination_quiescence_instants():
             "tasks": stats.tasks_executed + stats.local_deliveries,
             "messages": stats.remote_messages,
         }
-        assert tel.metrics.counter("quiescence_epochs").value == 1
 
 
 def test_sanitizer_findings_land_on_timeline():
@@ -178,8 +168,8 @@ def test_sanitizer_findings_land_on_timeline():
     assert san, "sanitizer findings must appear as instant events"
     assert all(ev.name.startswith("SAN") for ev in san)
     assert all("location" in ev.args and "message" in ev.args for ev in san)
-    rule = san[0].name
-    assert tel.metrics.counter("san_findings", rule=rule).value >= 1
+    # One instant per finding the sanitizer holds, in order.
+    assert [ev.name for ev in san] == [f.rule.id for f in ex.sanitizer.findings]
 
 
 def test_dep_instants_emitted_for_sends():

@@ -1,8 +1,15 @@
-"""Metrics registry: instrument caching, labels, rollups."""
+"""Metrics registry: instrument caching and labels, and the names the host
+benchmark (``hostbench/``) uses from ``repro``."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_counter_inc_and_negative_rejected():
@@ -30,55 +37,43 @@ def test_kind_conflict_raises():
     reg = MetricsRegistry()
     reg.counter("x")
     with pytest.raises(TypeError):
-        reg.gauge("x")
+        reg.histogram("x")
 
 
 def test_histogram_stats_and_buckets():
     h = Histogram()
     for v in (1e-6, 2e-6, 3e-6):
         h.observe(v)
-    snap = h.snapshot()
-    assert snap["count"] == 3
-    assert snap["total"] == pytest.approx(6e-6)
-    assert snap["mean"] == pytest.approx(2e-6)
-    assert snap["min"] == pytest.approx(1e-6)
-    assert snap["max"] == pytest.approx(3e-6)
+    assert h.count == 3
+    assert h.total == pytest.approx(6e-6)
+    assert h.vmin == pytest.approx(1e-6)
+    assert h.vmax == pytest.approx(3e-6)
     assert sum(h.buckets.values()) == 3
 
 
-def test_rollup_by_label():
-    reg = MetricsRegistry()
-    reg.counter("tasks", template="POTRF", rank=0).inc(2)
-    reg.counter("tasks", template="POTRF", rank=1).inc(3)
-    reg.counter("tasks", template="GEMM", rank=0).inc(7)
-    reg.counter("tasks").inc(99)  # no 'template' label: ignored
-    assert reg.rollup("tasks", by="template") == {"POTRF": 5.0, "GEMM": 7.0}
-    assert reg.rollup("tasks", by="rank") == {"0": 9.0, "1": 3.0}
+#: Imports hostbench's three entry modules and drives the registry the way
+#: its per-layer metrics do.
+_HOSTBENCH_SCRIPT = """
+import sys
+sys.path[:0] = [{hostbench!r}, {src!r}]
+import layers, workloads, worker
+from repro.telemetry import Telemetry
+
+tel = Telemetry(nranks=2, events=False)
+assert not tel.bus.recording
+for kind in ("counter", "histogram"):
+    n, run = layers.metric_observations(kind, 10)
+    run()
+print("ok")
+"""
 
 
-def test_rollup_includes_histogram_totals():
-    reg = MetricsRegistry()
-    reg.histogram("task_time", template="A").observe(2.0)
-    reg.histogram("task_time", template="A").observe(3.0)
-    assert reg.rollup("task_time", by="template") == {"A": 5.0}
-
-
-def test_as_dict_keys_and_kinds():
-    reg = MetricsRegistry()
-    reg.counter("n", proto="eager").inc()
-    reg.gauge("depth").set(4)
-    d = reg.as_dict()
-    assert d["n{proto=eager}"] == {"value": 1.0, "kind": "counter"}
-    assert d["depth"]["kind"] == "gauge"
-
-
-def test_collect_filters_and_get():
-    reg = MetricsRegistry()
-    reg.counter("x", k="1").inc()
-    reg.counter("z").inc()
-    rows = reg.collect("x")
-    assert len(rows) == 1 and rows[0][0] == "x" and rows[0][1] == {"k": "1"}
-    assert reg.get("z").value == 1
-    assert reg.get("missing") is None
-    assert isinstance(reg.get("x", k="1"), Counter)
-    assert isinstance(reg.gauge("gg"), Gauge)
+def test_hostbench_names_resolve():
+    """Every name the host benchmark imports from ``repro`` still exists,
+    so a simplification that breaks the benchmark fails here too."""
+    script = _HOSTBENCH_SCRIPT.format(hostbench=str(ROOT / "hostbench"),
+                                      src=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"

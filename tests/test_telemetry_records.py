@@ -3,8 +3,7 @@ how it was stored.
 
 The runtime's hooks append records (``EventBus.record``, or ``emit`` with a
 shared head), one entry per broadcast fan-out (``batch``), and event
-objects are built on read; the metrics registry caches handles by raw
-labels.  Four checks hold that together:
+objects are built on read.  Four checks hold that together:
 
 - a differential property test: the same recordings through the public
   methods and through ``record`` / ``emit`` / ``batch`` read back as equal
@@ -22,8 +21,11 @@ labels.  Four checks hold that together:
   unchanged.  All three were regenerated again when the race checks
   moved into the sanitizer: dependency instants lost their ``obj`` /
   ``mode`` fields, task spans their ``data`` list, and the ``alias``
-  instants went; every other record and the metrics are unchanged;
-- the recording guard: a metrics-only run builds no event at all;
+  instants went; every other record and the metrics are unchanged.  All
+  three were regenerated once more when the live metrics registry was
+  taken off the run path: the digest lost its metrics third, and the
+  trace and records it hashes are bit-identical to before;
+- the recording guard: a run with ``events=False`` builds no event at all;
 - a structural GC check: the hooks' records leave the cyclic collector.
 """
 
@@ -162,9 +164,9 @@ def test_fast_path_reads_back_like_the_public_api(ops, capacity):
 # ------------------------------------------------------------------ cells
 
 GOLDEN = {
-    "potrf": "1645a6c506bbba2b1163480938b0e4011a89416c70c6c00bed28883986edca36",
-    "bspmm": "7b1f709bbaaa0ab63adbdb8c88827ed8958279672f28ab48decb3dd967b3de0a",
-    "mra": "febaf9d4b7d67e3f1f860e9667dd05bb42ff42803791b6f0d9580e9abb9cc554",
+    "potrf": "ed4e6e09f64cfdbee411f5ce35fa10a744a78058a9e918c62566063fd2d1aa14",
+    "bspmm": "727356c8ffa522666e28dc57e7ec8d7f3a785f89552d61ac168a55668adc6f83",
+    "mra": "26338a106a2902314d1ea93a8eba1e4376abbc79ae2c937633e925897028b77c",
 }
 
 
@@ -195,12 +197,11 @@ def _cell(app, tel=None, n=1024):
 
 
 def digest(tel):
-    """sha256 over the Chrome trace, the JSONL records and the metrics, in
-    emission order (dict key order included)."""
+    """sha256 over the Chrome trace and the JSONL records, in emission
+    order (dict key order included)."""
     blob = json.dumps([
         to_chrome_trace(tel),
         [event_to_json(ev) for ev in tel.bus.events()],
-        tel.metrics.as_dict(),
     ])
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -234,8 +235,8 @@ def test_metrics_only_run_builds_no_event(monkeypatch):
     assert {"emit", "batch", "InstantEvent"} <= set(built)
     del built[:]
     tel = _cell("potrf", Telemetry(nranks=16, events=False))
-    assert not tel.bus.recording and built == []
-    assert tel.metrics.as_dict() == full.metrics.as_dict()
+    assert not tel.bus.recording and built == [] and len(tel.bus) == 0
+    assert tel.backend.stats.as_dict() == full.backend.stats.as_dict()
 
 
 def test_hook_records_leave_the_cyclic_gc():
