@@ -127,7 +127,7 @@ def explain_moved_pins(
     """Explain the first cell of each app in ``moved`` that has a pin.
 
     The fresh record is compared with its pin: the field-level diff
-    (:func:`repro.telemetry.diff.diff_records`) and, when the makespan
+    (:func:`repro.bench.history.record_diff`) and, when the makespan
     moved, the exact what-if attribution
     (:func:`repro.telemetry.whatif.explain`).  Prints nothing itself;
     returns the text blocks.  Writes ``rootcause-<app>.json`` into
@@ -136,7 +136,6 @@ def explain_moved_pins(
     import json
     from pathlib import Path
 
-    from repro.telemetry import diff as tdiff
     from repro.telemetry import whatif
 
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -146,8 +145,8 @@ def explain_moved_pins(
         if pin is None or fresh.app in explained:
             continue
         explained.add(fresh.app)
-        run_diff = tdiff.diff_records(pin, fresh)
-        blocks.append(run_diff.format())
+        text, diff = history.record_diff(pin, fresh)
+        blocks.append(text)
         exp = (whatif.explain(pin, fresh)
                if fresh.makespan != pin.makespan else None)
         if exp is not None:
@@ -156,7 +155,7 @@ def explain_moved_pins(
         with open(json_path, "w") as fh:
             json.dump({"schema": "repro.telemetry/rootcause-v1",
                        "explanation": exp.as_dict() if exp else None,
-                       "diff": run_diff.as_dict()},
+                       "diff": diff},
                       fh, indent=1, sort_keys=True)
             fh.write("\n")
         blocks.append(f"wrote {json_path}")
@@ -211,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", metavar="LOG.jsonl", default=None,
         help="capture telemetry across every backend the experiment binds "
         "and write their events as one JSONL event log (one rank "
-        "namespace per backend).  Each rank keeps its last 65536 events: "
-        "a longer run writes that window and warns on stderr",
+        "namespace per backend)",
     )
     wd = parser.add_argument_group("pinned watchdog")
     wd.add_argument("--record-history", action="store_true",
@@ -262,10 +260,10 @@ def main(argv=None) -> int:
         if args.telemetry is None:
             run_all()
             return 0
-        from repro.telemetry import analyze, capture, write_jsonl
+        from repro.telemetry import capture, write_jsonl
 
         _check_writable(parser, args.telemetry)
-        with capture() as runs:
+        with capture(capacity=None) as runs:
             run_all()
     except ValueError as exc:  # a --max-nodes below a figure's sweep
         parser.error(str(exc))
@@ -274,9 +272,6 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.telemetry} ({n} events, {len(runs)} backend "
           f"run(s); replay: python -m repro.telemetry report "
           f"{args.telemetry})")
-    warning = analyze.drop_warning(merged)
-    if warning is not None:
-        print(warning, file=sys.stderr)
     return 0
 
 

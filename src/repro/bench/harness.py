@@ -7,8 +7,8 @@ paper reports, so a bench run's stdout *is* the regenerated figure data.
 :func:`merged_event_bus` is the bench side of the telemetry
 integration: ``python -m repro.bench <fig> --telemetry LOG.jsonl``
 captures every backend the figure binds and writes their events as one
-JSONL event log, which ``python -m repro.telemetry report``, ``export``
-and ``diff`` read.
+JSONL event log, which ``python -m repro.telemetry report`` and
+``export`` read.
 """
 
 from __future__ import annotations

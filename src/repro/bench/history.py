@@ -187,6 +187,32 @@ class BenchHistory:
         return len(self.records)
 
 
+def select_record(records: List[BenchRecord], selector: str) -> BenchRecord:
+    """Pick one record out of a BENCH history: ``last``, ``seed:<n>``
+    (the last record of that seed) or ``index:<i>``."""
+    if not records:
+        raise ValueError("empty record list")
+    if selector == "last":
+        return records[-1]
+    kind, _, number = selector.partition(":")
+    try:
+        n = int(number) if kind in ("seed", "index") else None
+    except ValueError:
+        n = None
+    if n is None:
+        raise ValueError(f"unknown record selector {selector!r} "
+                         "(use last|seed:<n>|index:<i>)")
+    if kind == "seed":
+        matches = [r for r in records if r.seed == n]
+        if not matches:
+            raise ValueError(f"no record with seed {n}")
+        return matches[-1]
+    if not -len(records) <= n < len(records):
+        raise ValueError(f"record index {n} out of range: the "
+                         f"history has {len(records)} record(s)")
+    return records[n]
+
+
 # ------------------------------------------------------------- measurement
 
 
@@ -444,6 +470,66 @@ def moved_fields(pin: BenchRecord, record: BenchRecord) -> List[str]:
     old = pin.as_dict()
     return [k for k, v in record.as_dict().items()
             if k not in UNPINNED_FIELDS and old[k] != v]
+
+
+def _delta_rows(a: Dict[str, Any], b: Dict[str, Any]
+                ) -> List[Tuple[str, float, float, float]]:
+    """Rows of ``(key, a, b, b - a)`` over the keys of both sides, sorted,
+    a key missing on one side reading 0."""
+    rows = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = float(a.get(key, 0.0)), float(b.get(key, 0.0))
+        rows.append((key, va, vb, vb - va))
+    return rows
+
+
+def record_diff(pin: BenchRecord,
+                record: BenchRecord) -> Tuple[str, Dict[str, Any]]:
+    """What moved from ``pin`` to ``record``: task counts per template,
+    bytes per protocol and counters.  Returns the text block
+    ``--explain`` prints and the ``diff`` object of its
+    ``rootcause-<app>.json``.  Unchanged rows are left out of the text."""
+    a, b = (f"{r.app} seed {r.seed} @{r.git_sha or '?'}" for r in (pin, record))
+    ma, mb = float(pin.makespan), float(record.makespan)
+    d = mb - ma
+    counts = [(name, int(pin.tasks_by_template.get(name, 0)),
+               int(record.tasks_by_template.get(name, 0)))
+              for name in sorted(set(pin.tasks_by_template)
+                                 | set(record.tasks_by_template))]
+    counts.sort(key=lambda t: -abs(t[2] - t[1]))
+    protocols = _delta_rows(pin.bytes_by_protocol, record.bytes_by_protocol)
+    counters = _delta_rows(pin.counters, record.counters)
+
+    pct = 100.0 * d / ma if ma else 0.0
+    lines = [f"run diff: A = {a}   B = {b}",
+             f"makespan: {ma * 1e3:.3f} ms -> {mb * 1e3:.3f} ms "
+             f"({d * 1e3:+.3f} ms, {pct:+.1f}%)"]
+    if counts:
+        lines += ["", f"{'template':<16}{'count A':>10}{'count B':>10}"
+                      f"{'delta':>8}"]
+        lines += [f"{name:<16}{ca:>10}{cb:>10}{cb - ca:>+8}"
+                  for name, ca, cb in counts if cb != ca]
+    if protocols:
+        lines += ["", f"{'protocol bytes':<20}{'A':>14}{'B':>14}{'delta':>14}"]
+        lines += [f"{c:<20}{va:>14.6g}{vb:>14.6g}{dv:>+14.6g}"
+                  for c, va, vb, dv in protocols if dv != 0.0]
+    changed = [row for row in counters if row[3] != 0.0]
+    if changed:
+        lines += ["", f"{'counter':<52}{'A':>14}{'B':>14}{'delta':>14}"]
+        lines += [f"{k:<52}{va:>14.6g}{vb:>14.6g}{dv:>+14.6g}"
+                  for k, va, vb, dv in changed]
+    return "\n".join(lines), {
+        "a": a, "b": b,
+        "makespan": {"a": ma, "b": mb, "delta": d},
+        # Records carry no span durations: the totals read 0.
+        "templates": [{"template": name, "count_a": ca, "count_b": cb,
+                       "total_a": 0.0, "total_b": 0.0, "delta": 0.0}
+                      for name, ca, cb in counts],
+        "bytes_by_protocol": [{"channel": c, "a": va, "b": vb, "delta": dv}
+                              for c, va, vb, dv in protocols],
+        "counters": [{"counter": k, "a": va, "b": vb, "delta": dv}
+                     for k, va, vb, dv in counters],
+    }
 
 
 def run_watchdog(

@@ -17,15 +17,13 @@ records into:
 - :mod:`repro.telemetry.analyze` -- critical-path extraction over the
   recorded task/message DAG, per-template summaries, idle breakdowns,
   per-channel byte splits, and the text report.
-- :mod:`repro.telemetry.diff` -- align two runs and rank what moved,
-  counter deltas included.
-- ``python -m repro.telemetry`` -- record / report / export / diff /
-  whatif CLI (:mod:`repro.telemetry.cli`).
+- ``python -m repro.telemetry`` -- record / report / export / whatif
+  CLI (:mod:`repro.telemetry.cli`).
 
 Each question has one view: the timeline is ``export``'s Chrome trace
 opened in Perfetto; per-template, per-rank, critical-path and byte
-numbers are the text ``report``; what moved between two runs
-is ``diff``.
+numbers are the text ``report``; what moved between two runs is the
+diff of each side's ``report``.
 
 Telemetry is off by default and adds only a ``None``-check per hook when
 disabled.  Enable it per run::

@@ -20,16 +20,13 @@ Subcommands:
   same for a fresh run).
 - ``export LOG.jsonl -o trace.json`` -- convert JSONL to a Chrome trace,
   validated after writing; open it in Perfetto for the timeline.
-- ``diff A B`` -- align two recorded runs (JSONL event logs or
-  ``BENCH_*.json`` histories -- kinds auto-detected and mixable) and
-  print the ranked attribution report: template span totals, protocol
-  byte shifts, per-rank idle divergence, critical-path churn.  ``--json``
-  emits the attribution-report object; ``--select-a``/``--select-b`` pick
-  records out of a history (``last`` | ``seed:<n>`` | ``index:<i>``).
 - ``whatif HISTORY.json`` -- deterministic causal profiling: replay a
   recorded run with perturbed costs (``--speedup T=F``,
   ``--latency-scale``, ``--bandwidth-scale``, ``--nodes``) and report the
   exact counterfactual makespan; ``--sweep`` ranks every knob.
+
+What moved between two runs: ``report`` each side and diff the texts,
+``diff <(python -m repro.telemetry report a.jsonl) <(... b.jsonl)``.
 
 A recording whose ring buffers evicted events gets one ``WARNING`` line
 from ``report``, ``export`` and ``record --export``.  Exit status 0 on
@@ -168,23 +165,9 @@ def cmd_export(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def cmd_diff(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.telemetry.diff import diff_runs, load_view
-
-    result = diff_runs(load_view(args.a, selector=args.select_a),
-                       load_view(args.b, selector=args.select_b))
-    if args.json:
-        json.dump(result.as_dict(), out, indent=2)
-        print(file=out)
-    else:
-        print(result.format(only_changed=not args.all), file=out)
-    return 0
-
-
 def cmd_whatif(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.bench.history import BenchHistory
+    from repro.bench.history import BenchHistory, select_record
     from repro.telemetry import whatif
-    from repro.telemetry.diff import select_record
 
     history = BenchHistory.load(args.history)
     record = select_record(history.records, args.select)
@@ -303,23 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log")
     p.add_argument("-o", "--output", required=True, metavar="TRACE.json")
     p.set_defaults(fn=cmd_export)
-
-    p = sub.add_parser(
-        "diff",
-        help="align two recorded runs and print the attribution report")
-    p.add_argument("a", metavar="A", help="JSONL event log or "
-                   "BENCH_*.json history (auto-detected)")
-    p.add_argument("b", metavar="B")
-    p.add_argument("--select-a", default="last", metavar="SEL",
-                   help="record selector when A is a history: last | "
-                        "seed:<n> | index:<i> (default last)")
-    p.add_argument("--select-b", default="last", metavar="SEL",
-                   help="record selector when B is a history (default last)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the attribution-report JSON object")
-    p.add_argument("--all", action="store_true",
-                   help="include rows with zero delta")
-    p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser(
         "whatif",

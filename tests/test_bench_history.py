@@ -20,7 +20,9 @@ from repro.bench.history import (
     measure,
     measure_cell,
     moved_fields,
+    record_diff,
     run_watchdog,
+    select_record,
 )
 from repro.linalg import BlockCyclicDistribution
 
@@ -118,6 +120,66 @@ def test_moved_makespan_fails_its_pin():
     assert row.endswith("  moved: makespan")
     # a cell without a committed record fails in one line
     assert cell_row(base, None).endswith("  no committed record")
+
+
+def test_record_diff_counters_and_format():
+    """Counter rows are sorted by key; only the changed ones are printed."""
+    a = BenchRecord(app="potrf", counters={"tasks": 3.0, "old": 1.0,
+                                           "bytes": 5.0})
+    b = BenchRecord(app="potrf", counters={"tasks": 5.0, "new": 2.0,
+                                           "bytes": 5.0})
+    text, diff = record_diff(a, b)
+    assert diff["counters"] == [
+        {"counter": "bytes", "a": 5.0, "b": 5.0, "delta": 0.0},
+        {"counter": "new", "a": 0.0, "b": 2.0, "delta": 2.0},
+        {"counter": "old", "a": 1.0, "b": 0.0, "delta": -1.0},
+        {"counter": "tasks", "a": 3.0, "b": 5.0, "delta": 2.0},
+    ]
+    table = text.split("\ncounter ", 1)[1].splitlines()[1:]
+    assert [line.split()[0] for line in table] == ["new", "old", "tasks"]
+
+
+def test_record_diff_missing_side_reads_zero():
+    """A counter, channel or template on one side only (added or removed
+    between commits) reads 0 on the other, never KeyError; templates
+    rank by count movement."""
+    a = BenchRecord(app="potrf", counters={"h": 4.0, "weird": 1.0},
+                    tasks_by_template={"GEMM": 8, "TRSM": 4},
+                    bytes_by_protocol={"eager": 64})
+    b = BenchRecord(app="potrf", counters={"h": 6.0},
+                    tasks_by_template={"GEMM": 14, "TRSM": 4, "SYRK": 1},
+                    bytes_by_protocol={"splitmd": 64})
+    _, diff = record_diff(a, b)
+    as_map = {r["counter"]: (r["a"], r["b"], r["delta"])
+              for r in diff["counters"]}
+    assert as_map == {"h": (4.0, 6.0, 2.0), "weird": (1.0, 0.0, -1.0)}
+    assert [(r["channel"], r["a"], r["b"]) for r in diff["bytes_by_protocol"]] \
+        == [("eager", 64.0, 0.0), ("splitmd", 0.0, 64.0)]
+    assert [(t["template"], t["count_a"], t["count_b"])
+            for t in diff["templates"]] == \
+        [("GEMM", 8, 14), ("SYRK", 0, 1), ("TRSM", 4, 4)]
+
+
+def test_select_record():
+    recs = [_rec(0.010, seed=0),
+            _rec(0.012, seed=1),
+            _rec(0.011, seed=2),
+            _rec(0.015, seed=0)]
+    assert select_record(recs, "last") is recs[-1]
+    assert select_record(recs, "seed:0") is recs[-1]    # last of that seed
+    assert select_record(recs, "index:1") is recs[1]
+    assert select_record(recs, "index:-4") is recs[0]
+    with pytest.raises(ValueError):
+        select_record([], "last")
+    with pytest.raises(ValueError, match="no record with seed 77"):
+        select_record(recs, "seed:77")
+    with pytest.raises(ValueError, match="index 99 out of range.* 4 record"):
+        select_record(recs, "index:99")
+    for bad in ("bogus", "index:abc", "seed:", "seed:1.5", "index"):
+        with pytest.raises(ValueError) as info:
+            select_record(recs, bad)
+        assert str(info.value) == (f"unknown record selector {bad!r} "
+                                   "(use last|seed:<n>|index:<i>)")
 
 
 def test_git_sha_marks_a_dirty_tree(tmp_path, monkeypatch):

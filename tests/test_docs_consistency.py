@@ -99,6 +99,15 @@ def test_changelog_and_contributing_exist():
     assert "pytest" in (ROOT / "CONTRIBUTING.md").read_text()
 
 
+def test_changelog_removed_names_do_not_resolve():
+    """Every `repro.…` name the CHANGELOG lists as removed is gone."""
+    text = (ROOT / "CHANGELOG.md").read_text()
+    section = text.split("## Removed since 0.1.0\n", 1)[1].split("\n## ", 1)[0]
+    refs = re.findall(r"`repro\.([A-Za-z_][\w.]*)`", section)
+    assert len(refs) > 10
+    assert sorted(ref for ref in refs if _resolves(ref)) == []
+
+
 def test_docs_name_only_existing_commands():
     """Every `python -m repro.<pkg>` in the docs and CI names a package
     with a ``__main__``; every long option after `python -m repro.bench`

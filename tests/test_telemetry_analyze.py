@@ -17,7 +17,6 @@ from repro.telemetry.analyze import (
     summary_by_template,
     task_nodes,
 )
-from repro.telemetry.diff import RunView, diff_counters, diff_records, diff_runs
 from repro.telemetry.events import EventBus, TID_RT, Telemetry
 
 
@@ -140,20 +139,6 @@ def test_cholesky_critical_path_matches_known_chain(cholesky_path):
     assert 0.0 < cp.fraction <= 1.0
 
 
-def test_compare_counters_and_format():
-    a = {"tasks": 3.0, "old": 1.0, "bytes": 5.0}
-    b = {"tasks": 5.0, "new": 2.0, "bytes": 5.0}
-    rows = diff_counters(a, b)
-    as_map = {k: (va, vb, d) for k, va, vb, d in rows}
-    assert as_map["tasks"] == (3.0, 5.0, 2.0)
-    assert as_map["old"] == (1.0, 0.0, -1.0)
-    assert as_map["new"] == (0.0, 2.0, 2.0)
-    assert as_map["bytes"] == (5.0, 5.0, 0.0)
-    text = diff_runs(RunView("a", counters=a), RunView("b", counters=b)).format()
-    table = text.split("\ncounter ", 1)[1].splitlines()[1:]
-    assert [line.split()[0] for line in table] == ["new", "old", "tasks"]
-
-
 def test_report_on_empty_bus():
     text = report(EventBus(capacity=None))
     assert "events: 0" in text and "WARNING" not in text
@@ -203,18 +188,6 @@ def test_idle_breakdown_counts_lanes_never_filled():
     assert [r.utilization for r in rows] == pytest.approx([0.25, 0.75])
     # A bare bus, as read back from a file, carries no worker count.
     assert [r.workers for r in idle_breakdown(tel.bus)] == [1, 3]
-
-
-def test_compare_counters_missing_histogram_fields():
-    # Two stored records whose counter sets differ (a counter added or
-    # removed between commits): the missing side reads 0.0, never KeyError.
-    from repro.bench.history import BenchRecord
-
-    a = BenchRecord(app="potrf", counters={"h": 4.0, "weird": 1.0})
-    b = BenchRecord(app="potrf", counters={"h": 6.0})
-    as_map = {k: (va, vb, d) for k, va, vb, d in diff_records(a, b).counters}
-    assert as_map["h"] == (4.0, 6.0, 2.0)
-    assert as_map["weird"] == (1.0, 0.0, -1.0)
 
 
 def test_summary_and_critical_path_on_comm_only_bus():

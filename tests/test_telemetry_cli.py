@@ -1,4 +1,4 @@
-"""CLI: record/report/export/diff/whatif subcommands."""
+"""CLI: record/report/export/whatif subcommands."""
 
 import io
 import json
@@ -129,7 +129,7 @@ _JSONL_LOG = "".join(json.dumps(
     pytest.param(command, content, id=f"{cid}-{command}")
     for cid, content in [("missing", None),
                          ("not-json", "[build-system]\nrequires = []\n")]
-    for command in ("diff", "export", "report", "whatif")
+    for command in ("export", "report", "whatif")
 ] + [pytest.param("whatif", _JSONL_LOG, id="jsonl-log-whatif")])
 def test_unreadable_input_is_one_line_not_a_traceback(tmp_path, command,
                                                       content):
@@ -138,7 +138,6 @@ def test_unreadable_input_is_one_line_not_a_traceback(tmp_path, command,
         path.write_text(content)
     argv = {"report": [str(path)],
             "export": [str(path), "-o", str(tmp_path / "t.json")],
-            "diff": [str(path), str(path)],
             "whatif": [str(path)]}[command]
     code, text = run_cli(command, *argv)
     assert code == 1

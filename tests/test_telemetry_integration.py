@@ -35,7 +35,7 @@ def run_fanout(backend, nkeys=12, work=200.0):
     return done
 
 
-def test_queue_wait_sampled_under_priority_scheduler():
+def test_queue_depth_sampled_under_priority_scheduler():
     """On a 1-worker node every ready task but the first waits in queue:
     the depth samples must see the pile-up, and pops must come out
     priority-ordered."""
@@ -57,7 +57,7 @@ def test_queue_wait_sampled_under_priority_scheduler():
     assert max(depths) == 11
 
 
-def test_pool_samples_queue_wait_and_depth_under_any_policy():
+def test_pool_samples_queue_depth_under_any_policy():
     """The pool samples at its push and pop sites, whatever the policy:
     every push and pop leaves one depth sample (the depth after it)."""
     for policy in SCHEDULER_NAMES:

@@ -252,7 +252,8 @@ def test_watchdog_explain_end_to_end(tmp_path, capsys, faster_trsm):
     assert top["template"] == "TRSM"
     assert top["share"] >= 0.5
     assert top["exact_baseline"] is True
-    assert rc["diff"]["schema"] == "repro.telemetry/diff-v1"
+    assert {row["template"] for row in rc["diff"]["templates"]} >= \
+        {"POTRF", "TRSM", "SYRK", "GEMM"}
 
 
 def test_watchdog_explain_out_dir(tmp_path, capsys, faster_trsm):
