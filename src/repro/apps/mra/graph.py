@@ -76,9 +76,6 @@ def build_mra_graph(
     leaf_out = ttg.Edge("leaf_out", key_type=tuple, value_type=MraMessage)
     norm_out = ttg.Edge("norm_out", key_type=int, value_type=MraMessage)
 
-    def box_of(key: Key) -> Box:
-        return (key[1], key[2])
-
     # -------------------------------------------------------------- bodies
 
     def project_body(key: Key, _ctl, outs: TaskOutputs) -> None:

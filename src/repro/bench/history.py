@@ -521,10 +521,8 @@ def record_diff(pin: BenchRecord,
     return "\n".join(lines), {
         "a": a, "b": b,
         "makespan": {"a": ma, "b": mb, "delta": d},
-        # Records carry no span durations: the totals read 0.
         "templates": [{"template": name, "count_a": ca, "count_b": cb,
-                       "total_a": 0.0, "total_b": 0.0, "delta": 0.0}
-                      for name, ca, cb in counts],
+                       "delta": cb - ca} for name, ca, cb in counts],
         "bytes_by_protocol": [{"channel": c, "a": va, "b": vb, "delta": dv}
                               for c, va, vb, dv in protocols],
         "counters": [{"counter": k, "a": va, "b": vb, "delta": dv}

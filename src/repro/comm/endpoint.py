@@ -28,22 +28,24 @@ class CommEngine:
         The virtual machine to charge costs against.
     am_cost_fn:
         ``f(dst_rank, nbytes) -> seconds`` of AM-server processing per
-        message; backends install their own (MADNESS charges deserialization
-        copies here, serializing them through its single server thread).
+        message.  Without one a message costs the machine's AM overhead
+        plus ``am_cost_per_byte`` per byte (MADNESS charges its single
+        server thread per byte this way).
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        am_cost_fn: Optional[Callable[[int, int], float]] = None,
-    ) -> None:
+    def __init__(self, cluster: Cluster,
+                 am_cost_fn: Optional[Callable[[int, int], float]] = None,
+                 am_cost_per_byte: float = 0.0) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.network = cluster.network
-        # Set by Backend.attach_telemetry; None => hooks are one branch.
+        # Set by Backend.attach_telemetry, with the recording bus's
+        # per-rank logs; None => hooks are one branch.
         self.telemetry = None
-        base = cluster.machine.network.am_overhead
-        self._am_cost_fn = am_cost_fn or (lambda dst, nbytes: base)
+        self._logs: Optional[list] = None
+        self._am_cost_fn = am_cost_fn
+        self._am_base = cluster.machine.network.am_overhead
+        self._am_per_byte = am_cost_per_byte
         self._am_free = [0.0] * cluster.nranks
         # Statistics
         self.am_count = 0
@@ -52,13 +54,16 @@ class CommEngine:
         self.rma_bytes = 0
 
     def attach_telemetry(self, telemetry: Any) -> None:
-        """Arm the AM and RMA hooks: per (tag, rank), the span head,
-        resolved at its first message."""
+        """Arm the AM and RMA hooks of a recording bus: per (tag, rank),
+        the span head, resolved at its first message."""
+        self.telemetry = telemetry
+        if not telemetry.bus.recording:
+            return
         self._am_heads = Handles(lambda k: (
             SPAN, f"am:{k[0] or 'am'}", "comm", k[1], TID_AM, _COMM_ARGS))
         self._rma_heads = Handles(lambda k: (
             SPAN, f"rma:{k[0]}", "comm", k[1], TID_RMA, _COMM_ARGS))
-        self.telemetry = telemetry
+        self._logs = telemetry.bus.logs
 
     # ------------------------------------------------------------------ AMs
 
@@ -84,17 +89,19 @@ class CommEngine:
         arrival = self.network.send(src, dst, nbytes, start=t_sent)
         self.am_count += 1
         self.am_bytes += nbytes
-        proc = self._am_cost_fn(dst, nbytes) + extra_server_time
+        cost_fn = self._am_cost_fn
+        proc = (self._am_base + nbytes * self._am_per_byte if cost_fn is None
+                else cost_fn(dst, nbytes)) + extra_server_time
         # The AM server handles one message at a time.
         begin = self._am_free[dst]
         if begin < arrival:
             begin = arrival
         done = begin + proc
         self._am_free[dst] = done
-        tel = self.telemetry
-        if tel is not None and tel.bus.recording:
-            tel.bus.emit((self._am_heads[(tag, dst)], t_sent, done, None,
-                          src, nbytes))
+        logs = self._logs
+        if logs is not None:
+            logs[dst].extend((self._am_heads[(tag, dst)], t_sent, done, None,
+                              src, nbytes))
         self.engine.schedule_at(done, handler, *args)
 
     # ------------------------------------------------------------------ RMA
@@ -117,8 +124,8 @@ class CommEngine:
         done = self.network.rma_get(origin, target, nbytes)
         self.rma_count += 1
         self.rma_bytes += nbytes
-        tel = self.telemetry
-        if tel is not None and tel.bus.recording:
-            tel.bus.emit((self._rma_heads[(tag, origin)], t0, done, None,
-                          target, nbytes))
+        logs = self._logs
+        if logs is not None:
+            logs[origin].extend((self._rma_heads[(tag, origin)], t0, done,
+                                 None, target, nbytes))
         self.engine.schedule_at(done, on_complete, *args)

@@ -41,12 +41,8 @@ class Edge:
         declares the part absent (messages must carry ``None`` there).
     """
 
-    def __init__(
-        self,
-        name: str = "",
-        key_type: Optional[Type[Any]] = None,
-        value_type: Optional[Type[Any]] = None,
-    ) -> None:
+    def __init__(self, name: str = "", key_type: Optional[Type[Any]] = None,
+                 value_type: Optional[Type[Any]] = None) -> None:
         self.id = next(_edge_ids)
         self.name = name or f"edge{self.id}"
         self.key_type = key_type
@@ -61,6 +57,8 @@ class Edge:
         self.producers.append((tt, index))
 
     def add_consumer(self, tt: Any, index: int) -> None:
+        for producer, _ in self.producers:  # their compiled routes are stale
+            producer._changed()
         self.consumers.append((tt, index))
 
     # ------------------------------------------------------------ checking

@@ -11,30 +11,34 @@ template task has received one message with the same task ID (streaming
 terminals: once their stream is complete), a task is created with the data
 parts of those messages and scheduled on the rank given by the template's
 keymap with the priority given by its priority map.
+
+Binding compiles the template graph once (:meth:`Executable._compile`):
+per output terminal, its consumers' routes; per template, its delivery.
+A spawned task is one object (:class:`_Task`).
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.edge import Edge
-from repro.core.exceptions import (
-    DeliveryError,
-    GraphConstructionError,
-    StreamError,
-)
-from repro.core.messaging import _CURRENT, TaskOutputs, current_task_label
+from repro.core.exceptions import DeliveryError, GraphConstructionError, StreamError
+from repro.core.messaging import _CURRENT, TaskOutputs
 from repro.core.task import TemplateTask, default_owner, keymap_out_of_range
-from repro.core.terminals import OutputTerminal
+from repro.core.terminals import InputTerminal, OutputTerminal
 from repro.runtime.base import Backend
 from repro.telemetry.events import INSTANT, TID_RT, Handles
 
 #: Record heads (see ``EventBus.emit``) of the dependency instants, per
-#: source rank: a memo of constants, shared by every run.  The consumer
-#: label ``dst`` is formatted from (template name, key) on read.
+#: source rank: a memo of constants, shared by every run.  The task
+#: labels ``src`` and ``dst`` are formatted from (template name, key) on
+#: read; a message from outside any task body names ``"<external>"``.
 _DEP_HEADS = Handles(lambda rank: (
+    INSTANT, "dep", "dep", rank, TID_RT, "src[] dst[] edge"))
+_EXT_DEP_HEADS = Handles(lambda rank: (
     INSTANT, "dep", "dep", rank, TID_RT, "src dst[] edge"))
 
 _EMPTY = object()
@@ -107,10 +111,8 @@ class TaskGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    def executable(
-        self, backend: Backend, *, strict: bool = False,
-        sanitize: bool = False,
-    ) -> "Executable":
+    def executable(self, backend: Backend, *, strict: bool = False,
+                   sanitize: bool = False) -> "Executable":
         """Bind this template graph to a backend (make_graph_executable).
 
         ``strict=True`` raises on any error-severity lint finding and
@@ -122,15 +124,10 @@ class TaskGraph:
 
 
 class _Pending:
-    """Accumulating inputs of one not-yet-ready task instance.
+    """Accumulating inputs of one not-yet-ready instance on the generic
+    path (:meth:`Executable._deliver`)."""
 
-    ``missing`` is the readiness counter of templates whose inputs all
-    take a single message (``not tt.streams``): the number of inputs still
-    empty; the instance fires when it reaches zero.  Templates with a
-    streaming input compare ``counts`` with ``expected`` instead.
-    """
-
-    __slots__ = ("slots", "counts", "expected", "missing")
+    __slots__ = ("slots", "counts", "expected")
 
     def __init__(self, tt: TemplateTask) -> None:
         n = tt.num_inputs
@@ -140,7 +137,6 @@ class _Pending:
         # single-message templates share the template's.
         self.expected: List[Optional[int]] = (
             list(tt.expected_row) if tt.streams else tt.expected_row)
-        self.missing = n
 
 
 class Executable:
@@ -152,23 +148,21 @@ class Executable:
     execution proceeds (preserving historical behaviour).  All findings
     are kept on :attr:`findings`.  ``strict``/``sanitize`` also arm the
     runtime sanitizer (:class:`repro.analysis.sanitizer.Sanitizer`),
-    exposed as :attr:`sanitizer`.
+    exposed as :attr:`sanitizer`.  Construction ends by compiling the
+    delivery (:meth:`_compile`).
     """
 
-    def __init__(
-        self,
-        graph: TaskGraph,
-        backend: Backend,
-        *,
-        strict: bool = False,
-        sanitize: bool = False,
-    ) -> None:
+    def __init__(self, graph: TaskGraph, backend: Backend, *,
+                 strict: bool = False, sanitize: bool = False) -> None:
         self.graph = graph
         self.backend = backend
         self.nranks = backend.nranks
         self._pending: Dict[Tuple[int, Any], _Pending] = {}
+        # Per counted template: task ID -> [slot, ..., inputs missing].
+        self._counted: Dict[int, Dict[Any, List[Any]]] = {}
         self.task_counts: Counter = Counter()
         self._tt_ids = {tt.id for tt in graph.tts}
+        self._routes: Optional[Dict[OutputTerminal, List[tuple]]] = None
         self.sanitizer = None
         if strict or sanitize:
             from repro.analysis.sanitizer import Sanitizer
@@ -189,16 +183,11 @@ class Executable:
             for f in errors:
                 warnings.warn(f"TTG lint: {f}", RuntimeWarning, stacklevel=3)
         _notify_observers("executable", self)
+        self._compile()
 
     @classmethod
-    def make(
-        cls,
-        graph: TaskGraph,
-        backend: Backend,
-        *,
-        strict: bool = False,
-        sanitize: bool = False,
-    ) -> "Executable":
+    def make(cls, graph: TaskGraph, backend: Backend, *, strict: bool = False,
+             sanitize: bool = False) -> "Executable":
         """Bind ``graph`` to ``backend`` (``make_graph_executable``).
 
         ``Executable.make(graph, backend, strict=True)`` is the verified
@@ -206,6 +195,129 @@ class Executable:
         sanitizer raises at the first detected fault, races included.
         """
         return cls(graph, backend, strict=strict, sanitize=sanitize)
+
+    # ------------------------------------------------------------- binding
+
+    def _compile(self) -> None:
+        """Build each output terminal's routes ``(consumer, index, keymap,
+        deliver, tag)`` and the delivery of every template they reach.
+
+        Runs last in binding, after the construction observers (which may
+        attach telemetry), and at the next entry point once :meth:`fence`
+        or a changed map dropped the tables.  An armed sanitizer or a
+        recording bus selects the observed variant here, once, so the
+        plain path tests for neither on any message.
+        """
+        backend = self.backend
+        tel = backend.telemetry
+        recording = tel is not None and tel.bus.recording
+        self._observed = recording or self.sanitizer is not None
+        # The recording bus's per-rank logs, for the dependency instants.
+        self._logs = tel.bus.logs if recording else None  # type: ignore[union-attr]
+        tts = list(self.graph.tts)
+        delivers: Dict[TemplateTask, Deliver] = {}
+        for tt in tts:  # grows by the consumers outside the graph
+            delivers[tt] = self._delivery(tt)
+            tt._bindings.add(self)
+            for term in tt.outputs:
+                for ctt, _ in term.edge.consumers:
+                    if ctt not in delivers and ctt not in tts:
+                        tts.append(ctt)
+        owner = partial(default_owner, nranks=self.nranks)
+        self._routes = {
+            term: [(ctt, cidx, owner if ctt._keymap is None else ctt._keymap,
+                    delivers[ctt],
+                    f"{tt.name}->{ctt.name}" if recording else "data")
+                   for ctt, cidx in term.edge.consumers]
+            for tt in tts for term in tt.outputs}
+        self._delivers = delivers
+        if self._observed:
+            self.send_from = self._send_observed  # type: ignore[method-assign]
+        else:
+            backend.plain_bindings += 1
+
+    def _unbind(self) -> None:
+        """Drop the compiled tables: their closures hold the executable in
+        reference cycles, which :meth:`fence` breaks."""
+        if self._routes is None:
+            return
+        for tt in self._delivers:
+            tt._bindings.discard(self)
+        if self._observed:
+            del self.send_from
+        else:
+            self.backend.plain_bindings -= 1
+        self._routes = self._delivers = None
+
+    def _template_changed(self, tt: TemplateTask) -> None:
+        """``tt``'s keymap, priority map, cost map or reducer changed: its
+        compiled delivery is stale, so drop the tables (the next entry
+        point compiles them afresh).  A running graph refuses the change."""
+        engine = self.backend.engine
+        if engine._running or not engine.empty():
+            raise GraphConstructionError(
+                f"{tt.name} changed while {self.graph.name!r} is running: "
+                "set maps and reducers before invoke or after fence")
+        self._unbind()
+
+    def _delivery(self, tt: TemplateTask) -> Deliver:
+        """``tt``'s ``deliver(idx, key, rank, value=None)``: the generic
+        :meth:`_deliver` for a streaming template or under the sanitizer,
+        else a readiness count that spawns the instance when its last
+        input arrives, with the template's cost map, priority map and the
+        owner pool's hand-off bound."""
+        if tt.streams or self.sanitizer is not None:
+            return partial(self._deliver, tt)
+        n = tt.num_inputs
+        pending = self._counted.setdefault(tt.id, {})
+        fresh = [_EMPTY] * n + [n]
+        inputs, name = tt.inputs, tt.name
+        cost, priomap = tt._cost, tt._priomap
+        task_counts, pools, ex = self.task_counts, self.backend.pools, self
+        engine = self.backend.engine
+
+        def deliver(idx: int, key: Any, rank: int, value: Any = None) -> None:
+            if n == 1:
+                args: Tuple[Any, ...] = (value,)
+            else:
+                p = pending.get(key)
+                if p is None:
+                    p = pending[key] = fresh[:]
+                elif p[idx] is not _EMPTY:
+                    raise DeliveryError(f"duplicate input for {name}"
+                                        f"[{key!r}].{inputs[idx].name}")
+                p[idx] = value
+                missing = p[n] - 1
+                if missing:
+                    p[n] = missing
+                    return
+                del pending[key]
+                p.pop()
+                args = tuple(p)
+            if cost is None:
+                flops = bytes_moved = 0.0
+            else:
+                out = cost(key, *args)
+                if isinstance(out, tuple):
+                    flops, bytes_moved = float(out[0]), float(out[1])
+                else:
+                    flops, bytes_moved = float(out), 0.0
+            task_counts[name] += 1
+            priority = 0 if priomap is None else priomap(key)
+            # WorkerPool.push, inline: this runs per task.
+            pool = pools[rank]
+            queue = pool._queue
+            queue.push(_Task(ex, tt, rank, key, args, flops, bytes_moved,
+                             priority), priority)
+            log = pool._log
+            if log is not None:
+                now = engine.now
+                log.extend((pool._depth_head, now, now, None,
+                            len(queue.items)))
+            if pool._idle:
+                pool._dispatch()
+
+        return deliver
 
     # ------------------------------------------------------------- seeding
 
@@ -219,9 +331,8 @@ class Executable:
             )
         self._spawn(tt, key, args)
 
-    def inject(
-        self, tt: TemplateTask, which: Union[int, str], key: Any, value: Any = None
-    ) -> None:
+    def inject(self, tt: TemplateTask, which: Union[int, str], key: Any,
+               value: Any = None) -> None:
         """Deliver one message into an input terminal from *outside* the
         graph (external data injection, cf. the paper's future-work item on
         simplifying data injection).  Charged as a local post on the owner
@@ -235,19 +346,22 @@ class Executable:
         tel = self.backend.telemetry
         if tel is not None and tel.bus.recording:
             now = self.backend.engine.now
-            tel.bus.emit((_DEP_HEADS[0], now, now, None, "<external>",
+            tel.bus.emit((_EXT_DEP_HEADS[0], now, now, None, "<external>",
                           tt.name, key, term.edge.name))
-        nranks = self.nranks
-        km = tt._keymap
-        dst = default_owner(key, nranks) if km is None else km(key)
-        if not 0 <= dst < nranks:
-            raise keymap_out_of_range(tt, key, dst, nranks)
-        self.backend.post_local(self._deliver, tt, term.index, key, value, dst)
+        dst = tt.keymap(key, self.nranks)
+        self.backend.post_local(self._delivers[tt], term.index, key, dst,
+                                value)
 
     def fence(self) -> float:
         """Drain all tasks and messages; returns the makespan.  An armed
-        sanitizer then reports what termination left behind, and races."""
-        makespan = self.backend.run()
+        sanitizer then reports what termination left behind, and races.
+        The compiled tables are dropped (the next entry point compiles
+        them afresh), so a finished executable is freed by reference
+        counting."""
+        try:
+            makespan = self.backend.run()
+        finally:
+            self._unbind()
         if self.sanitizer is not None:
             self.sanitizer.on_shutdown()
         return makespan
@@ -255,17 +369,15 @@ class Executable:
     # ------------------------------------------------------------ delivery
 
     def _check_tt(self, tt: TemplateTask) -> None:
+        """An entry point's template must be in the graph (and it compiles
+        the tables if need be)."""
         if tt.id not in self._tt_ids:
             raise DeliveryError(f"template task {tt.name} is not part of this graph")
+        if self._routes is None:
+            self._compile()
 
-    def send_from(
-        self,
-        src_rank: int,
-        term: OutputTerminal,
-        key: Any,
-        value: Any,
-        mode: str = "value",
-    ) -> None:
+    def send_from(self, src_rank: int, term: OutputTerminal, key: Any,
+                  value: Any, mode: str = "value") -> None:
         """Route one message from an output terminal to every consumer."""
         edge = term.edge
         # Typed edges only, and the call only when the plain isinstance does
@@ -275,58 +387,71 @@ class Executable:
             edge.check_key(key)
         if vt is not None and not isinstance(value, vt):
             edge.check_value(value)
-        if not edge.consumers:
+        routes = self._routes[term]  # type: ignore[index]
+        if not routes:
             raise DeliveryError(
                 f"send on terminal {term.tt.name}.{term.name}: edge "
                 f"{edge.name!r} has no consumers"
             )
         backend = self.backend
-        sanitizer = self.sanitizer
         nranks = self.nranks
-        tel = backend.telemetry
-        bus = tel.bus if tel is not None and tel.bus.recording else None
-        if bus is not None:
-            src, now = current_task_label(), backend.engine.now
-            dep_head = _DEP_HEADS[src_rank]
-        # Message tags are only ever read by a recording bus.
-        tagged = bus is not None
-        for ctt, cidx in edge.consumers:
-            if sanitizer is not None:
-                sanitizer.on_route(ctt, cidx, key, value, mode)
-            if bus is not None:
-                bus.emit((dep_head, now, now, None, src, ctt.name, key,
-                          edge.name))
+        for ctt, cidx, km, deliver, tag in routes:
             # The one keymap evaluation of this message, range-checked
-            # here (TTG006): the owner rank rides along to _deliver/_spawn.
-            km = ctt._keymap
-            dst = default_owner(key, nranks) if km is None else km(key)
+            # here (TTG006): the owner rank rides along to the delivery.
+            dst = km(key)
             if not 0 <= dst < nranks:
                 raise keymap_out_of_range(ctt, key, dst, nranks)
             if dst == src_rank:
                 backend.stats.local_deliveries += 1
                 v2, delay = backend.maybe_copy_local(value, mode)
-                backend.post_local(self._deliver, ctt, cidx, key, v2, dst,
-                                   delay=delay)
+                engine = backend.engine
+                engine.schedule_at(engine.now + delay, deliver, cidx, key, dst,
+                                   v2)
             elif value is None:
-                backend.send_control(
-                    src_rank, dst, _Deliver1(self, ctt, cidx, key, dst)
-                )
+                backend.send_control(src_rank, dst,
+                                     partial(deliver, cidx, key, dst))
             else:
-                backend.send_value(
-                    src_rank,
-                    dst,
-                    value,
-                    _DeliverV(self, ctt, cidx, key, dst),
-                    tag=f"{term.tt.name}->{ctt.name}" if tagged else "data",
-                )
+                backend.send_value(src_rank, dst, value,
+                                   partial(deliver, cidx, key, dst), tag=tag)
 
-    def broadcast_from(
-        self,
-        src_rank: int,
-        spec: Sequence[Tuple[OutputTerminal, List[Any]]],
-        value: Any,
-        mode: str = "value",
-    ) -> None:
+    def _send_observed(self, src_rank: int, term: OutputTerminal, key: Any,
+                       value: Any, mode: str = "value") -> None:
+        """:meth:`send_from` of the observed variant: the armed sanitizer
+        and the recording bus see each route of a well-typed message
+        before it is taken."""
+        edge = term.edge
+        kt, vt = edge.key_type, edge.value_type
+        if kt is not None and not isinstance(key, kt):
+            edge.check_key(key)
+        if vt is not None and not isinstance(value, vt):
+            edge.check_value(value)
+        sanitizer, logs = self.sanitizer, self._logs
+        if logs is not None:
+            log, now = logs[src_rank], self.backend.engine.now
+            if _CURRENT:  # _dep_head, inline: this runs per send
+                src = _CURRENT[-1]
+                head = (_DEP_HEADS[src_rank], now, now, None, src._tt.name,
+                        src.key)
+            else:
+                head = (_EXT_DEP_HEADS[src_rank], now, now, None, "<external>")
+        for ctt, cidx, _, _, _ in self._routes[term]:  # type: ignore[index]
+            if sanitizer is not None:
+                sanitizer.on_route(ctt, cidx, key, value, mode)
+            if logs is not None:
+                log.extend(head + (ctt.name, key, edge.name))
+        Executable.send_from(self, src_rank, term, key, value, mode)
+
+    def _dep_head(self, rank: int) -> tuple:
+        """The leading part of a dependency instant from ``rank`` now: the
+        source task as (name, key), formatted on read."""
+        now = self.backend.engine.now
+        if _CURRENT:
+            src = _CURRENT[-1]
+            return (_DEP_HEADS[rank], now, now, None, src._tt.name, src.key)
+        return (_EXT_DEP_HEADS[rank], now, now, None, "<external>")
+
+    def broadcast_from(self, src_rank: int, spec: Sequence[Tuple[OutputTerminal, List[Any]]],
+                       value: Any, mode: str = "value") -> None:
         """Optimized broadcast: one payload transfer per destination rank
         covering all (terminal, key) targets; 'naive' config degrades to
         per-key sends (the pre-optimization behaviour, for ablations)."""
@@ -337,22 +462,12 @@ class Executable:
                 for k in keys:
                     self.send_from(src_rank, term, k, value, mode)
             return
-        sanitizer = self.sanitizer
-        tel = backend.telemetry
-        bus = tel.bus if tel is not None and tel.bus.recording else None
-        if bus is not None:
-            now = backend.engine.now
-            # The dep instants of the whole fan-out are one entry (one per
-            # key while the sanitizer may record a finding in between).
-            deps = bus.batch((_DEP_HEADS[src_rank], now, now, None,
-                              current_task_label()), 3,
-                             expand=sanitizer is not None)
         nranks = self.nranks
-        per_rank: Dict[int, List[Tuple[TemplateTask, int, Any]]] = {}
+        per_rank: Dict[int, List[Tuple[Deliver, int, Any]]] = {}
         for term, keys in spec:
             edge = term.edge
-            consumers = edge.consumers
-            if not consumers:
+            routes = self._routes[term]  # type: ignore[index]
+            if not routes:
                 raise DeliveryError(
                     f"broadcast on terminal {term.tt.name}.{term.name}: edge "
                     f"{edge.name!r} has no consumers"
@@ -363,18 +478,15 @@ class Executable:
             for k in keys:
                 if kt is not None and not isinstance(k, kt):
                     edge.check_key(k)
-                for ctt, cidx in consumers:
-                    if sanitizer is not None:
-                        sanitizer.on_route(ctt, cidx, k, value, mode)
-                    if bus is not None:
-                        deps.extend((ctt.name, k, edge.name))
+                for ctt, cidx, km, deliver, _ in routes:
                     # The targets of one destination share its rank, which
-                    # rides along on the batch / the _DeliverN(V) record.
-                    km = ctt._keymap
-                    dst = default_owner(k, nranks) if km is None else km(k)
+                    # rides along on the batch / the _deliver_all call.
+                    dst = km(k)
                     if not 0 <= dst < nranks:
                         raise keymap_out_of_range(ctt, k, dst, nranks)
-                    per_rank.setdefault(dst, []).append((ctt, cidx, k))
+                    per_rank.setdefault(dst, []).append((deliver, cidx, k))
+        if self._observed:
+            self._observe_broadcast(src_rank, spec, value, mode)
         for dst in sorted(per_rank):
             targets = per_rank[dst]
             backend.stats.broadcast_keys_covered += len(targets)
@@ -382,15 +494,14 @@ class Executable:
                 backend.stats.local_deliveries += len(targets)
                 v2, delay = backend.maybe_copy_local(value, mode)
                 # One heap entry for the whole same-timestamp fan-out.
-                backend.post_local_batch(
-                    [(self._deliver, (ctt, cidx, k, v2, dst))
-                     for ctt, cidx, k in targets],
-                    delay=delay)
+                backend.engine.schedule_batch(
+                    delay, [(deliver, (cidx, k, dst, v2))
+                            for deliver, cidx, k in targets])
             else:
                 backend.stats.broadcast_payloads_sent += 1
                 if value is None:
                     backend.send_control(
-                        src_rank, dst, _DeliverN(self, targets, dst),
+                        src_rank, dst, partial(_deliver_all, targets, dst),
                         nbytes=64 + 16 * len(targets)
                     )
                 else:
@@ -398,26 +509,42 @@ class Executable:
                         src_rank,
                         dst,
                         value,
-                        _DeliverNV(self, targets, dst),
+                        partial(_deliver_all, targets, dst),
                         extra_bytes=16 * len(targets),
                         tag="bcast",
                     )
 
-    def _deliver(self, tt: TemplateTask, idx: int, key: Any, value: Any,
-                 rank: int) -> None:
-        """Terminal logic at the owner rank: accumulate, fire when ready.
+    def _observe_broadcast(self, src_rank: int, spec: Sequence[Tuple[OutputTerminal, List[Any]]],
+                           value: Any, mode: str) -> None:
+        """Show a routed broadcast to the armed sanitizer and the recording
+        bus, before anything is sent.  The dependency instants of the whole
+        fan-out are one entry (one per key while the sanitizer may record
+        a finding in between)."""
+        sanitizer = self.sanitizer
+        deps = None
+        if self._logs is not None:
+            deps = self.backend.telemetry.bus.batch(  # type: ignore[union-attr]
+                self._dep_head(src_rank), 3, expand=sanitizer is not None)
+        for term, keys in spec:
+            ename, routes = term.edge.name, self._routes[term]  # type: ignore[index]
+            for k in keys:
+                for ctt, cidx, _, _, _ in routes:
+                    if sanitizer is not None:
+                        sanitizer.on_route(ctt, cidx, k, value, mode)
+                    if deps is not None:
+                        deps.extend((ctt.name, k, ename))
+
+    def _deliver(self, tt: TemplateTask, idx: int, key: Any, rank: int,
+                 value: Any = None) -> None:
+        """The generic terminal logic at the owner rank: accumulate, fire
+        when ready (the compiled delivery of a template with a streaming
+        input, or of any template under the sanitizer).
 
         ``rank`` is the owner rank the sender's keymap evaluation gave
         (keymaps are pure, TTG011).
         """
         if self.sanitizer is not None:
             self.sanitizer.on_deliver(tt, idx, key, value, rank)
-        # Without a streaming input every input takes exactly one message
-        # and readiness is a count; a lone such input is ready at once.
-        counted = not tt.streams
-        if counted and tt.num_inputs == 1:
-            self._spawn(tt, key, (value,), rank)
-            return
         pkey = (tt.id, key)
         p = self._pending.get(pkey)
         if p is None:
@@ -442,19 +569,12 @@ class Executable:
                 )
             p.slots[idx] = value
             p.counts[idx] = 1
-            if counted:
-                p.missing = missing = p.missing - 1
-                if not missing:
-                    del self._pending[pkey]
-                    self._spawn(tt, key, p.slots, rank)
-                return
         self._maybe_fire(tt, key, p, rank)
 
     def _maybe_fire(self, tt: TemplateTask, key: Any, p: _Pending,
                     rank: Optional[int] = None) -> None:
-        """Fire an instance of a template with a streaming input once every
-        input is satisfied: a count never equals an unset (``None``) size,
-        so that is list equality.  Stream control passes no ``rank``."""
+        """Fire a pending instance once every input is satisfied (list
+        equality of counts and sizes).  Stream control passes no ``rank``."""
         if p.counts != p.expected:
             return
         del self._pending[(tt.id, key)]
@@ -463,55 +583,47 @@ class Executable:
 
     def _spawn(self, tt: TemplateTask, key: Any, args: Sequence[Any],
                rank: Optional[int] = None) -> None:
-        """Create the task instance and submit it on its owner rank
+        """Create the task instance and hand it to its owner rank's pool
         (``None``: not yet known -- :meth:`invoke` and stream control --
-        so the keymap is asked here).  The template's maps are the user's
-        callables, called directly."""
+        so the keymap is asked here): the generic counterpart of the
+        spawn a compiled counted delivery does itself."""
         if rank is None:
-            nranks = self.nranks
-            km = tt._keymap
-            rank = default_owner(key, nranks) if km is None else km(key)
-            if not 0 <= rank < nranks:
-                raise keymap_out_of_range(tt, key, rank, nranks)
+            rank = tt.keymap(key, self.nranks)
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.on_spawn(tt, key, args)
         args = tuple(args)
-        cost = tt._cost
-        if cost is None:
-            flops = bytes_moved = 0.0
-        else:
-            out = cost(key, *args)
-            if isinstance(out, tuple):
-                flops, bytes_moved = float(out[0]), float(out[1])
-            else:
-                flops, bytes_moved = float(out), 0.0
-        priomap = tt._priomap
-        name = tt.name
-        self.task_counts[name] += 1
-        self.backend.submit(
-            rank, (_RunBody if sanitizer is None else _SanitizedBody)(
-                self, tt, rank, key, args), flops, bytes_moved,
-            0 if priomap is None else priomap(key), name, key,
-        )
+        flops, bytes_moved = tt.cost(key, args)
+        self.task_counts[tt.name] += 1
+        priority = tt.priority(key)
+        task = (_Task if sanitizer is None else _SanitizedTask)(
+            self, tt, rank, key, args, flops, bytes_moved, priority)
+        self.backend.pools[rank].push(task, priority)
 
     # ------------------------------------------------------------- streams
 
-    def set_argstream_size(self, tt: TemplateTask, which: Union[int, str], key: Any, size: int) -> None:
-        """Declare the bounded stream length for ``tt``'s streaming input
-        ``which`` at task ID ``key`` (may arrive before or after data)."""
+    def _stream(self, tt: TemplateTask, which: Union[int, str], key: Any,
+                kind: str) -> Tuple[InputTerminal, _Pending]:
+        """The streaming terminal and pending instance stream control
+        ``kind`` addresses."""
         self._check_tt(tt)
         term = tt.in_terminal(which)
         if not term.is_streaming:
             raise StreamError(f"{tt.name}.{term.name} is not a streaming terminal")
-        if size < 0:
-            raise StreamError("stream size must be >= 0")
         if self.sanitizer is not None:
-            self.sanitizer.on_stream_control(tt, term, key, "set_argstream_size")
+            self.sanitizer.on_stream_control(tt, term, key, kind)
         pkey = (tt.id, key)
         p = self._pending.get(pkey)
         if p is None:
             p = self._pending[pkey] = _Pending(tt)
+        return term, p
+
+    def set_argstream_size(self, tt: TemplateTask, which: Union[int, str], key: Any, size: int) -> None:
+        """Declare the bounded stream length for ``tt``'s streaming input
+        ``which`` at task ID ``key`` (may arrive before or after data)."""
+        if size < 0:
+            raise StreamError("stream size must be >= 0")
+        term, p = self._stream(tt, which, key, "set_argstream_size")
         cur = p.expected[term.index]
         if cur is not None and cur != size:
             raise StreamError(
@@ -528,165 +640,82 @@ class Executable:
 
     def finalize_argstream(self, tt: TemplateTask, which: Union[int, str], key: Any) -> None:
         """Close the stream: its length becomes the count received so far."""
-        self._check_tt(tt)
-        term = tt.in_terminal(which)
-        if not term.is_streaming:
-            raise StreamError(f"{tt.name}.{term.name} is not a streaming terminal")
-        if self.sanitizer is not None:
-            self.sanitizer.on_stream_control(tt, term, key, "finalize")
-        pkey = (tt.id, key)
-        p = self._pending.get(pkey)
-        if p is None:
-            p = self._pending[pkey] = _Pending(tt)
+        term, p = self._stream(tt, which, key, "finalize")
         p.expected[term.index] = p.counts[term.index]
         self._maybe_fire(tt, key, p)
 
-    def set_stream_size_via(
-        self, src_rank: int, term: OutputTerminal, key: Any, size: int
-    ) -> None:
+    def set_stream_size_via(self, src_rank: int, term: OutputTerminal, key: Any,
+                            size: int) -> None:
         """Stream-size control routed through an *output* terminal: applies
         to every consumer of its edge, with a control message if remote."""
-        nranks = self.nranks
-        for ctt, cidx in term.edge.consumers:
-            km = ctt._keymap
-            dst = default_owner(key, nranks) if km is None else km(key)
-            if not 0 <= dst < nranks:
-                raise keymap_out_of_range(ctt, key, dst, nranks)
-            if dst == src_rank:
-                self.backend.post_local(self.set_argstream_size, ctt, cidx,
-                                        key, size)
-            else:
-                self.backend.send_control(
-                    src_rank, dst, _SetSize(self, ctt, cidx, key, size)
-                )
+        self._control_via(src_rank, term, key, self.set_argstream_size, size)
 
     def finalize_stream_via(self, src_rank: int, term: OutputTerminal, key: Any) -> None:
-        nranks = self.nranks
+        self._control_via(src_rank, term, key, self.finalize_argstream)
+
+    def _control_via(self, src_rank: int, term: OutputTerminal, key: Any,
+                     control: Callable[..., None], *args: Any) -> None:
         for ctt, cidx in term.edge.consumers:
-            km = ctt._keymap
-            dst = default_owner(key, nranks) if km is None else km(key)
-            if not 0 <= dst < nranks:
-                raise keymap_out_of_range(ctt, key, dst, nranks)
+            dst = ctt.keymap(key, self.nranks)
             if dst == src_rank:
-                self.backend.post_local(self.finalize_argstream, ctt, cidx,
-                                        key)
+                self.backend.post_local(control, ctt, cidx, key, *args)
             else:
                 self.backend.send_control(
-                    src_rank, dst, _Finalize(self, ctt, cidx, key)
-                )
+                    src_rank, dst, partial(control, ctt, cidx, key, *args))
 
     # -------------------------------------------------------------- status
 
     @property
     def pending_instances(self) -> int:
         """Task instances waiting for inputs right now."""
-        return len(self._pending)
+        return len(self._pending) + sum(map(len, self._counted.values()))
 
 
-# Small callable records instead of lambda closures: cheaper and they keep
-# tracebacks readable when a delivery fails deep inside the event loop.
+#: A compiled delivery, ``deliver(idx, key, rank, value=None)``; a remote
+#: message carries ``partial(deliver, idx, key, rank)``.
+Deliver = Callable[..., None]
 
 
-class _Routed:
-    """Base of the delivery records: ``rank`` is the owner rank the sender
-    computed for the message(s) the record carries."""
-
-    __slots__ = ("rank",)
-
-
-class _Deliver1(_Routed):
-    """Arrival of one message for one (terminal, task ID): called with no
-    argument for a control message, with the value otherwise."""
-
-    __slots__ = ("ex", "tt", "idx", "key")
-
-    def __init__(self, ex: Executable, tt: TemplateTask, idx: int, key: Any,
-                 rank: int) -> None:
-        self.ex, self.tt, self.idx, self.key, self.rank = ex, tt, idx, key, rank
-
-    def __call__(self, value: Any = None) -> None:
-        self.ex._deliver(self.tt, self.idx, self.key, value, self.rank)
+def _deliver_all(targets: List[Tuple[Deliver, int, Any]], rank: int,
+                 value: Any = None) -> None:
+    """Arrival of one broadcast at ``rank``, covering all its targets
+    there: called with no value for a control broadcast."""
+    for deliver, idx, key in targets:
+        deliver(idx, key, rank, value)
 
 
-class _DeliverV(_Deliver1):
-    """The record of a message that carries a value (the transport calls
-    it with the reconstructed value)."""
+class _Task(TaskOutputs):
+    """One spawned task instance: the outputs handle its body receives,
+    its bound inputs and the fields :class:`~repro.runtime.base.WorkerPool`
+    reads."""
 
-    __slots__ = ()
+    __slots__ = ("args", "flops", "bytes_moved", "priority", "name")
 
+    def __init__(self, ex: Executable, tt: TemplateTask, rank: int, key: Any,
+                 args: Tuple[Any, ...], flops: float, bytes_moved: float,
+                 priority: int) -> None:
+        self._ex, self._tt, self.rank, self.key = ex, tt, rank, key
+        self.args, self.flops, self.bytes_moved = args, flops, bytes_moved
+        self.priority, self.name = priority, tt.name
 
-class _DeliverN(_Routed):
-    """Arrival of one broadcast at a rank, covering all its targets there:
-    called with no argument for a control broadcast, with the value
-    otherwise."""
-
-    __slots__ = ("ex", "targets")
-
-    def __init__(self, ex: Executable,
-                 targets: List[Tuple[TemplateTask, int, Any]], rank: int) -> None:
-        self.ex, self.targets, self.rank = ex, targets, rank
-
-    def __call__(self, value: Any = None) -> None:
-        deliver, rank = self.ex._deliver, self.rank
-        for tt, idx, key in self.targets:
-            deliver(tt, idx, key, value, rank)
-
-
-class _DeliverNV(_DeliverN):
-    """The record of a broadcast that carries a value."""
-
-    __slots__ = ()
-
-
-class _SetSize:
-    __slots__ = ("ex", "tt", "idx", "key", "size")
-
-    def __init__(self, ex: Executable, tt: TemplateTask, idx: int, key: Any, size: int) -> None:
-        self.ex, self.tt, self.idx, self.key, self.size = ex, tt, idx, key, size
-
-    def __call__(self) -> None:
-        self.ex.set_argstream_size(self.tt, self.idx, self.key, self.size)
-
-
-class _Finalize:
-    __slots__ = ("ex", "tt", "idx", "key")
-
-    def __init__(self, ex: Executable, tt: TemplateTask, idx: int, key: Any) -> None:
-        self.ex, self.tt, self.idx, self.key = ex, tt, idx, key
-
-    def __call__(self) -> None:
-        self.ex.finalize_argstream(self.tt, self.idx, self.key)
-
-
-class _RunBody:
-    """The body of one spawned task instance (template fn + bound inputs)."""
-
-    __slots__ = ("ex", "tt", "rank", "key", "args")
-
-    def __init__(self, ex: Executable, tt: TemplateTask, rank: int,
-                 key: Any, args: Tuple[Any, ...]) -> None:
-        self.ex, self.tt, self.rank, self.key = ex, tt, rank, key
-        self.args = args
-
-    def __call__(self) -> None:
-        outs = TaskOutputs(self.ex, self.tt, self.rank, self.key)
-        _CURRENT.append(outs)
+    def run(self) -> None:
+        _CURRENT.append(self)
         try:
-            self.tt.fn(self.key, *self.args, outs)
+            self._tt.fn(self.key, *self.args, self)
         finally:
             _CURRENT.pop()
 
 
-class _SanitizedBody(_RunBody):
-    """A task body bracketed by the armed sanitizer's hooks (it takes its
-    rank's clock as it begins)."""
+class _SanitizedTask(_Task):
+    """A task whose body is bracketed by the armed sanitizer's hooks (it
+    takes its rank's clock as it begins)."""
 
     __slots__ = ()
 
-    def __call__(self) -> None:
-        sanitizer = self.ex.sanitizer
-        sanitizer.on_body(self.tt, self.key, self.rank, self.args)
+    def run(self) -> None:
+        sanitizer = self._ex.sanitizer
+        sanitizer.on_body(self._tt, self.key, self.rank, self.args)
         try:
-            _RunBody.__call__(self)
+            _Task.run(self)
         finally:
             sanitizer.on_body_end()

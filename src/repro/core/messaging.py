@@ -30,25 +30,19 @@ MODES = ("value", "cref", "move")
 
 
 class TaskOutputs:
-    """Handle to a task's output terminals, bound to the executing rank."""
+    """Handle to a task's output terminals, bound to the executing rank.
 
-    __slots__ = ("_ex", "_tt", "_rank", "_key")
+    ``rank`` is the rank executing the task and ``key`` its task ID; a
+    spawned task is itself its handle (``repro.core.graph._Task``).
+    """
+
+    __slots__ = ("_ex", "_tt", "rank", "key")
 
     def __init__(self, ex: Any, tt: Any, rank: int, key: Any = None) -> None:
         self._ex = ex
         self._tt = tt
-        self._rank = rank
-        self._key = key
-
-    @property
-    def rank(self) -> int:
-        """Rank executing the current task."""
-        return self._rank
-
-    @property
-    def key(self) -> Any:
-        """Task ID of the current task (its own key)."""
-        return self._key
+        self.rank = rank
+        self.key = key
 
     @property
     def nranks(self) -> int:
@@ -87,7 +81,7 @@ class TaskOutputs:
             term = outputs[which]
         else:
             term = self._terminal(which)
-        self._ex.send_from(self._rank, term, key, value, mode)
+        self._ex.send_from(self.rank, term, key, value, mode)
 
     def broadcast(
         self,
@@ -97,10 +91,7 @@ class TaskOutputs:
         mode: str = "value",
     ) -> None:
         """Send ``value`` once per destination rank covering all ``keys``."""
-        _check_mode(mode)
-        self._ex.broadcast_from(
-            self._rank, [(self._terminal(which), list(keys))], value, mode
-        )
+        self.broadcast_multi(((which, keys),), value, mode)
 
     def broadcast_multi(
         self,
@@ -110,9 +101,12 @@ class TaskOutputs:
     ) -> None:
         """Multi-terminal broadcast (Fig. 2c / Listing 1 lines 37-39):
         one payload per destination rank across *all* terminals."""
-        _check_mode(mode)
-        resolved = [(self._terminal(w), list(ks)) for w, ks in spec]
-        self._ex.broadcast_from(self._rank, resolved, value, mode)
+        if mode not in MODES:
+            _check_mode(mode)
+        outputs = self._tt.outputs
+        resolved = [(outputs[w] if type(w) is int and 0 <= w < len(outputs)
+                     else self._terminal(w), list(ks)) for w, ks in spec]
+        self._ex.broadcast_from(self.rank, resolved, value, mode)
 
     # ------------------------------------------------------------- streams
 
@@ -120,13 +114,13 @@ class TaskOutputs:
         """Set the expected stream size of the *consumers* of terminal
         ``which`` for task ID ``key`` (dynamic bounded streams)."""
         self._stream_instant("stream:set_size", which, key, size)
-        self._ex.set_stream_size_via(self._rank, self._terminal(which), key, size)
+        self._ex.set_stream_size_via(self.rank, self._terminal(which), key, size)
 
     def finalize(self, which: Union[int, str], key: Any) -> None:
         """Close the stream of the consumers of terminal ``which`` for
         ``key``: the stream length becomes whatever has arrived."""
         self._stream_instant("stream:finalize", which, key)
-        self._ex.finalize_stream_via(self._rank, self._terminal(which), key)
+        self._ex.finalize_stream_via(self.rank, self._terminal(which), key)
 
     def _stream_instant(self, name: str, which: Union[int, str], key: Any,
                         size: Optional[int] = None) -> None:
@@ -136,10 +130,10 @@ class TaskOutputs:
 
             now = self._ex.backend.engine.now
             tel.bus.emit((
-                (INSTANT, name, "stream", self._rank, TID_RT,
-                 "sender terminal key! size?"), now, now, None,
-                current_task_label(), str(self._terminal(which).name), key,
-                size,
+                (INSTANT, name, "stream", self.rank, TID_RT,
+                 "sender[] terminal key! size?"), now, now, None,
+                self._tt.name, self.key, str(self._terminal(which).name),
+                key, size,
             ))
 
 
@@ -151,7 +145,7 @@ def _check_mode(mode: str) -> None:
 # --------------------------------------------------------------------------
 # Free-function API mirroring ttg::send / ttg::broadcast.  The current
 # task's TaskOutputs is tracked in a stack maintained by the executor
-# (repro.core.graph._RunBody pushes and pops around every body).
+# (repro.core.graph._Task pushes and pops around every body).
 # --------------------------------------------------------------------------
 
 _CURRENT: List[TaskOutputs] = []
@@ -162,15 +156,6 @@ def current_outputs() -> TaskOutputs:
     if not _CURRENT:
         raise DeliveryError("no task is currently executing (free send outside body)")
     return _CURRENT[-1]
-
-
-def current_task_label() -> str:
-    """``"NAME[key]"`` of the executing task, or ``"<external>"`` when no
-    task body is on the stack (used by TTG-San provenance reporting)."""
-    if not _CURRENT:
-        return "<external>"
-    outs = _CURRENT[-1]
-    return f"{outs._tt.name}[{outs._key!r}]"
 
 
 def send(

@@ -83,8 +83,17 @@ class TemplateTask:
         self._priomap = priomap
         self._cost = cost
         self._lint_waivers: frozenset = frozenset()
+        #: executables holding this template's compiled delivery
+        self._bindings: set = set()
 
     # ------------------------------------------------------------- plumbing
+
+    def _changed(self) -> None:
+        """A map or reducer changed: every executable that compiled this
+        template's delivery drops it, to compile afresh at its next entry
+        point (a running one refuses the change)."""
+        for ex in list(self._bindings):
+            ex._template_changed(self)
 
     def input_became_streaming(self, term: InputTerminal) -> None:
         """``term`` (one of :attr:`inputs`) was given a reducer."""
@@ -108,16 +117,19 @@ class TemplateTask:
 
     def set_keymap(self, keymap: Callable[[Any], int]) -> "TemplateTask":
         self._keymap = keymap
+        self._changed()
         return self
 
     def set_priomap(self, priomap: Callable[[Any], int]) -> "TemplateTask":
         """Per-template priority map: task ID -> priority (paper feature)."""
         self._priomap = priomap
+        self._changed()
         return self
 
     def set_cost(self, cost: CostFn) -> "TemplateTask":
         """Cost model hook: flops (and optionally bytes) per task instance."""
         self._cost = cost
+        self._changed()
         return self
 
     def lint_waive(self, *rule_ids: str) -> "TemplateTask":

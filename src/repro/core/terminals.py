@@ -48,6 +48,7 @@ class InputTerminal:
             )
         if size is not None and size < 1:
             raise GraphConstructionError("stream size must be >= 1")
+        self.tt._changed()
         self.reducer = reducer
         self.static_stream_size = size
         self.is_streaming = True

@@ -109,74 +109,42 @@ class RunStats:
         return d
 
 
-class _OnMeta:
-    """Arrival of a splitmd metadata message: allocate the destination
-    object and RMA-get the payload.  Carries only scalars + the metadata
-    bytes -- the payload array stays registered in the source rank's RMA
-    window until the release control message fires."""
+class _Splitmd:
+    """One splitmd transfer.  Its metadata message arrives
+    (:meth:`on_meta`): allocate the destination object and RMA-get the
+    payload, which stays registered in the source rank's RMA window until
+    the release control message fires.  The payload lands
+    (:meth:`on_payload`): fill the object, release the source region,
+    deliver."""
 
     __slots__ = ("backend", "src", "dst", "meta_bytes", "eager_bytes",
                  "rma_bytes", "handle", "send_start", "flow", "heads",
-                 "on_deliver")
+                 "on_deliver", "obj", "meta_end")
 
     def __init__(self, backend: "Backend", src: int, dst: int,
                  meta_bytes: bytes, eager_bytes: int, rma_bytes: int,
                  handle: int, send_start: float, flow: Optional[int],
                  heads: Optional[Tuple[tuple, tuple]],
                  on_deliver: Callable[[Any], None]) -> None:
-        self.backend = backend
-        self.src = src
-        self.dst = dst
-        self.meta_bytes = meta_bytes
-        self.eager_bytes = eager_bytes
-        self.rma_bytes = rma_bytes
-        self.handle = handle
-        self.send_start = send_start
-        self.flow = flow
-        self.heads = heads
+        self.backend, self.src, self.dst = backend, src, dst
+        self.meta_bytes, self.eager_bytes = meta_bytes, eager_bytes
+        self.rma_bytes, self.handle = rma_bytes, handle
+        self.send_start, self.flow, self.heads = send_start, flow, heads
         self.on_deliver = on_deliver
 
-    def __call__(self) -> None:
+    def on_meta(self) -> None:
         backend = self.backend
-        meta_end = backend.engine.now
+        self.meta_end = meta_end = backend.engine.now
         if self.flow is not None:
             backend.telemetry.bus.emit((
                 self.heads[0], self.send_start, meta_end, self.flow,
                 self.src, self.eager_bytes,
             ))
         cls, meta = unpack_metadata(self.meta_bytes)
-        obj = cls.splitmd_allocate(meta)
-        backend.rma.get(
-            self.dst, self.handle,
-            _OnPayload(backend, self.src, self.dst, obj, meta_end,
-                       self.rma_bytes, self.handle, self.flow,
-                       self.heads, self.on_deliver),
-        )
+        self.obj = cls.splitmd_allocate(meta)
+        backend.rma.get(self.dst, self.handle, self.on_payload)
 
-
-class _OnPayload:
-    """Landing of a splitmd RMA payload: fill the allocated object,
-    release the source region, deliver."""
-
-    __slots__ = ("backend", "src", "dst", "obj", "meta_end", "rma_bytes",
-                 "handle", "flow", "heads", "on_deliver")
-
-    def __init__(self, backend: "Backend", src: int, dst: int, obj: Any,
-                 meta_end: float, rma_bytes: int, handle: int,
-                 flow: Optional[int], heads: Optional[Tuple[tuple, tuple]],
-                 on_deliver: Callable[[Any], None]) -> None:
-        self.backend = backend
-        self.src = src
-        self.dst = dst
-        self.obj = obj
-        self.meta_end = meta_end
-        self.rma_bytes = rma_bytes
-        self.handle = handle
-        self.flow = flow
-        self.heads = heads
-        self.on_deliver = on_deliver
-
-    def __call__(self, data: Any) -> None:
+    def on_payload(self, data: Any) -> None:
         backend = self.backend
         obj = self.obj
         if data is not None:
@@ -194,8 +162,10 @@ class _OnPayload:
         self.on_deliver(obj)
 
 
-class _OnArrival:
-    """Arrival of an eager message at the destination AM server."""
+class _Eager:
+    """One eager message.  It arrives at the destination AM server
+    (:meth:`on_arrival`) and, once copied, delivers its reconstructed value
+    (:meth:`deliver`)."""
 
     __slots__ = ("backend", "proto", "msg", "recv_copy", "server_time",
                  "on_deliver")
@@ -203,65 +173,41 @@ class _OnArrival:
     def __init__(self, backend: "Backend", proto: Any, msg: Any,
                  recv_copy: int, server_time: float,
                  on_deliver: Callable[[Any], None]) -> None:
-        self.backend = backend
-        self.proto = proto
-        self.msg = msg
-        self.recv_copy = recv_copy
-        self.server_time = server_time
+        self.backend, self.proto, self.msg = backend, proto, msg
+        self.recv_copy, self.server_time = recv_copy, server_time
         self.on_deliver = on_deliver
 
-    def __call__(self) -> None:
+    def on_arrival(self) -> None:
         backend = self.backend
         recv_copy = self.recv_copy
         if recv_copy:
             backend.stats.copies += 1
             backend.stats.copy_bytes += recv_copy
-        deliver = _EagerDeliver(backend, self.proto, self.msg,
-                                self.on_deliver)
         if self.server_time > 0.0:
-            deliver()  # copy time already occupied the AM server
+            self.deliver()  # copy time already occupied the AM server
         else:
             backend.engine.schedule(
-                backend.cluster.node.copy_time(recv_copy) if recv_copy else 0.0,
-                deliver)
+                backend._node.copy_time(recv_copy) if recv_copy else 0.0,
+                self.deliver)
 
-
-class _EagerDeliver:
-    """Post-copy delivery of an eager message's reconstructed value."""
-
-    __slots__ = ("backend", "proto", "msg", "on_deliver")
-
-    def __init__(self, backend: "Backend", proto: Any, msg: Any,
-                 on_deliver: Callable[[Any], None]) -> None:
-        self.backend = backend
-        self.proto = proto
-        self.msg = msg
-        self.on_deliver = on_deliver
-
-    def __call__(self) -> None:
+    def deliver(self) -> None:
         self.on_deliver(self.proto.deserialize(self.msg))
 
 
 class _ReadyTask:
-    """A task instance bound for a worker pool."""
+    """A task :meth:`Backend.submit` queued: a callable and the fields
+    :class:`WorkerPool` reads (as a graph task, ``core.graph._Task``)."""
 
     __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key")
 
-    def __init__(
-        self,
-        fn: Callable[[], None],
-        flops: float,
-        bytes_moved: float,
-        priority: int,
-        name: str,
-        key: Any,
-    ) -> None:
-        self.fn = fn
-        self.flops = flops
-        self.bytes_moved = bytes_moved
-        self.priority = priority
-        self.name = name
-        self.key = key
+    def __init__(self, fn: Callable[[], None], flops: float,
+                 bytes_moved: float, priority: int, name: str,
+                 key: Any) -> None:
+        self.fn, self.flops, self.bytes_moved = fn, flops, bytes_moved
+        self.priority, self.name, self.key = priority, name, key
+
+    def run(self) -> None:
+        self.fn()
 
 
 class WorkerPool:
@@ -281,33 +227,42 @@ class WorkerPool:
         # bit-for-bit.  None => zero-overhead default path.
         ov = getattr(backend.cluster, "overrides", None)
         self._speedups = dict(ov.speedups) if ov is not None and ov.speedups else None
-        # Telemetry hook point (enable_telemetry).  None => one branch at
-        # each push, pop and completion.
-        self._tel: Optional[Telemetry] = None
+        # Telemetry hook point (enable_telemetry): this rank's log of a
+        # recording bus.  None => one branch at each push, pop and
+        # completion.
+        self._log: Optional[list] = None
 
     def enable_telemetry(self, tel: Telemetry) -> None:
-        """Sample the queue depth at the pushes (:meth:`Backend.submit`) and
-        pops (:meth:`_dispatch`), and record every completed task.  The
-        queue must be empty: the recording starts before its first push."""
+        """Sample the queue depth at the pushes (:meth:`push`) and pops
+        (:meth:`_dispatch`), and record every completed task.  The queue
+        must be empty: the recording starts before its first push."""
         if self.queued:
             raise ValueError(
                 f"cannot attach telemetry to rank {self.rank}'s non-empty "
                 "ready queue (attach telemetry before submitting tasks)"
             )
+        if not tel.bus.recording:
+            return
         rank = self.rank
         self._depth_head = (COUNTER, "queue_depth", "counter", rank, 0,
                             _DEPTH_ARGS)
         # Task span heads per (template, worker).
         self._task_heads = Handles(lambda k: (
             SPAN, k[0], "task", rank, k[1], _TASK_ARGS))
-        self._tel = tel
+        self._log = tel.bus.logs[rank]
 
-    def _pushed(self) -> None:
-        """The depth sample of one push (telemetry attached)."""
-        bus = self._tel.bus
-        if bus.recording:
+    def push(self, task: Any, priority: int) -> None:
+        """Queue ``task`` and dispatch it if a worker is idle."""
+        self._queue.push(task, priority)
+        log = self._log
+        if log is not None:
             now = self.backend.engine.now
-            bus.emit((self._depth_head, now, now, None, len(self._queue)))
+            log.extend((self._depth_head, now, now, None,
+                        len(self._queue.items)))
+        # With every worker busy the task just waits: the next completion
+        # dispatches it.
+        if self._idle:
+            self._dispatch()
 
     @property
     def queued(self) -> int:
@@ -320,15 +275,14 @@ class WorkerPool:
 
     def _dispatch(self) -> None:
         engine = self.backend.engine
-        tel = self._tel
+        log = self._log
         ready = self._queue.items
         while self._idle and ready:
             task = self._queue.pop()
             worker = self._idle.pop()
             start = engine.now
-            if tel is not None and tel.bus.recording:
-                tel.bus.emit((self._depth_head, start, start, None,
-                              len(ready)))
+            if log is not None:
+                log.extend((self._depth_head, start, start, None, len(ready)))
             duration = self._node.compute_time(task.flops, task.bytes_moved)
             if self._speedups is not None:
                 s = self._speedups.get(task.name)
@@ -337,18 +291,18 @@ class WorkerPool:
             engine.schedule_at(start + duration, self._complete, task, worker,
                                start)
 
-    def _complete(self, task: _ReadyTask, worker: int, start: float) -> None:
+    def _complete(self, task: Any, worker: int, start: float) -> None:
         backend = self.backend
-        tel = self._tel
-        if tel is not None and tel.bus.recording:
-            tel.bus.emit((self._task_heads[(task.name, worker)], start,
-                          backend.engine.now, None, task.key, task.name,
-                          task.priority))
+        log = self._log
+        if log is not None:
+            log.extend((self._task_heads[(task.name, worker)], start,
+                        backend.engine.now, None, task.key, task.name,
+                        task.priority))
         backend.stats.tasks_executed += 1
         stats = backend.stats.tasks_by_template
         stats[task.name] = stats.get(task.name, 0) + 1
         try:
-            task.fn()
+            task.run()
         finally:
             self._idle.append(worker)
             self._dispatch()
@@ -359,15 +313,12 @@ class Backend:
 
     name = "base"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        config: Optional[BackendConfig] = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
+    def __init__(self, cluster: Cluster, config: Optional[BackendConfig] = None,
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.config = config or BackendConfig()
+        self._node = cluster.node
         self.stats = RunStats()
         # TTG-San hook point: armed by Executable(strict/sanitize), see
         # repro.analysis.sanitizer.  None => zero-overhead default path.
@@ -375,16 +326,15 @@ class Backend:
         # Telemetry hook point: attach_telemetry arms every layer's hooks.
         # None => the default path pays one attribute load + branch.
         self.telemetry = None
-        base_am = cluster.machine.network.am_overhead
-        per_byte = self.config.am_cost_per_byte
         self.comm = CommEngine(
-            cluster,
-            am_cost_fn=lambda dst, nbytes: base_am + nbytes * per_byte,
-        )
+            cluster, am_cost_per_byte=self.config.am_cost_per_byte)
         self.rma = RmaWindow(self.comm)
         self.pools = [WorkerPool(self, r) for r in range(cluster.nranks)]
         #: Completed drains of the event queue (the ``quiescence`` epoch).
         self.drains = 0
+        #: Executables bound to this backend with their plain (unobserved)
+        #: delivery compiled (:meth:`repro.core.graph.Executable._compile`).
+        self.plain_bindings = 0
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 
@@ -393,11 +343,17 @@ class Backend:
 
         Binds the bus clock to this backend's engine and arms the worker
         pools' queue sampling and the comm engine.  Attach before
-        submitting work (the pools refuse non-empty queues).
+        submitting work (the pools refuse non-empty queues) and before
+        binding a graph: an executable compiles its delivery once, plain
+        or observed, so a plain one bound here refuses it too.
         """
+        if self.plain_bindings:
+            raise ValueError(
+                "cannot attach telemetry to a backend with a plain executable "
+                "bound to it (attach telemetry before binding the graph)")
+        telemetry.bind(self)
         for pool in self.pools:
             pool.enable_telemetry(telemetry)
-        telemetry.bind(self)
         self.telemetry = telemetry
         self.comm.attach_telemetry(telemetry)
         # Heads of the two splitmd phase spans, per (tag, destination).
@@ -417,29 +373,15 @@ class Backend:
 
     # ----------------------------------------------------------------- tasks
 
-    def submit(
-        self,
-        rank: int,
-        fn: Callable[[], None],
-        flops: float = 0.0,
-        bytes_moved: float = 0.0,
-        priority: int = 0,
-        name: str = "task",
-        key: Any = None,
-    ) -> None:
+    def submit(self, rank: int, fn: Callable[[], None], flops: float = 0.0,
+               bytes_moved: float = 0.0, priority: int = 0, name: str = "task",
+               key: Any = None) -> None:
         """Enqueue a ready task on ``rank``'s worker pool.
 
         The task is queued and dispatched right here, in the caller's
         frame: this runs once per simulated task."""
-        task = _ReadyTask(fn, flops, bytes_moved, priority, name, key)
-        pool = self.pools[rank]
-        pool._queue.push(task, priority)
-        if pool._tel is not None:
-            pool._pushed()
-        # With every worker busy the task just waits: the next completion
-        # dispatches it.
-        if pool._idle:
-            pool._dispatch()
+        self.pools[rank].push(
+            _ReadyTask(fn, flops, bytes_moved, priority, name, key), priority)
 
     def post_local(self, fn: Callable[..., None], *args: Any,
                    delay: float = 0.0) -> None:
@@ -451,21 +393,6 @@ class Backend:
         """
         engine = self.engine
         engine.schedule_at(engine.now + delay, fn, *args)
-
-    def post_local_batch(
-        self,
-        calls: "list[Tuple[Callable[..., None], tuple]]",
-        *,
-        delay: float = 0.0,
-    ) -> None:
-        """Post several local deliveries due at the same instant.
-
-        Semantically identical to calling :meth:`post_local` once per
-        ``(fn, args)`` pair, but the whole burst costs one heap entry in
-        the event engine (broadcast fan-out posts dozens of same-timestamp
-        deliveries; see :meth:`repro.sim.engine.Engine.schedule_batch`).
-        """
-        self.engine.schedule_batch(delay, calls)
 
     # -------------------------------------------------------------- messages
 
@@ -499,16 +426,9 @@ class Backend:
         proto_stats["control"] = proto_stats.get("control", 0) + nbytes
         self.comm.send_am(src, dst, nbytes, on_deliver, tag="ctrl")
 
-    def send_value(
-        self,
-        src: int,
-        dst: int,
-        value: Any,
-        on_deliver: Callable[[Any], None],
-        *,
-        tag: str = "data",
-        extra_bytes: int = 0,
-    ) -> None:
+    def send_value(self, src: int, dst: int, value: Any,
+                   on_deliver: Callable[[Any], None], *, tag: str = "data",
+                   extra_bytes: int = 0) -> None:
         """Serialize ``value`` and deliver a reconstructed copy at ``dst``.
 
         Chooses the protocol per the trait order; splitmd sends metadata
@@ -519,7 +439,7 @@ class Backend:
         """
         proto, msg = self.serialize(value)
         msg.eager_bytes += extra_bytes
-        node = self.cluster.node
+        node = self._node
         total = msg.total_bytes
         self.stats.remote_messages += 1
         self.stats.remote_bytes += total
@@ -544,9 +464,9 @@ class Backend:
                 heads = self._h_proto[(tag, dst)]
             self.comm.send_am(
                 src, dst, msg.eager_bytes,
-                _OnMeta(self, src, dst, meta_bytes, msg.eager_bytes,
-                        msg.rma_bytes, handle, send_start, flow, heads,
-                        on_deliver),
+                _Splitmd(self, src, dst, meta_bytes, msg.eager_bytes,
+                         msg.rma_bytes, handle, send_start, flow, heads,
+                         on_deliver).on_meta,
                 start=send_start, tag=tag)
         else:
             recv_copy = msg.receiver_copy_bytes
@@ -555,8 +475,8 @@ class Backend:
                 src,
                 dst,
                 msg.eager_bytes,
-                _OnArrival(self, proto, msg, recv_copy, server_time,
-                           on_deliver),
+                _Eager(self, proto, msg, recv_copy, server_time,
+                       on_deliver).on_arrival,
                 start=send_start,
                 tag=tag,
                 extra_server_time=server_time,
@@ -593,7 +513,7 @@ class Backend:
         if nbytes:
             self.stats.copies += 1
             self.stats.copy_bytes += nbytes
-            delay = self.cluster.node.copy_time(nbytes)
+            delay = self._node.copy_time(nbytes)
         clone = getattr(value, "clone", None)
         return (clone() if callable(clone) else value), delay
 

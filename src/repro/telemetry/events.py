@@ -1,4 +1,4 @@
-"""Structured event bus: spans, instants, counters in per-rank ring buffers.
+"""Structured event bus: spans, instants, counters in per-rank logs.
 
 The bus is the single collection point for everything the runtime,
 communication and core layers can observe about an execution: every
@@ -15,15 +15,16 @@ from the backend's always-on ``RunStats``).  Three event kinds:
 Telemetry is *off by default*: every hook site in the runtime guards on
 ``backend.telemetry is None``, so a run without an attached
 :class:`Telemetry` pays one attribute load and one branch per hook.  When
-enabled, events land in per-rank ring buffers (``deque(maxlen=capacity)``)
-so memory stays bounded on long runs; evictions are counted in
-:attr:`EventBus.dropped`.
+enabled, each rank's events land in one flat log (:attr:`EventBus.logs`);
+a bounded bus keeps the last ``capacity`` records per rank and counts the
+evicted ones in :attr:`EventBus.dropped`.
 
-Recording is cheap, reading pays: the runtime's hooks append one tuple
-of atoms per event (:meth:`EventBus.emit`: no ``args`` dict, no ``repr`` of
-a task key, no formatted label), led by a head tuple the hook site built
-once, and one entry per broadcast fan-out (:meth:`EventBus.batch`).  The
-event objects are built the first time the bus is read.
+Recording is cheap, reading pays: a record is its head followed by its
+fields, appended to the rank's log as atoms (no tuple is retained per
+record, no ``args`` dict, no ``repr`` of a task key, no formatted label).
+The hot hook sites append to ``logs[rank]`` themselves, with a head they
+built once; a broadcast fan-out is one batch (:meth:`EventBus.batch`).
+The event objects are built the first time the bus is read.
 
 Timelines within a rank are identified by an integer ``tid``: worker
 threads use their worker index, and the reserved ids below keep transport
@@ -63,7 +64,7 @@ THREAD_NAMES = {
 #: Event kinds, the first argument of :meth:`EventBus.record` and the
 #: first field of a record head.
 SPAN, INSTANT, COUNTER = 0, 1, 2
-#: Leads a ring entry standing for several records (:meth:`EventBus.batch`).
+#: Leads a batch of several records in a rank's log (:meth:`EventBus.batch`).
 BATCH = 3
 
 
@@ -122,6 +123,14 @@ def _fields(spec: str) -> Tuple[Tuple[str, str], ...]:
     return tuple((name, word[len(name):]) for word, name in names)
 
 
+@lru_cache(maxsize=None)
+def _width(keys: Union[str, Tuple[str, ...]]) -> int:
+    """Atoms after a record's head: ``t0``, ``t1``, ``flow`` and the values."""
+    if type(keys) is tuple:
+        return 3 + len(keys)
+    return 3 + sum(2 if how == "[]" else 1 for _, how in _fields(keys))
+
+
 def _event(rec: tuple) -> Any:
     """Build the event object a record (see :meth:`EventBus.emit`) stands for."""
     (kind, name, cat, rank, tid, keys), t0, t1, flow = rec[:4]
@@ -146,15 +155,56 @@ def _event(rec: tuple) -> Any:
     return CounterEvent(name, rank, t0, args)
 
 
-def _records(entries: Iterable[Any]) -> Iterator[Any]:
-    """``entries`` with every batch expanded into its records, in order."""
-    for entry in entries:
-        if type(entry) is tuple and entry[0] == BATCH:
-            _, head, width, values = entry
-            for i in range(0, len(values), width):
-                yield head + tuple(values[i:i + width])
+def _entries(log: List[Any]) -> Iterator[Any]:
+    """The records of one rank's log in order: a record as the tuple
+    ``(head, t0, t1, flow, *vals)``, an event object as itself, and a
+    batch as the records it stands for."""
+    i, n = getattr(log, "start", 0), len(log)
+    while i < n:
+        item = log[i]
+        if type(item) is tuple:
+            end = i + 1 + _width(item[5])
+            yield tuple(log[i:end])
+            i = end
+        elif type(item) is int:
+            head, width, values = log[i + 1:i + 4]
+            for k in range(0, len(values), width):
+                yield head + tuple(values[k:k + width])
+            i += 4
         else:
-            yield entry
+            yield item
+            i += 1
+
+
+class _Ring(list):
+    """A bounded rank log: each :meth:`extend` appends one record, and the
+    oldest record beyond ``capacity`` is evicted and counted in
+    ``dropped[rank]``.  Evicted atoms stay before ``start`` until they are
+    half the list, so an eviction costs O(1) amortized."""
+
+    __slots__ = ("capacity", "dropped", "rank", "sizes", "start")
+
+    def __init__(self, capacity: int, dropped: List[int], rank: int) -> None:
+        super().__init__()
+        self.capacity, self.dropped, self.rank = capacity, dropped, rank
+        self.sizes: deque = deque()
+        self.start = 0
+
+    def extend(self, rec: tuple) -> None:  # type: ignore[override]
+        list.extend(self, rec)
+        sizes = self.sizes
+        sizes.append(len(rec))
+        if len(sizes) > self.capacity:
+            self.start += sizes.popleft()
+            self.dropped[self.rank] += 1
+            if 2 * self.start > len(self):
+                del self[:self.start]
+                self.start = 0
+
+    def clear(self) -> None:
+        list.clear(self)
+        self.sizes.clear()
+        self.start = 0
 
 
 class Handles(dict):
@@ -193,29 +243,27 @@ class _Expanding:
 
 
 class EventBus:
-    """Per-rank ring buffers of telemetry events.
+    """Per-rank flat logs of telemetry records and events.
 
-    ``capacity`` bounds each rank's buffer; ``capacity=0`` buffers nothing
-    (``Telemetry(events=False)``); ``capacity=None``
-    is unbounded (tests, short runs).  ``clock`` is a zero-argument
-    callable returning the current virtual time; binding a backend
-    replaces it with the backend engine's clock.
+    ``capacity`` bounds each rank's log to its last ``capacity`` records;
+    ``capacity=0`` stores nothing (``Telemetry(events=False)``);
+    ``capacity=None`` is unbounded (tests, short runs).  ``clock`` is a
+    zero-argument callable returning the current virtual time; binding a
+    backend replaces it with the backend engine's clock.
 
-    A ring holds event objects and unread records side by side; reading
-    replaces the records in place, so an event keeps its identity.  Only
-    an unbounded ring keeps batches (:meth:`batch`): eviction and
-    ``dropped`` work per event.
+    ``logs[rank]`` holds records as atoms (see :meth:`emit`) and event
+    objects side by side; reading replaces the records in place, so an
+    event keeps its identity.  Only an unbounded log keeps batches
+    (:meth:`batch`): eviction and ``dropped`` work per record.
     """
 
-    def __init__(
-        self,
-        nranks: int = 1,
-        capacity: Optional[int] = 65536,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, nranks: int = 1, capacity: Optional[int] = 65536,
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.capacity = capacity
-        self._rings: List[deque] = []
+        #: One flat list per rank; the hot hook sites ``extend`` it with
+        #: one whole record per call.
+        self.logs: List[List[Any]] = []
         self.dropped: List[int] = []
         self.ensure_ranks(max(1, nranks))
         self._flow_next = 1
@@ -229,8 +277,10 @@ class EventBus:
         return self.clock()
 
     def ensure_ranks(self, nranks: int) -> None:
-        while len(self._rings) < nranks:
-            self._rings.append(deque(maxlen=self.capacity))
+        while len(self.logs) < nranks:
+            rank = len(self.logs)
+            self.logs.append([] if self.capacity is None
+                             else _Ring(self.capacity, self.dropped, rank))
             self.dropped.append(0)
 
     def new_flow(self) -> int:
@@ -240,35 +290,32 @@ class EventBus:
         return flow
 
     def _put(self, rank: int, item: Any) -> None:
-        """Store one event object or record."""
+        """Store one event object or record tuple."""
         if self.capacity == 0:
             return
-        if rank >= len(self._rings):
+        if rank >= len(self.logs):
             self.ensure_ranks(rank + 1)
-        ring = self._rings[rank]
-        if len(ring) == ring.maxlen:
-            self.dropped[rank] += 1
-        ring.append(item)
+        self.logs[rank].extend(item if type(item) is tuple else (item,))
 
     def extend(self, events: Iterable[Any], rank_offset: int = 0) -> None:
         """Append events recorded elsewhere (event objects, or another bus's
         :meth:`drain`) in order, each on its own rank plus ``rank_offset``."""
-        for item in _records(events):
+        for item in events:
             if rank_offset:
                 item = _event(item) if type(item) is tuple else item
                 item = dataclasses.replace(item, rank=item.rank + rank_offset)
             self._put(item[0][3] if type(item) is tuple else item.rank, item)
 
     def clear(self) -> None:
-        """Forget every buffered event and eviction count."""
-        for ring in self._rings:
-            ring.clear()
+        """Forget every stored event and eviction count."""
+        for log in self.logs:
+            log.clear()
         self.dropped[:] = [0] * len(self.dropped)
 
     def drain(self) -> Tuple[List[Any], List[int]]:
-        """Remove and return ``(events, dropped)``: everything buffered, rank
+        """Remove and return ``(events, dropped)``: everything stored, rank
         by rank in recording order and still unread, for :meth:`extend`."""
-        out = ([item for ring in self._rings for item in _records(ring)],
+        out = ([item for log in self.logs for item in _entries(log)],
                list(self.dropped))
         self.clear()
         return out
@@ -279,8 +326,8 @@ class EventBus:
                t0: float, t1: float, flow: Optional[int],
                keys: Union[str, Tuple[str, ...]], *vals: Any) -> None:
         """Store the parts of one event (check :attr:`recording` first);
-        the object is built on first read.  Hot hook sites call
-        :meth:`emit` instead, with a head they built once.
+        the object is built on first read.  Hot hook sites append to
+        :attr:`logs` themselves, with a head they built once.
 
         ``kind`` is :data:`SPAN`, :data:`INSTANT` or :data:`COUNTER`
         (instants and counters pass ``ts`` as ``t0`` and ``t1``; counters
@@ -290,12 +337,9 @@ class EventBus:
         ``dst[]`` takes two values and stores the task label
         ``"NAME[key!r]"``, ``size?`` is left out when ``None``.  Pass atoms
         (strings, numbers, ``None``, immutable keys): a deferred value must
-        not change before it is read, and a tuple of
-        atoms leaves the cyclic GC at the first collection that sees it.
-        Until then it counts toward the young generation's threshold like
-        any other allocation, so every retained record still costs
-        collections: fewer and smaller records are what make watching
-        cheaper.
+        not change before it is read.  The atoms are appended to the rank's
+        flat log and no tuple is kept per record, so recording does not
+        drive collections of the young generation.
         """
         self.emit(((kind, name, cat, rank, tid, keys), t0, t1, flow) + vals)
 
@@ -303,34 +347,34 @@ class EventBus:
         """Store one record ``(head, t0, t1, flow, *vals)``.  ``head`` is
         ``(kind, name, cat, rank, tid, keys)``, the fields :meth:`record`
         takes in the same order; a hook site builds each head once and
-        shares it between the records of one timeline and shape."""
+        shares it between the records of one timeline and shape.  A hook
+        site on the hot path does what this does inline:
+        ``bus.logs[rank].extend(rec)``."""
         rank = rec[0][3]
-        if self.capacity == 0 or rank >= len(self._rings):
-            return self._put(rank, rec)
-        ring = self._rings[rank]  # _put's common case, inline
-        if len(ring) == ring.maxlen:
-            self.dropped[rank] += 1
-        ring.append(rec)
+        if self.capacity != 0 and rank < len(self.logs):
+            self.logs[rank].extend(rec)  # _put's common case, inline
+        else:
+            self._put(rank, rec)
 
     def batch(self, head: tuple, width: int,
               expand: bool = False) -> "Union[List[Any], _Expanding]":
-        """One ring entry for many records that differ only in ``width``
+        """One log entry for many records that differ only in ``width``
         values: a broadcast's per-key instants share everything but the
         consumer.  Each ``width`` values the caller adds with ``extend``
         to the returned list stand for the record ``head + item``:
-        ``head`` is a record's leading part (see :meth:`emit`).  The items lie flat in one list, so a key costs
-        no allocation of its own.
+        ``head`` is a record's leading part (see :meth:`emit`).  The items
+        lie flat in one list, so a key costs no allocation of its own.
 
         The entry is stored now, so it keeps its place among the rank's
-        records.  A bounded ring, or ``expand=True`` (the caller may record
+        records.  A bounded log, or ``expand=True`` (the caller may record
         between two items), stores each item as its own record as it comes
         in instead.
         """
         rank = head[0][3]
-        if expand or self.capacity is not None or rank >= len(self._rings):
+        if expand or self.capacity is not None or rank >= len(self.logs):
             return _Expanding(self, rank, head, width)
         values: List[Any] = []
-        self._rings[rank].append((BATCH, head, width, values))
+        self.logs[rank].extend((BATCH, head, width, values))
         return values
 
     def complete(self, name: str, rank: int, tid: int, start: float, end: float,
@@ -354,17 +398,19 @@ class EventBus:
 
     # -------------------------------------------------------------- queries
 
-    def _read(self, ring: deque) -> List[Any]:
-        """``ring``'s events, its unread records replaced by their objects."""
-        evs = [_event(r) if type(r) is tuple else r for r in _records(ring)]
-        ring.clear()
-        ring.extend(evs)
+    def _read(self, log: List[Any]) -> List[Any]:
+        """``log``'s events, its records replaced by their objects."""
+        evs = [_event(r) if type(r) is tuple else r for r in _entries(log)]
+        log[:] = evs
+        if isinstance(log, _Ring):
+            log.sizes = deque([1] * len(evs))
+            log.start = 0
         return evs
 
     def events(self, rank: Optional[int] = None) -> List[Any]:
         """All recorded events, time-sorted (stable across ranks)."""
-        rings = self._rings if rank is None else [self._rings[rank]]
-        evs = [ev for ring in rings for ev in self._read(ring)]
+        logs = self.logs if rank is None else [self.logs[rank]]
+        evs = [ev for log in logs for ev in self._read(log)]
         return sorted(evs, key=lambda e: (e.ts, e.rank))
 
     def spans(self, cat: Optional[str] = None) -> List[SpanEvent]:
@@ -380,18 +426,17 @@ class EventBus:
                 if isinstance(e, CounterEvent) and (name is None or e.name == name)]
 
     def __len__(self) -> int:
-        return sum(len(e[3]) // e[2] if type(e) is tuple and e[0] == BATCH else 1
-                   for ring in self._rings for e in ring)
+        return sum(1 for log in self.logs for _ in _entries(log))
 
     @property
     def nranks(self) -> int:
-        return len(self._rings)
+        return len(self.logs)
 
     def makespan(self) -> float:
         """Largest end/ts across all events (0 when empty)."""
         out = 0.0
-        for ring in self._rings:
-            for e in self._read(ring):
+        for log in self.logs:
+            for e in self._read(log):
                 out = max(out, e.end if isinstance(e, SpanEvent) else e.ts)
         return out
 
@@ -404,8 +449,8 @@ class Telemetry:
     backend constructor); :meth:`bind` is called by the backend and wires
     the bus clock to the backend's virtual-time engine.
 
-    ``events=False`` is bus capacity 0: the hooks are armed and record
-    nothing.  It goes with ``telemetry.metrics_only_tax``, which hostbench
+    ``events=False`` is bus capacity 0: no hook is armed and nothing is
+    recorded.  It goes with ``telemetry.metrics_only_tax``, which hostbench
     times (ROADMAP, the ``benchmark`` item).
     """
 
@@ -447,8 +492,9 @@ class RecordedRun:
 
 
 @contextmanager
-def capture(capacity: Optional[int] = 65536) -> Iterator[List[RecordedRun]]:
-    """Attach a fresh Telemetry to every backend bound inside the block.
+def capture(capacity: Optional[int] = None) -> Iterator[List[RecordedRun]]:
+    """Attach a fresh Telemetry to every backend bound inside the block,
+    recording unbounded unless ``capacity`` bounds each rank's log.
 
     Observes :class:`~repro.core.graph.Executable` construction (the
     construction-observer hook of :mod:`repro.core.graph`), so scripts

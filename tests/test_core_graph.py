@@ -467,3 +467,86 @@ def test_typed_edge_enforced_at_send():
     ex.invoke(S, 0)
     with pytest.raises(Exception):
         ex.fence()
+
+
+def test_finished_cell_is_freed_by_reference_counting():
+    """A fenced executable and its graph go with their last reference,
+    without the cyclic collector: fence drops the compiled tables, whose
+    closures hold the executable in cycles."""
+    import gc
+    import weakref
+
+    from repro.apps.cholesky import cholesky_ttg
+    from repro.bench.history import SeededBlockCyclic
+    from repro.core.graph import (add_construction_observer,
+                                  remove_construction_observer)
+    from repro.linalg import TiledMatrix
+
+    refs = []
+
+    def observe(kind, obj):
+        refs.append((kind, weakref.ref(obj)))
+
+    a = TiledMatrix(512, 128, SeededBlockCyclic.for_ranks(4, 0), synthetic=True)
+    add_construction_observer(observe)
+    gc.disable()
+    try:
+        cholesky_ttg(a, backend())
+        alive = [kind for kind, ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+        remove_construction_observer(observe)
+    assert sorted(kind for kind, _ in refs) == ["executable", "graph"]
+    assert alive == []
+
+
+@pytest.mark.parametrize("watch", ["plain", "telemetry", "sanitize"])
+def test_task_completing_before_it_started_raises(watch):
+    """A cost map that runs a task backwards in virtual time is refused at
+    its completion, on the plain and the observed paths alike."""
+    from repro.sim.engine import EngineError
+    from repro.telemetry import Telemetry
+
+    e = ttg.Edge("e")
+    A = ttg.make_tt(lambda k, outs: outs.send(0, k, 1), [], [e], name="A",
+                    keymap=lambda k: 0)
+    B = ttg.make_tt(lambda k, v, outs: None, [e], [], name="B",
+                    keymap=lambda k: 0, cost=lambda k, v: (-1e9, -1e9))
+    tel = Telemetry(nranks=1, capacity=None) if watch == "telemetry" else None
+    be = ParsecBackend(Cluster(HAWK, 1), telemetry=tel)
+    ex = ttg.TaskGraph([A, B]).executable(be, sanitize=watch == "sanitize")
+    ex.invoke(A, 0)
+    with pytest.raises(EngineError, match="before now"):
+        ex.fence()
+
+
+def test_maps_changed_after_binding_are_honoured_or_refused():
+    """A keymap or cost map set on a bound template takes effect at the
+    next invoke; one set while the graph runs is refused."""
+    e = ttg.Edge("e")
+    ranks = []
+    A = ttg.make_tt(lambda k, outs: outs.send(0, k, k), [], [e], name="A",
+                    keymap=lambda k: 0)
+    B = ttg.make_tt(lambda k, v, outs: ranks.append(outs.rank), [e], [],
+                    name="B", keymap=lambda k: 0)
+    ex = ttg.TaskGraph([A, B]).executable(backend(2))
+    B.set_keymap(lambda k: 1)
+    ex.invoke(A, 0)
+    t0 = ex.fence()
+    B.set_cost(lambda k, v: 2.5e10)  # 1 s on a Hawk worker
+    ex.invoke(A, 1)
+    assert ex.fence() - t0 > 0.9
+    assert ranks == [1, 1]
+
+    f = ttg.Edge("f")
+    D = ttg.make_tt(lambda k, v, outs: None, [f], [], name="D",
+                    keymap=lambda k: 0)
+
+    def meddle(k, outs):
+        D.set_priomap(lambda key: 1)
+
+    M = ttg.make_tt(meddle, [], [f], name="M", keymap=lambda k: 0)
+    ex = ttg.TaskGraph([M, D]).executable(backend(1))
+    ex.invoke(M, 0)
+    with pytest.raises(GraphConstructionError, match="running"):
+        ex.fence()

@@ -4,7 +4,8 @@ Host time of every workload is the constant factor of the send / deliver /
 fire / dispatch path (docs/simulator.md, "Performance notes").  Wall-clock
 gates are noisy, so this guard counts instead: the small POTRF and BSPMM
 cells of ``test_cell_statistics_pinned.py`` (tier-1 entries of
-``repro.bench.history.CELLS``) run under ``cProfile`` and the
+``repro.bench.history.CELLS``) and one FW cell with Fig 8's b=32 tiles
+run under ``cProfile`` and the
 number of *calls of functions defined in ``src/repro``* per simulated task
 must stay under a budget.  The count repeats exactly from run to run; it
 leaves out C built-ins, NumPy and the standard library, and comprehension
@@ -31,7 +32,10 @@ and pop sites: 23.0 / 18.5 (4.8 / 4.6); then 21.6 / 17.4 (3.8 / 3.6)
 until the race checks moved into the sanitizer and the observer stopped
 stamping data tokens on dependency and task records: 18.3 / 14.0
 (3.8 / 3.6); then 10.4 / 9.0 (2.6 / 2.5) once the hooks stopped feeding a
-live metrics registry and recorded events only.
+live metrics registry and recorded events only.  Compiling the template
+graph once at binding, one object per spawned task and flat per-rank logs
+took the cells to 43.4 / 32.2 (observer 3.9 / 3.1, hook sites 0.6 / 0.5);
+the FW cell (b=32, Fig 8's path) joined then at 45.0 (parent 52.9).
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
 
@@ -51,11 +55,23 @@ import sys
 import pytest
 
 import repro
+from repro.bench.history import APPS
 from repro.runtime import ParsecBackend
 from repro.sim.cluster import HAWK, Cluster
 from repro.telemetry import Telemetry
 
 from tests.test_cell_statistics_pinned import NRANKS, bspmm_cell, potrf_cell
+
+
+def fw_cell(backend):
+    """Fig 8's path: FW with b=32 tiles, n=512, on 16 ranks."""
+    row = APPS["fw"]
+    p = row.parameters({"n": 512, "b": 32, "nodes": backend.nranks})
+    row.driver(row.inputs(0, p), backend, p)
+
+
+#: ranks of a cell's backend, when not NRANKS
+RANKS = {"fw": 16}
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
@@ -67,19 +83,22 @@ LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
 #: calls of repro-defined functions per simulated task; "observer*" count
 #: what attaching Telemetry(capacity=None) adds
 BUDGETS = {
-    "potrf": (potrf_cell, {"total": 54.9, "sim": 7.0, "runtime": 12.9,
-                           "core": 11.8, "comm+serialization": 4.8,
-                           "observer": 11.0, "observer:runtime": 2.8}),
-    "bspmm": (bspmm_cell, {"total": 40.9, "sim": 4.4, "runtime": 11.1,
-                           "core": 12.6, "comm+serialization": 2.3,
-                           "observer": 9.5, "observer:runtime": 2.7}),
+    "potrf": (potrf_cell, {"total": 45.7, "sim": 6.4, "runtime": 8.7,
+                           "core": 7.4, "comm+serialization": 4.8,
+                           "observer": 4.1, "observer:runtime": 0.7}),
+    "bspmm": (bspmm_cell, {"total": 33.8, "sim": 4.2, "runtime": 7.4,
+                           "core": 9.5, "comm+serialization": 2.2,
+                           "observer": 3.3, "observer:runtime": 0.6}),
+    "fw": (fw_cell, {"total": 47.3, "sim": 5.3, "runtime": 8.7,
+                     "core": 9.1, "comm+serialization": 7.8,
+                     "observer": 1.8, "observer:runtime": 0.2}),
 }
 
 
-def profiled_calls(cell, observed=False):
+def profiled_calls(cell, observed=False, nranks=NRANKS):
     """(calls per repro-defined function, simulated tasks) of one run."""
-    telemetry = Telemetry(NRANKS, capacity=None) if observed else None
-    backend = ParsecBackend(Cluster(HAWK, NRANKS), telemetry=telemetry)
+    telemetry = Telemetry(nranks, capacity=None) if observed else None
+    backend = ParsecBackend(Cluster(HAWK, nranks), telemetry=telemetry)
     profile = cProfile.Profile()
     profile.enable()
     cell(backend)
@@ -96,13 +115,15 @@ def profiled_calls(cell, observed=False):
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_calls_per_task_stay_under_budget(name):
     cell, budgets = BUDGETS[name]
-    profiled_calls(cell)  # lazy imports and per-class memos fill here
-    profiled_calls(cell, observed=True)
-    first, tasks = profiled_calls(cell)
-    second, tasks_again = profiled_calls(cell)
+    nranks = RANKS.get(name, NRANKS)
+    profiled_calls(cell, nranks=nranks)  # lazy imports, per-class memos
+    profiled_calls(cell, observed=True, nranks=nranks)
+    first, tasks = profiled_calls(cell, nranks=nranks)
+    second, tasks_again = profiled_calls(cell, nranks=nranks)
     assert tasks == tasks_again
     assert sum(first.values()) == sum(second.values()), "run is not repeatable"
-    observed, tasks_observed = profiled_calls(cell, observed=True)
+    observed, tasks_observed = profiled_calls(cell, observed=True,
+                                              nranks=nranks)
     assert tasks_observed == tasks
     added = {fn: observed.get(fn, 0) - first.get(fn, 0)
              for fn in observed.keys() | first.keys()}

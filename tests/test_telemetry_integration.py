@@ -85,6 +85,25 @@ def test_attach_telemetry_refuses_nonempty_queue():
         backend.attach_telemetry(Telemetry(nranks=1))
 
 
+def test_attach_telemetry_refuses_a_backend_with_a_plain_executable():
+    """An executable compiles its delivery once, plain or observed: a
+    plain one bound to the backend refuses telemetry until its fence."""
+    backend = ParsecBackend(Cluster(HAWK, 1))
+    e = ttg.Edge("e")
+    A = ttg.make_tt(lambda k, outs: outs.send(0, k, k), [], [e], name="A")
+    B = ttg.make_tt(lambda k, v, outs: None, [e], [], name="B")
+    ex = ttg.TaskGraph([A, B]).executable(backend)
+    tel = Telemetry(nranks=1, capacity=None)
+    with pytest.raises(ValueError, match="plain executable"):
+        backend.attach_telemetry(tel)
+    ex.invoke(A, 0)
+    ex.fence()
+    backend.attach_telemetry(tel)
+    ex.invoke(A, 1)
+    ex.fence()
+    assert [d.args["src"] for d in tel.bus.instants("dep")] == ["A[1]"]
+
+
 def test_runstats_breakdowns_maintained_without_telemetry():
     backend = ParsecBackend(Cluster(HAWK, 1))
     run_fanout(backend, nkeys=5)

@@ -254,6 +254,10 @@ def test_watchdog_explain_end_to_end(tmp_path, capsys, faster_trsm):
     assert top["exact_baseline"] is True
     assert {row["template"] for row in rc["diff"]["templates"]} >= \
         {"POTRF", "TRSM", "SYRK", "GEMM"}
+    # A record pair has task counts, not span totals: the delta is theirs.
+    assert all(set(row) == {"template", "count_a", "count_b", "delta"}
+               and row["delta"] == row["count_b"] - row["count_a"]
+               for row in rc["diff"]["templates"])
 
 
 def test_watchdog_explain_out_dir(tmp_path, capsys, faster_trsm):
