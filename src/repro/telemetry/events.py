@@ -126,7 +126,7 @@ def _fields(spec: str) -> Tuple[Tuple[str, str], ...]:
 @lru_cache(maxsize=None)
 def _width(keys: Union[str, Tuple[str, ...]]) -> int:
     """Atoms after a record's head: ``t0``, ``t1``, ``flow`` and the values."""
-    if type(keys) is tuple:
+    if isinstance(keys, tuple):
         return 3 + len(keys)
     return 3 + sum(2 if how == "[]" else 1 for _, how in _fields(keys))
 
