@@ -26,16 +26,16 @@ class CommEngine:
     ----------
     cluster:
         The virtual machine to charge costs against.
-    am_cost_fn:
-        ``f(dst_rank, nbytes) -> seconds`` of AM-server processing per
-        message.  Without one a message costs the machine's AM overhead
-        plus ``am_cost_per_byte`` per byte (MADNESS charges its single
-        server thread per byte this way).
+    am_cost_per_byte:
+        AM-server processing per message byte, on top of the machine's AM
+        overhead (MADNESS charges its single server thread this way).
     """
 
-    def __init__(self, cluster: Cluster,
-                 am_cost_fn: Optional[Callable[[int, int], float]] = None,
-                 am_cost_per_byte: float = 0.0) -> None:
+    def __init__(
+        self,
+        cluster: Cluster,
+        am_cost_per_byte: float = 0.0,
+    ) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.network = cluster.network
@@ -43,7 +43,6 @@ class CommEngine:
         # per-rank logs; None => hooks are one branch.
         self.telemetry = None
         self._logs: Optional[list] = None
-        self._am_cost_fn = am_cost_fn
         self._am_base = cluster.machine.network.am_overhead
         self._am_per_byte = am_cost_per_byte
         self._am_free = [0.0] * cluster.nranks
@@ -89,9 +88,7 @@ class CommEngine:
         arrival = self.network.send(src, dst, nbytes, start=t_sent)
         self.am_count += 1
         self.am_bytes += nbytes
-        cost_fn = self._am_cost_fn
-        proc = (self._am_base + nbytes * self._am_per_byte if cost_fn is None
-                else cost_fn(dst, nbytes)) + extra_server_time
+        proc = self._am_base + nbytes * self._am_per_byte + extra_server_time
         # The AM server handles one message at a time.
         begin = self._am_free[dst]
         if begin < arrival:

@@ -41,8 +41,12 @@ class Edge:
         declares the part absent (messages must carry ``None`` there).
     """
 
-    def __init__(self, name: str = "", key_type: Optional[Type[Any]] = None,
-                 value_type: Optional[Type[Any]] = None) -> None:
+    def __init__(
+        self,
+        name: str = "",
+        key_type: Optional[Type[Any]] = None,
+        value_type: Optional[Type[Any]] = None,
+    ) -> None:
         self.id = next(_edge_ids)
         self.name = name or f"edge{self.id}"
         self.key_type = key_type

@@ -25,7 +25,11 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.edge import Edge
-from repro.core.exceptions import DeliveryError, GraphConstructionError, StreamError
+from repro.core.exceptions import (
+    DeliveryError,
+    GraphConstructionError,
+    StreamError,
+)
 from repro.core.messaging import _CURRENT, TaskOutputs
 from repro.core.task import TemplateTask, default_owner, keymap_out_of_range
 from repro.core.terminals import InputTerminal, OutputTerminal
@@ -111,8 +115,10 @@ class TaskGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    def executable(self, backend: Backend, *, strict: bool = False,
-                   sanitize: bool = False) -> "Executable":
+    def executable(
+        self, backend: Backend, *, strict: bool = False,
+        sanitize: bool = False,
+    ) -> "Executable":
         """Bind this template graph to a backend (make_graph_executable).
 
         ``strict=True`` raises on any error-severity lint finding and
@@ -152,8 +158,14 @@ class Executable:
     delivery (:meth:`_compile`).
     """
 
-    def __init__(self, graph: TaskGraph, backend: Backend, *,
-                 strict: bool = False, sanitize: bool = False) -> None:
+    def __init__(
+        self,
+        graph: TaskGraph,
+        backend: Backend,
+        *,
+        strict: bool = False,
+        sanitize: bool = False,
+    ) -> None:
         self.graph = graph
         self.backend = backend
         self.nranks = backend.nranks
@@ -186,8 +198,14 @@ class Executable:
         self._compile()
 
     @classmethod
-    def make(cls, graph: TaskGraph, backend: Backend, *, strict: bool = False,
-             sanitize: bool = False) -> "Executable":
+    def make(
+        cls,
+        graph: TaskGraph,
+        backend: Backend,
+        *,
+        strict: bool = False,
+        sanitize: bool = False,
+    ) -> "Executable":
         """Bind ``graph`` to ``backend`` (``make_graph_executable``).
 
         ``Executable.make(graph, backend, strict=True)`` is the verified
@@ -233,8 +251,8 @@ class Executable:
         self._delivers = delivers
         if self._observed:
             self.send_from = self._send_observed  # type: ignore[method-assign]
-        else:
-            backend.plain_bindings += 1
+        if not recording:
+            backend.unrecorded_bindings += 1
 
     def _unbind(self) -> None:
         """Drop the compiled tables: their closures hold the executable in
@@ -245,8 +263,8 @@ class Executable:
             tt._bindings.discard(self)
         if self._observed:
             del self.send_from
-        else:
-            self.backend.plain_bindings -= 1
+        if self._logs is None:
+            self.backend.unrecorded_bindings -= 1
         self._routes = self._delivers = None
 
     def _template_changed(self, tt: TemplateTask) -> None:
@@ -274,7 +292,6 @@ class Executable:
         inputs, name = tt.inputs, tt.name
         cost, priomap = tt._cost, tt._priomap
         task_counts, pools, ex = self.task_counts, self.backend.pools, self
-        engine = self.backend.engine
 
         def deliver(idx: int, key: Any, rank: int, value: Any = None) -> None:
             if n == 1:
@@ -304,18 +321,8 @@ class Executable:
                     flops, bytes_moved = float(out), 0.0
             task_counts[name] += 1
             priority = 0 if priomap is None else priomap(key)
-            # WorkerPool.push, inline: this runs per task.
-            pool = pools[rank]
-            queue = pool._queue
-            queue.push(_Task(ex, tt, rank, key, args, flops, bytes_moved,
-                             priority), priority)
-            log = pool._log
-            if log is not None:
-                now = engine.now
-                log.extend((pool._depth_head, now, now, None,
-                            len(queue.items)))
-            if pool._idle:
-                pool._dispatch()
+            pools[rank].push(_Task(ex, tt, rank, key, args, flops,
+                                   bytes_moved, priority), priority)
 
         return deliver
 
@@ -331,8 +338,9 @@ class Executable:
             )
         self._spawn(tt, key, args)
 
-    def inject(self, tt: TemplateTask, which: Union[int, str], key: Any,
-               value: Any = None) -> None:
+    def inject(
+        self, tt: TemplateTask, which: Union[int, str], key: Any, value: Any = None
+    ) -> None:
         """Deliver one message into an input terminal from *outside* the
         graph (external data injection, cf. the paper's future-work item on
         simplifying data injection).  Charged as a local post on the owner
@@ -376,8 +384,14 @@ class Executable:
         if self._routes is None:
             self._compile()
 
-    def send_from(self, src_rank: int, term: OutputTerminal, key: Any,
-                  value: Any, mode: str = "value") -> None:
+    def send_from(
+        self,
+        src_rank: int,
+        term: OutputTerminal,
+        key: Any,
+        value: Any,
+        mode: str = "value",
+    ) -> None:
         """Route one message from an output terminal to every consumer."""
         edge = term.edge
         # Typed edges only, and the call only when the plain isinstance does
@@ -418,7 +432,8 @@ class Executable:
                        value: Any, mode: str = "value") -> None:
         """:meth:`send_from` of the observed variant: the armed sanitizer
         and the recording bus see each route of a well-typed message
-        before it is taken."""
+        before it is taken (the sanitizer keys its state by the key, so an
+        ill-typed one must fail the edge's check first)."""
         edge = term.edge
         kt, vt = edge.key_type, edge.value_type
         if kt is not None and not isinstance(key, kt):
@@ -427,13 +442,7 @@ class Executable:
             edge.check_value(value)
         sanitizer, logs = self.sanitizer, self._logs
         if logs is not None:
-            log, now = logs[src_rank], self.backend.engine.now
-            if _CURRENT:  # _dep_head, inline: this runs per send
-                src = _CURRENT[-1]
-                head = (_DEP_HEADS[src_rank], now, now, None, src._tt.name,
-                        src.key)
-            else:
-                head = (_EXT_DEP_HEADS[src_rank], now, now, None, "<external>")
+            log, head = logs[src_rank], self._dep_head(src_rank)
         for ctt, cidx, _, _, _ in self._routes[term]:  # type: ignore[index]
             if sanitizer is not None:
                 sanitizer.on_route(ctt, cidx, key, value, mode)
@@ -450,8 +459,13 @@ class Executable:
             return (_DEP_HEADS[rank], now, now, None, src._tt.name, src.key)
         return (_EXT_DEP_HEADS[rank], now, now, None, "<external>")
 
-    def broadcast_from(self, src_rank: int, spec: Sequence[Tuple[OutputTerminal, List[Any]]],
-                       value: Any, mode: str = "value") -> None:
+    def broadcast_from(
+        self,
+        src_rank: int,
+        spec: Sequence[Tuple[OutputTerminal, List[Any]]],
+        value: Any,
+        mode: str = "value",
+    ) -> None:
         """Optimized broadcast: one payload transfer per destination rank
         covering all (terminal, key) targets; 'naive' config degrades to
         per-key sends (the pre-optimization behaviour, for ablations)."""
@@ -514,8 +528,13 @@ class Executable:
                         tag="bcast",
                     )
 
-    def _observe_broadcast(self, src_rank: int, spec: Sequence[Tuple[OutputTerminal, List[Any]]],
-                           value: Any, mode: str) -> None:
+    def _observe_broadcast(
+        self,
+        src_rank: int,
+        spec: Sequence[Tuple[OutputTerminal, List[Any]]],
+        value: Any,
+        mode: str,
+    ) -> None:
         """Show a routed broadcast to the armed sanitizer and the recording
         bus, before anything is sent.  The dependency instants of the whole
         fan-out are one entry (one per key while the sanitizer may record
@@ -644,8 +663,9 @@ class Executable:
         p.expected[term.index] = p.counts[term.index]
         self._maybe_fire(tt, key, p)
 
-    def set_stream_size_via(self, src_rank: int, term: OutputTerminal, key: Any,
-                            size: int) -> None:
+    def set_stream_size_via(
+        self, src_rank: int, term: OutputTerminal, key: Any, size: int
+    ) -> None:
         """Stream-size control routed through an *output* terminal: applies
         to every consumer of its edge, with a control message if remote."""
         self._control_via(src_rank, term, key, self.set_argstream_size, size)

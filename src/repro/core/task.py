@@ -116,20 +116,20 @@ class TemplateTask:
     # --------------------------------------------------------------- config
 
     def set_keymap(self, keymap: Callable[[Any], int]) -> "TemplateTask":
-        self._keymap = keymap
         self._changed()
+        self._keymap = keymap
         return self
 
     def set_priomap(self, priomap: Callable[[Any], int]) -> "TemplateTask":
         """Per-template priority map: task ID -> priority (paper feature)."""
-        self._priomap = priomap
         self._changed()
+        self._priomap = priomap
         return self
 
     def set_cost(self, cost: CostFn) -> "TemplateTask":
         """Cost model hook: flops (and optionally bytes) per task instance."""
-        self._cost = cost
         self._changed()
+        self._cost = cost
         return self
 
     def lint_waive(self, *rule_ids: str) -> "TemplateTask":

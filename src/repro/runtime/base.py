@@ -126,10 +126,16 @@ class _Splitmd:
                  handle: int, send_start: float, flow: Optional[int],
                  heads: Optional[Tuple[tuple, tuple]],
                  on_deliver: Callable[[Any], None]) -> None:
-        self.backend, self.src, self.dst = backend, src, dst
-        self.meta_bytes, self.eager_bytes = meta_bytes, eager_bytes
-        self.rma_bytes, self.handle = rma_bytes, handle
-        self.send_start, self.flow, self.heads = send_start, flow, heads
+        self.backend = backend
+        self.src = src
+        self.dst = dst
+        self.meta_bytes = meta_bytes
+        self.eager_bytes = eager_bytes
+        self.rma_bytes = rma_bytes
+        self.handle = handle
+        self.send_start = send_start
+        self.flow = flow
+        self.heads = heads
         self.on_deliver = on_deliver
 
     def on_meta(self) -> None:
@@ -173,8 +179,11 @@ class _Eager:
     def __init__(self, backend: "Backend", proto: Any, msg: Any,
                  recv_copy: int, server_time: float,
                  on_deliver: Callable[[Any], None]) -> None:
-        self.backend, self.proto, self.msg = backend, proto, msg
-        self.recv_copy, self.server_time = recv_copy, server_time
+        self.backend = backend
+        self.proto = proto
+        self.msg = msg
+        self.recv_copy = recv_copy
+        self.server_time = server_time
         self.on_deliver = on_deliver
 
     def on_arrival(self) -> None:
@@ -200,11 +209,21 @@ class _ReadyTask:
 
     __slots__ = ("fn", "flops", "bytes_moved", "priority", "name", "key")
 
-    def __init__(self, fn: Callable[[], None], flops: float,
-                 bytes_moved: float, priority: int, name: str,
-                 key: Any) -> None:
-        self.fn, self.flops, self.bytes_moved = fn, flops, bytes_moved
-        self.priority, self.name, self.key = priority, name, key
+    def __init__(
+        self,
+        fn: Callable[[], None],
+        flops: float,
+        bytes_moved: float,
+        priority: int,
+        name: str,
+        key: Any,
+    ) -> None:
+        self.fn = fn
+        self.flops = flops
+        self.bytes_moved = bytes_moved
+        self.priority = priority
+        self.name = name
+        self.key = key
 
     def run(self) -> None:
         self.fn()
@@ -313,8 +332,12 @@ class Backend:
 
     name = "base"
 
-    def __init__(self, cluster: Cluster, config: Optional[BackendConfig] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+    def __init__(
+        self,
+        cluster: Cluster,
+        config: Optional[BackendConfig] = None,
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
         self.config = config or BackendConfig()
@@ -332,9 +355,10 @@ class Backend:
         self.pools = [WorkerPool(self, r) for r in range(cluster.nranks)]
         #: Completed drains of the event queue (the ``quiescence`` epoch).
         self.drains = 0
-        #: Executables bound to this backend with their plain (unobserved)
-        #: delivery compiled (:meth:`repro.core.graph.Executable._compile`).
-        self.plain_bindings = 0
+        #: Executables bound to this backend with their delivery compiled
+        #: without a recording bus
+        #: (:meth:`repro.core.graph.Executable._compile`).
+        self.unrecorded_bindings = 0
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 
@@ -344,13 +368,14 @@ class Backend:
         Binds the bus clock to this backend's engine and arms the worker
         pools' queue sampling and the comm engine.  Attach before
         submitting work (the pools refuse non-empty queues) and before
-        binding a graph: an executable compiles its delivery once, plain
-        or observed, so a plain one bound here refuses it too.
+        binding a graph: an executable compiles its delivery once, recorded
+        or not, so one bound here without a recording bus refuses it too.
         """
-        if self.plain_bindings:
+        if self.unrecorded_bindings:
             raise ValueError(
-                "cannot attach telemetry to a backend with a plain executable "
-                "bound to it (attach telemetry before binding the graph)")
+                "cannot attach telemetry to a backend with an unrecorded "
+                "executable bound to it (attach telemetry before binding "
+                "the graph)")
         telemetry.bind(self)
         for pool in self.pools:
             pool.enable_telemetry(telemetry)
@@ -373,9 +398,16 @@ class Backend:
 
     # ----------------------------------------------------------------- tasks
 
-    def submit(self, rank: int, fn: Callable[[], None], flops: float = 0.0,
-               bytes_moved: float = 0.0, priority: int = 0, name: str = "task",
-               key: Any = None) -> None:
+    def submit(
+        self,
+        rank: int,
+        fn: Callable[[], None],
+        flops: float = 0.0,
+        bytes_moved: float = 0.0,
+        priority: int = 0,
+        name: str = "task",
+        key: Any = None,
+    ) -> None:
         """Enqueue a ready task on ``rank``'s worker pool.
 
         The task is queued and dispatched right here, in the caller's
@@ -426,9 +458,16 @@ class Backend:
         proto_stats["control"] = proto_stats.get("control", 0) + nbytes
         self.comm.send_am(src, dst, nbytes, on_deliver, tag="ctrl")
 
-    def send_value(self, src: int, dst: int, value: Any,
-                   on_deliver: Callable[[Any], None], *, tag: str = "data",
-                   extra_bytes: int = 0) -> None:
+    def send_value(
+        self,
+        src: int,
+        dst: int,
+        value: Any,
+        on_deliver: Callable[[Any], None],
+        *,
+        tag: str = "data",
+        extra_bytes: int = 0,
+    ) -> None:
         """Serialize ``value`` and deliver a reconstructed copy at ``dst``.
 
         Chooses the protocol per the trait order; splitmd sends metadata

@@ -38,7 +38,6 @@ inside the ``with`` block its own :class:`Telemetry`.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -182,29 +181,28 @@ class _Ring(list):
     ``dropped[rank]``.  Evicted atoms stay before ``start`` until they are
     half the list, so an eviction costs O(1) amortized."""
 
-    __slots__ = ("capacity", "dropped", "rank", "sizes", "start")
+    __slots__ = ("capacity", "dropped", "rank", "count", "start")
 
     def __init__(self, capacity: int, dropped: List[int], rank: int) -> None:
         super().__init__()
         self.capacity, self.dropped, self.rank = capacity, dropped, rank
-        self.sizes: deque = deque()
-        self.start = 0
+        self.count = self.start = 0
 
     def extend(self, rec: tuple) -> None:  # type: ignore[override]
         list.extend(self, rec)
-        sizes = self.sizes
-        sizes.append(len(rec))
-        if len(sizes) > self.capacity:
-            self.start += sizes.popleft()
-            self.dropped[self.rank] += 1
-            if 2 * self.start > len(self):
-                del self[:self.start]
-                self.start = 0
+        if self.count < self.capacity:
+            self.count += 1
+            return
+        oldest = self[self.start]
+        self.start += 1 + _width(oldest[5]) if type(oldest) is tuple else 1
+        self.dropped[self.rank] += 1
+        if 2 * self.start > len(self):
+            del self[:self.start]
+            self.start = 0
 
     def clear(self) -> None:
         list.clear(self)
-        self.sizes.clear()
-        self.start = 0
+        self.count = self.start = 0
 
 
 class Handles(dict):
@@ -257,8 +255,12 @@ class EventBus:
     (:meth:`batch`): eviction and ``dropped`` work per record.
     """
 
-    def __init__(self, nranks: int = 1, capacity: Optional[int] = 65536,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(
+        self,
+        nranks: int = 1,
+        capacity: Optional[int] = 65536,
+        clock: Optional[Callable[[], float]] = None,
+    ) -> None:
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.capacity = capacity
         #: One flat list per rank; the hot hook sites ``extend`` it with
@@ -403,8 +405,7 @@ class EventBus:
         evs = [_event(r) if type(r) is tuple else r for r in _entries(log)]
         log[:] = evs
         if isinstance(log, _Ring):
-            log.sizes = deque([1] * len(evs))
-            log.start = 0
+            log.count, log.start = len(evs), 0
         return evs
 
     def events(self, rank: Optional[int] = None) -> List[Any]:

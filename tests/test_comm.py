@@ -30,7 +30,7 @@ def test_am_charges_network_time():
 
 def test_am_server_serializes():
     base = HAWK.network.am_overhead
-    comm, cluster = make_comm(am_cost_fn=lambda dst, n: 1.0e-3)
+    comm, cluster = make_comm(am_cost_per_byte=1.0e-3 / 64)
     times = []
     for _ in range(3):
         comm.send_am(0, 1, 64, lambda: times.append(cluster.engine.now))
@@ -72,7 +72,7 @@ def test_am_fifo_same_channel():
 
 
 def test_rma_get_bypasses_am_server():
-    comm, cluster = make_comm(am_cost_fn=lambda dst, n: 1.0)  # very slow AMs
+    comm, cluster = make_comm(am_cost_per_byte=1.0)  # very slow AMs
     done = []
     comm.rma_get(0, 1, 10**4, lambda: done.append(cluster.engine.now))
     cluster.engine.run()

@@ -3,7 +3,12 @@
 import pytest
 
 from repro import core as ttg
-from repro.core.exceptions import DeliveryError, GraphConstructionError, StreamError
+from repro.core.exceptions import (
+    DeliveryError,
+    GraphConstructionError,
+    StreamError,
+    TypeMismatchError,
+)
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.runtime.base import BackendConfig
 from repro.sim.cluster import Cluster, HAWK
@@ -469,6 +474,21 @@ def test_typed_edge_enforced_at_send():
         ex.fence()
 
 
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitize"])
+def test_typed_edge_check_comes_first(sanitize):
+    """An ill-typed key fails the edge's check before anything routes it:
+    the sanitizer keys its state by the key, so an unhashable one must not
+    reach it."""
+    e = ttg.Edge("typed", key_type=int, value_type=str)
+    S = ttg.make_tt(lambda k, outs: outs.send(0, [k], "v"), [], [e],
+                    keymap=lambda k: 0)
+    C = ttg.make_tt(lambda k, v, outs: None, [e], [], keymap=lambda k: 0)
+    ex = ttg.TaskGraph([S, C]).executable(backend(1), sanitize=sanitize)
+    ex.invoke(S, 0)
+    with pytest.raises(TypeMismatchError, match="expects key of type int"):
+        ex.fence()
+
+
 def test_finished_cell_is_freed_by_reference_counting():
     """A fenced executable and its graph go with their last reference,
     without the cyclic collector: fence drops the compiled tables, whose
@@ -522,7 +542,7 @@ def test_task_completing_before_it_started_raises(watch):
 
 def test_maps_changed_after_binding_are_honoured_or_refused():
     """A keymap or cost map set on a bound template takes effect at the
-    next invoke; one set while the graph runs is refused."""
+    next invoke; one set while the graph runs is refused and not kept."""
     e = ttg.Edge("e")
     ranks = []
     A = ttg.make_tt(lambda k, outs: outs.send(0, k, k), [], [e], name="A",
@@ -550,3 +570,4 @@ def test_maps_changed_after_binding_are_honoured_or_refused():
     ex.invoke(M, 0)
     with pytest.raises(GraphConstructionError, match="running"):
         ex.fence()
+    assert D.priority(0) == 0  # the refused map was not stored

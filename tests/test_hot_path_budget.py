@@ -34,8 +34,8 @@ stamping data tokens on dependency and task records: 18.3 / 14.0
 (3.8 / 3.6); then 10.4 / 9.0 (2.6 / 2.5) once the hooks stopped feeding a
 live metrics registry and recorded events only.  Compiling the template
 graph once at binding, one object per spawned task and flat per-rank logs
-took the cells to 43.4 / 32.2 (observer 3.9 / 3.1, hook sites 0.6 / 0.5);
-the FW cell (b=32, Fig 8's path) joined then at 45.0 (parent 52.9).
+took the cells to 44.4 / 33.1 (observer 4.6 / 4.2, hook sites 0.6 / 0.5);
+the FW cell (b=32, Fig 8's path) joined then at 46.0 (parent 52.9).
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
 
@@ -83,15 +83,15 @@ LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
 #: calls of repro-defined functions per simulated task; "observer*" count
 #: what attaching Telemetry(capacity=None) adds
 BUDGETS = {
-    "potrf": (potrf_cell, {"total": 45.7, "sim": 6.4, "runtime": 8.7,
+    "potrf": (potrf_cell, {"total": 46.7, "sim": 6.4, "runtime": 9.7,
                            "core": 7.4, "comm+serialization": 4.8,
-                           "observer": 4.1, "observer:runtime": 0.7}),
-    "bspmm": (bspmm_cell, {"total": 33.8, "sim": 4.2, "runtime": 7.4,
+                           "observer": 4.9, "observer:runtime": 0.7}),
+    "bspmm": (bspmm_cell, {"total": 34.8, "sim": 4.2, "runtime": 8.4,
                            "core": 9.5, "comm+serialization": 2.2,
-                           "observer": 3.3, "observer:runtime": 0.6}),
-    "fw": (fw_cell, {"total": 47.3, "sim": 5.3, "runtime": 8.7,
+                           "observer": 4.4, "observer:runtime": 0.6}),
+    "fw": (fw_cell, {"total": 48.4, "sim": 5.3, "runtime": 9.7,
                      "core": 9.1, "comm+serialization": 7.8,
-                     "observer": 1.8, "observer:runtime": 0.2}),
+                     "observer": 2.9, "observer:runtime": 0.2}),
 }
 
 

@@ -85,16 +85,18 @@ def test_attach_telemetry_refuses_nonempty_queue():
         backend.attach_telemetry(Telemetry(nranks=1))
 
 
-def test_attach_telemetry_refuses_a_backend_with_a_plain_executable():
-    """An executable compiles its delivery once, plain or observed: a
-    plain one bound to the backend refuses telemetry until its fence."""
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitize"])
+def test_attach_telemetry_refuses_a_backend_with_a_plain_executable(sanitize):
+    """An executable compiles its delivery once, recorded or not: one bound
+    to the backend without a recording bus (sanitized or not) refuses
+    telemetry until its fence."""
     backend = ParsecBackend(Cluster(HAWK, 1))
     e = ttg.Edge("e")
     A = ttg.make_tt(lambda k, outs: outs.send(0, k, k), [], [e], name="A")
     B = ttg.make_tt(lambda k, v, outs: None, [e], [], name="B")
-    ex = ttg.TaskGraph([A, B]).executable(backend)
+    ex = ttg.TaskGraph([A, B]).executable(backend, sanitize=sanitize)
     tel = Telemetry(nranks=1, capacity=None)
-    with pytest.raises(ValueError, match="plain executable"):
+    with pytest.raises(ValueError, match="executable bound"):
         backend.attach_telemetry(tel)
     ex.invoke(A, 0)
     ex.fence()
