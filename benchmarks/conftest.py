@@ -8,6 +8,15 @@ wins, by roughly what factor, where curves roll off).
 Scale via ``REPRO_BENCH_SCALE=small|large`` (default small).
 """
 
+import pytest
+
+
+@pytest.fixture(scope="session")
+def cells():
+    """One cell memo for the suite: a cell two figures share runs (and is
+    timed) once."""
+    return {}
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Time ``fn`` exactly once (experiments are deterministic; repeated

@@ -10,7 +10,6 @@ matters, and asserts the direction of the effect:
 - the BSPMM coordinator window (feedback loop focusing the scheduler).
 """
 
-import pytest
 from conftest import run_once
 
 from repro.apps.bspmm import bspmm_ttg

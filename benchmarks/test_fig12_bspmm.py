@@ -12,7 +12,7 @@ communication volume.
 
 from conftest import run_once
 
-from repro.bench.figures import fig12_bspmm
+from repro.bench.figures import FIGURES, fig12_bspmm, fig12_extension_25d
 from repro.bench.harness import print_series
 from repro.bench.plot import print_chart
 
@@ -36,10 +36,10 @@ def test_fig11_yukawa_matrix_structure(benchmark):
     assert all((i, i) in a for i in range(nr))  # diagonal always present
 
 
-def test_fig12_bspmm_strong_scaling(benchmark):
-    series = run_once(benchmark, fig12_bspmm)
-    print_series("Fig 12: BSPMM strong scaling (Gflop/s)", "nodes",
-                 list(series.values()))
+def test_fig12_bspmm_strong_scaling(benchmark, cells):
+    series = run_once(benchmark, fig12_bspmm, cells=cells)
+    fig = FIGURES["fig12"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
     ttg = series["ttg-parsec"]
     dbcsr = series["dbcsr"]
@@ -67,33 +67,13 @@ def test_fig12_bspmm_strong_scaling(benchmark):
     assert madness.y_at(low) > 0.8 * ttg.y_at(low)
 
 
-def test_fig12_extension_25d_summa(benchmark):
+def test_fig12_extension_25d_summa(benchmark, cells):
     """The paper's future-work hypothesis (III-D, last paragraph): a 2.5D
     SUMMA TTG should improve on the 2D implementation where it flattens.
     We test it: at the top of the node range the replicated variant beats
     2D and keeps scaling."""
-    from repro.apps.bspmm import bspmm_ttg, bspmm_ttg_25d
-    from repro.bench.figures import bench_scale, scaled
-    from repro.bench.harness import Series
-    from repro.linalg import yukawa_blocksparse
-    from repro.runtime import ParsecBackend
-    from repro.sim.cluster import Cluster, HAWK
-
-    machine = scaled(HAWK, 16)
-    a = yukawa_blocksparse(220, target_tile=96, min_block=8, max_block=32,
-                           decay_length=1.5, seed=7, synthetic=True)
-    top = 256 if bench_scale() == "large" else 128
-
-    def run():
-        s2d, s25 = Series("ttg-2d"), Series("ttg-2.5d")
-        for nodes in (top // 4, top // 2, top):
-            s2d.add(nodes, bspmm_ttg(
-                a, a, ParsecBackend(Cluster(machine, nodes))).gflops)
-            s25.add(nodes, bspmm_ttg_25d(
-                a, a, ParsecBackend(Cluster(machine, nodes))).gflops)
-        return s2d, s25
-
-    s2d, s25 = run_once(benchmark, run)
+    s2d, s25 = run_once(benchmark, fig12_extension_25d, cells=cells).values()
+    top = s25.xs[-1]
     print_series("Fig 12 extension: 2D vs 2.5D SUMMA TTG (Gflop/s)", "nodes",
                  [s2d, s25])
     # 2.5D wins at the top of the range and is still scaling there.

@@ -7,10 +7,9 @@ to ~32 nodes because of the explicit barrier after each computational step
 (projection, compression, reconstruction, norm) and data re-allocation.
 """
 
-import pytest
 from conftest import run_once
 
-from repro.bench.figures import fig13a_mra_seawulf, fig13b_mra_hawk
+from repro.bench.figures import FIGURES, fig13a_mra_seawulf, fig13b_mra_hawk
 from repro.bench.harness import print_series
 from repro.bench.plot import print_chart
 
@@ -41,17 +40,17 @@ def _check(series):
         assert s.y_at(top) > 1.5 * s.ys[0], s.name
 
 
-def test_fig13a_mra_seawulf(benchmark):
-    series = run_once(benchmark, fig13a_mra_seawulf)
-    print_series("Fig 13a: MRA strong scaling, Seawulf (functions/s)",
-                 "nodes", list(series.values()), yfmt="{:.1f}")
+def test_fig13a_mra_seawulf(benchmark, cells):
+    series = run_once(benchmark, fig13a_mra_seawulf, cells=cells)
+    fig = FIGURES["fig13a"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel="functions/s")
     _check(series)
 
 
-def test_fig13b_mra_hawk(benchmark):
-    series = run_once(benchmark, fig13b_mra_hawk)
-    print_series("Fig 13b: MRA strong scaling, Hawk (functions/s)",
-                 "nodes", list(series.values()), yfmt="{:.1f}")
+def test_fig13b_mra_hawk(benchmark, cells):
+    series = run_once(benchmark, fig13b_mra_hawk, cells=cells)
+    fig = FIGURES["fig13b"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel="functions/s")
     _check(series)

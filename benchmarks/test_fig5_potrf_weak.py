@@ -9,15 +9,15 @@ performance but at a slower pace" (no lookahead).
 
 from conftest import run_once
 
-from repro.bench.figures import fig5_potrf_weak
+from repro.bench.figures import FIGURES, fig5_potrf_weak
 from repro.bench.harness import print_series
 from repro.bench.plot import print_chart
 
 
-def test_fig5_weak_scaling(benchmark):
-    series = run_once(benchmark, fig5_potrf_weak)
-    print_series("Fig 5: POTRF weak scaling, Hawk (Gflop/s)", "nodes",
-                 list(series.values()))
+def test_fig5_weak_scaling(benchmark, cells):
+    series = run_once(benchmark, fig5_potrf_weak, cells=cells)
+    fig = FIGURES["fig5"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
     ttg = series["ttg"]
     top = ttg.xs[-1]

@@ -8,15 +8,15 @@ matrix sizes than ScaLAPACK/SLATE.
 
 from conftest import run_once
 
-from repro.bench.figures import fig6_potrf_problem
+from repro.bench.figures import FIGURES, fig6_potrf_problem
 from repro.bench.harness import print_series
 from repro.bench.plot import print_chart
 
 
-def test_fig6_problem_scaling(benchmark):
-    series = run_once(benchmark, fig6_potrf_problem)
-    print_series("Fig 6: POTRF problem-size scaling (Gflop/s)", "n",
-                 list(series.values()))
+def test_fig6_problem_scaling(benchmark, cells):
+    series = run_once(benchmark, fig6_potrf_problem, cells=cells)
+    fig = FIGURES["fig6"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
     biggest = series["ttg"].xs[-1]
 

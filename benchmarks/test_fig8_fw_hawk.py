@@ -9,15 +9,15 @@ benefits from larger tiles but is limited in its scalability.
 
 from conftest import run_once
 
-from repro.bench.figures import fig8_fw_hawk
+from repro.bench.figures import FIGURES, fig8_fw_hawk
 from repro.bench.harness import print_series
 from repro.bench.plot import print_chart
 
 
-def test_fig8_fw_strong_scaling_hawk(benchmark):
-    series = run_once(benchmark, fig8_fw_hawk)
-    print_series("Fig 8: FW-APSP strong scaling, Hawk (Gflop/s)", "nodes",
-                 list(series.values()))
+def test_fig8_fw_strong_scaling_hawk(benchmark, cells):
+    series = run_once(benchmark, fig8_fw_hawk, cells=cells)
+    fig = FIGURES["fig8"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
     names = sorted(series)
     parsec = sorted(n for n in names if n.startswith("ttg-parsec"))

@@ -8,15 +8,15 @@ block size (less communication with larger tiles).
 
 from conftest import run_once
 
-from repro.bench.figures import fig9_fw_seawulf
+from repro.bench.figures import FIGURES, fig9_fw_seawulf
 from repro.bench.harness import print_series
 from repro.bench.plot import print_chart
 
 
-def test_fig9_fw_strong_scaling_seawulf(benchmark):
-    series = run_once(benchmark, fig9_fw_seawulf)
-    print_series("Fig 9: FW-APSP strong scaling, Seawulf (Gflop/s)", "nodes",
-                 list(series.values()))
+def test_fig9_fw_strong_scaling_seawulf(benchmark, cells):
+    series = run_once(benchmark, fig9_fw_seawulf, cells=cells)
+    fig = FIGURES["fig9"]
+    print_series(fig.title, fig.xlabel, list(series.values()))
     print_chart(list(series.values()), ylabel='Gflop/s')
     names = sorted(series)
     parsec = sorted(

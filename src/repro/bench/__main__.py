@@ -37,33 +37,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bench import figures, history
 from repro.bench.harness import merged_event_bus, print_series, print_table
 from repro.bench.plot import print_chart
 from repro.telemetry.cli import positive_int
-
-_FIGS: Dict[str, Callable] = {
-    "fig5": figures.fig5_potrf_weak,
-    "fig6": figures.fig6_potrf_problem,
-    "fig8": figures.fig8_fw_hawk,
-    "fig9": figures.fig9_fw_seawulf,
-    "fig12": figures.fig12_bspmm,
-    "fig13a": figures.fig13a_mra_seawulf,
-    "fig13b": figures.fig13b_mra_hawk,
-}
-
-_TITLES = {
-    "fig5": ("Fig 5: POTRF weak scaling, Hawk (Gflop/s)", "nodes"),
-    "fig6": ("Fig 6: POTRF problem-size scaling (Gflop/s)", "n"),
-    "fig8": ("Fig 8: FW-APSP strong scaling, Hawk (Gflop/s)", "nodes"),
-    "fig9": ("Fig 9: FW-APSP strong scaling, Seawulf (Gflop/s)", "nodes"),
-    "fig12": ("Fig 12: BSPMM strong scaling (Gflop/s)", "nodes"),
-    "fig13a": ("Fig 13a: MRA strong scaling, Seawulf (functions/s)", "nodes"),
-    "fig13b": ("Fig 13b: MRA strong scaling, Hawk (functions/s)", "nodes"),
-}
-
 
 def run_table1() -> None:
     rows = figures.table1_configs()
@@ -72,16 +51,13 @@ def run_table1() -> None:
                 [[r[c] for c in columns] for r in rows])
 
 
-def run_figure(name: str, max_nodes: Optional[int]) -> None:
-    fn = _FIGS[name]
-    kwargs = {}
-    if max_nodes is not None:
-        key = "nodes" if name == "fig6" else "max_nodes"
-        kwargs[key] = max_nodes
-    series = fn(**kwargs)
-    title, xlabel = _TITLES[name]
-    print_series(title, xlabel, list(series.values()))
-    print_chart(list(series.values()), title=title)
+def run_figure(name: str, max_nodes: Optional[int],
+               cells: Optional[figures.Cells] = None) -> None:
+    fig = figures.FIGURES[name]
+    kwargs = {} if max_nodes is None else {fig.node_arg: max_nodes}
+    series = list(fig.run(cells=cells, **kwargs).values())
+    print_series(fig.title, fig.xlabel, series)
+    print_chart(series, title=fig.title)
 
 
 def _check_writable(parser: argparse.ArgumentParser, path: str) -> None:
@@ -199,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment", nargs="?", default=None,
-        choices=["table1", *sorted(_FIGS), "all"],
+        choices=["table1", *sorted(figures.FIGURES), "all"],
         help="which experiment to run (omit when using the watchdog flags)",
     )
     parser.add_argument(
@@ -251,8 +227,9 @@ def main(argv=None) -> int:
         if args.experiment in ("table1", "all"):
             run_table1()
         if args.experiment == "all":
-            for name in sorted(_FIGS):
-                run_figure(name, args.max_nodes)
+            cells: figures.Cells = {}  # a cell two figures share runs once
+            for name in sorted(figures.FIGURES):
+                run_figure(name, args.max_nodes, cells)
         elif args.experiment != "table1":
             run_figure(args.experiment, args.max_nodes)
 

@@ -1,7 +1,8 @@
 """Per-figure experiment definitions (paper Section III).
 
-Each ``figN_*`` function runs the full experiment for one figure and
-returns the curves as :class:`~repro.bench.harness.Series`.  Two scales:
+A figure is a table of cells, each naming a row of :data:`ROWS` (a TTG app
+on one backend, or a baseline); :func:`sweep` runs a figure's cells and
+:data:`FIGURES` names the figures.  Two scales:
 
 - ``small`` (default) -- minutes of wall time, same curve *shapes*;
 - ``large`` -- closer to the paper's node counts; set
@@ -19,27 +20,15 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.apps.bspmm import bspmm_ttg
-from repro.apps.cholesky import cholesky_ttg
-from repro.apps.floydwarshall import floyd_warshall_ttg
+from repro.apps.bspmm import bspmm_ttg, bspmm_ttg_25d
 from repro.apps.mra import mra_ttg, random_gaussians
-from repro.baselines import (
-    chameleon_cholesky,
-    dbcsr_multiply,
-    dplasma_cholesky,
-    forkjoin_fw,
-    madness_mra,
-    scalapack_cholesky,
-    slate_cholesky,
-)
+from repro.baselines import (chameleon_cholesky, dbcsr_multiply, dplasma_cholesky,
+                              forkjoin_fw, madness_mra, scalapack_cholesky, slate_cholesky)
+from repro.bench import history
 from repro.bench.harness import Series, geometric_nodes
-from repro.linalg import (
-    BlockCyclicDistribution,
-    TiledMatrix,
-    yukawa_blocksparse,
-)
+from repro.linalg import yukawa_blocksparse
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.sim.cluster import Cluster, HAWK, SEAWULF, MachineSpec
 
@@ -53,8 +42,99 @@ def scaled(machine: MachineSpec, workers: int) -> MachineSpec:
     return machine.with_workers(workers)
 
 
-def _synthetic_tiled(n: int, b: int, nodes: int) -> TiledMatrix:
-    return TiledMatrix(n, b, BlockCyclicDistribution.for_ranks(nodes), synthetic=True)
+# -------------------------------------------------------------- the rows
+
+#: How one cell runs: a fresh cluster and the cell's parameters in, y out.
+Row = Callable[[Cluster, Dict[str, Any]], float]
+
+
+def _tiles(app: str, cluster: Cluster, p: Dict[str, Any]) -> Any:
+    """The synthetic tiled matrix the watchdog's POTRF or FW runs on."""
+    return history.APPS[app].inputs(0, {**p, "nodes": cluster.nnodes})
+
+
+def _ttg(app: str, backend: Callable[[Cluster], Any]) -> Row:
+    driver = history.APPS[app].driver
+    return lambda c, p: driver(_tiles(app, c, p), backend(c), p).gflops
+
+
+def _bspmm(multiply: Callable[[Any, Cluster], Any]) -> Row:
+    # Paper-like tile granularity: blocks grouped toward a 96^2 target
+    # (scaled from 256) keeps multiply-adds compute-heavy relative to the
+    # tile transfers, as in the real workload.
+    return lambda c, p: multiply(yukawa_blocksparse(
+        p["natoms"], target_tile=96, min_block=8, max_block=32,
+        decay_length=1.5, seed=7, synthetic=True), c).gflops
+
+
+def _mra(project: Callable[..., Any]) -> Row:
+    def run(cluster: Cluster, p: Dict[str, Any]) -> float:
+        k, nfuncs = p["k"], p["nfuncs"]
+        funcs = random_gaussians(nfuncs, d=3, exponent=p["exponent"], seed=11)
+        # Charge wire bytes and flops as if tensors had the paper's order
+        # k=10: inflate bytes by (10/k)^3 and work by (10/k)^4 (separable
+        # transforms scale as k^(d+1)).
+        t = project(funcs, cluster, k=k, thresh=p["thresh"], max_level=10,
+                    initial_level=1, target_level=2, inflate=(10.0 / k) ** 3,
+                    flops_scale=(10.0 / k) ** 4).makespan
+        # Figure 13 reports execution time speedup as strong scaling; we
+        # plot throughput = functions/second so "up is better" like GFlop/s.
+        return nfuncs / t
+
+    return run
+
+
+#: Every row a figure cell can name.
+ROWS: Dict[str, Row] = {
+    "potrf-parsec": _ttg("potrf", ParsecBackend),
+    "dplasma": lambda c, p: dplasma_cholesky(c, _tiles("potrf", c, p)).gflops,
+    "chameleon": lambda c, p: chameleon_cholesky(c, _tiles("potrf", c, p)).gflops,
+    "slate": lambda c, p: slate_cholesky(c, p["n"]).gflops,
+    "scalapack": lambda c, p: scalapack_cholesky(c, p["n"]).gflops,
+    "fw-parsec": _ttg("fw", ParsecBackend),
+    "fw-madness": _ttg("fw", MadnessBackend),
+    "mpi+openmp-fw": lambda c, p: forkjoin_fw(c, p["n"], p["b"]).gflops,
+    "bspmm-parsec": _bspmm(lambda a, c: bspmm_ttg(a, a, ParsecBackend(c))),
+    "bspmm-madness": _bspmm(lambda a, c: bspmm_ttg(a, a, MadnessBackend(c))),
+    "summa25-parsec": _bspmm(lambda a, c: bspmm_ttg_25d(a, a, ParsecBackend(c))),
+    "dbcsr": _bspmm(lambda a, c: dbcsr_multiply(c, a, a)),
+    "mra-parsec": _mra(lambda f, c, **kw: mra_ttg(f, ParsecBackend(c), **kw)),
+    "mra-madness": _mra(lambda f, c, **kw: mra_ttg(f, MadnessBackend(c), **kw)),
+    "native-madness": _mra(lambda f, c, **kw: madness_mra(c, f, **kw)),
+}
+
+#: One cell of a figure: ``(series, x, row, machine, nodes, params)``.
+Entry = Tuple[str, float, str, MachineSpec, int, Dict[str, Any]]
+#: The y of each cell run so far (see :func:`sweep`).
+Cells = Dict[Tuple[Any, ...], float]
+
+
+def sweep(series: Sequence[str], entries: Iterable[Entry],
+          cells: Optional[Cells] = None) -> Dict[str, Series]:
+    """Run ``entries`` in order into the named ``series``, all created
+    first (a series whose cells were all left out keeps its column).
+
+    ``cells`` maps each cell run so far (row, machine, nodes, parameters)
+    to its y; a cell in it is not run again, which is exact because the
+    simulator is deterministic.  The caller owns it; None is a fresh one.
+    """
+    cells = {} if cells is None else cells
+    out = {name: Series(name) for name in series}
+    for name, x, row, machine, nodes, params in entries:
+        key = (row, machine, nodes, tuple(sorted(params.items())))
+        if key not in cells:
+            cells[key] = ROWS[row](Cluster(machine, nodes), params)
+        out[name].add(x, cells[key])
+    return out
+
+
+def _table(columns: Sequence[Tuple[str, str]], machine: MachineSpec,
+           points: Iterable[Tuple[float, int, Dict[str, Any]]], cells: Optional[Cells]
+           ) -> Dict[str, Series]:
+    """Every ``(series, row)`` column at every ``(x, nodes, params)``."""
+    return sweep([name for name, _ in columns], [
+        (name, x, row, machine, nodes, p)
+        for x, nodes, p in points for name, row in columns], cells)
 
 
 # ---------------------------------------------------------------- Table I
@@ -81,121 +161,57 @@ def table1_configs() -> List[Dict[str, object]]:
 
 # ----------------------------------------------------------- Fig 5 and 6
 
+_POTRF = (("ttg", "potrf-parsec"), ("dplasma", "dplasma"), ("chameleon", "chameleon"),
+          ("slate", "slate"), ("scalapack", "scalapack"))
 
-def fig5_potrf_weak(
-    max_nodes: Optional[int] = None,
-    workers: int = 16,
-    per_node: int = 4096,
-    b: int = 256,
-) -> Dict[str, Series]:
+
+def fig5_potrf_weak(max_nodes: Optional[int] = None, workers: int = 16, per_node: int = 4096,
+                    b: int = 256, cells: Optional[Cells] = None) -> Dict[str, Series]:
     """POTRF weak scaling on (scaled) Hawk; paper: 30k^2 per node, 512^2
     tiles.  Scaled: ``per_node``^2 per node, 256^2 tiles, ``workers``-worker
     nodes -- keeping ~16 tile rows per node like the paper's ratio."""
     if max_nodes is None:
         max_nodes = 64 if bench_scale() == "large" else 16
-    machine = scaled(HAWK, workers)
-    series = {
-        name: Series(name)
-        for name in ("ttg", "dplasma", "chameleon", "slate", "scalapack")
-    }
-    for nodes in geometric_nodes(max_nodes):
-        n = max(b, round(per_node * math.sqrt(nodes) / b) * b)
-        series["ttg"].add(
-            nodes,
-            cholesky_ttg(
-                _synthetic_tiled(n, b, nodes), ParsecBackend(Cluster(machine, nodes))
-            ).gflops,
-        )
-        series["dplasma"].add(
-            nodes, dplasma_cholesky(Cluster(machine, nodes), _synthetic_tiled(n, b, nodes)).gflops
-        )
-        series["chameleon"].add(
-            nodes,
-            chameleon_cholesky(Cluster(machine, nodes), _synthetic_tiled(n, b, nodes)).gflops,
-        )
-        series["slate"].add(nodes, slate_cholesky(Cluster(machine, nodes), n).gflops)
-        series["scalapack"].add(nodes, scalapack_cholesky(Cluster(machine, nodes), n).gflops)
-    return series
+    return _table(_POTRF, scaled(HAWK, workers), [
+        (nodes, nodes, {"n": max(b, round(per_node * math.sqrt(nodes) / b) * b), "b": b})
+        for nodes in geometric_nodes(max_nodes)], cells)
 
 
-def fig6_potrf_problem(
-    nodes: Optional[int] = None,
-    workers: int = 16,
-    b: int = 256,
-    sizes: Optional[List[int]] = None,
-) -> Dict[str, Series]:
+def fig6_potrf_problem(nodes: Optional[int] = None, workers: int = 16,
+                       b: int = 256, sizes: Optional[List[int]] = None,
+                       cells: Optional[Cells] = None) -> Dict[str, Series]:
     """POTRF problem-size scaling on a fixed node count (paper: 64 nodes)."""
     if nodes is None:
         nodes = 64 if bench_scale() == "large" else 16
     if sizes is None:
         # Start where the paper does: several tile-rows per rank (its
         # x-axis begins at 30k on 64 full nodes).
-        if bench_scale() == "large":
-            sizes = [8192, 16384, 24576, 32768]
-        else:
-            sizes = [6144, 8192, 12288, 16384]
-    machine = scaled(HAWK, workers)
-    series = {
-        name: Series(name)
-        for name in ("ttg", "dplasma", "chameleon", "slate", "scalapack")
-    }
-    for n in sizes:
-        series["ttg"].add(
-            n,
-            cholesky_ttg(
-                _synthetic_tiled(n, b, nodes), ParsecBackend(Cluster(machine, nodes))
-            ).gflops,
-        )
-        series["dplasma"].add(
-            n, dplasma_cholesky(Cluster(machine, nodes), _synthetic_tiled(n, b, nodes)).gflops
-        )
-        series["chameleon"].add(
-            n, chameleon_cholesky(Cluster(machine, nodes), _synthetic_tiled(n, b, nodes)).gflops
-        )
-        series["slate"].add(n, slate_cholesky(Cluster(machine, nodes), n).gflops)
-        series["scalapack"].add(n, scalapack_cholesky(Cluster(machine, nodes), n).gflops)
-    return series
+        sizes = ([8192, 16384, 24576, 32768] if bench_scale() == "large"
+                 else [6144, 8192, 12288, 16384])
+    return _table(_POTRF, scaled(HAWK, workers),
+                  [(n, nodes, {"n": n, "b": b}) for n in sizes], cells)
 
 
 # ----------------------------------------------------------- Fig 8 and 9
 
 
-def _fw_figure(
-    machine: MachineSpec,
-    n: int,
-    blocks: List[int],
-    max_nodes: int,
-    madness_block: int,
-    mpi_block: int,
-) -> Dict[str, Series]:
-    series: Dict[str, Series] = {}
-    for b in blocks:
-        s = Series(f"ttg-parsec-b{b}")
-        for nodes in geometric_nodes(max_nodes):
-            if (n // b) ** 2 < nodes:  # fewer tiles than ranks: skip
-                continue
-            w = _synthetic_tiled(n, b, nodes)
-            s.add(nodes, floyd_warshall_ttg(w, ParsecBackend(Cluster(machine, nodes))).gflops)
-        series[s.name] = s
-    s = Series(f"ttg-madness-b{madness_block}")
-    for nodes in geometric_nodes(max_nodes):
-        w = _synthetic_tiled(n, madness_block, nodes)
-        s.add(nodes, floyd_warshall_ttg(w, MadnessBackend(Cluster(machine, nodes))).gflops)
-    series[s.name] = s
-    s = Series(f"mpi+openmp-b{mpi_block}")
-    for nodes in geometric_nodes(max_nodes):
-        # The MPI+OpenMP implementation requires square process counts
-        # (paper III-C); plot it only where it can actually run.
-        if math.isqrt(nodes) ** 2 != nodes:
-            continue
-        s.add(nodes, forkjoin_fw(Cluster(machine, nodes), n, mpi_block).gflops)
-    series[s.name] = s
-    return series
+def _fw(machine: MachineSpec, n: int, blocks: List[int], max_nodes: int, madness_block: int,
+        mpi_block: int, cells: Optional[Cells]) -> Dict[str, Series]:
+    columns = [(f"ttg-parsec-b{b}", "fw-parsec", b) for b in blocks] + [
+        (f"ttg-madness-b{madness_block}", "fw-madness", madness_block),
+        (f"mpi+openmp-b{mpi_block}", "mpi+openmp-fw", mpi_block)]
+    return sweep([name for name, _, _ in columns], [
+        (name, nodes, row, machine, nodes, {"n": n, "b": b})
+        for name, row, b in columns for nodes in geometric_nodes(max_nodes)
+        # TTG/PaRSEC skips fewer tiles than ranks; MPI+OpenMP runs only
+        # on square process counts (paper III-C), so it is plotted there.
+        if row != "fw-parsec" or (n // b) ** 2 >= nodes
+        if row != "mpi+openmp-fw" or math.isqrt(nodes) ** 2 == nodes
+    ], cells)
 
 
-def fig8_fw_hawk(
-    max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None
-) -> Dict[str, Series]:
+def fig8_fw_hawk(max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None,
+                 cells: Optional[Cells] = None) -> Dict[str, Series]:
     """FW-APSP strong scaling on (scaled) Hawk; paper: 32k matrix, blocks
     64/128/256, up to 256 nodes.
 
@@ -207,15 +223,12 @@ def fig8_fw_hawk(
     if n is None:
         n = 4096 if bench_scale() == "large" else 2048
     blocks = [32, 64, 128] if n <= 2048 else [64, 128, 256]
-    return _fw_figure(
-        scaled(HAWK, workers), n, blocks, max_nodes,
-        madness_block=blocks[-1], mpi_block=blocks[1],
-    )
+    return _fw(scaled(HAWK, workers), n, blocks, max_nodes,
+               madness_block=blocks[-1], mpi_block=blocks[1], cells=cells)
 
 
-def fig9_fw_seawulf(
-    max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None
-) -> Dict[str, Series]:
+def fig9_fw_seawulf(max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None,
+                    cells: Optional[Cells] = None) -> Dict[str, Series]:
     """FW-APSP strong scaling on (scaled) Seawulf; paper: blocks 128/256,
     up to 32 nodes."""
     if max_nodes is None:
@@ -223,99 +236,85 @@ def fig9_fw_seawulf(
     if n is None:
         n = 4096 if bench_scale() == "large" else 2048
     blocks = [64, 128] if n <= 2048 else [128, 256]
-    return _fw_figure(
-        scaled(SEAWULF, workers), n, blocks, max_nodes,
-        madness_block=blocks[-1], mpi_block=blocks[0],
-    )
+    return _fw(scaled(SEAWULF, workers), n, blocks, max_nodes,
+               madness_block=blocks[-1], mpi_block=blocks[0], cells=cells)
 
 
 # ----------------------------------------------------------------- Fig 12
 
 
-def fig12_bspmm(
-    max_nodes: Optional[int] = None,
-    workers: int = 16,
-    natoms: Optional[int] = None,
-) -> Dict[str, Series]:
+def fig12_bspmm(max_nodes: Optional[int] = None, workers: int = 16, natoms: Optional[int] = None,
+                cells: Optional[Cells] = None) -> Dict[str, Series]:
     """Block-sparse GEMM strong scaling (paper: Yukawa matrix of the
     SARS-CoV-2 protease, 8..256 nodes, vs DBCSR's 2.5D SUMMA)."""
     if max_nodes is None:
         max_nodes = 256 if bench_scale() == "large" else 64
-    if natoms is None:
-        natoms = 400 if bench_scale() == "large" else 220
-    machine = scaled(HAWK, workers)
-    # Paper-like tile granularity: blocks grouped toward a 96^2 target
-    # (scaled from 256) keeps multiply-adds compute-heavy relative to the
-    # tile transfers, as in the real workload.
-    a = yukawa_blocksparse(
-        natoms, target_tile=96, min_block=8, max_block=32,
-        decay_length=1.5, seed=7, synthetic=True,
-    )
-    series = {
-        name: Series(name) for name in ("ttg-parsec", "ttg-madness", "dbcsr")
-    }
-    for nodes in geometric_nodes(max_nodes, start=4):
-        series["ttg-parsec"].add(
-            nodes, bspmm_ttg(a, a, ParsecBackend(Cluster(machine, nodes))).gflops
-        )
-        series["ttg-madness"].add(
-            nodes, bspmm_ttg(a, a, MadnessBackend(Cluster(machine, nodes))).gflops
-        )
-        series["dbcsr"].add(nodes, dbcsr_multiply(Cluster(machine, nodes), a, a).gflops)
-    return series
+    p = {"natoms": natoms or (400 if bench_scale() == "large" else 220)}
+    return _table((("ttg-parsec", "bspmm-parsec"), ("ttg-madness", "bspmm-madness"),
+                   ("dbcsr", "dbcsr")), scaled(HAWK, workers),
+                  [(nodes, nodes, p) for nodes in geometric_nodes(max_nodes, start=4)], cells)
+
+
+def fig12_extension_25d(top: Optional[int] = None, workers: int = 16, natoms: Optional[int] = None,
+                        cells: Optional[Cells] = None) -> Dict[str, Series]:
+    """The paper's 2.5D hypothesis (III-D, last paragraph): Fig 12's 2D
+    SUMMA TTG cells beside the 2.5D SUMMA TTG at ``top``/4, ``top``/2 and
+    ``top`` nodes.  Not a paper figure, so not a CLI experiment."""
+    if top is None:
+        top = 256 if bench_scale() == "large" else 128
+    p = {"natoms": natoms or (400 if bench_scale() == "large" else 220)}
+    return _table((("ttg-2d", "bspmm-parsec"), ("ttg-2.5d", "summa25-parsec")),
+                  scaled(HAWK, workers),
+                  [(nodes, nodes, p) for nodes in (top // 4, top // 2, top)], cells)
 
 
 # ----------------------------------------------------------------- Fig 13
 
 
-def _mra_figure(
-    machine: MachineSpec, max_nodes: int, nfuncs: int, k: int, thresh: float,
-    exponent: float,
-) -> Dict[str, Series]:
-    funcs = random_gaussians(nfuncs, d=3, exponent=exponent, seed=11)
-    series = {
-        name: Series(name)
-        for name in ("ttg-parsec", "ttg-madness", "native-madness")
-    }
-    # Charge wire bytes and flops as if tensors had the paper's order
-    # k=10: inflate bytes by (10/k)^3 and work by (10/k)^4 (separable
-    # transforms scale as k^(d+1)).
-    mra_args = dict(k=k, thresh=thresh, max_level=10, initial_level=1,
-                    target_level=2, inflate=(10.0 / k) ** 3,
-                    flops_scale=(10.0 / k) ** 4)
-    for nodes in geometric_nodes(max_nodes):
-        t_p = mra_ttg(funcs, ParsecBackend(Cluster(machine, nodes)), **mra_args).makespan
-        t_m = mra_ttg(funcs, MadnessBackend(Cluster(machine, nodes)), **mra_args).makespan
-        t_n = madness_mra(Cluster(machine, nodes), funcs, **mra_args).makespan
-        # Figure 13 reports execution time speedup as strong scaling; we
-        # plot throughput = functions/second so "up is better" like GFlop/s.
-        series["ttg-parsec"].add(nodes, nfuncs / t_p)
-        series["ttg-madness"].add(nodes, nfuncs / t_m)
-        series["native-madness"].add(nodes, nfuncs / t_n)
-    return series
+def _mra_table(machine: MachineSpec, max_nodes: int, cells: Optional[Cells]) -> Dict[str, Series]:
+    p = {"nfuncs": 32 if bench_scale() == "large" else 16, "k": 4,
+         "thresh": 1e-4, "exponent": 1.0e5}
+    return _table((("ttg-parsec", "mra-parsec"), ("ttg-madness", "mra-madness"),
+                   ("native-madness", "native-madness")), machine,
+                  [(nodes, nodes, p) for nodes in geometric_nodes(max_nodes)], cells)
 
 
-def fig13a_mra_seawulf(
-    max_nodes: Optional[int] = None, workers: int = 16
-) -> Dict[str, Series]:
+def fig13a_mra_seawulf(max_nodes: Optional[int] = None, workers: int = 16,
+                       cells: Optional[Cells] = None) -> Dict[str, Series]:
     """MRA strong scaling on (scaled) Seawulf, paper: up to 32 nodes."""
     if max_nodes is None:
         max_nodes = 32
-    nfuncs = 32 if bench_scale() == "large" else 16
-    return _mra_figure(
-        scaled(SEAWULF, workers), max_nodes, nfuncs, k=4, thresh=1e-4,
-        exponent=1.0e5,
-    )
+    return _mra_table(scaled(SEAWULF, workers), max_nodes, cells)
 
 
-def fig13b_mra_hawk(
-    max_nodes: Optional[int] = None, workers: int = 16
-) -> Dict[str, Series]:
+def fig13b_mra_hawk(max_nodes: Optional[int] = None, workers: int = 16,
+                    cells: Optional[Cells] = None) -> Dict[str, Series]:
     """MRA strong scaling on (scaled) Hawk, paper: up to 64 nodes."""
     if max_nodes is None:
         max_nodes = 64 if bench_scale() == "large" else 32
-    nfuncs = 32 if bench_scale() == "large" else 16
-    return _mra_figure(
-        scaled(HAWK, workers), max_nodes, nfuncs, k=4, thresh=1e-4,
-        exponent=1.0e5,
-    )
+    return _mra_table(scaled(HAWK, workers), max_nodes, cells)
+
+
+# ------------------------------------------------------------ the figures
+
+
+class Figure(NamedTuple):
+    """A paper figure as printed; ``--max-nodes`` sets ``node_arg``."""
+
+    run: Callable[..., Dict[str, Series]]
+    title: str
+    xlabel: str = "nodes"
+    node_arg: str = "max_nodes"
+
+
+#: The paper's figures by experiment name.
+FIGURES: Dict[str, Figure] = {
+    "fig5": Figure(fig5_potrf_weak, "Fig 5: POTRF weak scaling, Hawk (Gflop/s)"),
+    "fig6": Figure(fig6_potrf_problem, "Fig 6: POTRF problem-size scaling (Gflop/s)", "n",
+                   "nodes"),
+    "fig8": Figure(fig8_fw_hawk, "Fig 8: FW-APSP strong scaling, Hawk (Gflop/s)"),
+    "fig9": Figure(fig9_fw_seawulf, "Fig 9: FW-APSP strong scaling, Seawulf (Gflop/s)"),
+    "fig12": Figure(fig12_bspmm, "Fig 12: BSPMM strong scaling (Gflop/s)"),
+    "fig13a": Figure(fig13a_mra_seawulf, "Fig 13a: MRA strong scaling, Seawulf (functions/s)"),
+    "fig13b": Figure(fig13b_mra_hawk, "Fig 13b: MRA strong scaling, Hawk (functions/s)"),
+}

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.linalg import BlockCyclicDistribution, TiledMatrix
+
 SCHEMA = "repro.bench/history"
 SCHEMA_VERSION = 5
 
@@ -216,36 +218,8 @@ def select_record(records: List[BenchRecord], selector: str) -> BenchRecord:
 # ------------------------------------------------------------- measurement
 
 
-class SeededBlockCyclic:
-    """Block-cyclic tile map rotated by ``seed`` -- same grid, same DAG,
-    different owners.  Seeds 0, 1 and 2 are three pinned placements
-    (:data:`CELLS`), not samples of a distribution: each one is a cell
-    whose communication pattern differs from the others'."""
-
-    def __init__(self, prows: int, pcols: int, seed: int = 0) -> None:
-        self.prows = prows
-        self.pcols = pcols
-        self.seed = seed
-
-    @classmethod
-    def for_ranks(cls, nranks: int, seed: int = 0) -> "SeededBlockCyclic":
-        from repro.linalg.tiled_matrix import grid_dims
-
-        return cls(*grid_dims(nranks), seed=seed)
-
-    @property
-    def nranks(self) -> int:
-        return self.prows * self.pcols
-
-    def rank_of(self, i: int, j: int) -> int:
-        return ((i + self.seed) % self.prows) * self.pcols + \
-            ((j + self.seed) % self.pcols)
-
-    def tiles_of_rank(self, rank: int, nt: int):
-        for i in range(nt):
-            for j in range(nt):
-                if self.rank_of(i, j) == rank:
-                    yield (i, j)
+# hostbench/ imports the tile map under this name (test_hostbench_names_resolve checks it).
+SeededBlockCyclic = BlockCyclicDistribution
 
 
 def _observed_record(
@@ -288,10 +262,8 @@ def _observed_record(
 
 
 def _tiled_matrix(seed: int, p: Dict[str, Any]) -> Any:
-    from repro.linalg import TiledMatrix
-
     return TiledMatrix(p["n"], p["b"],
-                       SeededBlockCyclic.for_ranks(p["nodes"], seed),
+                       BlockCyclicDistribution.for_ranks(p["nodes"], seed),
                        synthetic=True)
 
 

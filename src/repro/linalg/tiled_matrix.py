@@ -24,30 +24,38 @@ def grid_dims(nranks: int) -> Tuple[int, int]:
 
 
 class BlockCyclicDistribution:
-    """2-D block-cyclic tile-to-rank map: rank(i, j) = (i%P)*Q + j%Q."""
+    """2-D block-cyclic tile-to-rank map, rows and columns rotated by
+    ``seed``: rank(i, j) = ((i+s)%P)*Q + (j+s)%Q.
 
-    def __init__(self, prows: int, pcols: int) -> None:
+    A seed keeps the grid and the DAG and changes the owners: the
+    watchdog's seeds 0, 1 and 2 (``repro.bench.history.CELLS``) are three
+    pinned placements, not samples of a distribution.
+    """
+
+    def __init__(self, prows: int, pcols: int, seed: int = 0) -> None:
         if prows < 1 or pcols < 1:
             raise ValueError("process grid dims must be >= 1")
         self.prows = prows
         self.pcols = pcols
+        self.seed = seed
 
     @classmethod
-    def for_ranks(cls, nranks: int) -> "BlockCyclicDistribution":
-        return cls(*grid_dims(nranks))
+    def for_ranks(cls, nranks: int, seed: int = 0) -> "BlockCyclicDistribution":
+        return cls(*grid_dims(nranks), seed=seed)
 
     @property
     def nranks(self) -> int:
         return self.prows * self.pcols
 
     def rank_of(self, i: int, j: int) -> int:
-        return (i % self.prows) * self.pcols + (j % self.pcols)
+        s = self.seed
+        return ((i + s) % self.prows) * self.pcols + (j + s) % self.pcols
 
     def tiles_of_rank(self, rank: int, nt: int) -> Iterator[Tuple[int, int]]:
         """All (i, j) in an nt x nt tiling owned by ``rank``."""
         pr, pc = divmod(rank, self.pcols)
-        for i in range(pr, nt, self.prows):
-            for j in range(pc, nt, self.pcols):
+        for i in range((pr - self.seed) % self.prows, nt, self.prows):
+            for j in range((pc - self.seed) % self.pcols, nt, self.pcols):
                 yield (i, j)
 
 

@@ -55,6 +55,43 @@ def test_fig13_tiny():
         assert all(y > 0 for y in s.ys)
 
 
+def test_shared_cells_run_once():
+    """Figures sharing a ``cells`` dict run a cell they share once and
+    return what each returns alone; the key holds the machine, so Fig 13a
+    and 13b (same cells on Seawulf and Hawk) share none."""
+    from repro.core.graph import (add_construction_observer,
+                                  remove_construction_observer)
+
+    bound = []
+
+    def observe(kind, obj):
+        if kind == "executable":
+            bound.append(kind)
+
+    def potrf(cells=None):
+        # Fig 5's 2-node point is Fig 6's n=1536 point at 2 nodes.
+        return (figures.fig5_potrf_weak(max_nodes=2, workers=4, per_node=1024,
+                                        b=256, cells=cells),
+                figures.fig6_potrf_problem(nodes=2, workers=4, b=256,
+                                           sizes=[1536], cells=cells))
+
+    add_construction_observer(observe)
+    try:
+        alone = potrf()
+        unshared = len(bound)
+        shared = potrf({})
+    finally:
+        remove_construction_observer(observe)
+    assert shared == alone
+    assert len(bound) - unshared < unshared
+
+    cells = {}
+    seawulf = figures.fig13a_mra_seawulf(max_nodes=2, workers=4, cells=cells)
+    hawk = figures.fig13b_mra_hawk(max_nodes=2, workers=4, cells=cells)
+    assert hawk == figures.fig13b_mra_hawk(max_nodes=2, workers=4)
+    assert hawk != seawulf
+
+
 def test_bench_scale_env(monkeypatch):
     monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
     assert figures.bench_scale() == "small"

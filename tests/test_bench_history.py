@@ -15,7 +15,6 @@ from repro.bench.history import (
     BenchRecord,
     SCHEMA,
     SCHEMA_VERSION,
-    SeededBlockCyclic,
     git_sha,
     measure,
     measure_cell,
@@ -212,18 +211,19 @@ def test_git_sha_marks_a_dirty_tree(tmp_path, monkeypatch):
 
 
 def test_seeded_block_cyclic_rotates_ownership():
-    base = BlockCyclicDistribution(2, 2)
-    s0 = SeededBlockCyclic.for_ranks(4, seed=0)
-    s1 = SeededBlockCyclic.for_ranks(4, seed=1)
-    coords = [(i, j) for i in range(4) for j in range(4)]
-    assert [s0.rank_of(i, j) for i, j in coords] == \
-        [base.rank_of(i, j) for i, j in coords]
-    assert [s1.rank_of(i, j) for i, j in coords] != \
-        [s0.rank_of(i, j) for i, j in coords]
-    # Every seed is a relabeling: each rank still owns the same tile count.
-    for dist in (s0, s1):
-        owners = [dist.rank_of(i, j) for i, j in coords]
-        assert sorted(owners.count(r) for r in range(4)) == [4, 4, 4, 4]
+    """At each pinned seed ``tiles_of_rank`` walks exactly the tiles
+    ``rank_of`` gives each rank; seed 0 is the plain map and every other
+    seed relabels owners, each rank keeping its tile count."""
+    nt, tiles = 6, [(i, j) for i in range(6) for j in range(6)]
+    owners = []
+    for seed in (0, 1, 2):
+        dist = BlockCyclicDistribution.for_ranks(6, seed=seed)
+        walked = [(ij, r) for r in range(6) for ij in dist.tiles_of_rank(r, nt)]
+        assert sorted(walked) == [(ij, dist.rank_of(*ij)) for ij in tiles]
+        owners.append([dist.rank_of(*ij) for ij in tiles])
+        assert [owners[-1].count(r) for r in range(6)] == [6] * 6
+    assert owners[0] == [(i % 2) * 3 + j % 3 for i, j in tiles]
+    assert owners[1] != owners[0] and owners[2] not in owners[:2]
 
 
 def test_measure_potrf_fills_observability_fields():

@@ -497,17 +497,16 @@ def test_finished_cell_is_freed_by_reference_counting():
     import weakref
 
     from repro.apps.cholesky import cholesky_ttg
-    from repro.bench.history import SeededBlockCyclic
     from repro.core.graph import (add_construction_observer,
                                   remove_construction_observer)
-    from repro.linalg import TiledMatrix
+    from repro.linalg import BlockCyclicDistribution, TiledMatrix
 
     refs = []
 
     def observe(kind, obj):
         refs.append((kind, weakref.ref(obj)))
 
-    a = TiledMatrix(512, 128, SeededBlockCyclic.for_ranks(4, 0), synthetic=True)
+    a = TiledMatrix(512, 128, BlockCyclicDistribution.for_ranks(4), synthetic=True)
     add_construction_observer(observe)
     gc.disable()
     try:

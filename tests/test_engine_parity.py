@@ -50,18 +50,16 @@ def _run(app, nranks, trace=False):
                             telemetry=tel)
     if app == "potrf":
         from repro.apps.cholesky import cholesky_ttg
-        from repro.bench.history import SeededBlockCyclic
-        from repro.linalg import TiledMatrix
+        from repro.linalg import BlockCyclicDistribution, TiledMatrix
 
-        a = TiledMatrix(768, 128, SeededBlockCyclic.for_ranks(nranks, 0),
+        a = TiledMatrix(768, 128, BlockCyclicDistribution.for_ranks(nranks),
                         synthetic=True)
         res = cholesky_ttg(a, backend)
     elif app == "fw":
         from repro.apps.floydwarshall import floyd_warshall_ttg
-        from repro.bench.history import SeededBlockCyclic
-        from repro.linalg import TiledMatrix
+        from repro.linalg import BlockCyclicDistribution, TiledMatrix
 
-        w = TiledMatrix(512, 128, SeededBlockCyclic.for_ranks(nranks, 0),
+        w = TiledMatrix(512, 128, BlockCyclicDistribution.for_ranks(nranks),
                         synthetic=True)
         res = floyd_warshall_ttg(w, backend)
     elif app == "bspmm":

@@ -21,7 +21,6 @@ import pytest
 from repro.apps.bspmm import bspmm_ttg_25d
 from repro.apps.cholesky import cholesky_left_looking, cholesky_ttg
 from repro.apps.mra import mra_ttg, random_gaussians
-from repro.bench.history import SeededBlockCyclic
 from repro.core.graph import TaskGraph
 from repro.linalg import BlockCyclicDistribution, TiledMatrix, yukawa_blocksparse
 from repro.runtime import MadnessBackend, ParsecBackend
@@ -137,7 +136,7 @@ def _left_looking(backend):
 
 
 def _potrf_seeded(backend):
-    a = TiledMatrix(512, 128, SeededBlockCyclic.for_ranks(4, 0),
+    a = TiledMatrix(512, 128, BlockCyclicDistribution.for_ranks(4, seed=1),
                     synthetic=True)
     return cholesky_ttg(a, backend)
 

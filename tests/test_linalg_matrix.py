@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bench.history import SeededBlockCyclic
 from repro.linalg.blocksparse import BlockSparseMatrix, IrregularTiling
 from repro.linalg.generators import random_weight_matrix, spd_matrix, yukawa_blocksparse
 from repro.linalg.kernels import (
@@ -58,8 +57,6 @@ def test_distribution_validation():
             grid_dims(nranks)
         with pytest.raises(ValueError, match="nranks must be >= 1"):
             BlockCyclicDistribution.for_ranks(nranks)
-        with pytest.raises(ValueError, match="nranks must be >= 1"):
-            SeededBlockCyclic.for_ranks(nranks)
 
 
 # --------------------------------------------------------------- TiledMatrix

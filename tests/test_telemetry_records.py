@@ -177,10 +177,10 @@ def _cell(app, tel=None, n=1024):
     backend = ParsecBackend(Cluster(HAWK.with_workers(4), nranks), telemetry=tel)
     if app == "potrf":
         from repro.apps.cholesky import cholesky_ttg
-        from repro.bench.history import SeededBlockCyclic
+        from repro.linalg import BlockCyclicDistribution
         from repro.linalg import TiledMatrix
 
-        cholesky_ttg(TiledMatrix(n, 128, SeededBlockCyclic.for_ranks(nranks, 0),
+        cholesky_ttg(TiledMatrix(n, 128, BlockCyclicDistribution.for_ranks(nranks),
                                  synthetic=True), backend)
     elif app == "bspmm":
         from repro.apps.bspmm import bspmm_ttg
