@@ -24,8 +24,15 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Se
 
 from repro.apps.bspmm import bspmm_ttg, bspmm_ttg_25d
 from repro.apps.mra import mra_ttg, random_gaussians
-from repro.baselines import (chameleon_cholesky, dbcsr_multiply, dplasma_cholesky,
-                              forkjoin_fw, madness_mra, scalapack_cholesky, slate_cholesky)
+from repro.baselines import (
+    chameleon_cholesky,
+    dbcsr_multiply,
+    dplasma_cholesky,
+    forkjoin_fw,
+    madness_mra,
+    scalapack_cholesky,
+    slate_cholesky,
+)
 from repro.bench import history
 from repro.bench.harness import Series, geometric_nodes
 from repro.linalg import yukawa_blocksparse
@@ -165,8 +172,13 @@ _POTRF = (("ttg", "potrf-parsec"), ("dplasma", "dplasma"), ("chameleon", "chamel
           ("slate", "slate"), ("scalapack", "scalapack"))
 
 
-def fig5_potrf_weak(max_nodes: Optional[int] = None, workers: int = 16, per_node: int = 4096,
-                    b: int = 256, cells: Optional[Cells] = None) -> Dict[str, Series]:
+def fig5_potrf_weak(
+    max_nodes: Optional[int] = None,
+    workers: int = 16,
+    per_node: int = 4096,
+    b: int = 256,
+    cells: Optional[Cells] = None,
+) -> Dict[str, Series]:
     """POTRF weak scaling on (scaled) Hawk; paper: 30k^2 per node, 512^2
     tiles.  Scaled: ``per_node``^2 per node, 256^2 tiles, ``workers``-worker
     nodes -- keeping ~16 tile rows per node like the paper's ratio."""
@@ -177,17 +189,23 @@ def fig5_potrf_weak(max_nodes: Optional[int] = None, workers: int = 16, per_node
         for nodes in geometric_nodes(max_nodes)], cells)
 
 
-def fig6_potrf_problem(nodes: Optional[int] = None, workers: int = 16,
-                       b: int = 256, sizes: Optional[List[int]] = None,
-                       cells: Optional[Cells] = None) -> Dict[str, Series]:
+def fig6_potrf_problem(
+    nodes: Optional[int] = None,
+    workers: int = 16,
+    b: int = 256,
+    sizes: Optional[List[int]] = None,
+    cells: Optional[Cells] = None,
+) -> Dict[str, Series]:
     """POTRF problem-size scaling on a fixed node count (paper: 64 nodes)."""
     if nodes is None:
         nodes = 64 if bench_scale() == "large" else 16
     if sizes is None:
         # Start where the paper does: several tile-rows per rank (its
         # x-axis begins at 30k on 64 full nodes).
-        sizes = ([8192, 16384, 24576, 32768] if bench_scale() == "large"
-                 else [6144, 8192, 12288, 16384])
+        if bench_scale() == "large":
+            sizes = [8192, 16384, 24576, 32768]
+        else:
+            sizes = [6144, 8192, 12288, 16384]
     return _table(_POTRF, scaled(HAWK, workers),
                   [(n, nodes, {"n": n, "b": b}) for n in sizes], cells)
 
@@ -195,10 +213,10 @@ def fig6_potrf_problem(nodes: Optional[int] = None, workers: int = 16,
 # ----------------------------------------------------------- Fig 8 and 9
 
 
-def _fw(machine: MachineSpec, n: int, blocks: List[int], max_nodes: int, madness_block: int,
-        mpi_block: int, cells: Optional[Cells]) -> Dict[str, Series]:
+def _fw(machine: MachineSpec, n: int, blocks: List[int], max_nodes: int, mpi_block: int,
+        cells: Optional[Cells]) -> Dict[str, Series]:
     columns = [(f"ttg-parsec-b{b}", "fw-parsec", b) for b in blocks] + [
-        (f"ttg-madness-b{madness_block}", "fw-madness", madness_block),
+        (f"ttg-madness-b{blocks[-1]}", "fw-madness", blocks[-1]),
         (f"mpi+openmp-b{mpi_block}", "mpi+openmp-fw", mpi_block)]
     return sweep([name for name, _, _ in columns], [
         (name, nodes, row, machine, nodes, {"n": n, "b": b})
@@ -210,8 +228,10 @@ def _fw(machine: MachineSpec, n: int, blocks: List[int], max_nodes: int, madness
     ], cells)
 
 
-def fig8_fw_hawk(max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None,
-                 cells: Optional[Cells] = None) -> Dict[str, Series]:
+def fig8_fw_hawk(
+    max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None,
+    cells: Optional[Cells] = None,
+) -> Dict[str, Series]:
     """FW-APSP strong scaling on (scaled) Hawk; paper: 32k matrix, blocks
     64/128/256, up to 256 nodes.
 
@@ -223,12 +243,13 @@ def fig8_fw_hawk(max_nodes: Optional[int] = None, workers: int = 4, n: Optional[
     if n is None:
         n = 4096 if bench_scale() == "large" else 2048
     blocks = [32, 64, 128] if n <= 2048 else [64, 128, 256]
-    return _fw(scaled(HAWK, workers), n, blocks, max_nodes,
-               madness_block=blocks[-1], mpi_block=blocks[1], cells=cells)
+    return _fw(scaled(HAWK, workers), n, blocks, max_nodes, mpi_block=blocks[1], cells=cells)
 
 
-def fig9_fw_seawulf(max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None,
-                    cells: Optional[Cells] = None) -> Dict[str, Series]:
+def fig9_fw_seawulf(
+    max_nodes: Optional[int] = None, workers: int = 4, n: Optional[int] = None,
+    cells: Optional[Cells] = None,
+) -> Dict[str, Series]:
     """FW-APSP strong scaling on (scaled) Seawulf; paper: blocks 128/256,
     up to 32 nodes."""
     if max_nodes is None:
@@ -236,36 +257,45 @@ def fig9_fw_seawulf(max_nodes: Optional[int] = None, workers: int = 4, n: Option
     if n is None:
         n = 4096 if bench_scale() == "large" else 2048
     blocks = [64, 128] if n <= 2048 else [128, 256]
-    return _fw(scaled(SEAWULF, workers), n, blocks, max_nodes,
-               madness_block=blocks[-1], mpi_block=blocks[0], cells=cells)
+    return _fw(scaled(SEAWULF, workers), n, blocks, max_nodes, mpi_block=blocks[0], cells=cells)
 
 
 # ----------------------------------------------------------------- Fig 12
 
 
-def fig12_bspmm(max_nodes: Optional[int] = None, workers: int = 16, natoms: Optional[int] = None,
-                cells: Optional[Cells] = None) -> Dict[str, Series]:
+#: Fig 12's workers per node and its small-scale Yukawa atom count.
+_BSPMM_WORKERS, _BSPMM_ATOMS = 16, 220
+
+
+def fig12_bspmm(
+    max_nodes: Optional[int] = None,
+    workers: int = _BSPMM_WORKERS,
+    natoms: Optional[int] = None,
+    cells: Optional[Cells] = None,
+) -> Dict[str, Series]:
     """Block-sparse GEMM strong scaling (paper: Yukawa matrix of the
     SARS-CoV-2 protease, 8..256 nodes, vs DBCSR's 2.5D SUMMA)."""
     if max_nodes is None:
         max_nodes = 256 if bench_scale() == "large" else 64
-    p = {"natoms": natoms or (400 if bench_scale() == "large" else 220)}
+    if natoms is None:
+        natoms = 400 if bench_scale() == "large" else _BSPMM_ATOMS
     return _table((("ttg-parsec", "bspmm-parsec"), ("ttg-madness", "bspmm-madness"),
                    ("dbcsr", "dbcsr")), scaled(HAWK, workers),
-                  [(nodes, nodes, p) for nodes in geometric_nodes(max_nodes, start=4)], cells)
+                  [(nodes, nodes, {"natoms": natoms})
+                   for nodes in geometric_nodes(max_nodes, start=4)], cells)
 
 
-def fig12_extension_25d(top: Optional[int] = None, workers: int = 16, natoms: Optional[int] = None,
-                        cells: Optional[Cells] = None) -> Dict[str, Series]:
-    """The paper's 2.5D hypothesis (III-D, last paragraph): Fig 12's 2D
-    SUMMA TTG cells beside the 2.5D SUMMA TTG at ``top``/4, ``top``/2 and
-    ``top`` nodes.  Not a paper figure, so not a CLI experiment."""
-    if top is None:
-        top = 256 if bench_scale() == "large" else 128
-    p = {"natoms": natoms or (400 if bench_scale() == "large" else 220)}
+def fig12_extension_25d(cells: Optional[Cells] = None) -> Dict[str, Series]:
+    """The paper's 2.5D hypothesis (III-D, last paragraph): 2D beside 2.5D
+    SUMMA TTG at a quarter, half and all of 128 nodes (256 at large scale).
+    Every scale runs Fig 12's small-scale problem, so at small scale the 2D
+    cells at 32 and 64 nodes are Fig 12's ``ttg-parsec`` cells.  Not a paper
+    figure, so not a CLI experiment."""
+    top = 256 if bench_scale() == "large" else 128
     return _table((("ttg-2d", "bspmm-parsec"), ("ttg-2.5d", "summa25-parsec")),
-                  scaled(HAWK, workers),
-                  [(nodes, nodes, p) for nodes in (top // 4, top // 2, top)], cells)
+                  scaled(HAWK, _BSPMM_WORKERS),
+                  [(nodes, nodes, {"natoms": _BSPMM_ATOMS}) for nodes in (top // 4, top // 2, top)],
+                  cells)
 
 
 # ----------------------------------------------------------------- Fig 13
@@ -279,16 +309,18 @@ def _mra_table(machine: MachineSpec, max_nodes: int, cells: Optional[Cells]) -> 
                   [(nodes, nodes, p) for nodes in geometric_nodes(max_nodes)], cells)
 
 
-def fig13a_mra_seawulf(max_nodes: Optional[int] = None, workers: int = 16,
-                       cells: Optional[Cells] = None) -> Dict[str, Series]:
+def fig13a_mra_seawulf(
+    max_nodes: Optional[int] = None, workers: int = 16, cells: Optional[Cells] = None
+) -> Dict[str, Series]:
     """MRA strong scaling on (scaled) Seawulf, paper: up to 32 nodes."""
     if max_nodes is None:
         max_nodes = 32
     return _mra_table(scaled(SEAWULF, workers), max_nodes, cells)
 
 
-def fig13b_mra_hawk(max_nodes: Optional[int] = None, workers: int = 16,
-                    cells: Optional[Cells] = None) -> Dict[str, Series]:
+def fig13b_mra_hawk(
+    max_nodes: Optional[int] = None, workers: int = 16, cells: Optional[Cells] = None
+) -> Dict[str, Series]:
     """MRA strong scaling on (scaled) Hawk, paper: up to 64 nodes."""
     if max_nodes is None:
         max_nodes = 64 if bench_scale() == "large" else 32

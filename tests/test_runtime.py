@@ -5,7 +5,6 @@ import pytest
 from repro.linalg.tile import MatrixTile
 from repro.runtime import (
     BACKENDS,
-    Backend,
     BackendConfig,
     MadnessBackend,
     ParsecBackend,
