@@ -36,8 +36,6 @@ def test_fig8_fw_strong_scaling_hawk(benchmark, cells):
 
     # Smaller blocks scale further: the finest block's curve still grows at
     # the top of the node range while the coarsest has rolled off.
-    fine = series[parsec[0]] if "b32" in parsec[0] else series[sorted(
-        parsec, key=lambda n: int(n.split("b")[-1]))[0]]
     fine = series[sorted(parsec, key=lambda n: int(n.split("b")[-1]))[0]]
     coarse = series[sorted(parsec, key=lambda n: int(n.split("b")[-1]))[-1]]
     assert fine.ys[-1] > fine.ys[-2] * 1.2, "finest block should keep scaling"

@@ -50,6 +50,15 @@ class LintContext:
     def __init__(self, graph: Any, nranks: Optional[int]) -> None:
         self.graph = graph
         self.nranks = nranks
+        # Per edge id of the graph, the live (template, index) ends: an
+        # edge refers to its templates weakly (repro.core.edge).
+        edges = graph.edges()
+        self.producers: Dict[int, List[Tuple[Any, int]]] = {
+            e.id: [(tt, i) for ref, i in e.producers if (tt := ref()) is not None]
+            for e in edges}
+        self.consumers: Dict[int, List[Tuple[Any, int]]] = {
+            e.id: [(tt, i) for ref, i in e.consumers if (tt := ref()) is not None]
+            for e in edges}
 
     # ------------------------------------------------------------- helpers
 
@@ -100,7 +109,7 @@ def _unfed_inputs(ctx: LintContext) -> Iterator[Finding]:
         if ctx.waived(tt, "TTG001"):
             continue
         for t in tt.inputs:
-            if not t.edge.producers:
+            if not ctx.producers[t.edge.id]:
                 yield ctx.finding(
                     "TTG001", ctx.loc(tt, t),
                     f"edge {t.edge.name!r} has no producer "
@@ -115,7 +124,7 @@ def _dangling_outputs(ctx: LintContext) -> Iterator[Finding]:
         if ctx.waived(tt, "TTG002"):
             continue
         for t in tt.outputs:
-            if not t.edge.consumers:
+            if not ctx.consumers[t.edge.id]:
                 yield ctx.finding(
                     "TTG002", ctx.loc(tt, t),
                     f"edge {t.edge.name!r} has no consumer "
@@ -176,7 +185,7 @@ def _unreachable_templates(ctx: LintContext) -> Iterator[Finding]:
         tt
         for tt in tts
         if tt.num_inputs == 0
-        or any(not t.edge.producers for t in tt.inputs)
+        or any(not ctx.producers[t.edge.id] for t in tt.inputs)
         or ctx.waived(tt, "TTG004")
     ]
     reached: Set[int] = {tt.id for tt in sources}
@@ -184,8 +193,9 @@ def _unreachable_templates(ctx: LintContext) -> Iterator[Finding]:
     while frontier:
         tt = frontier.pop()
         for t in tt.outputs:
-            for ctt, _ in t.edge.consumers:
-                if ctt.id not in reached:
+            for ref, _ in t.edge.consumers:
+                ctt = ref()
+                if ctt is not None and ctt.id not in reached:
                     reached.add(ctt.id)
                     frontier.append(ctt)
     for tt in tts:
@@ -205,8 +215,9 @@ def _template_sccs(tts: Tuple[Any, ...]) -> List[List[Any]]:
     for tt in tts:
         outs = []
         for t in tt.outputs:
-            for ctt, _ in t.edge.consumers:
-                if ctt.id in by_id:
+            for ref, _ in t.edge.consumers:
+                ctt = ref()
+                if ctt is not None and ctt.id in by_id:
                     outs.append(ctt)
         succ[tt.id] = outs
     index: Dict[int, int] = {}
@@ -275,7 +286,8 @@ def _unbounded_stream_cycles(ctx: LintContext) -> Iterator[Finding]:
             for t in tt.inputs:
                 if not t.is_streaming or t.static_stream_size is not None:
                     continue
-                fed_in_cycle = any(p.id in members for p, _ in t.edge.producers)
+                fed_in_cycle = any(p.id in members
+                                   for p, _ in ctx.producers[t.edge.id])
                 if fed_in_cycle:
                     yield ctx.finding(
                         "TTG005", ctx.loc(tt, t),

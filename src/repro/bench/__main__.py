@@ -40,7 +40,8 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.bench import figures, history
-from repro.bench.harness import merged_event_bus, print_series, print_table
+from repro.bench.harness import (geometric_nodes, merged_event_bus,
+                                  print_series, print_table)
 from repro.bench.plot import print_chart
 from repro.telemetry.cli import positive_int
 
@@ -223,27 +224,31 @@ def main(argv=None) -> int:
     if watchdog:
         return run_watchdog_cli(args)
 
+    names = {"table1": [], "all": sorted(figures.FIGURES)}.get(
+        args.experiment, [args.experiment])
+    if args.max_nodes is not None:
+        for name in names:  # a cap below a sweep is refused before any run
+            try:
+                geometric_nodes(args.max_nodes,
+                                start=figures.FIGURES[name].first_nodes)
+            except ValueError as exc:
+                parser.error(str(exc))
+
     def run_all() -> None:
         if args.experiment in ("table1", "all"):
             run_table1()
-        if args.experiment == "all":
-            cells: figures.Cells = {}  # a cell two figures share runs once
-            for name in sorted(figures.FIGURES):
-                run_figure(name, args.max_nodes, cells)
-        elif args.experiment != "table1":
-            run_figure(args.experiment, args.max_nodes)
+        cells: figures.Cells = {}  # a cell two figures share runs once
+        for name in names:
+            run_figure(name, args.max_nodes, cells)
 
-    try:
-        if args.telemetry is None:
-            run_all()
-            return 0
-        from repro.telemetry import capture, write_jsonl
+    if args.telemetry is None:
+        run_all()
+        return 0
+    from repro.telemetry import capture, write_jsonl
 
-        _check_writable(parser, args.telemetry)
-        with capture(capacity=None) as runs:
-            run_all()
-    except ValueError as exc:  # a --max-nodes below a figure's sweep
-        parser.error(str(exc))
+    _check_writable(parser, args.telemetry)
+    with capture(capacity=None) as runs:
+        run_all()
     merged = merged_event_bus(runs)
     n = write_jsonl(args.telemetry, merged)
     print(f"\nwrote {args.telemetry} ({n} events, {len(runs)} backend "

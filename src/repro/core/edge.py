@@ -10,6 +10,7 @@ declarations are validated at graph-construction and message-send time.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Any, List, Optional, Tuple, Type
 
 from repro.core.exceptions import TypeMismatchError
@@ -51,19 +52,25 @@ class Edge:
         self.name = name or f"edge{self.id}"
         self.key_type = key_type
         self.value_type = value_type
-        # (template_task, terminal_index) pairs, filled during tt creation.
-        self.producers: List[Tuple[Any, int]] = []
-        self.consumers: List[Tuple[Any, int]] = []
+        # (weakref.ref(template_task), terminal_index) pairs, filled during
+        # tt creation.  An edge does not keep a template alive (its graph or
+        # its caller does): readers skip a freed one, the next add drops it.
+        self.producers: List[Tuple[weakref.ref, int]] = []
+        self.consumers: List[Tuple[weakref.ref, int]] = []
 
     # ------------------------------------------------------------- wiring
 
     def add_producer(self, tt: Any, index: int) -> None:
-        self.producers.append((tt, index))
+        self.producers = [e for e in self.producers if e[0]() is not None]
+        self.producers.append((weakref.ref(tt), index))
 
     def add_consumer(self, tt: Any, index: int) -> None:
-        for producer, _ in self.producers:  # their compiled routes are stale
-            producer._changed()
-        self.consumers.append((tt, index))
+        for ref, _ in self.producers:  # their compiled routes are stale
+            producer = ref()
+            if producer is not None:
+                producer._changed()
+        self.consumers = [e for e in self.consumers if e[0]() is not None]
+        self.consumers.append((weakref.ref(tt), index))
 
     # ------------------------------------------------------------ checking
 

@@ -109,7 +109,10 @@ class TaskGraph:
             lines.append(f'  "{tt.name}" [shape=box];')
         for tt in self.tts:
             for t in tt.outputs:
-                for ctt, cidx in t.edge.consumers:
+                for ref, _ in t.edge.consumers:
+                    ctt = ref()
+                    if ctt is None:
+                        continue
                     label = t.edge.name
                     lines.append(f'  "{tt.name}" -> "{ctt.name}" [label="{label}"];')
         lines.append("}")
@@ -234,11 +237,14 @@ class Executable:
         self._logs = tel.bus.logs if recording else None  # type: ignore[union-attr]
         tts = list(self.graph.tts)
         delivers: Dict[TemplateTask, Deliver] = {}
-        for tt in tts:  # grows by the consumers outside the graph
+        consumers: Dict[OutputTerminal, List[Tuple[TemplateTask, int]]] = {}
+        for tt in tts:  # grows by the live consumers outside the graph
             delivers[tt] = self._delivery(tt)
             tt._bindings.add(self)
             for term in tt.outputs:
-                for ctt, _ in term.edge.consumers:
+                consumers[term] = [(ctt, i) for ref, i in term.edge.consumers
+                                   if (ctt := ref()) is not None]
+                for ctt, _ in consumers[term]:
                     if ctt not in delivers and ctt not in tts:
                         tts.append(ctt)
         owner = partial(default_owner, nranks=self.nranks)
@@ -246,7 +252,7 @@ class Executable:
             term: [(ctt, cidx, owner if ctt._keymap is None else ctt._keymap,
                     delivers[ctt],
                     f"{tt.name}->{ctt.name}" if recording else "data")
-                   for ctt, cidx in term.edge.consumers]
+                   for ctt, cidx in consumers[term]]
             for tt in tts for term in tt.outputs}
         self._delivers = delivers
         if self._observed:
@@ -404,7 +410,7 @@ class Executable:
         routes = self._routes[term]  # type: ignore[index]
         if not routes:
             raise DeliveryError(
-                f"send on terminal {term.tt.name}.{term.name}: edge "
+                f"send on terminal {term.tt().name}.{term.name}: edge "
                 f"{edge.name!r} has no consumers"
             )
         backend = self.backend
@@ -483,7 +489,7 @@ class Executable:
             routes = self._routes[term]  # type: ignore[index]
             if not routes:
                 raise DeliveryError(
-                    f"broadcast on terminal {term.tt.name}.{term.name}: edge "
+                    f"broadcast on terminal {term.tt().name}.{term.name}: edge "
                     f"{edge.name!r} has no consumers"
                 )
             kt, vt = edge.key_type, edge.value_type
@@ -501,6 +507,7 @@ class Executable:
                     per_rank.setdefault(dst, []).append((deliver, cidx, k))
         if self._observed:
             self._observe_broadcast(src_rank, spec, value, mode)
+        packed = None  # the value, serialized once for every remote rank
         for dst in sorted(per_rank):
             targets = per_rank[dst]
             backend.stats.broadcast_keys_covered += len(targets)
@@ -519,6 +526,8 @@ class Executable:
                         nbytes=64 + 16 * len(targets)
                     )
                 else:
+                    if packed is None:
+                        packed = backend.serialize(value)
                     backend.send_value(
                         src_rank,
                         dst,
@@ -526,6 +535,7 @@ class Executable:
                         partial(_deliver_all, targets, dst),
                         extra_bytes=16 * len(targets),
                         tag="bcast",
+                        packed=packed,
                     )
 
     def _observe_broadcast(
@@ -675,7 +685,10 @@ class Executable:
 
     def _control_via(self, src_rank: int, term: OutputTerminal, key: Any,
                      control: Callable[..., None], *args: Any) -> None:
-        for ctt, cidx in term.edge.consumers:
+        for ref, cidx in term.edge.consumers:
+            ctt = ref()
+            if ctt is None:
+                continue
             dst = ctt.keymap(key, self.nranks)
             if dst == src_rank:
                 self.backend.post_local(control, ctt, cidx, key, *args)

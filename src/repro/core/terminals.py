@@ -9,6 +9,7 @@ statically, dynamically per key, or via explicit finalization).
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Optional
 
 from repro.core.edge import Edge
@@ -16,10 +17,11 @@ from repro.core.exceptions import GraphConstructionError
 
 
 class InputTerminal:
-    """One input slot of a template task, bound to an edge."""
+    """One input slot of a template task, bound to an edge.  ``tt`` is a
+    weak reference to the template (which owns its terminals)."""
 
     def __init__(self, tt: Any, index: int, edge: Edge, name: str = "") -> None:
-        self.tt = tt
+        self.tt = weakref.ref(tt)
         self.index = index
         self.edge = edge
         self.name = name or f"in{index}"
@@ -42,32 +44,34 @@ class InputTerminal:
         compress operation); pass None for per-key dynamic sizing via
         ``set_argstream_size`` or ``finalize``.
         """
+        tt = self.tt()
         if self.reducer is not None:
             raise GraphConstructionError(
-                f"terminal {self.tt.name}.{self.name} already has a reducer"
+                f"terminal {tt.name}.{self.name} already has a reducer"
             )
         if size is not None and size < 1:
             raise GraphConstructionError("stream size must be >= 1")
-        self.tt._changed()
+        tt._changed()
         self.reducer = reducer
         self.static_stream_size = size
         self.is_streaming = True
-        self.tt.input_became_streaming(self)
+        tt.input_became_streaming(self)
 
     def __repr__(self) -> str:
         kind = "stream" if self.is_streaming else "single"
-        return f"InputTerminal({self.tt.name}.{self.name}, {kind}, edge={self.edge.name})"
+        return f"InputTerminal({self.tt().name}.{self.name}, {kind}, edge={self.edge.name})"
 
 
 class OutputTerminal:
-    """One output slot of a template task, bound to an edge."""
+    """One output slot of a template task, bound to an edge (``tt`` as in
+    :class:`InputTerminal`)."""
 
     def __init__(self, tt: Any, index: int, edge: Edge, name: str = "") -> None:
-        self.tt = tt
+        self.tt = weakref.ref(tt)
         self.index = index
         self.edge = edge
         self.name = name or f"out{index}"
         edge.add_producer(tt, index)
 
     def __repr__(self) -> str:
-        return f"OutputTerminal({self.tt.name}.{self.name}, edge={self.edge.name})"
+        return f"OutputTerminal({self.tt().name}.{self.name}, edge={self.edge.name})"

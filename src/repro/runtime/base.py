@@ -230,10 +230,14 @@ class _ReadyTask:
 
 
 class WorkerPool:
-    """Per-rank pool of simulated workers draining one ready queue."""
+    """Per-rank pool of simulated workers draining one ready queue.
+
+    It keeps the engine and the :class:`RunStats` it uses, not its
+    backend, so a backend and its pools form no reference cycle."""
 
     def __init__(self, backend: "Backend", rank: int) -> None:
-        self.backend = backend
+        self.engine = backend.engine
+        self.stats = backend.stats
         self.rank = rank
         node = backend.cluster.node
         self.nworkers = node.workers
@@ -275,7 +279,7 @@ class WorkerPool:
         self._queue.push(task, priority)
         log = self._log
         if log is not None:
-            now = self.backend.engine.now
+            now = self.engine.now
             log.extend((self._depth_head, now, now, None,
                         len(self._queue.items)))
         # With every worker busy the task just waits: the next completion
@@ -293,7 +297,7 @@ class WorkerPool:
         return self.nworkers - len(self._idle)
 
     def _dispatch(self) -> None:
-        engine = self.backend.engine
+        engine = self.engine
         log = self._log
         ready = self._queue.items
         while self._idle and ready:
@@ -311,15 +315,15 @@ class WorkerPool:
                                start)
 
     def _complete(self, task: Any, worker: int, start: float) -> None:
-        backend = self.backend
         log = self._log
         if log is not None:
             log.extend((self._task_heads[(task.name, worker)], start,
-                        backend.engine.now, None, task.key, task.name,
+                        self.engine.now, None, task.key, task.name,
                         task.priority))
-        backend.stats.tasks_executed += 1
-        stats = backend.stats.tasks_by_template
-        stats[task.name] = stats.get(task.name, 0) + 1
+        stats = self.stats
+        stats.tasks_executed += 1
+        by_template = stats.tasks_by_template
+        by_template[task.name] = by_template.get(task.name, 0) + 1
         try:
             task.run()
         finally:
@@ -467,6 +471,7 @@ class Backend:
         *,
         tag: str = "data",
         extra_bytes: int = 0,
+        packed: Optional[Tuple[Protocol, SerializedMessage]] = None,
     ) -> None:
         """Serialize ``value`` and deliver a reconstructed copy at ``dst``.
 
@@ -474,12 +479,14 @@ class Backend:
         eagerly, RMA-gets the payload, then notifies the sender to release
         the source object.  Copy costs are charged to virtual time.
         ``extra_bytes`` rides along in the eager part (e.g. the task-ID list
-        of an optimized broadcast).
+        of an optimized broadcast).  ``packed`` is ``value`` already
+        :meth:`serialize`-d: a broadcast packs its value once for all its
+        destination ranks, and the message is not changed here.
         """
-        proto, msg = self.serialize(value)
-        msg.eager_bytes += extra_bytes
+        proto, msg = self.serialize(value) if packed is None else packed
         node = self._node
-        total = msg.total_bytes
+        eager = msg.eager_bytes + extra_bytes
+        total = eager + msg.rma_bytes
         self.stats.remote_messages += 1
         self.stats.remote_bytes += total
         proto_stats = self.stats.bytes_by_protocol
@@ -502,8 +509,8 @@ class Backend:
                 flow = tel.bus.new_flow()
                 heads = self._h_proto[(tag, dst)]
             self.comm.send_am(
-                src, dst, msg.eager_bytes,
-                _Splitmd(self, src, dst, meta_bytes, msg.eager_bytes,
+                src, dst, eager,
+                _Splitmd(self, src, dst, meta_bytes, eager,
                          msg.rma_bytes, handle, send_start, flow, heads,
                          on_deliver).on_meta,
                 start=send_start, tag=tag)
@@ -513,7 +520,7 @@ class Backend:
             self.comm.send_am(
                 src,
                 dst,
-                msg.eager_bytes,
+                eager,
                 _Eager(self, proto, msg, recv_copy, server_time,
                        on_deliver).on_arrival,
                 start=send_start,

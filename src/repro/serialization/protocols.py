@@ -46,10 +46,6 @@ class SerializedMessage:
     receiver_copy_bytes: int = 0
     payload: Any = None
 
-    @property
-    def total_bytes(self) -> int:
-        return self.eager_bytes + self.rma_bytes
-
 
 class Protocol:
     """Abstract serialization protocol."""

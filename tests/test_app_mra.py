@@ -22,6 +22,8 @@ from repro.baselines.madness_mra import madness_mra
 from repro.runtime import MadnessBackend, ParsecBackend
 from repro.sim.cluster import Cluster, HAWK
 
+from tests.test_hot_path_budget import unreachable_after
+
 
 # -------------------------------------------------------------- multiwavelet
 
@@ -332,7 +334,10 @@ def test_mra_message_clone_independent():
 def test_ttg_matches_sequential(backend_cls):
     funcs = random_gaussians(4, d=2, exponent=1500.0, seed=6)
     backend = backend_cls(Cluster(HAWK, 4))
-    res = mra_ttg(funcs, backend, k=4, thresh=1e-5, max_level=9, initial_level=1)
+    # The finished run is freed by reference counting (no cycles left).
+    res, left = unreachable_after(lambda: mra_ttg(
+        funcs, backend, k=4, thresh=1e-5, max_level=9, initial_level=1))
+    assert left == 0
     mw = Multiwavelet(4, 2)
     for fid, f in enumerate(funcs):
         ref = project_adaptive(mw, f, 1e-5, max_level=9, initial_level=1)

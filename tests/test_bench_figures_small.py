@@ -135,7 +135,7 @@ def test_cli_figure_with_max_nodes(capsys, tmp_path):
         captured = capsys.readouterr()
         assert f"max nodes {argv[2]} is below the sweep's first node " \
             "count 4" in captured.err
-        assert "Fig" not in captured.out
+        assert captured.out == ""  # refused before anything ran
     assert not log.exists()
     # an unwritable log is refused before the figure runs
     bad = tmp_path / "missing" / "f.jsonl"

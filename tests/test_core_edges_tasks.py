@@ -76,9 +76,15 @@ def test_make_tt_terminals_bound_to_edges():
     e1, e2, e3 = Edge("in1"), Edge("in2"), Edge("out1")
     tt = make_tt(lambda key, a, b, outs: None, [e1, e2], [e3], name="T")
     assert tt.num_inputs == 2 and tt.num_outputs == 1
-    assert e1.consumers == [(tt, 0)]
-    assert e2.consumers == [(tt, 1)]
-    assert e3.producers == [(tt, 0)]
+    assert [(ref(), i) for ref, i in e1.consumers] == [(tt, 0)]
+    assert [(ref(), i) for ref, i in e2.consumers] == [(tt, 1)]
+    assert [(ref(), i) for ref, i in e3.producers] == [(tt, 0)]
+    assert tt.inputs[1].tt() is tt and tt.outputs[0].tt() is tt
+    # The edges refer to the template weakly: freed, it drops out.
+    del tt
+    assert [ref() for ref, _ in e1.consumers + e3.producers] == [None, None]
+    u = make_tt(lambda key, a, outs: None, [e1], [], name="U")
+    assert [(ref(), i) for ref, i in e1.consumers] == [(u, 0)]
 
 
 def test_make_tt_requires_callable():

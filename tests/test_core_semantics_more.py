@@ -119,10 +119,12 @@ def test_config_naive_broadcast_same_results():
         ex = ttg.TaskGraph([S, C]).executable(be)
         ex.invoke(S, 0)
         ex.fence()
-        return sorted(got)
+        return sorted(got), be.stats.tasks_executed
 
     # NB: edges bind to templates at construction, so run() rebuilds all.
-    assert run("optimized") == run("naive") == list(range(6))
+    # The first run's templates are freed when it returns and drop out of
+    # the edge: the second run executes its own 7 tasks only.
+    assert run("optimized") == run("naive") == (list(range(6)), 7)
 
 
 def test_madness_backend_priomap_effective():

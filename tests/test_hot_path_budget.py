@@ -36,8 +36,16 @@ live metrics registry and recorded events only.  Compiling the template
 graph once at binding, one object per spawned task and flat per-rank logs
 took the cells to 44.4 / 33.1 (observer 4.6 / 4.2, hook sites 0.6 / 0.5);
 the FW cell (b=32, Fig 8's path) joined then at 46.0 (parent 52.9).
+Packing a broadcast's value once for all its destination ranks took
+them to 43.03 / 33.05 / 41.87 (POTRF / BSPMM / FW; FW's
+comm+serialization 7.38 -> 3.94).
 A change that adds a call per message to the common path trips them;
 raise a budget only with a measured reason.
+
+The same runs check that a finished plain cell is freed by reference
+counting: after a warm-up, one run on each backend with the cyclic
+collector off leaves nothing for ``gc.collect()`` (the template graph
+and the backend hold no reference cycles).
 
 Memory and set-up time are end-to-end metrics too, and a process's
 footprint follows what it imports: SciPy alone pulls in ~300 modules and
@@ -47,6 +55,7 @@ only real-data TRSM tiles (``linalg.kernels.trsm``) may import SciPy.
 """
 
 import cProfile
+import gc
 import os
 import pstats
 import subprocess
@@ -56,7 +65,7 @@ import pytest
 
 import repro
 from repro.bench.history import APPS
-from repro.runtime import ParsecBackend
+from repro.runtime import MadnessBackend, ParsecBackend
 from repro.sim.cluster import HAWK, Cluster
 from repro.telemetry import Telemetry
 
@@ -83,22 +92,23 @@ LAYERS = {"total": None, "sim": ("sim",), "runtime": ("runtime",),
 #: calls of repro-defined functions per simulated task; "observer*" count
 #: what attaching Telemetry(capacity=None) adds
 BUDGETS = {
-    "potrf": (potrf_cell, {"total": 46.7, "sim": 6.4, "runtime": 9.7,
-                           "core": 7.4, "comm+serialization": 4.8,
+    "potrf": (potrf_cell, {"total": 45.2, "sim": 6.4, "runtime": 9.6,
+                           "core": 7.4, "comm+serialization": 4.1,
                            "observer": 4.9, "observer:runtime": 0.7}),
     "bspmm": (bspmm_cell, {"total": 34.8, "sim": 4.2, "runtime": 8.4,
-                           "core": 9.5, "comm+serialization": 2.2,
+                           "core": 9.5, "comm+serialization": 2.1,
                            "observer": 4.4, "observer:runtime": 0.6}),
-    "fw": (fw_cell, {"total": 48.4, "sim": 5.3, "runtime": 9.7,
-                     "core": 9.1, "comm+serialization": 7.8,
+    "fw": (fw_cell, {"total": 44.0, "sim": 5.3, "runtime": 9.5,
+                     "core": 9.1, "comm+serialization": 4.2,
                      "observer": 2.9, "observer:runtime": 0.2}),
 }
 
 
-def profiled_calls(cell, observed=False, nranks=NRANKS):
+def profiled_calls(cell, observed=False, nranks=NRANKS,
+                   backend_cls=ParsecBackend):
     """(calls per repro-defined function, simulated tasks) of one run."""
     telemetry = Telemetry(nranks, capacity=None) if observed else None
-    backend = ParsecBackend(Cluster(HAWK, nranks), telemetry=telemetry)
+    backend = backend_cls(Cluster(HAWK, nranks), telemetry=telemetry)
     profile = cProfile.Profile()
     profile.enable()
     cell(backend)
@@ -112,13 +122,32 @@ def profiled_calls(cell, observed=False, nranks=NRANKS):
     return calls, backend.stats.tasks_executed
 
 
+def unreachable_after(run):
+    """``run()``'s result and the objects a full collection then finds
+    unreachable.  Collections are off while it runs, so 0 means that all
+    it made and dropped was freed by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        return run(), gc.collect()
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_calls_per_task_stay_under_budget(name):
     cell, budgets = BUDGETS[name]
     nranks = RANKS.get(name, NRANKS)
-    profiled_calls(cell, nranks=nranks)  # lazy imports, per-class memos
+    # Warm-up: lazy imports, per-class memos, first uses of inspect/ast.
     profiled_calls(cell, observed=True, nranks=nranks)
-    first, tasks = profiled_calls(cell, nranks=nranks)
+    # A finished plain cell leaves nothing to the cyclic collector, on
+    # either backend: the template graph and the backend hold no cycles.
+    _, left = unreachable_after(lambda: profiled_calls(
+        cell, nranks=nranks, backend_cls=MadnessBackend))
+    assert left == 0, f"{name} on MadnessBackend left {left} unreachable"
+    (first, tasks), left = unreachable_after(
+        lambda: profiled_calls(cell, nranks=nranks))
+    assert left == 0, f"{name} on ParsecBackend left {left} unreachable"
     second, tasks_again = profiled_calls(cell, nranks=nranks)
     assert tasks == tasks_again
     assert sum(first.values()) == sum(second.values()), "run is not repeatable"
