@@ -416,16 +416,13 @@ class Sanitizer:
         """Fence completed: report stranded instances, leaked data and
         races."""
         ex = self.ex
-        by_id = {tt.id: tt for tt in ex.graph.tts}
-        for (ttid, key), p in sorted(
-            ex._pending.items(), key=lambda kv: repr(kv[0])
+        for tt, key, inputs in sorted(
+            ex.waiting(), key=lambda w: repr((w[0].id, w[1]))
         ):
-            tt = by_id[ttid]
-            got, missing = [], []
-            for i, t in enumerate(tt.inputs):
-                exp = p.expected[i]
-                state = f"{t.name}={p.counts[i]}/{'?' if exp is None else exp}"
-                (got if p.counts[i] else missing).append(state)
+            states = [(f"{t.name}={n}/{'?' if exp is None else exp}", n)
+                      for t, n, exp in inputs]
+            got = [state for state, n in states if n]
+            missing = [state for state, n in states if not n]
             self.record(
                 "SAN006", self._instance(tt, key),
                 f"stranded at termination: received [{', '.join(got) or '-'}], "

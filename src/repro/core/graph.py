@@ -132,22 +132,6 @@ class TaskGraph:
         return Executable(self, backend, strict=strict, sanitize=sanitize)
 
 
-class _Pending:
-    """Accumulating inputs of one not-yet-ready instance on the generic
-    path (:meth:`Executable._deliver`)."""
-
-    __slots__ = ("slots", "counts", "expected")
-
-    def __init__(self, tt: TemplateTask) -> None:
-        n = tt.num_inputs
-        self.slots: List[Any] = [_EMPTY] * n
-        self.counts: List[int] = [0] * n
-        # Only stream control rewrites an instance's row, so instances of
-        # single-message templates share the template's.
-        self.expected: List[Optional[int]] = (
-            list(tt.expected_row) if tt.streams else tt.expected_row)
-
-
 class Executable:
     """A TaskGraph bound to a backend: delivery, instantiation, execution.
 
@@ -172,9 +156,10 @@ class Executable:
         self.graph = graph
         self.backend = backend
         self.nranks = backend.nranks
-        self._pending: Dict[Tuple[int, Any], _Pending] = {}
-        # Per counted template: task ID -> [slot, ..., inputs missing].
-        self._counted: Dict[int, Dict[Any, List[Any]]] = {}
+        # Per template: (which inputs stream, a fresh entry, the store of
+        # task ID -> entry) -- see _delivery for an entry's layout.
+        self._pending: Dict[TemplateTask, Tuple[Tuple[bool, ...], List[Any],
+                                                 Dict[Any, List[Any]]]] = {}
         self.task_counts: Counter = Counter()
         self._tt_ids = {tt.id for tt in graph.tts}
         self._routes: Optional[Dict[OutputTerminal, List[tuple]]] = None
@@ -224,22 +209,27 @@ class Executable:
         deliver, tag)`` and the delivery of every template they reach.
 
         Runs last in binding, after the construction observers (which may
-        attach telemetry), and at the next entry point once :meth:`fence`
-        or a changed map dropped the tables.  An armed sanitizer or a
-        recording bus selects the observed variant here, once, so the
-        plain path tests for neither on any message.
+        attach telemetry or arm a sanitizer), and at the next entry point
+        once :meth:`fence` or a changed map dropped the tables.  An armed
+        sanitizer or a recording bus selects the observed variant here,
+        once, so the plain path tests for neither on any message: the
+        sanitizer wraps each delivery with ``on_deliver`` and its tasks
+        are :class:`_SanitizedTask`.
         """
         backend = self.backend
         tel = backend.telemetry
         recording = tel is not None and tel.bus.recording
-        self._observed = recording or self.sanitizer is not None
+        sanitizer = self.sanitizer
+        self._observed = recording or sanitizer is not None
         # The recording bus's per-rank logs, for the dependency instants.
         self._logs = tel.bus.logs if recording else None  # type: ignore[union-attr]
         tts = list(self.graph.tts)
         delivers: Dict[TemplateTask, Deliver] = {}
         consumers: Dict[OutputTerminal, List[Tuple[TemplateTask, int]]] = {}
         for tt in tts:  # grows by the live consumers outside the graph
-            delivers[tt] = self._delivery(tt)
+            deliver = self._delivery(tt)
+            delivers[tt] = deliver if sanitizer is None else partial(
+                _sanitized, sanitizer.on_deliver, tt, deliver)
             tt._bindings.add(self)
             for term in tt.outputs:
                 consumers[term] = [(ctt, i) for ref, i in term.edge.consumers
@@ -262,7 +252,8 @@ class Executable:
 
     def _unbind(self) -> None:
         """Drop the compiled tables: their closures hold the executable in
-        reference cycles, which :meth:`fence` breaks."""
+        reference cycles, which :meth:`fence` breaks.  The pending stores
+        hold no closure, and stay."""
         if self._routes is None:
             return
         for tt in self._delivers:
@@ -285,37 +276,64 @@ class Executable:
         self._unbind()
 
     def _delivery(self, tt: TemplateTask) -> Deliver:
-        """``tt``'s ``deliver(idx, key, rank, value=None)``: the generic
-        :meth:`_deliver` for a streaming template or under the sanitizer,
-        else a readiness count that spawns the instance when its last
-        input arrives, with the template's cost map, priority map and the
-        owner pool's hand-off bound."""
-        if tt.streams or self.sanitizer is not None:
-            return partial(self._deliver, tt)
-        n = tt.num_inputs
-        pending = self._counted.setdefault(tt.id, {})
+        """``tt``'s compiled ``deliver(idx, key, rank, value=None)``: a
+        readiness count over ``tt``'s one pending store, then the spawn,
+        with the cost map, priority map and pool hand-off bound.
+        ``deliver(None, key, rank, args)`` spawns at once (:meth:`invoke`,
+        stream control).  An entry is ``[slot, ..., inputs missing]`` (a
+        stream's slot: the reducer's accumulator), then, if any input
+        streams, each input's count and expected count (None: unsized).
+        """
+        inputs, name, n = tt.inputs, tt.name, tt.num_inputs
+        streams = tuple([t.is_streaming for t in inputs])
+        was, _, pending = self._pending.get(tt, (streams, [], {}))
+        if was != streams:  # reducers were set since these entries began
+            for p in pending.values():
+                _restream(p, inputs, was)
         fresh = [_EMPTY] * n + [n]
-        inputs, name = tt.inputs, tt.name
+        if True in streams:
+            fresh += [0] * n + [t.static_stream_size if t.is_streaming else 1
+                                for t in inputs]
+        self._pending[tt] = streams, fresh, pending
+        single = streams == (False,)
+        reducers = [t.reducer for t in inputs]
         cost, priomap = tt._cost, tt._priomap
         task_counts, pools, ex = self.task_counts, self.backend.pools, self
+        task = _Task if self.sanitizer is None else _SanitizedTask
 
-        def deliver(idx: int, key: Any, rank: int, value: Any = None) -> None:
-            if n == 1:
-                args: Tuple[Any, ...] = (value,)
+        def deliver(idx: Optional[int], key: Any, rank: int,
+                    value: Any = None) -> None:
+            if idx is None:
+                args: Tuple[Any, ...] = value
+            elif single:
+                args = (value,)
             else:
                 p = pending.get(key)
                 if p is None:
                     p = pending[key] = fresh[:]
-                elif p[idx] is not _EMPTY:
-                    raise DeliveryError(f"duplicate input for {name}"
-                                        f"[{key!r}].{inputs[idx].name}")
-                p[idx] = value
+                reducer = reducers[idx]
+                if reducer is None:
+                    if p[idx] is not _EMPTY:
+                        raise DeliveryError(f"duplicate input for {name}"
+                                            f"[{key!r}].{inputs[idx].name}")
+                    p[idx] = value
+                else:
+                    p[idx] = value if p[idx] is _EMPTY else reducer(p[idx], value)
+                    i = n + 1 + idx
+                    count = p[i] = p[i] + 1
+                    size = p[i + n]
+                    if count != size:
+                        if size is not None and count > size:
+                            raise StreamError(
+                                f"{name}[{key!r}].{inputs[idx].name}: stream "
+                                f"overflow ({count} > expected {size})")
+                        return
                 missing = p[n] - 1
                 if missing:
                     p[n] = missing
                     return
                 del pending[key]
-                p.pop()
+                del p[n:]
                 args = tuple(p)
             if cost is None:
                 flops = bytes_moved = 0.0
@@ -327,8 +345,8 @@ class Executable:
                     flops, bytes_moved = float(out), 0.0
             task_counts[name] += 1
             priority = 0 if priomap is None else priomap(key)
-            pools[rank].push(_Task(ex, tt, rank, key, args, flops,
-                                   bytes_moved, priority), priority)
+            pools[rank].push(task(ex, tt, rank, key, args, flops,
+                                  bytes_moved, priority), priority)
 
         return deliver
 
@@ -342,7 +360,7 @@ class Executable:
             raise DeliveryError(
                 f"invoke({tt.name}) needs {tt.num_inputs} args, got {len(args)}"
             )
-        self._spawn(tt, key, args)
+        self._delivers[tt](None, key, tt.keymap(key, self.nranks), tuple(args))
 
     def inject(
         self, tt: TemplateTask, which: Union[int, str], key: Any, value: Any = None
@@ -563,150 +581,111 @@ class Executable:
                     if deps is not None:
                         deps.extend((ctt.name, k, ename))
 
-    def _deliver(self, tt: TemplateTask, idx: int, key: Any, rank: int,
-                 value: Any = None) -> None:
-        """The generic terminal logic at the owner rank: accumulate, fire
-        when ready (the compiled delivery of a template with a streaming
-        input, or of any template under the sanitizer).
-
-        ``rank`` is the owner rank the sender's keymap evaluation gave
-        (keymaps are pure, TTG011).
-        """
-        if self.sanitizer is not None:
-            self.sanitizer.on_deliver(tt, idx, key, value, rank)
-        pkey = (tt.id, key)
-        p = self._pending.get(pkey)
-        if p is None:
-            p = self._pending[pkey] = _Pending(tt)
-        term = tt.inputs[idx]
-        if term.is_streaming:
-            if p.slots[idx] is _EMPTY:
-                p.slots[idx] = value
-            else:
-                p.slots[idx] = term.reducer(p.slots[idx], value)
-            p.counts[idx] += 1
-            exp = p.expected[idx]
-            if exp is not None and p.counts[idx] > exp:
-                raise StreamError(
-                    f"{tt.name}[{key!r}].{term.name}: stream overflow "
-                    f"({p.counts[idx]} > expected {exp})"
-                )
-        else:
-            if p.slots[idx] is not _EMPTY:
-                raise DeliveryError(
-                    f"duplicate input for {tt.name}[{key!r}].{term.name}"
-                )
-            p.slots[idx] = value
-            p.counts[idx] = 1
-        self._maybe_fire(tt, key, p, rank)
-
-    def _maybe_fire(self, tt: TemplateTask, key: Any, p: _Pending,
-                    rank: Optional[int] = None) -> None:
-        """Fire a pending instance once every input is satisfied (list
-        equality of counts and sizes).  Stream control passes no ``rank``."""
-        if p.counts != p.expected:
-            return
-        del self._pending[(tt.id, key)]
-        self._spawn(tt, key, [None if s is _EMPTY else s for s in p.slots],
-                    rank)
-
-    def _spawn(self, tt: TemplateTask, key: Any, args: Sequence[Any],
-               rank: Optional[int] = None) -> None:
-        """Create the task instance and hand it to its owner rank's pool
-        (``None``: not yet known -- :meth:`invoke` and stream control --
-        so the keymap is asked here): the generic counterpart of the
-        spawn a compiled counted delivery does itself."""
-        if rank is None:
-            rank = tt.keymap(key, self.nranks)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_spawn(tt, key, args)
-        args = tuple(args)
-        flops, bytes_moved = tt.cost(key, args)
-        self.task_counts[tt.name] += 1
-        priority = tt.priority(key)
-        task = (_Task if sanitizer is None else _SanitizedTask)(
-            self, tt, rank, key, args, flops, bytes_moved, priority)
-        self.backend.pools[rank].push(task, priority)
-
     # ------------------------------------------------------------- streams
 
-    def _stream(self, tt: TemplateTask, which: Union[int, str], key: Any,
-                kind: str) -> Tuple[InputTerminal, _Pending]:
-        """The streaming terminal and pending instance stream control
-        ``kind`` addresses."""
+    def set_argstream_size(self, tt: TemplateTask, which: Union[int, str], key: Any,
+                           size: Optional[int]) -> None:
+        """Declare the bounded stream length for ``tt``'s streaming input
+        ``which`` at task ID ``key`` (may arrive before or after data; None
+        finalizes) on its pending entry, and spawn the instance on its
+        owner rank if that completes it."""
         self._check_tt(tt)
         term = tt.in_terminal(which)
         if not term.is_streaming:
             raise StreamError(f"{tt.name}.{term.name} is not a streaming terminal")
         if self.sanitizer is not None:
-            self.sanitizer.on_stream_control(tt, term, key, kind)
-        pkey = (tt.id, key)
-        p = self._pending.get(pkey)
-        if p is None:
-            p = self._pending[pkey] = _Pending(tt)
-        return term, p
-
-    def set_argstream_size(self, tt: TemplateTask, which: Union[int, str], key: Any, size: int) -> None:
-        """Declare the bounded stream length for ``tt``'s streaming input
-        ``which`` at task ID ``key`` (may arrive before or after data)."""
-        if size < 0:
-            raise StreamError("stream size must be >= 0")
-        term, p = self._stream(tt, which, key, "set_argstream_size")
-        cur = p.expected[term.index]
-        if cur is not None and cur != size:
+            self.sanitizer.on_stream_control(
+                tt, term, key, "finalize" if size is None else "set_argstream_size")
+        _, fresh, pending = self._pending[tt]
+        p = pending.setdefault(key, fresh[:])
+        n, idx = tt.num_inputs, term.index
+        count, cur = p[n + 1 + idx], p[2 * n + 1 + idx]
+        if size is None:
+            size = count
+        elif cur not in (None, size) or count > size:
             raise StreamError(
-                f"{tt.name}[{key!r}].{term.name}: conflicting stream sizes "
-                f"{cur} vs {size}"
-            )
-        if p.counts[term.index] > size:
-            raise StreamError(
-                f"{tt.name}[{key!r}].{term.name}: already received "
-                f"{p.counts[term.index]} > size {size}"
-            )
-        p.expected[term.index] = size
-        self._maybe_fire(tt, key, p)
+                f"{tt.name}[{key!r}].{term.name}: stream size {size} conflicts "
+                f"with the expected {cur} or the {count} received")
+        p[2 * n + 1 + idx] = size
+        if count != size or cur == count:  # not complete, or already was
+            return
+        if p[idx] is _EMPTY:  # an empty stream's argument is None
+            p[idx] = None
+        p[n] -= 1
+        if p[n]:
+            return
+        del pending[key]
+        del p[n:]
+        self._delivers[tt](None, key, tt.keymap(key, self.nranks), tuple(p))
 
     def finalize_argstream(self, tt: TemplateTask, which: Union[int, str], key: Any) -> None:
         """Close the stream: its length becomes the count received so far."""
-        term, p = self._stream(tt, which, key, "finalize")
-        p.expected[term.index] = p.counts[term.index]
-        self._maybe_fire(tt, key, p)
+        self.set_argstream_size(tt, which, key, None)
 
-    def set_stream_size_via(
-        self, src_rank: int, term: OutputTerminal, key: Any, size: int
-    ) -> None:
-        """Stream-size control routed through an *output* terminal: applies
-        to every consumer of its edge, with a control message if remote."""
-        self._control_via(src_rank, term, key, self.set_argstream_size, size)
-
-    def finalize_stream_via(self, src_rank: int, term: OutputTerminal, key: Any) -> None:
-        self._control_via(src_rank, term, key, self.finalize_argstream)
-
-    def _control_via(self, src_rank: int, term: OutputTerminal, key: Any,
-                     control: Callable[..., None], *args: Any) -> None:
-        for ref, cidx in term.edge.consumers:
-            ctt = ref()
-            if ctt is None:
-                continue
+    def size_stream_via(self, src_rank: int, term: OutputTerminal, key: Any,
+                        size: Optional[int] = None) -> None:
+        """Stream control routed through an *output* terminal: the stream
+        size (None finalizes) of every consumer of its edge at ``key``,
+        with a control message if remote."""
+        for ctt, cidx, _, _, _ in self._routes[term]:  # type: ignore[index]
             dst = ctt.keymap(key, self.nranks)
+            control = partial(self.set_argstream_size, ctt, cidx, key, size)
             if dst == src_rank:
-                self.backend.post_local(control, ctt, cidx, key, *args)
+                self.backend.post_local(control)
             else:
-                self.backend.send_control(
-                    src_rank, dst, partial(control, ctt, cidx, key, *args))
+                self.backend.send_control(src_rank, dst, control)
 
     # -------------------------------------------------------------- status
 
     @property
     def pending_instances(self) -> int:
         """Task instances waiting for inputs right now."""
-        return len(self._pending) + sum(map(len, self._counted.values()))
+        return sum(len(pending) for _, _, pending in self._pending.values())
+
+    def waiting(self) -> List[Tuple[TemplateTask, Any,
+                                    List[Tuple[InputTerminal, int, Optional[int]]]]]:
+        """Each instance waiting for inputs: its template, its task ID and,
+        per input terminal, the messages received and expected (None: a
+        stream not yet sized)."""
+        out = []
+        for tt, (streams, _, pending) in self._pending.items():
+            n = tt.num_inputs
+            out += [(tt, key, [(t, p[n + 1 + i], p[2 * n + 1 + i]) if streams[i]
+                               else (t, int(p[i] is not _EMPTY), 1)
+                               for i, t in enumerate(tt.inputs)])
+                    for key, p in pending.items()]
+        return out
 
 
 #: A compiled delivery, ``deliver(idx, key, rank, value=None)``; a remote
-#: message carries ``partial(deliver, idx, key, rank)``.
+#: message carries ``partial(deliver, idx, key, rank)``, and
+#: ``deliver(None, key, rank, args)`` spawns the instance.
 Deliver = Callable[..., None]
+
+
+def _sanitized(on_deliver: Callable[..., None], tt: TemplateTask,
+               deliver: Deliver, idx: Optional[int], key: Any, rank: int,
+               value: Any = None) -> None:
+    """``deliver`` under the armed sanitizer, which sees each message (not
+    a spawn) first."""
+    if idx is not None:
+        on_deliver(tt, idx, key, value, rank)
+    deliver(idx, key, rank, value)
+
+
+def _restream(p: List[Any], inputs: Sequence[InputTerminal],
+              was: Tuple[bool, ...]) -> None:
+    """Bring the entry ``p``, begun while ``was[i]`` told whether input
+    ``i`` streamed, up to date with the reducers set since."""
+    n = len(inputs)
+    if True not in was:
+        p += [0] * n + [1] * n
+    for i, t in enumerate(inputs):
+        if t.is_streaming and not was[i]:
+            p[n + 1 + i] = filled = int(p[i] is not _EMPTY)
+            p[2 * n + 1 + i] = size = t.static_stream_size
+            if filled and size != 1:  # the slot is complete no more
+                p[n] += 1
 
 
 def _deliver_all(targets: List[Tuple[Deliver, int, Any]], rank: int,
@@ -740,10 +719,15 @@ class _Task(TaskOutputs):
 
 
 class _SanitizedTask(_Task):
-    """A task whose body is bracketed by the armed sanitizer's hooks (it
-    takes its rank's clock as it begins)."""
+    """A task whose spawn the armed sanitizer sees, and whose body its
+    hooks bracket (it takes its rank's clock as it begins)."""
 
     __slots__ = ()
+
+    def __init__(self, ex: Executable, tt: TemplateTask, rank: int, key: Any,
+                 args: Tuple[Any, ...], *rest: Any) -> None:
+        ex.sanitizer.on_spawn(tt, key, args)
+        _Task.__init__(self, ex, tt, rank, key, args, *rest)
 
     def run(self) -> None:
         sanitizer = self._ex.sanitizer

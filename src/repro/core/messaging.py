@@ -114,13 +114,13 @@ class TaskOutputs:
         """Set the expected stream size of the *consumers* of terminal
         ``which`` for task ID ``key`` (dynamic bounded streams)."""
         self._stream_instant("stream:set_size", which, key, size)
-        self._ex.set_stream_size_via(self.rank, self._terminal(which), key, size)
+        self._ex.size_stream_via(self.rank, self._terminal(which), key, size)
 
     def finalize(self, which: Union[int, str], key: Any) -> None:
         """Close the stream of the consumers of terminal ``which`` for
         ``key``: the stream length becomes whatever has arrived."""
         self._stream_instant("stream:finalize", which, key)
-        self._ex.finalize_stream_via(self.rank, self._terminal(which), key)
+        self._ex.size_stream_via(self.rank, self._terminal(which), key)
 
     def _stream_instant(self, name: str, which: Union[int, str], key: Any,
                         size: Optional[int] = None) -> None:

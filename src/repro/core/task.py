@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 from repro.core.edge import Edge
 from repro.core.exceptions import GraphConstructionError
@@ -70,15 +70,6 @@ class TemplateTask:
         ]
         self.num_inputs = len(self.inputs)
         self.num_outputs = len(self.outputs)
-        # Matching facts the executable reads once per delivered message
-        # (repro.core.graph._deliver): plain attributes, kept current by
-        # InputTerminal.set_reducer -- the one call that can change them.
-        #: whether any input terminal streams (if none does, readiness of an
-        #: instance is a count of filled inputs, not a scan)
-        self.streams = False
-        #: messages a fresh instance expects per input (None: a stream sized
-        #: per key by set_argstream_size / finalize)
-        self.expected_row: List[Optional[int]] = [1] * self.num_inputs
         self._keymap = keymap
         self._priomap = priomap
         self._cost = cost
@@ -94,15 +85,6 @@ class TemplateTask:
         point (a running one refuses the change)."""
         for ex in list(self._bindings):
             ex._template_changed(self)
-
-    def input_became_streaming(self, term: InputTerminal) -> None:
-        """``term`` (one of :attr:`inputs`) was given a reducer."""
-        self.streams = True
-        # A fresh list: instances already pending keep the row they started
-        # with (single-message templates share theirs, see _Pending).
-        row = list(self.expected_row)
-        row[term.index] = term.static_stream_size
-        self.expected_row = row
 
     def in_terminal(self, which: Union[int, str]) -> InputTerminal:
         """Look up an input terminal by index or name."""
@@ -170,18 +152,6 @@ class TemplateTask:
         if not 0 <= rank < nranks:
             raise keymap_out_of_range(self, key, rank, nranks)
         return rank
-
-    def priority(self, key: Any) -> int:
-        return 0 if self._priomap is None else self._priomap(key)
-
-    def cost(self, key: Any, args: Sequence[Any]) -> Tuple[float, float]:
-        """(flops, bytes_moved) for the instance with this key/args."""
-        if self._cost is None:
-            return 0.0, 0.0
-        out = self._cost(key, *args)
-        if isinstance(out, tuple):
-            return float(out[0]), float(out[1])
-        return float(out), 0.0
 
     def __repr__(self) -> str:
         return (

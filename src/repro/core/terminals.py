@@ -25,9 +25,9 @@ class InputTerminal:
         self.index = index
         self.edge = edge
         self.name = name or f"in{index}"
-        # Streaming configuration (None => plain single-message terminal).
-        # ``is_streaming`` is read once per delivered message, so it is a
-        # plain attribute; :meth:`set_reducer` is the only writer.
+        # Streaming configuration (None => plain single-message terminal),
+        # read when an executable compiles the template's delivery;
+        # :meth:`set_reducer` is the only writer.
         self.reducer: Optional[Callable[[Any, Any], Any]] = None
         self.static_stream_size: Optional[int] = None
         self.is_streaming = False
@@ -55,7 +55,6 @@ class InputTerminal:
         self.reducer = reducer
         self.static_stream_size = size
         self.is_streaming = True
-        tt.input_became_streaming(self)
 
     def __repr__(self) -> str:
         kind = "stream" if self.is_streaming else "single"

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.bench.history import (
     APPS,
     CELLS,
@@ -48,27 +49,34 @@ fw_cell = _driver("fw")
 bspmm_cell = _driver("bspmm")
 
 
-#: The run-loop axis.  ``"seq"`` runs the bare loop.  ``"sharded"`` -- the
-#: row id from when these cells also ran on the deleted sharded engine --
-#: runs the same loop with its one periodic hook, ``on_checkpoint``, firing
-#: before every heap entry, far more often than a digest trail arms it.
-LOOPS = ("seq", "sharded")
+#: The hooks axis.  ``"seq"`` runs the bare loop.  ``"armed"`` runs it with
+#: its one periodic hook, ``on_checkpoint``, firing before every heap entry
+#: (far more often than a digest trail arms it), and with a collect-mode
+#: sanitizer armed on the executable, whose wrapped deliveries and spawns
+#: must see every task and report nothing.
+LOOPS = ("seq", "armed")
 
 
 def assert_cell_matches_its_record(app, backend, loop):
-    fired = []
+    fired, sanitizers = [], []
 
     def arm(kind, obj):
-        if kind == "executable" and loop == "sharded":
+        if kind == "executable" and loop == "armed":
             obj.backend.engine.on_checkpoint = lambda now, n: fired.append(n)
             obj.backend.engine.checkpoint_every = 1
+            # Construction compiles the delivery after its observers.
+            obj.sanitizer = obj.backend.sanitizer = Sanitizer(obj)
+            sanitizers.append(obj.sanitizer)
 
     add_construction_observer(arm)
     try:
         fresh = measure_cell(TIER1[app, backend])
     finally:
         remove_construction_observer(arm)
-    assert bool(fired) == (loop == "sharded")
+    assert bool(fired) == (loop == "armed")
+    assert [f for s in sanitizers for f in s.findings] == []
+    if sanitizers:
+        assert sum(len(s._fired) for s in sanitizers) == fresh.tasks_total
     pin = BenchHistory.load_app(app, str(ROOT)).pin(fresh)
     assert pin is not None, f"{fresh.config_key} has no committed record"
     assert moved_fields(pin, fresh) == [], fresh.config_key

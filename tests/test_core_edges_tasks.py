@@ -17,7 +17,10 @@ from repro.core.keymap import (
     subtree_keymap,
     zero_priomap,
 )
+from repro.core.graph import TaskGraph
 from repro.core.task import make_tt
+from repro.runtime import ParsecBackend
+from repro.sim.cluster import HAWK, Cluster
 
 
 # -------------------------------------------------------------------- edges
@@ -105,17 +108,26 @@ def test_keymap_out_of_range_rejected():
         tt.keymap(0, 4)
 
 
+def spawned(**maps):
+    """(flops, bytes moved, priority) of the task ``invoke`` spawns from a
+    template made with ``maps``."""
+    got = []
+    tt = make_tt(lambda k, outs: got.append(
+        (outs.flops, outs.bytes_moved, outs.priority)), [], [], **maps)
+    ex = TaskGraph([tt]).executable(ParsecBackend(Cluster(HAWK, 1)))
+    ex.invoke(tt, "anything")
+    ex.fence()
+    return got[0]
+
+
 def test_priority_and_cost_defaults():
-    tt = make_tt(body, [], [])
-    assert tt.priority("anything") == 0
-    assert tt.cost("k", []) == (0.0, 0.0)
+    assert spawned() == (0.0, 0.0, 0)
+    assert spawned(priomap=lambda k: 3)[2] == 3
 
 
 def test_cost_scalar_and_tuple_forms():
-    tt = make_tt(body, [], [], cost=lambda k: 5.0)
-    assert tt.cost(0, []) == (5.0, 0.0)
-    tt2 = make_tt(body, [], []).set_cost(lambda k: (5.0, 7.0))
-    assert tt2.cost(0, []) == (5.0, 7.0)
+    assert spawned(cost=lambda k: 5) == (5.0, 0.0, 0)
+    assert spawned(cost=lambda k: (5, 7.0)) == (5.0, 7.0, 0)
 
 
 def test_set_input_reducer_by_name_and_index():

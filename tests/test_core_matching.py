@@ -6,7 +6,8 @@
   keymap) surface as the same exception types and rule ids on all four
   entry points;
 - the per-template matching facts follow ``set_reducer`` whenever it is
-  called before ``executable()``.
+  called before ``executable()``, or between a fence and the next entry
+  point while an instance waits.
 
 ``tests/test_property_random_dag.py`` holds the oracle these complement.
 """
@@ -161,10 +162,8 @@ def test_reducer_set_after_make_tt_is_honoured():
     src = ttg.make_tt(src_body, [], [a, b], name="SRC", keymap=lambda k: 0)
     tt = ttg.make_tt(lambda k, x, y, outs: got.append((k, x, y)), [a, b], [],
                      name="SUM", keymap=lambda k: 1)
-    assert not tt.streams and tt.expected_row == [1, 1]
     graph = ttg.TaskGraph([src, tt])
     tt.set_input_reducer(1, operator.add, size=3)
-    assert tt.streams and tt.expected_row == [1, 3]
     assert [t.is_streaming for t in tt.inputs] == [False, True]
     ex = graph.executable(ParsecBackend(Cluster(HAWK, NRANKS)))
     ex.invoke(src, 0)
@@ -186,9 +185,47 @@ def test_reducer_set_on_the_terminal_itself_is_honoured():
     tt = ttg.make_tt(lambda k, x, outs: got.append((k, x)), [a], [],
                      name="SUM", keymap=lambda k: 1)
     tt.in_terminal(0).set_reducer(operator.add)  # dynamic size
-    assert tt.streams and tt.expected_row == [None]
     ex = ttg.TaskGraph([src, tt]).executable(
         ParsecBackend(Cluster(HAWK, NRANKS)))
     ex.invoke(src, 0)
     ex.fence()
     assert got == [(9, 3)]
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize("reduced, size, want", [(1, 1, (5, 10, 7)),
+                                                 (0, 2, (5, 13, 7))],
+                         ids=["b", "a"])
+def test_reducer_set_between_fences_keeps_the_waiting_instance(
+        sanitize, reduced, size, want):
+    """``SUM[5]`` has its ``a`` when a fence strands it; a reducer set
+    afterwards (on ``b``, or on the ``a`` it holds) turns the one pending
+    entry into a stream entry, and the next run's messages fire it."""
+    a, b = ttg.Edge("a"), ttg.Edge("b")
+    got = []
+
+    def src_body(key, outs):
+        if key == 0:
+            outs.send(0, 5, 10)
+            return
+        outs.send(1, 5, 7)
+        if reduced == 0:
+            outs.send(0, 5, 3)
+
+    src = ttg.make_tt(src_body, [], [a, b], name="SRC", keymap=lambda k: 0)
+    tt = ttg.make_tt(lambda k, x, y, outs: got.append((k, x, y)), [a, b], [],
+                     name="SUM", keymap=lambda k: 1)
+    ex = ttg.TaskGraph([src, tt]).executable(
+        ParsecBackend(Cluster(HAWK, NRANKS)), sanitize=sanitize)
+    ex.invoke(src, 0)  # sends a only
+    if sanitize:
+        with pytest.warns(RuntimeWarning, match="SAN006"):
+            ex.fence()
+    else:
+        ex.fence()
+    assert ex.pending_instances == 1
+    tt.set_input_reducer(reduced, operator.add, size=size)
+    ex.invoke(src, 1)
+    ex.fence()
+    assert got == [want]
+    assert ex.pending_instances == 0
